@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # One-command tier-1 verification (tox-free): unit/integration tests,
-# whole-tree bytecode compilation, a doctest pass over the
-# observability subsystem, and a smoke run of the exchange-throughput
-# bench (exercises the fast path end to end without timing asserts).
+# the benchmark harness's own tests, whole-tree bytecode compilation, a
+# doctest pass over the observability subsystem, and a smoke run of the
+# exchange-throughput bench (exercises the fast path end to end without
+# timing asserts).
 # Run from the repository root:
 #
 #   sh scripts/check.sh
@@ -15,6 +16,9 @@ export PYTHONPATH
 
 echo "== pytest (tier-1) =="
 python -m pytest -x -q
+
+echo "== pytest (benchmark harness: quick runs of every workload, outcome oracle) =="
+python -m pytest -q benchmarks/harness
 
 echo "== compileall src =="
 python -m compileall -q src

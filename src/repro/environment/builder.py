@@ -323,6 +323,8 @@ class EnvironmentBuilder:
         env.exchanges_attempted = 0
         env.exchanges_failed = 0
         env._pending_deliveries = {}
+        #: (activity, from_org, to_org) -> the shared CommunicationContext
+        env._contexts = {}
         env._shed_limit = self._shed_limit
         env._default_deadline_s = self._default_deadline_s
         # duck-typed: only the sharded KB can place a receiver on a shard,

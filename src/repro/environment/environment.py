@@ -17,19 +17,21 @@ One :class:`CSCWEnvironment` aggregates the common services:
 * the **tailoring service** and the **view registry**.
 
 Applications integrate once (:meth:`register_application`) and then
-exchange documents through :meth:`exchange`, which applies the four CSCW
-transparencies per the caller's :class:`TransparencyProfile`.  Heavy
-traffic goes through :meth:`exchange_many`, the batched fast path: org
-membership, policy verdicts and app format pairs are memoised in a
-:class:`~repro.environment.resolution.ResolutionCache` (invalidated by
-knowledge-base and registry mutations) and tracing/metrics are amortised
-to one span and one flush per batch.
+exchange documents through one pipeline, which applies the four CSCW
+transparencies per the caller's :class:`TransparencyProfile`.
+:meth:`exchange_many` splits a batch into runs of consecutive same-route
+requests; each run is admitted once (membership, organisation/policy,
+view, receiver endpoint — memoised in a
+:class:`~repro.environment.resolution.ResolutionCache` invalidated by
+knowledge-base and registry mutations), its documents are delivered one
+by one, and the batch's metrics are flushed once.  :meth:`exchange` is
+that pipeline run on a batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
 from repro.activity.model import Activity
 from repro.communication.model import (
@@ -40,6 +42,7 @@ from repro.communication.model import (
 from repro.environment.registry import AppDescriptor, DeliveryCallback
 from repro.environment.transparency import CSCW_DIMENSIONS, TransparencyProfile
 from repro.obs.events import KIND_DEADLINE, KIND_SHED
+from repro.obs.instrument import BYTES_BUCKETS
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.org.policy import INTERACTION_MESSAGE
@@ -67,9 +70,43 @@ REASON_TIME_OPAQUE = "time-opaque"
 REASON_UNKNOWN_RECEIVER = "unknown-receiver"
 REASON_DEADLINE_EXCEEDED = "deadline-exceeded"
 REASON_OVERLOAD = "overload"
+REASON_APPLICATION_ERROR = "application-error"
 
 #: shared default profile — exchange() is hot, avoid rebuilding it per call
 _ALL_ON = TransparencyProfile.all_on()
+
+
+def deadline_reason(expires_at: float, now: float) -> str:
+    """The reason text of a :data:`REASON_DEADLINE_EXCEEDED` outcome."""
+    return f"exchange deadline {expires_at:.3f} passed at {now:.3f}"
+
+
+def unknown_receiver_reason(receiver: str) -> str:
+    """The reason text of a :data:`REASON_UNKNOWN_RECEIVER` outcome."""
+    return f"receiver {receiver!r} has no registered communicator"
+
+
+def _with_time(handled: tuple[str, ...]) -> tuple[str, ...]:
+    """*handled* for an asynchronous delivery: the time dimension slots in
+    before the activity dimension, in pipeline order."""
+    if handled[-1:] == ("activity",):
+        return handled[:-1] + ("time", "activity")
+    return handled + ("time",)
+
+
+class _Refusal(NamedTuple):
+    """Why a route was refused admission: a ``REASON_*`` code and text."""
+
+    code: str
+    reason: str
+
+
+#: the route-constant state of an admitted run: its communication
+#: context, the (sender, receiver) formats, the dimensions a synchronous
+#: delivery handles (in pipeline order) and the receiver's endpoint
+#: (None when they have no communicator); a plain tuple, as a run of one
+#: pays for its construction on every exchange
+_Admission = tuple[CommunicationContext, str, str, tuple[str, ...], "Communicator | None"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,8 +142,8 @@ class ExchangeRequest:
     :meth:`CSCWEnvironment.exchange_many`, the remote
     :class:`~repro.environment.server.EnvironmentClient` and
     :meth:`~repro.federation.federation.Federation.federated_exchange` —
-    accepts one of these (the legacy keyword form is a thin shim over
-    :meth:`from_kwargs`, so the two call styles cannot drift apart).
+    accepts one of these (the legacy keyword form goes through
+    :meth:`from_call`, so the two call styles cannot drift apart).
 
     Beyond the routing fields, a request carries the annotations the
     adaptive control plane acts on: ``priority`` (positive priorities
@@ -153,8 +190,9 @@ class ExchangeRequest:
         """Build a request from the legacy positional/keyword arguments.
 
         This is the one place the keyword call shape is defined; the
-        ``exchange`` shims of the environment, the environment server
-        client and the federation all route through it.
+        ``exchange`` entry points of the environment, the environment
+        server client and the federation reach it through
+        :meth:`from_call`.
         """
         return cls(
             sender=sender,
@@ -169,6 +207,41 @@ class ExchangeRequest:
             priority=priority,
             shed_class=shed_class,
             min_fidelity=min_fidelity,
+        )
+
+    @classmethod
+    def from_call(
+        cls, request: Any, args: tuple[Any, ...], kwargs: dict[str, Any]
+    ) -> "ExchangeRequest":
+        """The request an ``exchange``-shaped entry point was called with.
+
+        *request* is the positional-only first argument; when it is not
+        already a request, it and *args*/*kwargs* are the legacy
+        positional/keyword form and go through :meth:`from_kwargs`.
+        """
+        if isinstance(request, cls):
+            return request
+        positional = () if request is None else (request,)
+        return cls.from_kwargs(*positional, *args, **kwargs)
+
+    def same_route(self, other: "ExchangeRequest") -> bool:
+        """True when two requests differ at most in their document.
+
+        Consecutive same-route requests form one run of the exchange
+        pipeline and share one gateway envelope on a federated relay.
+        """
+        return (
+            self.sender == other.sender
+            and self.receiver == other.receiver
+            and self.sender_app == other.sender_app
+            and self.receiver_app == other.receiver_app
+            and self.activity_id == other.activity_id
+            and self.interaction == other.interaction
+            and self.profile == other.profile
+            and self.deadline == other.deadline
+            and self.priority == other.priority
+            and self.shed_class == other.shed_class
+            and self.min_fidelity == other.min_fidelity
         )
 
     def to_document(self) -> dict[str, Any]:
@@ -255,16 +328,24 @@ class CSCWEnvironment:
         return EnvironmentBuilder(cls)
 
     def _bind_labelled_metrics(self) -> None:
-        """Resolve the environment's labelled metric children once.
+        """Resolve the environment's exchange metrics once.
 
         The flat ``env.exchange.*`` names stay authoritative (dashboards
         and tests key on them); the labelled families add the ``domain``
         dimension that lets federated runs sharing one registry tell
         their environments apart.  Binding against
-        :data:`~repro.obs.metrics.NULL_METRICS` yields null children, so
-        the hot-path ``inc`` calls stay no-ops when metrics are off.
+        :data:`~repro.obs.metrics.NULL_METRICS` yields null instruments,
+        so the hot-path ``inc`` calls stay no-ops when metrics are off.
+        Per-reason and per-dimension counters are bound on first use (a
+        series appears once it has something to count) and then kept.
         """
         obs = self.metrics
+        self._m_attempted = obs.counter("env.exchange.attempted")
+        self._m_outcome_delivered = obs.counter("env.exchange.outcome.delivered")
+        self._m_outcome_failed = obs.counter("env.exchange.outcome.failed")
+        self._m_reason_delivered_flat = obs.counter(
+            f"env.exchange.reason.{REASON_DELIVERED}"
+        )
         outcomes = obs.counter("env.exchange.outcomes", labels=("domain", "outcome"))
         self._m_delivered = outcomes.labels(domain=self.name, outcome="delivered")
         self._m_failed = outcomes.labels(domain=self.name, outcome="failed")
@@ -272,6 +353,13 @@ class CSCWEnvironment:
         self._m_reason_delivered = self._m_reasons.labels(
             domain=self.name, reason=REASON_DELIVERED
         )
+        self._m_document_bytes = obs.histogram(
+            "env.exchange.document_bytes", buckets=BYTES_BUCKETS
+        )
+        #: failure reason code -> (flat counter, labelled child)
+        self._m_failure_reasons: dict[str, tuple[Any, Any]] = {}
+        #: transparency dimension -> flat counter
+        self._m_dimensions: dict[str, Any] = {}
 
     # -- people ----------------------------------------------------------------
     def register_person(self, communicator: Communicator) -> None:
@@ -290,7 +378,9 @@ class CSCWEnvironment:
         waiting when you return.  Deliveries whose deadline passed while
         the person was absent are dropped instead of flushed (counted as
         ``env.shed.expired``): a deadline-carrying exchange promised its
-        sender delivery-by, not delivery-eventually.
+        sender delivery-by, not delivery-eventually.  A delivery whose
+        application callback raises is not counted as flushed (it counts
+        as ``env.flush.application_error``); the rest still flush.
         """
         self.communicators.set_presence(person_id, True)
         pending = self._pending_deliveries.pop(person_id, [])
@@ -301,7 +391,12 @@ class CSCWEnvironment:
             if expires_at is not None and now >= expires_at:
                 expired += 1
                 continue
-            self.applications.deliver(app_name, person_id, document, info)
+            try:
+                self.applications.deliver(app_name, person_id, document, info)
+            except Exception:  # one raising callback must not drop the rest
+                if self.metrics.enabled:
+                    self.metrics.inc("env.flush.application_error")
+                continue
             flushed += 1
         if expired:
             if self.metrics.enabled:
@@ -362,7 +457,7 @@ class CSCWEnvironment:
             activity.join(person_id, role)
         return activity
 
-    # -- the exchange primitive -----------------------------------------------------
+    # -- the exchange pipeline -----------------------------------------------------
     def exchange(self, request=None, /, *args: Any, **kwargs: Any) -> ExchangeOutcome:
         """Deliver one :class:`ExchangeRequest` (or legacy keyword form).
 
@@ -371,9 +466,13 @@ class CSCWEnvironment:
             env.exchange(ExchangeRequest(sender, receiver, ..., document))
 
         The legacy positional/keyword form (``exchange(sender, receiver,
-        sender_app, receiver_app, document, ...)``) remains supported as
-        a thin shim over :meth:`ExchangeRequest.from_kwargs` and produces
-        identical outcomes.
+        sender_app, receiver_app, document, ...)``) remains supported
+        through :meth:`ExchangeRequest.from_call` and produces identical
+        outcomes.
+
+        A single exchange is a batch of one: it runs the pipeline of
+        :meth:`exchange_many`, so its outcome and counters are exactly
+        those of ``exchange_many([request])``.
 
         The environment applies each enabled transparency; a disabled
         transparency whose dimension the exchange actually crosses makes
@@ -388,18 +487,22 @@ class CSCWEnvironment:
         (``with_shed_limit`` or the runtime :meth:`set_shed_limit`),
         asynchronous deliveries beyond that per-receiver queue depth are
         shed with :data:`REASON_OVERLOAD` — unless the request carries a
-        positive ``priority``, which bypasses shedding.
+        positive ``priority``, which bypasses shedding.  A synchronous
+        delivery whose application callback raises fails with
+        :data:`REASON_APPLICATION_ERROR` instead of raising.
 
         When a tracer is attached, the whole exchange runs inside an
         ``env.exchange`` span whose trace id the returned outcome
         carries; when a metrics registry is attached, outcomes are
         counted by reason code and transparency dimension.
         """
-        if not isinstance(request, ExchangeRequest):
-            positional = () if request is None else (request,)
-            request = ExchangeRequest.from_kwargs(*positional, *args, **kwargs)
+        request = ExchangeRequest.from_call(request, args, kwargs)
         with self.tracer.span("env.exchange") as span:
-            outcome = self._exchange(request, span.trace_id)
+            outcomes: list[ExchangeOutcome] = []
+            self._exchange_group((request,), span.trace_id, outcomes)
+            if self.metrics.enabled:
+                self._flush_metrics(outcomes)
+            outcome = outcomes[0]
             span.tag(
                 delivered=outcome.delivered,
                 mode=outcome.mode,
@@ -426,6 +529,45 @@ class CSCWEnvironment:
                     if shard:
                         span.tag(shard=shard)
             return outcome
+
+    def exchange_many(self, requests: "list[ExchangeRequest]") -> list[ExchangeOutcome]:
+        """Deliver a batch of exchanges, amortising per-call overheads.
+
+        Every outcome field except ``trace_id`` is what :meth:`exchange`
+        returns for the same request: both run the one pipeline.  The
+        batch shares one ``env.exchange_many`` trace span and a single
+        aggregated metrics flush, and runs of consecutive requests with
+        the same route (:meth:`ExchangeRequest.same_route`) resolve org
+        membership, policy, formats and the receiver endpoint **once per
+        run** instead of once per document.  Within a run, consecutive
+        requests carrying the *same document object* share one
+        translation and one size computation (converters are
+        shape-deterministic, see :class:`~repro.information.interchange`).
+
+        Hoisting never serves stale state: the run watches the
+        resolution cache's ``generation`` token, so a delivery callback
+        that mutates the knowledge base mid-batch (a revoked policy, a
+        moved person) makes the remaining items of the current run
+        re-admit — they fail or deliver exactly as separate
+        :meth:`exchange` calls would (presence and queue depth are read
+        item by item).
+        """
+        with self.tracer.span(
+            "env.exchange_many", domain=self.name, batch=len(requests)
+        ) as span:
+            outcomes: list[ExchangeOutcome] = []
+            start = 0
+            for index in range(1, len(requests)):
+                if not requests[index].same_route(requests[start]):
+                    self._exchange_group(requests[start:index], span.trace_id, outcomes)
+                    start = index
+            if requests:
+                self._exchange_group(requests[start:], span.trace_id, outcomes)
+                if self.metrics.enabled:
+                    self._flush_metrics(outcomes)
+            delivered = sum(1 for outcome in outcomes if outcome.delivered)
+            span.tag(delivered=delivered, failed=len(outcomes) - delivered)
+            return outcomes
 
     def _translate_payload(
         self,
@@ -485,513 +627,162 @@ class CSCWEnvironment:
             source_format, target_format, payload, min_fidelity=min_fidelity
         )
 
-    def _exchange(
+    def _admit(
         self,
         request: ExchangeRequest,
-        trace_id: str,
-        obs: MetricsRegistry | None = None,
-    ) -> ExchangeOutcome:
-        sender = request.sender
-        receiver = request.receiver
-        sender_app = request.sender_app
-        receiver_app = request.receiver_app
+        active: TransparencyProfile,
+        at_origin: bool = False,
+    ) -> "_Refusal | _Admission | None":
+        """Admit one route: activity membership, organisation/policy,
+        view, then the receiver endpoint.
+
+        Returns a :class:`_Refusal` naming the first check that fails,
+        else the route-constant :data:`_Admission` a run delivers with
+        (its endpoint is None for a receiver with no communicator: the
+        pipeline reports that after translating, per document).  A
+        federation's origin domain admits *at_origin*: only membership
+        and organisation/policy are decided there — the view and the
+        endpoint are the target's — and None means the request may be
+        relayed.  *active* is the request's transparency profile.
+        """
         activity_id = request.activity_id
-        interaction = request.interaction
-        self.exchanges_attempted += 1
-        if obs is None:
-            obs = self.metrics
-        if obs.enabled:
-            obs.inc("env.exchange.attempted")
-        active = request.profile if request.profile is not None else _ALL_ON
-        handled: list[str] = []
-
-        # Deadline check runs first: an exchange that arrives expired
-        # (e.g. after gateway hops) must not consume pipeline work.
-        expires_at = self.effective_deadline(request.deadline)
-        if expires_at is not None and self.world.now >= expires_at:
-            if obs.enabled:
-                obs.inc("env.shed.expired")
-            if self.events.enabled:
-                self.events.record(
-                    self.world.now,
-                    KIND_DEADLINE,
-                    trace_id=trace_id,
-                    env=self.name,
-                    receiver=receiver,
-                    deadline=expires_at,
-                )
-            return self._fail(
-                REASON_DEADLINE_EXCEEDED,
-                f"exchange deadline {expires_at:.3f} passed at {self.world.now:.3f}",
-                trace_id,
-                obs,
-            )
-
-        # Membership check: activity-scoped exchanges require membership.
         if activity_id:
             activity = self.activities.get(activity_id)
-            for person in (sender, receiver):
+            for person in (request.sender, request.receiver):
                 if not activity.is_member(person):
-                    return self._fail(
-                        REASON_MEMBERSHIP,
-                        f"{person} is not a member of {activity_id}",
-                        trace_id,
-                        obs,
+                    return _Refusal(
+                        REASON_MEMBERSHIP, f"{person} is not a member of {activity_id}"
                     )
-
-        # 1. Organisation dimension (memoised per sender/receiver/interaction).
-        verdict = self.resolution.route(sender, receiver, interaction)
-        sender_org = verdict.sender_org
-        receiver_org = verdict.receiver_org
+        verdict = self.resolution.route(request.sender, request.receiver, request.interaction)
+        handled: tuple[str, ...] = ()
         if verdict.cross_org:
             if not active.organisation:
-                return self._fail(
-                    REASON_ORGANISATION_OPAQUE,
-                    f"cross-organisation exchange ({sender_org} -> {receiver_org}) "
-                    "with organisation transparency off",
-                    trace_id,
-                    obs,
-                )
-            if not verdict.policy_ok:
-                return self._fail(
-                    REASON_POLICY,
-                    f"no compatible policy between {sender_org} and {receiver_org} "
-                    f"for {interaction}",
-                    trace_id,
-                    obs,
-                )
-            handled.append("organisation")
-
-        # 2. View (format) dimension (memoised per app pair).
-        translated = False
-        fidelity = 1.0
-        payload = dict(request.document)
-        sender_format, receiver_format = self.resolution.formats(sender_app, receiver_app)
-        if sender_format != receiver_format:
-            if not active.view:
-                return self._fail(
-                    REASON_VIEW_OPAQUE,
-                    f"format mismatch ({sender_format} -> {receiver_format}) "
-                    "with view transparency off",
-                    trace_id,
-                    obs,
-                )
-            try:
-                result = self._translate_payload(
-                    sender_format, receiver_format, payload, request.min_fidelity
-                )
-            except FidelityError as exc:
-                return self._fail(REASON_FIDELITY, str(exc), trace_id, obs)
-            except InteropError as exc:
-                return self._fail(REASON_TRANSLATION, str(exc), trace_id, obs)
-            payload = result.document
-            fidelity = result.fidelity
-            translated = True
-            handled.append("view")
-
-        # 3. Time dimension.  A receiver who was *never* registered is a
-        # hard failure, not an absence: queueing for them would blackhole
-        # the document in _pending_deliveries forever.
-        try:
-            receiver_present = self.communicators.get(receiver).present
-        except UnknownObjectError:
-            return self._fail(
-                REASON_UNKNOWN_RECEIVER,
-                f"receiver {receiver!r} has no registered communicator",
-                trace_id,
-                obs,
-            )
-        if receiver_present:
-            mode = "synchronous"
-        else:
-            if not active.time:
-                return self._fail(
-                    REASON_TIME_OPAQUE,
-                    f"receiver {receiver} absent with time transparency off",
-                    trace_id,
-                    obs,
-                )
-            if (
-                request.priority <= 0
-                and self._shed_limit is not None
-                and len(self._pending_deliveries.get(receiver, ())) >= self._shed_limit
-            ):
-                if obs.enabled:
-                    obs.inc("env.shed.overload")
-                if self.events.enabled:
-                    self.events.record(
-                        self.world.now,
-                        KIND_SHED,
-                        trace_id=trace_id,
-                        env=self.name,
-                        receiver=receiver,
-                        queued=self._shed_limit,
-                        shed_class=request.shed_class,
-                    )
-                return self._fail(
-                    REASON_OVERLOAD,
-                    f"receiver {receiver} has {self._shed_limit} deliveries "
-                    "queued; shedding to protect the environment",
-                    trace_id,
-                    obs,
-                )
-            mode = "asynchronous"
-            handled.append("time")
-
-        # 4. Activity dimension: scoped vs global event publication.
-        info = {
-            "sender": sender,
-            "sender_app": sender_app,
-            "mode": mode,
-            "fidelity": fidelity,
-            "activity": activity_id,
-        }
-        if active.activity and activity_id:
-            topic = f"activity/{activity_id}/exchange"
-            handled.append("activity")
-        else:
-            topic = "exchange"
-        self.bus.publish(topic, info, source=sender_app, time=self.world.now)
-
-        # Deliver into the receiving application — immediately when the
-        # receiver is present, queued for their return otherwise (true
-        # store-and-forward semantics).
-        rendered = self.views.render(receiver, payload)
-        if mode == "synchronous":
-            self.applications.deliver(receiver_app, receiver, rendered, info)
-        else:
-            self._pending_deliveries.setdefault(receiver, []).append(
-                (receiver_app, rendered, info, expires_at)
-            )
-        size_bytes = document_size(payload)
-        self.communication_log.record(
-            Exchange(
-                sender=sender,
-                receiver=receiver,
-                mode=mode,
-                media="document",
-                size_bytes=size_bytes,
-                time=self.world.now,
-                context=CommunicationContext(
-                    activity=activity_id, from_org=sender_org, to_org=receiver_org
-                ),
-            )
-        )
-        self.world.metrics.increment("env.exchange.delivered")
-        self.world.metrics.increment(f"env.exchange.{mode}")
-        if obs.enabled:
-            obs.inc("env.exchange.outcome.delivered")
-            obs.inc(f"env.exchange.reason.{REASON_DELIVERED}")
-            self._m_delivered.inc()
-            self._m_reason_delivered.inc()
-            for dimension in handled:
-                obs.inc(f"env.exchange.transparency.{dimension}")
-            obs.observe("env.exchange.document_bytes", size_bytes)
-        return ExchangeOutcome(
-            delivered=True,
-            mode=mode,
-            reason=f"delivered ({mode})",
-            translated=translated,
-            fidelity=fidelity,
-            handled=tuple(handled),
-            reason_code=REASON_DELIVERED,
-            trace_id=trace_id,
-            size_bytes=size_bytes,
-        )
-
-    def exchange_many(self, requests: "list[ExchangeRequest]") -> list[ExchangeOutcome]:
-        """Deliver a batch of exchanges, amortising per-call overheads.
-
-        Semantically equivalent to calling :meth:`exchange` once per
-        request — every outcome field except ``trace_id`` is identical —
-        but the batch shares one ``env.exchange_many`` trace span and a
-        single aggregated metrics flush, and runs of consecutive requests
-        with the same route (sender, receiver, apps, activity, profile,
-        interaction) resolve org membership, policy, formats and the
-        receiver endpoint **once per run** instead of once per document.
-        Within a run, requests carrying the *same document object* share
-        one translation and one size computation (converters are
-        shape-deterministic, see :class:`~repro.information.interchange`).
-
-        Hoisting never serves stale state: the run watches the
-        resolution cache's ``generation`` token, so a delivery callback
-        that mutates the knowledge base mid-batch (a revoked policy, a
-        moved person) forces the remaining items of the current run to
-        re-resolve — they fail or deliver exactly as per-item
-        :meth:`exchange` calls would (presence changes are likewise seen
-        item-by-item).
-        """
-        with self.tracer.span(
-            "env.exchange_many", domain=self.name, batch=len(requests)
-        ) as span:
-            trace_id = span.trace_id
-            outcomes: list[ExchangeOutcome] = []
-            count = len(requests)
-            start = 0
-            while start < count:
-                head = requests[start]
-                stop = start + 1
-                while stop < count:
-                    nxt = requests[stop]
-                    if (
-                        nxt.sender != head.sender
-                        or nxt.receiver != head.receiver
-                        or nxt.sender_app != head.sender_app
-                        or nxt.receiver_app != head.receiver_app
-                        or nxt.activity_id != head.activity_id
-                        or nxt.interaction != head.interaction
-                        or nxt.profile != head.profile
-                        or nxt.deadline != head.deadline
-                        or nxt.priority != head.priority
-                        or nxt.shed_class != head.shed_class
-                        or nxt.min_fidelity != head.min_fidelity
-                    ):
-                        break
-                    stop += 1
-                self._exchange_group(requests[start:stop], trace_id, outcomes)
-                start = stop
-            obs = self.metrics
-            if obs.enabled and outcomes:
-                self._flush_batch_metrics(obs, outcomes)
-            delivered = sum(1 for outcome in outcomes if outcome.delivered)
-            span.tag(delivered=delivered, failed=len(outcomes) - delivered)
-            return outcomes
-
-    def _exchange_group(
-        self,
-        group: "list[ExchangeRequest]",
-        trace_id: str,
-        outcomes: list[ExchangeOutcome],
-    ) -> None:
-        """Run one same-route run of a batch, resolving shared state once.
-
-        Mirrors :meth:`_exchange` check-for-check (same order, same
-        reason strings) with the route-constant work hoisted out of the
-        per-document loop.  Appends one outcome per request to
-        *outcomes*; per-item metrics stay suppressed (the caller flushes
-        the aggregate).
-        """
-        head = group[0]
-        size = len(group)
-        sender = head.sender
-        receiver = head.receiver
-        sender_app = head.sender_app
-        receiver_app = head.receiver_app
-        activity_id = head.activity_id
-        self.exchanges_attempted += size
-        active = head.profile if head.profile is not None else _ALL_ON
-        world_metrics = self.world.metrics
-
-        def fail_all(code: str, reason: str) -> None:
-            self.exchanges_failed += size
-            world_metrics.increment("env.exchange.failed", size)
-            outcomes.extend(
-                [
-                    ExchangeOutcome(
-                        delivered=False,
-                        mode="failed",
-                        reason=reason,
-                        reason_code=code,
-                        trace_id=trace_id,
-                    )
-                ]
-                * size
-            )
-
-        handled: list[str] = []
-        # Deadline first, as in _exchange (the run shares one deadline).
-        expires_at = self.effective_deadline(head.deadline)
-        if expires_at is not None and self.world.now >= expires_at:
-            obs = self.metrics
-            if obs.enabled:
-                obs.inc("env.shed.expired", size)
-            if self.events.enabled:
-                self.events.record(
-                    self.world.now,
-                    KIND_DEADLINE,
-                    trace_id=trace_id,
-                    env=self.name,
-                    receiver=receiver,
-                    deadline=expires_at,
-                    batch=size,
-                )
-            return fail_all(
-                REASON_DEADLINE_EXCEEDED,
-                f"exchange deadline {expires_at:.3f} passed at {self.world.now:.3f}",
-            )
-        if activity_id:
-            activity = self.activities.get(activity_id)
-            for person in (sender, receiver):
-                if not activity.is_member(person):
-                    return fail_all(
-                        REASON_MEMBERSHIP,
-                        f"{person} is not a member of {activity_id}",
-                    )
-
-        verdict = self.resolution.route(sender, receiver, head.interaction)
-        if verdict.cross_org:
-            if not active.organisation:
-                return fail_all(
+                return _Refusal(
                     REASON_ORGANISATION_OPAQUE,
                     f"cross-organisation exchange ({verdict.sender_org} -> "
                     f"{verdict.receiver_org}) with organisation transparency off",
                 )
             if not verdict.policy_ok:
-                return fail_all(
+                return _Refusal(
                     REASON_POLICY,
                     f"no compatible policy between {verdict.sender_org} and "
-                    f"{verdict.receiver_org} for {head.interaction}",
+                    f"{verdict.receiver_org} for {request.interaction}",
                 )
-            handled.append("organisation")
-
-        sender_format, receiver_format = self.resolution.formats(sender_app, receiver_app)
-        needs_translation = sender_format != receiver_format
-        if needs_translation:
+            handled = ("organisation",)
+        if at_origin:
+            return None
+        sender_format, receiver_format = self.resolution.formats(
+            request.sender_app, request.receiver_app
+        )
+        if sender_format != receiver_format:
             if not active.view:
-                return fail_all(
+                return _Refusal(
                     REASON_VIEW_OPAQUE,
                     f"format mismatch ({sender_format} -> {receiver_format}) "
                     "with view transparency off",
                 )
-            handled.append("view")
-
-        try:
-            endpoint = self.communicators.get(receiver)
-        except UnknownObjectError:
-            return fail_all(
-                REASON_UNKNOWN_RECEIVER,
-                f"receiver {receiver!r} has no registered communicator",
-            )
-
+            handled += ("view",)
         if active.activity and activity_id:
-            topic = f"activity/{activity_id}/exchange"
-            handled.append("activity")
-        else:
-            topic = "exchange"
-        handled_tuple = tuple(handled)
-        # the time dimension slots in before the (group-constant)
-        # activity dimension, matching _exchange's append order
-        time_index = len(handled_tuple) - (1 if handled_tuple[-1:] == ("activity",) else 0)
-        handled_async = handled_tuple[:time_index] + ("time",) + handled_tuple[time_index:]
+            handled += ("activity",)
+        try:
+            endpoint = self.communicators.get(request.receiver)
+        except UnknownObjectError:
+            endpoint = None
+        # Contexts are frozen values, so one per (activity, org pair) is
+        # shared by every exchange record; building one costs as much as
+        # the rest of the admission.
+        key = (activity_id, verdict.sender_org, verdict.receiver_org)
+        context = self._contexts.get(key)
+        if context is None:
+            context = self._contexts[key] = CommunicationContext(
+                activity=activity_id,
+                from_org=verdict.sender_org,
+                to_org=verdict.receiver_org,
+            )
+        return context, sender_format, receiver_format, handled, endpoint
 
-        translate = self._translate_payload
-        render = self.views.render
-        deliver = self.applications.deliver
-        pending = self._pending_deliveries
-        publish = self.bus.publish
-        record = self.communication_log.record
+    def _exchange_group(
+        self,
+        group: Sequence[ExchangeRequest],
+        trace_id: str,
+        outcomes: list[ExchangeOutcome],
+    ) -> None:
+        """Run one run of same-route requests through the pipeline.
+
+        The deadline and the route's admission (:meth:`_admit`) are
+        decided once for the run; each document is then translated,
+        checked against the receiver endpoint, presence and queue depth,
+        and delivered.  Appends one outcome per request to *outcomes*;
+        the caller flushes the metrics.
+        """
+        head = group[0]
+        size = len(group)
+        receiver = head.receiver
+        self.exchanges_attempted += size
         now = self.world.now
-        context = CommunicationContext(
-            activity=activity_id,
-            from_org=verdict.sender_org,
-            to_org=verdict.receiver_org,
-        )
-        #: id(document) -> (payload, fidelity, size_bytes); repeated
-        #: documents in a run translate and size once
-        prepared: dict[int, tuple[dict[str, Any], float, int]] = {}
-        #: (id(document), mode) -> the (frozen, shareable) outcome
-        made: dict[tuple[int, str], ExchangeOutcome] = {}
-        failed = 0
-        shed = 0
-        sync_count = 0
-        async_count = 0
+        # Deadline first: an exchange that arrives expired (e.g. after
+        # gateway hops) must not consume pipeline work.
+        expires_at = self.effective_deadline(head.deadline)
+        if expires_at is not None and now >= expires_at:
+            if self.metrics.enabled:
+                self.metrics.inc("env.shed.expired", size)
+            if self.events.enabled:
+                self.events.record(
+                    now,
+                    KIND_DEADLINE,
+                    trace_id=trace_id,
+                    env=self.name,
+                    receiver=receiver,
+                    deadline=expires_at,
+                    dropped=size,
+                )
+            refusal = _Refusal(REASON_DEADLINE_EXCEEDED, deadline_reason(expires_at, now))
+            return self._refuse(refusal, size, trace_id, outcomes)
+        active = head.profile if head.profile is not None else _ALL_ON
         resolution = self.resolution
         generation = resolution.generation
-        #: set when a mid-run KB mutation turned the route bad: every
-        #: remaining item fails with this (code, reason) until the next
-        #: mutation (if any) re-resolves the route as good again
-        stale_failure: "tuple[str, str] | None" = None
+        admitted = self._admit(head, active)
+        if admitted.__class__ is _Refusal:
+            return self._refuse(admitted, size, trace_id, outcomes)
+        context, sender_format, receiver_format, handled, endpoint = admitted
+        translated = sender_format != receiver_format
+
+        sender = head.sender
+        sender_app = head.sender_app
+        receiver_app = head.receiver_app
+        activity_id = head.activity_id
+        topic = f"activity/{activity_id}/exchange" if active.activity and activity_id else "exchange"
+        #: consecutive items carrying one document object share its
+        #: translation, size and (per mode) delivered outcome
+        last_document = None
+        outcome: ExchangeOutcome | None = None
+        failed = shed = sync_count = async_count = 0
         for request in group:
             if resolution.generation != generation:
-                # A delivery callback mutated the KB mid-run; the hoisted
-                # verdict may be stale.  Re-resolve before serving more
-                # items, mirroring _exchange's checks and reason strings.
+                # A delivery callback mutated the knowledge base: the
+                # hoisted admission may be stale, so re-admit.
                 generation = resolution.generation
-                stale_failure = None
-                handled = []
-                verdict = resolution.route(sender, receiver, head.interaction)
-                if verdict.cross_org:
-                    if not active.organisation:
-                        stale_failure = (
-                            REASON_ORGANISATION_OPAQUE,
-                            f"cross-organisation exchange ({verdict.sender_org} -> "
-                            f"{verdict.receiver_org}) with organisation transparency off",
-                        )
-                    elif not verdict.policy_ok:
-                        stale_failure = (
-                            REASON_POLICY,
-                            f"no compatible policy between {verdict.sender_org} and "
-                            f"{verdict.receiver_org} for {head.interaction}",
-                        )
-                    else:
-                        handled.append("organisation")
-                if stale_failure is None:
-                    sender_format, receiver_format = resolution.formats(
-                        sender_app, receiver_app
-                    )
-                    needs_translation = sender_format != receiver_format
-                    if needs_translation:
-                        if not active.view:
-                            stale_failure = (
-                                REASON_VIEW_OPAQUE,
-                                f"format mismatch ({sender_format} -> {receiver_format}) "
-                                "with view transparency off",
-                            )
-                        else:
-                            handled.append("view")
-                if stale_failure is None:
-                    # the endpoint is hoisted state too: a callback that
-                    # deregisters the receiver (e.g. a federation-level
-                    # move to another home) must fail the remaining
-                    # items, not deliver them to the stale endpoint
-                    try:
-                        endpoint = self.communicators.get(receiver)
-                    except UnknownObjectError:
-                        stale_failure = (
-                            REASON_UNKNOWN_RECEIVER,
-                            f"receiver {receiver!r} has no registered communicator",
-                        )
-                if stale_failure is None:
-                    if active.activity and activity_id:
-                        handled.append("activity")
-                    handled_tuple = tuple(handled)
-                    time_index = len(handled_tuple) - (
-                        1 if handled_tuple[-1:] == ("activity",) else 0
-                    )
-                    handled_async = (
-                        handled_tuple[:time_index] + ("time",) + handled_tuple[time_index:]
-                    )
-                    context = CommunicationContext(
-                        activity=activity_id,
-                        from_org=verdict.sender_org,
-                        to_org=verdict.receiver_org,
-                    )
-                    prepared.clear()
-                    made.clear()
-            if stale_failure is not None:
-                failed += 1
-                outcomes.append(
-                    ExchangeOutcome(
-                        delivered=False,
-                        mode="failed",
-                        reason=stale_failure[1],
-                        reason_code=stale_failure[0],
-                        trace_id=trace_id,
-                    )
-                )
-                continue
+                last_document = outcome = None
+                admitted = self._admit(head, active)
+                if admitted.__class__ is _Refusal:
+                    # refused items deliver nothing, so no callback can
+                    # re-admit the route: the rest of the run fails
+                    done = failed + sync_count + async_count
+                    self._refuse(admitted, size - done, trace_id, outcomes)
+                    break
+                context, sender_format, receiver_format, handled, endpoint = admitted
+                translated = sender_format != receiver_format
             document = request.document
-            doc_key = id(document)
-            entry = prepared.get(doc_key)
-            if entry is None:
+            if document is not last_document:
                 payload = dict(document)
                 fidelity = 1.0
-                if needs_translation:
+                if translated:
                     try:
-                        result = translate(
+                        result = self._translate_payload(
                             sender_format, receiver_format, payload, head.min_fidelity
                         )
                     except InteropError as exc:
+                        last_document = None
                         failed += 1
                         outcomes.append(
                             ExchangeOutcome(
@@ -1007,14 +798,30 @@ class CSCWEnvironment:
                         continue
                     payload = result.document
                     fidelity = result.fidelity
-                entry = (payload, fidelity, document_size(payload))
-                prepared[doc_key] = entry
-            payload, fidelity, size_bytes = entry
+                size_bytes = document_size(payload)
+                last_document = document
+                outcome = None
 
-            # presence is re-read per item: a delivery callback may flip it
+            # A receiver who was *never* registered is a hard failure,
+            # not an absence: queueing for them would blackhole the
+            # document in _pending_deliveries forever.
+            if endpoint is None:
+                failed += 1
+                outcomes.append(
+                    ExchangeOutcome(
+                        delivered=False,
+                        mode="failed",
+                        reason=unknown_receiver_reason(receiver),
+                        reason_code=REASON_UNKNOWN_RECEIVER,
+                        trace_id=trace_id,
+                    )
+                )
+                continue
+            # presence and queue depth are read per item: a delivery
+            # callback may flip presence, and each queued delivery counts
+            # against the next one's shed check
             if endpoint.present:
                 mode = "synchronous"
-                sync_count += 1
             else:
                 if not active.time:
                     failed += 1
@@ -1022,19 +829,16 @@ class CSCWEnvironment:
                         ExchangeOutcome(
                             delivered=False,
                             mode="failed",
-                            reason=f"receiver {receiver} absent "
-                            "with time transparency off",
+                            reason=f"receiver {receiver} absent with time transparency off",
                             reason_code=REASON_TIME_OPAQUE,
                             trace_id=trace_id,
                         )
                     )
                     continue
-                # queue depth is re-read per item: each queued delivery
-                # counts against the next one's shed check
                 if (
                     head.priority <= 0
                     and self._shed_limit is not None
-                    and len(pending.get(receiver, ())) >= self._shed_limit
+                    and len(self._pending_deliveries.get(receiver, ())) >= self._shed_limit
                 ):
                     failed += 1
                     shed += 1
@@ -1042,16 +846,14 @@ class CSCWEnvironment:
                         ExchangeOutcome(
                             delivered=False,
                             mode="failed",
-                            reason=f"receiver {receiver} has "
-                            f"{self._shed_limit} deliveries queued; "
-                            "shedding to protect the environment",
+                            reason=f"receiver {receiver} has {self._shed_limit} "
+                            "deliveries queued; shedding to protect the environment",
                             reason_code=REASON_OVERLOAD,
                             trace_id=trace_id,
                         )
                     )
                     continue
                 mode = "asynchronous"
-                async_count += 1
 
             info = {
                 "sender": sender,
@@ -1060,15 +862,33 @@ class CSCWEnvironment:
                 "fidelity": fidelity,
                 "activity": activity_id,
             }
-            publish(topic, info, source=sender_app, time=now)
-            rendered = render(receiver, payload)
+            self.bus.publish(topic, info, source=sender_app, time=now)
+            rendered = self.views.render(receiver, payload)
+            # Deliver immediately when the receiver is present, queued
+            # for their return otherwise (store-and-forward).
             if mode == "synchronous":
-                deliver(receiver_app, receiver, rendered, info)
+                try:
+                    self.applications.deliver(receiver_app, receiver, rendered, info)
+                except Exception as exc:  # the application's fault, not the run's
+                    failed += 1
+                    outcomes.append(
+                        ExchangeOutcome(
+                            delivered=False,
+                            mode="failed",
+                            reason=f"application {receiver_app!r} raised "
+                            f"{type(exc).__name__}: {exc}",
+                            reason_code=REASON_APPLICATION_ERROR,
+                            trace_id=trace_id,
+                        )
+                    )
+                    continue
+                sync_count += 1
             else:
-                pending.setdefault(receiver, []).append(
+                self._pending_deliveries.setdefault(receiver, []).append(
                     (receiver_app, rendered, info, expires_at)
                 )
-            record(
+                async_count += 1
+            self.communication_log.record(
                 Exchange(
                     sender=sender,
                     receiver=receiver,
@@ -1079,23 +899,21 @@ class CSCWEnvironment:
                     context=context,
                 )
             )
-            outcome_key = (doc_key, mode)
-            outcome = made.get(outcome_key)
-            if outcome is None:
+            if outcome is None or outcome.mode != mode:
                 outcome = ExchangeOutcome(
                     delivered=True,
                     mode=mode,
                     reason=f"delivered ({mode})",
-                    translated=needs_translation,
+                    translated=translated,
                     fidelity=fidelity,
-                    handled=handled_async if mode == "asynchronous" else handled_tuple,
+                    handled=handled if mode == "synchronous" else _with_time(handled),
                     reason_code=REASON_DELIVERED,
                     trace_id=trace_id,
                     size_bytes=size_bytes,
                 )
-                made[outcome_key] = outcome
             outcomes.append(outcome)
 
+        world_metrics = self.world.metrics
         if failed:
             self.exchanges_failed += failed
             world_metrics.increment("env.exchange.failed", failed)
@@ -1109,45 +927,76 @@ class CSCWEnvironment:
                     trace_id=trace_id,
                     env=self.name,
                     receiver=receiver,
+                    queued=self._shed_limit,
                     dropped=shed,
-                    batch=True,
                     shed_class=head.shed_class,
                 )
-        delivered = sync_count + async_count
-        if delivered:
-            world_metrics.increment("env.exchange.delivered", delivered)
-        if sync_count:
-            world_metrics.increment("env.exchange.synchronous", sync_count)
-        if async_count:
-            world_metrics.increment("env.exchange.asynchronous", async_count)
+        if sync_count or async_count:
+            world_metrics.increment("env.exchange.delivered", sync_count + async_count)
+            if sync_count:
+                world_metrics.increment("env.exchange.synchronous", sync_count)
+            if async_count:
+                world_metrics.increment("env.exchange.asynchronous", async_count)
 
-    def _flush_batch_metrics(
-        self, obs: MetricsRegistry, outcomes: "list[ExchangeOutcome]"
+    def _refuse(
+        self,
+        refusal: _Refusal,
+        count: int,
+        trace_id: str,
+        outcomes: list[ExchangeOutcome],
     ) -> None:
-        """Record one batch's outcomes as if each had been counted live."""
-        obs.inc("env.exchange.attempted", len(outcomes))
-        reasons: dict[str, int] = {}
-        dimensions: dict[str, int] = {}
+        """Fail *count* requests with one refusal, appended to *outcomes*."""
+        self.exchanges_failed += count
+        self.world.metrics.increment("env.exchange.failed", count)
+        outcomes.extend(
+            [
+                ExchangeOutcome(
+                    delivered=False,
+                    mode="failed",
+                    reason=refusal.reason,
+                    reason_code=refusal.code,
+                    trace_id=trace_id,
+                )
+            ]
+            * count
+        )
+
+    def _flush_metrics(self, outcomes: "list[ExchangeOutcome]") -> None:
+        """Count a batch's outcomes into the metrics registry at once."""
+        total = len(outcomes)
+        self._m_attempted.inc(total)
+        observe_size = self._m_document_bytes.observe
+        dimensions = self._m_dimensions
         delivered = 0
-        size_histogram = obs.histogram("env.exchange.document_bytes")
         for outcome in outcomes:
-            reasons[outcome.reason_code] = reasons.get(outcome.reason_code, 0) + 1
             if outcome.delivered:
                 delivered += 1
+                observe_size(outcome.size_bytes)
                 for dimension in outcome.handled:
-                    dimensions[dimension] = dimensions.get(dimension, 0) + 1
-                size_histogram.observe(outcome.size_bytes)
+                    counter = dimensions.get(dimension)
+                    if counter is None:
+                        counter = dimensions[dimension] = self.metrics.counter(
+                            f"env.exchange.transparency.{dimension}"
+                        )
+                    counter.inc()
+                continue
+            code = outcome.reason_code
+            counters = self._m_failure_reasons.get(code)
+            if counters is None:
+                counters = self._m_failure_reasons[code] = (
+                    self.metrics.counter(f"env.exchange.reason.{code}"),
+                    self._m_reasons.labels(domain=self.name, reason=code),
+                )
+            counters[0].inc()
+            counters[1].inc()
         if delivered:
-            obs.inc("env.exchange.outcome.delivered", delivered)
+            self._m_outcome_delivered.inc(delivered)
+            self._m_reason_delivered_flat.inc(delivered)
             self._m_delivered.inc(delivered)
-        if delivered != len(outcomes):
-            obs.inc("env.exchange.outcome.failed", len(outcomes) - delivered)
-            self._m_failed.inc(len(outcomes) - delivered)
-        for code, count in reasons.items():
-            obs.inc(f"env.exchange.reason.{code}", count)
-            self._m_reasons.labels(domain=self.name, reason=code).inc(count)
-        for dimension, count in dimensions.items():
-            obs.inc(f"env.exchange.transparency.{dimension}", count)
+            self._m_reason_delivered.inc(delivered)
+        if delivered != total:
+            self._m_outcome_failed.inc(total - delivered)
+            self._m_failed.inc(total - delivered)
 
     # -- runtime overload knobs (driven by the control plane) -------------------
     @property
@@ -1177,8 +1026,6 @@ class CSCWEnvironment:
         """Change the default deadline at runtime (same contract as the
         builder's ``with_default_deadline``); applies to exchanges
         started after the call."""
-        from repro.util.errors import ConfigurationError
-
         if seconds is not None and seconds <= 0:
             raise ConfigurationError("default deadline must be > 0 (or None)")
         self._default_deadline_s = seconds
@@ -1196,29 +1043,20 @@ class CSCWEnvironment:
             return self.world.now + self._default_deadline_s
         return None
 
-    def _fail(
-        self,
-        code: str,
-        reason: str,
-        trace_id: str = "",
-        obs: MetricsRegistry | None = None,
-    ) -> ExchangeOutcome:
-        self.exchanges_failed += 1
-        self.world.metrics.increment("env.exchange.failed")
-        if obs is None:
-            obs = self.metrics
-        if obs.enabled:
-            obs.inc("env.exchange.outcome.failed")
-            obs.inc(f"env.exchange.reason.{code}")
-            self._m_failed.inc()
-            self._m_reasons.labels(domain=self.name, reason=code).inc()
-        return ExchangeOutcome(
-            delivered=False,
-            mode="failed",
-            reason=reason,
-            reason_code=code,
-            trace_id=trace_id,
-        )
+    def _fail(self, code: str, reason: str) -> ExchangeOutcome:
+        """Count and return one exchange refused before any run took it.
+
+        The federation's origin-side refusals (expired deadlines,
+        unroutable receivers, membership/organisation/policy, failed
+        relays) are this environment's exchanges too, counted exactly
+        as the pipeline counts a refused run.
+        """
+        outcomes: list[ExchangeOutcome] = []
+        self.exchanges_attempted += 1
+        self._refuse(_Refusal(code, reason), 1, "", outcomes)
+        if self.metrics.enabled:
+            self._flush_metrics(outcomes)
+        return outcomes[0]
 
     def describe(self) -> dict[str, Any]:
         """An inventory snapshot of the running environment.

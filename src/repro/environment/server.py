@@ -101,12 +101,9 @@ class EnvironmentClient:
         Accepts an :class:`ExchangeRequest` — the same single call
         currency as the in-process surface — whose wire form
         (:meth:`ExchangeRequest.to_document`) travels the channel.  The
-        legacy keyword form remains a thin shim over
-        :meth:`ExchangeRequest.from_kwargs`.
+        legacy keyword form goes through :meth:`ExchangeRequest.from_call`.
         """
-        if not isinstance(request, ExchangeRequest):
-            positional = () if request is None else (request,)
-            request = ExchangeRequest.from_kwargs(*positional, *args, **kwargs)
+        request = ExchangeRequest.from_call(request, args, kwargs)
         reply = self.channel.call(self._world, "exchange", request.to_document())
         reply["handled"] = tuple(reply.get("handled", ()))
         return ExchangeOutcome(**reply)

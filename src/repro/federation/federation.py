@@ -25,32 +25,33 @@ wired pairwise:
   per ordered pair relays exchange payloads over a configurable
   inter-domain link.
 
-The headline operation is :meth:`federated_exchange`: resolve the
-receiver's home domain via federated naming, run the origin-side checks
-against the local environment, relay through the gateway, and reuse the
-unmodified local exchange pipeline at the target — so a federated
-outcome carries exactly the reason codes a single-domain
-``CSCWEnvironment.exchange`` would produce, plus hop metadata.
+The headline operation is :meth:`federated_exchange_many` (and
+:meth:`federated_exchange`, a batch of one): resolve each receiver's
+home domain via federated naming, admit the request at the origin with
+the local environment's own admission checks, relay each same-route run
+through one gateway round trip, and feed it into the environment's
+exchange pipeline at the target — so a federated outcome carries exactly
+the reason codes a single-domain ``CSCWEnvironment.exchange`` would
+produce, plus hop metadata.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.communication.model import Communicator
 from repro.environment.environment import (
+    _ALL_ON,
     REASON_DEADLINE_EXCEEDED,
-    REASON_MEMBERSHIP,
-    REASON_ORGANISATION_OPAQUE,
-    REASON_POLICY,
     REASON_UNKNOWN_RECEIVER,
     CSCWEnvironment,
     ExchangeOutcome,
     ExchangeRequest,
+    deadline_reason,
+    unknown_receiver_reason,
 )
 from repro.environment.registry import AppDescriptor, DeliveryCallback
-from repro.environment.transparency import TransparencyProfile
 from repro.directory.replication import ShadowingAgreement
 from repro.federation.domain import Domain
 from repro.federation.gateway import (
@@ -143,24 +144,6 @@ class FederatedOutcome:
         return self.origin != self.target
 
 
-def _same_wire_shape(a: ExchangeRequest, b: ExchangeRequest) -> bool:
-    """True when two requests serialize identically except their payload
-    document — the batch relay then reuses one envelope wire form."""
-    return (
-        a.sender == b.sender
-        and a.receiver == b.receiver
-        and a.sender_app == b.sender_app
-        and a.receiver_app == b.receiver_app
-        and a.activity_id == b.activity_id
-        and a.profile == b.profile
-        and a.interaction == b.interaction
-        and a.deadline == b.deadline
-        and a.priority == b.priority
-        and a.shed_class == b.shed_class
-        and a.min_fidelity == b.min_fidelity
-    )
-
-
 def _outcome_document(outcome: ExchangeOutcome) -> dict[str, Any]:
     """The gateway wire form of an outcome."""
     document = {name: getattr(outcome, name) for name in _OUTCOME_FIELDS}
@@ -243,7 +226,7 @@ class Federation:
         #: ``federated_exchange_many`` watches it so a delivery callback
         #: that re-homes someone mid-batch forces the already-resolved
         #: routes of the remaining items to be re-derived (the federated
-        #: mirror of the resolution cache's ``generation``)
+        #: counterpart of the resolution cache's ``generation``)
         self._home_generation = 0
         self._binding_factory = BindingFactory(world.network)
         #: (consumer, master) -> shadowing agreement (created unstarted)
@@ -625,18 +608,19 @@ class Federation:
         The request object is the single call currency shared with
         :meth:`CSCWEnvironment.exchange`; the legacy keyword form
         (``federated_exchange(sender, receiver, sender_app, ...)``)
-        remains available as a thin shim over
-        :meth:`ExchangeRequest.from_kwargs`.
+        remains available through :meth:`ExchangeRequest.from_call`.
 
-        Intra-domain exchanges run the home environment's pipeline
-        unchanged.  Cross-domain exchanges run the origin-side checks
-        (activity membership, organisation/policy — the same checks in
-        the same order with the same reason codes as
+        A federated exchange is a batch of one: it runs the pipeline of
+        :meth:`federated_exchange_many`.  Intra-domain exchanges run the
+        home environment's pipeline.  Cross-domain exchanges are admitted
+        at the origin (activity membership, organisation/policy — the
+        environment's own admission, so the same checks in the same
+        order with the same reason codes as
         :meth:`CSCWEnvironment.exchange`), relay the payload through the
-        origin's gateway, and re-enter the *target* environment's local
-        exchange pipeline, so view/time/activity handling and all
-        remaining failure modes are decided exactly as at home.  A relay
-        that exhausts its gateway attempts returns a
+        origin's gateway, and re-enter the *target* environment's
+        pipeline, so view/time/activity handling and all remaining
+        failure modes are decided exactly as at home.  A relay that
+        exhausts its gateway attempts returns a
         :data:`REASON_GATEWAY_DEAD_LETTER` outcome and parks the payload
         in the gateway's dead-letter queue.
 
@@ -661,13 +645,15 @@ class Federation:
         pipeline all continue the *same* trace, and the returned
         outcome's ``trace_id`` is that root's trace id.
         """
-        if not isinstance(request, ExchangeRequest):
-            positional = () if request is None else (request,)
-            request = ExchangeRequest.from_kwargs(*positional, *args, **kwargs)
+        request = ExchangeRequest.from_call(request, args, kwargs)
         with self._trace.span(
             "federation.exchange", sender=request.sender, receiver=request.receiver
         ) as span:
-            result = self._federated_exchange(request)
+            # a lone request needs no re-route rounds: only a delivery
+            # earlier in the same batch can re-home its receiver
+            outcomes: list[FederatedOutcome | None] = [None]
+            self._exchange_batch([request], (0,), outcomes)
+            result: FederatedOutcome = outcomes[0]  # type: ignore[assignment]
             span.tag(
                 delivered=result.delivered,
                 target=result.target,
@@ -680,47 +666,47 @@ class Federation:
     ) -> list[FederatedOutcome]:
         """Deliver a batch of requests; outcomes in request order.
 
-        The federated mirror of :meth:`CSCWEnvironment.exchange_many`:
-        consecutive requests that resolve to the same (origin, target)
-        domain pair form a *run*.  Intra-domain runs go through the
-        home environment's batched fast path (one ``exchange_many``
-        call per run, with the federation's own deadline accounting and
-        hop metadata preserved); cross-domain runs ship as **one**
-        gateway relay carrying the whole run (one payload, one round
-        trip, one dedup id), and the target unpacks it into its own
-        ``exchange_many``.  Mixed batches degrade gracefully — a
-        cross-domain run of one is exactly ``federated_exchange``.
+        Consecutive requests that resolve to the same (origin, target)
+        domain pair form a *run*, the federated counterpart of a run of
+        :meth:`CSCWEnvironment.exchange_many`.  Intra-domain runs go
+        through the home environment's pipeline (one call per run, with
+        the federation's own deadline accounting and hop metadata);
+        cross-domain runs ship as **one** gateway relay carrying the
+        whole run (one payload, one round trip, one dedup id), and the
+        target feeds it into its own pipeline.  :meth:`federated_exchange`
+        is this on a batch of one.
 
-        Each request resolves its route **once** (two home lookups —
-        the per-request path re-resolving inside ``_federated_exchange``
-        would double that), and the hoisted routes never serve stale
-        homes: the batch watches the federation's home ``generation``
-        token, so a delivery callback that re-homes a person mid-batch
-        re-routes the remaining items — an item that failed
-        ``unknown-receiver`` under a route its own dispatch invalidated
-        is re-dispatched against the fresh home (re-dispatched items
-        count ``env.federation.exchanges`` once per attempt).
+        Each request resolves its route **once** (two home lookups), and
+        the hoisted routes never serve stale homes: the batch watches
+        the federation's home ``generation`` token, so a delivery
+        callback that re-homes a person mid-batch re-routes the
+        remaining items — an item that failed ``unknown-receiver`` under
+        a route its own run invalidated is re-dispatched against the
+        fresh home (re-dispatched items count
+        ``env.federation.exchanges`` once per attempt).
         """
         if not requests:
             return []
+        with self._trace.span("federation.exchange_many", batch=len(requests)):
+            return self._dispatch(requests)
+
+    def _dispatch(self, requests: list[ExchangeRequest]) -> list[FederatedOutcome]:
+        """Deliver *requests* as same-route runs; outcomes in request order."""
         outcomes: list[FederatedOutcome | None] = [None] * len(requests)
-        with self._trace.span(
-            "federation.exchange_many", batch=len(requests)
-        ):
-            indices = list(range(len(requests)))
-            # One re-route round per home change is enough for a single
-            # move; the depth bound keeps a pathological callback that
-            # re-homes someone on every delivery from looping forever.
-            depth = 4
-            while indices and depth:
-                depth -= 1
-                indices = self._exchange_batch(requests, indices, outcomes)
+        indices: Sequence[int] = range(len(requests))
+        # One re-route round per home change is enough for a single
+        # move; the depth bound keeps a pathological callback that
+        # re-homes someone on every delivery from looping forever.
+        for _ in range(4):
+            indices = self._exchange_batch(requests, indices, outcomes)
+            if not indices:
+                break
         return outcomes  # type: ignore[return-value]
 
     def _exchange_batch(
         self,
         requests: list[ExchangeRequest],
-        indices: list[int],
+        indices: Sequence[int],
         outcomes: "list[FederatedOutcome | None]",
     ) -> list[int]:
         """Dispatch *indices* grouped into same-route runs; fill
@@ -728,33 +714,39 @@ class Federation:
         re-dispatched because their dispatch re-homed their route."""
         rerouted: list[int] = []
         run: list[int] = []
+        run_requests: list[ExchangeRequest] = []
         run_route: tuple[str, str] | None = None
         for index in indices:
-            route = self._route_of(requests[index])
+            request = requests[index]
+            route = self._route_of(request)
             if run and route != run_route:
                 generation = self._home_generation
-                self._dispatch_run(requests, run_route, run, outcomes, rerouted)
+                self._dispatch_run(run_route, run, run_requests, outcomes, rerouted)
                 run = []
+                run_requests = []
                 if self._home_generation != generation:
                     # The dispatch's delivery callbacks moved someone;
                     # this request's route (resolved before the
                     # dispatch) may be stale — re-derive it.
-                    route = self._route_of(requests[index])
+                    route = self._route_of(request)
             run_route = route
             run.append(index)
+            run_requests.append(request)
         if run:
-            self._dispatch_run(requests, run_route, run, outcomes, rerouted)
+            self._dispatch_run(run_route, run, run_requests, outcomes, rerouted)
         return rerouted
 
     def _dispatch_run(
         self,
-        requests: list[ExchangeRequest],
         route: tuple[str, str] | None,
         indices: list[int],
+        run: list[ExchangeRequest],
         outcomes: "list[FederatedOutcome | None]",
         rerouted: list[int],
     ) -> None:
-        """Deliver one same-route run and detect mid-run re-homing.
+        """Deliver one same-route run — intra-domain through the home
+        environment, cross-domain as one gateway relay — and detect
+        mid-run re-homing.
 
         When the run's own delivery callbacks bumped the home
         generation, items that failed ``unknown-receiver`` under the
@@ -766,81 +758,112 @@ class Federation:
         behave.
         """
         generation = self._home_generation
-        results = self._exchange_run(route, [requests[i] for i in indices])
+        if route is None:
+            results = [self._unroutable(request) for request in run]
+        else:
+            if self._metrics.enabled:
+                self._metrics.inc("env.federation.exchanges", len(run))
+            origin = self.domain(route[0])
+            if route[0] == route[1]:
+                results = self._local_exchange_run(origin, run)
+            else:
+                results = self._relay_exchange_group(origin, self.domain(route[1]), run)
         for index, result in zip(indices, results):
             outcomes[index] = result
         if route is None or self._home_generation == generation:
             return
-        for index, result in zip(indices, results):
+        for index, request, result in zip(indices, run, results):
             if (
                 result.delivered
                 or result.outcome.reason_code != REASON_UNKNOWN_RECEIVER
             ):
                 continue
-            fresh = self._route_of(requests[index])
+            fresh = self._route_of(request)
             if fresh is not None and fresh != route:
                 rerouted.append(index)
 
     def _route_of(self, request: ExchangeRequest) -> tuple[str, str] | None:
         """(origin, target) for a request, or None when unresolvable
-        (the per-request path then reports the precise failure)."""
+        (:meth:`_unroutable` then reports the precise failure)."""
         try:
             return (self.home_of(request.sender), self.home_of(request.receiver))
         except UnknownObjectError:
             return None
 
-    def _exchange_run(
-        self, route: tuple[str, str] | None, run: list[ExchangeRequest]
-    ) -> list[FederatedOutcome]:
-        """Deliver one same-route run (batched where the route allows)."""
-        if route is None:
-            # Unresolvable routes reuse the single-request path, which
-            # reports the precise unknown-sender/receiver failure.
-            return [self._federated_exchange(request) for request in run]
-        if route[0] == route[1]:
-            return self._local_exchange_run(self.domain(route[0]), run)
-        origin = self.domain(route[0])
-        target = self.domain(route[1])
-        if len(run) == 1:
-            return [self._federated_exchange(run[0], route=route)]
-        if self._metrics.enabled:
-            self._metrics.inc("env.federation.exchanges", len(run))
-            self._metrics.inc("env.federation.remote", len(run))
-        return self._relay_exchange_group(origin, target, run)
+    def _unroutable(self, request: ExchangeRequest) -> FederatedOutcome:
+        """A request whose sender or receiver has no home domain.
+
+        An unknown sender raises :class:`UnknownObjectError`.  An unknown
+        receiver fails ``unknown-receiver`` at the origin, after the
+        deadline check and before any translation (there is no target
+        format to translate to).
+        """
+        obs = self._metrics
+        if obs.enabled:
+            obs.inc("env.federation.exchanges")
+        origin = self.domain(self.home_of(request.sender))
+        now = self.world.now
+        expires_at = origin.env.effective_deadline(request.deadline)
+        if expires_at is not None and now >= expires_at:
+            if obs.enabled:
+                obs.inc("env.federation.expired")
+            code, reason = REASON_DEADLINE_EXCEEDED, deadline_reason(expires_at, now)
+        else:
+            if obs.enabled:
+                obs.inc("env.federation.unknown_receiver")
+            code = REASON_UNKNOWN_RECEIVER
+            reason = unknown_receiver_reason(request.receiver)
+        return self._refused(origin, "", code, reason, (Hop(origin.name, "local", now),))
+
+    def _refused(
+        self,
+        origin: Domain,
+        target: str,
+        code: str,
+        reason: str,
+        hops: tuple[Hop, ...],
+        attempts: int = 1,
+        latency_s: float = 0.0,
+    ) -> FederatedOutcome:
+        """An exchange the federation failed on the origin's behalf,
+        counted by the origin environment."""
+        return FederatedOutcome(
+            outcome=origin.env._fail(code, reason),
+            origin=origin.name,
+            target=target,
+            hops=hops,
+            attempts=attempts,
+            latency_s=latency_s,
+        )
 
     def _local_exchange_run(
         self, origin: Domain, run: list[ExchangeRequest]
     ) -> list[FederatedOutcome]:
-        """Run an intra-domain run through the home env's batched path.
+        """Run an intra-domain run through the home environment's pipeline.
 
-        One ``exchange_many`` call per run — the batched pipeline the
-        :meth:`federated_exchange_many` docstring promises — while the
-        federation still does its own accounting first: already-expired
-        requests fail with the *federated* deadline reason string and
-        counter, and every outcome carries the same ``local`` hop
-        metadata the per-request path stamps.
+        The federation does its own accounting first: already-expired
+        requests fail at the federation (``env.federation.expired``, no
+        target), and every outcome carries the ``local`` hop.  A run of
+        one enters through ``env.exchange``, a longer run through one
+        ``env.exchange_many`` call.
         """
         obs = self._metrics
+        env = origin.env
         started = self.world.now
-        if obs.enabled:
-            obs.inc("env.federation.exchanges", len(run))
         results: list[FederatedOutcome | None] = [None] * len(run)
         shipped_indices: list[int] = []
         shipped: list[ExchangeRequest] = []
         for index, request in enumerate(run):
-            expires_at = origin.env.effective_deadline(request.deadline)
+            expires_at = env.effective_deadline(request.deadline)
             if expires_at is not None and started >= expires_at:
                 if obs.enabled:
                     obs.inc("env.federation.expired")
-                results[index] = FederatedOutcome(
-                    outcome=origin.env._fail(
-                        REASON_DEADLINE_EXCEEDED,
-                        f"federated exchange deadline {expires_at:.3f} "
-                        f"already passed at {started:.3f}",
-                    ),
-                    origin=origin.name,
-                    target="",
-                    hops=(Hop(origin.name, "local", started),),
+                results[index] = self._refused(
+                    origin,
+                    "",
+                    REASON_DEADLINE_EXCEEDED,
+                    deadline_reason(expires_at, started),
+                    (Hop(origin.name, "local", started),),
                 )
                 continue
             shipped_indices.append(index)
@@ -852,7 +875,10 @@ class Federation:
         if shipped:
             if obs.enabled:
                 obs.inc("env.federation.local", len(shipped))
-            exchange_outcomes = origin.env.exchange_many(shipped)
+            if len(shipped) == 1:
+                exchange_outcomes = [env.exchange(shipped[0])]
+            else:
+                exchange_outcomes = env.exchange_many(shipped)
             now = self.world.now
             hops = (Hop(origin.name, "local", now),)
             latency = now - started
@@ -866,107 +892,8 @@ class Federation:
                 )
         return results  # type: ignore[return-value]
 
-    def _federated_exchange(
-        self,
-        request: ExchangeRequest,
-        route: tuple[str, str] | None = None,
-    ) -> FederatedOutcome:
-        obs = self._metrics
-        if obs.enabled:
-            obs.inc("env.federation.exchanges")
-        # A batch caller passes the route it already resolved — home
-        # resolution then runs once per request, not twice.
-        origin = self.domain(
-            route[0] if route is not None else self.home_of(request.sender)
-        )
-        sender, receiver = request.sender, request.receiver
-        expires_at = origin.env.effective_deadline(request.deadline)
-        if expires_at is not None and self.world.now >= expires_at:
-            if obs.enabled:
-                obs.inc("env.federation.expired")
-            outcome = origin.env._fail(
-                REASON_DEADLINE_EXCEEDED,
-                f"federated exchange deadline {expires_at:.3f} already passed "
-                f"at {self.world.now:.3f}",
-            )
-            return FederatedOutcome(
-                outcome=outcome,
-                origin=origin.name,
-                target="",
-                hops=(Hop(origin.name, "local", self.world.now),),
-            )
-        try:
-            target_name = route[1] if route is not None else self.home_of(receiver)
-        except UnknownObjectError:
-            if obs.enabled:
-                obs.inc("env.federation.unknown_receiver")
-            outcome = origin.env._fail(
-                REASON_UNKNOWN_RECEIVER,
-                f"receiver {receiver!r} has no home domain in {self.name!r}",
-            )
-            return FederatedOutcome(
-                outcome=outcome,
-                origin=origin.name,
-                target="",
-                hops=(Hop(origin.name, "local", self.world.now),),
-            )
-        if target_name == origin.name:
-            if obs.enabled:
-                obs.inc("env.federation.local")
-            started = self.world.now
-            outcome = origin.env.exchange(replace(request, deadline=expires_at))
-            return FederatedOutcome(
-                outcome=outcome,
-                origin=origin.name,
-                target=origin.name,
-                hops=(Hop(origin.name, "local", self.world.now),),
-                latency_s=self.world.now - started,
-            )
-        if obs.enabled:
-            obs.inc("env.federation.remote")
-        target = self.domain(target_name)
-        return self._relay_exchange(origin, target, request, expires_at)
-
-    def _origin_checks(
-        self, origin: Domain, request: ExchangeRequest
-    ) -> tuple[str, str] | None:
-        """Origin-side checks, mirroring ``CSCWEnvironment._exchange``.
-
-        Returns ``(reason_code, reason)`` on failure, ``None`` when the
-        request may be relayed — same checks, same order, same reason
-        codes as a single-domain run.
-        """
-        sender, receiver = request.sender, request.receiver
-        active = (
-            request.profile
-            if request.profile is not None
-            else TransparencyProfile.all_on()
-        )
-        if request.activity_id:
-            activity = origin.env.activities.get(request.activity_id)
-            for person in (sender, receiver):
-                if not activity.is_member(person):
-                    return (
-                        REASON_MEMBERSHIP,
-                        f"{person} is not a member of {request.activity_id}",
-                    )
-        verdict = origin.env.resolution.route(sender, receiver, request.interaction)
-        if verdict.cross_org:
-            if not active.organisation:
-                return (
-                    REASON_ORGANISATION_OPAQUE,
-                    f"cross-organisation exchange ({verdict.sender_org} -> "
-                    f"{verdict.receiver_org}) with organisation transparency off",
-                )
-            if not verdict.policy_ok:
-                return (
-                    REASON_POLICY,
-                    f"no compatible policy between {verdict.sender_org} and "
-                    f"{verdict.receiver_org} for {request.interaction}",
-                )
-        return None
-
     def _mediation_metadata(
+
         self, origin: Domain, request: ExchangeRequest
     ) -> "dict[str, Any] | None":
         """The origin mediator's plan for a relayed exchange, as envelope
@@ -999,340 +926,159 @@ class Federation:
             return None
         return plan.to_document()
 
-    def _stamp_payload(
-        self, payload: dict[str, Any], origin: Domain
-    ) -> TraceContext | None:
-        """Stamp a relay payload with its origin and the open trace.
+    def _relay_exchange_group(
+        self, origin: Domain, target: Domain, run: list[ExchangeRequest]
+    ) -> list[FederatedOutcome]:
+        """Relay one same-route run as a single gateway round trip.
 
-        The origin's span identity rides the payload; every hop
-        (gateway, forwarder, target pipeline) continues this trace.
-        Returns the captured context for outcome correlation.
+        Expired deadlines and the origin's admission (membership,
+        organisation/policy) are decided per request before shipping.
+        The survivors travel as one payload — the flat request document
+        for a run of one, ``{"requests": [...]}`` for more — that the
+        target's relay handler feeds into its environment's pipeline.
+        One relay id covers the run, so retries deduplicate the whole
+        run at once.
         """
+        obs = self._metrics
+        env = origin.env
+        started = self.world.now
+        origin_hop = Hop(origin.name, "origin", started)
+        results: list[FederatedOutcome | None] = [None] * len(run)
+        shipped: list[int] = []
+        documents: list[dict[str, Any]] = []
+        expiries: list[float | None] = []
+        previous: ExchangeRequest | None = None
+        remote = 0
+        for index, request in enumerate(run):
+            expires_at = env.effective_deadline(request.deadline)
+            if expires_at is not None and started >= expires_at:
+                if obs.enabled:
+                    obs.inc("env.federation.expired")
+                refusal = (REASON_DEADLINE_EXCEEDED, deadline_reason(expires_at, started))
+            else:
+                remote += 1
+                active = request.profile if request.profile is not None else _ALL_ON
+                refusal = env._admit(request, active, at_origin=True)
+            if refusal is not None:
+                results[index] = self._refused(
+                    origin, target.name, *refusal, (origin_hop,)
+                )
+                continue
+            # Consecutive requests that differ only in their document
+            # share one envelope: the previous wire form (with the origin
+            # mediator's plan) seeds the next, instead of re-deriving
+            # ``to_document`` and the plan per relay entry.
+            if previous is not None and request.same_route(previous):
+                document = dict(documents[-1])
+            else:
+                document = request.to_document()
+                mediation = self._mediation_metadata(origin, request)
+                if mediation is not None:
+                    document["mediation"] = mediation
+            document["document"] = dict(request.document)
+            document["deadline"] = expires_at
+            documents.append(document)
+            shipped.append(index)
+            expiries.append(expires_at)
+            previous = request
+        if obs.enabled and remote:
+            obs.inc("env.federation.remote", remote)
+        if not shipped:
+            return results  # type: ignore[return-value]
+        # The gateway-level deadline only applies when every shipped
+        # request carries one (the loosest wins; per-request deadlines
+        # are still enforced by the target pipeline).
+        group_deadline = None if None in expiries else max(expiries)
+        payload = documents[0] if len(documents) == 1 else {"requests": documents}
+        # The origin's span identity rides the payload: every hop
+        # (gateway, forwarder, target pipeline) continues this trace.
         payload["origin"] = origin.name
         context = self._trace.current_context()
         if context is not None:
             payload[TRACE_KEY] = context.to_document()
-        return context
-
-    def _choose_gateway(
-        self, origin: Domain, target: Domain, payload: dict[str, Any]
-    ) -> Gateway:
-        """The direct gateway, or a failover intermediate's when the
-        direct one is not ready (breaker open or control-plane drain)."""
         gateway = origin.gateway_to(target.name)
         if self._resilience and not gateway.ready():
-            # Route via a healthy intermediate, whose inbound relay
-            # handler forwards the payload onward to the final target.
+            # The direct gateway is not ready (breaker open or a
+            # control-plane drain): route via a healthy intermediate,
+            # whose inbound relay handler forwards the payload onward.
             via = self._pick_intermediate(origin, target)
             if via is not None:
-                if self._metrics.enabled:
-                    self._metrics.inc("env.federation.failover")
+                if obs.enabled:
+                    obs.inc("env.federation.failover")
                 gateway = origin.gateway_to(via.name)
                 payload["final_target"] = target.name
-        return gateway
+        holder: dict[str, Any] = {}
 
-    def _await_relay(
-        self, origin: Domain, target: Domain, holder: dict[str, Any]
-    ) -> None:
-        """Step the engine until the relay settles (reply or dead letter)."""
+        def on_reply(reply: dict[str, Any], attempts: int) -> None:
+            holder["reply"] = reply
+            holder["attempts"] = attempts
+
+        def on_dead_letter(letter: DeadLetter) -> None:
+            holder["dead_letter"] = letter
+
+        gateway.relay(payload, on_reply, on_dead_letter, deadline=group_deadline)
+        # Step the engine until the relay settles (reply or dead letter).
         engine = self.world.engine
         while "reply" not in holder and "dead_letter" not in holder:
             if not engine.step():  # pragma: no cover - timeouts guarantee progress
                 raise ConfigurationError(
                     f"relay {origin.name}->{target.name} neither replied nor timed out"
                 )
-
-    def _relay_exchange(
-        self,
-        origin: Domain,
-        target: Domain,
-        request: ExchangeRequest,
-        deadline: float | None = None,
-    ) -> FederatedOutcome:
-        obs = self._metrics
-        started = self.world.now
-        origin_hop = Hop(origin.name, "origin", started)
-
-        def fail(code: str, reason: str) -> FederatedOutcome:
-            return FederatedOutcome(
-                outcome=origin.env._fail(code, reason),
-                origin=origin.name,
-                target=target.name,
-                hops=(origin_hop,),
-            )
-
-        failure = self._origin_checks(origin, request)
-        if failure is not None:
-            return fail(*failure)
-
-        payload = request.to_document()
-        payload["document"] = dict(request.document)
-        payload["deadline"] = deadline
-        mediation = self._mediation_metadata(origin, request)
-        if mediation is not None:
-            payload["mediation"] = mediation
-        context = self._stamp_payload(payload, origin)
-        holder: dict[str, Any] = {}
-
-        def on_reply(reply: dict[str, Any], attempts: int) -> None:
-            holder["reply"] = reply
-            holder["attempts"] = attempts
-
-        def on_dead_letter(letter: DeadLetter) -> None:
-            holder["dead_letter"] = letter
-
-        gateway = self._choose_gateway(origin, target, payload)
-        gateway.relay(payload, on_reply, on_dead_letter, deadline=deadline)
-        self._await_relay(origin, target, holder)
         now = self.world.now
+        latency = now - started
+        failure: tuple[str, str] | None = None
         if "dead_letter" in holder:
             letter: DeadLetter = holder["dead_letter"]
+            attempts = letter.attempts
+            hops: tuple[Hop, ...] = (origin_hop,)
             if letter.reason == REASON_RELAY_DEADLINE:
-                if obs.enabled:
-                    obs.inc("env.federation.expired")
-                outcome = origin.env._fail(
+                failure = (
                     REASON_DEADLINE_EXCEEDED,
                     f"relay {origin.name}->{target.name} missed its deadline "
-                    f"after {letter.attempts} attempts",
+                    f"after {attempts} attempts",
                 )
             else:
-                if obs.enabled:
-                    obs.inc("env.federation.dead_letters")
-                outcome = origin.env._fail(
+                failure = (
                     REASON_GATEWAY_DEAD_LETTER,
                     f"gateway {origin.name}->{target.name} unreachable after "
-                    f"{letter.attempts} attempts; payload parked in dead-letter queue",
+                    f"{attempts} attempts; payload parked in dead-letter queue",
                 )
-            return FederatedOutcome(
-                outcome=outcome,
-                origin=origin.name,
-                target=target.name,
-                hops=(origin_hop,),
-                attempts=letter.attempts,
-                latency_s=now - started,
-            )
-        reply = holder["reply"]
-        relay_path = reply.get("relay_path", ()) if isinstance(reply, dict) else ()
-        relay_hops = tuple(
-            Hop(h["domain"], "relay", h["at"]) for h in relay_path
-        )
-        attempts = holder["attempts"] + sum(h.get("attempts", 0) for h in relay_path)
-        if isinstance(reply, dict) and "error" in reply:
-            if obs.enabled:
-                obs.inc("env.federation.dead_letters")
-            outcome = origin.env._fail(
-                REASON_GATEWAY_DEAD_LETTER,
-                f"relay {origin.name}->{target.name} failed remotely: "
-                f"{reply['error']}",
-            )
-            return FederatedOutcome(
-                outcome=outcome,
-                origin=origin.name,
-                target=target.name,
-                hops=(origin_hop, *relay_hops),
-                attempts=attempts,
-                latency_s=now - started,
-            )
-        if isinstance(reply, dict) and "failed" in reply:
-            # A forwarded leg died downstream; the intermediate reported
-            # the structured failure back instead of an outcome.
-            code = reply["failed"]
-            if obs.enabled:
-                obs.inc(
-                    "env.federation.expired"
-                    if code == REASON_DEADLINE_EXCEEDED
-                    else "env.federation.dead_letters"
+        else:
+            reply = holder["reply"]
+            relay_path = reply.get("relay_path", ())
+            hops = (origin_hop, *(Hop(h["domain"], "relay", h["at"]) for h in relay_path))
+            attempts = holder["attempts"] + sum(h.get("attempts", 0) for h in relay_path)
+            if "error" in reply:
+                failure = (
+                    REASON_GATEWAY_DEAD_LETTER,
+                    f"relay {origin.name}->{target.name} failed remotely: "
+                    f"{reply['error']}",
                 )
-            outcome = origin.env._fail(
-                code, reply.get("detail", "forwarded relay failed")
+            elif "failed" in reply:
+                # A forwarded leg died downstream; the intermediate
+                # reported the structured failure back instead of outcomes.
+                failure = (reply["failed"], reply.get("detail", "forwarded relay failed"))
+        if failure is not None:
+            counter = (
+                "env.federation.expired"
+                if failure[0] == REASON_DEADLINE_EXCEEDED
+                else "env.federation.dead_letters"
             )
-            return FederatedOutcome(
-                outcome=outcome,
-                origin=origin.name,
-                target=target.name,
-                hops=(origin_hop, *relay_hops),
-                attempts=attempts,
-                latency_s=now - started,
-            )
-        outcome = _outcome_from_document(
-            reply["outcome"],
-            trace_id=context.trace_id if context is not None else "",
-        )
-        if obs.enabled:
-            obs.observe("env.federation.relay_latency_s", now - started)
-            if outcome.delivered:
-                obs.inc("env.federation.delivered")
-        return FederatedOutcome(
-            outcome=outcome,
-            origin=origin.name,
-            target=target.name,
-            hops=(
-                origin_hop,
-                *relay_hops,
-                Hop(target.name, "deliver", reply["handled_at"]),
-                Hop(origin.name, "reply", now),
-            ),
-            attempts=attempts,
-            latency_s=now - started,
-        )
-
-    def _relay_exchange_group(
-        self, origin: Domain, target: Domain, run: list[ExchangeRequest]
-    ) -> list[FederatedOutcome]:
-        """Relay one same-route run as a single gateway round trip.
-
-        Origin-side checks and already-expired deadlines are decided
-        per request before shipping; the survivors travel as one
-        ``requests`` payload that the target's relay handler feeds into
-        its environment's ``exchange_many``.  One relay id covers the
-        run, so retries deduplicate the whole batch at once.
-        """
-        obs = self._metrics
-        started = self.world.now
-        origin_hop = Hop(origin.name, "origin", started)
-        results: list[FederatedOutcome | None] = [None] * len(run)
-
-        def local_fail(index: int, code: str, reason: str) -> None:
-            if obs.enabled and code == REASON_DEADLINE_EXCEEDED:
-                obs.inc("env.federation.expired")
-            results[index] = FederatedOutcome(
-                outcome=origin.env._fail(code, reason),
-                origin=origin.name,
-                target=target.name,
-                hops=(origin_hop,),
-            )
-
-        shipped: list[tuple[int, ExchangeRequest, float | None]] = []
-        for index, request in enumerate(run):
-            expires_at = origin.env.effective_deadline(request.deadline)
-            if expires_at is not None and started >= expires_at:
-                local_fail(
-                    index,
-                    REASON_DEADLINE_EXCEEDED,
-                    f"federated exchange deadline {expires_at:.3f} already "
-                    f"passed at {started:.3f}",
-                )
-                continue
-            failure = self._origin_checks(origin, request)
-            if failure is not None:
-                local_fail(index, *failure)
-                continue
-            shipped.append((index, request, expires_at))
-        if not shipped:
-            return [result for result in results if result is not None]
-
-        # One serialized envelope per run shape: consecutive same-route
-        # requests usually differ only in their payload, so the first
-        # request's wire form seeds the rest (a shallow copy plus the
-        # per-request payload and deadline) instead of re-deriving
-        # ``to_document`` per relay entry, and the origin mediator's
-        # plan is synthesized once per (apps, fidelity floor).
-        documents: list[dict[str, Any]] = []
-        base_request: ExchangeRequest | None = None
-        base_document: dict[str, Any] = {}
-        plans: "dict[tuple[str, str, float], dict[str, Any] | None]" = {}
-        for _, request, expires_at in shipped:
-            if base_request is not None and _same_wire_shape(request, base_request):
-                document = dict(base_document)
-            else:
-                document = request.to_document()
-                base_request = request
-                base_document = dict(document)
-            document["document"] = dict(request.document)
-            document["deadline"] = expires_at
-            plan_key = (request.sender_app, request.receiver_app, request.min_fidelity)
-            try:
-                mediation = plans[plan_key]
-            except KeyError:
-                mediation = plans[plan_key] = self._mediation_metadata(origin, request)
-            if mediation is not None:
-                document["mediation"] = mediation
-            documents.append(document)
-        # The gateway-level deadline only applies when every shipped
-        # request carries one (the loosest wins; per-request deadlines
-        # are still enforced by the target pipeline).
-        expiries = [expires for _, _, expires in shipped]
-        group_deadline = max(expiries) if all(e is not None for e in expiries) else None
-        payload: dict[str, Any] = {"requests": documents}
-        context = self._stamp_payload(payload, origin)
-        holder: dict[str, Any] = {}
-
-        def on_reply(reply: dict[str, Any], attempts: int) -> None:
-            holder["reply"] = reply
-            holder["attempts"] = attempts
-
-        def on_dead_letter(letter: DeadLetter) -> None:
-            holder["dead_letter"] = letter
-
-        gateway = self._choose_gateway(origin, target, payload)
-        gateway.relay(payload, on_reply, on_dead_letter, deadline=group_deadline)
-        self._await_relay(origin, target, holder)
-        now = self.world.now
-
-        def ship_fail(code: str, reason: str, attempts: int, hops: tuple) -> None:
-            for index, _, _ in shipped:
+            for index in shipped:
                 if obs.enabled:
-                    obs.inc(
-                        "env.federation.expired"
-                        if code == REASON_DEADLINE_EXCEEDED
-                        else "env.federation.dead_letters"
-                    )
-                results[index] = FederatedOutcome(
-                    outcome=origin.env._fail(code, reason),
-                    origin=origin.name,
-                    target=target.name,
-                    hops=hops,
-                    attempts=attempts,
-                    latency_s=now - started,
+                    obs.inc(counter)
+                results[index] = self._refused(
+                    origin, target.name, *failure, hops, attempts, latency
                 )
-
-        if "dead_letter" in holder:
-            letter: DeadLetter = holder["dead_letter"]
-            code = (
-                REASON_DEADLINE_EXCEEDED
-                if letter.reason == REASON_RELAY_DEADLINE
-                else REASON_GATEWAY_DEAD_LETTER
-            )
-            ship_fail(
-                code,
-                f"gateway {origin.name}->{target.name} batch relay failed "
-                f"({letter.reason}) after {letter.attempts} attempts",
-                letter.attempts,
-                (origin_hop,),
-            )
-            return [result for result in results if result is not None]
-        reply = holder["reply"]
-        relay_path = reply.get("relay_path", ()) if isinstance(reply, dict) else ()
-        relay_hops = tuple(Hop(h["domain"], "relay", h["at"]) for h in relay_path)
-        attempts = holder["attempts"] + sum(h.get("attempts", 0) for h in relay_path)
-        if isinstance(reply, dict) and "error" in reply:
-            ship_fail(
-                REASON_GATEWAY_DEAD_LETTER,
-                f"batch relay {origin.name}->{target.name} failed remotely: "
-                f"{reply['error']}",
-                attempts,
-                (origin_hop, *relay_hops),
-            )
-            return [result for result in results if result is not None]
-        if isinstance(reply, dict) and "failed" in reply:
-            ship_fail(
-                reply["failed"],
-                reply.get("detail", "forwarded batch relay failed"),
-                attempts,
-                (origin_hop, *relay_hops),
-            )
-            return [result for result in results if result is not None]
+            return results  # type: ignore[return-value]
         hops = (
-            origin_hop,
-            *relay_hops,
+            *hops,
             Hop(target.name, "deliver", reply["handled_at"]),
             Hop(origin.name, "reply", now),
         )
-        for (index, _, _), outcome_document in zip(shipped, reply["outcomes"]):
-            outcome = _outcome_from_document(
-                outcome_document,
-                trace_id=context.trace_id if context is not None else "",
-            )
+        trace_id = context.trace_id if context is not None else ""
+        for index, outcome_document in zip(shipped, reply["outcomes"]):
+            outcome = _outcome_from_document(outcome_document, trace_id=trace_id)
             if obs.enabled and outcome.delivered:
                 obs.inc("env.federation.delivered")
             results[index] = FederatedOutcome(
@@ -1341,11 +1087,11 @@ class Federation:
                 target=target.name,
                 hops=hops,
                 attempts=attempts,
-                latency_s=now - started,
+                latency_s=latency,
             )
         if obs.enabled:
-            obs.observe("env.federation.relay_latency_s", now - started)
-        return [result for result in results if result is not None]
+            obs.observe("env.federation.relay_latency_s", latency)
+        return results  # type: ignore[return-value]
 
     def _pick_intermediate(self, origin: Domain, target: Domain) -> Domain | None:
         """The first domain (creation order) with both legs healthy.
@@ -1378,6 +1124,11 @@ class Federation:
         another domain arrived here as a failover intermediate and is
         forwarded through this domain's own gateway (the transport holds
         the inbound request open via a deferred reply meanwhile).
+
+        Otherwise the payload carries one run — the flat request document
+        or ``{"requests": [...]}`` — which enters this environment's
+        pipeline (through ``exchange`` for one request, ``exchange_many``
+        for more) and gets one reply.
         """
         relay_id = payload.get("relay_id")
         if relay_id is not None and relay_id in domain.relay_seen:
@@ -1387,59 +1138,36 @@ class Federation:
         final = payload.get("final_target")
         if final is not None and final != domain.name:
             return self._forward_relay(domain, payload, final)
-        if "requests" in payload:
-            # A batched run from federated_exchange_many: unpack into
-            # this environment's own batched fast path, one reply for
-            # the whole run.
-            requests = [
-                ExchangeRequest.from_document(document)
-                for document in payload["requests"]
-            ]
-            if self._metrics.enabled:
-                self._metrics.inc("gateway.inbound", len(requests))
-                mediated = sum(
-                    1 for document in payload["requests"] if "mediation" in document
-                )
-                if mediated:
-                    self._metrics.inc("mediation.plan.relayed", mediated)
-            with self._trace.span_from_context(
-                "federation.relay",
-                TraceContext.from_document(payload.get(TRACE_KEY)),
-                domain=domain.name,
-                batch=len(requests),
-            ):
-                outcomes = domain.env.exchange_many(requests)
-            reply = {
-                "outcomes": [_outcome_document(outcome) for outcome in outcomes],
-                "handled_at": self.world.now,
-                "domain": domain.name,
-                "relay_path": [],
-            }
-            if relay_id is not None:
-                domain.remember_relay(relay_id, reply)
-            return reply
-        request = ExchangeRequest.from_document(payload)
-        mediation = payload.get("mediation")
+        documents = payload["requests"] if "requests" in payload else [payload]
+        requests = list(map(ExchangeRequest.from_document, documents))
         if self._metrics.enabled:
-            self._metrics.inc("gateway.inbound")
-            if mediation is not None:
-                self._metrics.inc("mediation.plan.relayed")
+            self._metrics.inc("gateway.inbound", len(requests))
+            mediated = 0
+            for document in documents:
+                mediated += "mediation" in document
+            if mediated:
+                self._metrics.inc("mediation.plan.relayed", mediated)
         # Continue the trace the payload carries: the target pipeline's
-        # env.exchange span nests under this one, so the outcome's
-        # trace_id is the origin's — the receiving half of propagation.
+        # span nests under this one, so the outcomes' trace_id is the
+        # origin's — the receiving half of propagation.
         with self._trace.span_from_context(
             "federation.relay",
             TraceContext.from_document(payload.get(TRACE_KEY)),
             domain=domain.name,
+            batch=len(requests),
         ) as span:
+            mediation = documents[0].get("mediation")
             if mediation is not None and span is not None:
                 span.tag(
                     mediated_fidelity=mediation.get("fidelity"),
                     mediated_hops=mediation.get("hops"),
                 )
-            outcome = domain.env.exchange(request)
+            if len(requests) == 1:
+                outcomes = [domain.env.exchange(requests[0])]
+            else:
+                outcomes = domain.env.exchange_many(requests)
         reply = {
-            "outcome": _outcome_document(outcome),
+            "outcomes": list(map(_outcome_document, outcomes)),
             "handled_at": self.world.now,
             "domain": domain.name,
             "relay_path": [],

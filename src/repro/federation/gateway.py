@@ -280,7 +280,7 @@ class Gateway:
             # Continue the trace the payload carries (or the caller's open
             # span) and re-stamp the payload so the receiving side parents
             # under this hop — the wire half of trace propagation.  The
-            # ``domain`` tag mirrors the labelled metrics (the hop runs in
+            # ``domain`` tag matches the labelled metrics (the hop runs in
             # the source domain); ``sampled`` rides along so every hop
             # honours the decision made at the trace's origin.
             state.span = self._tracer.start_span(

@@ -2,7 +2,7 @@
 
 Routes are keyed on the ``(country, admd, prmd)`` triple, with ``*`` as a
 wildcard in any position; the most specific matching route wins (a match
-on prmd beats a match on admd beats a default route).  This mirrors how
+on prmd beats a match on admd beats a default route).  This follows how
 X.400 management domains delegate routing.
 """
 

@@ -3,7 +3,7 @@
 Every subsystem raises exceptions derived from :class:`ReproError` so that
 applications embedding the CSCW environment can catch library failures with
 a single ``except`` clause while still being able to discriminate between
-subsystems.  The hierarchy mirrors the package layout (simulator, ODP
+subsystems.  The hierarchy follows the package layout (simulator, ODP
 platform, directory, messaging, environment, models).
 """
 
