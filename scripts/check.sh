@@ -278,50 +278,6 @@ EOF
 echo "== bench_e11 control (quick) =="
 python benchmarks/bench_e11_control.py --quick
 
-echo "== shard smoke (cross-shard exchange + keyed eviction) =="
-python - <<'EOF'
-# The ISSUE 7 storm, end to end: exchange across two DSA shards, then
-# mutate an unrelated org and assert the cached route SURVIVES (the old
-# whole-cache listener evicted everything on any KB mutation).
-from repro.communication.model import Communicator
-from repro.environment.environment import CSCWEnvironment
-from repro.environment.registry import AppDescriptor, Q_DIFFERENT_TIME_DIFFERENT_PLACE
-from repro.org.model import Organisation, Person
-from repro.sharding import ShardedKnowledgeBase
-from repro.sim.world import World
-
-world = World(seed=42)
-env = CSCWEnvironment.builder().with_world(world).with_sharding(4).build()
-kb = env.knowledge_base
-assert isinstance(kb, ShardedKnowledgeBase), type(kb)
-for org_id in ("upc", "gmd", "acme", "zeta"):
-    org = Organisation(org_id, org_id.upper())
-    org.add_person(Person(f"p-{org_id}", f"P {org_id}", org_id))
-    kb.add_organisation(org)
-    world.network.add_node(f"ws-{org_id}", site=org_id)
-    env.register_person(Communicator(f"p-{org_id}", f"ws-{org_id}"))
-kb.policies.declare("upc", "gmd", {"*"}, symmetric=True)
-inbox = []
-env.applications.register(
-    AppDescriptor(name="editor", quadrants=[Q_DIFFERENT_TIME_DIFFERENT_PLACE]),
-    lambda person, doc, info: inbox.append(person),
-)
-by_shard = {kb.shard_of_org(o.org_id) for o in kb.organisations()}
-assert len(by_shard) >= 2, f"4 orgs landed on one shard: {by_shard}"
-outcome = env.exchange("p-upc", "p-gmd", "editor", "editor", {"title": "hi", "body": "x"})
-assert outcome.delivered and inbox == ["p-gmd"], (outcome, inbox)
-before = env.resolution.stats()
-kb.add_person(Person("hire", "New Hire", "acme"))          # unrelated org
-kb.move_person("p-zeta", "acme")                           # unrelated person
-assert env.resolution.stats()["evictions"] == before["evictions"], env.resolution.stats()
-assert env.resolution.stats()["routes_cached"] == before["routes_cached"]
-again = env.exchange("p-upc", "p-gmd", "editor", "editor", {"title": "hi", "body": "x"})
-assert again.delivered
-assert env.resolution.stats()["route_hits"] == before["route_hits"] + 1
-print(f"cross-shard exchange ok across {len(by_shard)} shards; "
-      "unrelated mutations evicted 0 cached routes")
-EOF
-
 echo "== bench_e12 shard scale (quick) =="
 python benchmarks/bench_e12_shard.py --quick
 

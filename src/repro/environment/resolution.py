@@ -87,7 +87,6 @@ class ResolutionCache:
         #: secondary index: ``p:<person>`` / ``o:<org>`` tag -> route keys
         self._route_index: dict[str, set[tuple[str, str, str]]] = {}
         self._route_tags: dict[tuple[str, str, str], tuple[str, ...]] = {}
-        self._obs: MetricsRegistry = NULL_METRICS
         self.enabled = True
         self.route_hits = 0
         self.route_misses = 0
@@ -96,10 +95,19 @@ class ResolutionCache:
         self.invalidations = 0
         self.evictions = 0
         self.generation = 0
+        self.attach_metrics(None)
 
     def attach_metrics(self, metrics: MetricsRegistry | None) -> None:
-        """Report cache activity to *metrics* (``None`` detaches)."""
-        self._obs = metrics if metrics is not None else NULL_METRICS
+        """Report cache activity to *metrics* (``None`` detaches).
+
+        The per-lookup counters are bound here, once, so a lookup pays
+        an ``inc`` on a held counter rather than a lookup by name.
+        """
+        obs = self._obs = metrics if metrics is not None else NULL_METRICS
+        self._m_route_hit = obs.counter("env.cache.route.hit")
+        self._m_route_miss = obs.counter("env.cache.route.miss")
+        self._m_formats_hit = obs.counter("env.cache.formats.hit")
+        self._m_formats_miss = obs.counter("env.cache.formats.miss")
 
     # -- lookups -----------------------------------------------------------
     def route(self, sender: str, receiver: str, interaction: str) -> RouteVerdict:
@@ -111,13 +119,13 @@ class ResolutionCache:
         if verdict is None:
             self.route_misses += 1
             if self._obs.enabled:
-                self._obs.inc("env.cache.route.miss")
+                self._m_route_miss.inc()
             verdict = self._resolve_route(sender, receiver, interaction)
             self._store_route(key, verdict)
         else:
             self.route_hits += 1
             if self._obs.enabled:
-                self._obs.inc("env.cache.route.hit")
+                self._m_route_hit.inc()
         return verdict
 
     def formats(self, sender_app: str, receiver_app: str) -> tuple[str, str]:
@@ -134,12 +142,12 @@ class ResolutionCache:
         if pair is None:
             self.format_misses += 1
             if self._obs.enabled:
-                self._obs.inc("env.cache.formats.miss")
+                self._m_formats_miss.inc()
             pair = self._formats[key] = self._resolve_formats(sender_app, receiver_app)
         else:
             self.format_hits += 1
             if self._obs.enabled:
-                self._obs.inc("env.cache.formats.hit")
+                self._m_formats_hit.inc()
         return pair
 
     def _resolve_route(self, sender: str, receiver: str, interaction: str) -> RouteVerdict:

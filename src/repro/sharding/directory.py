@@ -33,6 +33,11 @@ _STRUCTURAL_CLASSES = {
 }
 
 
+def _parsed(name: "DistinguishedName | str") -> DistinguishedName:
+    """*name* as a parsed DN (parsing a string once per operation)."""
+    return name if isinstance(name, DistinguishedName) else dn(name)
+
+
 def partition_key(name: "DistinguishedName | str") -> str:
     """The shard-placement key of a DN: its org subtree boundary.
 
@@ -45,8 +50,7 @@ def partition_key(name: "DistinguishedName | str") -> str:
     >>> partition_key("c=ES")
     ''
     """
-    parsed = name if isinstance(name, DistinguishedName) else dn(name)
-    rdns = parsed.rdns
+    rdns = _parsed(name).rdns
     for index in range(len(rdns) - 1, -1, -1):
         if rdns[index].attribute == "o":
             return ",".join("=".join(r.normalized()) for r in rdns[index:])
@@ -152,7 +156,7 @@ class ShardedDirectory:
         Missing structural ancestors (country, org, unit) are created on
         the owning shard so each shard's DIT stays a well-formed tree.
         """
-        parsed = name if isinstance(name, DistinguishedName) else dn(name)
+        parsed = _parsed(name)
         agent = self.agent_for(parsed)
         if agent is None:
             entry: Entry | None = None
@@ -170,19 +174,21 @@ class ShardedDirectory:
 
     def exists(self, name: "DistinguishedName | str") -> bool:
         """Entry present? (one shard consulted; structural: any shard)."""
-        agent = self.agent_for(name)
+        parsed = _parsed(name)
+        agent = self.agent_for(parsed)
         if agent is None:
             agent = self.shards[0]
         self._count_read(agent.dsa_id)
-        return agent.dit.exists(name if isinstance(name, DistinguishedName) else dn(name))
+        return agent.dit.exists(parsed)
 
     def read(self, name: "DistinguishedName | str") -> Entry:
         """Read an entry from its owning shard only."""
-        agent = self.agent_for(name)
+        parsed = _parsed(name)
+        agent = self.agent_for(parsed)
         if agent is None:
             agent = self.shards[0]
         self._count_read(agent.dsa_id)
-        return agent.dit.read(name if isinstance(name, DistinguishedName) else dn(name))
+        return agent.dit.read(parsed)
 
     def modify(
         self,
@@ -192,26 +198,28 @@ class ShardedDirectory:
         delete: "dict[str, Any] | list[str] | None" = None,
     ) -> Entry:
         """Modify an entry on its owning shard (structural: every shard)."""
-        agents = [self.agent_for(name)]
+        parsed = _parsed(name)
+        agents = [self.agent_for(parsed)]
         if agents[0] is None:
             agents = list(self.shards)
         entry: Entry | None = None
         for agent in agents:
             self._count_write(agent.dsa_id)
-            entry = agent.dit.modify(name, add=add, replace=replace, delete=delete)
+            entry = agent.dit.modify(parsed, add=add, replace=replace, delete=delete)
         assert entry is not None
         return entry
 
     def delete(self, name: "DistinguishedName | str") -> None:
         """Delete a leaf entry on its owning shard (structural: everywhere)."""
-        agent = self.agent_for(name)
+        parsed = _parsed(name)
+        agent = self.agent_for(parsed)
         if agent is None:
             for shard in self.shards:
                 self._count_write(shard.dsa_id)
-                shard.dit.delete(name)
+                shard.dit.delete(parsed)
             return
         self._count_write(agent.dsa_id)
-        agent.dit.delete(name)
+        agent.dit.delete(parsed)
 
     def search(
         self,
@@ -226,10 +234,11 @@ class ShardedDirectory:
         entries deduplicated, so the answer is what one giant DIT would
         have returned.
         """
-        agent = self.agent_for(base)
+        parsed = _parsed(base)
+        agent = self.agent_for(parsed)
         if agent is not None:
             self._count_read(agent.dsa_id)
-            return agent.dit.search(base, scope=scope, where=where, limit=limit)
+            return agent.dit.search(parsed, scope=scope, where=where, limit=limit)
         self.fanouts += 1
         if self._m_fanouts is not None:
             self._m_fanouts.inc()
@@ -238,7 +247,7 @@ class ShardedDirectory:
         for shard in self.shards:
             self._count_read(shard.dsa_id)
             try:
-                entries = shard.dit.search(base, scope=scope, where=where, limit=None)
+                entries = shard.dit.search(parsed, scope=scope, where=where, limit=None)
             except NoSuchEntryError:
                 # structural bases only exist on shards that own entries
                 # beneath them; a shard without them holds no answers

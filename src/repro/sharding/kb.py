@@ -55,6 +55,10 @@ class ShardedKnowledgeBase(OrganisationalKnowledgeBase):
             n_shards=n_shards, name="kb-dsa", schema=schema, replicas=replicas
         )
         self._person_org: dict[str, str] = {}
+        #: org id -> dsa id, valid while ``_shard_memo_generation`` equals
+        #: the ring's generation (a ring change empties it)
+        self._shard_memo: dict[str, str] = {}
+        self._shard_memo_generation = self.directory.ring.generation
 
     # -- naming ------------------------------------------------------------
     def org_dn(self, org_id: str) -> str:
@@ -66,11 +70,30 @@ class ShardedKnowledgeBase(OrganisationalKnowledgeBase):
         return f"cn={person_id},{self.org_dn(org_id)}"
 
     def shard_of_org(self, org_id: str) -> str:
-        """The dsa_id owning an organisation's subtree."""
-        return self.directory.shard_id_for(self.org_dn(org_id))
+        """The dsa_id owning an organisation's subtree.
+
+        Memoised per organisation: placing an org means building, parsing
+        and hashing its DN, and the exchange path asks once per traced
+        exchange.  Placement depends on the ring alone, so the memo is
+        dropped whenever the ring's generation moves.
+        """
+        generation = self.directory.ring.generation
+        if generation != self._shard_memo_generation:
+            self._shard_memo.clear()
+            self._shard_memo_generation = generation
+        shard = self._shard_memo.get(org_id)
+        if shard is None:
+            shard = self._shard_memo[org_id] = self.directory.shard_id_for(
+                self.org_dn(org_id)
+            )
+        return shard
 
     def shard_of_person(self, person_id: str) -> str:
-        """The dsa_id owning a person's entry (their org's shard)."""
+        """The dsa_id owning a person's entry (their org's shard).
+
+        Resolves the person's org on every call, so a move is seen at
+        once; only the org -> shard step is memoised.
+        """
         return self.shard_of_org(self.organisation_of(person_id))
 
     # -- indexed resolution ------------------------------------------------

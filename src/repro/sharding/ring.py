@@ -42,6 +42,9 @@ class ConsistentHashRing:
         #: sorted ring points: (hash, shard); ties break on shard name
         self._points: list[tuple[int, str]] = []
         self._shards: set[str] = set()
+        #: bumped by every add/remove: memoised placements compare it to
+        #: tell a ring change from an unchanged ring
+        self.generation = 0
         for shard in shards:
             self.add_shard(shard)
 
@@ -52,6 +55,7 @@ class ConsistentHashRing:
         self._shards.add(shard)
         for replica in range(self.replicas):
             insort(self._points, (stable_hash(f"{shard}#{replica}"), shard))
+        self.generation += 1
 
     def remove_shard(self, shard: str) -> None:
         """Take *shard* off the ring (its arcs fall to the successors)."""
@@ -59,6 +63,7 @@ class ConsistentHashRing:
             raise ValueError(f"shard {shard!r} not on the ring")
         self._shards.discard(shard)
         self._points = [point for point in self._points if point[1] != shard]
+        self.generation += 1
 
     def shards(self) -> list[str]:
         """All shard names, sorted."""

@@ -74,7 +74,7 @@ class EventBus:
         self._delivered = 0
         self._published = 0
         self._clock: Callable[[], float] | None = None
-        self._obs: MetricsRegistry = NULL_METRICS
+        self.attach_metrics(None)
 
     def bind_clock(self, clock: Callable[[], float] | None) -> None:
         """Stamp events published without an explicit time from *clock*.
@@ -89,9 +89,13 @@ class EventBus:
         """Report bus activity to *metrics* (``None`` detaches).
 
         Counters ``events.published``/``events.delivered`` and the
-        ``events.fanout`` subscriber fan-out histogram.
+        ``events.fanout`` subscriber fan-out histogram, bound here once so
+        :meth:`publish` never looks them up by name.
         """
-        self._obs = metrics if metrics is not None else NULL_METRICS
+        obs = self._obs = metrics if metrics is not None else NULL_METRICS
+        self._m_published = obs.counter("events.published")
+        self._m_delivered = obs.counter("events.delivered")
+        self._m_fanout = obs.histogram("events.fanout")
 
     @property
     def delivered_count(self) -> int:
@@ -143,11 +147,10 @@ class EventBus:
                 sub.handler(event)
                 count += 1
         self._delivered += count
-        obs = self._obs
-        if obs.enabled:
-            obs.inc("events.published")
-            obs.inc("events.delivered", count)
-            obs.observe("events.fanout", count)
+        if self._obs.enabled:
+            self._m_published.inc()
+            self._m_delivered.inc(count)
+            self._m_fanout.observe(count)
         return count
 
 

@@ -75,21 +75,35 @@ class CodecRegistry:
         return decode(body)
 
 
+#: the one canonical encoder: built once, not per call as ``json.dumps``
+#: with options would.  ``ensure_ascii`` (the default) escapes every
+#: non-ASCII character, so its output is pure ASCII.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str)
+
+
 def canonical_json(document: Any) -> str:
     """Render a document as canonical JSON (sorted keys, no whitespace).
 
-    Two documents are structurally equal iff their canonical JSON matches.
+    Structurally equal documents render identically, whatever their key
+    order.  The converse does not hold: a tuple renders as the list with
+    the same items, and a value JSON cannot encode renders as its
+    ``str()``, so distinct documents can share a rendering.  Keys of
+    mixed types cannot be sorted and raise :class:`TypeError`.
+
+    >>> print(canonical_json({"b": (1, None), "a": "é"}))
+    {"a":"\\u00e9","b":[1,null]}
     """
-    return json.dumps(document, sort_keys=True, separators=(",", ":"), default=str)
+    return _CANONICAL.encode(document)
 
 
 def document_size(document: Any) -> int:
     """Size in bytes of the canonical JSON encoding of *document*.
 
     Used by the simulated network and the messaging substrate to charge
-    transmission time proportional to payload size.
+    transmission time proportional to payload size.  The encoding is
+    ASCII, so its length in characters is its length in UTF-8 bytes.
     """
-    return len(canonical_json(document).encode("utf-8"))
+    return len(_CANONICAL.encode(document))
 
 
 def deep_merge(base: dict[str, Any], overlay: dict[str, Any]) -> dict[str, Any]:

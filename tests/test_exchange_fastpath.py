@@ -200,6 +200,74 @@ class TestResolutionCache:
         assert counters["env.cache.formats.hit"] == 1
         assert counters["interchange.plan.hit"] == 1
 
+    def test_bound_counters_match_component_tallies(self, world):
+        metrics = MetricsRegistry()
+        env = make_env(world, metrics=metrics)
+        env.bus.subscribe("*", lambda event: None)
+        reply = {"to": "ana", "subject": "s", "text": "t"}
+        for _ in range(2):
+            env.exchange("ana", "wolf", "conferencing", "message-system", DOC)
+            env.exchange("wolf", "ana", "message-system", "conferencing", reply)
+            env.exchange("ana", "ana", "conferencing", "conferencing", DOC)
+        env.exchange("ana", "nobody", "conferencing", "message-system", DOC)
+        # same-format exchanges skip translation; only a direct call
+        # takes the identity path
+        same = env.interchange.formats()[0]
+        env.interchange.translate(same, same, DOC)
+
+        def tallies():
+            stats = env.resolution.stats()
+            return {
+                "env.cache.route.hit": stats["route_hits"],
+                "env.cache.route.miss": stats["route_misses"],
+                "env.cache.formats.hit": stats["format_hits"],
+                "env.cache.formats.miss": stats["format_misses"],
+                "interchange.plan.hit": env.interchange.plan_hits,
+                "interchange.plan.miss": env.interchange.plan_misses,
+                "interchange.identity": env.interchange.identities,
+                "events.published": env.bus.published_count,
+                "events.delivered": env.bus.delivered_count,
+            }
+
+        counters = metrics.snapshot()["counters"]
+        assert {name: counters[name] for name in tallies()} == tallies()
+        assert all(tallies().values()), tallies()
+        fanout = metrics.snapshot()["histograms"]["events.fanout"]
+        assert fanout["count"] == env.bus.published_count
+        assert fanout["sum"] == env.bus.delivered_count
+
+        # detaching rebinds to the null instruments: the components'
+        # series stop moving in the old registry, their tallies do not
+        def bound_series(registry):
+            snapshot = registry.snapshot()
+            return (
+                {name: snapshot["counters"][name] for name in tallies()},
+                snapshot["histograms"]["events.fanout"],
+            )
+
+        frozen = bound_series(metrics)
+        before = tallies()
+        for component in (env.resolution, env.interchange, env.bus):
+            component.attach_metrics(None)
+        env.exchange("ana", "wolf", "conferencing", "message-system", DOC)
+        env.interchange.translate(same, same, DOC)
+        assert bound_series(metrics) == frozen
+        assert all(tallies()[name] > before[name] for name in (
+            "env.cache.route.hit", "interchange.plan.hit", "interchange.identity",
+            "events.published",
+        ))
+
+        # re-attaching binds the new registry's instruments
+        fresh = MetricsRegistry()
+        for component in (env.resolution, env.interchange, env.bus):
+            component.attach_metrics(fresh)
+        env.exchange("ana", "wolf", "conferencing", "message-system", DOC)
+        counters = fresh.snapshot()["counters"]
+        assert counters["env.cache.route.hit"] == 1
+        assert counters["interchange.plan.hit"] == 1
+        assert counters["events.published"] == 1
+        assert bound_series(metrics) == frozen
+
     def test_cached_and_uncached_outcomes_identical(self, world):
         warm = make_env(world)
         cold = make_env(World(seed=0), cache=False)

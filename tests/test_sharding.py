@@ -29,6 +29,7 @@ from repro.environment.registry import (
 )
 from repro.federation.federation import Federation
 from repro.information.interchange import FormatConverter, make_common
+from repro.obs import Tracer
 from repro.org.model import Organisation, Person
 from repro.org.policy import INTERACTION_MESSAGE
 from repro.sharding import ConsistentHashRing, ShardedDirectory, ShardedKnowledgeBase
@@ -52,11 +53,13 @@ def converter(index: int) -> FormatConverter:
 
 
 def make_env(world, *, shards=None, orgs=("upc", "gmd", "acme", "zeta"),
-             on_deliver=None):
+             on_deliver=None, tracer=None):
     """An environment with one person per org and producer/consumer apps."""
     builder = CSCWEnvironment.builder().with_world(world).with_name("shardtest")
     if shards is not None:
         builder = builder.with_sharding(shards)
+    if tracer is not None:
+        builder = builder.with_tracer(tracer)
     env = builder.build()
     for org_id in orgs:
         org = Organisation(org_id, org_id.upper())
@@ -357,16 +360,30 @@ class TestShardedEnvironment:
         assert env.knowledge_base.stats()["directory"]["shards"] == 4
 
     def test_cross_shard_exchange_delivers(self, world):
-        env = make_env(world, shards=4)
+        inbox = []
+        env = make_env(world, shards=4,
+                       on_deliver=lambda person, document, info: inbox.append(person))
         kb = env.knowledge_base
         by_shard = {}
         for org in kb.organisations():
             by_shard.setdefault(kb.shard_of_org(org.org_id), org.org_id)
         orgs = list(by_shard.values())
         assert len(orgs) >= 2, "test orgs must span shards"
-        outcome = exchange(env, f"p-{orgs[0]}", f"p-{orgs[1]}")
+        sender, receiver = f"p-{orgs[0]}", f"p-{orgs[1]}"
+        outcome = exchange(env, sender, receiver)
         assert outcome.delivered
         assert outcome.reason_code == REASON_DELIVERED
+        assert inbox == [receiver]
+        # a hire and a move among the other orgs leave the cached route
+        # alone, and the re-exchange is served from it
+        bystanders = [org.org_id for org in kb.organisations() if org.org_id not in orgs[:2]]
+        before = env.resolution.stats()
+        kb.add_person(Person("hire", "New Hire", bystanders[0]))
+        kb.move_person(f"p-{bystanders[1]}", bystanders[0])
+        assert env.resolution.stats()["evictions"] == before["evictions"]
+        assert env.resolution.stats()["routes_cached"] == before["routes_cached"]
+        assert exchange(env, sender, receiver).delivered
+        assert env.resolution.stats()["route_hits"] == before["route_hits"] + 1
 
     def test_move_across_shards_evicts_only_affected_keys(self, world):
         # satellite 4: the cross-shard move evicts the mover's routes and
@@ -393,6 +410,44 @@ class TestShardedEnvironment:
         assert after["routes_cached"] == 1
         assert exchange(env, "p-acme", "p-zeta").delivered
         assert env.resolution.stats()["route_hits"] == before["route_hits"] + 1
+
+    def test_shard_tag_follows_moves_and_ring_changes(self, world):
+        # the tag is memoised per org: a move must re-resolve the org and
+        # a ring change must drop the memo
+        tracer = Tracer()
+        env = make_env(world, shards=4, tracer=tracer)
+        kb = env.knowledge_base
+        ring = kb.directory.ring
+
+        def tag_and_placement(receiver):
+            assert exchange(env, "p-upc", receiver).delivered
+            placement = kb.directory.shard_id_for(kb.org_dn(kb.organisation_of(receiver)))
+            return tracer.finished()[-1].tags["shard"], placement
+
+        tag, placement = tag_and_placement("p-gmd")
+        assert tag == placement
+
+        target = next(
+            org.org_id for org in kb.organisations()
+            if kb.shard_of_org(org.org_id) != placement
+        )
+        kb.move_person("p-gmd", target)
+        tag, moved = tag_and_placement("p-gmd")
+        assert tag == moved != placement
+
+        key = partition_key(kb.org_dn(target))
+        newcomer = next(
+            name for name in (f"kb-dsa-new{index}" for index in range(1000))
+            if ConsistentHashRing(ring.shards() + [name], ring.replicas).shard_for(key)
+            == name
+        )
+        ring.add_shard(newcomer)
+        tag, placement = tag_and_placement("p-gmd")
+        assert tag == placement == newcomer
+
+        ring.remove_shard(newcomer)
+        tag, placement = tag_and_placement("p-gmd")
+        assert tag == placement == moved
 
     def test_federation_passes_shards_to_domains(self, world):
         federation = Federation(world, shards=2)

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.util.errors import ConfigurationError
 from repro.util.serialization import (
@@ -20,6 +22,31 @@ from repro.util.serialization import (
 class Point:
     x: int
     y: int
+
+
+#: leaves: JSON scalars (non-ASCII text, any float, None) and values JSON
+#: cannot encode, which the canonical encoder renders through ``str()``
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(),
+    st.sampled_from(["é", "日本語", "\U0001f600", "\x00\x7f"]),
+    st.binary(max_size=8),
+    st.complex_numbers(allow_nan=False),
+    st.builds(Point, st.integers(), st.integers()),
+)
+
+_DOCUMENTS = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+    ),
+    max_leaves=20,
+)
 
 
 def _make_registry() -> CodecRegistry:
@@ -71,6 +98,16 @@ class TestDocumentHelpers:
 
     def test_document_size_is_bytes(self):
         assert document_size({}) == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(_DOCUMENTS)
+    def test_document_size_is_the_utf8_length(self, document):
+        assert document_size(document) == len(canonical_json(document).encode("utf-8"))
+
+    def test_mixed_key_types_cannot_be_sorted(self):
+        for helper in (canonical_json, document_size):
+            with pytest.raises(TypeError):
+                helper({1: "a", "b": 2})
 
     def test_deep_merge_overrides_scalars(self):
         assert deep_merge({"a": 1}, {"a": 2}) == {"a": 2}
