@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # One-command tier-1 verification (tox-free): unit/integration tests,
 # the benchmark harness's own tests, whole-tree bytecode compilation, a
-# doctest pass over the observability subsystem, and a smoke run of the
-# exchange-throughput bench (exercises the fast path end to end without
-# timing asserts).
+# doctest pass over the observability and utility packages, and a smoke
+# run of the exchange-throughput bench (exercises the fast path end to
+# end without timing asserts).
 # Run from the repository root:
 #
 #   sh scripts/check.sh
@@ -23,29 +23,8 @@ python -m pytest -q benchmarks/harness
 echo "== compileall src =="
 python -m compileall -q src
 
-echo "== doctest src/repro/obs =="
-python - <<'EOF'
-import doctest
-import sys
-
-failures = 0
-for module_name in (
-    "repro.obs.metrics",
-    "repro.obs.tracing",
-    "repro.obs.instrument",
-    "repro.obs.context",
-    "repro.obs.events",
-    "repro.obs.export",
-    "repro.obs.analyze",
-    "repro.obs.windows",
-    "repro.obs.profile",
-):
-    module = __import__(module_name, fromlist=["_"])
-    result = doctest.testmod(module, verbose=False)
-    print(f"{module_name}: {result.attempted} doctests, {result.failed} failures")
-    failures += result.failed
-sys.exit(1 if failures else 0)
-EOF
+echo "== doctests (src/repro/obs, src/repro/util) =="
+python -m pytest -q --doctest-modules src/repro/obs src/repro/util
 
 echo "== bench_e7 throughput (smoke) =="
 python benchmarks/bench_e7_throughput.py --smoke

@@ -14,6 +14,8 @@ message-based systems build on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
 from repro.messaging.body_parts import MEDIA_TEXT
 from repro.messaging.names import OrName
 from repro.util.errors import ConfigurationError, UnknownObjectError
@@ -52,9 +54,14 @@ class CommunicationContext:
     to_org: str = ""
 
 
-@dataclass(frozen=True)
-class Exchange:
-    """One recorded communication act."""
+class Exchange(NamedTuple):
+    """One recorded communication act.
+
+    One is recorded per delivery, so it is a :class:`~typing.NamedTuple`,
+    the cheapest immutable record to build.  It is built positionally or
+    by keyword and, being a tuple, compares equal to a plain tuple of the
+    same field values.
+    """
 
     sender: str
     receiver: str

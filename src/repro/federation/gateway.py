@@ -99,7 +99,7 @@ class _Relay:
     """Mutable state of one relay: its attempts and its single settlement."""
 
     __slots__ = ("payload", "on_reply", "on_dead_letter", "deadline",
-                 "park_at", "attempts", "settled", "span",
+                 "park_at", "size_bytes", "attempts", "settled", "span",
                  "budget_timer", "retry_timer")
 
     def __init__(
@@ -114,6 +114,9 @@ class _Relay:
         self.on_dead_letter = on_dead_letter
         self.deadline = deadline
         self.park_at = 0.0
+        #: the payload's wire size, taken once at admission: every
+        #: attempt sends the same (unchanging) payload
+        self.size_bytes = 0
         self.attempts = 0
         self.settled = False
         #: detached gateway.relay span, open from launch to settlement
@@ -148,8 +151,6 @@ class Gateway:
         tracer: Tracer | None = None,
         events: EventLog | None = None,
     ) -> None:
-        if max_attempts < 1:
-            raise ConfigurationError("gateway needs max_attempts >= 1")
         if retry_s <= 0:
             raise ConfigurationError("gateway retry_s must be > 0")
         self._rpc = rpc
@@ -158,8 +159,13 @@ class Gateway:
         self.target = target
         self.target_node = target_node
         self._retry_s = retry_s
-        self._max_attempts = max_attempts
         self._backoff = backoff
+        self.set_attempt_budget(max_attempts)
+        # per-link strings, built once rather than per relay
+        link = f"{source}->{target}"
+        self._relay_namespace = f"relay:{source}>{target}"
+        self._budget_label = f"gateway-budget:{link}"
+        self._retry_label = f"gateway-retry:{link}"
         self.attach_metrics(metrics)
         self._tracer: Tracer = tracer if tracer is not None else NULL_TRACER
         self._events: EventLog = events if events is not None else NULL_EVENTS
@@ -240,17 +246,15 @@ class Gateway:
         if max_attempts < 1:
             raise ConfigurationError("gateway needs max_attempts >= 1")
         self._max_attempts = max_attempts
+        #: total simulated seconds one relay may spend before parking
+        self._budget_s = sum(
+            self._retry_s * (self._backoff ** k) for k in range(max_attempts)
+        )
 
     @property
     def max_attempts(self) -> int:
         """The current per-relay attempt budget."""
         return self._max_attempts
-
-    def _budget_s(self) -> float:
-        """Total simulated seconds one relay may spend before parking."""
-        return sum(
-            self._retry_s * (self._backoff ** k) for k in range(self._max_attempts)
-        )
 
     def relay(
         self,
@@ -274,7 +278,7 @@ class Gateway:
         if self._obs.enabled:
             self._obs.inc("gateway.relays")
             self._m_relays.inc()
-        payload.setdefault("relay_id", self._ids.next(f"relay:{self.source}>{self.target}"))
+        payload.setdefault("relay_id", self._ids.next(self._relay_namespace))
         state = _Relay(payload, on_reply, on_dead_letter, deadline)
         if self._tracer.enabled:
             # Continue the trace the payload carries (or the caller's open
@@ -311,13 +315,14 @@ class Gateway:
                 self._obs.inc("gateway.fast_failed")
             self._settle_parked(state, REASON_RELAY_CIRCUIT_OPEN)
             return
-        state.park_at = now + self._budget_s()
+        state.size_bytes = document_size(payload)
+        state.park_at = now + self._budget_s
         if deadline is not None:
             state.park_at = min(state.park_at, deadline)
         state.budget_timer = self._engine.schedule_at(
             state.park_at,
             lambda: self._on_budget_exhausted(state),
-            label=f"gateway-budget:{self.source}->{self.target}",
+            label=self._budget_label,
         )
         self._launch(state)
 
@@ -341,7 +346,7 @@ class Gateway:
             state.payload,
             on_reply=deliver,
             timeout_s=max(state.park_at - now, self._retry_s * 0.01),
-            size_bytes=document_size(state.payload),
+            size_bytes=state.size_bytes,
         )
         if attempt < self._max_attempts:
             delay = self._retry_s * (self._backoff ** (attempt - 1))
@@ -349,7 +354,7 @@ class Gateway:
                 state.retry_timer = self._engine.schedule(
                     delay,
                     lambda: self._retry(state),
-                    label=f"gateway-retry:{self.source}->{self.target}",
+                    label=self._retry_label,
                 )
 
     def _cancel_timers(self, state: _Relay) -> None:

@@ -113,7 +113,9 @@ class EventBus:
             raise ValueError("pattern must be non-empty")
         token = self._next_token
         self._next_token += 1
-        self._subs.append(_Subscription(pattern, handler, subscriber, token))
+        # Copy on write, like unsubscribe: a publish in progress keeps
+        # iterating the list it started with.
+        self._subs = [*self._subs, _Subscription(pattern, handler, subscriber, token)]
         return token
 
     def unsubscribe(self, token: int) -> bool:
@@ -133,17 +135,21 @@ class EventBus:
 
         When *time* is omitted the bus stamps the bound clock's current
         value (0.0 on an unbound bus), so publishers need not thread the
-        simulated time through themselves.
+        simulated time through themselves.  The :class:`Event` is built
+        at the first matching subscription, so a publish nobody listens
+        to builds none.
         """
         if not topic:
             raise ValueError("topic must be non-empty")
-        if time is None:
-            time = self._clock() if self._clock is not None else 0.0
-        event = Event(topic=topic, payload=payload, source=source, time=time)
         self._published += 1
+        event = None
         count = 0
-        for sub in list(self._subs):
+        for sub in self._subs:
             if topic_matches(sub.pattern, topic):
+                if event is None:
+                    if time is None:
+                        time = self._clock() if self._clock is not None else 0.0
+                    event = Event(topic=topic, payload=payload, source=source, time=time)
                 sub.handler(event)
                 count += 1
         self._delivered += count

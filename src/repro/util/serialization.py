@@ -80,6 +80,26 @@ class CodecRegistry:
 #: non-ASCII character, so its output is pure ASCII.
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str)
 
+#: the C encoder :meth:`json.JSONEncoder.encode` builds on every call,
+#: built once with the same settings; ``None`` where ``_json`` is missing.
+#: It keeps no markers dict, so it does not detect cycles (they end in a
+#: :class:`RecursionError`) and no failed call can leave stale ids in it.
+_canonical_chunks = (
+    None
+    if json.encoder.c_make_encoder is None
+    else json.encoder.c_make_encoder(
+        None,  # markers: no shared circular-reference table
+        _CANONICAL.default,
+        json.encoder.encode_basestring_ascii,
+        _CANONICAL.indent,
+        _CANONICAL.key_separator,
+        _CANONICAL.item_separator,
+        _CANONICAL.sort_keys,
+        _CANONICAL.skipkeys,
+        _CANONICAL.allow_nan,
+    )
+)
+
 
 def canonical_json(document: Any) -> str:
     """Render a document as canonical JSON (sorted keys, no whitespace).
@@ -99,10 +119,22 @@ def canonical_json(document: Any) -> str:
 def document_size(document: Any) -> int:
     """Size in bytes of the canonical JSON encoding of *document*.
 
-    Used by the simulated network and the messaging substrate to charge
-    transmission time proportional to payload size.  The encoding is
-    ASCII, so its length in characters is its length in UTF-8 bytes.
+    The environment's byte accounting, gateway relays, ``odp.binding``
+    and ``communication.realtime`` use it to log and charge payload
+    sizes.  The encoding is ASCII, so its length in characters is its
+    length in UTF-8 bytes.  The chunks come from one prebuilt C encoder
+    and are never joined; a cycle or nesting past the recursion limit
+    re-runs :func:`canonical_json`'s encoder, so such documents raise
+    exactly what it raises (:class:`ValueError` for a cycle).
+
+    >>> document_size({"b": (1, None), "a": "é"})
+    27
     """
+    if _canonical_chunks is not None:
+        try:
+            return sum(map(len, _canonical_chunks(document, 0)))
+        except RecursionError:
+            pass
     return len(_CANONICAL.encode(document))
 
 

@@ -57,6 +57,54 @@ class TestCommunicationLog:
         assert log.traffic_matrix()[("a", "b")] == 1
         assert log.volume_bytes() == 30
 
+    def test_exchange_is_immutable(self):
+        from repro.communication.model import Exchange
+
+        exchange = Exchange("a", "b", "synchronous", "text", 10, 1.0)
+        with pytest.raises(AttributeError):
+            exchange.size_bytes = 99
+        with pytest.raises(AttributeError):
+            exchange.extra = 1
+        assert exchange.context == CommunicationContext()
+        assert exchange.info_objects == ()
+        assert exchange == ("a", "b", "synchronous", "text", 10, 1.0,
+                            CommunicationContext(), ())
+
+    def test_positional_and_keyword_records_agree(self):
+        from repro.analysis.communication import (
+            activity_breakdown,
+            cross_organisation_flows,
+            summarize,
+            top_talkers,
+        )
+        from repro.communication.model import Exchange
+
+        rows = [
+            ("a", "b", "synchronous", "text", 10, 1.0,
+             CommunicationContext("act1", "review", "upc", "gmd"), ("doc-1",)),
+            ("b", "a", "asynchronous", "document", 20, 2.0,
+             CommunicationContext(from_org="gmd", to_org="upc"), ()),
+            ("a", "c", "synchronous", "text", 5, 3.0, CommunicationContext(), ()),
+        ]
+        names = ("sender", "receiver", "mode", "media", "size_bytes", "time",
+                 "context", "info_objects")
+        positional, keyword = CommunicationLog(), CommunicationLog()
+        for row in rows:
+            positional.record(Exchange(*row))
+            keyword.record(Exchange(**dict(zip(names, row))))
+        assert positional.all() == keyword.all()
+        for log in (positional, keyword):
+            assert len(log.between("a", "b")) == 2
+            assert len(log.by_mode("synchronous")) == 2
+            assert [e.receiver for e in log.in_activity("act1")] == ["b"]
+            assert log.traffic_matrix() == {("a", "b"): 1, ("b", "a"): 1, ("a", "c"): 1}
+            assert log.volume_bytes() == 35
+        for query in (summarize, top_talkers, cross_organisation_flows, activity_breakdown):
+            assert query(positional) == query(keyword)
+        summary = summarize(positional)
+        assert (summary.exchanges, summary.bytes_total, summary.synchronous,
+                summary.asynchronous, summary.distinct_pairs) == (3, 35, 2, 1, 3)
+
 
 class TestRealTimeSession:
     def test_fan_out(self, world):

@@ -610,3 +610,57 @@ def test_single_batched_and_federated_exchanges_agree(items, shed_limit):
     reference = observed["exchange"]
     for way, seen in observed.items():
         assert seen == reference, way
+
+
+class TestHarnessBoundaries:
+    """The benchmark's traced run times the delivery bookkeeping at three
+    call sites: the environment module's ``document_size`` global, the
+    bus's ``publish`` and the log's ``record``.  Each delivered exchange
+    must pass through each of them exactly once, so per-layer timings
+    keep seeing the work they name."""
+
+    @staticmethod
+    def _count_boundaries(env, monkeypatch) -> dict[str, int]:
+        import repro.environment.environment as environment_module
+
+        calls = {"document_size": 0, "publish": 0, "record": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            environment_module,
+            "document_size",
+            counted("document_size", environment_module.document_size),
+        )
+        monkeypatch.setattr(env.bus, "publish", counted("publish", env.bus.publish))
+        monkeypatch.setattr(
+            env.communication_log,
+            "record",
+            counted("record", env.communication_log.record),
+        )
+        return calls
+
+    @pytest.mark.parametrize("present", [True, False])
+    def test_delivered_exchange_crosses_each_boundary_once(self, env, monkeypatch, present):
+        if not present:
+            env.person_leaves("wolf")
+        calls = self._count_boundaries(env, monkeypatch)
+        outcome = env.exchange("ana", "wolf", "conferencing", "message-system", DOC)
+        assert outcome.delivered
+        assert outcome.mode == ("synchronous" if present else "asynchronous")
+        assert calls == {"document_size": 1, "publish": 1, "record": 1}
+        [logged] = env.communication_log.all()
+        assert logged.size_bytes == outcome.size_bytes
+
+    def test_exchange_refused_at_admission_crosses_none(self, env, monkeypatch):
+        env.knowledge_base.policies.revoke("upc", "gmd", symmetric=True)
+        calls = self._count_boundaries(env, monkeypatch)
+        outcome = env.exchange("ana", "wolf", "conferencing", "message-system", DOC)
+        assert outcome.reason_code == REASON_POLICY
+        assert calls == {"document_size": 0, "publish": 0, "record": 0}
+        assert env.communication_log.all() == []

@@ -293,6 +293,42 @@ class TestGatewayFailure:
         assert outcome.attempts > 1
         assert federation.domain("upc").gateway_to("gmd").stats()["retries"] >= 1
 
+    def test_retried_relay_is_sized_once(self, world, monkeypatch):
+        """Every attempt of one relay sends the size taken at admission."""
+        import repro.federation.gateway as gateway_module
+
+        federation, inboxes = make_federation(
+            world, gateway_retry_s=0.5, gateway_attempts=5
+        )
+        sized: list[int] = []
+        size = gateway_module.document_size
+
+        def counting_size(document):
+            sized.append(size(document))
+            return sized[-1]
+
+        monkeypatch.setattr(gateway_module, "document_size", counting_size)
+        rpc = federation.domain("upc").gateway_rpc
+        sent: list[tuple[str, int]] = []
+        request = rpc.request
+
+        def recording_request(server, operation, body, **kwargs):
+            sent.append((body["relay_id"], kwargs["size_bytes"]))
+            return request(server, operation, body, **kwargs)
+
+        monkeypatch.setattr(rpc, "request", recording_request)
+        world.network.node("gw-gmd").crash()
+        world.engine.schedule(1.2, world.network.node("gw-gmd").recover)
+        outcome = federation.federated_exchange("ana", "bob", "app0", "app1", DOC)
+        assert outcome.delivered
+        assert outcome.attempts == len(sent) > 1
+        assert len(sized) == 1
+        assert {relay_id for relay_id, _ in sent} == {sent[0][0]}
+        assert [nbytes for _, nbytes in sent] == sized * len(sent)
+        assert inboxes["app1"] == [
+            ("bob", {"fmt1-title": "minutes", "fmt1-body": "agenda"})
+        ]
+
 
 class TestMovePerson:
     def test_no_stale_verdict_after_move(self, world):

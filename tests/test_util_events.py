@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
 from repro.util.events import EventBus, EventRecorder, topic_matches
 
 
@@ -98,3 +99,68 @@ class TestEventBus:
         bus.publish("activity/a1/edit", "doc change")
         assert act1.topics() == ["activity/a1/edit"]
         assert act2.events == []
+
+
+class TestUnheardPublish:
+    """A publish nobody listens to is cheap but counted exactly as before."""
+
+    def test_unmatched_publish_keeps_totals_and_series(self):
+        registry = MetricsRegistry()
+        bus = EventBus()
+        bus.attach_metrics(registry)
+        bus.subscribe("chat", EventRecorder())
+        assert bus.publish("mail/inbox", {"x": 1}) == 0
+        assert bus.published_count == 1
+        assert bus.delivered_count == 0
+        snapshot = registry.snapshot()
+        assert snapshot["counters"] == {"events.delivered": 0, "events.published": 1}
+        fanout = snapshot["histograms"]["events.fanout"]
+        assert (fanout["count"], fanout["sum"], fanout["min"], fanout["max"]) == (1, 0.0, 0, 0)
+        assert fanout["buckets"]["le_1"] == 1
+
+    def test_later_subscriber_gets_events_stamped_from_the_bound_clock(self):
+        now = [1.0]
+        bus = EventBus()
+        bus.bind_clock(lambda: now[0])
+        assert bus.publish("t", "unheard") == 0
+        rec = EventRecorder()
+        bus.subscribe("t", rec)
+        now[0] = 4.5
+        assert bus.publish("t", "heard") == 1
+        assert [(e.payload, e.time) for e in rec.events] == [("heard", 4.5)]
+        bus.publish("t", "explicit", time=9.0)
+        assert rec.events[-1].time == 9.0
+
+    def test_every_handler_of_one_publish_sees_the_same_event(self):
+        bus = EventBus()
+        first, second = EventRecorder(), EventRecorder()
+        bus.subscribe("t", first)
+        bus.subscribe("other", EventRecorder())
+        bus.subscribe("t/sub", second)
+        bus.publish("t/sub", "p", source="app")
+        assert first.events[0] is second.events[0]
+
+    def test_handler_unsubscribing_itself_mid_publish(self):
+        bus = EventBus()
+        seen: list[str] = []
+        tokens: dict[str, int] = {}
+
+        def once(event):
+            seen.append("once")
+            assert bus.unsubscribe(tokens["once"])
+
+        tokens["once"] = bus.subscribe("t", once)
+        bus.subscribe("t", lambda event: seen.append("always"))
+        assert bus.publish("t", 1) == 2
+        assert bus.publish("t", 2) == 1
+        assert seen == ["once", "always", "always"]
+        assert bus.delivered_count == 3
+
+    def test_handler_subscribing_mid_publish_starts_with_the_next_event(self):
+        bus = EventBus()
+        late = EventRecorder()
+        bus.subscribe("t", lambda event: bus.subscribe("t", late))
+        bus.publish("t", 1)
+        assert late.events == []
+        bus.publish("t", 2)
+        assert late.payloads() == [2]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import pytest
@@ -100,7 +101,15 @@ class TestDocumentHelpers:
         assert document_size({}) == 2
 
     @settings(max_examples=200, deadline=None)
-    @given(_DOCUMENTS)
+    @given(
+        st.one_of(
+            _DOCUMENTS,
+            st.lists(_DOCUMENTS, max_size=4),
+            st.text(),
+            st.integers(),
+            st.floats(),
+        )
+    )
     def test_document_size_is_the_utf8_length(self, document):
         assert document_size(document) == len(canonical_json(document).encode("utf-8"))
 
@@ -108,6 +117,45 @@ class TestDocumentHelpers:
         for helper in (canonical_json, document_size):
             with pytest.raises(TypeError):
                 helper({1: "a", "b": 2})
+
+    def test_cycles_raise_circular_reference(self):
+        cyclic_dict: dict = {"a": 1}
+        cyclic_dict["self"] = cyclic_dict
+        cyclic_list: list = [1]
+        cyclic_list.append({"back": cyclic_list})
+        for document in (cyclic_dict, cyclic_list):
+            for helper in (canonical_json, document_size):
+                with pytest.raises(ValueError, match="Circular reference"):
+                    helper(document)
+
+    def test_nesting_past_the_recursion_limit_raises(self):
+        document: list = []
+        for _ in range(sys.getrecursionlimit() + 100):
+            document = [document]
+        for helper in (canonical_json, document_size):
+            with pytest.raises(RecursionError):
+                helper(document)
+
+    def test_sizing_recovers_after_a_failed_document(self):
+        """A failed sizing leaves nothing behind: the same containers,
+        once repaired, size correctly (no stale cycle bookkeeping)."""
+
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("no rendering")
+
+        cyclic: dict = {}
+        cyclic["self"] = cyclic
+        for bad, error in (
+            ({1: "x", "b": 2}, TypeError),
+            ([Unprintable()], RuntimeError),
+            (cyclic, ValueError),
+        ):
+            document = {"ok": [1, "two", 3.0], "nested": {"bad": bad}}
+            with pytest.raises(error):
+                document_size(document)
+            document["nested"]["bad"] = "repaired"
+            assert document_size(document) == len(canonical_json(document))
 
     def test_deep_merge_overrides_scalars(self):
         assert deep_merge({"a": 1}, {"a": 2}) == {"a": 2}
