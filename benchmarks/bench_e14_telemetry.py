@@ -118,7 +118,7 @@ def build_env(population: int, organisations: int, variant: str):
         world.engine, env.metrics, sample_period_s=SLO_PERIOD_S
     ).add_ratio(
         "delivered",
-        "env.exchange.outcome.delivered",
+        f"env.exchange.outcomes{{domain={env.name},outcome=delivered}}",
         "env.exchange.attempted",
         target=0.9,
         window_s=SLO_WINDOW_S,

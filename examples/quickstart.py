@@ -83,8 +83,9 @@ def main() -> None:
     # 6. The observability injected in step 2: the exchange was counted,
     #    classified and traced (in simulated time) as it ran.
     counters = metrics.snapshot()["counters"]
+    delivered = f"env.exchange.outcomes{{domain={env.name},outcome=delivered}}"
     print(f"metrics: outcome={outcome.reason_code!r} trace={outcome.trace_id} "
-          f"delivered_count={counters['env.exchange.outcome.delivered']} "
+          f"delivered_count={counters[delivered]} "
           f"events_published={counters['events.published']}")
     for span in tracer.finished():
         print(f"trace span: {span.name} [{span.trace_id}] "

@@ -1,9 +1,11 @@
 #!/usr/bin/env sh
 # One-command tier-1 verification (tox-free): unit/integration tests,
 # the benchmark harness's own tests, whole-tree bytecode compilation, a
-# doctest pass over the observability and utility packages, and a smoke
-# run of the exchange-throughput bench (exercises the fast path end to
-# end without timing asserts).
+# doctest pass over the observability and utility packages, and quick
+# runs of the E-series benches with the smokes and JSON guards that are
+# not yet tier-1 tests.  Observability, telemetry and the no-wall-clock
+# determinism guard are covered by tests/ (test_federation_tracing.py,
+# test_obs_*.py, test_api_hygiene.py).
 # Run from the repository root:
 #
 #   sh scripts/check.sh
@@ -137,71 +139,6 @@ EOF
 echo "== bench_e9 resilience (quick) =="
 python benchmarks/bench_e9_resilience.py --quick
 
-echo "== obs smoke (one connected trace across a failover exchange) =="
-python - <<'EOF'
-from repro.environment.registry import AppDescriptor, Q_DIFFERENT_TIME_DIFFERENT_PLACE
-from repro.federation import Federation
-from repro.obs import EventLog, TraceAnalyzer, Tracer, chrome_trace_json
-from repro.sim.world import World
-import json
-
-world = World(seed=42)
-tracer = Tracer()
-events = EventLog()
-federation = Federation.partition(
-    world, {"upc": ["ana"], "gmd": ["bob"], "inria": ["eva"]},
-    tracer=tracer, events=events,
-)
-federation.register_application(
-    AppDescriptor(name="editor", quadrants=[Q_DIFFERENT_TIME_DIFFERENT_PLACE]),
-    lambda person, doc, info: None,
-)
-# Trip the direct breaker so the relay reroutes via inria: the trace
-# must still come back as ONE connected tree under the origin's id.
-federation.domain("upc").gateway_to("gmd").breaker.force_open()
-outcome = federation.federated_exchange(
-    "ana", "bob", "editor", "editor", {"title": "ping", "body": "x"}
-)
-assert outcome.delivered, outcome
-analyzer = TraceAnalyzer.from_tracers(tracer)
-[trace_id] = analyzer.trace_ids()
-assert outcome.outcome.trace_id == trace_id, (outcome.outcome.trace_id, trace_id)
-assert analyzer.is_connected(trace_id), analyzer.summary()
-path = [span["name"] for span in analyzer.critical_path(trace_id)]
-assert path[0] == "federation.exchange" and "federation.forward" in path, path
-coverage = analyzer.critical_path_coverage(trace_id)
-assert coverage >= 0.95, coverage
-blob = json.loads(chrome_trace_json(tracer.finished()))
-assert any(event["ph"] == "X" for event in blob["traceEvents"])
-assert events.events(kind="breaker-open"), events.kinds()
-print(f"trace {trace_id} connected: {len(path)} hops on the critical "
-      f"path, coverage {coverage:.2f}, events {events.kinds()}")
-EOF
-
-echo "== determinism guard (no wall clock outside obs wall mode) =="
-python - <<'EOF'
-# Simulated time is the repo's contract: the only sanctioned wall-clock
-# reads live in repro/obs (Tracer(wall=True) profiling mode).  A stray
-# time.time()/datetime.now() anywhere else silently breaks seeded
-# reproducibility, so fail loudly here.
-import pathlib
-import re
-import sys
-
-FORBIDDEN = re.compile(r"time\.time\(|datetime\.now\(")
-hits = []
-for path in sorted(pathlib.Path("src").rglob("*.py")):
-    if "obs" in path.parts:
-        continue  # wall-mode tracing is the sanctioned escape hatch
-    for number, line in enumerate(path.read_text().splitlines(), start=1):
-        if FORBIDDEN.search(line):
-            hits.append(f"{path}:{number}: {line.strip()}")
-print(f"scanned src/ for wall-clock reads: {len(hits)} hits")
-if hits:
-    print("\n".join(hits))
-    sys.exit(1)
-EOF
-
 echo "== bench_e10 observability (quick) =="
 python benchmarks/bench_e10_observability.py --quick
 
@@ -332,42 +269,6 @@ EOF
 
 echo "== bench_e13 mediation (quick) =="
 python benchmarks/bench_e13_mediation.py --quick
-
-echo "== telemetry smoke (labelled family, sampled trace, profile) =="
-python - <<'EOF'
-# The PR 10 tentpole surface in one breath: a labelled counter family
-# with deterministic snapshots, a sampling tracer that drops a healthy
-# trace but tail-retains a failed one, and a sim-time profile built
-# from the retained spans.
-from repro.obs import MetricsRegistry, Tracer, profile_spans
-
-registry = MetricsRegistry()
-outcomes = registry.counter("env.exchange.outcomes", labels=("domain", "outcome"))
-outcomes.labels(domain="upc", outcome="delivered").inc()
-outcomes.labels(domain="upc", outcome="failed").inc(2)
-snapshot = registry.snapshot()["counters"]
-assert snapshot == {
-    "env.exchange.outcomes{domain=upc,outcome=delivered}": 1,
-    "env.exchange.outcomes{domain=upc,outcome=failed}": 2,
-}, snapshot
-assert registry.cardinality()["env.exchange.outcomes"] == 2
-
-ticks = iter([0.0, 1.0, 2.0, 3.0])
-tracer = Tracer(clock=lambda: next(ticks)).configure_sampling(0.0, seed=11)
-with tracer.span("env.exchange"):
-    pass                                    # healthy: sampled out
-with tracer.span("env.exchange", reason_code="unknown-receiver"):
-    pass                                    # failed: tail-retained
-spans = tracer.finished()
-assert [s.tags.get("reason_code") for s in spans] == ["unknown-receiver"], spans
-assert tracer.sampled_out == 2 and tracer.tail_retained == 1
-
-profile = profile_spans(spans)
-[row] = profile.layers()
-assert row["layer"] == "env" and row["total_s"] == 1.0, row
-print(f"labelled family ok ({registry.cardinality()}), tail retention ok, "
-      f"profile: {row['layer']} self {row['self_s']}s")
-EOF
 
 echo "== bench_e14 telemetry (quick) =="
 python benchmarks/bench_e14_telemetry.py --quick

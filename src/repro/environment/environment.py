@@ -330,10 +330,11 @@ class CSCWEnvironment:
     def _bind_labelled_metrics(self) -> None:
         """Resolve the environment's exchange metrics once.
 
-        The flat ``env.exchange.*`` names stay authoritative (dashboards
-        and tests key on them); the labelled families add the ``domain``
-        dimension that lets federated runs sharing one registry tell
-        their environments apart.  Binding against
+        Each outcome is counted once, in the labelled
+        ``env.exchange.outcomes{domain,outcome}`` and
+        ``env.exchange.reasons{domain,reason}`` families; the ``domain``
+        label lets federated runs sharing one registry tell their
+        environments apart.  Binding against
         :data:`~repro.obs.metrics.NULL_METRICS` yields null instruments,
         so the hot-path ``inc`` calls stay no-ops when metrics are off.
         Per-reason and per-dimension counters are bound on first use (a
@@ -341,11 +342,6 @@ class CSCWEnvironment:
         """
         obs = self.metrics
         self._m_attempted = obs.counter("env.exchange.attempted")
-        self._m_outcome_delivered = obs.counter("env.exchange.outcome.delivered")
-        self._m_outcome_failed = obs.counter("env.exchange.outcome.failed")
-        self._m_reason_delivered_flat = obs.counter(
-            f"env.exchange.reason.{REASON_DELIVERED}"
-        )
         outcomes = obs.counter("env.exchange.outcomes", labels=("domain", "outcome"))
         self._m_delivered = outcomes.labels(domain=self.name, outcome="delivered")
         self._m_failed = outcomes.labels(domain=self.name, outcome="failed")
@@ -356,8 +352,8 @@ class CSCWEnvironment:
         self._m_document_bytes = obs.histogram(
             "env.exchange.document_bytes", buckets=BYTES_BUCKETS
         )
-        #: failure reason code -> (flat counter, labelled child)
-        self._m_failure_reasons: dict[str, tuple[Any, Any]] = {}
+        #: failure reason code -> labelled ``reasons`` child
+        self._m_failure_reasons: dict[str, Any] = {}
         #: transparency dimension -> flat counter
         self._m_dimensions: dict[str, Any] = {}
 
@@ -756,7 +752,7 @@ class CSCWEnvironment:
         #: translation, size and (per mode) delivered outcome
         last_document = None
         outcome: ExchangeOutcome | None = None
-        failed = shed = sync_count = async_count = 0
+        failed = shed = delivered = 0
         for request in group:
             if resolution.generation != generation:
                 # A delivery callback mutated the knowledge base: the
@@ -767,7 +763,7 @@ class CSCWEnvironment:
                 if admitted.__class__ is _Refusal:
                     # refused items deliver nothing, so no callback can
                     # re-admit the route: the rest of the run fails
-                    done = failed + sync_count + async_count
+                    done = failed + delivered
                     self._refuse(admitted, size - done, trace_id, outcomes)
                     break
                 context, sender_format, receiver_format, handled, endpoint = admitted
@@ -882,12 +878,12 @@ class CSCWEnvironment:
                         )
                     )
                     continue
-                sync_count += 1
+                delivered += 1
             else:
                 self._pending_deliveries.setdefault(receiver, []).append(
                     (receiver_app, rendered, info, expires_at)
                 )
-                async_count += 1
+                delivered += 1
             self.communication_log.record(
                 Exchange(
                     sender=sender,
@@ -913,10 +909,8 @@ class CSCWEnvironment:
                 )
             outcomes.append(outcome)
 
-        world_metrics = self.world.metrics
         if failed:
             self.exchanges_failed += failed
-            world_metrics.increment("env.exchange.failed", failed)
         if shed:
             if self.metrics.enabled:
                 self.metrics.inc("env.shed.overload", shed)
@@ -931,12 +925,6 @@ class CSCWEnvironment:
                     dropped=shed,
                     shed_class=head.shed_class,
                 )
-        if sync_count or async_count:
-            world_metrics.increment("env.exchange.delivered", sync_count + async_count)
-            if sync_count:
-                world_metrics.increment("env.exchange.synchronous", sync_count)
-            if async_count:
-                world_metrics.increment("env.exchange.asynchronous", async_count)
 
     def _refuse(
         self,
@@ -947,7 +935,6 @@ class CSCWEnvironment:
     ) -> None:
         """Fail *count* requests with one refusal, appended to *outcomes*."""
         self.exchanges_failed += count
-        self.world.metrics.increment("env.exchange.failed", count)
         outcomes.extend(
             [
                 ExchangeOutcome(
@@ -981,21 +968,16 @@ class CSCWEnvironment:
                     counter.inc()
                 continue
             code = outcome.reason_code
-            counters = self._m_failure_reasons.get(code)
-            if counters is None:
-                counters = self._m_failure_reasons[code] = (
-                    self.metrics.counter(f"env.exchange.reason.{code}"),
-                    self._m_reasons.labels(domain=self.name, reason=code),
+            counter = self._m_failure_reasons.get(code)
+            if counter is None:
+                counter = self._m_failure_reasons[code] = self._m_reasons.labels(
+                    domain=self.name, reason=code
                 )
-            counters[0].inc()
-            counters[1].inc()
+            counter.inc()
         if delivered:
-            self._m_outcome_delivered.inc(delivered)
-            self._m_reason_delivered_flat.inc(delivered)
             self._m_delivered.inc(delivered)
             self._m_reason_delivered.inc(delivered)
         if delivered != total:
-            self._m_outcome_failed.inc(total - delivered)
             self._m_failed.inc(total - delivered)
 
     # -- runtime overload knobs (driven by the control plane) -------------------

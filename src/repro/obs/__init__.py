@@ -3,10 +3,12 @@
 The management/monitoring function RM-ODP's engineering viewpoint
 prescribes, realised for this library: a process-local
 :class:`~repro.obs.metrics.MetricsRegistry` (counters, gauges,
-fixed-bucket histograms), a :class:`~repro.obs.tracing.Tracer` whose
-spans are timed on the *simulated* clock (wall-clock mode available for
-profiling), and :mod:`repro.obs.instrument` hooks that wire both into
-the five hot layers (engine, event bus, trader, MTA, exchange path).
+fixed-bucket histograms, labelled families), a
+:class:`~repro.obs.tracing.Tracer` whose spans are timed on the
+*simulated* clock, and :mod:`repro.obs.instrument` hooks that wire both
+into the hot layers (engine, event bus, trader, MTA, exchange path).
+That registry class is the library's only one; ``World.metrics`` is
+an instance too.
 
 Everything is opt-in: components default to :data:`NULL_METRICS` /
 :data:`NULL_TRACER`, whose operations are no-ops behind a single
@@ -39,7 +41,6 @@ from repro.obs.export import (
 from repro.obs.instrument import (
     BYTES_BUCKETS,
     COUNT_BUCKETS,
-    Observability,
     instrument_engine,
     instrument_event_bus,
     instrument_environment,
@@ -93,7 +94,6 @@ __all__ = [
     "NullEventLog",
     "NullMetricsRegistry",
     "NullTracer",
-    "Observability",
     "Profile",
     "RatioSLO",
     "SLOEngine",

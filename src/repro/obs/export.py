@@ -5,7 +5,7 @@ Three zero-dependency export formats for seeded runs:
 * :func:`to_chrome_trace` — the Chrome trace-viewer / Perfetto JSON
   format (``chrome://tracing``, https://ui.perfetto.dev): one complete
   ("ph": "X") event per finished span, microsecond timestamps on the
-  span's own clock, one pid per trace so multi-trace dumps render as
+  simulated clock, one pid per trace so multi-trace dumps render as
   separate process lanes,
 * :func:`to_jsonl` — one JSON object per span per line, the shape log
   pipelines ingest,
@@ -45,7 +45,7 @@ def to_chrome_trace(spans: Iterable[Any]) -> dict[str, Any]:
     Each finished span becomes one complete event; traces map to pids in
     first-appearance order (with a ``process_name`` metadata record each,
     so the viewer labels the lane with the trace id).  Timestamps are
-    non-negative microseconds on the span's recorded clock; events are
+    non-negative microseconds on the simulated clock; events are
     emitted in (ts, pid) order so the document is stable for diffing.
     """
     records = [_as_dict(span) for span in spans]
@@ -71,7 +71,7 @@ def to_chrome_trace(spans: Iterable[Any]) -> dict[str, Any]:
         complete.append(
             {
                 "name": record["name"],
-                "cat": record["clock"],
+                "cat": "sim",
                 "ph": "X",
                 "ts": start_us,
                 "dur": max(record["duration"], 0.0) * _MICROS,

@@ -16,9 +16,9 @@ layer                     instruments
                           ``mta.non_delivery.<reason>`` counters,
                           ``mta.hops`` histogram
 ``environment.exchange``  ``env.exchange.attempted``,
-                          ``env.exchange.outcome.<delivered|failed>``,
-                          ``env.exchange.reason.<code>``,
                           ``env.exchange.transparency.<dimension>`` counters,
+                          ``env.exchange.outcomes{domain,outcome}`` and
+                          ``env.exchange.reasons{domain,reason}`` families,
                           ``env.exchange.document_bytes`` histogram
 ``environment.resolution``  ``env.cache.route.<hit|miss>``,
                           ``env.cache.formats.<hit|miss>``,
@@ -48,11 +48,10 @@ public for instrumenting standalone engines, buses, traders and MTAs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
-from repro.obs.metrics import MetricsRegistry, NULL_METRICS
-from repro.obs.tracing import NULL_TRACER, Tracer
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracing import Tracer
 
 #: histogram bounds for small whole-number distributions (fan-out, hops)
 COUNT_BUCKETS: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
@@ -64,33 +63,6 @@ BYTES_BUCKETS: tuple[float, ...] = (
 
 #: histogram bounds for delivered translation fidelity in (0, 1]
 FIDELITY_BUCKETS: tuple[float, ...] = (0.25, 0.5, 0.7, 0.8, 0.9, 0.95, 1.0)
-
-
-@dataclass
-class Observability:
-    """A registry + tracer pair, the unit the builder injects.
-
-    ``Observability.disabled()`` is the default bundle (both parts
-    no-op); ``Observability.collecting()`` builds an enabled pair.
-    """
-
-    metrics: MetricsRegistry = field(default_factory=lambda: NULL_METRICS)
-    tracer: Tracer = field(default_factory=lambda: NULL_TRACER)
-
-    @staticmethod
-    def disabled() -> "Observability":
-        """The no-op bundle: shared null registry and null tracer."""
-        return Observability(NULL_METRICS, NULL_TRACER)
-
-    @staticmethod
-    def collecting(wall_tracing: bool = False) -> "Observability":
-        """A fresh enabled bundle (sim-time tracing unless *wall_tracing*)."""
-        return Observability(MetricsRegistry(), Tracer(wall=wall_tracing))
-
-    @property
-    def enabled(self) -> bool:
-        """True when either half actually records."""
-        return self.metrics.enabled or self.tracer.enabled
 
 
 def instrument_engine(engine: Any, metrics: MetricsRegistry) -> Any:
@@ -136,8 +108,8 @@ def instrument_environment(
     Wires the environment's engine, event bus and trader to *metrics*,
     installs *metrics*/*tracer* as ``environment.metrics`` /
     ``environment.tracer`` (consulted by ``exchange()`` and
-    ``describe()``), and binds a sim-mode tracer to the engine clock so
-    span durations are simulated seconds.  Passing ``None`` for either
+    ``describe()``), and binds the tracer to the engine clock so span
+    durations are simulated seconds.  Passing ``None`` for either
     half leaves that half as it was.
     """
     if metrics is not None:
@@ -171,7 +143,7 @@ def instrument_environment(
             metrics.histogram("env.exchange.document_bytes", buckets=BYTES_BUCKETS)
     if tracer is not None:
         environment.tracer = tracer
-        if tracer.enabled and not tracer.wall:
+        if tracer.enabled:
             tracer.bind_engine(environment.world.engine)
         mediator = getattr(environment, "mediator", None)
         if mediator is not None:

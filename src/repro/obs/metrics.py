@@ -30,6 +30,10 @@ single attribute check.  Attach a real registry through
 :mod:`repro.obs.instrument` (or ``CSCWEnvironment.builder()``) to turn
 collection on.
 
+This is the library's only registry class.  ``World.metrics`` is an
+always-on instance: the simulated network counts every packet into its
+``net.sent`` counter and ``net.packets{outcome}`` family.
+
 >>> registry = MetricsRegistry()
 >>> registry.inc("requests")
 1

@@ -16,12 +16,6 @@ dicts from a JSONL export) into per-layer and per-path attributions:
   span (``env.exchange_many > env.exchange``), the unit the hot-path
   ranking aggregates over.
 
-Spans carry whichever clock their tracer ran on (``sim`` or ``wall``);
-the profile keeps the two ledgers separate so a mixed stream — a
-sim-mode tracer plus a wall-mode profiling tracer — attributes each
-second to the right ledger instead of adding simulated seconds to wall
-seconds.
-
 Everything is derived from span content only and every table is sorted,
 so a seeded run profiles byte-identically.
 
@@ -84,10 +78,10 @@ class Profile:
     """Per-layer and per-path time attribution over a span stream."""
 
     def __init__(self) -> None:
-        #: (clock, layer) -> [span_count, total_s, self_s]
-        self._layers: dict[tuple[str, str], list] = {}
-        #: (clock, path tuple) -> [span_count, total_s, self_s]
-        self._paths: dict[tuple[str, tuple], list] = {}
+        #: layer -> [span_count, total_s, self_s]
+        self._layers: dict[str, list] = {}
+        #: path tuple -> [span_count, total_s, self_s]
+        self._paths: dict[tuple, list] = {}
         self._records: list[dict[str, Any]] = []
         self.spans = 0
         self.skipped_open = 0
@@ -134,15 +128,14 @@ class Profile:
                 ]
             )
             self_s = max(total - covered, 0.0)
-            clock = record.get("clock", "sim")
             layer_cell = self._layers.setdefault(
-                (clock, layer_of(record["name"])), [0, 0.0, 0.0]
+                layer_of(record["name"]), [0, 0.0, 0.0]
             )
             layer_cell[0] += 1
             layer_cell[1] += total
             layer_cell[2] += self_s
             path = self._path_of(record, by_id)
-            path_cell = self._paths.setdefault((clock, path), [0, 0.0, 0.0])
+            path_cell = self._paths.setdefault(path, [0, 0.0, 0.0])
             path_cell[0] += 1
             path_cell[1] += total
             path_cell[2] += self_s
@@ -170,9 +163,9 @@ class Profile:
         return tuple(reversed(names))
 
     # -- tables ------------------------------------------------------------
-    def layers(self, clock: str = "sim") -> list[dict[str, Any]]:
-        """Per-layer rows on *clock*, sorted by self time (descending,
-        then layer name for deterministic ties)."""
+    def layers(self) -> list[dict[str, Any]]:
+        """Per-layer rows, sorted by self time (descending, then layer
+        name for deterministic ties)."""
         rows = [
             {
                 "layer": layer,
@@ -180,14 +173,13 @@ class Profile:
                 "total_s": cell[1],
                 "self_s": cell[2],
             }
-            for (cell_clock, layer), cell in self._layers.items()
-            if cell_clock == clock
+            for layer, cell in self._layers.items()
         ]
         rows.sort(key=lambda row: (-row["self_s"], row["layer"]))
         return rows
 
-    def hot_paths(self, k: int = 10, clock: str = "sim") -> list[dict[str, Any]]:
-        """The top-*k* root-to-span paths by self time on *clock*."""
+    def hot_paths(self, k: int = 10) -> list[dict[str, Any]]:
+        """The top-*k* root-to-span paths by self time."""
         rows = [
             {
                 "path": " > ".join(path),
@@ -195,26 +187,24 @@ class Profile:
                 "total_s": cell[1],
                 "self_s": cell[2],
             }
-            for (cell_clock, path), cell in self._paths.items()
-            if cell_clock == clock
+            for path, cell in self._paths.items()
         ]
         rows.sort(key=lambda row: (-row["self_s"], row["path"]))
         return rows[:k]
 
-    def render_text(self, k: int = 10, clock: str = "sim") -> str:
+    def render_text(self, k: int = 10) -> str:
         """The per-layer table plus the top-*k* hot paths as fixed-width
         text — the profiler's human-facing report."""
-        unit = "sim s" if clock == "sim" else "wall s"
-        lines = [f"layer profile ({unit}, {self.spans} spans)"]
+        lines = [f"layer profile (sim s, {self.spans} spans)"]
         lines.append(f"  {'layer':<12} {'count':>8} {'self':>12} {'total':>12}")
-        for row in self.layers(clock=clock):
+        for row in self.layers():
             lines.append(
                 f"  {row['layer']:<12} {row['count']:>8} "
                 f"{row['self_s']:>12.6f} {row['total_s']:>12.6f}"
             )
-        hot = self.hot_paths(k, clock=clock)
+        hot = self.hot_paths(k)
         if hot:
-            lines.append(f"hot paths (top {len(hot)} by self {unit})")
+            lines.append(f"hot paths (top {len(hot)} by self sim s)")
             for row in hot:
                 lines.append(
                     f"  {row['self_s']:>12.6f} {row['count']:>8}x  {row['path']}"

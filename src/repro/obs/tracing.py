@@ -4,9 +4,7 @@ A :class:`Tracer` opens nested :class:`Span`\\ s through a context
 manager; by default the span clock is the *simulated* clock (bind an
 engine with :meth:`Tracer.bind_engine`), so durations measure how much
 simulated time an operation covered — the quantity the paper's claims
-are about.  Pass ``wall=True`` to profile the library itself instead
-with ``time.perf_counter`` (the one sanctioned wall-clock escape hatch;
-everything else in the repo stays deterministic).
+are about.
 
 Trace and span ids are drawn from deterministic counters — no wall
 clock, no randomness — so a seeded run always produces the same ids.
@@ -47,7 +45,6 @@ False
 from __future__ import annotations
 
 import itertools
-import time
 from typing import Any, Callable
 
 from repro.obs.context import TraceContext
@@ -81,14 +78,13 @@ _POOL_LIMIT = 256
 class Span:
     """One traced operation: a name, tags, and start/end clock readings.
 
-    ``start``/``end`` are readings of the owning tracer's clock —
-    simulated seconds in the default mode, wall seconds in ``wall``
-    mode (``clock`` records which).
+    ``start``/``end`` are readings of the owning tracer's clock, in
+    simulated seconds once an engine is bound.
     """
 
     __slots__ = (
         "name", "trace_id", "span_id", "parent_id", "tags", "start", "end",
-        "clock", "sampled", "_tracer", "_pending_state",
+        "sampled", "_tracer", "_pending_state",
     )
 
     def __init__(
@@ -98,7 +94,6 @@ class Span:
         span_id: str,
         parent_id: str = "",
         tags: dict[str, Any] | None = None,
-        clock: str = "sim",
         tracer: "Tracer | None" = None,
         sampled: bool = True,
     ) -> None:
@@ -111,7 +106,6 @@ class Span:
         self.tags = tags if tags is not None else {}
         self.start = 0.0
         self.end: float | None = None
-        self.clock = clock
         self.sampled = sampled
         self._tracer = tracer
         #: the pending-table entry of an unsampled span's trace, stashed
@@ -164,7 +158,6 @@ class Span:
             "start": self.start,
             "end": self.end,
             "duration": self.duration,
-            "clock": self.clock,
         }
 
 
@@ -174,32 +167,24 @@ class Tracer:
     The clock defaults to a constant 0.0 until one is bound; in normal
     use :func:`repro.obs.instrument.instrument_environment` (or
     ``CSCWEnvironment.builder()``) binds the simulation engine, so
-    durations are expressed in simulated seconds.  ``Tracer(wall=True)``
-    instead reads ``time.perf_counter`` for profiling the library's own
-    execution cost; such spans are *not* deterministic and belong in
-    profiling scripts, never in tests or experiments.
+    durations are expressed in simulated seconds.
     """
 
     #: real tracers record; the null tracer advertises False
     enabled = True
 
     __slots__ = (
-        "wall", "_clock", "_mode", "_stack", "_finished",
+        "_clock", "_stack", "_finished",
         "_trace_ids", "_span_ids",
         "_sample_cut", "_sample_p", "_sample_seed", "_sample_salt",
         "_pending", "_retained_ids", "_pool", "sampled_in", "sampled_out",
         "tail_retained",
     )
 
-    def __init__(self, clock: Callable[[], float] | None = None, wall: bool = False) -> None:
-        self.wall = wall
+    def __init__(self, clock: Callable[[], float] | None = None) -> None:
         # the clock is never None so the hot enter/exit path can call it
         # without a guard (the unbound default pins every reading to 0.0)
-        if wall:
-            self._clock: Callable[[], float] = time.perf_counter
-        else:
-            self._clock = clock if clock is not None else _zero_clock
-        self._mode = "wall" if wall else "sim"
+        self._clock: Callable[[], float] = clock if clock is not None else _zero_clock
         self._stack: list[Span] = []
         self._finished: list[Span] = []
         self._trace_ids = itertools.count(1)
@@ -221,19 +206,13 @@ class Tracer:
         self.tail_retained = 0
 
     @property
-    def mode(self) -> str:
-        """``"wall"`` for perf_counter tracers, ``"sim"`` otherwise."""
-        return self._mode
-
-    @property
     def depth(self) -> int:
         """Number of currently open (nested) spans."""
         return len(self._stack)
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Use *clock* (a zero-arg float callable) for span timestamps."""
-        if not self.wall:
-            self._clock = clock
+        self._clock = clock
 
     def bind_engine(self, engine: Any) -> None:
         """Bind the simulated clock of *engine* (anything with ``.now``)."""
@@ -418,7 +397,6 @@ class Tracer:
             span.tags = tags
             span.start = 0.0
             span.end = None
-            span.clock = self._mode
             span.sampled = sampled
             span._tracer = self
             span._pending_state = None
@@ -429,7 +407,6 @@ class Tracer:
             span_id=span_id,
             parent_id=parent_id,
             tags=tags,
-            clock=self._mode,
             tracer=self,
             sampled=sampled,
         )

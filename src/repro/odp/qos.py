@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim.trace import MetricsRegistry
 from repro.util.errors import ConfigurationError
 
 
@@ -53,10 +52,9 @@ MESSAGING_QOS = QoSSpec(max_latency_s=3600.0, min_reliability=0.999, ordered=Fal
 class QoSMonitor:
     """Tracks one binding's observed behaviour against its spec."""
 
-    def __init__(self, spec: QoSSpec, metrics: MetricsRegistry | None = None, name: str = "") -> None:
+    def __init__(self, spec: QoSSpec, name: str = "") -> None:
         self.spec = spec
         self.name = name
-        self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._attempts = 0
         self._successes = 0
         self._latency_violations = 0
@@ -75,17 +73,14 @@ class QoSMonitor:
         """Record a completed invocation; return True when within spec."""
         self._attempts += 1
         self._successes += 1
-        self._metrics.record(f"qos.{self.name}.latency", latency_s)
         if latency_s > self.spec.max_latency_s:
             self._latency_violations += 1
-            self._metrics.increment(f"qos.{self.name}.latency_violations")
             return False
         return True
 
     def observe_failure(self) -> None:
         """Record a failed invocation."""
         self._attempts += 1
-        self._metrics.increment(f"qos.{self.name}.failures")
 
     def reliability(self) -> float:
         """Observed success fraction (1.0 before any attempts)."""

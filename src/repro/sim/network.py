@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Engine
 from repro.sim.rng import SeededRng
-from repro.sim.trace import MetricsRegistry
 from repro.util.errors import ConfigurationError, NetworkError
 
 PacketHandler = Callable[["Packet"], None]
@@ -52,6 +52,12 @@ LAN_LINK = LinkSpec(latency_s=0.0005, bandwidth_bps=10_000_000.0)
 
 #: A link spec modelling a 1992-era wide-area connection between sites.
 WAN_LINK = LinkSpec(latency_s=0.08, bandwidth_bps=64_000.0, jitter_s=0.02)
+
+#: every fate of a sent packet: the ``outcome`` label values of the
+#: ``net.packets`` counter family (one of them per ``net.sent``)
+PACKET_OUTCOMES = (
+    "delivered", "source_down", "loss", "partition", "destination_down", "no_handler",
+)
 
 
 @dataclass
@@ -141,6 +147,12 @@ class Network:
         self.engine = engine
         self.rng = rng if rng is not None else SeededRng(0)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._m_sent = self.metrics.counter("net.sent")
+        packets = self.metrics.counter("net.packets", labels=("outcome",))
+        (
+            self._m_delivered, self._m_source_down, self._m_loss,
+            self._m_partition, self._m_destination_down, self._m_no_handler,
+        ) = [packets.labels(outcome=outcome) for outcome in PACKET_OUTCOMES]
         self._nodes: dict[str, Node] = {}
         self._links: dict[tuple[str, str], LinkSpec] = {}
         self._partition: dict[str, int] = {}
@@ -223,7 +235,7 @@ class Network:
 
         Returns the in-flight packet.  Loss, partition and crash drops are
         silent at the sender — exactly like a real datagram network — but
-        are counted in the network metrics.
+        are counted in the ``net.packets{outcome}`` family.
         """
         src = self.node(source)
         dst = self.node(destination)
@@ -235,29 +247,28 @@ class Network:
             size_bytes=size_bytes,
             sent_at=self.engine.now,
         )
-        self.metrics.increment("net.sent")
+        self._m_sent.inc()
         if not src.is_up:
-            self.metrics.increment("net.dropped.source_down")
+            self._m_source_down.inc()
             return packet
         link = self.link_between(source, destination)
         if link.loss > 0 and self.rng.chance(link.loss):
-            self.metrics.increment("net.dropped.loss")
+            self._m_loss.inc()
             return packet
         delay = link.transmission_delay(size_bytes, self.rng)
 
         def arrive() -> None:
             if not self.reachable(source, destination):
-                self.metrics.increment("net.dropped.partition")
+                self._m_partition.inc()
                 return
             if not dst.is_up:
-                self.metrics.increment("net.dropped.destination_down")
+                self._m_destination_down.inc()
                 return
             packet.delivered_at = self.engine.now
             if dst.deliver(packet):
-                self.metrics.increment("net.delivered")
-                self.metrics.record("net.latency", packet.delivered_at - packet.sent_at)
+                self._m_delivered.inc()
             else:
-                self.metrics.increment("net.dropped.no_handler")
+                self._m_no_handler.inc()
 
         self.engine.schedule(delay, arrive, label=f"net:{source}->{destination}:{port}")
         return packet

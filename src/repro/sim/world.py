@@ -8,11 +8,11 @@ and a set of geographically distributed sites (WAN between, LAN within).
 
 from __future__ import annotations
 
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Engine
 from repro.sim.failures import FailureInjector
 from repro.sim.network import LAN_LINK, WAN_LINK, Network, Node
 from repro.sim.rng import SeededRng
-from repro.sim.trace import MetricsRegistry
 
 
 class World:

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -99,6 +101,23 @@ def test_package_all_resolves(package_name):
 
 def test_top_level_version():
     assert repro.__version__
+
+
+#: wall-clock reads that would make a seeded run depend on the host
+WALL_CLOCK = re.compile(r"time\.(time|perf_counter|monotonic)\(|datetime\.now\(")
+
+
+def test_library_never_reads_the_wall_clock():
+    """Simulated time is the library's contract: a stray wall-clock read
+    anywhere under src/ silently breaks same-seed reproducibility."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    hits = [
+        f"{path.relative_to(src)}:{number}: {line.strip()}"
+        for path in sorted(src.rglob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if WALL_CLOCK.search(line)
+    ]
+    assert not hits, "wall-clock reads in src/:\n" + "\n".join(hits)
 
 
 class TestExchangeCallSurface:

@@ -280,7 +280,7 @@ class TestEnvironmentBuilder:
         world.engine.schedule(1.0, lambda: None)
         world.run()
         counters = registry.snapshot()["counters"]
-        assert counters["env.exchange.reason.delivered"] == 1
+        assert counters[f"env.exchange.reasons{{domain={env.name},reason=delivered}}"] == 1
         assert counters["trader.exports"] == 1
         assert counters["trader.imports"] == 1
         assert counters["sim.engine.fired"] >= 1

@@ -9,6 +9,7 @@ cached path must produce field-identical outcomes to the uncached one.
 
 from __future__ import annotations
 
+from collections import Counter as Tally
 from dataclasses import fields
 
 import pytest
@@ -440,12 +441,15 @@ class TestApplicationError:
         assert received == ["wolf"] * 4
         counters = metrics.snapshot()["counters"]
         assert counters["env.exchange.attempted"] == env.exchanges_attempted == 4
-        assert counters["env.exchange.outcome.delivered"] == 3
-        assert counters[f"env.exchange.reason.{REASON_APPLICATION_ERROR}"] == 1
+        outcomes_of = f"env.exchange.outcomes{{domain={env.name},outcome="
+        assert counters[outcomes_of + "delivered}"] == 3
+        assert counters[outcomes_of + "failed}"] == 1
+        assert counters[
+            f"env.exchange.reasons{{domain={env.name},reason={REASON_APPLICATION_ERROR}}}"
+        ] == 1
         assert env.exchanges_failed == 1
         # the failed delivery is neither logged nor counted as delivered
         assert len(env.communication_log.all()) == 3
-        assert env.world.metrics.counter("env.exchange.delivered") == 3
 
     def test_person_arrives_flushes_past_a_raising_callback(self, world):
         env, _, received = self.make(world)
@@ -583,7 +587,8 @@ def test_single_batched_and_federated_exchanges_agree(items, shed_limit):
     """A loop of ``exchange``, ``exchange_many``, a loop of
     ``federated_exchange`` and ``federated_exchange_many`` give the same
     outcomes, counters and deliveries — even when delivery callbacks
-    revoke a policy, move a person, flip presence or raise mid-run."""
+    revoke a policy, move a person, flip presence or raise mid-run — and
+    every way's counters equal its outcomes."""
     requests = _parity_requests(items)
     observed = {}
     for way in ("exchange", "exchange_many", "federated_exchange", "federated_exchange_many"):
@@ -600,6 +605,24 @@ def test_single_batched_and_federated_exchanges_agree(items, shed_limit):
             if name.startswith("env.exchange.")
         }
         assert counters["env.exchange.attempted"] == env.exchanges_attempted == len(requests)
+        # counters equal outcomes: each outcome is counted once, labelled
+        by_outcome = {
+            outcome: child.value
+            for (domain, outcome), child in metrics.family("env.exchange.outcomes").children().items()
+            if domain == env.name
+        }
+        by_reason = {
+            reason: child.value
+            for (domain, reason), child in metrics.family("env.exchange.reasons").children().items()
+            if domain == env.name and child.value
+        }
+        assert sum(by_outcome.values()) == sum(by_reason.values()) == env.exchanges_attempted
+        assert by_outcome["failed"] == env.exchanges_failed
+        assert by_reason == Tally(outcome.reason_code for outcome in outcomes)
+        assert not [
+            name for name in snapshot["counters"]
+            if name.startswith(("env.exchange.outcome.", "env.exchange.reason."))
+        ]
         observed[way] = (
             [outcome_fields(outcome) for outcome in outcomes],
             counters,

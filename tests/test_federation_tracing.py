@@ -131,6 +131,8 @@ class TestFailoverTrace:
         assert "federation.forward" in names
         analyzer = TraceAnalyzer(spans)
         assert analyzer.is_connected(root.trace_id)
+        # the operator trip that forced the failover is an event too
+        assert events.events(kind=KIND_BREAKER_OPEN)
 
     def test_critical_path_covers_the_end_to_end_duration(self, world):
         _, tracer, _, result = self.failover(world)

@@ -60,6 +60,7 @@ class TestChromeTrace:
             e for e in to_chrome_trace([span])["traceEvents"] if e["ph"] == "X"
         ]
         assert event["ts"] == 0.0
+        assert event["cat"] == "sim"
 
     def test_one_pid_per_trace_with_process_names(self):
         blob = to_chrome_trace(traced_run().finished())

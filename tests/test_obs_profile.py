@@ -86,21 +86,6 @@ class TestHotPaths:
         assert hot[1]["path"] == "env.exchange_many > env.exchange"
         assert hot[1]["self_s"] == pytest.approx(2.0)
 
-    def test_wall_and_sim_ledgers_stay_separate(self):
-        sim = make_tracer([0.0, 4.0])
-        with sim.span("env.exchange"):
-            pass
-        wall = Tracer(wall=True)
-        with wall.span("env.exchange"):
-            pass
-        profile = Profile.from_spans(list(sim.finished()) + list(wall.finished()))
-        sim_rows = profile.layers(clock="sim")
-        wall_rows = profile.layers(clock="wall")
-        assert sim_rows[0]["total_s"] == 4.0
-        assert len(wall_rows) == 1
-        assert wall_rows[0]["count"] == 1
-
-
 class TestRendering:
     def test_render_text_table(self):
         tracer = make_tracer([0.0, 1.0, 3.0, 8.0])
@@ -120,6 +105,19 @@ class TestRendering:
         document = Profile.from_spans(tracer.finished()).to_chrome_trace()
         names = [e["name"] for e in document["traceEvents"] if e["ph"] == "X"]
         assert names == ["env.exchange", "gateway.relay"]
+
+    def test_dicts_carrying_an_old_clock_key_still_profile(self):
+        # JSONL written when spans still exported a "clock" field
+        record = {
+            "name": "env.exchange", "trace_id": "t", "span_id": "s",
+            "parent_id": "", "start": 0.0, "end": 2.0, "duration": 2.0,
+            "clock": "wall", "tags": {},
+        }
+        profile = Profile.from_spans([record])
+        assert profile.layers()[0]["total_s"] == 2.0
+        document = profile.to_chrome_trace()
+        [event] = [e for e in document["traceEvents"] if e["ph"] == "X"]
+        assert event["cat"] == "sim"
 
     def test_incremental_add_matches_batch(self):
         tracer = make_tracer([0.0, 1.0, 3.0, 8.0])

@@ -137,6 +137,7 @@ class TestTailRetention:
         with tracer.span("root", **tags):
             pass
         assert len(tracer.finished()) == 1
+        assert tracer.sampled_out == 1 and tracer.tail_retained == 1
 
     def test_forward_span_name_promotes(self):
         tracer = make_sampler(p=0.0)

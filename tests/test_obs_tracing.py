@@ -1,5 +1,5 @@
-"""Tests for repro.obs.tracing: span nesting under the simulated clock,
-wall-clock mode, and the disabled tracer path."""
+"""Tests for repro.obs.tracing: span nesting under the simulated clock
+and the disabled tracer path."""
 
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ class TestSimClockSpans:
         assert span.start == 1.0
         # the span closed before the inner event fired, so zero sim time passed
         assert span.duration == 0.0
-        assert span.clock == "sim"
 
         with tracer.span("outer"):
             engine.schedule(4.0, lambda: durations.append(True))
@@ -78,7 +77,7 @@ class TestSimClockSpans:
             span.tag(b=2)
         data = span.to_dict()
         assert data["tags"] == {"a": 1, "b": 2}
-        assert data["clock"] == "sim"
+        assert "clock" not in data
         assert data["duration"] == 0.0
 
     def test_reset_forgets_finished_spans(self):
@@ -133,25 +132,6 @@ class TestSimClockSpans:
         tracer.reset(ids=True)
         second = run(tracer)
         assert first == second == run(Tracer())
-
-
-class TestWallClockMode:
-    def test_wall_mode_reads_a_real_monotonic_clock(self):
-        tracer = Tracer(wall=True)
-        assert tracer.mode == "wall"
-        with tracer.span("profiled") as span:
-            sum(range(1000))
-        assert span.clock == "wall"
-        assert span.end >= span.start
-
-    def test_wall_mode_ignores_bind_engine(self):
-        engine = Engine()
-        tracer = Tracer(wall=True)
-        tracer.bind_engine(engine)
-        with tracer.span("s") as span:
-            pass
-        # still wall time, not the engine's 0.0-forever clock
-        assert span.clock == "wall"
 
 
 class TestNullTracer:

@@ -1,73 +1,11 @@
-"""Tests for metrics collection, seeded RNG streams and world helpers."""
+"""Tests for seeded RNG streams and world helpers."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.sim.rng import SeededRng
-from repro.sim.trace import MetricsRegistry, SeriesStats
 from repro.sim.world import World
-
-
-class TestSeriesStats:
-    def test_basic_stats(self):
-        stats = SeriesStats.of([1.0, 2.0, 3.0, 4.0])
-        assert stats.count == 4
-        assert stats.mean == 2.5
-        assert stats.minimum == 1.0
-        assert stats.maximum == 4.0
-
-    def test_percentiles_nearest_rank(self):
-        values = [float(v) for v in range(1, 101)]
-        stats = SeriesStats.of(values)
-        assert stats.p50 == 50.0
-        assert stats.p95 == 95.0
-
-    def test_single_value(self):
-        stats = SeriesStats.of([7.0])
-        assert stats.p50 == 7.0
-        assert stats.stddev == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            SeriesStats.of([])
-
-
-class TestMetricsRegistry:
-    def test_counters(self):
-        metrics = MetricsRegistry()
-        assert metrics.increment("hits") == 1
-        assert metrics.increment("hits", 4) == 5
-        assert metrics.counter("hits") == 5
-        assert metrics.counter("misses") == 0
-        assert metrics.counters() == {"hits": 5}
-
-    def test_series_and_stats(self):
-        metrics = MetricsRegistry()
-        for value in (1.0, 3.0):
-            metrics.record("latency", value)
-        assert metrics.series("latency") == [1.0, 3.0]
-        assert metrics.stats("latency").mean == 2.0
-        assert metrics.has_series("latency")
-        assert not metrics.has_series("ghost")
-
-    def test_timeline(self):
-        metrics = MetricsRegistry()
-        metrics.mark(1.0, "crash", node="n1")
-        metrics.mark(2.0, "recover", node="n1")
-        metrics.mark(3.0, "crash", node="n2")
-        assert len(metrics.timeline()) == 3
-        crashes = metrics.timeline("crash")
-        assert [e.detail["node"] for e in crashes] == ["n1", "n2"]
-
-    def test_summary_shape(self):
-        metrics = MetricsRegistry()
-        metrics.increment("a")
-        metrics.record("s", 1.0)
-        summary = metrics.summary()
-        assert summary["counters"] == {"a": 1}
-        assert summary["series"]["s"]["count"] == 1
-        assert summary["timeline_entries"] == 0
 
 
 class TestSeededRng:

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.network import LAN_LINK, WAN_LINK, LinkSpec, Network
+from repro.sim.network import LAN_LINK, PACKET_OUTCOMES, WAN_LINK, LinkSpec, Network
 from repro.sim.rng import SeededRng
 from repro.sim.world import World
 from repro.util.errors import ConfigurationError, NetworkError
+
+
+def _packets(world, outcome):
+    """Packets that met *outcome*, read from the ``net.packets`` family."""
+    return world.metrics.counter(f"net.packets{{outcome={outcome}}}").value
 
 
 def _collect(node, port="p"):
@@ -64,7 +69,7 @@ class TestDelivery:
         world.add_site("hq", ["a", "b"])
         world.network.send("a", "b", "nobody-home", "x")
         world.run()
-        assert world.metrics.counter("net.dropped.no_handler") == 1
+        assert _packets(world, "no_handler") == 1
 
     def test_crashed_destination_drops(self, world):
         world.add_site("hq", ["a", "b"])
@@ -72,15 +77,15 @@ class TestDelivery:
         world.network.node("b").crash()
         world.network.send("a", "b", "p", "x")
         world.run()
-        assert world.metrics.counter("net.dropped.destination_down") == 1
-        assert world.metrics.counter("net.delivered") == 0
+        assert _packets(world, "destination_down") == 1
+        assert _packets(world, "delivered") == 0
 
     def test_crashed_source_drops_immediately(self, world):
         world.add_site("hq", ["a", "b"])
         world.network.node("a").crash()
         world.network.send("a", "b", "p", "x")
         world.run()
-        assert world.metrics.counter("net.dropped.source_down") == 1
+        assert _packets(world, "source_down") == 1
 
     def test_recovered_node_receives_again(self, world):
         world.add_site("hq", ["a", "b"])
@@ -98,7 +103,7 @@ class TestDelivery:
         for _ in range(200):
             world.network.send("a", "b", "p", "x")
         world.run()
-        delivered = world.metrics.counter("net.delivered")
+        delivered = _packets(world, "delivered")
         assert 40 < delivered < 160
 
     def test_loss_is_reproducible_across_seeds(self):
@@ -111,7 +116,7 @@ class TestDelivery:
             for _ in range(50):
                 world.network.send("a", "b", "p", "x")
             world.run()
-            outcomes.append(world.metrics.counter("net.delivered"))
+            outcomes.append(_packets(world, "delivered"))
         assert outcomes[0] == outcomes[1]
 
     def test_broadcast_reaches_all_others(self, world):
@@ -131,7 +136,7 @@ class TestPartitions:
         world.network.partition([["a"], ["b"]])
         world.network.send("a", "b", "p", "x")
         world.run()
-        assert world.metrics.counter("net.dropped.partition") == 1
+        assert _packets(world, "partition") == 1
 
     def test_partition_allows_same_group(self, world):
         world.add_site("hq", ["a", "b", "c"])
@@ -158,7 +163,47 @@ class TestPartitions:
         world.network.send("a", "b", "p", "x")  # WAN: ~80ms
         world.engine.schedule(0.001, lambda: world.network.partition([["a"], ["b"]]))
         world.run()
-        assert world.metrics.counter("net.dropped.partition") == 1
+        assert _packets(world, "partition") == 1
+
+
+class TestPacketAccounting:
+    def test_registry_stays_bounded_and_every_packet_has_one_fate(self):
+        world = World(seed=3)
+        world.add_site("hq", ["a", "b", "c", "d"])
+        world.add_site("far", ["e"])
+        network = world.network
+        network.set_link("a", "b", LinkSpec(loss=0.3))
+        for name in ("b", "c", "e"):
+            network.node(name).bind("p", lambda packet: None)
+        network.node("d").crash()
+        network.partition([["a", "b", "c", "d"], ["e"]])
+        routes = [
+            ("a", "b", "p"),  # lossy: delivered or loss
+            ("a", "c", "p"),  # delivered
+            ("a", "d", "p"),  # destination_down
+            ("d", "a", "p"),  # source_down
+            ("a", "e", "p"),  # partition
+            ("a", "c", "q"),  # no_handler
+        ]
+
+        def send(count):
+            for index in range(count):
+                source, destination, port = routes[index % len(routes)]
+                network.send(source, destination, port, "x")
+            world.run()
+            return world.metrics.snapshot()
+
+        after_10 = send(10)
+        after_1000 = send(990)
+        for snapshot in (after_10, after_1000):
+            counters = snapshot["counters"]
+            fates = sum(counters[f"net.packets{{outcome={o}}}"] for o in PACKET_OUTCOMES)
+            assert fates == counters["net.sent"]
+        assert after_1000["counters"]["net.sent"] == 1000
+        assert all(_packets(world, outcome) > 0 for outcome in PACKET_OUTCOMES)
+        # no per-packet series: a thousand packets add no key ten did not
+        for kind in ("counters", "gauges", "histograms"):
+            assert set(after_1000[kind]) == set(after_10[kind])
 
 
 class TestNodePorts:
