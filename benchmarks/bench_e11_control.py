@@ -49,6 +49,7 @@ import os
 import sys
 
 from bench_common import synthetic_converter
+from repro.environment.environment import ExchangeRequest
 from repro.environment.registry import AppDescriptor, Q_DIFFERENT_TIME_DIFFERENT_PLACE
 from repro.federation import Federation
 from repro.obs import MetricsRegistry, RatioSLO, SLOEngine
@@ -148,9 +149,9 @@ def run_variant(
     outcomes = []
     for index in range(iterations):
         outcomes.append(
-            federation.federated_exchange(
+            federation.federated_exchange(ExchangeRequest(
                 f"d0-p{index % 2}", f"d1-p{index % 2}", "app0", "app1", DOCUMENT
-            )
+            ))
         )
         world.run_for(0.8)
     # settle: let health trends go clean and the control loop revert

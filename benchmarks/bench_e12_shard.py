@@ -38,7 +38,7 @@ import os
 import sys
 import time
 
-from repro.environment.environment import CSCWEnvironment
+from repro.environment.environment import CSCWEnvironment, ExchangeRequest
 from repro.environment.registry import AppDescriptor, Q_DIFFERENT_TIME_DIFFERENT_PLACE
 from repro.obs import MetricsRegistry
 from repro.org.model import Person
@@ -96,7 +96,10 @@ def build_point(population: int, organisations: int, seed: int = 11):
 
 def run_point(population: int, warm_iterations: int) -> dict:
     """Measure one population size; return its sweep row."""
-    organisations = max(N_SHARDS, population // 100)
+    # PAIRS + 2 organisations make the PAIRS sampled pairs distinct
+    # routes (sample_pairs cycles after min(people, organisations)) and
+    # match the open-policy window build_point already assumes
+    organisations = max(N_SHARDS, PAIRS + 2, population // 100)
     env, generator, report, install_s = build_point(population, organisations)
     kb = env.knowledge_base
     document = {"fmt0-title": "minutes", "fmt0-body": "we met"}
@@ -117,7 +120,9 @@ def run_point(population: int, warm_iterations: int) -> dict:
     # -- prime the warm routes -------------------------------------------
     delivered = 0
     for sender, receiver in pairs:
-        outcome = env.exchange(sender, receiver, "producer", "consumer", document)
+        outcome = env.exchange(ExchangeRequest(
+            sender, receiver, "producer", "consumer", document
+        ))
         assert outcome.delivered, outcome
         delivered += 1
 
@@ -125,7 +130,9 @@ def run_point(population: int, warm_iterations: int) -> dict:
     start = time.perf_counter()
     for index in range(warm_iterations):
         sender, receiver = pairs[index % PAIRS]
-        outcome = env.exchange(sender, receiver, "producer", "consumer", document)
+        outcome = env.exchange(ExchangeRequest(
+            sender, receiver, "producer", "consumer", document
+        ))
         delivered += outcome.delivered
     warm_s = time.perf_counter() - start
     assert delivered == PAIRS + warm_iterations, "warm exchanges must all deliver"
@@ -170,7 +177,9 @@ def run_point(population: int, warm_iterations: int) -> dict:
 
     # exchanges still deliver after the storm (routes re-resolve cleanly)
     for sender, receiver in pairs:
-        outcome = env.exchange(sender, receiver, "producer", "consumer", document)
+        outcome = env.exchange(ExchangeRequest(
+            sender, receiver, "producer", "consumer", document
+        ))
         assert outcome.delivered, outcome
 
     warm_us = warm_s / warm_iterations * 1e6

@@ -51,6 +51,7 @@ from repro.communication.model import Communicator
 from repro.environment.environment import (
     REASON_FIDELITY,
     CSCWEnvironment,
+    ExchangeRequest,
 )
 from repro.environment.registry import (
     AppDescriptor,
@@ -193,18 +194,18 @@ def run_matrix(smoke: bool) -> dict:
     assert multi_hop.path == ("fax", "scan", "document", "common", "memo")
     assert abs(multi_hop.fidelity - 0.95 * 0.9) < 1e-9
 
-    outcome = env.exchange(
+    outcome = env.exchange(ExchangeRequest(
         "p0", "p1", "faxline", "message-system", FAX_DOC, min_fidelity=0.8
-    )
+    ))
     assert outcome.delivered and outcome.translated, outcome
     assert abs(outcome.fidelity - multi_hop.fidelity) < 1e-9, outcome
     delivered_doc = message_system.inbox("p1")[-1].document
     assert delivered_doc["subject"] == FAX_DOC["fax-title"]
 
     # -- fidelity negotiation ---------------------------------------------
-    rejected = env.exchange(
+    rejected = env.exchange(ExchangeRequest(
         "p0", "p1", "faxline", "message-system", FAX_DOC, min_fidelity=0.9
-    )
+    ))
     assert not rejected.delivered
     assert rejected.reason_code == REASON_FIDELITY
     try:
@@ -219,15 +220,15 @@ def run_matrix(smoke: bool) -> dict:
     if not smoke:
         # both formats in the static hub, hub fidelity 0.9 (lossy form
         # converter): floor 0.8 delivers the downgrade, floor 0.95 fails
-        accepted = env.exchange(
+        accepted = env.exchange(ExchangeRequest(
             "p0", "p1", "conferencing", "workflow", CONFERENCE_DOC,
             min_fidelity=0.8,
-        )
+        ))
         assert accepted.delivered and abs(accepted.fidelity - 0.9) < 1e-9
-        refused = env.exchange(
+        refused = env.exchange(ExchangeRequest(
             "p0", "p1", "conferencing", "workflow", CONFERENCE_DOC,
             min_fidelity=0.95,
-        )
+        ))
         assert not refused.delivered
         assert refused.reason_code == REASON_FIDELITY
 

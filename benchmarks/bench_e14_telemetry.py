@@ -45,7 +45,7 @@ import sys
 import time
 
 from bench_common import synthetic_converter
-from repro.environment.environment import CSCWEnvironment
+from repro.environment.environment import CSCWEnvironment, ExchangeRequest
 from repro.environment.registry import AppDescriptor, Q_DIFFERENT_TIME_DIFFERENT_PLACE
 from repro.obs import (
     CARDINALITY_LIMIT,
@@ -170,7 +170,9 @@ class Session:
             if index % ERROR_EVERY == ERROR_EVERY - 1:
                 receiver = f"ghost-{index}"
                 self.errors_expected += 1
-            env.exchange(sender, receiver, "producer", "consumer", DOCUMENT)
+            env.exchange(ExchangeRequest(
+                sender, receiver, "producer", "consumer", DOCUMENT
+            ))
             if index % TICK_EVERY == TICK_EVERY - 1:
                 world.run_for(TICK_S)
                 batch = drain()

@@ -16,6 +16,7 @@ from repro.apps.conferencing import ConferencingSystem
 from repro.apps.meeting_room import MeetingRoom
 from repro.apps.shared_editor import SharedEditor
 from repro.apps.workflow import WorkflowSystem
+from repro.environment.environment import ExchangeRequest
 from repro.environment.registry import QUADRANTS
 from repro.sim.world import World
 
@@ -67,9 +68,9 @@ def test_e1_matrix_population_and_cross_quadrant_flow(benchmark):
             for target in app_names:
                 if source == target:
                     continue
-                outcome = env.exchange(
+                outcome = env.exchange(ExchangeRequest(
                     "p0", "p1", source, target, documents[source]
-                )
+                ))
                 delivered += int(outcome.delivered)
         return delivered
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro.apps.base import GroupwareApp
 from repro.baselines.closed import ClosedWorld
 from repro.environment.registry import Q_DIFFERENT_TIME_DIFFERENT_PLACE, AppDescriptor
-from repro.environment.environment import CSCWEnvironment
+from repro.environment.environment import CSCWEnvironment, ExchangeRequest
 from repro.sim.world import World
 
 from bench_common import build_environment, synthetic_converter
@@ -93,10 +93,10 @@ def test_e2_integration_cost_and_coverage(benchmark):
     env, apps = _open_world(4)
 
     def exchange_once():
-        return env.exchange(
+        return env.exchange(ExchangeRequest(
             "p0", "p1", "app0", "app1",
             {"fmt0-title": "t", "fmt0-body": "b"},
-        )
+        ))
 
     outcome = benchmark(exchange_once)
     assert outcome.delivered and outcome.translated

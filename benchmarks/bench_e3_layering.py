@@ -18,6 +18,7 @@ import time
 
 from repro.apps.conferencing import ConferencingSystem
 from repro.apps.message_system import MessageSystem
+from repro.environment.environment import ExchangeRequest
 from repro.odp.binding import BindingFactory
 from repro.odp.node_mgmt import Capsule
 from repro.odp.objects import ComputationalObject, signature
@@ -61,10 +62,10 @@ def test_e3_environment_exchange(benchmark):
     world, env = _env_setup()
 
     def exchange():
-        return env.exchange(
+        return env.exchange(ExchangeRequest(
             "p0", "p1", "conferencing", "message-system",
             {"topic": "t", "entry": "e", "conference": "c", "author": "p0"},
-        )
+        ))
 
     outcome = benchmark(exchange)
     assert outcome.delivered
@@ -83,10 +84,10 @@ def test_e3_layering_overhead_shape(benchmark):
         odp_seconds = time.perf_counter() - start
         start = time.perf_counter()
         for _ in range(iterations):
-            env.exchange(
+            env.exchange(ExchangeRequest(
                 "p0", "p1", "conferencing", "message-system",
                 {"topic": "t", "entry": "e", "conference": "c", "author": "p0"},
-            )
+            ))
         env_seconds = time.perf_counter() - start
         return odp_seconds, env_seconds
 
@@ -129,7 +130,9 @@ def test_e3_distributed_environment_access(benchmark):
 
     def remote_exchange():
         start = world.now
-        outcome = client.exchange("p0", "p1", "conferencing", "message-system", document)
+        outcome = client.exchange(ExchangeRequest(
+            "p0", "p1", "conferencing", "message-system", document
+        ))
         return outcome, world.now - start
 
     outcome, simulated_latency = benchmark(remote_exchange)

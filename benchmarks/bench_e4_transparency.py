@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from repro.apps.conferencing import ConferencingSystem
 from repro.apps.message_system import MessageSystem
+from repro.environment.environment import ExchangeRequest
 from repro.environment.transparency import CSCW_DIMENSIONS, TransparencyProfile
 from repro.sim.world import World
 from repro.util.events import EventRecorder
@@ -56,10 +57,10 @@ DOCUMENTS = {
 def _run_workload(env, profile) -> tuple[int, int]:
     delivered = 0
     for sender, receiver, source_app, target_app, activity in WORKLOAD:
-        outcome = env.exchange(
+        outcome = env.exchange(ExchangeRequest(
             sender, receiver, source_app, target_app,
             DOCUMENTS[source_app], activity_id=activity, profile=profile,
-        )
+        ))
         delivered += int(outcome.delivered)
     return delivered, len(WORKLOAD)
 
@@ -114,14 +115,14 @@ def test_e4_selection_is_per_user(benchmark):
     def run() -> tuple[bool, bool]:
         # Same exchange, two user choices: the WYSIWIS user refuses view
         # translation (and fails across formats); the default user accepts.
-        strict = env.exchange(
+        strict = env.exchange(ExchangeRequest(
             "p0", "p1", "conferencing", "message-system",
             DOCUMENTS["conferencing"], profile=wysiwis_profile,
-        )
-        relaxed = env.exchange(
+        ))
+        relaxed = env.exchange(ExchangeRequest(
             "p0", "p1", "conferencing", "message-system",
             DOCUMENTS["conferencing"], profile=default_profile,
-        )
+        ))
         return strict.delivered, relaxed.delivered
 
     strict_ok, relaxed_ok = benchmark(run)

@@ -21,6 +21,7 @@ from __future__ import annotations
 from bench_common import build_environment, emit_metrics, standard_apps
 from repro.directory.dit import DirectoryInformationTree
 from repro.directory.filters import parse_filter
+from repro.environment.environment import ExchangeRequest
 from repro.environment.transparency import TransparencyProfile
 from repro.messaging.mta import MessageTransferAgent
 from repro.messaging.names import OrName
@@ -150,15 +151,15 @@ def test_e6_observability_snapshot(benchmark):
     # Exchange traffic: delivered (sync + async) and failed outcomes.
     env.person_leaves("p3")
     outcomes = []
-    outcomes.append(env.exchange("p0", "p2", "conferencing", "message-system",
-                                 {"topic": "t", "entry": "e"}))
-    outcomes.append(env.exchange("p1", "p3", "conferencing", "workflow",
-                                 {"topic": "t", "entry": "e"}))
+    outcomes.append(env.exchange(ExchangeRequest("p0", "p2", "conferencing", "message-system",
+                                                 {"topic": "t", "entry": "e"})))
+    outcomes.append(env.exchange(ExchangeRequest("p1", "p3", "conferencing", "workflow",
+                                                 {"topic": "t", "entry": "e"})))
     # p0 (upc) -> p1 (gmd) is cross-organisation; with every transparency
     # off the organisation dimension is the first to reject it.
-    outcomes.append(env.exchange("p0", "p1", "conferencing", "message-system",
-                                 {"topic": "t", "entry": "e"},
-                                 profile=TransparencyProfile.all_off()))
+    outcomes.append(env.exchange(ExchangeRequest("p0", "p1", "conferencing", "message-system",
+                                                 {"topic": "t", "entry": "e"},
+                                                 profile=TransparencyProfile.all_off())))
 
     # Trader traffic: services found and missed.
     env.trader.export("archiving", InterfaceRef("node", "obj", "iface"))
@@ -208,8 +209,8 @@ def test_e6_observability_snapshot(benchmark):
 
     # Time the instrumented exchange hot path (its cost is what the
     # "near-zero when disabled" claim is measured against).
-    benchmark(lambda: env.exchange("p0", "p2", "conferencing", "message-system",
-                                   {"topic": "t", "entry": "e"}))
+    benchmark(lambda: env.exchange(ExchangeRequest("p0", "p2", "conferencing", "message-system",
+                                                   {"topic": "t", "entry": "e"})))
 
 
 def test_e6_sync_vs_async_coexistence(benchmark):

@@ -106,24 +106,32 @@ def run_bench(iterations: int, smoke: bool) -> dict:
     start = time.perf_counter()
     for _ in range(iterations):
         cold_outcomes.append(
-            cold_env.exchange(sender, receiver, "producer", "consumer", DOCUMENT)
+            cold_env.exchange(ExchangeRequest(
+                sender, receiver, "producer", "consumer", DOCUMENT
+            ))
         )
     cold_s = time.perf_counter() - start
 
     # -- warm: memoised resolution, still one call per document -----------
     warm_env = build_throughput_env(cache=True)
-    warm_env.exchange(sender, receiver, "producer", "consumer", DOCUMENT)  # prime
+    warm_env.exchange(ExchangeRequest(
+        sender, receiver, "producer", "consumer", DOCUMENT
+    ))  # prime
     warm_outcomes = []
     start = time.perf_counter()
     for _ in range(iterations):
         warm_outcomes.append(
-            warm_env.exchange(sender, receiver, "producer", "consumer", DOCUMENT)
+            warm_env.exchange(ExchangeRequest(
+                sender, receiver, "producer", "consumer", DOCUMENT
+            ))
         )
     warm_s = time.perf_counter() - start
 
     # -- batch: one exchange_many over the same stream --------------------
     batch_env = build_throughput_env(cache=True)
-    batch_env.exchange(sender, receiver, "producer", "consumer", DOCUMENT)  # prime
+    batch_env.exchange(ExchangeRequest(
+        sender, receiver, "producer", "consumer", DOCUMENT
+    ))  # prime
     requests = [
         ExchangeRequest(sender, receiver, "producer", "consumer", DOCUMENT)
         for _ in range(iterations)
@@ -135,7 +143,9 @@ def run_bench(iterations: int, smoke: bool) -> dict:
     # -- batch over distinct document objects: no within-run translation
     # sharing, so this is the lower bound of the batch speedup ----------
     distinct_env = build_throughput_env(cache=True)
-    distinct_env.exchange(sender, receiver, "producer", "consumer", DOCUMENT)
+    distinct_env.exchange(ExchangeRequest(
+        sender, receiver, "producer", "consumer", DOCUMENT
+    ))
     distinct_requests = [
         ExchangeRequest(sender, receiver, "producer", "consumer", dict(DOCUMENT))
         for _ in range(iterations)

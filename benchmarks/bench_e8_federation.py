@@ -117,9 +117,13 @@ def run_sweep(n_domains: int, iterations: int) -> dict:
 
     # warm every path once (route caches, metric handles, allocator)
     # before anything is timed
-    federation.federated_exchange("d0-p0", "d0-p1", "app0", "app1", DOCUMENT)
+    federation.federated_exchange(ExchangeRequest(
+        "d0-p0", "d0-p1", "app0", "app1", DOCUMENT
+    ))
     if n_domains > 1:
-        federation.federated_exchange("d0-p0", "d1-p1", "app0", "app1", DOCUMENT)
+        federation.federated_exchange(ExchangeRequest(
+            "d0-p0", "d1-p1", "app0", "app1", DOCUMENT
+        ))
         federation.federated_exchange_many(
             [request("d0-p0", "d1-p1"), request("d0-p0", "d1-p1")]
         )
@@ -129,9 +133,9 @@ def run_sweep(n_domains: int, iterations: int) -> dict:
     # -- intra: both parties in domain 0, one call per exchange -----------
     start = time.perf_counter()
     intra_outcomes = [
-        federation.federated_exchange(
+        federation.federated_exchange(ExchangeRequest(
             "d0-p0", "d0-p1", "app0", "app1", DOCUMENT
-        )
+        ))
         for _ in range(iterations)
     ]
     intra_s = time.perf_counter() - start
@@ -168,9 +172,9 @@ def run_sweep(n_domains: int, iterations: int) -> dict:
     gc.collect()
     start = time.perf_counter()
     cross_seq_outcomes = [
-        federation.federated_exchange(
+        federation.federated_exchange(ExchangeRequest(
             *pairs[i % len(pairs)], "app0", "app1", DOCUMENT
-        )
+        ))
         for i in range(iterations)
     ]
     cross_seq_s = time.perf_counter() - start

@@ -35,6 +35,7 @@ import os
 import sys
 
 from bench_common import synthetic_converter
+from repro.environment.environment import ExchangeRequest
 from repro.environment.registry import AppDescriptor, Q_DIFFERENT_TIME_DIFFERENT_PLACE
 from repro.federation import Federation
 from repro.obs import MetricsRegistry
@@ -103,9 +104,9 @@ def run_variant(resilient: bool, iterations: int, down_s: float) -> dict:
     outcomes = []
     for index in range(iterations):
         outcomes.append(
-            federation.federated_exchange(
+            federation.federated_exchange(ExchangeRequest(
                 f"d0-p{index % 2}", f"d1-p{index % 2}", "app0", "app1", DOCUMENT
-            )
+            ))
         )
         world.run_for(0.8)
     delivered = [o for o in outcomes if o.delivered]

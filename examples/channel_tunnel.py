@@ -29,7 +29,7 @@ def main() -> None:
     world = World(seed=42)
     world.add_site("site-uk", ["ws-tom", "ws-mary"])
     world.add_site("site-fr", ["ws-pierre", "ws-claire"])
-    env = CSCWEnvironment(world)
+    env = CSCWEnvironment.builder().with_world(world).build()
 
     # -- organisations and people -----------------------------------------
     consortium = Organisation("tml", "TransManche Link")

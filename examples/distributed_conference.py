@@ -61,7 +61,7 @@ def main() -> None:
         ua.register()
 
     # -- organisational knowledge base -> X.500 directory ----------------------
-    env = CSCWEnvironment(world)
+    env = CSCWEnvironment.builder().with_world(world).build()
     for org_id, org_name, person_id, person_name, oname in [
         ("upc", "UPC", "ana.lopez", "Ana Lopez", ANA),
         ("gmd", "GMD", "wolf.prinz", "Wolf Prinz", WOLF),

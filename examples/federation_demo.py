@@ -21,6 +21,7 @@ engine, federated by `repro.federation`:
 Run:  PYTHONPATH=src python examples/federation_demo.py
 """
 
+from repro.environment.environment import ExchangeRequest
 from repro.environment.registry import AppDescriptor, Q_DIFFERENT_TIME_DIFFERENT_PLACE
 from repro.environment.transparency import TransparencyProfile
 from repro.federation import Federation
@@ -89,29 +90,29 @@ def main() -> None:
 
     print("\n== Cross-domain exchange: ana@upc -> uta@gmd ==")
     draft = {"heading": "Joint report draft", "text": "Sections 1-3 attached."}
-    outcome = federation.federated_exchange(
+    outcome = federation.federated_exchange(ExchangeRequest(
         "ana", "uta", "editor", "reviewer", draft, activity_id="joint-report"
-    )
+    ))
     print_hops(outcome)
     person, received = inbox[-1]
     print(f"    uta's reviewer tool received: {received}")
 
     print("\n== Transparency still enforced across the boundary ==")
-    opaque = federation.federated_exchange(
+    opaque = federation.federated_exchange(ExchangeRequest(
         "ana", "uta", "editor", "reviewer", draft,
         activity_id="joint-report",
         profile=TransparencyProfile.all_on().without("organisation"),
-    )
+    ))
     print(f"    organisation transparency off -> "
           f"delivered={opaque.delivered}, reason_code={opaque.reason_code}")
 
     print("\n== Severed link: store-and-forward with a dead letter ==")
     world.network.node("gw-gmd").crash()
-    parked = federation.federated_exchange(
+    parked = federation.federated_exchange(ExchangeRequest(
         "ana", "uta", "editor", "reviewer",
         {"heading": "Section 4", "text": "Written during the outage."},
         activity_id="joint-report",
-    )
+    ))
     print(f"    link down -> delivered={parked.delivered}, "
           f"reason_code={parked.reason_code}, attempts={parked.attempts}")
     gateway = federation.domain("upc").gateway_to("gmd")

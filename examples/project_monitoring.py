@@ -26,7 +26,7 @@ from repro.apps.conferencing import ConferencingSystem
 from repro.apps.message_system import MessageSystem
 from repro.communication.model import Communicator
 from repro.environment.awareness import AwarenessService
-from repro.environment.environment import CSCWEnvironment
+from repro.environment.environment import CSCWEnvironment, ExchangeRequest
 from repro.org.model import Organisation, Person
 from repro.sim.world import World
 
@@ -35,7 +35,7 @@ def main() -> None:
     world = World(seed=17)
     world.add_site("bcn", ["w-ana", "w-joan"])
     world.add_site("bonn", ["w-wolf", "w-heinz"])
-    env = CSCWEnvironment(world)
+    env = CSCWEnvironment.builder().with_world(world).build()
 
     # -- two organisations, open policies ------------------------------------
     upc = Organisation("upc", "UPC")
@@ -70,14 +70,15 @@ def main() -> None:
     # -- some cooperative traffic -------------------------------------------------
     document = {"topic": "draft", "entry": "please comment", "conference": "std",
                 "author": "ana"}
-    env.exchange("ana", "wolf", "conferencing", "message-system", document,
-                 activity_id="draft")
-    env.exchange("wolf", "ana", "message-system", "conferencing",
-                 {"subject": "re: draft", "text": "comments attached",
-                  "template": "plain", "fields": {}}, activity_id="draft")
+    env.exchange(ExchangeRequest("ana", "wolf", "conferencing", "message-system",
+                                 document, activity_id="draft"))
+    env.exchange(ExchangeRequest("wolf", "ana", "message-system", "conferencing",
+                                 {"subject": "re: draft", "text": "comments attached",
+                                  "template": "plain", "fields": {}},
+                                 activity_id="draft"))
     env.person_leaves("heinz")
-    env.exchange("joan", "heinz", "conferencing", "message-system", document,
-                 activity_id="review")
+    env.exchange(ExchangeRequest("joan", "heinz", "conferencing", "message-system",
+                                 document, activity_id="review"))
 
     # -- awareness queries ----------------------------------------------------------
     awareness = AwarenessService(env)

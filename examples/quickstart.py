@@ -13,7 +13,7 @@ Run:  python examples/quickstart.py
 from repro.apps.conferencing import ConferencingSystem
 from repro.apps.message_system import MessageSystem
 from repro.communication.model import Communicator
-from repro.environment.environment import CSCWEnvironment
+from repro.environment.environment import CSCWEnvironment, ExchangeRequest
 from repro.obs import MetricsRegistry, Tracer
 from repro.org.model import Organisation, Person
 from repro.org.policy import INTERACTION_MESSAGE
@@ -56,7 +56,7 @@ def main() -> None:
     messages.attach(env, exporter_org="gmd")
 
     # 4. Cross-application, cross-organisation exchange.
-    outcome = env.exchange(
+    outcome = env.exchange(ExchangeRequest(
         sender="ana",
         receiver="wolf",
         sender_app="conferencing",
@@ -67,7 +67,7 @@ def main() -> None:
             "conference": "mocca",
             "author": "ana",
         },
-    )
+    ))
     print(f"delivered={outcome.delivered} mode={outcome.mode} "
           f"translated={outcome.translated} handled={outcome.handled}")
 

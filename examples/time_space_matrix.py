@@ -15,7 +15,7 @@ from repro.apps.meeting_room import MeetingRoom
 from repro.apps.shared_editor import SharedEditor
 from repro.apps.workflow import Procedure, ProcedureStep, WorkflowSystem
 from repro.communication.model import Communicator
-from repro.environment.environment import CSCWEnvironment
+from repro.environment.environment import CSCWEnvironment, ExchangeRequest
 from repro.org.model import Organisation, Person
 from repro.sim.world import World
 
@@ -25,7 +25,7 @@ def main() -> None:
     world.colocated(3)                      # meeting room: ws1..ws3
     world.add_site("remote-a", ["ra1"])
     world.add_site("remote-b", ["rb1"])
-    env = CSCWEnvironment(world)
+    env = CSCWEnvironment.builder().with_world(world).build()
     org = Organisation("upc", "UPC")
     for person_id in ("ana", "joan", "marta"):
         org.add_person(Person(person_id, person_id.title(), "upc"))
@@ -83,13 +83,13 @@ def main() -> None:
     env.create_activity("requirements-activity", "requirements capture",
                         members={"ana": "chair", "joan": "remote", "marta": "scribe"})
     for item in meeting.board():
-        outcome = env.exchange(
+        outcome = env.exchange(ExchangeRequest(
             sender="ana", receiver="joan",
             sender_app=meeting.name, receiver_app=conferencing.name,
             document={"text": item.text, "category": "requirements",
                       "author": item.author},
             activity_id="requirements-activity",
-        )
+        ))
         assert outcome.delivered and outcome.translated
     entries = conferencing.news_for("imported", "joan")
     print("\njoan's conference news from the co-located meeting:")

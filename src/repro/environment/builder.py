@@ -13,11 +13,10 @@ instead of monkey-patching them on afterwards::
            .with_trader_policy(my_policy_hook)
            .build())
 
-The legacy ``CSCWEnvironment(world, name=...)`` constructor routes
-through this builder, so both paths perform identical wiring: services
-constructed, the org-KB trading policy installed on the trader, the
-event bus bound to the engine's simulated clock, and (when enabled)
-metrics/tracing attached to every owned hot layer via
+The builder is the only constructor: :meth:`EnvironmentBuilder.build`
+constructs the services, installs the org-KB trading policy on the
+trader, binds the event bus to the engine's simulated clock and (when
+enabled) attaches metrics/tracing to every owned hot layer via
 :func:`repro.obs.instrument.instrument_environment`.
 """
 
@@ -64,11 +63,7 @@ class EnvironmentBuilder:
     configuration (a world is mandatory) and produces the environment.
     """
 
-    def __init__(self, cls: type | None = None) -> None:
-        if cls is None:
-            from repro.environment.environment import CSCWEnvironment
-
-            cls = CSCWEnvironment
+    def __init__(self, cls: type) -> None:
         self._cls = cls
         self._world: World | None = None
         self._name = "mocca"
@@ -85,7 +80,6 @@ class EnvironmentBuilder:
         self._shed_limit: int | None = None
         self._default_deadline_s: float | None = None
         self._shards: int | None = None
-        self._shard_country = "ES"
         self._mediation = False
 
     # -- knobs -------------------------------------------------------------
@@ -205,25 +199,25 @@ class EnvironmentBuilder:
     def with_default_deadline(self, seconds: float | None) -> "EnvironmentBuilder":
         """Give every exchange a default deadline of *seconds* from its start.
 
-        An explicit ``deadline=`` argument on ``exchange``/
-        ``exchange_many`` overrides the default; expired exchanges fail
-        with ``REASON_DEADLINE_EXCEEDED`` and expired queued deliveries
-        are dropped at flush time (``env.shed.expired``).  ``None`` (the
-        default) means exchanges never expire.
+        A request's own ``ExchangeRequest.deadline`` overrides the
+        default; expired exchanges fail with ``REASON_DEADLINE_EXCEEDED``
+        and expired queued deliveries are dropped at flush time
+        (``env.shed.expired``).  ``None`` (the default) means exchanges
+        never expire.
         """
         if seconds is not None and seconds <= 0:
             raise ConfigurationError("default deadline must be > 0 (or None)")
         self._default_deadline_s = seconds
         return self
 
-    def with_sharding(self, n_shards: int, country: str = "ES") -> "EnvironmentBuilder":
+    def with_sharding(self, n_shards: int) -> "EnvironmentBuilder":
         """Shard the org/people KB and white pages across *n_shards* DSAs.
 
         The environment's knowledge base becomes a
         :class:`~repro.sharding.kb.ShardedKnowledgeBase`: person lookups
         go through an O(1) person -> org index instead of the base
         class's linear scan, and every organisation's DIT subtree
-        (``o=<org_id>,c=<country>``) lives on exactly one
+        (``o=<org_id>,c=ES``) lives on exactly one
         consistent-hash-assigned shard, exposed as
         ``env.knowledge_base.directory``.  Required for populations past
         a few thousand registered users; a no-op for correctness
@@ -232,10 +226,9 @@ class EnvironmentBuilder:
         if n_shards < 1:
             raise ConfigurationError("with_sharding needs n_shards >= 1")
         self._shards = n_shards
-        self._shard_country = country
         return self
 
-    def with_mediation(self, enabled: bool = True) -> "EnvironmentBuilder":
+    def with_mediation(self) -> "EnvironmentBuilder":
         """Wire a :class:`~repro.mediation.mediator.Mediator` as ``env.mediator``.
 
         Application registrations then also publish their converters'
@@ -246,7 +239,7 @@ class EnvironmentBuilder:
         the hub has never seen, and for ``min_fidelity`` floors the hub
         plan cannot meet.  Off by default (``env.mediator`` is ``None``).
         """
-        self._mediation = enabled
+        self._mediation = True
         return self
 
     def with_trader_policy(self, hook: TraderPolicy) -> "EnvironmentBuilder":
@@ -261,18 +254,12 @@ class EnvironmentBuilder:
     # -- construction ------------------------------------------------------
     def build(self) -> Any:
         """Construct, wire and return the environment."""
-        environment = object.__new__(self._cls)
-        self._wire(environment)
-        return environment
-
-    def _wire(self, env: Any) -> None:
-        """Perform the full construction onto *env* (shared with the
-        legacy ``CSCWEnvironment.__init__`` path)."""
         world = self._world
         if world is None:
             raise ConfigurationError(
                 "EnvironmentBuilder needs a world: call with_world(world) first"
             )
+        env = object.__new__(self._cls)
         env.world = world
         env.name = self._name
         env.metrics = NULL_METRICS
@@ -285,9 +272,7 @@ class EnvironmentBuilder:
         if self._shards is not None:
             from repro.sharding.kb import ShardedKnowledgeBase
 
-            env.knowledge_base = ShardedKnowledgeBase(
-                n_shards=self._shards, country=self._shard_country
-            )
+            env.knowledge_base = ShardedKnowledgeBase(n_shards=self._shards)
         else:
             env.knowledge_base = OrganisationalKnowledgeBase()
         env.trader = Trader(f"{env.name}-trader", rng=world.rng.fork("trader"))
@@ -372,3 +357,4 @@ class EnvironmentBuilder:
             )
             env.control.watch_slo(env.slo)
             env.control.manage_environment(env.name, env)
+        return env

@@ -43,10 +43,7 @@ from repro.environment.registry import AppDescriptor, DeliveryCallback
 from repro.environment.transparency import CSCW_DIMENSIONS, TransparencyProfile
 from repro.obs.events import KIND_DEADLINE, KIND_SHED
 from repro.obs.instrument import BYTES_BUCKETS
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import Tracer
 from repro.org.policy import INTERACTION_MESSAGE
-from repro.sim.world import World
 from repro.util.errors import (
     ConfigurationError,
     FidelityError,
@@ -142,8 +139,10 @@ class ExchangeRequest:
     :meth:`CSCWEnvironment.exchange_many`, the remote
     :class:`~repro.environment.server.EnvironmentClient` and
     :meth:`~repro.federation.federation.Federation.federated_exchange` —
-    accepts one of these (the legacy keyword form goes through
-    :meth:`from_call`, so the two call styles cannot drift apart).
+    takes one of these and nothing else.  The keyword form is the
+    dataclass's own constructor:
+    ``ExchangeRequest(sender, receiver, sender_app, receiver_app, document,
+    deadline=t)``.
 
     Beyond the routing fields, a request carries the annotations the
     adaptive control plane acts on: ``priority`` (positive priorities
@@ -170,59 +169,6 @@ class ExchangeRequest:
     #: is rejected with ``REASON_FIDELITY`` instead of delivered (0.0,
     #: the default, accepts any plan — the pre-mediation behaviour)
     min_fidelity: float = 0.0
-
-    @classmethod
-    def from_kwargs(
-        cls,
-        sender: str,
-        receiver: str,
-        sender_app: str,
-        receiver_app: str,
-        document: dict[str, Any],
-        activity_id: str = "",
-        profile: TransparencyProfile | None = None,
-        interaction: str = INTERACTION_MESSAGE,
-        deadline: float | None = None,
-        priority: int = 0,
-        shed_class: str = "",
-        min_fidelity: float = 0.0,
-    ) -> "ExchangeRequest":
-        """Build a request from the legacy positional/keyword arguments.
-
-        This is the one place the keyword call shape is defined; the
-        ``exchange`` entry points of the environment, the environment
-        server client and the federation reach it through
-        :meth:`from_call`.
-        """
-        return cls(
-            sender=sender,
-            receiver=receiver,
-            sender_app=sender_app,
-            receiver_app=receiver_app,
-            document=document,
-            activity_id=activity_id,
-            profile=profile,
-            interaction=interaction,
-            deadline=deadline,
-            priority=priority,
-            shed_class=shed_class,
-            min_fidelity=min_fidelity,
-        )
-
-    @classmethod
-    def from_call(
-        cls, request: Any, args: tuple[Any, ...], kwargs: dict[str, Any]
-    ) -> "ExchangeRequest":
-        """The request an ``exchange``-shaped entry point was called with.
-
-        *request* is the positional-only first argument; when it is not
-        already a request, it and *args*/*kwargs* are the legacy
-        positional/keyword form and go through :meth:`from_kwargs`.
-        """
-        if isinstance(request, cls):
-            return request
-        positional = () if request is None else (request,)
-        return cls.from_kwargs(*positional, *args, **kwargs)
 
     def same_route(self, other: "ExchangeRequest") -> bool:
         """True when two requests differ at most in their document.
@@ -293,31 +239,10 @@ class ExchangeRequest:
 class CSCWEnvironment:
     """The shared environment mediating all open CSCW applications.
 
-    The recommended construction path is :meth:`builder`, which can
-    inject observability (``with_metrics``/``with_tracer``) and extra
-    trading policy at construction time; the plain constructor remains
-    supported and routes through the same builder wiring.
+    :meth:`builder` is the only way to construct one: it wires the
+    services and injects observability (``with_metrics``/``with_tracer``)
+    and extra trading policy at construction time.
     """
-
-    def __init__(
-        self,
-        world: World,
-        name: str = "mocca",
-        *,
-        metrics: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
-    ) -> None:
-        """Build an environment on *world*; keyword-only *metrics* and
-        *tracer* opt into observability (equivalent to the builder's
-        ``with_metrics``/``with_tracer``)."""
-        from repro.environment.builder import EnvironmentBuilder
-
-        spec = EnvironmentBuilder(type(self)).with_world(world).with_name(name)
-        if metrics is not None:
-            spec = spec.with_metrics(metrics)
-        if tracer is not None:
-            spec = spec.with_tracer(tracer)
-        spec._wire(self)
 
     @classmethod
     def builder(cls) -> "EnvironmentBuilder":
@@ -454,17 +379,10 @@ class CSCWEnvironment:
         return activity
 
     # -- the exchange pipeline -----------------------------------------------------
-    def exchange(self, request=None, /, *args: Any, **kwargs: Any) -> ExchangeOutcome:
-        """Deliver one :class:`ExchangeRequest` (or legacy keyword form).
-
-        The canonical call passes a single request object::
+    def exchange(self, request: ExchangeRequest) -> ExchangeOutcome:
+        """Deliver one :class:`ExchangeRequest`::
 
             env.exchange(ExchangeRequest(sender, receiver, ..., document))
-
-        The legacy positional/keyword form (``exchange(sender, receiver,
-        sender_app, receiver_app, document, ...)``) remains supported
-        through :meth:`ExchangeRequest.from_call` and produces identical
-        outcomes.
 
         A single exchange is a batch of one: it runs the pipeline of
         :meth:`exchange_many`, so its outcome and counters are exactly
@@ -492,7 +410,6 @@ class CSCWEnvironment:
         carries; when a metrics registry is attached, outcomes are
         counted by reason code and transparency dimension.
         """
-        request = ExchangeRequest.from_call(request, args, kwargs)
         with self.tracer.span("env.exchange") as span:
             outcomes: list[ExchangeOutcome] = []
             self._exchange_group((request,), span.trace_id, outcomes)

@@ -25,8 +25,9 @@ the person ids and organisation ids it touches, so a mutation evicts only
 the verdicts derived from the mutated entity — registering a person in
 org A leaves every route wholly inside org B memoised.  A policy change
 between two organisations evicts exactly the routes touching *both*.
-Mutations that arrive without entity scope (legacy callers) fall back to
-a whole-cache flush.  Failed lookups (unknown applications) are never
+Every mutation names its entity, so there is no whole-route flush on
+this path; :meth:`ResolutionCache.invalidate_all` is the one explicit
+whole-cache reset.  Failed lookups (unknown applications) are never
 cached.
 
 Hit/miss/invalidation totals are kept as plain attributes and, when a
@@ -73,10 +74,9 @@ class ResolutionCache:
     Disabling never loses correctness, only speed.
 
     ``generation`` is a monotonic freshness token: it advances on every
-    mutation event (keyed or flush, even when nothing was cached), so
-    batch callers that hoist a verdict once per run can detect mid-batch
-    mutations with a single integer compare and re-resolve instead of
-    serving stale state.
+    mutation event (even when nothing was cached), so batch callers that
+    hoist a verdict once per run can detect mid-batch mutations with a
+    single integer compare and re-resolve instead of serving stale state.
     """
 
     def __init__(self, knowledge_base: Any, applications: Any) -> None:
@@ -239,10 +239,6 @@ class ResolutionCache:
                 self._obs.inc("env.cache.evicted", removed)
 
     # -- invalidation ------------------------------------------------------
-    def invalidate_routes(self) -> None:
-        """Forget every memoised org/policy verdict (one logical event)."""
-        self._note_event(self._clear_routes())
-
     def invalidate_formats(self) -> None:
         """Forget every memoised format pair (one logical event)."""
         self._note_event(self._clear_formats())
@@ -254,7 +250,7 @@ class ResolutionCache:
         """
         self._note_event(self._clear_routes() + self._clear_formats())
 
-    def on_kb_change(self, kind: str = "", entity_id: str = "", org: str = "") -> None:
+    def on_kb_change(self, kind: str, entity_id: str, org: str) -> None:
         """Knowledge-base mutation hook (kind: organisation/person/policy).
 
         Eviction is scoped to the mutated entity:
@@ -267,17 +263,17 @@ class ResolutionCache:
         * ``policy`` — routes touching *both* organisations of the
           mutated pair (a policy can only flip verdicts between them).
 
-        Called without entity scope (legacy/no-arg form) the whole route
-        cache is dropped, preserving the old conservative contract.
+        Any other *kind* raises :class:`ValueError`: a new mutation kind
+        must name its eviction scope here.
         """
-        if kind == "person" and entity_id:
+        if kind == "person":
             removed = self._evict_tag(f"p:{entity_id}")
-        elif kind == "organisation" and entity_id:
+        elif kind == "organisation":
             removed = self._evict_tag(f"o:{entity_id}") + self._evict_tag("o:")
-        elif kind == "policy" and entity_id and org:
+        elif kind == "policy":
             removed = self._evict_org_pair(entity_id, org)
         else:
-            removed = self._clear_routes()
+            raise ValueError(f"unknown knowledge-base change kind {kind!r}")
         self._note_event(removed)
 
     def on_app_registered(self, name: str) -> None:

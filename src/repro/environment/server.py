@@ -93,17 +93,13 @@ class EnvironmentClient:
         self._world = world
         self.channel: Channel = factory.bind(client_node, server_ref)
 
-    def exchange(
-        self, request: ExchangeRequest | None = None, /, *args: Any, **kwargs: Any
-    ) -> ExchangeOutcome:
+    def exchange(self, request: ExchangeRequest) -> ExchangeOutcome:
         """Invoke exchange() across the network; returns the outcome.
 
-        Accepts an :class:`ExchangeRequest` — the same single call
-        currency as the in-process surface — whose wire form
-        (:meth:`ExchangeRequest.to_document`) travels the channel.  The
-        legacy keyword form goes through :meth:`ExchangeRequest.from_call`.
+        Takes an :class:`ExchangeRequest` — the same single call currency
+        as the in-process surface — whose wire form
+        (:meth:`ExchangeRequest.to_document`) travels the channel.
         """
-        request = ExchangeRequest.from_call(request, args, kwargs)
         reply = self.channel.call(self._world, "exchange", request.to_document())
         reply["handled"] = tuple(reply.get("handled", ()))
         return ExchangeOutcome(**reply)

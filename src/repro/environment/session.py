@@ -12,7 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.environment.environment import CSCWEnvironment, ExchangeOutcome
+from repro.environment.environment import (
+    CSCWEnvironment,
+    ExchangeOutcome,
+    ExchangeRequest,
+)
 from repro.environment.transparency import TransparencyProfile
 from repro.util.errors import ModelError
 from repro.util.events import Event
@@ -96,7 +100,7 @@ class CooperationSession:
         profile: TransparencyProfile | None = None,
     ) -> ExchangeOutcome:
         """Exchange a document between two members' applications."""
-        return self.environment.exchange(
+        return self.environment.exchange(ExchangeRequest(
             sender=sender,
             receiver=receiver,
             sender_app=self.app_of(sender),
@@ -104,7 +108,7 @@ class CooperationSession:
             document=document,
             activity_id=self.activity_id,
             profile=profile,
-        )
+        ))
 
     def broadcast(
         self,

@@ -22,8 +22,8 @@ wired pairwise:
   every peer DSA (created unstarted; :meth:`start_shadowing` arms them),
 * **messaging** — MTAs peer and route each other's X.400 domains,
 * **gateways** — a directed :class:`~repro.federation.gateway.Gateway`
-  per ordered pair relays exchange payloads over a configurable
-  inter-domain link.
+  per ordered pair relays exchange payloads over a WAN inter-domain
+  link (retuned per pair with :meth:`Federation.set_pair_link`).
 
 The headline operation is :meth:`federated_exchange_many` (and
 :meth:`federated_exchange`, a batch of one): resolve each receiver's
@@ -86,6 +86,15 @@ if TYPE_CHECKING:  # imported lazily at runtime to keep layering acyclic
 
 #: a federated exchange whose relay exhausted its gateway attempts
 REASON_GATEWAY_DEAD_LETTER = "gateway-dead-letter"
+
+#: each gateway retry waits ``backoff`` times longer than the last
+GATEWAY_BACKOFF = 2.0
+#: how often a DSA pulls its peers' published entries
+SHADOW_PERIOD_S = 30.0
+#: consecutive failures that open a gateway/shadowing circuit breaker
+BREAKER_THRESHOLD = 4
+#: how long an open breaker waits before a half-open probe
+BREAKER_COOLDOWN_S = 30.0
 
 #: outcome fields shipped over the gateway — trace_id included, so the
 #: origin's reconstructed outcome stays correlated with the trace the
@@ -179,14 +188,9 @@ class Federation:
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         events: EventLog | None = None,
-        link: LinkSpec = WAN_LINK,
         gateway_retry_s: float = 0.5,
         gateway_attempts: int = 4,
-        gateway_backoff: float = 2.0,
-        shadow_period_s: float = 30.0,
         resilience: bool = True,
-        breaker_threshold: int = 4,
-        breaker_cooldown_s: float = 30.0,
         shed_limit: int | None = None,
         default_deadline_s: float | None = None,
         shards: int | None = None,
@@ -200,16 +204,11 @@ class Federation:
         #: the federation's own span handle (never None; NULL_TRACER no-ops)
         self._trace: Tracer = tracer if tracer is not None else NULL_TRACER
         self._events: EventLog = events if events is not None else NULL_EVENTS
-        self._link = link
         self._gateway_retry_s = gateway_retry_s
         self._gateway_attempts = gateway_attempts
-        self._gateway_backoff = gateway_backoff
-        self._shadow_period_s = shadow_period_s
         #: resilience=False reverts to bare retry gateways: no breakers,
         #: no failover routing (the bench's "retry-only" baseline)
         self._resilience = resilience
-        self._breaker_threshold = breaker_threshold
-        self._breaker_cooldown_s = breaker_cooldown_s
         self._shed_limit = shed_limit
         self._default_deadline_s = default_deadline_s
         self._shards = shards
@@ -312,7 +311,7 @@ class Federation:
         b.mta.add_peer(a.mta.name, a.node)
         a.mta.routing.add_route("*", "*", b.name, b.mta.name)
         b.mta.routing.add_route("*", "*", a.name, a.mta.name)
-        self.world.network.set_link(a.node, b.node, self._link)
+        self.world.network.set_link(a.node, b.node, WAN_LINK)
         for source, target in ((a, b), (b, a)):
             source.gateways[target.name] = Gateway(
                 source.gateway_rpc,
@@ -321,7 +320,7 @@ class Federation:
                 target.node,
                 retry_s=self._gateway_retry_s,
                 max_attempts=self._gateway_attempts,
-                backoff=self._gateway_backoff,
+                backoff=GATEWAY_BACKOFF,
                 metrics=self._env_metrics,
                 breaker=self._make_breaker(f"gw:{source.name}->{target.name}"),
                 tracer=self._tracer,
@@ -333,7 +332,7 @@ class Federation:
                 source.dsa,
                 source.node,
                 target.directory_ref,
-                period_s=self._shadow_period_s,
+                period_s=SHADOW_PERIOD_S,
                 metrics=self._env_metrics,
                 breaker=self._make_breaker(
                     f"shadow:{source.name}<-{target.name}"
@@ -351,8 +350,8 @@ class Federation:
         return CircuitBreaker(
             self.world.engine,
             name=name,
-            failure_threshold=self._breaker_threshold,
-            cooldown_s=self._breaker_cooldown_s,
+            failure_threshold=BREAKER_THRESHOLD,
+            cooldown_s=BREAKER_COOLDOWN_S,
             metrics=self._env_metrics,
             events=self._events if self._events.enabled else None,
         )
@@ -600,15 +599,11 @@ class Federation:
         return moved
 
     # -- the federated exchange path ---------------------------------------
-    def federated_exchange(
-        self, request: ExchangeRequest | None = None, /, *args: Any, **kwargs: Any
-    ) -> FederatedOutcome:
+    def federated_exchange(self, request: ExchangeRequest) -> FederatedOutcome:
         """Deliver one :class:`ExchangeRequest` across the federation.
 
         The request object is the single call currency shared with
-        :meth:`CSCWEnvironment.exchange`; the legacy keyword form
-        (``federated_exchange(sender, receiver, sender_app, ...)``)
-        remains available through :meth:`ExchangeRequest.from_call`.
+        :meth:`CSCWEnvironment.exchange`.
 
         A federated exchange is a batch of one: it runs the pipeline of
         :meth:`federated_exchange_many`.  Intra-domain exchanges run the
@@ -630,7 +625,7 @@ class Federation:
         onward and the outcome comes back field-identical, with the
         extra ``relay`` hops recorded in :attr:`FederatedOutcome.hops`.
 
-        *deadline* (absolute simulated time) rides along the whole
+        ``request.deadline`` (absolute simulated time) rides along the whole
         path — gateway hops, forwarding, the target pipeline — and an
         exchange that cannot settle before it fails with
         :data:`~repro.environment.environment.REASON_DEADLINE_EXCEEDED`.
@@ -645,7 +640,6 @@ class Federation:
         pipeline all continue the *same* trace, and the returned
         outcome's ``trace_id`` is that root's trace id.
         """
-        request = ExchangeRequest.from_call(request, args, kwargs)
         with self._trace.span(
             "federation.exchange", sender=request.sender, receiver=request.receiver
         ) as span:

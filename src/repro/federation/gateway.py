@@ -315,7 +315,15 @@ class Gateway:
                 self._obs.inc("gateway.fast_failed")
             self._settle_parked(state, REASON_RELAY_CIRCUIT_OPEN)
             return
-        state.size_bytes = document_size(payload)
+        # The wire charge is the exchange payload alone: the trace context
+        # stamped above must not change simulated time, or tracing would
+        # move every hop it observes.
+        if TRACE_KEY in payload:
+            state.size_bytes = document_size(
+                {key: value for key, value in payload.items() if key != TRACE_KEY}
+            )
+        else:
+            state.size_bytes = document_size(payload)
         state.park_at = now + self._budget_s
         if deadline is not None:
             state.park_at = min(state.park_at, deadline)

@@ -29,12 +29,8 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
+from repro.obs.export import _as_dict
 from repro.util.errors import ConfigurationError
-
-
-def _as_dict(span: Any) -> dict[str, Any]:
-    """Normalise a Span object or an already-exported dict."""
-    return span.to_dict() if hasattr(span, "to_dict") else dict(span)
 
 
 def _interval_union(intervals: list[tuple[float, float]]) -> float:

@@ -36,7 +36,8 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from repro.obs.export import to_chrome_trace
+from repro.obs.analyze import _interval_union
+from repro.obs.export import _as_dict, to_chrome_trace
 
 #: span-name layer separator: the prefix before the first one names the
 #: owning subsystem (``env``, ``gateway``, ``mta``, ``control``, ...)
@@ -51,27 +52,6 @@ def layer_of(name: str) -> str:
     """
     head, _, _ = name.partition(_LAYER_SEP)
     return head
-
-
-def _interval_union(intervals: "list[tuple[float, float]]") -> float:
-    """Total length covered by possibly-overlapping intervals."""
-    if not intervals:
-        return 0.0
-    intervals.sort()
-    covered = 0.0
-    cursor_start, cursor_end = intervals[0]
-    for start, end in intervals[1:]:
-        if start > cursor_end:
-            covered += cursor_end - cursor_start
-            cursor_start, cursor_end = start, end
-        elif end > cursor_end:
-            cursor_end = end
-    return covered + (cursor_end - cursor_start)
-
-
-def _as_record(span: Any) -> dict[str, Any]:
-    """Normalise a Span object or an exported dict."""
-    return span.to_dict() if hasattr(span, "to_dict") else dict(span)
 
 
 class Profile:
@@ -99,7 +79,7 @@ class Profile:
 
     def add(self, spans: Iterable[Any]) -> "Profile":
         """Fold more spans in (streams may arrive tracer by tracer)."""
-        records = [_as_record(span) for span in spans]
+        records = [_as_dict(span) for span in spans]
         # Children are grouped per trace: span ids are only unique within
         # the tracer that minted them, and parent links never cross traces.
         children: dict[tuple[str, str], list[dict[str, Any]]] = {}

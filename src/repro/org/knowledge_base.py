@@ -57,7 +57,7 @@ class OrganisationalKnowledgeBase:
         """
         self._listeners.append(listener)
 
-    def _notify(self, kind: str, entity_id: str = "", org: str = "") -> None:
+    def _notify(self, kind: str, entity_id: str, org: str) -> None:
         for listener in self._listeners:
             listener(kind, entity_id, org)
 

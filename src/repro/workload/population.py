@@ -129,11 +129,13 @@ class PopulationGenerator:
         )
 
     def sample_pairs(self, k: int, cross_org: bool = True) -> list[tuple[str, str]]:
-        """*k* deterministic distinct (sender, receiver) person pairs.
+        """*k* deterministic (sender, receiver) person pairs.
 
         With *cross_org* the pairs span the round-robin prefix (person i
         belongs to org i for i < organisations), guaranteeing cross-org
-        routes without consulting the environment.
+        routes without consulting the environment.  That prefix is a ring
+        of ``min(people, organisations)`` people, so the pairs are
+        distinct only up to that many and cycle after it.
         """
         spec = self.spec
         if cross_org and spec.organisations >= 2:

@@ -124,42 +124,37 @@ class TestExchangeCallSurface:
     """The unified ExchangeRequest currency must not drift.
 
     Every exchange entry point — in-process, client stub, federation —
-    takes a positional-only request plus the keyword shim, so the three
-    surfaces stay interchangeable and a positional-argument caller can
-    never silently bind to the wrong parameter.
+    takes exactly one argument, the request, so the three surfaces stay
+    interchangeable and there is no second call shape to keep in step.
     """
 
-    SHIM_SHAPE = ("self", "request", "args", "kwargs")
+    SHAPE = ("self", "request")
 
-    def _assert_shim(self, func, owner: str) -> None:
+    def _assert_one_shape(self, func, owner: str) -> None:
         parameters = list(inspect.signature(func).parameters.values())
         names = tuple(p.name for p in parameters)
-        assert names == self.SHIM_SHAPE, (
+        assert names == self.SHAPE, (
             f"{owner} drifted from the unified surface: {names}"
         )
-        request, var_args, var_kwargs = parameters[1:]
-        assert request.kind is inspect.Parameter.POSITIONAL_ONLY, (
-            f"{owner}: request must stay positional-only"
-        )
-        assert request.default is None
-        assert var_args.kind is inspect.Parameter.VAR_POSITIONAL
-        assert var_kwargs.kind is inspect.Parameter.VAR_KEYWORD
+        request = parameters[1]
+        assert request.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+        assert request.default is inspect.Parameter.empty
 
     def test_all_exchange_surfaces_share_one_shape(self):
         from repro.environment.environment import CSCWEnvironment
         from repro.environment.server import EnvironmentClient
         from repro.federation.federation import Federation
 
-        self._assert_shim(CSCWEnvironment.exchange, "CSCWEnvironment.exchange")
-        self._assert_shim(EnvironmentClient.exchange, "EnvironmentClient.exchange")
-        self._assert_shim(
+        self._assert_one_shape(CSCWEnvironment.exchange, "CSCWEnvironment.exchange")
+        self._assert_one_shape(EnvironmentClient.exchange, "EnvironmentClient.exchange")
+        self._assert_one_shape(
             Federation.federated_exchange, "Federation.federated_exchange"
         )
 
     def test_request_wire_form_round_trips(self):
         from repro.environment.environment import ExchangeRequest
 
-        request = ExchangeRequest.from_kwargs(
+        request = ExchangeRequest(
             "ana", "joan", "app0", "app1", {"k": "v"},
             deadline=4.5, priority=2, shed_class="bulk",
         )

@@ -38,7 +38,7 @@ from repro.org.model import Organisation, Person
 
 @pytest.fixture
 def env(world) -> CSCWEnvironment:
-    env = CSCWEnvironment(world)
+    env = CSCWEnvironment.builder().with_world(world).build()
     org = Organisation("upc", "UPC")
     for person_id in ("ana", "joan", "marta", "pere"):
         org.add_person(Person(person_id, person_id.title(), "upc"))

@@ -69,7 +69,7 @@ class TestClosedWorld:
         from repro.communication.model import Communicator
         from repro.environment.environment import CSCWEnvironment
 
-        env = CSCWEnvironment(world)
+        env = CSCWEnvironment.builder().with_world(world).build()
         app = DocumentProcessor()
         app.attach(env)
         closed = ClosedWorld()
@@ -94,7 +94,7 @@ class TestClosedVsOpenShape:
             closed.add_app(app)
         closed_cost = closed.build_all_gateways()
 
-        env = CSCWEnvironment(world)
+        env = CSCWEnvironment.builder().with_world(world).build()
         open_apps = [ConferencingSystem(), MessageSystem(), WorkflowSystem(), DocumentProcessor()]
         for app in open_apps:
             app.attach(env)

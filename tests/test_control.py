@@ -19,6 +19,7 @@ from repro.control import (
     RebalanceShadowing,
     TightenShed,
 )
+from repro.environment.environment import ExchangeRequest
 from repro.obs import MetricsRegistry, RatioSLO, SLOEngine
 from repro.obs.events import KIND_CONTROL_ACTION, KIND_CONTROL_REVERT, EventLog
 from repro.sim.rng import SeededRng
@@ -202,7 +203,8 @@ class TestHysteresis:
 
 class TestBurnDrivenActions:
     def test_one_burn_one_action_one_reversal(self):
-        """The check.sh smoke invariant, asserted at unit level."""
+        """The closed loop: one burn edge tightens the shed limit once,
+        and one clean window reverts it exactly, both traced."""
         world = World(seed=5)
         metrics = MetricsRegistry()
         events = EventLog()
@@ -292,7 +294,9 @@ class TestFederationControl:
             start=2.0, down_s=6.0, up_s=5.0, flaps=1,
         )
         for index in range(10):
-            federation.federated_exchange("p-d0", "p-d1", "app", "app", {"n": index})
+            federation.federated_exchange(ExchangeRequest(
+                "p-d0", "p-d1", "app", "app", {"n": index}
+            ))
             world.run_for(1.0)
         assert plane.actions_applied > 0, "the outage must have driven actions"
         drain = plane._gateways["d0->d1"].drain
@@ -386,10 +390,10 @@ class TestFederatedChaosSoakWithControl:
             receiver = names[(index + 1 + index % 3) % 4]
             deadline = world.now + 2.0 if index % 4 == 0 else None
             outcomes.append(
-                federation.federated_exchange(
+                federation.federated_exchange(ExchangeRequest(
                     f"p-{sender}", f"p-{receiver}", "soak", "soak",
                     {"n": index}, deadline=deadline,
-                )
+                ))
             )
             world.run_for(rng.uniform(0.1, 1.5))
         world.run_for(30.0)  # drain: every in-flight relay settles

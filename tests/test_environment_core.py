@@ -7,7 +7,7 @@ import pytest
 from repro.apps.conferencing import ConferencingSystem
 from repro.apps.message_system import MessageSystem
 from repro.communication.model import Communicator
-from repro.environment.environment import CSCWEnvironment
+from repro.environment.environment import CSCWEnvironment, ExchangeRequest
 from repro.environment.transparency import TransparencyProfile
 from repro.org.model import Organisation, Person
 from repro.org.policy import INTERACTION_MESSAGE
@@ -17,7 +17,7 @@ from repro.util.events import EventRecorder
 
 @pytest.fixture
 def env(world) -> CSCWEnvironment:
-    env = CSCWEnvironment(world)
+    env = CSCWEnvironment.builder().with_world(world).build()
     upc = Organisation("upc", "UPC")
     upc.add_person(Person("ana", "Ana Lopez", "upc"))
     gmd = Organisation("gmd", "GMD")
@@ -46,13 +46,13 @@ def two_apps(env):
 class TestExchange:
     def test_full_transparency_cross_org_cross_format(self, env, two_apps):
         conferencing, messages = two_apps
-        outcome = env.exchange(
+        outcome = env.exchange(ExchangeRequest(
             sender="ana",
             receiver="wolf",
             sender_app="conferencing",
             receiver_app="message-system",
             document={"topic": "ODP", "entry": "will it help?", "author": "ana"},
-        )
+        ))
         assert outcome.delivered
         assert outcome.translated
         assert set(outcome.handled) >= {"organisation", "view"}
@@ -74,22 +74,22 @@ class TestExchange:
         )
         # conf2 has no converter => format '' differs from 'conference';
         # instead test same-app exchange.
-        outcome = env.exchange(
+        outcome = env.exchange(ExchangeRequest(
             sender="ana",
             receiver="wolf",
             sender_app="conferencing",
             receiver_app="conferencing",
             document={"topic": "t", "entry": "e", "conference": "general", "author": "ana"},
-        )
+        ))
         assert outcome.delivered
         assert not outcome.translated
 
     def test_org_transparency_off_blocks_cross_org(self, env, two_apps):
         profile = TransparencyProfile.all_on().without("organisation")
-        outcome = env.exchange(
+        outcome = env.exchange(ExchangeRequest(
             "ana", "wolf", "conferencing", "message-system",
             {"topic": "t", "entry": "e"}, profile=profile,
-        )
+        ))
         assert not outcome.delivered
         assert "organisation transparency off" in outcome.reason
 
@@ -100,28 +100,28 @@ class TestExchange:
         # No policy between gmd and an undeclared org is irrelevant here;
         # instead remove compatibility by using an interaction the policy
         # does not cover.
-        outcome = env.exchange(
+        outcome = env.exchange(ExchangeRequest(
             "ana", "wolf", "conferencing", "message-system",
             {"topic": "t", "entry": "e"}, interaction="realtime",
-        )
+        ))
         assert not outcome.delivered
         assert "no compatible policy" in outcome.reason
 
     def test_view_transparency_off_blocks_format_mismatch(self, env, two_apps):
         profile = TransparencyProfile.all_on().without("view")
-        outcome = env.exchange(
+        outcome = env.exchange(ExchangeRequest(
             "ana", "wolf", "conferencing", "message-system",
             {"topic": "t", "entry": "e"}, profile=profile,
-        )
+        ))
         assert not outcome.delivered
         assert "format mismatch" in outcome.reason
 
     def test_time_transparency_falls_back_to_async(self, env, two_apps):
         env.communicators.set_presence("wolf", False)
-        outcome = env.exchange(
+        outcome = env.exchange(ExchangeRequest(
             "ana", "wolf", "conferencing", "message-system",
             {"topic": "t", "entry": "e"},
-        )
+        ))
         assert outcome.delivered
         assert outcome.mode == "asynchronous"
         assert "time" in outcome.handled
@@ -129,10 +129,10 @@ class TestExchange:
     def test_time_transparency_off_fails_when_absent(self, env, two_apps):
         env.communicators.set_presence("wolf", False)
         profile = TransparencyProfile.all_on().without("time")
-        outcome = env.exchange(
+        outcome = env.exchange(ExchangeRequest(
             "ana", "wolf", "conferencing", "message-system",
             {"topic": "t", "entry": "e"}, profile=profile,
-        )
+        ))
         assert not outcome.delivered
         assert "time transparency off" in outcome.reason
 
@@ -143,10 +143,10 @@ class TestExchange:
         act2_events = EventRecorder()
         env.bus.subscribe("activity/act1", act1_events)
         env.bus.subscribe("activity/act2", act2_events)
-        env.exchange(
+        env.exchange(ExchangeRequest(
             "ana", "wolf", "conferencing", "message-system",
             {"topic": "t", "entry": "e"}, activity_id="act1",
-        )
+        ))
         assert len(act1_events.events) == 1
         assert act2_events.events == []
 
@@ -157,38 +157,38 @@ class TestExchange:
         env.bus.subscribe("exchange", global_events)
         env.bus.subscribe("activity/act1", scoped_events)
         profile = TransparencyProfile.all_on().without("activity")
-        env.exchange(
+        env.exchange(ExchangeRequest(
             "ana", "wolf", "conferencing", "message-system",
             {"topic": "t", "entry": "e"}, activity_id="act1", profile=profile,
-        )
+        ))
         assert len(global_events.events) == 1
         assert scoped_events.events == []
 
     def test_nonmember_cannot_exchange_in_activity(self, env, two_apps):
         env.create_activity("act1", "one", members={"ana": "chair"})
-        outcome = env.exchange(
+        outcome = env.exchange(ExchangeRequest(
             "ana", "wolf", "conferencing", "message-system",
             {"topic": "t", "entry": "e"}, activity_id="act1",
-        )
+        ))
         assert not outcome.delivered
         assert "not a member" in outcome.reason
 
     def test_view_rendering_applied(self, env, two_apps):
         conferencing, messages = two_apps
         env.views.set_view("wolf", language="de", font="large")
-        env.exchange(
+        env.exchange(ExchangeRequest(
             "ana", "wolf", "conferencing", "message-system",
             {"topic": "t", "entry": "e"},
-        )
+        ))
         delivery = messages.inbox("wolf")[0]
         assert delivery.document["_view"] == {"language": "de", "font": "large"}
 
     def test_exchange_counters_and_log(self, env, two_apps):
-        env.exchange("ana", "wolf", "conferencing", "message-system",
-                     {"topic": "t", "entry": "e"})
+        env.exchange(ExchangeRequest("ana", "wolf", "conferencing", "message-system",
+                                     {"topic": "t", "entry": "e"}))
         profile = TransparencyProfile.all_off()
-        env.exchange("ana", "wolf", "conferencing", "message-system",
-                     {"topic": "t", "entry": "e"}, profile=profile)
+        env.exchange(ExchangeRequest("ana", "wolf", "conferencing", "message-system",
+                                     {"topic": "t", "entry": "e"}, profile=profile))
         assert env.exchanges_attempted == 2
         assert env.exchanges_failed == 1
         assert len(env.communication_log.all()) == 1
@@ -210,13 +210,13 @@ class TestExchange:
         assert env.integration_cost() == 2
 
     def test_outcome_reason_code_uniform_for_success_and_failure(self, env, two_apps):
-        ok = env.exchange("ana", "wolf", "conferencing", "message-system",
-                          {"topic": "t", "entry": "e"})
+        ok = env.exchange(ExchangeRequest("ana", "wolf", "conferencing", "message-system",
+                                          {"topic": "t", "entry": "e"}))
         assert ok.reason_code == "delivered"
         assert ok.reason  # populated on success too, not only on failure
-        bad = env.exchange("ana", "wolf", "conferencing", "message-system",
-                           {"topic": "t", "entry": "e"},
-                           profile=TransparencyProfile.all_off())
+        bad = env.exchange(ExchangeRequest("ana", "wolf", "conferencing", "message-system",
+                                           {"topic": "t", "entry": "e"},
+                                           profile=TransparencyProfile.all_off()))
         assert bad.reason_code == "organisation-opaque"
         assert bad.reason
 
@@ -224,9 +224,9 @@ class TestExchange:
         """Events published through the environment carry simulated time."""
         recorder = EventRecorder()
         env.bus.subscribe("exchange", recorder)
-        env.world.engine.schedule(5.0, lambda: env.exchange(
+        env.world.engine.schedule(5.0, lambda: env.exchange(ExchangeRequest(
             "ana", "wolf", "conferencing", "message-system",
-            {"topic": "t", "entry": "e"}))
+            {"topic": "t", "entry": "e"})))
         env.world.run()
         assert recorder.events[0].time == 5.0
 
@@ -243,23 +243,25 @@ class TestEnvironmentBuilder:
         ConferencingSystem().attach(env, exporter_org="upc")
 
     def test_builder_round_trip_matches_legacy_constructor(self, world):
+        """An explicitly named build wires exactly what the default build
+        does (the builder is the only constructor)."""
         built = CSCWEnvironment.builder().with_world(world).with_name("mocca").build()
-        legacy = CSCWEnvironment(World(seed=42), "mocca")
+        default = CSCWEnvironment.builder().with_world(World(seed=42)).build()
         assert type(built) is CSCWEnvironment
-        assert built.name == legacy.name
-        assert built.trader.name == legacy.trader.name
-        # both paths end with the same wiring surface
+        assert built.name == default.name
+        assert built.trader.name == default.trader.name
+        # both builds end with the same wiring surface
         for attribute in ("bus", "knowledge_base", "trader", "applications",
                           "scheduler", "metrics", "tracer", "views"):
-            assert hasattr(built, attribute) and hasattr(legacy, attribute)
+            assert hasattr(built, attribute) and hasattr(default, attribute)
         assert built.metrics.enabled is False
         assert built.tracer.enabled is False
 
     def test_built_environment_exchanges_end_to_end(self, world):
         env = CSCWEnvironment.builder().with_world(world).build()
         self._populate(env)
-        outcome = env.exchange("ana", "ana", "conferencing", "conferencing",
-                               {"topic": "t", "entry": "e", "author": "ana"})
+        outcome = env.exchange(ExchangeRequest("ana", "ana", "conferencing", "conferencing",
+                                               {"topic": "t", "entry": "e", "author": "ana"}))
         assert outcome.delivered
 
     def test_with_metrics_instruments_owned_layers(self, world):
@@ -271,8 +273,8 @@ class TestEnvironmentBuilder:
                .with_metrics(registry)
                .build())
         self._populate(env)
-        env.exchange("ana", "ana", "conferencing", "conferencing",
-                     {"topic": "t", "entry": "e", "author": "ana"})
+        env.exchange(ExchangeRequest("ana", "ana", "conferencing", "conferencing",
+                                     {"topic": "t", "entry": "e", "author": "ana"}))
         from repro.odp.objects import InterfaceRef
 
         env.trader.export("printing", InterfaceRef("n", "o", "i"))
@@ -296,16 +298,16 @@ class TestEnvironmentBuilder:
                .with_tracer(tracer)
                .build())
         self._populate(env)
-        outcome = env.exchange("ana", "ana", "conferencing", "conferencing",
-                               {"topic": "t", "entry": "e", "author": "ana"})
+        outcome = env.exchange(ExchangeRequest("ana", "ana", "conferencing", "conferencing",
+                                               {"topic": "t", "entry": "e", "author": "ana"}))
         assert outcome.trace_id == "trace-0001"
         [span] = tracer.finished()
         assert span.name == "env.exchange"
         assert span.tags["delivered"] is True
         # failure path carries the same trace linkage
-        failure = env.exchange("ana", "ghost", "conferencing", "conferencing",
-                               {"topic": "t", "entry": "e"},
-                               profile=TransparencyProfile.all_off())
+        failure = env.exchange(ExchangeRequest("ana", "ghost", "conferencing", "conferencing",
+                                               {"topic": "t", "entry": "e"},
+                                               profile=TransparencyProfile.all_off()))
         assert failure.trace_id == "trace-0002"
         assert tracer.finished()[-1].tags["reason_code"] == failure.reason_code
 
@@ -320,8 +322,8 @@ class TestEnvironmentBuilder:
                .with_sharding(2)
                .build())
         self._populate(env)
-        env.exchange("ana", "ana", "conferencing", "conferencing",
-                     {"topic": "t", "entry": "e", "author": "ana"})
+        env.exchange(ExchangeRequest("ana", "ana", "conferencing", "conferencing",
+                                     {"topic": "t", "entry": "e", "author": "ana"}))
         [span] = tracer.finished()
         assert span.tags["domain"] == "mocca"
         assert span.tags["sender"] == "ana"
@@ -343,12 +345,12 @@ class TestEnvironmentBuilder:
                .with_trace_sampling(0.0, seed=1)
                .build())
         self._populate(env)
-        env.exchange("ana", "ana", "conferencing", "conferencing",
-                     {"topic": "t", "entry": "e", "author": "ana"})
+        env.exchange(ExchangeRequest("ana", "ana", "conferencing", "conferencing",
+                                     {"topic": "t", "entry": "e", "author": "ana"}))
         assert tracer.finished() == []  # healthy trace sampled out
-        failure = env.exchange("ana", "ghost", "conferencing", "conferencing",
-                               {"topic": "t", "entry": "e"},
-                               profile=TransparencyProfile.all_off())
+        failure = env.exchange(ExchangeRequest("ana", "ghost", "conferencing", "conferencing",
+                                               {"topic": "t", "entry": "e"},
+                                               profile=TransparencyProfile.all_off()))
         [span] = tracer.finished()  # tail retention rescued the failure
         assert span.tags["reason_code"] == failure.reason_code
         assert span.tags["domain"] == "mocca"
@@ -376,7 +378,14 @@ class TestEnvironmentBuilder:
     def test_legacy_constructor_accepts_observability_kwargs(self, world):
         from repro.obs import MetricsRegistry, Tracer
 
+        """The builder's observability knobs attach the registry itself;
+        the positional constructor is gone."""
         registry = MetricsRegistry()
-        env = CSCWEnvironment(world, metrics=registry, tracer=Tracer())
+        env = (CSCWEnvironment.builder()
+               .with_world(world)
+               .with_metrics(registry)
+               .with_tracer(Tracer())
+               .build())
         assert env.metrics is registry
         assert env.tracer.enabled is True
+        pytest.raises(TypeError, CSCWEnvironment, world)

@@ -8,7 +8,7 @@ from repro.analysis.report import environment_report
 from repro.apps.conferencing import ConferencingSystem
 from repro.apps.message_system import MessageSystem
 from repro.communication.model import Communicator
-from repro.environment.environment import CSCWEnvironment
+from repro.environment.environment import CSCWEnvironment, ExchangeRequest
 from repro.environment.server import EnvironmentClient, EnvironmentServer
 from repro.environment.transparency import TransparencyProfile
 from repro.odp.binding import BindingFactory
@@ -22,7 +22,7 @@ def hosted(world):
     """An environment hosted on its own server node, plus a remote client."""
     world.add_site("datacenter", ["env-node"])
     world.add_site("office", ["ws-ana", "ws-joan"])
-    env = CSCWEnvironment(world)
+    env = CSCWEnvironment.builder().with_world(world).build()
     org = Organisation("upc", "UPC")
     org.add_person(Person("ana", "Ana", "upc"))
     org.add_person(Person("joan", "Joan", "upc"))
@@ -47,30 +47,36 @@ DOC = {"topic": "t", "entry": "e", "conference": "c", "author": "ana"}
 class TestEnvironmentServer:
     def test_remote_exchange_round_trip(self, hosted):
         world, env, client, messages, ref = hosted
-        outcome = client.exchange("ana", "joan", "conferencing", "message-system", DOC)
+        outcome = client.exchange(ExchangeRequest(
+            "ana", "joan", "conferencing", "message-system", DOC
+        ))
         assert outcome.delivered and outcome.translated
         assert messages.folder("joan")[0].subject == "t"
 
     def test_remote_exchange_pays_network_latency(self, hosted):
         world, env, client, messages, ref = hosted
         before = world.now
-        client.exchange("ana", "joan", "conferencing", "message-system", DOC)
+        client.exchange(ExchangeRequest(
+            "ana", "joan", "conferencing", "message-system", DOC
+        ))
         # office <-> datacenter is a WAN round trip (>= 2 x 80 ms).
         assert world.now - before >= 0.16
 
     def test_remote_profile_respected(self, hosted):
         world, env, client, messages, ref = hosted
         profile = TransparencyProfile.all_on().without("view")
-        outcome = client.exchange(
+        outcome = client.exchange(ExchangeRequest(
             "ana", "joan", "conferencing", "message-system", DOC, profile=profile
-        )
+        ))
         assert not outcome.delivered
         assert "view transparency off" in outcome.reason
 
     def test_remote_presence_and_pending(self, hosted):
         world, env, client, messages, ref = hosted
         client.person_leaves("joan")
-        client.exchange("ana", "joan", "conferencing", "message-system", DOC)
+        client.exchange(ExchangeRequest(
+            "ana", "joan", "conferencing", "message-system", DOC
+        ))
         assert client.pending_for("joan") == 1
         assert client.person_arrives("joan") == 1
         assert client.pending_for("joan") == 0
@@ -90,7 +96,9 @@ class TestEnvironmentServer:
         world, env, client, messages, ref = hosted
         world.network.node("env-node").crash()
         with pytest.raises(BindingError, match="timeout"):
-            client.exchange("ana", "joan", "conferencing", "message-system", DOC)
+            client.exchange(ExchangeRequest(
+                "ana", "joan", "conferencing", "message-system", DOC
+            ))
 
 
 class TestEnvironmentReport:
@@ -98,11 +106,11 @@ class TestEnvironmentReport:
         world, env, client, messages, ref = hosted
         env.create_activity("review", "review", members={"ana": "chair", "joan": "m"})
         env.activities.get("review").start(world.now)
-        client.exchange("ana", "joan", "conferencing", "message-system", DOC,
-                        activity_id="review")
+        client.exchange(ExchangeRequest("ana", "joan", "conferencing", "message-system", DOC,
+                                        activity_id="review"))
         env.person_leaves("joan")
-        client.exchange("ana", "joan", "conferencing", "message-system", DOC,
-                        activity_id="review")
+        client.exchange(ExchangeRequest("ana", "joan", "conferencing", "message-system", DOC,
+                                        activity_id="review"))
         report = environment_report(env)
         assert "CSCW environment report: mocca" in report
         assert "conferencing" in report and "message-system" in report
@@ -113,6 +121,6 @@ class TestEnvironmentReport:
         assert "top talkers: ana (2)" in report
 
     def test_report_on_empty_environment(self, world):
-        env = CSCWEnvironment(world)
+        env = CSCWEnvironment.builder().with_world(world).build()
         report = environment_report(env)
         assert "0 exchanges" in report

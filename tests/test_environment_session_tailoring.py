@@ -18,7 +18,7 @@ from repro.util.events import EventRecorder
 
 @pytest.fixture
 def env(world) -> CSCWEnvironment:
-    env = CSCWEnvironment(world)
+    env = CSCWEnvironment.builder().with_world(world).build()
     upc = Organisation("upc", "UPC")
     for pid, name in [("ana", "Ana Lopez"), ("joan", "Joan Puig"), ("marta", "Marta Vila")]:
         upc.add_person(Person(pid, name, "upc"))

@@ -80,7 +80,9 @@ def outcome_fields(outcome: ExchangeOutcome) -> dict:
 
 class TestUnknownReceiver:
     def test_exchange_fails_instead_of_blackholing(self, env):
-        outcome = env.exchange("ana", "nobody", "conferencing", "message-system", DOC)
+        outcome = env.exchange(ExchangeRequest(
+            "ana", "nobody", "conferencing", "message-system", DOC
+        ))
         assert not outcome.delivered
         assert outcome.reason_code == REASON_UNKNOWN_RECEIVER
         assert "no registered communicator" in outcome.reason
@@ -101,7 +103,9 @@ class TestUnknownReceiver:
 
     def test_absent_but_registered_receiver_still_queues(self, env):
         env.person_leaves("wolf")
-        outcome = env.exchange("ana", "wolf", "conferencing", "message-system", DOC)
+        outcome = env.exchange(ExchangeRequest(
+            "ana", "wolf", "conferencing", "message-system", DOC
+        ))
         assert outcome.delivered
         assert outcome.mode == "asynchronous"
         assert env.pending_for("wolf") == 1
@@ -117,11 +121,7 @@ class TestExchangeMany:
                             {"to": "ana", "subject": "re", "text": "yes"}),
             ExchangeRequest("ana", "ghost", "conferencing", "message-system", DOC),
         ]
-        loop_outcomes = [
-            loop_env.exchange(r.sender, r.receiver, r.sender_app, r.receiver_app,
-                              r.document, r.activity_id, r.profile, r.interaction)
-            for r in requests
-        ]
+        loop_outcomes = [loop_env.exchange(r) for r in requests]
         batch_outcomes = batch_env.exchange_many(requests)
         assert [outcome_fields(o) for o in batch_outcomes] == [
             outcome_fields(o) for o in loop_outcomes
@@ -154,8 +154,7 @@ class TestExchangeMany:
                             {"to": "ana", "subject": "s", "text": "t"}),
         ]
         for r in requests:
-            loop_env.exchange(r.sender, r.receiver, r.sender_app, r.receiver_app,
-                              r.document, r.activity_id, r.profile, r.interaction)
+            loop_env.exchange(r)
         batch_env.exchange_many(requests)
         loop_snapshot = loop_metrics.snapshot()
         batch_snapshot = batch_metrics.snapshot()
@@ -181,7 +180,9 @@ class TestExchangeMany:
 class TestResolutionCache:
     def test_repeat_exchanges_hit_the_cache(self, env):
         for _ in range(3):
-            env.exchange("ana", "wolf", "conferencing", "message-system", DOC)
+            env.exchange(ExchangeRequest(
+                "ana", "wolf", "conferencing", "message-system", DOC
+            ))
         stats = env.resolution.stats()
         assert stats["route_misses"] == 1
         assert stats["route_hits"] == 2
@@ -193,8 +194,12 @@ class TestResolutionCache:
     def test_cache_counters_exported_when_instrumented(self, world):
         metrics = MetricsRegistry()
         env = make_env(world, metrics=metrics)
-        env.exchange("ana", "wolf", "conferencing", "message-system", DOC)
-        env.exchange("ana", "wolf", "conferencing", "message-system", DOC)
+        env.exchange(ExchangeRequest(
+            "ana", "wolf", "conferencing", "message-system", DOC
+        ))
+        env.exchange(ExchangeRequest(
+            "ana", "wolf", "conferencing", "message-system", DOC
+        ))
         counters = metrics.snapshot()["counters"]
         assert counters["env.cache.route.miss"] == 1
         assert counters["env.cache.route.hit"] == 1
@@ -207,10 +212,18 @@ class TestResolutionCache:
         env.bus.subscribe("*", lambda event: None)
         reply = {"to": "ana", "subject": "s", "text": "t"}
         for _ in range(2):
-            env.exchange("ana", "wolf", "conferencing", "message-system", DOC)
-            env.exchange("wolf", "ana", "message-system", "conferencing", reply)
-            env.exchange("ana", "ana", "conferencing", "conferencing", DOC)
-        env.exchange("ana", "nobody", "conferencing", "message-system", DOC)
+            env.exchange(ExchangeRequest(
+                "ana", "wolf", "conferencing", "message-system", DOC
+            ))
+            env.exchange(ExchangeRequest(
+                "wolf", "ana", "message-system", "conferencing", reply
+            ))
+            env.exchange(ExchangeRequest(
+                "ana", "ana", "conferencing", "conferencing", DOC
+            ))
+        env.exchange(ExchangeRequest(
+            "ana", "nobody", "conferencing", "message-system", DOC
+        ))
         # same-format exchanges skip translation; only a direct call
         # takes the identity path
         same = env.interchange.formats()[0]
@@ -250,7 +263,9 @@ class TestResolutionCache:
         before = tallies()
         for component in (env.resolution, env.interchange, env.bus):
             component.attach_metrics(None)
-        env.exchange("ana", "wolf", "conferencing", "message-system", DOC)
+        env.exchange(ExchangeRequest(
+            "ana", "wolf", "conferencing", "message-system", DOC
+        ))
         env.interchange.translate(same, same, DOC)
         assert bound_series(metrics) == frozen
         assert all(tallies()[name] > before[name] for name in (
@@ -262,7 +277,9 @@ class TestResolutionCache:
         fresh = MetricsRegistry()
         for component in (env.resolution, env.interchange, env.bus):
             component.attach_metrics(fresh)
-        env.exchange("ana", "wolf", "conferencing", "message-system", DOC)
+        env.exchange(ExchangeRequest(
+            "ana", "wolf", "conferencing", "message-system", DOC
+        ))
         counters = fresh.snapshot()["counters"]
         assert counters["env.cache.route.hit"] == 1
         assert counters["interchange.plan.hit"] == 1
@@ -273,25 +290,29 @@ class TestResolutionCache:
         warm = make_env(world)
         cold = make_env(World(seed=0), cache=False)
         for _ in range(2):
-            warm_outcome = warm.exchange("ana", "wolf", "conferencing",
-                                         "message-system", DOC)
-            cold_outcome = cold.exchange("ana", "wolf", "conferencing",
-                                         "message-system", DOC)
+            warm_outcome = warm.exchange(ExchangeRequest("ana", "wolf", "conferencing",
+                                                         "message-system", DOC))
+            cold_outcome = cold.exchange(ExchangeRequest("ana", "wolf", "conferencing",
+                                                         "message-system", DOC))
             assert outcome_fields(warm_outcome) == outcome_fields(cold_outcome)
         assert cold.resolution.stats()["routes_cached"] == 0
 
     def test_describe_reports_cache_stats(self, env):
-        env.exchange("ana", "wolf", "conferencing", "message-system", DOC)
+        env.exchange(ExchangeRequest(
+            "ana", "wolf", "conferencing", "message-system", DOC
+        ))
         stats = env.describe()["resolution_cache"]
         assert stats["route_misses"] == 1
 
 
 class TestCacheInvalidation:
     def test_policy_revoked_mid_run_blocks_next_exchange(self, env):
-        assert env.exchange("ana", "wolf", "conferencing", "message-system",
-                            DOC).delivered
+        assert env.exchange(ExchangeRequest("ana", "wolf", "conferencing", "message-system",
+                                            DOC)).delivered
         env.knowledge_base.policies.revoke("upc", "gmd", symmetric=True)
-        outcome = env.exchange("ana", "wolf", "conferencing", "message-system", DOC)
+        outcome = env.exchange(ExchangeRequest(
+            "ana", "wolf", "conferencing", "message-system", DOC
+        ))
         assert not outcome.delivered
         assert outcome.reason_code == REASON_POLICY
         # exchange_many sees the revocation too
@@ -302,33 +323,39 @@ class TestCacheInvalidation:
 
     def test_policy_redeclared_mid_run_unblocks(self, env):
         env.knowledge_base.policies.revoke("upc", "gmd", symmetric=True)
-        assert not env.exchange("ana", "wolf", "conferencing", "message-system",
-                                DOC).delivered
+        assert not env.exchange(ExchangeRequest("ana", "wolf", "conferencing", "message-system",
+                                                DOC)).delivered
         env.knowledge_base.policies.declare("upc", "gmd", {"*"}, symmetric=True)
-        assert env.exchange("ana", "wolf", "conferencing", "message-system",
-                            DOC).delivered
+        assert env.exchange(ExchangeRequest("ana", "wolf", "conferencing", "message-system",
+                                            DOC)).delivered
 
     def test_person_moving_organisation_reresolves(self, env):
         # ana and wolf are cross-org: the warm route crosses upc -> gmd.
-        assert env.exchange("ana", "wolf", "conferencing", "message-system",
-                            DOC).delivered
+        assert env.exchange(ExchangeRequest("ana", "wolf", "conferencing", "message-system",
+                                            DOC)).delivered
         assert env.resolution.stats()["routes_cached"] == 1
         # wolf joins upc: the same route is now intra-organisational, so
         # it must keep working even after the upc<->gmd policy vanishes.
         env.knowledge_base.move_person("wolf", "upc")
         env.knowledge_base.policies.revoke("upc", "gmd", symmetric=True)
-        outcome = env.exchange("ana", "wolf", "conferencing", "message-system", DOC)
+        outcome = env.exchange(ExchangeRequest(
+            "ana", "wolf", "conferencing", "message-system", DOC
+        ))
         assert outcome.delivered
         assert "organisation" not in outcome.handled
         assert env.knowledge_base.organisation_of("wolf") == "upc"
 
     def test_mid_run_person_join_is_visible(self, env):
-        outcome = env.exchange("heinz", "wolf", "conferencing", "message-system", DOC)
+        outcome = env.exchange(ExchangeRequest(
+            "heinz", "wolf", "conferencing", "message-system", DOC
+        ))
         # heinz unknown: both orgs resolve to "" (legacy same-org route)
         assert outcome.delivered
         env.knowledge_base.add_person(Person("heinz", "Heinz Berg", "gmd"))
         env.register_person(Communicator("heinz", "ws-wolf"))
-        outcome = env.exchange("heinz", "ana", "conferencing", "message-system", DOC)
+        outcome = env.exchange(ExchangeRequest(
+            "heinz", "ana", "conferencing", "message-system", DOC
+        ))
         assert outcome.delivered
         assert "organisation" in outcome.handled
 
@@ -338,7 +365,9 @@ class TestCacheInvalidation:
             Q_DIFFERENT_TIME_DIFFERENT_PLACE,
         )
 
-        env.exchange("ana", "wolf", "conferencing", "message-system", DOC)
+        env.exchange(ExchangeRequest(
+            "ana", "wolf", "conferencing", "message-system", DOC
+        ))
         before = env.resolution.stats()["formats_cached"]
         assert before == 1
         env.applications.register(
@@ -350,14 +379,18 @@ class TestCacheInvalidation:
         assert stats["formats_cached"] == 0
         assert stats["invalidations"] >= 1
         # and the pair re-resolves correctly afterwards
-        assert env.exchange("ana", "wolf", "conferencing", "message-system",
-                            DOC).delivered
+        assert env.exchange(ExchangeRequest("ana", "wolf", "conferencing", "message-system",
+                                            DOC)).delivered
 
 
 class TestInterchangePlanCache:
     def test_repeated_pair_uses_plan(self, env):
-        env.exchange("ana", "wolf", "conferencing", "message-system", DOC)
-        env.exchange("ana", "wolf", "conferencing", "message-system", DOC)
+        env.exchange(ExchangeRequest(
+            "ana", "wolf", "conferencing", "message-system", DOC
+        ))
+        env.exchange(ExchangeRequest(
+            "ana", "wolf", "conferencing", "message-system", DOC
+        ))
         assert env.interchange.plan_misses == 1
         assert env.interchange.plan_hits == 1
 
@@ -366,7 +399,9 @@ class TestInterchangePlanCache:
         # must not evict anything (PR 7's tag-eviction discipline).
         from repro.information.interchange import FormatConverter, make_common
 
-        env.exchange("ana", "wolf", "conferencing", "message-system", DOC)
+        env.exchange(ExchangeRequest(
+            "ana", "wolf", "conferencing", "message-system", DOC
+        ))
         env.interchange.register(
             FormatConverter(
                 "fresh",
@@ -374,7 +409,9 @@ class TestInterchangePlanCache:
                 lambda c: {"t": c["title"], "b": c["body"]},
             )
         )
-        env.exchange("ana", "wolf", "conferencing", "message-system", DOC)
+        env.exchange(ExchangeRequest(
+            "ana", "wolf", "conferencing", "message-system", DOC
+        ))
         assert env.interchange.plan_misses == 1
         assert env.interchange.plan_hits == 1
         assert env.interchange.plan_evictions == 0
@@ -382,7 +419,9 @@ class TestInterchangePlanCache:
     def test_replace_invalidates_affected_plans(self, env):
         from repro.information.interchange import FormatConverter, make_common
 
-        env.exchange("ana", "wolf", "conferencing", "message-system", DOC)
+        env.exchange(ExchangeRequest(
+            "ana", "wolf", "conferencing", "message-system", DOC
+        ))
         env.interchange.register(
             FormatConverter(
                 "conference",
@@ -393,7 +432,9 @@ class TestInterchangePlanCache:
             ),
             replace=True,
         )
-        env.exchange("ana", "wolf", "conferencing", "message-system", DOC)
+        env.exchange(ExchangeRequest(
+            "ana", "wolf", "conferencing", "message-system", DOC
+        ))
         assert env.interchange.plan_misses == 2
         assert env.interchange.plan_evictions >= 1
 
@@ -455,7 +496,7 @@ class TestApplicationError:
         env, _, received = self.make(world)
         env.person_leaves("wolf")
         for n in range(3):
-            env.exchange("ana", "wolf", "flaky", "flaky", {"n": n})
+            env.exchange(ExchangeRequest("ana", "wolf", "flaky", "flaky", {"n": n}))
         assert env.pending_for("wolf") == 3
         assert env.person_arrives("wolf") == 2
         assert received == ["wolf"] * 3
@@ -673,7 +714,9 @@ class TestHarnessBoundaries:
         if not present:
             env.person_leaves("wolf")
         calls = self._count_boundaries(env, monkeypatch)
-        outcome = env.exchange("ana", "wolf", "conferencing", "message-system", DOC)
+        outcome = env.exchange(ExchangeRequest(
+            "ana", "wolf", "conferencing", "message-system", DOC
+        ))
         assert outcome.delivered
         assert outcome.mode == ("synchronous" if present else "asynchronous")
         assert calls == {"document_size": 1, "publish": 1, "record": 1}
@@ -683,7 +726,9 @@ class TestHarnessBoundaries:
     def test_exchange_refused_at_admission_crosses_none(self, env, monkeypatch):
         env.knowledge_base.policies.revoke("upc", "gmd", symmetric=True)
         calls = self._count_boundaries(env, monkeypatch)
-        outcome = env.exchange("ana", "wolf", "conferencing", "message-system", DOC)
+        outcome = env.exchange(ExchangeRequest(
+            "ana", "wolf", "conferencing", "message-system", DOC
+        ))
         assert outcome.reason_code == REASON_POLICY
         assert calls == {"document_size": 0, "publish": 0, "record": 0}
         assert env.communication_log.all() == []

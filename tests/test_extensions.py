@@ -15,7 +15,7 @@ from repro.apps.conferencing import ConferencingSystem
 from repro.apps.message_system import MessageSystem
 from repro.communication.model import Communicator
 from repro.directory.dit import DirectoryInformationTree
-from repro.environment.environment import CSCWEnvironment
+from repro.environment.environment import CSCWEnvironment, ExchangeRequest
 from repro.odp.binding import BindingFactory
 from repro.odp.node_mgmt import Capsule
 from repro.odp.objects import ComputationalObject, InterfaceRef, signature
@@ -27,7 +27,7 @@ from repro.util.errors import DirectoryError
 
 @pytest.fixture
 def env_and_apps(world):
-    env = CSCWEnvironment(world)
+    env = CSCWEnvironment.builder().with_world(world).build()
     org = Organisation("upc", "UPC")
     org.add_person(Person("ana", "Ana", "upc"))
     org.add_person(Person("joan", "Joan", "upc"))
@@ -52,14 +52,20 @@ class TestStoreAndForwardDelivery:
 
     def test_absent_receiver_queues(self, env):
         env.person_leaves("joan")
-        outcome = env.exchange("ana", "joan", "conferencing", "message-system", self.DOC)
+        outcome = env.exchange(ExchangeRequest(
+            "ana", "joan", "conferencing", "message-system", self.DOC
+        ))
         assert outcome.delivered and outcome.mode == "asynchronous"
         assert env.pending_for("joan") == 1
 
     def test_arrival_flushes_queue(self, env):
         env.person_leaves("joan")
-        env.exchange("ana", "joan", "conferencing", "message-system", self.DOC)
-        env.exchange("ana", "joan", "conferencing", "message-system", self.DOC)
+        env.exchange(ExchangeRequest(
+            "ana", "joan", "conferencing", "message-system", self.DOC
+        ))
+        env.exchange(ExchangeRequest(
+            "ana", "joan", "conferencing", "message-system", self.DOC
+        ))
         flushed = env.person_arrives("joan")
         assert flushed == 2
         assert env.pending_for("joan") == 0
@@ -67,7 +73,9 @@ class TestStoreAndForwardDelivery:
     def test_flushed_documents_reach_the_app(self, env_and_apps):
         env, conferencing, messages = env_and_apps
         env.person_leaves("joan")
-        env.exchange("ana", "joan", "conferencing", "message-system", self.DOC)
+        env.exchange(ExchangeRequest(
+            "ana", "joan", "conferencing", "message-system", self.DOC
+        ))
         assert messages.folder("joan") == []  # nothing until joan returns
         env.person_arrives("joan")
         memos = messages.folder("joan")
@@ -75,7 +83,9 @@ class TestStoreAndForwardDelivery:
         assert memos[0].subject == "t"
 
     def test_present_receiver_delivers_immediately(self, env):
-        outcome = env.exchange("ana", "joan", "conferencing", "message-system", self.DOC)
+        outcome = env.exchange(ExchangeRequest(
+            "ana", "joan", "conferencing", "message-system", self.DOC
+        ))
         assert outcome.mode == "synchronous"
         assert env.pending_for("joan") == 0
 

@@ -11,7 +11,7 @@ from repro.communication.model import Communicator
 from repro.directory.dit import DirectoryInformationTree
 from repro.directory.dsa import DirectoryServiceAgent
 from repro.directory.dua import DirectoryUserAgent
-from repro.environment.environment import CSCWEnvironment
+from repro.environment.environment import CSCWEnvironment, ExchangeRequest
 from repro.expertise.model import ExpertiseRegistry
 from repro.odp.binding import BindingFactory
 from repro.odp.node_mgmt import Capsule
@@ -136,7 +136,7 @@ class TestExpertisePublication:
 class TestMinutesExport:
     def test_minutes_flow_to_document_processor(self, world):
         world.colocated(2)
-        env = CSCWEnvironment(world)
+        env = CSCWEnvironment.builder().with_world(world).build()
         org = Organisation("upc", "UPC")
         org.add_person(Person("ana", "Ana", "upc"))
         org.add_person(Person("joan", "Joan", "upc"))
@@ -158,9 +158,9 @@ class TestMinutesExport:
         world.run()
 
         minutes = meeting.export_minutes("kickoff minutes")
-        outcome = env.exchange(
+        outcome = env.exchange(ExchangeRequest(
             "ana", "joan", meeting.name, docs.name, minutes
-        )
+        ))
         assert outcome.delivered and outcome.translated
         saved = docs.titles("joan")
         assert saved == ["kickoff minutes"]

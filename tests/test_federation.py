@@ -23,6 +23,7 @@ from repro.environment.environment import (
     REASON_VIEW_OPAQUE,
     CSCWEnvironment,
     ExchangeOutcome,
+    ExchangeRequest,
 )
 from repro.environment.registry import (
     AppDescriptor,
@@ -34,6 +35,7 @@ from repro.federation import (
     Federation,
     Gateway,
 )
+from repro.federation.federation import SHADOW_PERIOD_S
 from repro.information.interchange import FormatConverter, make_common
 from repro.obs.metrics import MetricsRegistry
 from repro.odp.objects import InterfaceRef
@@ -158,7 +160,9 @@ class TestTopology:
 class TestCrossDomainExchange:
     def test_cross_domain_delivery_with_translation(self, world):
         federation, inboxes = make_federation(world)
-        outcome = federation.federated_exchange("ana", "bob", "app0", "app1", DOC)
+        outcome = federation.federated_exchange(ExchangeRequest(
+            "ana", "bob", "app0", "app1", DOC
+        ))
         assert outcome.delivered
         assert outcome.cross_domain
         assert outcome.mode == "synchronous"
@@ -166,17 +170,34 @@ class TestCrossDomainExchange:
         assert outcome.outcome.handled == ("organisation", "view")
         assert inboxes["app1"] == [("bob", {"fmt1-title": "minutes", "fmt1-body": "agenda"})]
 
+    def test_reverse_direction_round_trip(self, world):
+        federation, inboxes = make_federation(world)
+        out = federation.federated_exchange(ExchangeRequest(
+            "ana", "bob", "app0", "app1", DOC
+        ))
+        back = federation.federated_exchange(ExchangeRequest(
+            "bob", "ana", "app1", "app0", {"fmt1-title": "pong", "fmt1-body": "y"}
+        ))
+        assert (out.origin, out.target) == ("upc", "gmd")
+        assert back.delivered and back.cross_domain
+        assert (back.origin, back.target) == ("gmd", "upc")
+        assert inboxes["app0"] == [("ana", {"fmt0-title": "pong", "fmt0-body": "y"})]
+
     def test_delivered_outcome_parity_with_single_domain(self, world):
         federation, _ = make_federation(world)
-        federated = federation.federated_exchange("ana", "bob", "app0", "app1", DOC)
+        federated = federation.federated_exchange(ExchangeRequest(
+            "ana", "bob", "app0", "app1", DOC
+        ))
         env, _ = make_single_env(World(seed=42))
-        local = env.exchange("ana", "bob", "app0", "app1", DOC)
+        local = env.exchange(ExchangeRequest("ana", "bob", "app0", "app1", DOC))
         assert outcome_fields(federated.outcome) == outcome_fields(local)
 
     def test_intra_domain_exchange_stays_local(self, world):
         federation, inboxes = make_federation(world)
         federation.add_person("carla", "upc")
-        outcome = federation.federated_exchange("ana", "carla", "app0", "app1", DOC)
+        outcome = federation.federated_exchange(ExchangeRequest(
+            "ana", "carla", "app0", "app1", DOC
+        ))
         assert outcome.delivered
         assert not outcome.cross_domain
         assert [hop.role for hop in outcome.hops] == ["local"]
@@ -184,7 +205,9 @@ class TestCrossDomainExchange:
 
     def test_hop_metadata_and_latency(self, world):
         federation, _ = make_federation(world)
-        outcome = federation.federated_exchange("ana", "bob", "app0", "app1", DOC)
+        outcome = federation.federated_exchange(ExchangeRequest(
+            "ana", "bob", "app0", "app1", DOC
+        ))
         assert [hop.role for hop in outcome.hops] == ["origin", "deliver", "reply"]
         assert [hop.domain for hop in outcome.hops] == ["upc", "gmd", "upc"]
         origin, deliver, reply = outcome.hops
@@ -195,7 +218,9 @@ class TestCrossDomainExchange:
 
     def test_unknown_receiver_reason_code_parity(self, world):
         federation, _ = make_federation(world)
-        outcome = federation.federated_exchange("ana", "ghost", "app0", "app1", DOC)
+        outcome = federation.federated_exchange(ExchangeRequest(
+            "ana", "ghost", "app0", "app1", DOC
+        ))
         assert not outcome.delivered
         assert outcome.reason_code == REASON_UNKNOWN_RECEIVER
 
@@ -211,40 +236,48 @@ class TestFailureParity:
     def test_membership_failure(self, world):
         federation, _ = make_federation(world)
         federation.create_shared_activity("a1", "Review", {"ana": "chair"})
-        federated = federation.federated_exchange(
+        federated = federation.federated_exchange(ExchangeRequest(
             "ana", "bob", "app0", "app1", DOC, activity_id="a1"
-        )
+        ))
         env, _ = make_single_env(World(seed=42))
         env.create_activity("a1", "Review", {"ana": "chair"})
-        local = env.exchange("ana", "bob", "app0", "app1", DOC, activity_id="a1")
+        local = env.exchange(ExchangeRequest(
+            "ana", "bob", "app0", "app1", DOC, activity_id="a1"
+        ))
         self._parity(federated, local, REASON_MEMBERSHIP)
 
     def test_organisation_opaque_failure(self, world):
         profile = TransparencyProfile.all_on().without("organisation")
         federation, _ = make_federation(world)
-        federated = federation.federated_exchange(
+        federated = federation.federated_exchange(ExchangeRequest(
             "ana", "bob", "app0", "app1", DOC, profile=profile
-        )
+        ))
         env, _ = make_single_env(World(seed=42))
-        local = env.exchange("ana", "bob", "app0", "app1", DOC, profile=profile)
+        local = env.exchange(ExchangeRequest(
+            "ana", "bob", "app0", "app1", DOC, profile=profile
+        ))
         self._parity(federated, local, REASON_ORGANISATION_OPAQUE)
 
     def test_policy_failure(self, world):
         federation, _ = make_federation(world, open_policies=False)
-        federated = federation.federated_exchange("ana", "bob", "app0", "app1", DOC)
+        federated = federation.federated_exchange(ExchangeRequest(
+            "ana", "bob", "app0", "app1", DOC
+        ))
         env, _ = make_single_env(World(seed=42), open_policies=False)
-        local = env.exchange("ana", "bob", "app0", "app1", DOC)
+        local = env.exchange(ExchangeRequest("ana", "bob", "app0", "app1", DOC))
         self._parity(federated, local, REASON_POLICY)
 
     def test_view_opaque_failure_decided_at_target(self, world):
         """The view check runs in the target environment, over the relay."""
         profile = TransparencyProfile.all_on().without("view")
         federation, _ = make_federation(world)
-        federated = federation.federated_exchange(
+        federated = federation.federated_exchange(ExchangeRequest(
             "ana", "bob", "app0", "app1", DOC, profile=profile
-        )
+        ))
         env, _ = make_single_env(World(seed=42))
-        local = env.exchange("ana", "bob", "app0", "app1", DOC, profile=profile)
+        local = env.exchange(ExchangeRequest(
+            "ana", "bob", "app0", "app1", DOC, profile=profile
+        ))
         self._parity(federated, local, REASON_VIEW_OPAQUE)
         # the payload did cross the gateway before failing at the target
         assert federation.domain("upc").gateway_to("gmd").stats()["delivered"] == 1
@@ -254,7 +287,9 @@ class TestGatewayFailure:
     def test_severed_link_retries_then_dead_letters(self, world):
         federation, inboxes = make_federation(world)
         world.network.node("gw-gmd").crash()
-        outcome = federation.federated_exchange("ana", "bob", "app0", "app1", DOC)
+        outcome = federation.federated_exchange(ExchangeRequest(
+            "ana", "bob", "app0", "app1", DOC
+        ))
         assert not outcome.delivered
         assert outcome.reason_code == REASON_GATEWAY_DEAD_LETTER
         assert outcome.attempts == 4  # the configured attempt budget
@@ -270,7 +305,9 @@ class TestGatewayFailure:
     def test_redrive_after_heal_delivers_parked_payload(self, world):
         federation, inboxes = make_federation(world)
         world.network.node("gw-gmd").crash()
-        federation.federated_exchange("ana", "bob", "app0", "app1", DOC)
+        federation.federated_exchange(ExchangeRequest(
+            "ana", "bob", "app0", "app1", DOC
+        ))
         world.network.node("gw-gmd").recover()
         gateway = federation.domain("upc").gateway_to("gmd")
         assert gateway.redrive() == 1
@@ -288,7 +325,9 @@ class TestGatewayFailure:
         )
         world.network.node("gw-gmd").crash()
         world.engine.schedule(1.2, world.network.node("gw-gmd").recover)
-        outcome = federation.federated_exchange("ana", "bob", "app0", "app1", DOC)
+        outcome = federation.federated_exchange(ExchangeRequest(
+            "ana", "bob", "app0", "app1", DOC
+        ))
         assert outcome.delivered
         assert outcome.attempts > 1
         assert federation.domain("upc").gateway_to("gmd").stats()["retries"] >= 1
@@ -319,7 +358,9 @@ class TestGatewayFailure:
         monkeypatch.setattr(rpc, "request", recording_request)
         world.network.node("gw-gmd").crash()
         world.engine.schedule(1.2, world.network.node("gw-gmd").recover)
-        outcome = federation.federated_exchange("ana", "bob", "app0", "app1", DOC)
+        outcome = federation.federated_exchange(ExchangeRequest(
+            "ana", "bob", "app0", "app1", DOC
+        ))
         assert outcome.delivered
         assert outcome.attempts == len(sent) > 1
         assert len(sized) == 1
@@ -345,11 +386,13 @@ class TestMovePerson:
 
     def test_exchange_routes_to_new_home(self, world):
         federation, inboxes = make_federation(world)
-        assert federation.federated_exchange(
+        assert federation.federated_exchange(ExchangeRequest(
             "ana", "bob", "app0", "app1", DOC
-        ).cross_domain
+        )).cross_domain
         federation.move_person("bob", "upc")
-        outcome = federation.federated_exchange("ana", "bob", "app0", "app1", DOC)
+        outcome = federation.federated_exchange(ExchangeRequest(
+            "ana", "bob", "app0", "app1", DOC
+        ))
         assert outcome.delivered
         assert not outcome.cross_domain
         assert federation.home_of("bob") == "upc"
@@ -377,7 +420,7 @@ class TestDirectoryShadowing:
         federation, _ = make_federation(world)
         federation.publish_directories()
         federation.start_shadowing()
-        world.run_for(federation._shadow_period_s * 2 + 5.0)
+        world.run_for(SHADOW_PERIOD_S * 2 + 5.0)
         federation.stop_shadowing()
         upc, gmd = federation.domain("upc"), federation.domain("gmd")
         # each DSA has shadowed the peer's published entries
@@ -410,9 +453,13 @@ class TestFederationMetrics:
     def test_exchange_and_gateway_counters(self, world):
         registry = MetricsRegistry()
         federation, _ = make_federation(world, metrics=registry)
-        federation.federated_exchange("ana", "bob", "app0", "app1", DOC)
+        federation.federated_exchange(ExchangeRequest(
+            "ana", "bob", "app0", "app1", DOC
+        ))
         federation.add_person("carla", "upc")
-        federation.federated_exchange("ana", "carla", "app0", "app1", DOC)
+        federation.federated_exchange(ExchangeRequest(
+            "ana", "carla", "app0", "app1", DOC
+        ))
         counters = registry.snapshot()["counters"]
         assert counters["env.federation.exchanges"] == 2
         assert counters["env.federation.remote"] == 1
@@ -427,7 +474,9 @@ class TestFederationMetrics:
         registry = MetricsRegistry()
         federation, _ = make_federation(world, metrics=registry)
         world.network.node("gw-gmd").crash()
-        federation.federated_exchange("ana", "bob", "app0", "app1", DOC)
+        federation.federated_exchange(ExchangeRequest(
+            "ana", "bob", "app0", "app1", DOC
+        ))
         counters = registry.snapshot()["counters"]
         assert counters["env.federation.dead_letters"] == 1
         assert counters["gateway.dead_letters"] == 1
@@ -445,9 +494,9 @@ class TestUnifiedCallSurface:
             world = World(seed=77)
             federation, _ = make_federation(world)
             if style == "kwargs":
-                outcome = federation.federated_exchange(
+                outcome = federation.federated_exchange(ExchangeRequest(
                     "ana", "bob", "app0", "app1", DOC
-                )
+                ))
             else:
                 outcome = federation.federated_exchange(
                     ExchangeRequest(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.environment.environment import ExchangeRequest
 from repro.environment.registry import (
     AppDescriptor,
     Q_DIFFERENT_TIME_DIFFERENT_PLACE,
@@ -31,6 +32,7 @@ from repro.obs.events import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.sim.network import LinkSpec
+from repro.sim.world import World
 
 QUAD = [Q_DIFFERENT_TIME_DIFFERENT_PLACE]
 DOC = {"title": "minutes", "body": "agenda"}
@@ -73,7 +75,9 @@ class TestDirectExchangeTrace:
         ``trace_id=""`` — the cross-domain outcome must carry the origin
         trace id, same as a local exchange."""
         federation, tracer, _ = make_federation(world)
-        result = federation.federated_exchange("p-upc", "p-gmd", "app0", "app0", DOC)
+        result = federation.federated_exchange(ExchangeRequest(
+            "p-upc", "p-gmd", "app0", "app0", DOC
+        ))
         assert result.delivered
         root = origin_root(tracer)
         assert result.outcome.trace_id == root.trace_id
@@ -81,7 +85,9 @@ class TestDirectExchangeTrace:
 
     def test_one_connected_trace_with_correct_parent_links(self, world):
         federation, tracer, _ = make_federation(world)
-        federation.federated_exchange("p-upc", "p-gmd", "app0", "app0", DOC)
+        federation.federated_exchange(ExchangeRequest(
+            "p-upc", "p-gmd", "app0", "app0", DOC
+        ))
         root = origin_root(tracer)
         spans = [s for s in tracer.finished() if s.trace_id == root.trace_id]
         by_name = {s.name: s for s in spans}
@@ -94,14 +100,20 @@ class TestDirectExchangeTrace:
 
     def test_untraced_federation_still_exchanges(self, world):
         federation, _, _ = make_federation(world, tracer=None, events=None)
-        result = federation.federated_exchange("p-upc", "p-gmd", "app0", "app0", DOC)
+        result = federation.federated_exchange(ExchangeRequest(
+            "p-upc", "p-gmd", "app0", "app0", DOC
+        ))
         assert result.delivered
         assert result.outcome.trace_id == ""
 
     def test_distinct_exchanges_get_distinct_traces(self, world):
         federation, tracer, _ = make_federation(world)
-        first = federation.federated_exchange("p-upc", "p-gmd", "app0", "app0", DOC)
-        second = federation.federated_exchange("p-upc", "p-gmd", "app0", "app0", DOC)
+        first = federation.federated_exchange(ExchangeRequest(
+            "p-upc", "p-gmd", "app0", "app0", DOC
+        ))
+        second = federation.federated_exchange(ExchangeRequest(
+            "p-upc", "p-gmd", "app0", "app0", DOC
+        ))
         assert first.outcome.trace_id != second.outcome.trace_id
         analyzer = TraceAnalyzer(tracer.finished())
         assert len(analyzer.trace_ids()) == 2
@@ -114,7 +126,9 @@ class TestFailoverTrace:
             world, names=("d0", "d1", "d2")
         )
         federation.domain("d0").gateway_to("d1").breaker.force_open()
-        result = federation.federated_exchange("p-d0", "p-d1", "app0", "app0", DOC)
+        result = federation.federated_exchange(ExchangeRequest(
+            "p-d0", "p-d1", "app0", "app0", DOC
+        ))
         return federation, tracer, events, result
 
     def test_breaker_relay_path_stays_one_trace(self, world):
@@ -151,6 +165,34 @@ class TestFailoverTrace:
         assert forward.tags["outcome"] == "delivered"
 
 
+class TestTracingLeavesSimulatedTimeAlone:
+    """Regression: the gateway charged the stamped trace context to the
+    WAN link, so every traced relay landed later than its untraced twin."""
+
+    def run(self, traced, names, tripped):
+        options = {} if traced else {"tracer": None, "events": None}
+        federation, _, _ = make_federation(World(seed=42), names=names, **options)
+        if tripped:
+            federation.domain(names[0]).gateway_to(names[1]).breaker.force_open()
+        result = federation.federated_exchange(ExchangeRequest(
+            f"p-{names[0]}", f"p-{names[1]}", "app0", "app0", DOC
+        ))
+        assert result.delivered and result.cross_domain
+        hops = [(hop.domain, hop.role, hop.time) for hop in result.hops]
+        return hops, result.attempts, result.latency_s
+
+    @pytest.mark.parametrize(
+        "names, tripped",
+        [(("upc", "gmd"), False), (("d0", "d1", "d2"), True)],
+        ids=["direct", "breaker-failover"],
+    )
+    def test_traced_run_matches_untraced_run(self, names, tripped):
+        traced = self.run(True, names, tripped)
+        assert traced == self.run(False, names, tripped)
+        if tripped:
+            assert [role for _, role, _ in traced[0]].count("relay") == 1
+
+
 class TestTraceCorrelatedEvents:
     def test_breaker_trip_emits_open_event(self, world):
         federation, _, events = make_federation(world)
@@ -164,7 +206,9 @@ class TestTraceCorrelatedEvents:
     def test_dead_letter_event_carries_the_origin_trace(self, world):
         federation, tracer, events = make_federation(world)  # no intermediate
         federation.domain("upc").gateway_to("gmd").breaker.force_open()
-        result = federation.federated_exchange("p-upc", "p-gmd", "app0", "app0", DOC)
+        result = federation.federated_exchange(ExchangeRequest(
+            "p-upc", "p-gmd", "app0", "app0", DOC
+        ))
         assert result.reason_code == "gateway-dead-letter"
         root = origin_root(tracer)
         [letter] = events.events(kind=KIND_DEAD_LETTER)
@@ -175,7 +219,9 @@ class TestTraceCorrelatedEvents:
         federation, _, events = make_federation(world)
         gateway = federation.domain("upc").gateway_to("gmd")
         gateway.breaker.force_open()
-        federation.federated_exchange("p-upc", "p-gmd", "app0", "app0", DOC)
+        federation.federated_exchange(ExchangeRequest(
+            "p-upc", "p-gmd", "app0", "app0", DOC
+        ))
         gateway.breaker.reset()
         assert gateway.redrive() == 1
         [redrive] = events.events(kind=KIND_REDRIVE)
@@ -188,9 +234,9 @@ class TestTraceCorrelatedEvents:
             upc.node, federation.domain("gmd").node,
             LinkSpec(latency_s=0.02, bandwidth_bps=1_000_000.0, loss=1.0),
         )
-        result = federation.federated_exchange(
+        result = federation.federated_exchange(ExchangeRequest(
             "p-upc", "p-gmd", "app0", "app0", DOC, deadline=world.now + 2.0
-        )
+        ))
         assert not result.delivered
         deadline_events = events.events(kind=KIND_DEADLINE)
         assert deadline_events, "gateway deadline expiry must be logged"

@@ -17,7 +17,7 @@ from repro.apps.workflow import Procedure, ProcedureStep, WorkflowSystem
 from repro.communication.model import Communicator
 from repro.directory.dsa import DirectoryServiceAgent
 from repro.directory.dua import DirectoryUserAgent
-from repro.environment.environment import CSCWEnvironment
+from repro.environment.environment import CSCWEnvironment, ExchangeRequest
 from repro.environment.session import CooperationSession
 from repro.messaging.mta import MessageTransferAgent
 from repro.messaging.names import or_name
@@ -62,7 +62,7 @@ def stack(world):
     for ua in uas.values():
         ua.register()
 
-    env = CSCWEnvironment(world)
+    env = CSCWEnvironment.builder().with_world(world).build()
     for org_id, person_id, name, oname, node in [
         ("upc", "ana", "Ana Lopez", ANA, "ws-ana"),
         ("gmd", "wolf", "Wolf Prinz", WOLF, "ws-wolf"),
@@ -142,10 +142,10 @@ class TestGroupCooperation:
         editor.insert("ana", 0, "Position: ODP will help")
         world.run()
         assert editor.converged()
-        outcome = env.exchange(
+        outcome = env.exchange(ExchangeRequest(
             "ana", "wolf", "shared-editor", "conferencing",
             editor.snapshot("ana", "position paper"),
-        )
+        ))
         assert outcome.delivered
         entries = conferencing.news_for("imported", "wolf")
         assert entries[0].text == "Position: ODP will help"
@@ -180,10 +180,10 @@ class TestFailureResilience:
         conferencing.attach(env, exporter_org="upc")
         messages.attach(env, exporter_org="gmd")
         world.network.node("mta-lancs").crash()
-        outcome = env.exchange(
+        outcome = env.exchange(ExchangeRequest(
             "ana", "wolf", "conferencing", "message-system",
             {"topic": "t", "entry": "e", "conference": "c", "author": "ana"},
-        )
+        ))
         assert outcome.delivered
 
 
@@ -200,11 +200,11 @@ class TestWorkflowAcrossOrgs:
         ]))
         workflow.grant_role("wolf", "manager")
         # Ana's memo (title == procedure name) becomes a running case.
-        outcome = env.exchange(
+        outcome = env.exchange(ExchangeRequest(
             "ana", "wolf", "message-system", "workflow",
             {"subject": "expense", "text": "", "template": "plain",
              "fields": {"amount": 120}},
-        )
+        ))
         assert outcome.delivered
         cases = [c for c in workflow.inbox("wolf")]
         assert cases  # delivered to inbox

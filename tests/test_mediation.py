@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.conferencing import ConferencingSystem
+from repro.apps.document import DocumentProcessor
 from repro.apps.message_system import MessageSystem
 from repro.apps.workflow import WorkflowSystem
 from repro.communication.model import Communicator
@@ -370,10 +371,10 @@ class TestEnvironmentIntegration:
         env.register_application(
             _fax_descriptor(), lambda person, doc, info: inbox.append(doc)
         )
-        outcome = env.exchange(
+        outcome = env.exchange(ExchangeRequest(
             "ana", "wolf", "faxline", "message-system",
             {"fax-title": "offer", "fax-body": "sign here"},
-        )
+        ))
         assert outcome.delivered
         assert outcome.reason_code == REASON_DELIVERED
         assert outcome.fidelity == pytest.approx(0.95)
@@ -386,11 +387,11 @@ class TestEnvironmentIntegration:
         env.register_application(
             _fax_descriptor(), lambda person, doc, info: None
         )
-        outcome = env.exchange(
+        outcome = env.exchange(ExchangeRequest(
             "ana", "wolf", "faxline", "message-system",
             {"fax-title": "t", "fax-body": "b"},
             min_fidelity=0.99,
-        )
+        ))
         assert not outcome.delivered
         assert outcome.reason_code == REASON_FIDELITY
 
@@ -401,11 +402,11 @@ class TestEnvironmentIntegration:
         env = make_env(World(seed=3))
         ConferencingSystem().attach(env)
         WorkflowSystem().attach(env)
-        outcome = env.exchange(
+        outcome = env.exchange(ExchangeRequest(
             "ana", "wolf", "conferencing", "workflow",
             {"topic": "t", "entry": "e"},
             min_fidelity=0.95,
-        )
+        ))
         assert not outcome.delivered
         assert outcome.reason_code == REASON_FIDELITY
 
@@ -421,16 +422,60 @@ class TestEnvironmentIntegration:
                 fidelity=1.0, cost=0.5,
             )
         )
-        outcome = env.exchange(
+        outcome = env.exchange(ExchangeRequest(
             "ana", "wolf", "conferencing", "workflow",
             {"topic": "t", "entry": "e"},
             min_fidelity=0.95,
-        )
+        ))
         assert outcome.delivered
         assert outcome.fidelity == 1.0
 
+    def test_capability_only_formats_plan_negotiate_and_deliver(self):
+        """Two apps known only by their published capabilities reach the
+        message system through a synthesized plan; the fidelity floor
+        accepts the negotiated downgrade or refuses it, reason-coded."""
+        env = make_env(World(seed=8))
+        message_system = MessageSystem()
+        message_system.attach(env)
+        DocumentProcessor().attach(env)
+        env.register_application(
+            AppDescriptor(name="faxline", quadrants=QUAD, native_format="fax",
+                          capabilities=[direct_capability(
+                              "fax", "scan",
+                              lambda d: {"scan-title": d.get("fax-title", ""),
+                                         "scan-body": d.get("fax-body", "")},
+                              fidelity=0.95, kind=KIND_PARTIAL, exporter="faxline")]),
+            lambda person, doc, info: None,
+        )
+        env.register_application(
+            AppDescriptor(name="scanstore", quadrants=QUAD, native_format="scan",
+                          capabilities=[direct_capability(
+                              "scan", "document",
+                              lambda d: {"title": d.get("scan-title", ""),
+                                         "paragraphs": [d.get("scan-body", "")]},
+                              fidelity=0.9, kind=KIND_PARTIAL, exporter="scanstore")]),
+            lambda person, doc, info: None,
+        )
+        plan = env.mediator.plan("fax", "memo")
+        assert plan.hops >= 3
+        assert env.mediator.negotiate("fax", "memo", min_fidelity=0.8).fidelity < 1.0
+        with pytest.raises(FidelityError):
+            env.mediator.negotiate("fax", "memo", min_fidelity=0.9)
+        doc = {"fax-title": "offer", "fax-body": "sign here"}
+        delivered = env.exchange(ExchangeRequest(
+            "ana", "wolf", "faxline", "message-system", doc, min_fidelity=0.8
+        ))
+        assert delivered.delivered
+        assert message_system.inbox("wolf")[-1].document["subject"] == "offer"
+        refused = env.exchange(ExchangeRequest(
+            "ana", "wolf", "faxline", "message-system", doc, min_fidelity=0.99
+        ))
+        assert not refused.delivered
+        assert refused.reason_code == REASON_FIDELITY
+        assert env.mediator.stats()["whole_cache_invalidations"] == 0
+
     def test_min_fidelity_round_trips_the_wire_form(self):
-        request = ExchangeRequest.from_kwargs(
+        request = ExchangeRequest(
             "ana", "wolf", "a", "b", {"x": 1}, min_fidelity=0.9
         )
         document = request.to_document()
@@ -445,7 +490,7 @@ class TestEnvironmentIntegration:
         )
         doc = {"fax-title": "t", "fax-body": "b"}
         requests = [
-            ExchangeRequest.from_kwargs(
+            ExchangeRequest(
                 "ana", "wolf", "faxline", "message-system", doc, min_fidelity=floor
             )
             for floor in (0.8, 0.8, 0.99)
@@ -474,9 +519,9 @@ class TestFederationRelay:
             AppDescriptor(name="app1", quadrants=QUAD, converter=_converter("fmt1")),
             lambda person, doc, info: inbox.append(doc),
         )
-        outcome = federation.federated_exchange(
+        outcome = federation.federated_exchange(ExchangeRequest(
             "ana", "bob", "app0", "app1", {"fmt0-title": "t", "fmt0-body": "b"}
-        )
+        ))
         assert outcome.outcome.delivered
         assert metrics.counter("mediation.plan.relayed").value == 1
 
@@ -493,8 +538,8 @@ class TestFederationRelay:
             AppDescriptor(name="app0", quadrants=QUAD, converter=_converter("fmt0")),
             lambda person, doc, info: None,
         )
-        outcome = federation.federated_exchange(
+        outcome = federation.federated_exchange(ExchangeRequest(
             "ana", "bob", "app0", "app0", {"fmt0-title": "t", "fmt0-body": "b"}
-        )
+        ))
         assert outcome.outcome.delivered
         assert metrics.counter("mediation.plan.relayed").value == 0

@@ -106,7 +106,7 @@ def test_environment_describe_snapshot(world):
     from repro.communication.model import Communicator
     from repro.org.model import Organisation, Person
 
-    env = CSCWEnvironment(world)
+    env = CSCWEnvironment.builder().with_world(world).build()
     org = Organisation("upc", "UPC")
     org.add_person(Person("ana", "Ana", "upc"))
     env.knowledge_base.add_organisation(org)

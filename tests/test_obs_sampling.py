@@ -9,7 +9,7 @@ from repro.obs.context import TraceContext
 from repro.obs.export import chrome_trace_json, to_jsonl
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
-from repro.environment.environment import CSCWEnvironment
+from repro.environment.environment import CSCWEnvironment, ExchangeRequest
 from repro.org.model import Organisation, Person
 from repro.sim.world import World
 from repro.util.errors import ConfigurationError
@@ -229,9 +229,9 @@ def run_sampled_population(seed: int = 9, p: float = 0.5):
         lambda person, document, info: None,
     )
     for index in range(24):
-        env.exchange(
+        env.exchange(ExchangeRequest(
             f"p{index % 4}", f"p{(index + 1) % 4}", "app0", "app0", {"seq": index}
-        )
+        ))
     return tracer
 
 

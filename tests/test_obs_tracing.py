@@ -151,7 +151,7 @@ class TestNullTracer:
     def test_environment_defaults_to_null_tracer(self, world):
         from repro.environment.environment import CSCWEnvironment
 
-        env = CSCWEnvironment(world)
+        env = CSCWEnvironment.builder().with_world(world).build()
         assert env.tracer.enabled is False
         assert env.metrics.enabled is False
 

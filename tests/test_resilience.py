@@ -19,6 +19,7 @@ from repro.environment.environment import (
     REASON_DELIVERED,
     REASON_OVERLOAD,
     CSCWEnvironment,
+    ExchangeRequest,
 )
 from repro.environment.registry import (
     AppDescriptor,
@@ -246,13 +247,17 @@ class TestGatewayBreaker:
         )
         gateway = upc.gateway_to("gmd")
         # First exchange burns the full retry budget and trips the breaker.
-        first = federation.federated_exchange("p-upc", "p-gmd", "app0", "app0", DOC)
+        first = federation.federated_exchange(ExchangeRequest(
+            "p-upc", "p-gmd", "app0", "app0", DOC
+        ))
         assert not first.delivered
         assert first.attempts == 4
         assert gateway.breaker.state == STATE_OPEN
         # No healthy intermediate exists: the next exchange fails fast.
         before = world.now
-        second = federation.federated_exchange("p-upc", "p-gmd", "app0", "app0", DOC)
+        second = federation.federated_exchange(ExchangeRequest(
+            "p-upc", "p-gmd", "app0", "app0", DOC
+        ))
         assert not second.delivered
         assert second.attempts == 0
         assert gateway.fast_failed == 1
@@ -279,11 +284,15 @@ class TestGatewayBreaker:
 class TestFailoverRouting:
     def test_failover_via_healthy_intermediate(self, world):
         federation, inbox = make_federation(world, names=("upc", "gmd", "inria"))
-        direct = federation.federated_exchange("p-upc", "p-gmd", "app0", "app0", DOC)
+        direct = federation.federated_exchange(ExchangeRequest(
+            "p-upc", "p-gmd", "app0", "app0", DOC
+        ))
         assert direct.delivered
         assert [h.role for h in direct.hops] == ["origin", "deliver", "reply"]
         federation.domain("upc").gateway_to("gmd").breaker.force_open()
-        routed = federation.federated_exchange("p-upc", "p-gmd", "app0", "app0", DOC)
+        routed = federation.federated_exchange(ExchangeRequest(
+            "p-upc", "p-gmd", "app0", "app0", DOC
+        ))
         assert routed.delivered
         # outcomes stay field-identical, plus the extra relay hop
         assert routed.reason_code == direct.reason_code == REASON_DELIVERED
@@ -291,22 +300,24 @@ class TestFailoverRouting:
         assert [h.role for h in routed.hops] == ["origin", "relay", "deliver", "reply"]
         assert routed.hops[1].domain == "inria"
         assert routed.attempts >= 2  # origin->via plus via->target
-        assert len(inbox) == 2
+        assert inbox == [("p-gmd", DOC), ("p-gmd", DOC)]
 
     def test_failover_failure_reason_codes_survive(self, world):
         """A target-side failure through the relay keeps its reason code."""
         federation, _ = make_federation(world, names=("upc", "gmd", "inria"))
         federation.domain("upc").gateway_to("gmd").breaker.force_open()
-        outcome = federation.federated_exchange(
+        outcome = federation.federated_exchange(ExchangeRequest(
             "p-upc", "unknown", "app0", "app0", DOC
-        )
+        ))
         assert not outcome.delivered
         assert outcome.reason_code == "unknown-receiver"
 
     def test_no_intermediate_falls_back_to_dead_letter(self, world):
         federation, _ = make_federation(world)  # two domains only
         federation.domain("upc").gateway_to("gmd").breaker.force_open()
-        outcome = federation.federated_exchange("p-upc", "p-gmd", "app0", "app0", DOC)
+        outcome = federation.federated_exchange(ExchangeRequest(
+            "p-upc", "p-gmd", "app0", "app0", DOC
+        ))
         assert not outcome.delivered
         assert outcome.reason_code == "gateway-dead-letter"
 
@@ -316,7 +327,9 @@ class TestFailoverRouting:
             world, names=("upc", "gmd", "inria"), metrics=metrics
         )
         federation.domain("upc").gateway_to("gmd").breaker.force_open()
-        federation.federated_exchange("p-upc", "p-gmd", "app0", "app0", DOC)
+        federation.federated_exchange(ExchangeRequest(
+            "p-upc", "p-gmd", "app0", "app0", DOC
+        ))
         counters = metrics.snapshot()["counters"]
         assert counters["env.federation.failover"] == 1
         assert counters["env.federation.forwarded"] == 1
@@ -334,7 +347,9 @@ class TestFailoverRouting:
         gateway = upc.gateway_to("gmd")
         assert gateway.breaker.state == STATE_OPEN
         assert gateway.relays == 0
-        routed = federation.federated_exchange("p-upc", "p-gmd", "app0", "app0", DOC)
+        routed = federation.federated_exchange(ExchangeRequest(
+            "p-upc", "p-gmd", "app0", "app0", DOC
+        ))
         assert routed.delivered
         assert "relay" in [h.role for h in routed.hops]
         federation.stop_health_checks()
@@ -360,9 +375,9 @@ class TestDeadlinePropagation:
     def test_expired_deadline_fails_before_pipeline(self, world):
         federation, _ = make_federation(world)
         world.run_for(5.0)
-        outcome = federation.federated_exchange(
+        outcome = federation.federated_exchange(ExchangeRequest(
             "p-upc", "p-gmd", "app0", "app0", DOC, deadline=1.0
-        )
+        ))
         assert not outcome.delivered
         assert outcome.reason_code == REASON_DEADLINE_EXCEEDED
 
@@ -375,9 +390,9 @@ class TestDeadlinePropagation:
             LinkSpec(latency_s=0.02, bandwidth_bps=1_000_000.0, loss=1.0),
         )
         started = world.now
-        outcome = federation.federated_exchange(
+        outcome = federation.federated_exchange(ExchangeRequest(
             "p-upc", "p-gmd", "app0", "app0", DOC, deadline=world.now + 2.0
-        )
+        ))
         assert not outcome.delivered
         assert outcome.reason_code == REASON_DEADLINE_EXCEEDED
         assert world.now - started == pytest.approx(2.0)
@@ -397,13 +412,13 @@ class TestDeadlinePropagation:
             return original(request, *args, **kwargs)
 
         gmd_env.exchange = spy
-        federation.federated_exchange(
+        federation.federated_exchange(ExchangeRequest(
             "p-upc", "p-gmd", "app0", "app0", DOC, deadline=world.now + 50.0
-        )
+        ))
         assert seen["deadline"] == pytest.approx(50.0)
 
     def test_local_deadline_in_plain_exchange(self, world):
-        env = CSCWEnvironment(world)
+        env = CSCWEnvironment.builder().with_world(world).build()
         org = Organisation("upc", "UPC")
         org.add_person(Person("ana", "Ana", "upc"))
         org.add_person(Person("joan", "Joan", "upc"))
@@ -416,10 +431,14 @@ class TestDeadlinePropagation:
             AppDescriptor(name="app0", quadrants=QUAD, converter=converter()),
             lambda person, doc, info: inbox.append(doc),
         )
-        ok = env.exchange("ana", "joan", "app0", "app0", DOC, deadline=world.now + 1.0)
+        ok = env.exchange(ExchangeRequest(
+            "ana", "joan", "app0", "app0", DOC, deadline=world.now + 1.0
+        ))
         assert ok.delivered
         world.run_for(5.0)
-        late = env.exchange("ana", "joan", "app0", "app0", DOC, deadline=1.0)
+        late = env.exchange(ExchangeRequest(
+            "ana", "joan", "app0", "app0", DOC, deadline=1.0
+        ))
         assert not late.delivered
         assert late.reason_code == REASON_DEADLINE_EXCEEDED
 
@@ -441,9 +460,9 @@ class TestDeadlinePropagation:
             lambda person, doc, info: inbox.append(doc),
         )
         env.person_leaves("joan")
-        queued = env.exchange(
+        queued = env.exchange(ExchangeRequest(
             "ana", "joan", "app0", "app0", DOC, deadline=world.now + 2.0
-        )
+        ))
         assert queued.delivered and queued.mode == "asynchronous"
         world.run_for(5.0)  # deadline passes while joan is away
         flushed = env.person_arrives("joan")
@@ -490,7 +509,9 @@ class TestLoadShedding:
         env, inbox = self._env(world, limit=2)
         env.person_leaves("joan")
         outcomes = [
-            env.exchange("ana", "joan", "app0", "app0", DOC) for _ in range(4)
+            env.exchange(ExchangeRequest(
+                "ana", "joan", "app0", "app0", DOC
+            )) for _ in range(4)
         ]
         codes = [o.reason_code for o in outcomes]
         assert codes == [

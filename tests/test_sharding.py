@@ -87,7 +87,7 @@ def make_env(world, *, shards=None, orgs=("upc", "gmd", "acme", "zeta"),
 
 
 def exchange(env, sender, receiver):
-    return env.exchange(sender, receiver, "producer", "consumer", DOC)
+    return env.exchange(ExchangeRequest(sender, receiver, "producer", "consumer", DOC))
 
 
 class TestConsistentHashRing:
@@ -300,6 +300,15 @@ class TestKeyedInvalidation:
         after = env.resolution.stats()
         assert after["invalidations"] == before["invalidations"]
         assert after["generation"] == before["generation"] + 1
+
+
+    def test_unknown_change_kind_raises_instead_of_flushing(self, world):
+        env = make_env(world)
+        assert exchange(env, "p-upc", "p-gmd").delivered
+        before = env.resolution.stats()
+        with pytest.raises(ValueError):
+            env.resolution.on_kb_change("rule", "r1", "upc")
+        assert env.resolution.stats() == before
 
 
 class TestExchangeManyMidBatchMutation:

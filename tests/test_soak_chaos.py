@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.shared_editor import SharedEditor
+from repro.environment.environment import ExchangeRequest
 from repro.messaging.mta import MessageTransferAgent
 from repro.messaging.names import OrName
 from repro.messaging.ua import UserAgent
@@ -139,7 +140,7 @@ class TestEnvironmentQueueDrain:
         from repro.environment.environment import CSCWEnvironment
         from repro.org.model import Organisation, Person
 
-        env = CSCWEnvironment(world)
+        env = CSCWEnvironment.builder().with_world(world).build()
         org = Organisation("upc", "UPC")
         org.add_person(Person("ana", "Ana", "upc"))
         org.add_person(Person("joan", "Joan", "upc"))
@@ -158,9 +159,9 @@ class TestEnvironmentQueueDrain:
                 env.person_leaves("joan")
             else:
                 env.person_arrives("joan")
-            outcome = env.exchange(
+            outcome = env.exchange(ExchangeRequest(
                 "ana", "joan", "conferencing", "message-system", document
-            )
+            ))
             assert outcome.delivered
             expected_inbox += 1
         env.person_arrives("joan")
@@ -226,10 +227,10 @@ class TestFederatedChaosSoak:
             receiver = names[(index + 1 + index % 3) % 4]
             deadline = world.now + 2.0 if index % 4 == 0 else None
             outcomes.append(
-                federation.federated_exchange(
+                federation.federated_exchange(ExchangeRequest(
                     f"p-{sender}", f"p-{receiver}", "soak", "soak",
                     {"n": index}, deadline=deadline,
-                )
+                ))
             )
             world.run_for(rng.uniform(0.1, 1.5))
         world.run_for(30.0)  # drain: every in-flight relay settles
