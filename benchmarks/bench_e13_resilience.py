@@ -21,7 +21,7 @@ set, else the current directory).
 
 Run standalone::
 
-    PYTHONPATH=src python benchmarks/bench_e9_resilience.py [--quick]
+    PYTHONPATH=src python benchmarks/bench_e13_resilience.py [--quick]
 
 ``--quick`` (used by ``scripts/check.sh``; ``--smoke`` is accepted as an
 alias) runs a small workload and skips the strict-improvement assertions

@@ -35,7 +35,7 @@ seed produce identical results.  Results land in ``BENCH_control.json``
 
 Run standalone::
 
-    PYTHONPATH=src python benchmarks/bench_e11_control.py [--quick]
+    PYTHONPATH=src python benchmarks/bench_e15_control.py [--quick]
 
 ``--quick`` (used by ``scripts/check.sh``; ``--smoke`` is accepted as an
 alias) runs a small workload and skips the strict-dominance assertions

@@ -30,7 +30,7 @@ Results are written to ``BENCH_mediation.json`` (in
 
 Run standalone::
 
-    PYTHONPATH=src python benchmarks/bench_e13_mediation.py [--smoke|--quick]
+    PYTHONPATH=src python benchmarks/bench_e17_mediation.py [--smoke|--quick]
 """
 
 from __future__ import annotations

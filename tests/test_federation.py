@@ -618,6 +618,35 @@ class TestBatchedFastPath:
         counters = registry.snapshot()["counters"]
         assert counters["env.federation.local"] == 6
 
+    def test_cross_runs_relay_once_and_resolve_homes_once(self, world):
+        """Same-route cross-domain runs: one relay per (pair, run), two
+        home lookups per request, and per-request field parity."""
+        registry = MetricsRegistry()
+        federation, _ = make_federation(world, metrics=registry)
+        # three runs over two pairs: upc->gmd, gmd->upc, upc->gmd again
+        requests = (
+            [ExchangeRequest("ana", "bob", "app0", "app1", DOC)] * 3
+            + [ExchangeRequest("bob", "ana", "app0", "app1", DOC)] * 3
+            + [ExchangeRequest("ana", "bob", "app0", "app1", DOC)] * 2
+        )
+        baseline = [federation.federated_exchange(request) for request in requests]
+
+        def counter(name):
+            return registry.snapshot()["counters"].get(name, 0)
+
+        relays = counter("gateway.relays")
+        home_hits = counter("env.federation.home.hit")
+        outcomes = federation.federated_exchange_many(requests)
+        assert counter("gateway.relays") - relays == 3
+        assert counter("env.federation.home.hit") - home_hits == 2 * len(requests)
+        assert all(o.delivered and o.cross_domain for o in outcomes)
+        assert [outcome_fields(o.outcome) for o in outcomes] == [
+            outcome_fields(o.outcome) for o in baseline
+        ]
+        assert [(o.origin, o.target) for o in outcomes] == [
+            (o.origin, o.target) for o in baseline
+        ]
+
     def test_move_person_mid_batch_reroutes_remainder(self, world):
         """A delivery callback that re-homes the receiver mid-run: the
         hoisted routes are not served stale — the rest of the run
