@@ -23,7 +23,7 @@ correlation, and fully reverted after recovery.
 
 Wire it with ``CSCWEnvironment.builder().with_control(policy)`` for a
 single environment or ``Federation.attach_control()`` across domains;
-experiment E15 (``benchmarks/bench_e11_control.py``) measures the loop
+experiment E15 (``benchmarks/bench_e15_control.py``) measures the loop
 against the reactive and resilient baselines under identical chaos.
 """
 

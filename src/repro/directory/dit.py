@@ -104,9 +104,6 @@ class DirectoryInformationTree:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _key(self, name: DistinguishedName) -> str:
-        return ",".join("=".join(r.normalized()) for r in name.rdns)
-
     def _record(self, operation: str, name: DistinguishedName, attributes: dict[str, list[Any]] | None) -> None:
         self._csn += 1
         self._changelog.append(
@@ -126,15 +123,17 @@ class DirectoryInformationTree:
         ancestor of an entry governs it; unprotected subtrees are open
         (backwards compatible).  The anonymous requestor is ``""``.
         """
-        target = dn(base) if isinstance(base, str) else base
+        target = dn(base)
         if not target.is_root and not self.exists(target):
             raise NoSuchEntryError(f"cannot protect missing entry {target}")
-        self._protections[self._key(target)] = (set(readers), set(writers))
+        self._protections[target.key] = (set(readers), set(writers))
 
     def _governing_protection(self, name: DistinguishedName) -> tuple[set[str], set[str]] | None:
+        if not self._protections:
+            return None
         current = name
         while True:
-            protection = self._protections.get(self._key(current))
+            protection = self._protections.get(current.key)
             if protection is not None:
                 return protection
             if current.is_root:
@@ -143,7 +142,7 @@ class DirectoryInformationTree:
 
     def can_read(self, name: DistinguishedName | str, requestor: str = "") -> bool:
         """True when *requestor* may read the entry at *name*."""
-        target = dn(name) if isinstance(name, str) else name
+        target = dn(name)
         protection = self._governing_protection(target)
         if protection is None:
             return True
@@ -152,7 +151,7 @@ class DirectoryInformationTree:
 
     def can_write(self, name: DistinguishedName | str, requestor: str = "") -> bool:
         """True when *requestor* may modify the entry at *name*."""
-        target = dn(name) if isinstance(name, str) else name
+        target = dn(name)
         protection = self._governing_protection(target)
         if protection is None:
             return True
@@ -170,8 +169,8 @@ class DirectoryInformationTree:
     # -- reads ---------------------------------------------------------------
     def exists(self, name: DistinguishedName | str) -> bool:
         """True when an entry with this DN exists."""
-        target = dn(name) if isinstance(name, str) else name
-        return self._key(target) in self._entries
+        target = dn(name)
+        return target.key in self._entries
 
     def read(
         self,
@@ -186,10 +185,10 @@ class DirectoryInformationTree:
         which a :class:`DirectoryError` is raised (alias loop).  Subtree
         protections are enforced against *requestor* at every hop.
         """
-        target = dn(name) if isinstance(name, str) else name
+        target = dn(name)
         for _ in range(8):
             self._require_read(target, requestor)
-            entry = self._entries.get(self._key(target))
+            entry = self._entries.get(target.key)
             if entry is None:
                 raise NoSuchEntryError(f"no entry {target}")
             aliased = entry.first("aliasedobjectname")
@@ -200,10 +199,10 @@ class DirectoryInformationTree:
 
     def children_of(self, name: DistinguishedName | str) -> list[Entry]:
         """Immediate children of an entry (or of the root)."""
-        target = dn(name) if isinstance(name, str) else name
+        target = dn(name)
         if not target.is_root and not self.exists(target):
             raise NoSuchEntryError(f"no entry {target}")
-        keys = self._children.get(self._key(target), set())
+        keys = self._children.get(target.key, set())
         return sorted((self._entries[k] for k in keys), key=lambda e: e.name)
 
     # -- writes ---------------------------------------------------------------
@@ -214,29 +213,27 @@ class DirectoryInformationTree:
         requestor: str = "",
     ) -> Entry:
         """Add an entry; the parent must already exist (except under root)."""
-        target = dn(name) if isinstance(name, str) else name
+        target = dn(name)
         if target.is_root:
             raise DirectoryError("cannot add an entry at the root DN")
         self._require_write(target, requestor)
-        key = self._key(target)
+        key = target.key
         if key in self._entries:
             raise EntryExistsError(f"entry {target} already exists")
         parent = target.parent()
-        parent_key = self._key(parent)
+        parent_key = parent.key
         if not parent.is_root and parent_key not in self._entries:
             raise NoSuchEntryError(f"parent {parent} does not exist")
         normalized = _normalize_attributes(attributes)
         # The naming attribute must appear among the entry's attributes.
-        naming_attr = target.rdn.attribute.lower()
-        naming_value = target.rdn.value
+        naming_attr, naming_value = target.rdn.normalized
         existing = [str(v).lower() for v in normalized.get(naming_attr, [])]
-        if naming_value.lower() not in existing:
-            normalized.setdefault(naming_attr, []).append(naming_value)
+        if naming_value not in existing:
+            normalized.setdefault(naming_attr, []).append(target.rdn.value)
         self.schema.validate_entry(normalized)
         entry = Entry(target, normalized)
         self._entries[key] = entry
         self._children.setdefault(parent_key, set()).add(key)
-        self._children.setdefault(key, set())
         self._record("add", target, normalized)
         return entry
 
@@ -249,7 +246,7 @@ class DirectoryInformationTree:
         requestor: str = "",
     ) -> Entry:
         """Apply attribute changes to an entry, re-validating the result."""
-        target = dn(name) if isinstance(name, str) else name
+        target = dn(name)
         self._require_write(target, requestor)
         current = self.read(target, dereference=False, requestor=requestor)
         attributes = {k: list(v) for k, v in current.attributes.items()}
@@ -264,22 +261,22 @@ class DirectoryInformationTree:
                     attributes[attribute].append(value)
         self.schema.validate_entry(attributes)
         entry = Entry(target, attributes)
-        self._entries[self._key(target)] = entry
+        self._entries[target.key] = entry
         self._record("modify", target, attributes)
         return entry
 
     def delete(self, name: DistinguishedName | str, requestor: str = "") -> None:
         """Remove a leaf entry (X.500 forbids deleting interior nodes)."""
-        target = dn(name) if isinstance(name, str) else name
+        target = dn(name)
         self._require_write(target, requestor)
-        key = self._key(target)
+        key = target.key
         if key not in self._entries:
             raise NoSuchEntryError(f"no entry {target}")
         if self._children.get(key):
             raise DirectoryError(f"entry {target} has children; delete them first")
         del self._entries[key]
         self._children.pop(key, None)
-        parent_key = self._key(target.parent())
+        parent_key = target.parent().key
         self._children.get(parent_key, set()).discard(key)
         self._record("delete", target, None)
 
@@ -292,20 +289,19 @@ class DirectoryInformationTree:
         target = dn(change.name)
         if change.operation == "add" or change.operation == "modify":
             assert change.attributes is not None
-            key = self._key(target)
+            key = target.key
             entry = Entry(target, {k: list(v) for k, v in change.attributes.items()})
             if key not in self._entries:
-                parent_key = self._key(target.parent())
+                parent_key = target.parent().key
                 self._children.setdefault(parent_key, set()).add(key)
-                self._children.setdefault(key, set())
             self._entries[key] = entry
             self._csn = max(self._csn, change.csn)
         elif change.operation == "delete":
-            key = self._key(target)
+            key = target.key
             if key in self._entries:
                 del self._entries[key]
                 self._children.pop(key, None)
-                self._children.get(self._key(target.parent()), set()).discard(key)
+                self._children.get(target.parent().key, set()).discard(key)
             self._csn = max(self._csn, change.csn)
         else:
             raise DirectoryError(f"unknown change operation {change.operation!r}")
@@ -328,18 +324,18 @@ class DirectoryInformationTree:
         """
         if scope not in _SCOPES:
             raise DirectoryError(f"unknown search scope {scope!r}")
-        target = dn(base) if isinstance(base, str) else base
+        target = dn(base)
         if not target.is_root and not self.exists(target):
             raise NoSuchEntryError(f"search base {target} does not exist")
         candidates: list[Entry]
         if scope == SCOPE_BASE:
-            candidates = [] if target.is_root else [self._entries[self._key(target)]]
+            candidates = [] if target.is_root else [self._entries[target.key]]
         elif scope == SCOPE_ONE:
             candidates = self.children_of(target)
         else:
             candidates = []
             if not target.is_root:
-                candidates.append(self._entries[self._key(target)])
+                candidates.append(self._entries[target.key])
             candidates.extend(
                 entry
                 for entry in self._entries.values()

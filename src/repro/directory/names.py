@@ -6,29 +6,48 @@ A distinguished name (DN) is a sequence of relative distinguished names
 hangs directly under the root.  Attribute types are case-insensitive;
 values keep their case but compare case-insensitively, matching X.500's
 caseIgnoreMatch for naming attributes.
+
+A name is case-folded once, when it is built, into ``key``
+(``cn=ana,o=upc``): equality, hashing, the DIT, shard placement and
+protections all read it.  :func:`dn` parses only the leaf RDN and hangs
+it under a shared, already-parsed suffix such as ``o=UPC,c=ES``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import total_ordering
+from dataclasses import dataclass, field
+from functools import lru_cache, total_ordering
 
 from repro.util.errors import NameError_
 
+#: how many distinct parsed suffixes (``o=UPC,c=ES``, ...) :func:`dn`
+#: keeps for sharing; past it the least recently used one is parsed again
+SHARED_SUFFIXES = 4096
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 @total_ordering
 class Rdn:
-    """One relative distinguished name: an attribute=value pair."""
+    """One relative distinguished name: an attribute=value pair.
 
-    attribute: str
-    value: str
+    Equality and hashing use the case-folded ``key`` (``cn=ana``),
+    ordering the case-folded ``normalized`` pair; both are set here.
+    """
+
+    attribute: str = field(compare=False)
+    value: str = field(compare=False)
+    normalized: tuple[str, str] = field(init=False, repr=False, compare=False)
+    key: str = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.attribute or not self.value:
             raise NameError_("RDN attribute and value must be non-empty")
-        if "," in self.value or "=" in self.value:
-            raise NameError_(f"RDN value {self.value!r} contains reserved characters")
+        for part in (self.attribute, self.value):
+            if "," in part or "=" in part:
+                raise NameError_(f"RDN {part!r} contains reserved characters")
+        normalized = (self.attribute.lower(), self.value.lower())
+        object.__setattr__(self, "normalized", normalized)
+        object.__setattr__(self, "key", "=".join(normalized))
 
     @staticmethod
     def parse(text: str) -> "Rdn":
@@ -38,33 +57,27 @@ class Rdn:
             raise NameError_(f"invalid RDN {text!r} (missing '=')")
         return Rdn(attribute.strip().lower(), value.strip())
 
-    def normalized(self) -> tuple[str, str]:
-        """Case-normalized key used for comparisons."""
-        return (self.attribute.lower(), self.value.lower())
-
     def __str__(self) -> str:
         return f"{self.attribute}={self.value}"
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Rdn):
-            return NotImplemented
-        return self.normalized() == other.normalized()
-
     def __lt__(self, other: "Rdn") -> bool:
-        return self.normalized() < other.normalized()
-
-    def __hash__(self) -> int:
-        return hash(self.normalized())
+        return self.normalized < other.normalized
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DistinguishedName:
     """An immutable sequence of RDNs, leaf first.
 
     The empty DN (``DistinguishedName(())``) denotes the directory root.
+    Equality and hashing use ``key``; the parent is built at most once.
     """
 
-    rdns: tuple[Rdn, ...] = ()
+    rdns: tuple[Rdn, ...] = field(default=(), compare=False)
+    _parent: "DistinguishedName | None" = field(default=None, repr=False, compare=False)
+    key: str = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", ",".join(r.key for r in self.rdns))
 
     @staticmethod
     def parse(text: str) -> "DistinguishedName":
@@ -73,10 +86,7 @@ class DistinguishedName:
         An empty or whitespace-only string denotes the root.
         """
         stripped = text.strip()
-        if not stripped:
-            return DistinguishedName(())
-        parts = [p.strip() for p in stripped.split(",")]
-        return DistinguishedName(tuple(Rdn.parse(p) for p in parts))
+        return _parse_stripped(stripped) if stripped else _ROOT
 
     @property
     def is_root(self) -> bool:
@@ -94,12 +104,14 @@ class DistinguishedName:
         """The name one level up (root's parent raises)."""
         if self.is_root:
             raise NameError_("the root has no parent")
-        return DistinguishedName(self.rdns[1:])
+        if self._parent is None:
+            object.__setattr__(self, "_parent", DistinguishedName(self.rdns[1:]))
+        return self._parent
 
     def child(self, rdn: Rdn | str) -> "DistinguishedName":
         """The name of a child entry under this one."""
         leaf = rdn if isinstance(rdn, Rdn) else Rdn.parse(rdn)
-        return DistinguishedName((leaf,) + self.rdns)
+        return DistinguishedName((leaf,) + self.rdns, self)
 
     def is_descendant_of(self, ancestor: "DistinguishedName") -> bool:
         """True when *ancestor* is a proper prefix (suffix-wise) of self."""
@@ -115,15 +127,30 @@ class DistinguishedName:
         return ",".join(str(r) for r in self.rdns)
 
     def __lt__(self, other: "DistinguishedName") -> bool:
-        return tuple(r.normalized() for r in reversed(self.rdns)) < tuple(
-            r.normalized() for r in reversed(other.rdns)
+        return tuple(r.normalized for r in reversed(self.rdns)) < tuple(
+            r.normalized for r in reversed(other.rdns)
         )
 
 
-def dn(text: str) -> DistinguishedName:
-    """Shorthand for :meth:`DistinguishedName.parse`.
+_ROOT = DistinguishedName(())
+
+
+def _parse_stripped(text: str) -> DistinguishedName:
+    """Parse a non-empty, stripped DN string: its leaf over a shared suffix."""
+    leaf_text, sep, rest = text.partition(",")
+    leaf = Rdn.parse(leaf_text)
+    return (_shared_suffix(rest.strip()) if sep else _ROOT).child(leaf)
+
+
+_shared_suffix = lru_cache(maxsize=SHARED_SUFFIXES)(_parse_stripped)
+
+
+def dn(text: "str | DistinguishedName") -> DistinguishedName:
+    """Shorthand for :meth:`DistinguishedName.parse`; a parsed name passes through.
 
     >>> dn("cn=Ana,o=UPC").depth()
     2
+    >>> dn("CN=Ana, O=UPC").key
+    'cn=ana,o=upc'
     """
-    return DistinguishedName.parse(text)
+    return text if isinstance(text, DistinguishedName) else DistinguishedName.parse(text)

@@ -42,19 +42,25 @@ class ObjectClass:
     may: set[str] = field(default_factory=set)
     parent: "ObjectClass | None" = None
 
-    def all_must(self) -> set[str]:
-        """Mandatory attributes including inherited ones."""
-        inherited = self.parent.all_must() if self.parent else set()
-        return inherited | self.must
+    def __post_init__(self) -> None:
+        # a class never changes once defined, so its inherited and permitted
+        # attribute sets are fixed
+        parent = self.parent
+        self._all_must = frozenset(self.must) | (parent.all_must() if parent else frozenset())
+        self._all_may = frozenset(self.may) | (parent.all_may() if parent else frozenset())
+        self.permitted = self._all_must | self._all_may
 
-    def all_may(self) -> set[str]:
+    def all_must(self) -> frozenset[str]:
+        """Mandatory attributes including inherited ones."""
+        return self._all_must
+
+    def all_may(self) -> frozenset[str]:
         """Optional attributes including inherited ones."""
-        inherited = self.parent.all_may() if self.parent else set()
-        return inherited | self.may
+        return self._all_may
 
     def permits(self, attribute: str) -> bool:
         """True when the attribute is allowed on entries of this class."""
-        return attribute in self.all_must() or attribute in self.all_may()
+        return attribute in self.permitted
 
 
 class Schema:
@@ -132,6 +138,7 @@ class Schema:
         if not class_names:
             raise SchemaViolationError("entry has no objectClass")
         classes = [self.object_class(str(c)) for c in class_names]
+        permitted = frozenset().union(*(cls.permitted for cls in classes))
         for cls in classes:
             for must in cls.all_must():
                 if must not in normalized or not normalized[must]:
@@ -141,7 +148,7 @@ class Schema:
         for attribute, values in normalized.items():
             if attribute == "objectclass":
                 continue
-            if not any(cls.permits(attribute) for cls in classes):
+            if attribute not in permitted:
                 raise SchemaViolationError(
                     f"attribute {attribute!r} not permitted by classes "
                     f"{sorted(c.name for c in classes)}"

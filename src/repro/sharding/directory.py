@@ -33,11 +33,6 @@ _STRUCTURAL_CLASSES = {
 }
 
 
-def _parsed(name: "DistinguishedName | str") -> DistinguishedName:
-    """*name* as a parsed DN (parsing a string once per operation)."""
-    return name if isinstance(name, DistinguishedName) else dn(name)
-
-
 def partition_key(name: "DistinguishedName | str") -> str:
     """The shard-placement key of a DN: its org subtree boundary.
 
@@ -50,11 +45,12 @@ def partition_key(name: "DistinguishedName | str") -> str:
     >>> partition_key("c=ES")
     ''
     """
-    rdns = _parsed(name).rdns
-    for index in range(len(rdns) - 1, -1, -1):
-        if rdns[index].attribute == "o":
-            return ",".join("=".join(r.normalized()) for r in rdns[index:])
-    return ""
+    key = dn(name).key
+    # RDN keys hold no ",", so the last ",o=" starts the outermost o= RDN
+    start = key.rfind(",o=")
+    if start >= 0:
+        return key[start + 1:]
+    return key if key.startswith("o=") else ""
 
 
 class ShardedDirectory:
@@ -135,13 +131,20 @@ class ShardedDirectory:
 
     # -- structural scaffolding --------------------------------------------
     def _ensure_ancestors(self, agent: DirectoryServiceAgent, name: DistinguishedName) -> None:
-        """Create missing structural ancestors of *name* on *agent*."""
-        rdns = name.rdns
-        for index in range(len(rdns) - 1, 0, -1):
-            ancestor = DistinguishedName(rdns[index:])
+        """Create missing structural ancestors of *name* on *agent*, top down.
+
+        An entry's own ancestors all exist, so the walk up stops at the first
+        ancestor present.
+        """
+        missing = []
+        ancestor = name
+        while ancestor.depth() > 1:
+            ancestor = ancestor.parent()
             if agent.dit.exists(ancestor):
-                continue
-            objectclass = _STRUCTURAL_CLASSES.get(ancestor.rdn.attribute)
+                break
+            missing.append(ancestor)
+        for ancestor in reversed(missing):
+            objectclass = _STRUCTURAL_CLASSES.get(ancestor.rdn.normalized[0])
             if objectclass is None:
                 raise ValueError(
                     f"cannot auto-create ancestor {ancestor} of {name}: "
@@ -156,7 +159,7 @@ class ShardedDirectory:
         Missing structural ancestors (country, org, unit) are created on
         the owning shard so each shard's DIT stays a well-formed tree.
         """
-        parsed = _parsed(name)
+        parsed = dn(name)
         agent = self.agent_for(parsed)
         if agent is None:
             entry: Entry | None = None
@@ -174,7 +177,7 @@ class ShardedDirectory:
 
     def exists(self, name: "DistinguishedName | str") -> bool:
         """Entry present? (one shard consulted; structural: any shard)."""
-        parsed = _parsed(name)
+        parsed = dn(name)
         agent = self.agent_for(parsed)
         if agent is None:
             agent = self.shards[0]
@@ -183,7 +186,7 @@ class ShardedDirectory:
 
     def read(self, name: "DistinguishedName | str") -> Entry:
         """Read an entry from its owning shard only."""
-        parsed = _parsed(name)
+        parsed = dn(name)
         agent = self.agent_for(parsed)
         if agent is None:
             agent = self.shards[0]
@@ -198,7 +201,7 @@ class ShardedDirectory:
         delete: "dict[str, Any] | list[str] | None" = None,
     ) -> Entry:
         """Modify an entry on its owning shard (structural: every shard)."""
-        parsed = _parsed(name)
+        parsed = dn(name)
         agents = [self.agent_for(parsed)]
         if agents[0] is None:
             agents = list(self.shards)
@@ -211,7 +214,7 @@ class ShardedDirectory:
 
     def delete(self, name: "DistinguishedName | str") -> None:
         """Delete a leaf entry on its owning shard (structural: everywhere)."""
-        parsed = _parsed(name)
+        parsed = dn(name)
         agent = self.agent_for(parsed)
         if agent is None:
             for shard in self.shards:
@@ -234,7 +237,7 @@ class ShardedDirectory:
         entries deduplicated, so the answer is what one giant DIT would
         have returned.
         """
-        parsed = _parsed(base)
+        parsed = dn(base)
         agent = self.agent_for(parsed)
         if agent is not None:
             self._count_read(agent.dsa_id)
@@ -254,7 +257,7 @@ class ShardedDirectory:
                 continue
             found_base += 1
             for entry in entries:
-                merged.setdefault(str(entry.name).lower(), entry)
+                merged.setdefault(entry.name.key, entry)
         if not found_base:
             raise NoSuchEntryError(f"search base {base} does not exist on any shard")
         results = sorted(merged.values(), key=lambda entry: entry.name)

@@ -32,6 +32,7 @@ wrecking the warm path at scale (ISSUE 7's 2,306-invalidation storm).
 from __future__ import annotations
 
 from repro.directory.dit import Entry
+from repro.directory.names import dn
 from repro.directory.schema import Schema
 from repro.org.knowledge_base import OrganisationalKnowledgeBase
 from repro.org.model import Organisation, Person
@@ -118,9 +119,10 @@ class ShardedKnowledgeBase(OrganisationalKnowledgeBase):
     # -- mutators (keep index + shards in step, then notify via super) -----
     def add_organisation(self, organisation: Organisation) -> Organisation:
         result = super().add_organisation(organisation)
-        if not self.directory.exists(self.org_dn(organisation.org_id)):
+        org_dn = dn(self.org_dn(organisation.org_id))
+        if not self.directory.exists(org_dn):
             self.directory.add(
-                self.org_dn(organisation.org_id),
+                org_dn,
                 {"objectclass": ["organization"], "description": [organisation.name]},
             )
         for person in organisation.persons():
@@ -138,7 +140,7 @@ class ShardedKnowledgeBase(OrganisationalKnowledgeBase):
         previous = self.find_person(person_id)
         moved = super().move_person(person_id, to_org)
         self._person_org[person_id] = to_org
-        old_dn = self.person_dn(person_id, previous.organisation)
+        old_dn = dn(self.person_dn(person_id, previous.organisation))
         if self.directory.exists(old_dn):
             self.directory.delete(old_dn)
         self._publish_person(moved)
@@ -147,13 +149,13 @@ class ShardedKnowledgeBase(OrganisationalKnowledgeBase):
     def remove_person(self, person_id: str) -> Person:
         person = super().remove_person(person_id)
         self._person_org.pop(person_id, None)
-        entry_dn = self.person_dn(person_id, person.organisation)
+        entry_dn = dn(self.person_dn(person_id, person.organisation))
         if self.directory.exists(entry_dn):
             self.directory.delete(entry_dn)
         return person
 
     def _publish_person(self, person: Person) -> None:
-        entry_dn = self.person_dn(person.person_id, person.organisation)
+        entry_dn = dn(self.person_dn(person.person_id, person.organisation))
         if self.directory.exists(entry_dn):
             return
         attributes = {

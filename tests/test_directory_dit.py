@@ -7,6 +7,7 @@ import pytest
 from repro.directory.dit import SCOPE_BASE, SCOPE_ONE, SCOPE_SUBTREE, DirectoryInformationTree
 from repro.directory.filters import Eq, parse_filter
 from repro.util.errors import (
+    AccessDeniedError,
     DirectoryError,
     EntryExistsError,
     NoSuchEntryError,
@@ -169,3 +170,31 @@ class TestChangelog:
         for change in changes:
             replica.apply_change(change)
         assert len(replica) == len(dit)
+
+
+class TestProtectionAfterUse:
+    def test_protect_after_reads_and_writes_governs_the_next_ones(self, dit):
+        ana = "cn=Ana,ou=AC,o=UPC,c=ES"
+        # the open subtree is read and written first
+        assert dit.read(ana, requestor="eve").first("sn") == "Lopez"
+        dit.modify(ana, add={"title": ["prof"]}, requestor="eve")
+        dit.add("cn=Pau,ou=AC,o=UPC,c=ES", {"objectclass": ["person"], "sn": ["Vila"]},
+                requestor="eve")
+        assert dit.can_read(ana, "eve") and dit.can_write(ana, "eve")
+
+        dit.protect("ou=AC,o=UPC,c=ES", readers={"hr"}, writers={"hr"})
+        with pytest.raises(AccessDeniedError):
+            dit.read(ana, requestor="eve")
+        with pytest.raises(AccessDeniedError):
+            dit.modify(ana, add={"title": ["dean"]}, requestor="eve")
+        with pytest.raises(AccessDeniedError):
+            dit.add("cn=Rosa,ou=AC,o=UPC,c=ES", {"objectclass": ["person"], "sn": ["Mas"]},
+                    requestor="eve")
+        assert dit.read(ana, requestor="hr").first("title") == "prof"
+        dit.modify(ana, add={"title": ["dean"]}, requestor="hr")
+
+        # a more specific protection issued later overrides the first one
+        dit.protect(ana, readers={"*"}, writers={"hr"})
+        assert dit.read(ana, requestor="eve").first("sn") == "Lopez"
+        with pytest.raises(AccessDeniedError):
+            dit.read("cn=Pau,ou=AC,o=UPC,c=ES", requestor="eve")

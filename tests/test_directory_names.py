@@ -3,9 +3,46 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.directory.names import DistinguishedName, Rdn, dn
+from repro.sharding.directory import partition_key
 from repro.util.errors import NameError_
+
+
+def reference_key(rdns: tuple[Rdn, ...]) -> str:
+    """The normalisation the DIT and the shard router once recomputed per call."""
+    return ",".join("=".join((r.attribute.lower(), r.value.lower())) for r in rdns)
+
+
+def reference_partition_key(name: DistinguishedName) -> str:
+    """The org subtree boundary: the key from the outermost ``o=`` RDN up."""
+    for index in range(len(name.rdns) - 1, -1, -1):
+        if name.rdns[index].attribute.lower() == "o":
+            return reference_key(name.rdns[index:])
+    return ""
+
+
+_ATTRIBUTES = st.sampled_from(["cn", "CN", "Cn", "ou", "OU", "o", "O", "c", "C", "l"])
+_VALUES = st.text(alphabet="aAbBzZñÑ09-", min_size=1, max_size=6)
+_PADS = st.sampled_from(["", " ", "  "])
+
+
+@st.composite
+def dn_texts(draw):
+    """Two renderings of one DN: different case and spacing, equal names."""
+    pairs = draw(st.lists(st.tuples(_ATTRIBUTES, _VALUES), min_size=1, max_size=5))
+
+    def render(swap: bool) -> str:
+        parts = []
+        for attribute, value in pairs:
+            if swap:
+                attribute, value = attribute.swapcase(), value.swapcase()
+            parts.append(f"{draw(_PADS)}{attribute}{draw(_PADS)}={draw(_PADS)}{value}{draw(_PADS)}")
+        return ",".join(parts)
+
+    return render(False), render(True)
 
 
 class TestRdn:
@@ -73,3 +110,28 @@ class TestDistinguishedName:
         ordered = sorted(names)
         assert ordered[0] == dn("o=UPC")
         assert ordered[1] == dn("cn=A,o=UPC")
+
+
+class TestOneKey:
+    @settings(max_examples=200, deadline=None)
+    @given(dn_texts())
+    def test_key_matches_the_reference_normalisation(self, texts):
+        text, variant = texts
+        name, other = dn(text), dn(variant)
+        assert name.key == reference_key(name.rdns)
+        assert partition_key(name) == reference_partition_key(name)
+        assert name == other
+        assert (name.key, hash(name), partition_key(name)) == (
+            other.key, hash(other), partition_key(other)
+        )
+        assert DistinguishedName(name.rdns).key == name.key
+        if name.depth() > 1:
+            assert name.parent().key == dn(text.partition(",")[2]).key
+
+    def test_shared_suffix_is_one_object(self):
+        assert dn("cn=Ana,o=UPC,c=ES").parent() is dn("cn=Joan,o=UPC,c=ES").parent()
+
+    def test_reserved_characters_in_attribute_rejected(self):
+        # an attribute holding "," or "=" would make two names share a key
+        with pytest.raises(NameError_):
+            Rdn("p=q,r", "s")

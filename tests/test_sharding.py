@@ -17,6 +17,7 @@ import zlib
 import pytest
 
 from repro.communication.model import Communicator
+from repro.directory.names import DistinguishedName, Rdn, dn
 from repro.environment.environment import (
     REASON_DELIVERED,
     REASON_POLICY,
@@ -29,7 +30,7 @@ from repro.environment.registry import (
 )
 from repro.federation.federation import Federation
 from repro.information.interchange import FormatConverter, make_common
-from repro.obs import Tracer
+from repro.obs import MetricsRegistry, Tracer
 from repro.org.model import Organisation, Person
 from repro.org.policy import INTERACTION_MESSAGE
 from repro.sharding import ConsistentHashRing, ShardedDirectory, ShardedKnowledgeBase
@@ -132,6 +133,12 @@ class TestPartitionKey:
     def test_structural_names_have_no_key(self):
         assert partition_key("c=ES") == ""
 
+    def test_mixed_case_attribute_routes_like_its_equal_name(self):
+        mixed = DistinguishedName((Rdn("cn", "Ana"), Rdn("O", "UPC"), Rdn("c", "ES")))
+        parsed = dn("cn=Ana,o=UPC,c=ES")
+        assert mixed == parsed and hash(mixed) == hash(parsed)
+        assert partition_key(mixed) == partition_key(parsed) == "o=upc,c=es"
+
 
 class TestShardedDirectory:
     def test_org_subtree_lives_on_one_shard(self):
@@ -158,6 +165,20 @@ class TestShardedDirectory:
         results = directory.search("c=es", scope="one")
         assert sorted(str(e.name) for e in results) == sorted(org_dns)
         assert directory.fanouts == 1
+
+    def test_mixed_case_name_found_on_the_owning_shard(self):
+        directory = ShardedDirectory(n_shards=4)
+        directory.add(dn("cn=Ana,o=UPC,c=ES"), {"objectclass": ["person"], "sn": ["Lopez"]})
+        mixed = DistinguishedName((Rdn("cn", "Ana"), Rdn("O", "UPC"), Rdn("c", "ES")))
+        assert directory.exists(mixed)
+        assert directory.read(mixed).first("sn") == "Lopez"
+
+    def test_mixed_case_ancestors_are_auto_created(self):
+        directory = ShardedDirectory(n_shards=4)
+        mixed = DistinguishedName((Rdn("cn", "Ana"), Rdn("O", "UPC"), Rdn("C", "ES")))
+        directory.add(mixed, {"objectclass": ["person"], "sn": ["Lopez"]})
+        owner = directory.agent_for("o=upc,c=es")
+        assert [s for s in directory.shards if s.dit.exists("cn=ana,o=upc,c=es")] == [owner]
 
     def test_org_base_search_touches_one_shard(self):
         directory = ShardedDirectory(n_shards=4)
@@ -224,6 +245,36 @@ class TestShardedKnowledgeBase:
         assert not shard.dit.exists(entry_dn)
         with pytest.raises(UnknownObjectError):
             kb.find_person("u5")
+
+    def test_routed_operations_per_shard_are_pinned(self):
+        kb = ShardedKnowledgeBase(n_shards=4)
+        metrics = MetricsRegistry()
+        kb.directory.attach_metrics(metrics)
+        for index in range(8):
+            kb.add_organisation(Organisation(f"org{index}", f"ORG {index}"))
+            kb.add_person(Person(f"u{index}", f"User {index}", f"org{index}"))
+
+        def routed():
+            return (
+                [kb.directory.reads_by_shard[f"kb-dsa-{i}"] for i in range(4)],
+                [kb.directory.writes_by_shard[f"kb-dsa-{i}"] for i in range(4)],
+            )
+
+        # one exists (a read) and one add (a write) per org and per person
+        assert routed() == ([8, 4, 4, 0], [8, 4, 4, 0])
+        kb.add_person(Person("new", "New Hire", "org2"))
+        assert routed() == ([8, 4, 5, 0], [8, 4, 5, 0])
+        # org1 lives on kb-dsa-0, org6 on kb-dsa-1: exists + delete on the
+        # old shard, exists + add on the new one
+        kb.move_person("u1", "org6")
+        assert routed() == ([9, 5, 5, 0], [9, 5, 5, 0])
+        kb.remove_person("u3")
+        assert routed() == ([10, 5, 5, 0], [10, 5, 5, 0])
+        counters = metrics.snapshot()["counters"]
+        for index, (reads, writes) in enumerate(zip(*routed())):
+            assert counters[f"directory.ops{{shard=kb-dsa-{index},op=reads}}"] == reads
+            assert counters[f"directory.ops{{shard=kb-dsa-{index},op=writes}}"] == writes
+        assert kb.directory.fanouts == 0
 
     def test_index_survives_direct_org_registration(self):
         kb = self.make_kb(orgs=2)
