@@ -8,17 +8,18 @@ consistent-hashed org subtrees across N DSAs, O(1) person->org
 resolution) and drives a mutation storm against a warm cache, asserting
 the scale properties the fix claims:
 
-* **invalidations are O(1) in affected keys** — a mutation evicts only
-  the routes touching the mutated entity (<= 2 here), independent of
-  population size and of how many routes are cached; unrelated churn
-  evicts nothing;
+* **invalidations are O(1) in affected keys** — a route participant's
+  move evicts at most their one memoised person entry, independent of
+  population size and of how many people and verdicts are cached; the
+  organisation-pair verdicts survive, and unrelated churn (hires,
+  bystander moves) evicts nothing;
 * **warm exchanges never touch the directory** — at every population
   point the warm loop makes 0 directory reads and 0 route misses, so no
   O(population) term is left on the hot path;
 * **person resolution reads one shard** — the owning DSA, and no other.
 
 Each sweep point reports evictions per mutation, the storm the old
-whole-cache behaviour would have caused (mutations x cached routes),
+whole-cache behaviour would have caused (mutations x cached entries),
 per-shard balance, and the warm loop's directory reads and route
 hits/misses.  The wall cost of a warm exchange over a sharded,
 mediated environment is measured by the benchmark harness
@@ -57,7 +58,7 @@ PAIRS = 32
 #: KB mutations fired against the warm cache per sweep point
 MUTATIONS = 64
 #: every k-th mutation moves a route participant (the only mutations
-#: that *should* evict anything: their <= 2 cached routes)
+#: that *should* evict anything: their one memoised person entry)
 PARTICIPANT_EVERY = 8
 
 
@@ -146,12 +147,13 @@ def run_point(population: int, warm_iterations: int) -> dict:
 
     # -- mutation storm against the warm cache ----------------------------
     stats_before = env.resolution.stats()
-    routes_before = stats_before["routes_cached"]
+    people_before = stats_before["people_cached"]
+    verdicts_before = stats_before["verdicts_cached"]
     bound = min(population, organisations)
     participant_moves = 0
     for index in range(MUTATIONS):
         if index % PARTICIPANT_EVERY == 0:
-            # a route participant changes org: their <= 2 routes must go
+            # a route participant changes org: their person entry must go
             mover = f"u{(participant_moves + 1) % bound}"
             target_org = f"org{(participant_moves + 2) % min(bound, PAIRS + 2)}"
             if kb.organisation_of(mover) != target_org:
@@ -170,17 +172,20 @@ def run_point(population: int, warm_iterations: int) -> dict:
     stats_after = env.resolution.stats()
     evicted = stats_after["evictions"] - stats_before["evictions"]
     events = stats_after["invalidations"] - stats_before["invalidations"]
-    routes_surviving = stats_after["routes_cached"]
+    people_surviving = stats_after["people_cached"]
+    verdicts_surviving = stats_after["verdicts_cached"]
 
-    # keyed invalidation: only participant moves evict, <= 2 routes each
-    assert evicted <= 2 * participant_moves, (
+    # keyed invalidation: only participant moves evict, <= 1 person each
+    assert evicted <= participant_moves, (
         f"{evicted} evictions for {participant_moves} participant moves"
     )
     assert events <= participant_moves, (
         f"{events} invalidation events for {participant_moves} participant moves"
     )
-    # the warm cache survives the storm (old behaviour: wiped 64 times)
-    assert routes_surviving >= routes_before - 2 * participant_moves
+    # the warm cache survives the storm (old behaviour: wiped 64 times);
+    # no person event touches an organisation-pair verdict
+    assert people_surviving >= people_before - participant_moves
+    assert verdicts_surviving == verdicts_before
 
     # exchanges still deliver after the storm (routes re-resolve cleanly)
     for sender, receiver in pairs:
@@ -201,9 +206,11 @@ def run_point(population: int, warm_iterations: int) -> dict:
         "evictions": evicted,
         "evictions_per_mutation": round(evicted / MUTATIONS, 3),
         "invalidation_events": events,
-        "routes_cached_before_storm": routes_before,
-        "routes_surviving_storm": routes_surviving,
-        "old_behaviour_would_evict": MUTATIONS * routes_before,
+        "people_cached_before_storm": people_before,
+        "verdicts_cached_before_storm": verdicts_before,
+        "people_surviving_storm": people_surviving,
+        "verdicts_surviving_storm": verdicts_surviving,
+        "old_behaviour_would_evict": MUTATIONS * (people_before + verdicts_before),
         "shard_balance_max_over_mean": round(report.shard_balance, 2),
         "shard_entries": report.shard_entries,
     }
@@ -273,7 +280,10 @@ def test_shard_bench_smoke():
     blob = run_bench([300], 100, "smoke")
     row = blob["sweep"][0]
     assert row["evictions_per_mutation"] <= 0.5
-    assert row["routes_surviving_storm"] >= PAIRS - 2 * row["participant_moves"]
+    assert row["people_surviving_storm"] >= (
+        row["people_cached_before_storm"] - row["participant_moves"]
+    )
+    assert row["verdicts_surviving_storm"] == row["verdicts_cached_before_storm"]
     assert row["old_behaviour_would_evict"] >= 50 * row["evictions"]
 
 

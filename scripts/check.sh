@@ -1,10 +1,9 @@
 #!/usr/bin/env sh
 # One-command tier-1 verification (tox-free): unit/integration tests,
 # the benchmark harness's own tests, the E-series bench smoke tests,
-# whole-tree bytecode compilation, a doctest pass over the observability,
-# utility, directory and sharding packages, and quick runs of the
-# untimed E13, E15 and E17 benches.  Wall-clock cost is measured only by
-# benchmarks/harness.
+# whole-tree bytecode compilation, a doctest pass over every module in
+# the package, and quick runs of the untimed E13, E15 and E17 benches.
+# Wall-clock cost is measured only by benchmarks/harness.
 # Run from the repository root:
 #
 #   sh scripts/check.sh
@@ -27,8 +26,8 @@ python -m pytest -q benchmarks --ignore=benchmarks/harness --benchmark-disable
 echo "== compileall src =="
 python -m compileall -q src
 
-echo "== doctests (src/repro/obs, src/repro/util, src/repro/directory, src/repro/sharding) =="
-python -m pytest -q --doctest-modules src/repro/obs src/repro/util src/repro/directory src/repro/sharding
+echo "== doctests (every module under src/repro) =="
+python -m pytest -q --doctest-modules src/repro
 
 echo "== bench_e13 resilience (quick) =="
 python benchmarks/bench_e13_resilience.py --quick

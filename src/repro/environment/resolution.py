@@ -8,11 +8,13 @@ document is exactly the mediation overhead that worries service-based
 mediation systems — the environment is *one* shared mediator, so the
 answers are shared too.
 
-The :class:`ResolutionCache` memoises
-
-* per ``(sender, receiver, interaction)`` — the :class:`RouteVerdict`
-  (both organisation ids plus the policy-compatibility verdict), and
-* per ``(sender_app, receiver_app)`` — the native format pair.
+The :class:`ResolutionCache` memoises the facts a verdict is made of —
+each person's organisation id (``""`` when the knowledge base does not
+know them), ``{interaction: RouteVerdict}`` per ``(sender_org,
+receiver_org)`` pair — and the native format pair per ``(sender_app,
+receiver_app)``.  A warm route is two person lookups and one verdict
+lookup; the memo grows with people and organisation pairs, never with
+person pairs.
 
 Correctness under mutation is preserved by *keyed invalidation*: the
 environment builder subscribes the cache to
@@ -20,22 +22,22 @@ environment builder subscribes the cache to
 (fired on organisation, person and policy changes, carrying the mutated
 entity) and to
 :meth:`repro.environment.registry.ApplicationRegistry.add_listener`
-(fired on application registration).  Each cached route is indexed under
-the person ids and organisation ids it touches, so a mutation evicts only
-the verdicts derived from the mutated entity — registering a person in
-org A leaves every route wholly inside org B memoised.  A policy change
-between two organisations evicts exactly the routes touching *both*.
-Every mutation names its entity, so there is no whole-route flush on
-this path; :meth:`ResolutionCache.invalidate_all` is the one explicit
+(fired on application registration).  A person event forgets that
+person; a policy event between two organisations forgets the verdicts of
+that pair in both directions; an organisation event forgets the verdicts
+and people in that organisation and every unknown person.  Every
+mutation names its entity, so there is no whole-route flush on this
+path; :meth:`ResolutionCache.invalidate_all` is the one explicit
 whole-cache reset.  Failed lookups (unknown applications) are never
 cached.
 
 Hit/miss/invalidation totals are kept as plain attributes and, when a
 metrics registry is attached, exported as ``env.cache.route.<hit|miss>``,
 ``env.cache.formats.<hit|miss>``, ``env.cache.invalidations`` and
-``env.cache.evicted`` counters.  ``invalidations`` counts *logical
-invalidation events that evicted at least one entry* — a mutation storm
-against an empty or untouched cache costs nothing and counts nothing.
+``env.cache.evicted`` counters.  A route lookup is a hit when it reads
+no knowledge-base state.  ``invalidations`` counts *logical invalidation
+events that evicted at least one entry* — a mutation storm against an
+empty or untouched cache costs nothing and counts nothing.
 """
 
 from __future__ import annotations
@@ -65,6 +67,11 @@ class RouteVerdict:
         return self.sender_org != self.receiver_org
 
 
+#: the verdict for a route with a participant the knowledge base does
+#: not know: treated as intra-organisational, so policy is not consulted
+UNKNOWN_ROUTE = RouteVerdict("", "", True)
+
+
 class ResolutionCache:
     """Memoises org/policy verdicts and app format pairs for exchanges.
 
@@ -82,11 +89,11 @@ class ResolutionCache:
     def __init__(self, knowledge_base: Any, applications: Any) -> None:
         self._kb = knowledge_base
         self._apps = applications
-        self._routes: dict[tuple[str, str, str], RouteVerdict] = {}
+        #: person id -> organisation id (``""`` when the KB does not know them)
+        self._people: dict[str, str] = {}
+        #: (sender org, receiver org) -> interaction -> verdict
+        self._verdicts: dict[tuple[str, str], dict[str, RouteVerdict]] = {}
         self._formats: dict[tuple[str, str], tuple[str, str]] = {}
-        #: secondary index: ``p:<person>`` / ``o:<org>`` tag -> route keys
-        self._route_index: dict[str, set[tuple[str, str, str]]] = {}
-        self._route_tags: dict[tuple[str, str, str], tuple[str, ...]] = {}
         self.enabled = True
         self.route_hits = 0
         self.route_misses = 0
@@ -114,19 +121,48 @@ class ResolutionCache:
         """The org/policy verdict for one directed person pair."""
         if not self.enabled:
             return self._resolve_route(sender, receiver, interaction)
-        key = (sender, receiver, interaction)
-        verdict = self._routes.get(key)
-        if verdict is None:
-            self.route_misses += 1
-            if self._obs.enabled:
-                self._m_route_miss.inc()
-            verdict = self._resolve_route(sender, receiver, interaction)
-            self._store_route(key, verdict)
+        people = self._people
+        sender_org = people.get(sender)
+        receiver_org = people.get(receiver)
+        if sender_org is None or receiver_org is None:
+            return self._route_miss(sender, receiver, interaction)
+        if sender_org and receiver_org:
+            verdicts = self._verdicts.get((sender_org, receiver_org))
+            if verdicts is None or (verdict := verdicts.get(interaction)) is None:
+                return self._route_miss(sender, receiver, interaction)
         else:
-            self.route_hits += 1
-            if self._obs.enabled:
-                self._m_route_hit.inc()
+            verdict = UNKNOWN_ROUTE
+        self.route_hits += 1
+        if self._obs.enabled:
+            self._m_route_hit.inc()
         return verdict
+
+    def _route_miss(self, sender: str, receiver: str, interaction: str) -> RouteVerdict:
+        """Resolve and memoise whichever facts of the route are missing."""
+        self.route_misses += 1
+        if self._obs.enabled:
+            self._m_route_miss.inc()
+        sender_org = self._organisation_of(sender)
+        receiver_org = self._organisation_of(receiver)
+        if not (sender_org and receiver_org):
+            return UNKNOWN_ROUTE
+        verdicts = self._verdicts.setdefault((sender_org, receiver_org), {})
+        verdict = verdicts.get(interaction)
+        if verdict is None:
+            verdict = verdicts[interaction] = self._verdict(
+                sender_org, receiver_org, interaction
+            )
+        return verdict
+
+    def _organisation_of(self, person: str) -> str:
+        org = self._people.get(person)
+        if org is None:
+            try:
+                org = self._kb.organisation_of(person)
+            except UnknownObjectError:
+                org = ""
+            self._people[person] = org
+        return org
 
     def formats(self, sender_app: str, receiver_app: str) -> tuple[str, str]:
         """The (sender, receiver) native format pair for one app pair.
@@ -151,15 +187,19 @@ class ResolutionCache:
         return pair
 
     def _resolve_route(self, sender: str, receiver: str, interaction: str) -> RouteVerdict:
+        """The cold verdict, read from the knowledge base with no memo."""
         kb = self._kb
         try:
             sender_org = kb.organisation_of(sender)
             receiver_org = kb.organisation_of(receiver)
         except UnknownObjectError:
-            sender_org = receiver_org = ""
-        policy_ok = True
-        if sender_org != receiver_org:
-            policy_ok = kb.policies.compatible(sender_org, receiver_org, interaction)
+            return UNKNOWN_ROUTE
+        return self._verdict(sender_org, receiver_org, interaction)
+
+    def _verdict(self, sender_org: str, receiver_org: str, interaction: str) -> RouteVerdict:
+        policy_ok = sender_org == receiver_org or self._kb.policies.compatible(
+            sender_org, receiver_org, interaction
+        )
         return RouteVerdict(sender_org, receiver_org, policy_ok)
 
     def _resolve_formats(self, sender_app: str, receiver_app: str) -> tuple[str, str]:
@@ -169,65 +209,7 @@ class ResolutionCache:
             apps.descriptor(receiver_app).format_name,
         )
 
-    # -- keyed route index -------------------------------------------------
-    def _store_route(self, key: tuple[str, str, str], verdict: RouteVerdict) -> None:
-        self._routes[key] = verdict
-        sender, receiver, _ = key
-        tags = tuple(
-            {
-                f"p:{sender}",
-                f"p:{receiver}",
-                f"o:{verdict.sender_org}",
-                f"o:{verdict.receiver_org}",
-            }
-        )
-        self._route_tags[key] = tags
-        index = self._route_index
-        for tag in tags:
-            index.setdefault(tag, set()).add(key)
-
-    def _drop_route(self, key: tuple[str, str, str]) -> int:
-        if self._routes.pop(key, None) is None:
-            return 0
-        for tag in self._route_tags.pop(key, ()):
-            keys = self._route_index.get(tag)
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
-                    del self._route_index[tag]
-        return 1
-
-    def _evict_tag(self, tag: str) -> int:
-        keys = self._route_index.get(tag)
-        if not keys:
-            return 0
-        return sum(self._drop_route(key) for key in list(keys))
-
-    def _evict_org_pair(self, org_a: str, org_b: str) -> int:
-        first = self._route_index.get(f"o:{org_a}")
-        if not first:
-            return 0
-        if org_a == org_b:
-            affected = set(first)
-        else:
-            second = self._route_index.get(f"o:{org_b}")
-            if not second:
-                return 0
-            affected = first & second
-        return sum(self._drop_route(key) for key in affected)
-
-    def _clear_routes(self) -> int:
-        removed = len(self._routes)
-        self._routes.clear()
-        self._route_index.clear()
-        self._route_tags.clear()
-        return removed
-
-    def _clear_formats(self) -> int:
-        removed = len(self._formats)
-        self._formats.clear()
-        return removed
-
+    # -- invalidation ------------------------------------------------------
     def _note_event(self, removed: int) -> None:
         """Account one mutation event that evicted *removed* entries."""
         self.generation += 1
@@ -238,40 +220,53 @@ class ResolutionCache:
                 self._obs.inc("env.cache.invalidations")
                 self._obs.inc("env.cache.evicted", removed)
 
-    # -- invalidation ------------------------------------------------------
+    def _evict_organisation(self, org: str) -> int:
+        """Forget the verdicts and people in *org*, and every unknown person.
+
+        The organisation may make an unknown person resolvable, or may
+        replace the one a memoised person was in.
+        """
+        people, verdicts = self._people, self._verdicts
+        stale = [person for person, known in people.items() if known in ("", org)]
+        for person in stale:
+            del people[person]
+        pairs = [pair for pair in verdicts if org in pair]
+        return len(stale) + sum(len(verdicts.pop(pair)) for pair in pairs)
+
     def invalidate_formats(self) -> None:
         """Forget every memoised format pair (one logical event)."""
-        self._note_event(self._clear_formats())
+        removed = len(self._formats)
+        self._formats.clear()
+        self._note_event(removed)
 
     def invalidate_all(self) -> None:
-        """Forget everything (routes and formats).
+        """Forget everything (people, verdicts and formats).
 
         One logical invalidation, counted once — not once per sub-cache.
         """
-        self._note_event(self._clear_routes() + self._clear_formats())
+        removed = len(self._people) + len(self._formats) + self._verdict_count()
+        self._people.clear()
+        self._verdicts.clear()
+        self._formats.clear()
+        self._note_event(removed)
 
     def on_kb_change(self, kind: str, entity_id: str, org: str) -> None:
         """Knowledge-base mutation hook (kind: organisation/person/policy).
 
-        Eviction is scoped to the mutated entity:
-
-        * ``person`` — only routes whose sender or receiver is
-          *entity_id*;
-        * ``organisation`` — routes touching that organisation, plus
-          routes cached while a participant was unknown (empty org ids):
-          the new organisation may be the one that makes them resolvable;
-        * ``policy`` — routes touching *both* organisations of the
-          mutated pair (a policy can only flip verdicts between them).
-
-        Any other *kind* raises :class:`ValueError`: a new mutation kind
-        must name its eviction scope here.
+        Eviction is scoped to the mutated entity, as the module docstring
+        describes: a policy can only flip verdicts between its two
+        organisations, so a policy event pops that pair's verdicts in both
+        directions.  Any other *kind* raises :class:`ValueError`: a new
+        mutation kind must name its eviction scope here.
         """
         if kind == "person":
-            removed = self._evict_tag(f"p:{entity_id}")
+            removed = 0 if self._people.pop(entity_id, None) is None else 1
         elif kind == "organisation":
-            removed = self._evict_tag(f"o:{entity_id}") + self._evict_tag("o:")
+            removed = self._evict_organisation(entity_id)
         elif kind == "policy":
-            removed = self._evict_org_pair(entity_id, org)
+            verdicts = self._verdicts
+            removed = len(verdicts.pop((entity_id, org), ()))
+            removed += len(verdicts.pop((org, entity_id), ()))
         else:
             raise ValueError(f"unknown knowledge-base change kind {kind!r}")
         self._note_event(removed)
@@ -286,6 +281,9 @@ class ResolutionCache:
         self.invalidate_formats()
 
     # -- introspection -----------------------------------------------------
+    def _verdict_count(self) -> int:
+        return sum(len(verdicts) for verdicts in self._verdicts.values())
+
     def stats(self) -> dict[str, int]:
         """Counters and sizes, for ``describe()`` and the benchmarks."""
         return {
@@ -296,6 +294,7 @@ class ResolutionCache:
             "invalidations": self.invalidations,
             "evictions": self.evictions,
             "generation": self.generation,
-            "routes_cached": len(self._routes),
+            "people_cached": len(self._people),
+            "verdicts_cached": self._verdict_count(),
             "formats_cached": len(self._formats),
         }

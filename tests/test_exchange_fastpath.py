@@ -295,7 +295,8 @@ class TestResolutionCache:
             cold_outcome = cold.exchange(ExchangeRequest("ana", "wolf", "conferencing",
                                                          "message-system", DOC))
             assert outcome_fields(warm_outcome) == outcome_fields(cold_outcome)
-        assert cold.resolution.stats()["routes_cached"] == 0
+        stats = cold.resolution.stats()
+        assert (stats["people_cached"], stats["verdicts_cached"]) == (0, 0)
 
     def test_describe_reports_cache_stats(self, env):
         env.exchange(ExchangeRequest(
@@ -333,7 +334,8 @@ class TestCacheInvalidation:
         # ana and wolf are cross-org: the warm route crosses upc -> gmd.
         assert env.exchange(ExchangeRequest("ana", "wolf", "conferencing", "message-system",
                                             DOC)).delivered
-        assert env.resolution.stats()["routes_cached"] == 1
+        stats = env.resolution.stats()
+        assert (stats["people_cached"], stats["verdicts_cached"]) == (2, 1)
         # wolf joins upc: the same route is now intra-organisational, so
         # it must keep working even after the upc<->gmd policy vanishes.
         env.knowledge_base.move_person("wolf", "upc")

@@ -1,0 +1,182 @@
+"""The resolution cache against its cold reference and its size bound.
+
+``ResolutionCache.route`` memoises each person's organisation and each
+organisation pair's verdicts, and evicts by the entity a knowledge-base
+event names.  The property test drives random hires, moves, removals,
+organisation registrations and policy declares/revokes through a
+knowledge base with the cache attached, and after every step checks the
+memoised verdict against ``_resolve_route``, the uncached reading of the
+same knowledge base.  The size test pins why the memo stays small: it
+holds people and organisation pairs, never person pairs.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.communication.model import Communicator
+from repro.environment.environment import CSCWEnvironment, ExchangeRequest
+from repro.environment.registry import AppDescriptor, Q_DIFFERENT_TIME_DIFFERENT_PLACE
+from repro.information.interchange import FormatConverter, make_common
+from repro.org.model import Organisation, Person
+from repro.org.policy import (
+    INTERACTION_MESSAGE,
+    INTERACTION_REALTIME,
+    INTERACTION_SHARE_DOCUMENT,
+)
+from repro.sim.world import World
+from repro.util.errors import UnknownObjectError
+
+PEOPLE = [f"p{index}" for index in range(6)]
+ORGS = [f"o{index}" for index in range(4)]
+KINDS = [INTERACTION_MESSAGE, INTERACTION_REALTIME, INTERACTION_SHARE_DOCUMENT]
+
+person = st.sampled_from(PEOPLE)
+org = st.sampled_from(ORGS)
+operation = st.one_of(
+    st.tuples(st.just("hire"), person, org),
+    st.tuples(st.just("move"), person, org),
+    st.tuples(st.just("remove"), person),
+    st.tuples(st.just("organisation"), org, st.lists(person, max_size=3, unique=True)),
+    st.tuples(
+        st.just("declare"), org, org,
+        st.sets(st.sampled_from([*KINDS, "*"]), max_size=2), st.booleans(),
+    ),
+    st.tuples(st.just("revoke"), org, org, st.booleans()),
+)
+query = st.tuples(person, person, st.sampled_from(KINDS))
+EVERY_ROUTE = list(itertools.product(PEOPLE, PEOPLE, KINDS))
+steps = st.lists(st.tuples(operation, st.lists(query, min_size=1, max_size=6)),
+                 max_size=25)
+
+
+def build(shards):
+    builder = CSCWEnvironment.builder().with_world(World(seed=0))
+    if shards:
+        builder = builder.with_sharding(shards)
+    env = builder.build()
+    kb = env.knowledge_base
+    for org_id, member in (("o0", "p0"), ("o1", "p1")):
+        organisation = Organisation(org_id, org_id.upper())
+        organisation.add_person(Person(member, member.upper(), org_id))
+        kb.add_organisation(organisation)
+    return env
+
+
+def organisation_of(kb, person_id):
+    try:
+        return kb.organisation_of(person_id)
+    except UnknownObjectError:
+        return None
+
+
+def apply(kb, op) -> bool:
+    """Apply *op* to *kb* when it is valid there; True when it mutated."""
+    kind, *args = op
+    orgs = {organisation.org_id for organisation in kb.organisations()}
+    if kind == "hire":
+        person_id, org_id = args
+        if org_id not in orgs or organisation_of(kb, person_id) is not None:
+            return False
+        kb.add_person(Person(person_id, person_id.upper(), org_id))
+    elif kind == "move":
+        person_id, org_id = args
+        if org_id not in orgs or organisation_of(kb, person_id) is None:
+            return False
+        kb.move_person(person_id, org_id)
+    elif kind == "remove":
+        (person_id,) = args
+        if organisation_of(kb, person_id) is None:
+            return False
+        kb.remove_person(person_id)
+    elif kind == "organisation":
+        # registers a new organisation, or replaces one; its members were
+        # unknown (or already in it) and become resolvable
+        org_id, members = args
+        organisation = Organisation(org_id, org_id.upper())
+        for member in members:
+            if organisation_of(kb, member) in (None, org_id):
+                organisation.add_person(Person(member, member.upper(), org_id))
+        kb.add_organisation(organisation)
+    elif kind == "declare":
+        org_a, org_b, allowed, symmetric = args
+        kb.policies.declare(org_a, org_b, allowed, symmetric=symmetric)
+    else:
+        org_a, org_b, symmetric = args
+        return kb.policies.revoke(org_a, org_b, symmetric=symmetric) > 0
+    return True
+
+
+class TestCachedMatchesCold:
+    @pytest.mark.parametrize("shards", [None, 2])
+    @settings(max_examples=150, deadline=None)
+    @given(script=steps)
+    def test_route_matches_cold_resolution_under_mutation(self, shards, script):
+        env = build(shards)
+        kb, cache = env.knowledge_base, env.resolution
+        calls = 0
+        for op, queries in script:
+            generation = cache.generation
+            if apply(kb, op):
+                assert cache.generation > generation, op
+            # the drawn queries warm the memo in a drawn order; the sweep
+            # then checks (and warms) every route the next step can stale
+            for sender, receiver, interaction in [*queries, *EVERY_ROUTE]:
+                cold = cache._resolve_route(sender, receiver, interaction)
+                assert cache.route(sender, receiver, interaction) == cold, (op, sender, receiver)
+                calls += 1
+        stats = cache.stats()
+        assert stats["route_hits"] + stats["route_misses"] == calls
+
+
+def converter(name: str) -> FormatConverter:
+    return FormatConverter(
+        name,
+        lambda document: make_common("note", document["title"], document["body"]),
+        lambda common: {"title": common["title"], "body": common["body"]},
+    )
+
+
+class TestMemoSize:
+    def test_memo_holds_people_and_org_pairs_not_person_pairs(self, world):
+        people, organisations = 12, 3
+        interactions = (INTERACTION_MESSAGE, INTERACTION_REALTIME)
+        env = CSCWEnvironment.builder().with_world(world).with_sharding(2).build()
+        kb = env.knowledge_base
+        org_ids = [f"o{index}" for index in range(organisations)]
+        for org_id in org_ids:
+            kb.add_organisation(Organisation(org_id, org_id.upper()))
+            world.network.add_node(f"ws-{org_id}", site=org_id)
+        for position, org_a in enumerate(org_ids):
+            for org_b in org_ids[position + 1:]:
+                kb.policies.declare(org_a, org_b, {"*"}, symmetric=True)
+        person_ids = [f"p{index}" for index in range(people)]
+        for index, person_id in enumerate(person_ids):
+            org_id = org_ids[index % organisations]
+            kb.add_person(Person(person_id, person_id.upper(), org_id))
+            env.register_person(Communicator(person_id, f"ws-{org_id}"))
+        for name in ("writer", "reader"):
+            env.applications.register(
+                AppDescriptor(name=name, quadrants=[Q_DIFFERENT_TIME_DIFFERENT_PLACE],
+                              converter=converter(name)),
+                lambda person, document, info: None,
+            )
+
+        document = {"title": "minutes", "body": "we met"}
+        for interaction in interactions:
+            for sender in person_ids:
+                for receiver in person_ids:
+                    outcome = env.exchange(ExchangeRequest(
+                        sender, receiver, "writer", "reader", document,
+                        interaction=interaction,
+                    ))
+                    assert outcome.delivered, outcome
+
+        stats = env.resolution.stats()
+        # a per-pair route memo would hold people**2 * 2 = 288 entries
+        assert stats["people_cached"] == people
+        assert stats["verdicts_cached"] == organisations ** 2 * len(interactions)

@@ -295,7 +295,7 @@ class TestKeyedInvalidation:
         env.knowledge_base.add_person(Person("newbie", "New Person", "acme"))
         after = env.resolution.stats()
         assert after["evictions"] == before["evictions"]
-        assert after["routes_cached"] == before["routes_cached"]
+        assert (after["people_cached"], after["verdicts_cached"]) == (2, 1)
         assert after["invalidations"] == before["invalidations"]
         outcome = exchange(env, "p-upc", "p-gmd")
         assert outcome.delivered
@@ -309,7 +309,7 @@ class TestKeyedInvalidation:
         env.knowledge_base.move_person("p-upc", "acme")
         after = env.resolution.stats()
         assert after["evictions"] == before["evictions"] + 1
-        assert after["routes_cached"] == before["routes_cached"] - 1
+        assert (after["people_cached"], after["verdicts_cached"]) == (3, 2)
         # the untouched route still serves from cache
         assert exchange(env, "p-acme", "p-zeta").delivered
         assert env.resolution.stats()["route_hits"] == before["route_hits"] + 1
@@ -321,7 +321,7 @@ class TestKeyedInvalidation:
         before = env.resolution.stats()
         env.knowledge_base.policies.revoke("upc", "gmd", symmetric=True)
         after = env.resolution.stats()
-        assert after["routes_cached"] == before["routes_cached"] - 1
+        assert (after["people_cached"], after["verdicts_cached"]) == (4, 1)
         # revocation is visible immediately on the affected pair...
         refused = exchange(env, "p-upc", "p-gmd")
         assert not refused.delivered
@@ -335,13 +335,13 @@ class TestKeyedInvalidation:
         env = make_env(world)
         assert exchange(env, "p-upc", "p-gmd").delivered
         before = env.resolution.stats()
-        assert before["routes_cached"] == 1
+        assert (before["people_cached"], before["verdicts_cached"]) == (2, 1)
         assert before["formats_cached"] == 1
         env.resolution.invalidate_all()
         after = env.resolution.stats()
         assert after["invalidations"] == before["invalidations"] + 1
-        assert after["evictions"] == before["evictions"] + 2
-        assert after["routes_cached"] == 0
+        assert after["evictions"] == before["evictions"] + 4
+        assert (after["people_cached"], after["verdicts_cached"]) == (0, 0)
         assert after["formats_cached"] == 0
 
     def test_empty_flush_bumps_generation_not_invalidations(self, world):
@@ -441,7 +441,8 @@ class TestShardedEnvironment:
         kb.add_person(Person("hire", "New Hire", bystanders[0]))
         kb.move_person(f"p-{bystanders[1]}", bystanders[0])
         assert env.resolution.stats()["evictions"] == before["evictions"]
-        assert env.resolution.stats()["routes_cached"] == before["routes_cached"]
+        stats = env.resolution.stats()
+        assert (stats["people_cached"], stats["verdicts_cached"]) == (2, 1)
         assert exchange(env, sender, receiver).delivered
         assert env.resolution.stats()["route_hits"] == before["route_hits"] + 1
 
@@ -453,7 +454,7 @@ class TestShardedEnvironment:
         assert exchange(env, "p-upc", "p-gmd").delivered
         assert exchange(env, "p-acme", "p-zeta").delivered
         before = env.resolution.stats()
-        assert before["routes_cached"] == 2
+        assert (before["people_cached"], before["verdicts_cached"]) == (4, 2)
 
         old_shard_id = kb.shard_of_person("p-upc")
         old_dn = kb.person_dn("p-upc", "upc")
@@ -467,7 +468,7 @@ class TestShardedEnvironment:
         assert kb.resolve_person_entry("p-upc").first("cn") == "p-upc"
         after = env.resolution.stats()
         assert after["evictions"] == before["evictions"] + 1
-        assert after["routes_cached"] == 1
+        assert (after["people_cached"], after["verdicts_cached"]) == (3, 2)
         assert exchange(env, "p-acme", "p-zeta").delivered
         assert env.resolution.stats()["route_hits"] == before["route_hits"] + 1
 
