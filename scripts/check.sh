@@ -2,7 +2,9 @@
 # One-command tier-1 verification (tox-free): unit/integration tests,
 # the benchmark harness's own tests, the E-series bench smoke tests,
 # whole-tree bytecode compilation, a doctest pass over every module in
-# the package, and quick runs of the untimed E13, E15 and E17 benches.
+# the package, quick runs of the untimed E13, E15 and E17 benches, and
+# smoke runs of the two examples that turn observability on
+# (quickstart.py and federation_demo.py).
 # Wall-clock cost is measured only by benchmarks/harness.
 # Run from the repository root:
 #
@@ -37,5 +39,11 @@ python benchmarks/bench_e15_control.py --quick
 
 echo "== bench_e17 mediation (quick) =="
 python benchmarks/bench_e17_mediation.py --quick
+
+echo "== example: quickstart (environment + builder + observability) =="
+python examples/quickstart.py > /dev/null
+
+echo "== example: federation_demo (federated, observed) =="
+python examples/federation_demo.py > /dev/null
 
 echo "== all checks passed =="

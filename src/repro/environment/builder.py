@@ -312,9 +312,9 @@ class EnvironmentBuilder:
         env._contexts = {}
         env._shed_limit = self._shed_limit
         env._default_deadline_s = self._default_deadline_s
-        # duck-typed: only the sharded KB can place a receiver on a shard,
-        # so only sharded environments stamp ``shard`` span tags
-        env._shard_of = getattr(env.knowledge_base, "shard_of_person", None)
+        # duck-typed: only the sharded KB can place an organisation on a
+        # shard, so only sharded environments stamp ``shard`` span tags
+        env._shard_of = getattr(env.knowledge_base, "shard_of_org", None)
         env._bind_labelled_metrics()
         instrument_environment(env, metrics=self._metrics, tracer=self._tracer)
         if self._sampling is not None:

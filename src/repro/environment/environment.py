@@ -279,8 +279,8 @@ class CSCWEnvironment:
         )
         #: failure reason code -> labelled ``reasons`` child
         self._m_failure_reasons: dict[str, Any] = {}
-        #: transparency dimension -> flat counter
-        self._m_dimensions: dict[str, Any] = {}
+        #: handled dimensions -> their flat transparency counters, in order
+        self._m_handled: dict[tuple[str, ...], tuple[Any, ...]] = {}
 
     # -- people ----------------------------------------------------------------
     def register_person(self, communicator: Communicator) -> None:
@@ -416,31 +416,28 @@ class CSCWEnvironment:
             if self.metrics.enabled:
                 self._flush_metrics(outcomes)
             outcome = outcomes[0]
-            span.tag(
-                delivered=outcome.delivered,
-                mode=outcome.mode,
-                reason_code=outcome.reason_code,
-            )
+            if not self.tracer.enabled:
+                return outcome
+            tags = span.tags
+            tags["delivered"] = outcome.delivered
+            tags["mode"] = outcome.mode
+            tags["reason_code"] = outcome.reason_code
             # Identity enrichment only for spans somebody will read:
-            # head-sampled ones, and failures (which tail retention
-            # promotes).  A sampled-out healthy span is dropped at
-            # settlement, so tagging it would be pure overhead — this
-            # is most of sampling's win on the hot path.
-            if span.sampled or (self.tracer.enabled and not outcome.delivered):
-                span.tag(
-                    domain=self.name,
-                    sender=request.sender,
-                    receiver=request.receiver,
-                    sender_app=request.sender_app,
-                    receiver_app=request.receiver_app,
-                )
+            # head-sampled ones and failures (which tail retention
+            # promotes); a sampled-out healthy span is dropped at
+            # settlement, and skipping its tags is most of sampling's
+            # win.  The receiver's organisation comes from the route
+            # memo, so tracing reads no KB state the exchange did not.
+            if span.sampled or not outcome.delivered:
+                tags["domain"] = self.name
+                tags["sender"] = request.sender
+                tags["receiver"] = request.receiver
+                tags["sender_app"] = request.sender_app
+                tags["receiver_app"] = request.receiver_app
                 if self._shard_of is not None:
-                    try:
-                        shard = self._shard_of(request.receiver)
-                    except UnknownObjectError:
-                        shard = ""
-                    if shard:
-                        span.tag(shard=shard)
+                    org = self.resolution.organisation_of(request.receiver)
+                    if org:
+                        tags["shard"] = self._shard_of(org)
             return outcome
 
     def exchange_many(self, requests: "list[ExchangeRequest]") -> list[ExchangeOutcome]:
@@ -478,8 +475,9 @@ class CSCWEnvironment:
                 self._exchange_group(requests[start:], span.trace_id, outcomes)
                 if self.metrics.enabled:
                     self._flush_metrics(outcomes)
-            delivered = sum(1 for outcome in outcomes if outcome.delivered)
-            span.tag(delivered=delivered, failed=len(outcomes) - delivered)
+            if self.tracer.enabled:
+                delivered = sum(1 for outcome in outcomes if outcome.delivered)
+                span.tag(delivered=delivered, failed=len(outcomes) - delivered)
             return outcomes
 
     def _translate_payload(
@@ -870,18 +868,20 @@ class CSCWEnvironment:
         total = len(outcomes)
         self._m_attempted.inc(total)
         observe_size = self._m_document_bytes.observe
-        dimensions = self._m_dimensions
+        by_handled = self._m_handled
         delivered = 0
         for outcome in outcomes:
             if outcome.delivered:
                 delivered += 1
                 observe_size(outcome.size_bytes)
-                for dimension in outcome.handled:
-                    counter = dimensions.get(dimension)
-                    if counter is None:
-                        counter = dimensions[dimension] = self.metrics.counter(
-                            f"env.exchange.transparency.{dimension}"
-                        )
+                handled = outcome.handled
+                counters = by_handled.get(handled)
+                if counters is None:
+                    counters = by_handled[handled] = tuple(
+                        self.metrics.counter(f"env.exchange.transparency.{dimension}")
+                        for dimension in handled
+                    )
+                for counter in counters:
                     counter.inc()
                 continue
             code = outcome.reason_code

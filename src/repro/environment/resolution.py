@@ -31,6 +31,12 @@ path; :meth:`ResolutionCache.invalidate_all` is the one explicit
 whole-cache reset.  Failed lookups (unknown applications) are never
 cached.
 
+:meth:`ResolutionCache.organisation_of` answers "which organisation is
+this person in?" for observers — the exchange span's ``shard`` tag —
+from the person memo, falling back to a cold read that it does not
+store: an observer reads no more than the untraced exchange did, and
+never changes what the cache holds or counts.
+
 Hit/miss/invalidation totals are kept as plain attributes and, when a
 metrics registry is attached, exported as ``env.cache.route.<hit|miss>``,
 ``env.cache.formats.<hit|miss>``, ``env.cache.invalidations`` and
@@ -163,6 +169,22 @@ class ResolutionCache:
                 org = ""
             self._people[person] = org
         return org
+
+    def organisation_of(self, person: str) -> str:
+        """The person's organisation id, ``""`` when the KB does not know them.
+
+        The observer's read: served from the person memo when it holds
+        *person*, otherwise read cold and not stored, so observing an
+        exchange never changes what the cache holds or counts.
+        """
+        if self.enabled:
+            org = self._people.get(person)
+            if org is not None:
+                return org
+        try:
+            return self._kb.organisation_of(person)
+        except UnknownObjectError:
+            return ""
 
     def formats(self, sender_app: str, receiver_app: str) -> tuple[str, str]:
         """The (sender, receiver) native format pair for one app pair.

@@ -61,7 +61,7 @@ from repro.federation.gateway import (
 )
 from repro.obs.context import TRACE_KEY, TraceContext
 from repro.obs.events import NULL_EVENTS, EventLog
-from repro.obs.metrics import NULL_METRICS, MetricsRegistry
+from repro.obs.metrics import NULL_METRICS, LazyCounter, MetricsRegistry
 from repro.obs.tracing import NULL_TRACER, Span, Tracer
 from repro.odp.binding import BindingFactory
 from repro.odp.objects import InterfaceRef
@@ -198,8 +198,13 @@ class Federation:
     ) -> None:
         self.world = world
         self.name = name
-        self._metrics = metrics if metrics is not None else NULL_METRICS
+        self._metrics = obs = metrics if metrics is not None else NULL_METRICS
         self._env_metrics = metrics
+        # per-exchange counters, bound on first use (no zero-valued series)
+        self._m_home_hit = LazyCounter(obs, "env.federation.home.hit")
+        self._m_home_miss = LazyCounter(obs, "env.federation.home.miss")
+        self._m_exchanges = LazyCounter(obs, "env.federation.exchanges")
+        self._m_inbound = LazyCounter(obs, "gateway.inbound")
         self._tracer = tracer
         #: the federation's own span handle (never None; NULL_TRACER no-ops)
         self._trace: Tracer = tracer if tracer is not None else NULL_TRACER
@@ -534,10 +539,10 @@ class Federation:
         cached = self._home_cache.get(person_id)
         if cached is not None:
             if self._metrics.enabled:
-                self._metrics.inc("env.federation.home.hit")
+                self._m_home_hit.inc()
             return cached
         if self._metrics.enabled:
-            self._metrics.inc("env.federation.home.miss")
+            self._m_home_miss.inc()
         domains = list(self._domains.values())
         if not domains:
             raise UnknownObjectError(f"federation {self.name!r} has no domains")
@@ -756,7 +761,7 @@ class Federation:
             results = [self._unroutable(request) for request in run]
         else:
             if self._metrics.enabled:
-                self._metrics.inc("env.federation.exchanges", len(run))
+                self._m_exchanges.inc(len(run))
             origin = self.domain(route[0])
             if route[0] == route[1]:
                 results = self._local_exchange_run(origin, run)
@@ -794,7 +799,7 @@ class Federation:
         """
         obs = self._metrics
         if obs.enabled:
-            obs.inc("env.federation.exchanges")
+            self._m_exchanges.inc()
         origin = self.domain(self.home_of(request.sender))
         now = self.world.now
         expires_at = origin.env.effective_deadline(request.deadline)
@@ -1135,7 +1140,7 @@ class Federation:
         documents = payload["requests"] if "requests" in payload else [payload]
         requests = list(map(ExchangeRequest.from_document, documents))
         if self._metrics.enabled:
-            self._metrics.inc("gateway.inbound", len(requests))
+            self._m_inbound.inc(len(requests))
             mediated = 0
             for document in documents:
                 mediated += "mediation" in document

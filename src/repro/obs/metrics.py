@@ -90,6 +90,37 @@ class Counter:
         self.value = 0
 
 
+class LazyCounter:
+    """A flat counter bound by name on its first ``inc``.
+
+    For per-call counts on paths a run may never take: binding the
+    counter up front would export a zero-valued series, and
+    ``registry.inc(name)`` repeats the name lookup on every call.  The
+    first ``inc`` creates the counter and rebinds ``inc`` to the
+    counter's own method, so later calls cost what a held counter costs.
+
+    >>> registry = MetricsRegistry()
+    >>> hits = LazyCounter(registry, "cache.hit")
+    >>> registry.snapshot()["counters"]
+    {}
+    >>> hits.inc(), hits.inc(2)
+    (1, 3)
+    >>> registry.snapshot()["counters"]
+    {'cache.hit': 3}
+    """
+
+    __slots__ = ("inc", "_registry", "_name")
+
+    def __init__(self, registry: "MetricsRegistry", name: str) -> None:
+        self._registry = registry
+        self._name = name
+        self.inc = self._bind_and_inc
+
+    def _bind_and_inc(self, amount: int = 1) -> int:
+        self.inc = self._registry.counter(self._name).inc
+        return self.inc(amount)
+
+
 class Gauge:
     """A named value that can go up and down (e.g. queue depth)."""
 

@@ -16,7 +16,7 @@ import heapq
 import itertools
 from typing import Callable
 
-from repro.obs.metrics import NULL_METRICS, MetricsRegistry
+from repro.obs.metrics import NULL_METRICS, LazyCounter, MetricsRegistry
 from repro.util.errors import SchedulingError
 
 Callback = Callable[[], None]
@@ -105,11 +105,14 @@ class Engine:
         self._scheduled_counter = obs.counter("sim.engine.scheduled")
         self._fired_counter = obs.counter("sim.engine.fired")
         self._depth_gauge = obs.gauge("sim.engine.queue_depth")
+        # bound on first use: a run that never cancels exports no
+        # zero-valued series
+        self._cancelled_counter = LazyCounter(obs, "sim.engine.cancelled")
 
     def _note_cancel(self) -> None:
         self._cancelled_pending += 1
         if self._obs.enabled:
-            self._obs.inc("sim.engine.cancelled")
+            self._cancelled_counter.inc()
         queue = self._queue
         if (
             self._cancelled_pending > _COMPACT_THRESHOLD

@@ -8,6 +8,13 @@ knowledge base with the cache attached, and after every step checks the
 memoised verdict against ``_resolve_route``, the uncached reading of the
 same knowledge base.  The size test pins why the memo stays small: it
 holds people and organisation pairs, never person pairs.
+
+The observer tests drive the same steps through
+``ResolutionCache.organisation_of``, the read behind an exchange span's
+``shard`` tag: it must equal a cold read of the knowledge base, and a
+traced environment must hold and count exactly what its untraced twin
+does.  A warm observed exchange reads the knowledge base no more often
+than an untraced one: not at all.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from repro.communication.model import Communicator
 from repro.environment.environment import CSCWEnvironment, ExchangeRequest
 from repro.environment.registry import AppDescriptor, Q_DIFFERENT_TIME_DIFFERENT_PLACE
 from repro.information.interchange import FormatConverter, make_common
+from repro.obs import Tracer
 from repro.org.model import Organisation, Person
 from repro.org.policy import (
     INTERACTION_MESSAGE,
@@ -54,10 +62,14 @@ steps = st.lists(st.tuples(operation, st.lists(query, min_size=1, max_size=6)),
                  max_size=25)
 
 
-def build(shards):
+def build(shards, cache=True, tracer=None):
     builder = CSCWEnvironment.builder().with_world(World(seed=0))
     if shards:
         builder = builder.with_sharding(shards)
+    if not cache:
+        builder = builder.with_resolution_cache(False)
+    if tracer is not None:
+        builder = builder.with_tracer(tracer)
     env = builder.build()
     kb = env.knowledge_base
     for org_id, member in (("o0", "p0"), ("o1", "p1")):
@@ -180,3 +192,107 @@ class TestMemoSize:
         # a per-pair route memo would hold people**2 * 2 = 288 entries
         assert stats["people_cached"] == people
         assert stats["verdicts_cached"] == organisations ** 2 * len(interactions)
+
+
+GHOST = "ghost"  # an endpoint the knowledge base does not know
+NOBODY = "nobody"  # known nowhere
+DOCUMENT = {"title": "minutes", "body": "we met"}
+#: an absolute deadline already past at t=0: refused before routing
+EXPIRED = -1.0
+#: o0 and o3 share a shard; o1 and o2 each have a shard of their own
+TWIN_SHARDS = 8
+
+
+def wire(env):
+    """Register the writer/reader apps and an endpoint for every person."""
+    env.world.network.add_node("ws", site="o0")
+    for name in ("writer", "reader"):
+        env.applications.register(
+            AppDescriptor(name=name, quadrants=[Q_DIFFERENT_TIME_DIFFERENT_PLACE],
+                          converter=converter(name)),
+            lambda person, document, info: None,
+        )
+    for person_id in (*PEOPLE, GHOST):
+        env.register_person(Communicator(person_id, "ws"))
+
+
+class TestObservedIdentity:
+    """Span identity is read from the memo, and observing changes nothing."""
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    @settings(max_examples=100, deadline=None)
+    @given(script=steps)
+    def test_identity_matches_cold_read_and_counts_nothing(self, shards, script):
+        warm, cold = build(shards), build(shards, cache=False)
+        for op, queries in script:
+            for env in (warm, cold):
+                kb, cache = env.knowledge_base, env.resolution
+                apply(kb, op)
+                for sender, receiver, interaction in queries:
+                    cache.route(sender, receiver, interaction)
+                before = cache.stats()
+                for person_id in (*PEOPLE, NOBODY):
+                    expected = organisation_of(kb, person_id) or ""
+                    assert cache.organisation_of(person_id) == expected, (op, person_id)
+                assert cache.stats() == before, op
+
+    @settings(max_examples=100, deadline=None)
+    @given(script=steps)
+    def test_traced_twin_tags_the_receivers_shard_and_leaves_the_cache_alone(self, script):
+        tracer = Tracer()
+        traced, untraced = build(TWIN_SHARDS, tracer=tracer), build(TWIN_SHARDS)
+        twins = (traced, untraced)
+        for env in twins:
+            wire(env)
+        kb = traced.knowledge_base
+        for op, queries in script:
+            for env in twins:
+                apply(env.knowledge_base, op)
+            for index, (sender, receiver, interaction) in enumerate(queries):
+                request = ExchangeRequest(
+                    sender, receiver, "writer", "reader", DOCUMENT,
+                    interaction=interaction, deadline=EXPIRED if index % 2 else None,
+                )
+                for env in twins:
+                    env.exchange(request)
+                (span,) = [span for span in tracer.drain() if span.name == "env.exchange"]
+                org = organisation_of(kb, receiver)
+                if org is None:
+                    assert "shard" not in span.tags, (op, request)
+                else:
+                    assert span.tags["shard"] == kb.shard_of_org(org), (op, request)
+                assert traced.resolution.stats() == untraced.resolution.stats(), (op, request)
+
+
+class TestObservationReadsNoKnowledgeBase:
+    def test_warm_observed_exchanges_read_no_kb_state(self):
+        pairs = [("p0", "p1"), ("p1", "p0"), ("p0", "p0"), ("p1", GHOST), ("p0", NOBODY)]
+        requests = [
+            ExchangeRequest(sender, receiver, "writer", "reader", DOCUMENT)
+            for sender, receiver in pairs
+        ] * 4
+        reads = {}
+        for traced in (False, True):
+            tracer = Tracer() if traced else None
+            env = build(2, tracer=tracer)
+            wire(env)
+            kb = env.knowledge_base
+            kb.policies.declare("o0", "o1", {"*"}, symmetric=True)
+            for request in requests:  # warm-up
+                env.exchange(request)
+            read, calls = kb.organisation_of, []
+
+            def counted(person_id, read=read, calls=calls):
+                calls.append(person_id)
+                return read(person_id)
+
+            kb.organisation_of = counted
+            outcomes = [env.exchange(request) for request in requests]
+            reads[traced] = len(calls)
+            assert {outcome.reason_code for outcome in outcomes} == {
+                "delivered", "unknown-receiver"
+            }
+            if traced:
+                spans = [span for span in tracer.drain() if span.name == "env.exchange"]
+                assert len(spans) == 2 * len(requests)
+        assert reads == {False: 0, True: 0}
