@@ -20,12 +20,34 @@ Applications integrate once (:meth:`register_application`) and then
 exchange documents through one pipeline, which applies the four CSCW
 transparencies per the caller's :class:`TransparencyProfile`.
 :meth:`exchange_many` splits a batch into runs of consecutive same-route
-requests; each run is admitted once (membership, organisation/policy,
-view, receiver endpoint — memoised in a
-:class:`~repro.environment.resolution.ResolutionCache` invalidated by
-knowledge-base and registry mutations), its documents are delivered one
-by one, and the batch's metrics are flushed once.  :meth:`exchange` is
+requests and the batch's metrics are flushed once; :meth:`exchange` is
 that pipeline run on a batch of one.
+
+The exchange decision — the one list of its stages.  The first stage
+that refuses an exchange decides its ``reason_code``:
+
+1. deadline — :data:`REASON_DEADLINE_EXCEEDED`
+2. activity membership — :data:`REASON_MEMBERSHIP`
+3. organisation transparency — :data:`REASON_ORGANISATION_OPAQUE`
+4. inter-organisation policy — :data:`REASON_POLICY`
+5. view transparency — :data:`REASON_VIEW_OPAQUE`
+6. translation — :data:`REASON_TRANSLATION`, or :data:`REASON_FIDELITY`
+   below the request's ``min_fidelity``
+7. receiver endpoint — :data:`REASON_UNKNOWN_RECEIVER`
+8. presence and time transparency — :data:`REASON_TIME_OPAQUE`
+9. queue-depth shedding — :data:`REASON_OVERLOAD`
+10. deliver or queue — :data:`REASON_DELIVERED`, or
+    :data:`REASON_APPLICATION_ERROR` when the application raises
+
+Stages 1–5 are route-constant: a run decides the deadline once and
+admits its route once (``_admit``, memoised in a
+:class:`~repro.environment.resolution.ResolutionCache` and re-run when a
+delivery callback mutates the knowledge base); stages 6–10 run per
+document.  A participant the knowledge base does not know resolves to a
+same-organisation route, so stages 3 and 4 never refuse them.  A
+federation's origin domain decides stages 1–4 before relaying (a
+receiver with no home domain fails stage 7 there, after stage 1); the
+target's pipeline decides the rest.
 """
 
 from __future__ import annotations
@@ -54,6 +76,7 @@ from repro.util.serialization import document_size
 
 if TYPE_CHECKING:
     from repro.environment.builder import EnvironmentBuilder
+    from repro.information.interchange import TranslationResult
 
 #: structured reason codes an ExchangeOutcome can carry
 REASON_DELIVERED = "delivered"
@@ -92,7 +115,7 @@ def _with_time(handled: tuple[str, ...]) -> tuple[str, ...]:
 
 
 class _Refusal(NamedTuple):
-    """Why a route was refused admission: a ``REASON_*`` code and text."""
+    """Why an exchange was refused: a ``REASON_*`` code and text."""
 
     code: str
     reason: str
@@ -320,17 +343,9 @@ class CSCWEnvironment:
                 continue
             flushed += 1
         if expired:
-            if self.metrics.enabled:
-                self.metrics.inc("env.shed.expired", expired)
-            if self.events.enabled:
-                self.events.record(
-                    now,
-                    KIND_DEADLINE,
-                    env=self.name,
-                    receiver=person_id,
-                    dropped=expired,
-                    at="flush",
-                )
+            self._count_drops(
+                "expired", KIND_DEADLINE, now, "", receiver=person_id, dropped=expired, at="flush"
+            )
         return flushed
 
     def pending_for(self, person_id: str) -> int:
@@ -386,7 +401,8 @@ class CSCWEnvironment:
 
         A single exchange is a batch of one: it runs the pipeline of
         :meth:`exchange_many`, so its outcome and counters are exactly
-        those of ``exchange_many([request])``.
+        those of ``exchange_many([request])``.  Its stages, in order,
+        are the module's stage list.
 
         The environment applies each enabled transparency; a disabled
         transparency whose dimension the exchange actually crosses makes
@@ -480,63 +496,42 @@ class CSCWEnvironment:
                 span.tag(delivered=delivered, failed=len(outcomes) - delivered)
             return outcomes
 
-    def _translate_payload(
-        self,
-        source_format: str,
-        target_format: str,
-        payload: "dict[str, Any]",
-        min_fidelity: float,
-    ):
-        """Translate via the static hub, falling back to the mediator.
+    def _translate(
+        self, source: str, target: str, payload: "dict[str, Any]", floor: float
+    ) -> "TranslationResult | _Refusal":
+        """Stage 6: translate via the static hub, falling back to the mediator.
 
         The :class:`InterchangeService` serves the classic
         both-formats-registered case; the mediator (when wired via
         ``with_mediation()``) takes over when the hub cannot — a format
         it has never seen, or a hub plan too lossy for the caller's
-        ``min_fidelity`` floor (the mediator may know a direct or
-        partial route with better fidelity).  Raises
-        :class:`~repro.util.errors.InteropError` when no route exists
-        and :class:`~repro.util.errors.FidelityError` when routes exist
-        but none meets the floor.
+        ``min_fidelity`` *floor* (the mediator may know a direct or
+        partial route with better fidelity).  Returns the translation,
+        else a :data:`REASON_TRANSLATION` refusal when no route exists
+        or a :data:`REASON_FIDELITY` one when none meets the floor.
         """
-        interchange = self.interchange
-        mediator = self.mediator
-        if mediator is None:
-            result = interchange.translate(source_format, target_format, payload)
-            if result.fidelity < min_fidelity:
-                raise FidelityError(
-                    f"hub plan {source_format!r} -> {target_format!r} keeps "
-                    f"fidelity {result.fidelity:.3f}, below the requested "
-                    f"floor {min_fidelity:.3f}",
-                    best_fidelity=result.fidelity,
-                    min_fidelity=min_fidelity,
+        interchange, mediator = self.interchange, self.mediator
+        below = ""
+        try:
+            if mediator is None or (
+                interchange.is_registered(source) and interchange.is_registered(target)
+            ):
+                result = interchange.translate(source, target, payload)
+                if result.fidelity >= floor:
+                    return result
+                below = (
+                    f"hub plan {source!r} -> {target!r} keeps fidelity "
+                    f"{result.fidelity:.3f}, below the requested floor {floor:.3f}"
                 )
-            return result
-        if interchange.is_registered(source_format) and interchange.is_registered(
-            target_format
-        ):
-            result = interchange.translate(source_format, target_format, payload)
-            if result.fidelity >= min_fidelity:
-                return result
-            try:
-                return mediator.translate(
-                    source_format, target_format, payload, min_fidelity=min_fidelity
-                )
-            except FidelityError:
-                raise
-            except InteropError:
-                # no mediated route either — report the hub's best offer
-                raise FidelityError(
-                    f"hub plan {source_format!r} -> {target_format!r} keeps "
-                    f"fidelity {result.fidelity:.3f}, below the requested "
-                    f"floor {min_fidelity:.3f}, and no mediated plan improves "
-                    "on it",
-                    best_fidelity=result.fidelity,
-                    min_fidelity=min_fidelity,
-                ) from None
-        return mediator.translate(
-            source_format, target_format, payload, min_fidelity=min_fidelity
-        )
+                if mediator is None:
+                    return _Refusal(REASON_FIDELITY, below)
+            return mediator.translate(source, target, payload, min_fidelity=floor)
+        except FidelityError as exc:
+            return _Refusal(REASON_FIDELITY, str(exc))
+        except InteropError as exc:
+            if below:  # no mediated route either: report the hub's best offer
+                return _Refusal(REASON_FIDELITY, f"{below}, and no mediated plan improves on it")
+            return _Refusal(REASON_TRANSLATION, str(exc))
 
     def _admit(
         self,
@@ -544,17 +539,16 @@ class CSCWEnvironment:
         active: TransparencyProfile,
         at_origin: bool = False,
     ) -> "_Refusal | _Admission | None":
-        """Admit one route: activity membership, organisation/policy,
-        view, then the receiver endpoint.
+        """Admit one route: stages 2–5 of the module's stage list, plus
+        the receiver endpoint lookup.
 
         Returns a :class:`_Refusal` naming the first check that fails,
         else the route-constant :data:`_Admission` a run delivers with
-        (its endpoint is None for a receiver with no communicator: the
-        pipeline reports that after translating, per document).  A
-        federation's origin domain admits *at_origin*: only membership
-        and organisation/policy are decided there — the view and the
-        endpoint are the target's — and None means the request may be
-        relayed.  *active* is the request's transparency profile.
+        (its endpoint is None for a receiver with no communicator: stage
+        7 reports that per document).  A federation's origin domain
+        admits *at_origin*: it decides only the stages the origin owns,
+        and None means the request may be relayed.  *active* is the
+        request's transparency profile.
         """
         activity_id = request.activity_id
         if activity_id:
@@ -613,233 +607,118 @@ class CSCWEnvironment:
         return context, sender_format, receiver_format, handled, endpoint
 
     def _exchange_group(
-        self,
-        group: Sequence[ExchangeRequest],
-        trace_id: str,
-        outcomes: list[ExchangeOutcome],
+        self, group: Sequence[ExchangeRequest], trace_id: str, outcomes: list[ExchangeOutcome]
     ) -> None:
-        """Run one run of same-route requests through the pipeline.
-
-        The deadline and the route's admission (:meth:`_admit`) are
-        decided once for the run; each document is then translated,
-        checked against the receiver endpoint, presence and queue depth,
-        and delivered.  Appends one outcome per request to *outcomes*;
-        the caller flushes the metrics.
-        """
+        """Run one run of same-route requests through the module's stage list, appending
+        one outcome per request to *outcomes* (the caller flushes the metrics)."""
         head = group[0]
         size = len(group)
         receiver = head.receiver
         self.exchanges_attempted += size
         now = self.world.now
-        # Deadline first: an exchange that arrives expired (e.g. after
-        # gateway hops) must not consume pipeline work.
-        expires_at = self.effective_deadline(head.deadline)
-        if expires_at is not None and now >= expires_at:
-            if self.metrics.enabled:
-                self.metrics.inc("env.shed.expired", size)
-            if self.events.enabled:
-                self.events.record(
-                    now,
-                    KIND_DEADLINE,
-                    trace_id=trace_id,
-                    env=self.name,
-                    receiver=receiver,
-                    deadline=expires_at,
-                    dropped=size,
-                )
-            refusal = _Refusal(REASON_DEADLINE_EXCEEDED, deadline_reason(expires_at, now))
+        expires_at, refusal = self._expiry(head, now)
+        if refusal is not None:  # expired (e.g. after gateway hops): no pipeline work
+            self._count_drops(
+                "expired", KIND_DEADLINE, now, trace_id,
+                receiver=receiver, deadline=expires_at, dropped=size,
+            )
             return self._refuse(refusal, size, trace_id, outcomes)
         active = head.profile if head.profile is not None else _ALL_ON
-        resolution = self.resolution
-        generation = resolution.generation
-        admitted = self._admit(head, active)
-        if admitted.__class__ is _Refusal:
-            return self._refuse(admitted, size, trace_id, outcomes)
-        context, sender_format, receiver_format, handled, endpoint = admitted
-        translated = sender_format != receiver_format
-
-        sender = head.sender
-        sender_app = head.sender_app
-        receiver_app = head.receiver_app
-        activity_id = head.activity_id
-        topic = f"activity/{activity_id}/exchange" if active.activity and activity_id else "exchange"
-        #: consecutive items carrying one document object share its
-        #: translation, size and (per mode) delivered outcome
-        last_document = None
-        outcome: ExchangeOutcome | None = None
-        failed = shed = delivered = 0
-        for request in group:
-            if resolution.generation != generation:
-                # A delivery callback mutated the knowledge base: the
-                # hoisted admission may be stale, so re-admit.
-                generation = resolution.generation
+        activity_id = head.activity_id if active.activity else ""
+        topic = f"activity/{activity_id}/exchange" if activity_id else "exchange"
+        generation = -1  # admits the route on the first item
+        shed = 0
+        for index, request in enumerate(group):
+            if self.resolution.generation != generation:
+                # first item, or a callback mutated the KB: the admission may be stale
+                generation = self.resolution.generation
                 last_document = outcome = None
                 admitted = self._admit(head, active)
                 if admitted.__class__ is _Refusal:
-                    # refused items deliver nothing, so no callback can
-                    # re-admit the route: the rest of the run fails
-                    done = failed + delivered
-                    self._refuse(admitted, size - done, trace_id, outcomes)
+                    # no later callback can re-admit the route: the rest of the run fails
+                    self._refuse(admitted, size - index, trace_id, outcomes)
                     break
-                context, sender_format, receiver_format, handled, endpoint = admitted
-                translated = sender_format != receiver_format
+                context, source, target, handled, endpoint = admitted
+                translated = source != target
+            refusal = None
             document = request.document
+            # items carrying one document object share its translation, size and outcome
             if document is not last_document:
-                payload = dict(document)
-                fidelity = 1.0
+                last_document, outcome = document, None
+                payload, fidelity = dict(document), 1.0
                 if translated:
-                    try:
-                        result = self._translate_payload(
-                            sender_format, receiver_format, payload, head.min_fidelity
-                        )
-                    except InteropError as exc:
-                        last_document = None
-                        failed += 1
-                        outcomes.append(
-                            ExchangeOutcome(
-                                delivered=False,
-                                mode="failed",
-                                reason=str(exc),
-                                reason_code=REASON_FIDELITY
-                                if isinstance(exc, FidelityError)
-                                else REASON_TRANSLATION,
-                                trace_id=trace_id,
-                            )
-                        )
-                        continue
-                    payload = result.document
-                    fidelity = result.fidelity
-                size_bytes = document_size(payload)
-                last_document = document
-                outcome = None
-
-            # A receiver who was *never* registered is a hard failure,
-            # not an absence: queueing for them would blackhole the
-            # document in _pending_deliveries forever.
-            if endpoint is None:
-                failed += 1
-                outcomes.append(
-                    ExchangeOutcome(
-                        delivered=False,
-                        mode="failed",
-                        reason=unknown_receiver_reason(receiver),
-                        reason_code=REASON_UNKNOWN_RECEIVER,
-                        trace_id=trace_id,
-                    )
-                )
-                continue
-            # presence and queue depth are read per item: a delivery
-            # callback may flip presence, and each queued delivery counts
-            # against the next one's shed check
-            if endpoint.present:
+                    result = self._translate(source, target, payload, head.min_fidelity)
+                    if result.__class__ is _Refusal:
+                        refusal, last_document = result, None  # the next item retries
+                    else:
+                        payload, fidelity = result.document, result.fidelity
+                if refusal is None:
+                    size_bytes = document_size(payload)
+            # stages 7-9 run per item: callbacks flip presence, deliveries fill queues
+            if refusal is not None:
+                pass  # stage 6 refused it
+            elif endpoint is None:  # never registered: queueing would blackhole it
+                refusal = _Refusal(REASON_UNKNOWN_RECEIVER, unknown_receiver_reason(receiver))
+            elif endpoint.present:
                 mode = "synchronous"
+            elif not active.time:
+                absent = f"receiver {receiver} absent with time transparency off"
+                refusal = _Refusal(REASON_TIME_OPAQUE, absent)
+            elif head.priority <= 0 and self._queue_full(receiver):
+                shed += 1
+                queued = f"receiver {receiver} has {self._shed_limit} deliveries queued; "
+                refusal = _Refusal(REASON_OVERLOAD, queued + "shedding to protect the environment")
             else:
-                if not active.time:
-                    failed += 1
-                    outcomes.append(
-                        ExchangeOutcome(
-                            delivered=False,
-                            mode="failed",
-                            reason=f"receiver {receiver} absent with time transparency off",
-                            reason_code=REASON_TIME_OPAQUE,
-                            trace_id=trace_id,
-                        )
-                    )
-                    continue
-                if (
-                    head.priority <= 0
-                    and self._shed_limit is not None
-                    and len(self._pending_deliveries.get(receiver, ())) >= self._shed_limit
-                ):
-                    failed += 1
-                    shed += 1
-                    outcomes.append(
-                        ExchangeOutcome(
-                            delivered=False,
-                            mode="failed",
-                            reason=f"receiver {receiver} has {self._shed_limit} "
-                            "deliveries queued; shedding to protect the environment",
-                            reason_code=REASON_OVERLOAD,
-                            trace_id=trace_id,
-                        )
-                    )
-                    continue
                 mode = "asynchronous"
-
-            info = {
-                "sender": sender,
-                "sender_app": sender_app,
-                "mode": mode,
-                "fidelity": fidelity,
-                "activity": activity_id,
-            }
-            self.bus.publish(topic, info, source=sender_app, time=now)
-            rendered = self.views.render(receiver, payload)
-            # Deliver immediately when the receiver is present, queued
-            # for their return otherwise (store-and-forward).
-            if mode == "synchronous":
-                try:
-                    self.applications.deliver(receiver_app, receiver, rendered, info)
-                except Exception as exc:  # the application's fault, not the run's
-                    failed += 1
-                    outcomes.append(
-                        ExchangeOutcome(
-                            delivered=False,
-                            mode="failed",
-                            reason=f"application {receiver_app!r} raised "
-                            f"{type(exc).__name__}: {exc}",
-                            reason_code=REASON_APPLICATION_ERROR,
-                            trace_id=trace_id,
-                        )
+            if refusal is None:  # stage 10: deliver now, or queue for the receiver's return
+                info = {"sender": head.sender, "sender_app": head.sender_app, "mode": mode,
+                        "fidelity": fidelity, "activity": head.activity_id}
+                self.bus.publish(topic, info, source=head.sender_app, time=now)
+                rendered = self.views.render(receiver, payload)
+                if mode == "asynchronous":
+                    self._pending_deliveries.setdefault(receiver, []).append(
+                        (head.receiver_app, rendered, info, expires_at)
                     )
-                    continue
-                delivered += 1
-            else:
-                self._pending_deliveries.setdefault(receiver, []).append(
-                    (receiver_app, rendered, info, expires_at)
-                )
-                delivered += 1
+                else:
+                    try:
+                        self.applications.deliver(head.receiver_app, receiver, rendered, info)
+                    except Exception as exc:  # the application's fault, not the run's
+                        raised = f"application {head.receiver_app!r} raised {type(exc).__name__}"
+                        refusal = _Refusal(REASON_APPLICATION_ERROR, f"{raised}: {exc}")
+            if refusal is not None:
+                self._refuse(refusal, 1, trace_id, outcomes)
+                continue
             self.communication_log.record(
-                Exchange(
-                    sender=sender,
-                    receiver=receiver,
-                    mode=mode,
-                    media="document",
-                    size_bytes=size_bytes,
-                    time=now,
-                    context=context,
-                )
+                Exchange(head.sender, receiver, mode, "document", size_bytes, now, context)
             )
             if outcome is None or outcome.mode != mode:
                 outcome = ExchangeOutcome(
-                    delivered=True,
-                    mode=mode,
-                    reason=f"delivered ({mode})",
-                    translated=translated,
-                    fidelity=fidelity,
+                    delivered=True, mode=mode, reason=f"delivered ({mode})",
+                    translated=translated, fidelity=fidelity,
                     handled=handled if mode == "synchronous" else _with_time(handled),
-                    reason_code=REASON_DELIVERED,
-                    trace_id=trace_id,
-                    size_bytes=size_bytes,
+                    reason_code=REASON_DELIVERED, trace_id=trace_id, size_bytes=size_bytes,
                 )
             outcomes.append(outcome)
-
-        if failed:
-            self.exchanges_failed += failed
         if shed:
-            if self.metrics.enabled:
-                self.metrics.inc("env.shed.overload", shed)
-            if self.events.enabled:
-                self.events.record(
-                    now,
-                    KIND_SHED,
-                    trace_id=trace_id,
-                    env=self.name,
-                    receiver=receiver,
-                    queued=self._shed_limit,
-                    dropped=shed,
-                    shed_class=head.shed_class,
-                )
+            self._count_drops(
+                "overload", KIND_SHED, now, trace_id, receiver=receiver,
+                queued=self._shed_limit, dropped=shed, shed_class=head.shed_class,
+            )
+
+    def _queue_full(self, receiver: str) -> bool:
+        """Stage 9's test: *receiver*'s queue has reached the shed limit."""
+        limit = self._shed_limit
+        return limit is not None and len(self._pending_deliveries.get(receiver, ())) >= limit
+
+    def _count_drops(
+        self, counter: str, kind: str, now: float, trace_id: str, **attrs: Any
+    ) -> None:
+        """Count ``attrs["dropped"]`` exchanges the environment dropped as
+        ``env.shed.<counter>`` and record one *kind* event with *attrs*."""
+        if self.metrics.enabled:
+            self.metrics.inc(f"env.shed.{counter}", attrs["dropped"])
+        if self.events.enabled:
+            self.events.record(now, kind, trace_id=trace_id, env=self.name, **attrs)
 
     def _refuse(
         self,
@@ -848,20 +727,17 @@ class CSCWEnvironment:
         trace_id: str,
         outcomes: list[ExchangeOutcome],
     ) -> None:
-        """Fail *count* requests with one refusal, appended to *outcomes*."""
+        """Fail *count* requests with one refusal, appended to *outcomes*:
+        the one place a failed :class:`ExchangeOutcome` is built."""
         self.exchanges_failed += count
-        outcomes.extend(
-            [
-                ExchangeOutcome(
-                    delivered=False,
-                    mode="failed",
-                    reason=refusal.reason,
-                    reason_code=refusal.code,
-                    trace_id=trace_id,
-                )
-            ]
-            * count
+        failed = ExchangeOutcome(
+            delivered=False,
+            mode="failed",
+            reason=refusal.reason,
+            reason_code=refusal.code,
+            trace_id=trace_id,
         )
+        outcomes.extend([failed] * count)
 
     def _flush_metrics(self, outcomes: "list[ExchangeOutcome]") -> None:
         """Count a batch's outcomes into the metrics registry at once."""
@@ -942,17 +818,26 @@ class CSCWEnvironment:
             return self.world.now + self._default_deadline_s
         return None
 
-    def _fail(self, code: str, reason: str) -> ExchangeOutcome:
-        """Count and return one exchange refused before any run took it.
+    def _expiry(
+        self, request: ExchangeRequest, now: float
+    ) -> "tuple[float | None, _Refusal | None]":
+        """The deadline stage: *request*'s effective deadline, and the
+        refusal when it has passed at *now*.  Each caller counts the
+        expiry its own way."""
+        expires_at = self.effective_deadline(request.deadline)
+        if expires_at is not None and now >= expires_at:
+            return expires_at, _Refusal(
+                REASON_DEADLINE_EXCEEDED, deadline_reason(expires_at, now)
+            )
+        return expires_at, None
 
-        The federation's origin-side refusals (expired deadlines,
-        unroutable receivers, membership/organisation/policy, failed
-        relays) are this environment's exchanges too, counted exactly
-        as the pipeline counts a refused run.
-        """
+    def _fail(self, refusal: _Refusal) -> ExchangeOutcome:
+        """Count and return one exchange refused before any run took it:
+        a federation's origin-side refusal, counted exactly as the
+        pipeline counts a refused run."""
         outcomes: list[ExchangeOutcome] = []
         self.exchanges_attempted += 1
-        self._refuse(_Refusal(code, reason), 1, "", outcomes)
+        self._refuse(refusal, 1, "", outcomes)
         if self.metrics.enabled:
             self._flush_metrics(outcomes)
         return outcomes[0]

@@ -27,12 +27,13 @@ wired pairwise:
 
 The headline operation is :meth:`federated_exchange_many` (and
 :meth:`federated_exchange`, a batch of one): resolve each receiver's
-home domain via federated naming, admit the request at the origin with
-the local environment's own admission checks, relay each same-route run
-through one gateway round trip, and feed it into the environment's
-exchange pipeline at the target — so a federated outcome carries exactly
-the reason codes a single-domain ``CSCWEnvironment.exchange`` would
-produce, plus hop metadata.
+home domain via federated naming, decide the origin's stages of the
+environment's stage list (:mod:`repro.environment.environment`) with
+the origin environment's own code, relay each same-route run through
+one gateway round trip, and feed it into the environment's exchange
+pipeline at the target — so a federated outcome carries exactly the
+reason codes a single-domain ``CSCWEnvironment.exchange`` would produce,
+plus hop metadata.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from repro.environment.environment import (
     CSCWEnvironment,
     ExchangeOutcome,
     ExchangeRequest,
-    deadline_reason,
+    _Refusal,
     unknown_receiver_reason,
 )
 from repro.environment.registry import AppDescriptor, DeliveryCallback
@@ -612,17 +613,16 @@ class Federation:
 
         A federated exchange is a batch of one: it runs the pipeline of
         :meth:`federated_exchange_many`.  Intra-domain exchanges run the
-        home environment's pipeline.  Cross-domain exchanges are admitted
-        at the origin (activity membership, organisation/policy — the
-        environment's own admission, so the same checks in the same
-        order with the same reason codes as
-        :meth:`CSCWEnvironment.exchange`), relay the payload through the
-        origin's gateway, and re-enter the *target* environment's
-        pipeline, so view/time/activity handling and all remaining
-        failure modes are decided exactly as at home.  A relay that
-        exhausts its gateway attempts returns a
-        :data:`REASON_GATEWAY_DEAD_LETTER` outcome and parks the payload
-        in the gateway's dead-letter queue.
+        home environment's pipeline.  Cross-domain exchanges are decided
+        by the same stage list (:mod:`repro.environment.environment`):
+        the origin decides its stages with the environment's own code,
+        relays the payload through its gateway, and the *target*
+        environment's pipeline decides the rest, so every reason code is
+        the one :meth:`CSCWEnvironment.exchange` would give.  An unknown
+        sender raises :class:`~repro.util.errors.UnknownObjectError`.  A
+        relay that exhausts its gateway attempts returns a
+        :data:`REASON_GATEWAY_DEAD_LETTER` outcome naming the gateway
+        whose dead-letter queue holds the payload.
 
         When the direct gateway's circuit breaker is open, the relay
         fails over through a healthy intermediate domain (when one
@@ -648,10 +648,11 @@ class Federation:
         with self._trace.span(
             "federation.exchange", sender=request.sender, receiver=request.receiver
         ) as span:
-            # a lone request needs no re-route rounds: only a delivery
-            # earlier in the same batch can re-home its receiver
+            # a lone request is one run and needs no re-route rounds:
+            # only a delivery earlier in the same batch can re-home its
+            # receiver
             outcomes: list[FederatedOutcome | None] = [None]
-            self._exchange_batch([request], (0,), outcomes)
+            self._dispatch_run(self._route_of(request), [0], [request], outcomes, [])
             result: FederatedOutcome = outcomes[0]  # type: ignore[assignment]
             span.tag(
                 delivered=result.delivered,
@@ -675,9 +676,11 @@ class Federation:
         target feeds it into its own pipeline.  :meth:`federated_exchange`
         is this on a batch of one.
 
-        Each request resolves its route **once** (two home lookups), and
-        the hoisted routes never serve stale homes: the batch watches
-        the federation's home ``generation`` token, so a delivery
+        Each request resolves its route **once** (two home lookups),
+        before any run is dispatched: a batch holding an unknown sender
+        raises :class:`~repro.util.errors.UnknownObjectError` with nothing
+        delivered.  The hoisted routes never serve stale homes: the batch
+        watches the federation's home ``generation`` token, so a delivery
         callback that re-homes a person mid-batch re-routes the
         remaining items — an item that failed ``unknown-receiver`` under
         a route its own run invalidated is re-dispatched against the
@@ -710,29 +713,27 @@ class Federation:
     ) -> list[int]:
         """Dispatch *indices* grouped into same-route runs; fill
         *outcomes* in place and return the indices that must be
-        re-dispatched because their dispatch re-homed their route."""
+        re-dispatched because their dispatch re-homed their route.
+
+        Every route is derived before the first dispatch, so a batch
+        with an unknown sender raises having delivered nothing."""
         rerouted: list[int] = []
-        run: list[int] = []
-        run_requests: list[ExchangeRequest] = []
-        run_route: tuple[str, str] | None = None
-        for index in indices:
-            request = requests[index]
-            route = self._route_of(request)
-            if run and route != run_route:
+        routes = [self._route_of(requests[index]) for index in indices]
+        generation = self._home_generation
+        start = 0
+        for end in range(1, len(routes) + 1):
+            if end < len(routes) and routes[end] == routes[start]:
+                continue
+            run = list(indices[start:end])
+            self._dispatch_run(
+                routes[start], run, [requests[index] for index in run], outcomes, rerouted
+            )
+            if self._home_generation != generation:
+                # The dispatch's delivery callbacks moved someone; the
+                # remaining routes may be stale — re-derive them.
                 generation = self._home_generation
-                self._dispatch_run(run_route, run, run_requests, outcomes, rerouted)
-                run = []
-                run_requests = []
-                if self._home_generation != generation:
-                    # The dispatch's delivery callbacks moved someone;
-                    # this request's route (resolved before the
-                    # dispatch) may be stale — re-derive it.
-                    route = self._route_of(request)
-            run_route = route
-            run.append(index)
-            run_requests.append(request)
-        if run:
-            self._dispatch_run(run_route, run, run_requests, outcomes, rerouted)
+                routes[end:] = [self._route_of(requests[index]) for index in indices[end:]]
+            start = end
         return rerouted
 
     def _dispatch_run(
@@ -782,44 +783,45 @@ class Federation:
                 rerouted.append(index)
 
     def _route_of(self, request: ExchangeRequest) -> tuple[str, str] | None:
-        """(origin, target) for a request, or None when unresolvable
-        (:meth:`_unroutable` then reports the precise failure)."""
+        """(origin, target) for a request, or None when the receiver has
+        no home domain (:meth:`_unroutable` then fails it).  An unknown
+        sender raises :class:`UnknownObjectError`."""
+        origin = self.home_of(request.sender)
         try:
-            return (self.home_of(request.sender), self.home_of(request.receiver))
+            return origin, self.home_of(request.receiver)
         except UnknownObjectError:
             return None
 
     def _unroutable(self, request: ExchangeRequest) -> FederatedOutcome:
-        """A request whose sender or receiver has no home domain.
-
-        An unknown sender raises :class:`UnknownObjectError`.  An unknown
-        receiver fails ``unknown-receiver`` at the origin, after the
-        deadline check and before any translation (there is no target
-        format to translate to).
-        """
-        obs = self._metrics
-        if obs.enabled:
+        """A request whose receiver has no home domain fails at the
+        origin: its deadline first, else ``unknown-receiver`` (there is
+        no target format to translate to)."""
+        if self._metrics.enabled:
             self._m_exchanges.inc()
         origin = self.domain(self.home_of(request.sender))
         now = self.world.now
-        expires_at = origin.env.effective_deadline(request.deadline)
-        if expires_at is not None and now >= expires_at:
-            if obs.enabled:
-                obs.inc("env.federation.expired")
-            code, reason = REASON_DEADLINE_EXCEEDED, deadline_reason(expires_at, now)
-        else:
-            if obs.enabled:
-                obs.inc("env.federation.unknown_receiver")
-            code = REASON_UNKNOWN_RECEIVER
-            reason = unknown_receiver_reason(request.receiver)
-        return self._refused(origin, "", code, reason, (Hop(origin.name, "local", now),))
+        refusal = self._expiry(origin.env, request, now)[1]
+        if refusal is None:
+            if self._metrics.enabled:
+                self._metrics.inc("env.federation.unknown_receiver")
+            refusal = _Refusal(REASON_UNKNOWN_RECEIVER, unknown_receiver_reason(request.receiver))
+        return self._refused(origin, "", refusal, (Hop(origin.name, "local", now),))
+
+    def _expiry(
+        self, env: CSCWEnvironment, request: ExchangeRequest, now: float
+    ) -> "tuple[float | None, _Refusal | None]":
+        """The environment's deadline stage, decided at the origin and
+        counted as ``env.federation.expired``."""
+        expires_at, refusal = env._expiry(request, now)
+        if refusal is not None and self._metrics.enabled:
+            self._metrics.inc("env.federation.expired")
+        return expires_at, refusal
 
     def _refused(
         self,
         origin: Domain,
         target: str,
-        code: str,
-        reason: str,
+        refusal: _Refusal,
         hops: tuple[Hop, ...],
         attempts: int = 1,
         latency_s: float = 0.0,
@@ -827,7 +829,7 @@ class Federation:
         """An exchange the federation failed on the origin's behalf,
         counted by the origin environment."""
         return FederatedOutcome(
-            outcome=origin.env._fail(code, reason),
+            outcome=origin.env._fail(refusal),
             origin=origin.name,
             target=target,
             hops=hops,
@@ -840,8 +842,8 @@ class Federation:
     ) -> list[FederatedOutcome]:
         """Run an intra-domain run through the home environment's pipeline.
 
-        The federation does its own accounting first: already-expired
-        requests fail at the federation (``env.federation.expired``, no
+        The federation decides the deadline first: an already-expired
+        request fails at the federation (``env.federation.expired``, no
         target), and every outcome carries the ``local`` hop.  A run of
         one enters through ``env.exchange``, a longer run through one
         ``env.exchange_many`` call.
@@ -853,17 +855,10 @@ class Federation:
         shipped_indices: list[int] = []
         shipped: list[ExchangeRequest] = []
         for index, request in enumerate(run):
-            expires_at = env.effective_deadline(request.deadline)
-            if expires_at is not None and started >= expires_at:
-                if obs.enabled:
-                    obs.inc("env.federation.expired")
-                results[index] = self._refused(
-                    origin,
-                    "",
-                    REASON_DEADLINE_EXCEEDED,
-                    deadline_reason(expires_at, started),
-                    (Hop(origin.name, "local", started),),
-                )
+            expires_at, refusal = self._expiry(env, request, started)
+            if refusal is not None:
+                hops = (Hop(origin.name, "local", started),)
+                results[index] = self._refused(origin, "", refusal, hops)
                 continue
             shipped_indices.append(index)
             shipped.append(
@@ -930,13 +925,12 @@ class Federation:
     ) -> list[FederatedOutcome]:
         """Relay one same-route run as a single gateway round trip.
 
-        Expired deadlines and the origin's admission (membership,
-        organisation/policy) are decided per request before shipping.
-        The survivors travel as one payload — the flat request document
-        for a run of one, ``{"requests": [...]}`` for more — that the
-        target's relay handler feeds into its environment's pipeline.
-        One relay id covers the run, so retries deduplicate the whole
-        run at once.
+        The origin's stages of the environment's stage list are decided
+        per request before shipping.  The survivors travel as one
+        payload — the flat request document for a run of one,
+        ``{"requests": [...]}`` for more — that the target's relay
+        handler feeds into its environment's pipeline.  One relay id
+        covers the run, so retries deduplicate the whole run at once.
         """
         obs = self._metrics
         env = origin.env
@@ -949,19 +943,13 @@ class Federation:
         previous: ExchangeRequest | None = None
         remote = 0
         for index, request in enumerate(run):
-            expires_at = env.effective_deadline(request.deadline)
-            if expires_at is not None and started >= expires_at:
-                if obs.enabled:
-                    obs.inc("env.federation.expired")
-                refusal = (REASON_DEADLINE_EXCEEDED, deadline_reason(expires_at, started))
-            else:
+            expires_at, refusal = self._expiry(env, request, started)
+            if refusal is None:
                 remote += 1
                 active = request.profile if request.profile is not None else _ALL_ON
                 refusal = env._admit(request, active, at_origin=True)
             if refusal is not None:
-                results[index] = self._refused(
-                    origin, target.name, *refusal, (origin_hop,)
-                )
+                results[index] = self._refused(origin, target.name, refusal, (origin_hop,))
                 continue
             # Consecutive requests that differ only in their document
             # share one envelope: the previous wire form (with the origin
@@ -1025,21 +1013,23 @@ class Federation:
                 )
         now = self.world.now
         latency = now - started
-        failure: tuple[str, str] | None = None
+        failure: _Refusal | None = None
         if "dead_letter" in holder:
             letter: DeadLetter = holder["dead_letter"]
             attempts = letter.attempts
             hops: tuple[Hop, ...] = (origin_hop,)
             if letter.reason == REASON_RELAY_DEADLINE:
-                failure = (
+                failure = _Refusal(
                     REASON_DEADLINE_EXCEEDED,
                     f"relay {origin.name}->{target.name} missed its deadline "
                     f"after {attempts} attempts",
                 )
             else:
-                failure = (
+                # named after the gateway that parked the letter: on a
+                # failover that is the leg to the intermediate
+                failure = _Refusal(
                     REASON_GATEWAY_DEAD_LETTER,
-                    f"gateway {origin.name}->{target.name} unreachable after "
+                    f"gateway {origin.name}->{letter.target} unreachable after "
                     f"{attempts} attempts; payload parked in dead-letter queue",
                 )
         else:
@@ -1048,7 +1038,7 @@ class Federation:
             hops = (origin_hop, *(Hop(h["domain"], "relay", h["at"]) for h in relay_path))
             attempts = holder["attempts"] + sum(h.get("attempts", 0) for h in relay_path)
             if "error" in reply:
-                failure = (
+                failure = _Refusal(
                     REASON_GATEWAY_DEAD_LETTER,
                     f"relay {origin.name}->{target.name} failed remotely: "
                     f"{reply['error']}",
@@ -1056,18 +1046,20 @@ class Federation:
             elif "failed" in reply:
                 # A forwarded leg died downstream; the intermediate
                 # reported the structured failure back instead of outcomes.
-                failure = (reply["failed"], reply.get("detail", "forwarded relay failed"))
+                failure = _Refusal(
+                    reply["failed"], reply.get("detail", "forwarded relay failed")
+                )
         if failure is not None:
             counter = (
                 "env.federation.expired"
-                if failure[0] == REASON_DEADLINE_EXCEEDED
+                if failure.code == REASON_DEADLINE_EXCEEDED
                 else "env.federation.dead_letters"
             )
             for index in shipped:
                 if obs.enabled:
                     obs.inc(counter)
                 results[index] = self._refused(
-                    origin, target.name, *failure, hops, attempts, latency
+                    origin, target.name, failure, hops, attempts, latency
                 )
             return results  # type: ignore[return-value]
         hops = (

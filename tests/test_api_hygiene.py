@@ -7,6 +7,7 @@ package's ``__all__`` names resolve.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pathlib
@@ -126,6 +127,34 @@ def test_library_never_reads_the_wall_clock(pattern):
         if WALL_CLOCK.search(line)
     ]
     assert not hits, f"wall-clock reads in {pattern}:\n" + "\n".join(hits)
+
+
+def _builds_failed_outcome(node: ast.AST) -> bool:
+    """An ``ExchangeOutcome(...)`` call whose ``delivered`` is not ``True``."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", "") == "ExchangeOutcome"):
+        return False
+    delivered = node.args[0] if node.args else next(
+        (keyword.value for keyword in node.keywords if keyword.arg == "delivered"), None
+    )
+    return not (isinstance(delivered, ast.Constant) and delivered.value is True)
+
+
+def test_failed_exchange_outcomes_come_from_refuse_only():
+    """The environment has one refusal path: every failed
+    ``ExchangeOutcome`` is built inside ``_refuse``, which also counts
+    it.  A failed literal anywhere else would be a second path whose
+    counting has to be kept in step by hand."""
+    path = ROOT / "src/repro/environment/environment.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    refuse = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_refuse"
+    )
+    inside = {id(node) for node in ast.walk(refuse)}
+    failed = [node for node in ast.walk(tree) if _builds_failed_outcome(node)]
+    assert failed, "_refuse no longer builds the failed outcome"
+    strays = [node.lineno for node in failed if id(node) not in inside]
+    assert not strays, f"failed ExchangeOutcome built outside _refuse at lines {strays}"
 
 
 class TestExchangeCallSurface:

@@ -647,6 +647,21 @@ class TestBatchedFastPath:
             (o.origin, o.target) for o in baseline
         ]
 
+    def test_unknown_sender_raises_before_anything_is_delivered(self, world):
+        """A lone request from an unknown sender raises, so a batch that
+        holds one raises too — before its first run is dispatched, so no
+        delivery's outcome is lost to the raise."""
+        federation, inboxes = make_federation(world)
+        attempted = [d.env.exchanges_attempted for d in federation.domains()]
+        with pytest.raises(UnknownObjectError):
+            federation.federated_exchange_many([
+                ExchangeRequest("ana", "bob", "app0", "app1", DOC),
+                ExchangeRequest("ghost", "bob", "app0", "app1", DOC),
+            ])
+        assert inboxes == {"app0": [], "app1": []}
+        assert [d.env.exchanges_attempted for d in federation.domains()] == attempted
+        assert federation.domain("upc").gateway_to("gmd").relays == 0
+
     def test_move_person_mid_batch_reroutes_remainder(self, world):
         """A delivery callback that re-homes the receiver mid-run: the
         hoisted routes are not served stale — the rest of the run

@@ -321,6 +321,48 @@ class TestFailoverRouting:
         assert not outcome.delivered
         assert outcome.reason_code == "gateway-dead-letter"
 
+    def test_failover_second_leg_death(self, world):
+        """The direct gateway's breaker is open and the intermediate's
+        onward link loses everything: the run dead-letters on the leg to
+        the intermediate, which holds the payload, and the intermediate
+        later records the onward failure for any duplicate leg."""
+        metrics = MetricsRegistry()
+        federation, inbox = make_federation(
+            world, names=("upc", "gmd", "inria"), metrics=metrics
+        )
+        upc, gmd, inria = (federation.domain(name) for name in ("upc", "gmd", "inria"))
+        upc.gateway_to("gmd").breaker.force_open()
+        world.network.set_link(
+            inria.node, gmd.node,
+            LinkSpec(latency_s=0.02, bandwidth_bps=1_000_000.0, loss=1.0),
+        )
+        outcomes = federation.federated_exchange_many([
+            ExchangeRequest("p-upc", "p-gmd", "app0", "app0", DOC),
+            ExchangeRequest("p-upc", "p-gmd", "app0", "app0", {"title": "t2", "body": "b"}),
+        ])
+        assert [o.reason_code for o in outcomes] == ["gateway-dead-letter"] * 2
+        assert all(
+            o.outcome.reason == "gateway upc->inria unreachable after 4 attempts; "
+            "payload parked in dead-letter queue"
+            for o in outcomes
+        )
+        letters = upc.gateway_to("inria").dead_letters
+        assert [(letter.target, letter.attempts) for letter in letters] == [("inria", 4)]
+        counters = metrics.snapshot()["counters"]
+        assert counters["env.federation.dead_letters"] == 2
+        assert counters["gateway.deduplicated"] == 3
+        assert counters["env.federation.forwarded"] == 1
+        world.run_for(60)
+        (relay_id, failure), = inria.relay_seen.items()
+        assert relay_id == letters[0].payload["relay_id"]
+        assert failure["failed"] == "gateway-dead-letter"
+        assert failure["detail"] == (
+            "forwarded relay inria->gmd failed (relay timeout) after 4 attempts"
+        )
+        assert [hop["domain"] for hop in failure["relay_path"]] == ["inria"]
+        assert [letter.target for letter in inria.gateway_to("gmd").dead_letters] == ["gmd"]
+        assert inbox == []
+
     def test_failover_metrics(self, world):
         metrics = MetricsRegistry()
         federation, _ = make_federation(
