@@ -8,6 +8,7 @@ hot operation.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -113,3 +114,8 @@ def emit_metrics(name: str, registry, directory: str | None = None) -> str | Non
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text + "\n")
     return path
+
+
+def canonical_sha256(blob: dict) -> str:
+    """The sha256 of a bench result *blob* as sorted-key JSON."""
+    return hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()

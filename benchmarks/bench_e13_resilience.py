@@ -34,7 +34,7 @@ import json
 import os
 import sys
 
-from bench_common import synthetic_converter
+from bench_common import canonical_sha256, synthetic_converter
 from repro.environment.environment import ExchangeRequest
 from repro.environment.registry import AppDescriptor, Q_DIFFERENT_TIME_DIFFERENT_PLACE
 from repro.federation import Federation
@@ -173,6 +173,12 @@ def emit(blob: dict) -> str:
     return path
 
 
+#: sha256 of the smoke run's result as sorted-key JSON: retry, failover
+#: and dead-letter timing all land in its ratios and latencies, so a
+#: change that moves any of them fails here, not only in a reviewed diff
+SMOKE_SHA256 = "e8831474e478b9c9a5676af81d8dd835a5a79b0f19187966418baa52d95dfd04"
+
+
 def report(blob: dict) -> None:
     print(f"\nE13: resilience under seeded chaos ({blob['mode']} mode, "
           f"seed {blob['seed']})")
@@ -226,6 +232,7 @@ def test_resilience_bench_smoke():
     assert resilient["delivered_ratio"] >= retry_only["delivered_ratio"]
     assert resilient["breaker_counters"], "breaker metrics missing"
     assert not retry_only["breaker_counters"]
+    assert canonical_sha256(blob) == SMOKE_SHA256
 
 
 if __name__ == "__main__":

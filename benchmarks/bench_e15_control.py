@@ -48,7 +48,7 @@ import json
 import os
 import sys
 
-from bench_common import synthetic_converter
+from bench_common import canonical_sha256, synthetic_converter
 from repro.environment.environment import ExchangeRequest
 from repro.environment.registry import AppDescriptor, Q_DIFFERENT_TIME_DIFFERENT_PLACE
 from repro.federation import Federation
@@ -238,6 +238,12 @@ def emit(blob: dict) -> str:
     return path
 
 
+#: sha256 of the smoke run's result as sorted-key JSON: retry, failover
+#: and dead-letter timing all land in its ratios and latencies, so a
+#: change that moves any of them fails here, not only in a reviewed diff
+SMOKE_SHA256 = "da6243581a18869f4318fd07a3e8ff6e83affcf07585cd045a028b0cec3a7614"
+
+
 def report(blob: dict) -> None:
     print(f"\nE15: adaptive control under seeded chaos ({blob['mode']} mode, "
           f"seed {blob['seed']}, deadline {blob['deadline_s']}s)")
@@ -320,6 +326,7 @@ def test_control_bench_smoke():
     assert adaptive["control"]["applied"] > 0
     # the same seed replays to the identical adaptive result
     assert run_variant("adaptive", 12, 4.0, 9.0, 4.0) == adaptive
+    assert canonical_sha256(blob) == SMOKE_SHA256
 
 
 if __name__ == "__main__":

@@ -107,9 +107,7 @@ class ActivityMonitor:
 
     def start(self) -> "ActivityMonitor":
         """Begin periodic checking; returns self."""
-        self._task = PeriodicTask(
-            self._world.engine, self._period_s, self.check_now, label="activity-monitor"
-        ).start()
+        self._task = PeriodicTask(self._world.engine, self._period_s, self.check_now).start()
         return self
 
     def stop(self) -> None:

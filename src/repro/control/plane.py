@@ -229,9 +229,7 @@ class ControlPlane:
         from repro.sim.engine import PeriodicTask
 
         if self._task is None:
-            self._task = PeriodicTask(
-                self._engine, self.policy.tick_s, self._tick, label="control-tick"
-            ).start()
+            self._task = PeriodicTask(self._engine, self.policy.tick_s, self._tick).start()
         return self
 
     def stop(self) -> None:

@@ -146,9 +146,7 @@ class ShadowingAgreement:
     def _arm(self) -> None:
         if not self._running:
             return
-        self._pending = self._world.engine.schedule(
-            self.current_period_s, self._tick, label="shadow-pull"
-        )
+        self._pending = self._world.engine.schedule(self.current_period_s, self._tick)
 
     def _tick(self) -> None:
         self._pending = None

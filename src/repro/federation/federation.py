@@ -97,14 +97,6 @@ BREAKER_THRESHOLD = 4
 #: how long an open breaker waits before a half-open probe
 BREAKER_COOLDOWN_S = 30.0
 
-#: outcome fields shipped over the gateway — trace_id included, so the
-#: origin's reconstructed outcome stays correlated with the trace the
-#: target pipeline actually ran under
-_OUTCOME_FIELDS = (
-    "delivered", "mode", "reason", "translated",
-    "fidelity", "handled", "reason_code", "size_bytes", "trace_id",
-)
-
 
 @dataclass(frozen=True, slots=True)
 class Hop:
@@ -152,30 +144,6 @@ class FederatedOutcome:
     def cross_domain(self) -> bool:
         """True when the exchange crossed a domain boundary."""
         return self.origin != self.target
-
-
-def _outcome_document(outcome: ExchangeOutcome) -> dict[str, Any]:
-    """The gateway wire form of an outcome."""
-    document = {name: getattr(outcome, name) for name in _OUTCOME_FIELDS}
-    document["handled"] = list(outcome.handled)
-    return document
-
-
-def _outcome_from_document(
-    document: dict[str, Any], trace_id: str = ""
-) -> ExchangeOutcome:
-    """Rebuild an outcome at the origin.
-
-    The wire document carries the trace id the target pipeline ran
-    under; with trace propagation that *is* the origin's trace.
-    *trace_id* is only a fallback for documents from older/untraced
-    remotes.
-    """
-    fields = dict(document)
-    fields["handled"] = tuple(fields.get("handled", ()))
-    if not fields.get("trace_id"):
-        fields["trace_id"] = trace_id
-    return ExchangeOutcome(**fields)
 
 
 class Federation:
@@ -651,9 +619,7 @@ class Federation:
             # a lone request is one run and needs no re-route rounds:
             # only a delivery earlier in the same batch can re-home its
             # receiver
-            outcomes: list[FederatedOutcome | None] = [None]
-            self._dispatch_run(self._route_of(request), [0], [request], outcomes, [])
-            result: FederatedOutcome = outcomes[0]  # type: ignore[assignment]
+            result = self._exchange_run(self._route_of(request), [request])[0]
             span.tag(
                 delivered=result.delivered,
                 target=result.target,
@@ -738,7 +704,7 @@ class Federation:
 
     def _dispatch_run(
         self,
-        route: tuple[str, str] | None,
+        route: tuple[str, str | None],
         indices: list[int],
         run: list[ExchangeRequest],
         outcomes: "list[FederatedOutcome | None]",
@@ -758,19 +724,10 @@ class Federation:
         behave.
         """
         generation = self._home_generation
-        if route is None:
-            results = [self._unroutable(request) for request in run]
-        else:
-            if self._metrics.enabled:
-                self._m_exchanges.inc(len(run))
-            origin = self.domain(route[0])
-            if route[0] == route[1]:
-                results = self._local_exchange_run(origin, run)
-            else:
-                results = self._relay_exchange_group(origin, self.domain(route[1]), run)
+        results = self._exchange_run(route, run)
         for index, result in zip(indices, results):
             outcomes[index] = result
-        if route is None or self._home_generation == generation:
+        if route[1] is None or self._home_generation == generation:
             return
         for index, request, result in zip(indices, run, results):
             if (
@@ -779,26 +736,39 @@ class Federation:
             ):
                 continue
             fresh = self._route_of(request)
-            if fresh is not None and fresh != route:
+            if fresh[1] is not None and fresh != route:
                 rerouted.append(index)
 
-    def _route_of(self, request: ExchangeRequest) -> tuple[str, str] | None:
-        """(origin, target) for a request, or None when the receiver has
-        no home domain (:meth:`_unroutable` then fails it).  An unknown
-        sender raises :class:`UnknownObjectError`."""
+    def _exchange_run(
+        self, route: tuple[str, str | None], run: list[ExchangeRequest]
+    ) -> list[FederatedOutcome]:
+        """One same-route run's outcomes, in order."""
+        origin = self._domains[route[0]]
+        if route[1] is None:
+            return [self._unroutable(origin, request) for request in run]
+        if self._metrics.enabled:
+            self._m_exchanges.inc(len(run))
+        if route[0] == route[1]:
+            return self._local_exchange_run(origin, run)
+        return self._relay_exchange_group(origin, self._domains[route[1]], run)
+
+    def _route_of(self, request: ExchangeRequest) -> tuple[str, str | None]:
+        """(origin, target) for a request; the target is None when the
+        receiver has no home domain (:meth:`_unroutable` then fails it
+        at the origin).  An unknown sender raises
+        :class:`UnknownObjectError`."""
         origin = self.home_of(request.sender)
         try:
             return origin, self.home_of(request.receiver)
         except UnknownObjectError:
-            return None
+            return origin, None
 
-    def _unroutable(self, request: ExchangeRequest) -> FederatedOutcome:
+    def _unroutable(self, origin: Domain, request: ExchangeRequest) -> FederatedOutcome:
         """A request whose receiver has no home domain fails at the
         origin: its deadline first, else ``unknown-receiver`` (there is
         no target format to translate to)."""
         if self._metrics.enabled:
             self._m_exchanges.inc()
-        origin = self.domain(self.home_of(request.sender))
         now = self.world.now
         refusal = self._expiry(origin.env, request, now)[1]
         if refusal is None:
@@ -844,9 +814,9 @@ class Federation:
 
         The federation decides the deadline first: an already-expired
         request fails at the federation (``env.federation.expired``, no
-        target), and every outcome carries the ``local`` hop.  A run of
-        one enters through ``env.exchange``, a longer run through one
-        ``env.exchange_many`` call.
+        target), and every outcome carries the ``local`` hop.  A run with
+        one request left enters through ``env.exchange``, a longer run
+        through one ``env.exchange_many`` call.
         """
         obs = self._metrics
         env = origin.env
@@ -887,7 +857,6 @@ class Federation:
         return results  # type: ignore[return-value]
 
     def _mediation_metadata(
-
         self, origin: Domain, request: ExchangeRequest
     ) -> "dict[str, Any] | None":
         """The origin mediator's plan for a relayed exchange, as envelope
@@ -1067,9 +1036,13 @@ class Federation:
             Hop(target.name, "deliver", reply["handled_at"]),
             Hop(origin.name, "reply", now),
         )
+        # The target's outcomes carry the trace its pipeline ran under;
+        # with trace propagation that is the origin's trace, which only
+        # fills in for an untraced target.
         trace_id = context.trace_id if context is not None else ""
-        for index, outcome_document in zip(shipped, reply["outcomes"]):
-            outcome = _outcome_from_document(outcome_document, trace_id=trace_id)
+        for index, outcome in zip(shipped, reply["outcomes"]):
+            if trace_id and not outcome.trace_id:
+                outcome = replace(outcome, trace_id=trace_id)
             if obs.enabled and outcome.delivered:
                 obs.inc("env.federation.delivered")
             results[index] = FederatedOutcome(
@@ -1119,7 +1092,10 @@ class Federation:
         Otherwise the payload carries one run — the flat request document
         or ``{"requests": [...]}`` — which enters this environment's
         pipeline (through ``exchange`` for one request, ``exchange_many``
-        for more) and gets one reply.
+        for more) and gets one reply.  The reply hands the frozen
+        :class:`ExchangeOutcome` objects back in process: the transport
+        charges every reply a constant 128 bytes, so its form never moves
+        simulated time.
         """
         relay_id = payload.get("relay_id")
         if relay_id is not None and relay_id in domain.relay_seen:
@@ -1158,7 +1134,7 @@ class Federation:
             else:
                 outcomes = domain.env.exchange_many(requests)
         reply = {
-            "outcomes": list(map(_outcome_document, outcomes)),
+            "outcomes": outcomes,
             "handled_at": self.world.now,
             "domain": domain.name,
             "relay_path": [],

@@ -15,6 +15,13 @@ Relay semantics are store-and-forward with at-least-once delivery:
   backoff (``retry_s * backoff ** (attempt-1)`` between attempts) while
   any in-flight attempt's reply — however late — can still settle the
   relay; exactly one of reply / dead-letter wins (the ``settled`` flag),
+* a relay keeps **one timer**, armed for whichever comes first of its
+  next retry and the close of its budget window, and re-armed when it
+  fires.  Attempts are sent without an RPC timer of their own: the RPC
+  reply window *is* the budget window.  When the window closes the
+  gateway drops its attempts' outstanding request ids from the RPC
+  endpoint, so a late reply inside the window counts in
+  ``duplicate_replies`` and no pending entry outlives the window,
 * every relay is stamped with a ``relay_id`` so the receiving side can
   deduplicate: at-least-once on the wire, at-most-once downstream,
 * a relay that exhausts its budget lands in the gateway's **dead-letter
@@ -99,8 +106,8 @@ class _Relay:
     """Mutable state of one relay: its attempts and its single settlement."""
 
     __slots__ = ("payload", "on_reply", "on_dead_letter", "deadline",
-                 "park_at", "size_bytes", "attempts", "settled", "span",
-                 "budget_timer", "retry_timer")
+                 "park_at", "size_bytes", "attempts", "replies", "requests",
+                 "settled", "span", "timer")
 
     def __init__(
         self,
@@ -113,19 +120,22 @@ class _Relay:
         self.on_reply = on_reply
         self.on_dead_letter = on_dead_letter
         self.deadline = deadline
+        #: when the budget window closes (clamped by the deadline)
         self.park_at = 0.0
         #: the payload's wire size, taken once at admission: every
         #: attempt sends the same (unchanging) payload
         self.size_bytes = 0
         self.attempts = 0
+        #: replies received, the settling one and any late duplicates
+        self.replies = 0
+        #: the RPC request id of every attempt sent
+        self.requests: list[str] = []
         self.settled = False
         #: detached gateway.relay span, open from launch to settlement
         self.span: Span | None = None
-        #: pending budget/retry events, cancelled on settlement — a
-        #: settled relay must not leave garbage events deepening the heap
-        #: for the relay's whole unused budget window
-        self.budget_timer: "EventHandle | None" = None
-        self.retry_timer: "EventHandle | None" = None
+        #: the relay's one pending event: the next retry, or the close of
+        #: the budget window at ``park_at``
+        self.timer: EventHandle | None = None
 
 
 class Gateway:
@@ -161,11 +171,7 @@ class Gateway:
         self._retry_s = retry_s
         self._backoff = backoff
         self.set_attempt_budget(max_attempts)
-        # per-link strings, built once rather than per relay
-        link = f"{source}->{target}"
         self._relay_namespace = f"relay:{source}>{target}"
-        self._budget_label = f"gateway-budget:{link}"
-        self._retry_label = f"gateway-retry:{link}"
         self.attach_metrics(metrics)
         self._tracer: Tracer = tracer if tracer is not None else NULL_TRACER
         self._events: EventLog = events if events is not None else NULL_EVENTS
@@ -327,68 +333,65 @@ class Gateway:
         state.park_at = now + self._budget_s
         if deadline is not None:
             state.park_at = min(state.park_at, deadline)
-        state.budget_timer = self._engine.schedule_at(
-            state.park_at,
-            lambda: self._on_budget_exhausted(state),
-            label=self._budget_label,
-        )
         self._launch(state)
 
     def _launch(self, state: _Relay) -> None:
-        if state.settled:
-            return
+        """Send one attempt and arm the relay timer for what comes next.
+
+        The attempt has no RPC timer of its own: its reply window is the
+        relay's budget window, so a slow reply to an earlier attempt
+        still settles the relay (the settled flag keeps later replies
+        from firing twice) until :meth:`_close` ends the window.
+        """
         state.attempts += 1
         attempt = state.attempts
-        now = self._engine.now
-        sent_at = now
+        sent_at = self._engine.now
 
         def deliver(reply: Any) -> None:
             self._settle_delivered(state, reply, sent_at)
 
-        # The RPC window stays open for the relay's whole remaining
-        # budget: a slow reply to an earlier attempt still settles the
-        # relay (the settled flag keeps later replies from firing twice).
-        self._rpc.request(
+        state.requests.append(self._rpc.request(
             self.target_node,
             "relay",
             state.payload,
             on_reply=deliver,
-            timeout_s=max(state.park_at - now, self._retry_s * 0.01),
+            timeout_s=None,
             size_bytes=state.size_bytes,
-        )
+        ))
         if attempt < self._max_attempts:
             delay = self._retry_s * (self._backoff ** (attempt - 1))
-            if now + delay < state.park_at:
-                state.retry_timer = self._engine.schedule(
-                    delay,
-                    lambda: self._retry(state),
-                    label=self._retry_label,
-                )
+            if sent_at + delay < state.park_at:
+                state.timer = self._engine.schedule(delay, lambda: self._retry(state))
+                return
+        self._arm_close(state)
 
-    def _cancel_timers(self, state: _Relay) -> None:
-        """Drop a settled relay's pending budget/retry events.
-
-        Without this every settled relay leaves events parked up to its
-        whole unused budget window (~seconds of simulated time) in the
-        engine heap, deepening every subsequent push/pop comparison.
-        """
-        if state.budget_timer is not None:
-            state.budget_timer.cancel()
-            state.budget_timer = None
-        if state.retry_timer is not None:
-            state.retry_timer.cancel()
-            state.retry_timer = None
+    def _arm_close(self, state: _Relay) -> None:
+        state.timer = self._engine.schedule_at(state.park_at, lambda: self._close(state))
 
     def _retry(self, state: _Relay) -> None:
-        state.retry_timer = None
-        if state.settled:
-            return
         self.retries += 1
         if self._obs.enabled:
             self._obs.inc("gateway.retries")
             self._m_retries.inc()
         self._note_failure()
         self._launch(state)
+
+    def _close(self, state: _Relay) -> None:
+        """The budget window closes: no attempt's reply is awaited any
+        longer, and a relay still unsettled expires or is parked."""
+        state.timer = None
+        for request_id in state.requests:
+            self._rpc.drop(request_id)
+        if state.settled:
+            return
+        self._note_failure()
+        # A window the deadline clamped expires.  Deciding on the clamp,
+        # not on ``now >= deadline``, keeps the verdict off float
+        # rounding: the engine may fire an absolute instant an ulp early.
+        if state.park_at == state.deadline:
+            self._settle_expired(state)
+            return
+        self._settle_parked(state, REASON_RELAY_TIMEOUT)
 
     def _note_failure(self) -> None:
         if self.breaker is not None:
@@ -407,14 +410,26 @@ class Gateway:
         context = TraceContext.from_document(state.payload.get(TRACE_KEY))
         return context.trace_id if context is not None else ""
 
+    def _disarm(self, state: _Relay) -> None:
+        if state.timer is not None:
+            state.timer.cancel()
+            state.timer = None
+
     def _settle_delivered(self, state: _Relay, reply: Any, sent_at: float) -> None:
+        state.replies += 1
         if state.settled:
             self.duplicate_replies += 1
             if self._obs.enabled:
                 self._obs.inc("gateway.duplicate_replies")
+            if state.replies == state.attempts:
+                self._disarm(state)  # no reply is left to await
             return
         state.settled = True
-        self._cancel_timers(state)
+        # No retry is due any more; the window stays open only while an
+        # attempt's reply is still out, so a late one counts as a duplicate.
+        self._disarm(state)
+        if state.replies < state.attempts:
+            self._arm_close(state)
         self.in_flight -= 1
         self.delivered += 1
         if self.breaker is not None:
@@ -428,20 +443,9 @@ class Gateway:
         self._close_span(state, "delivered")
         state.on_reply(reply, state.attempts)
 
-    def _on_budget_exhausted(self, state: _Relay) -> None:
-        state.budget_timer = None
-        if state.settled:
-            return
-        self._note_failure()
-        if state.deadline is not None and self._engine.now >= state.deadline:
-            self._settle_expired(state)
-            return
-        self._settle_parked(state, REASON_RELAY_TIMEOUT)
-
     def _settle_expired(self, state: _Relay) -> None:
         """Deadline hit: fail the relay without parking it."""
         state.settled = True
-        self._cancel_timers(state)
         self.in_flight -= 1
         self.expired += 1
         if self._obs.enabled:
@@ -470,7 +474,6 @@ class Gateway:
 
     def _settle_parked(self, state: _Relay, reason: str) -> None:
         state.settled = True
-        self._cancel_timers(state)
         self.in_flight -= 1
         self._close_span(state, reason)
         if self._events.enabled:

@@ -230,13 +230,11 @@ class MessageTransferAgent:
             # Re-enter accept() at release time so the envelope still pays
             # its priority processing delay — deferral postpones a message,
             # it must not let it skip the per-hop queue.
-            self._world.engine.schedule(delay, lambda: self.accept(envelope), label="deferred")
+            self._world.engine.schedule(delay, lambda: self.accept(envelope))
             return
         processing = PRIORITY_DELAYS.get(envelope.priority, PRIORITY_DELAYS[PRIORITY_NORMAL])
         if processing > 0:
-            self._world.engine.schedule(
-                processing, lambda: self._process(envelope), label="mta-processing"
-            )
+            self._world.engine.schedule(processing, lambda: self._process(envelope))
         else:
             self._process(envelope)
 
@@ -350,7 +348,6 @@ class MessageTransferAgent:
             self._world.engine.schedule(
                 self._retry_s,
                 lambda: self._transfer(envelope, node, attempt + 1),
-                label="mta-retry",
             )
 
         self.rpc.request(

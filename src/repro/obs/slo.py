@@ -262,9 +262,7 @@ class SLOEngine:
         from repro.sim.engine import PeriodicTask
 
         if self._task is None:
-            self._task = PeriodicTask(
-                self._engine, self._period_s, self._sample, label="slo-sample"
-            ).start()
+            self._task = PeriodicTask(self._engine, self._period_s, self._sample).start()
         return self
 
     def stop(self) -> None:

@@ -84,11 +84,13 @@ class OrganisationalKnowledgeBase:
 
     def find_person(self, person_id: str) -> Person:
         """Find a person across all organisations."""
+        # a non-raising probe per organisation: raising and catching a
+        # lookup error for every organisation that lacks the person costs
+        # more than the probes themselves
         for organisation in self._organisations.values():
-            try:
-                return organisation.person(person_id)
-            except UnknownObjectError:
-                continue
+            person = organisation.get_person(person_id)
+            if person is not None:
+                return person
         raise UnknownObjectError(f"person {person_id!r} not found in any organisation")
 
     def organisation_of(self, person_id: str) -> str:

@@ -172,6 +172,10 @@ class Organisation:
         """Look up a person."""
         return self._get(self._persons, person_id, "person")
 
+    def get_person(self, person_id: str) -> Person | None:
+        """Look up a person, or None when this organisation lacks it."""
+        return self._persons.get(person_id)
+
     def role(self, role_id: str) -> Role:
         """Look up a role."""
         return self._get(self._roles, role_id, "role")

@@ -77,12 +77,10 @@ class ChaosRunner:
             self._engine.schedule_at(
                 at,
                 lambda: network.set_link(node_a, node_b, dead),
-                label=f"chaos:flap-down:{node_a}<->{node_b}",
             )
             self._engine.schedule_at(
                 at + down_s,
                 lambda: network.set_link(node_a, node_b, healthy),
-                label=f"chaos:flap-up:{node_a}<->{node_b}",
             )
             self._record(
                 "link_down", at, link=f"{node_a}<->{node_b}", until=at + down_s
@@ -122,12 +120,10 @@ class ChaosRunner:
         self._engine.schedule_at(
             start,
             lambda: network.set_link(node_a, node_b, lossy),
-            label=f"chaos:degrade:{node_a}<->{node_b}",
         )
         self._engine.schedule_at(
             start + degraded_s,
             lambda: network.set_link(node_a, node_b, healthy),
-            label=f"chaos:degrade-heal:{node_a}<->{node_b}",
         )
         self._record(
             "link_degraded",

@@ -112,7 +112,6 @@ class HealthMonitor:
             self._engine,
             period_s if period_s is not None else self._period_s,
             lambda: self._probe(key),
-            label=f"health:{key}",
         )
         self._watches[key] = _Watch(
             probe=probe, breaker=breaker, task=task, healthy=self._default

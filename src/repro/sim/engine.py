@@ -31,16 +31,13 @@ class _ScheduledEvent:
     are the engine's hottest operation, and the dataclass-generated
     ``__lt__`` built a tuple per comparison."""
 
-    __slots__ = ("time", "seq", "callback", "cancelled", "label")
+    __slots__ = ("time", "seq", "callback", "cancelled")
 
-    def __init__(
-        self, time: float, seq: int, callback: Callback, label: str = ""
-    ) -> None:
+    def __init__(self, time: float, seq: int, callback: Callback) -> None:
         self.time = time
         self.seq = seq
         self.callback = callback
         self.cancelled = False
-        self.label = label
 
     def __lt__(self, other: "_ScheduledEvent") -> bool:
         if self.time != other.time:
@@ -139,24 +136,24 @@ class Engine:
         """Number of events scheduled but not yet executed or cancelled."""
         return sum(1 for e in self._queue if not e.cancelled)
 
-    def schedule(self, delay: float, callback: Callback, label: str = "") -> EventHandle:
+    def schedule(self, delay: float, callback: Callback) -> EventHandle:
         """Schedule *callback* to run *delay* seconds from now."""
         if delay < 0:
             raise SchedulingError(f"cannot schedule into the past (delay={delay})")
-        event = _ScheduledEvent(self._now + delay, next(self._seq), callback, label)
+        event = _ScheduledEvent(self._now + delay, next(self._seq), callback)
         heapq.heappush(self._queue, event)
         if self._obs.enabled:
             self._scheduled_counter.inc()
             self._depth_gauge.set(len(self._queue))
         return EventHandle(event, self)
 
-    def schedule_at(self, time: float, callback: Callback, label: str = "") -> EventHandle:
+    def schedule_at(self, time: float, callback: Callback) -> EventHandle:
         """Schedule *callback* at an absolute simulated time."""
-        return self.schedule(time - self._now, callback, label=label)
+        return self.schedule(time - self._now, callback)
 
-    def call_soon(self, callback: Callback, label: str = "") -> EventHandle:
+    def call_soon(self, callback: Callback) -> EventHandle:
         """Schedule *callback* at the current time (after pending same-time events)."""
-        return self.schedule(0.0, callback, label=label)
+        return self.schedule(0.0, callback)
 
     def step(self) -> bool:
         """Execute the next event; return False when the queue is empty."""
@@ -228,13 +225,12 @@ class PeriodicTask:
     monitor for the rest of the run.
     """
 
-    def __init__(self, engine: Engine, period: float, callback: Callback, label: str = "") -> None:
+    def __init__(self, engine: Engine, period: float, callback: Callback) -> None:
         if period <= 0:
             raise SchedulingError("period must be > 0")
         self._engine = engine
         self._period = period
         self._callback = callback
-        self._label = label
         self._stopped = False
         self._fired = 0
         self._errors = 0
@@ -252,7 +248,7 @@ class PeriodicTask:
 
     def start(self) -> "PeriodicTask":
         """Arm the first firing one period from now; returns self."""
-        self._handle = self._engine.schedule(self._period, self._fire, label=self._label)
+        self._handle = self._engine.schedule(self._period, self._fire)
         return self
 
     def stop(self) -> None:
@@ -273,4 +269,4 @@ class PeriodicTask:
             if obs.enabled:
                 obs.inc("sim.periodic.errors")
         if not self._stopped:
-            self._handle = self._engine.schedule(self._period, self._fire, label=self._label)
+            self._handle = self._engine.schedule(self._period, self._fire)

@@ -75,17 +75,13 @@ class FailureInjector:
         self._network.node(node)
         if at < self._engine.now:
             raise ConfigurationError("cannot schedule a crash in the past")
-        self._engine.schedule_at(
-            at, lambda: self._network.node(node).crash(), label=f"crash:{node}"
-        )
+        self._engine.schedule_at(at, lambda: self._network.node(node).crash())
         end = float("inf")
         if duration is not None:
             if duration <= 0:
                 raise ConfigurationError("duration must be > 0")
             end = at + duration
-            self._engine.schedule_at(
-                end, lambda: self._maybe_recover(node), label=f"recover:{node}"
-            )
+            self._engine.schedule_at(end, lambda: self._maybe_recover(node))
         outage = PlannedOutage(node=node, start=at, end=end)
         self._outages.append(outage)
         return outage
@@ -120,14 +116,10 @@ class FailureInjector:
         )
         self._partitions.append(window)
         self._engine.schedule_at(
-            at,
-            lambda: self._network.partition([list(g) for g in window.groups]),
-            label="partition",
+            at, lambda: self._network.partition([list(g) for g in window.groups])
         )
         if duration is not None:
-            self._engine.schedule_at(
-                end, lambda: self._heal_window(window), label="heal"
-            )
+            self._engine.schedule_at(end, lambda: self._heal_window(window))
         return window
 
     def _heal_window(self, window: PlannedPartition) -> None:

@@ -60,7 +60,7 @@ PACKET_OUTCOMES = (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """One datagram moving through the simulated network."""
 
@@ -270,7 +270,7 @@ class Network:
             else:
                 self._m_no_handler.inc()
 
-        self.engine.schedule(delay, arrive, label=f"net:{source}->{destination}:{port}")
+        self.engine.schedule(delay, arrive)
         return packet
 
     def broadcast(

@@ -6,8 +6,8 @@ Three facilities, each used by a different part of the stack:
   between two fixed endpoints.  Used by the X.400 MTAs, which must not lose
   inter-MTA transfers even on lossy links.
 * :class:`RequestReply` — correlated request/response exchange with
-  timeouts.  Used by the ODP binding machinery (client stubs) and the
-  directory DUA/DSA protocol.
+  optional timeouts.  Used by the ODP binding machinery (client stubs),
+  the directory DUA/DSA protocol and the federation's gateways.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ class ReliableChannel:
             size_bytes=entry.size_bytes,
         )
         entry.timer = self._engine.schedule(
-            self._retransmit_s, lambda: self._on_timeout(entry.seq), label=f"rtx:{entry.seq}"
+            self._retransmit_s, lambda: self._on_timeout(entry.seq)
         )
 
     def _on_timeout(self, seq: int) -> None:
@@ -210,7 +210,9 @@ class RequestReply:
     A server registers operations with :meth:`serve`; clients call
     :meth:`request`.  Replies are matched by request id.  A per-request
     timeout fires ``on_timeout`` if no reply arrives (e.g. server crashed or
-    a partition intervened).
+    a partition intervened).  A caller that keeps its own timer passes
+    ``timeout_s=None`` and ends the request's reply window with
+    :meth:`drop`.
     """
 
     def __init__(self, network: Network, local: str, port: str = "rpc") -> None:
@@ -240,7 +242,7 @@ class RequestReply:
         operation: str,
         body: Any,
         on_reply: Callable[[Any], None],
-        timeout_s: float = 5.0,
+        timeout_s: float | None = 5.0,
         on_timeout: Callable[[], None] | None = None,
         size_bytes: int = 128,
         server_port: str | None = None,
@@ -248,7 +250,9 @@ class RequestReply:
         """Send a request; *on_reply* fires with the reply body.
 
         *server_port* addresses a server endpoint whose port name differs
-        from this client's (defaults to the shared port).
+        from this client's (defaults to the shared port).  With
+        *timeout_s* ``None`` no timer is armed: the request stays pending
+        until its reply arrives or the caller calls :meth:`drop`.
         """
         request_id = self._ids.next("req")
         pending = _PendingRequest(request_id, on_reply, on_timeout)
@@ -268,10 +272,21 @@ class RequestReply:
             },
             size_bytes=size_bytes,
         )
-        pending.timer = self._engine.schedule(
-            timeout_s, lambda: self._on_request_timeout(request_id), label=f"rpc-timeout:{request_id}"
-        )
+        if timeout_s is not None:
+            pending.timer = self._engine.schedule(
+                timeout_s, lambda: self._on_request_timeout(request_id)
+            )
         return request_id
+
+    def drop(self, request_id: str) -> None:
+        """End a request's reply window without a timeout (idempotent).
+
+        A reply that arrives later is ignored, as one arriving after a
+        timeout is; ``on_timeout`` does not fire.
+        """
+        pending = self._pending.pop(request_id, None)
+        if pending is not None and pending.timer is not None:
+            pending.timer.cancel()
 
     def _on_request_timeout(self, request_id: str) -> None:
         pending = self._pending.pop(request_id, None)

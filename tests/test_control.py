@@ -152,7 +152,7 @@ class TestHysteresis:
 
         from repro.sim.engine import PeriodicTask
 
-        PeriodicTask(world.engine, 0.25, flap, label="signal-flap").start()
+        PeriodicTask(world.engine, 0.25, flap).start()
         world.run_for(4.0)
         # One real transition (the initial drain); every later flip inside
         # the cool-down was suppressed, not executed.
@@ -192,7 +192,7 @@ class TestHysteresis:
 
         from repro.sim.engine import PeriodicTask
 
-        PeriodicTask(world.engine, 0.25, churn, label="churn").start()
+        PeriodicTask(world.engine, 0.25, churn).start()
         world.run_for(10.0)
         assert transitions, "the signal must have driven transitions"
         gaps = [b - a for a, b in zip(transitions, transitions[1:])]
