@@ -48,13 +48,6 @@ if TYPE_CHECKING:
 MAIL_COUNTRY = "xx"
 MAIL_ADMD = "mhs"
 
-#: inbound relay dedup entries kept per domain; retries of one relay all
-#: land within its attempt budget (seconds of simulated time), so FIFO
-#: eviction far beyond that window keeps at-most-once processing while
-#: bounding what was previously unbounded growth over long soaks
-RELAY_SEEN_LIMIT = 2048
-
-
 class Domain:
     """One org unit's environment, naming, directory, messaging, gateway."""
 
@@ -109,23 +102,9 @@ class Domain:
         #: person ids homed in this domain
         self.people: set[str] = set()
         #: relay_id -> reply (or in-flight DeferredReply): the inbound
-        #: dedup cache that makes at-least-once relays at-most-once here
-        #: (bounded; insert via :meth:`remember_relay`)
+        #: memo that makes at-least-once relays at-most-once here
+        #: (bounded; insert via :func:`repro.sim.transport.remember_reply`)
         self.relay_seen: dict[str, object] = {}
-
-    def remember_relay(self, relay_id: str, reply: object) -> None:
-        """Record *reply* for dedup, evicting oldest entries past the cap.
-
-        Re-recording an in-flight ``relay_id`` (a deferred forward
-        resolving to its final reply) replaces the entry in place
-        without consuming extra capacity.
-        """
-        seen = self.relay_seen
-        if relay_id not in seen and len(seen) >= RELAY_SEEN_LIMIT:
-            # dicts iterate in insertion order: drop the oldest entry —
-            # its retry window is long gone
-            del seen[next(iter(seen))]
-        seen[relay_id] = reply
 
     @property
     def trader(self) -> "Trader":

@@ -71,7 +71,7 @@ from repro.org.policy import INTERACTION_MESSAGE
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.health import HealthMonitor
 from repro.sim.network import LinkSpec, WAN_LINK
-from repro.sim.transport import DeferredReply
+from repro.sim.transport import DeferredReply, remember_reply
 from repro.sim.world import World
 from repro.util.errors import (
     ConfigurationError,
@@ -1140,7 +1140,7 @@ class Federation:
             "relay_path": [],
         }
         if relay_id is not None:
-            domain.remember_relay(relay_id, reply)
+            remember_reply(domain.relay_seen, relay_id, reply)
         return reply
 
     def _forward_relay(
@@ -1156,7 +1156,7 @@ class Federation:
         if relay_id is not None:
             # Cache the in-flight deferred so a duplicate of the inbound
             # leg latches onto the same forwarding, not a second one.
-            domain.remember_relay(relay_id, deferred)
+            remember_reply(domain.relay_seen, relay_id, deferred)
         span: Span | None = None
         if self._trace.enabled:
             # A detached span for the forwarding leg: it stays open
@@ -1187,7 +1187,7 @@ class Federation:
                     {"domain": domain.name, "at": forwarded_at, "attempts": attempts}
                 ] + list(reply["relay_path"])
             if relay_id is not None:
-                domain.remember_relay(relay_id, reply)
+                remember_reply(domain.relay_seen, relay_id, reply)
             deferred.resolve(reply)
 
         def on_dead_letter(letter: DeadLetter) -> None:
@@ -1212,7 +1212,7 @@ class Federation:
                 ],
             }
             if relay_id is not None:
-                domain.remember_relay(relay_id, failure)
+                remember_reply(domain.relay_seen, relay_id, failure)
             deferred.resolve(failure)
 
         try:

@@ -9,35 +9,23 @@ object sitting on that boundary: each domain runs one gateway endpoint
 per (source, target) pair relays exchange payloads over the simulated
 inter-domain link.
 
-Relay semantics are store-and-forward with at-least-once delivery:
+A gateway is a :class:`~repro.sim.transport.StoreAndForward` relay (the
+stack's one retry loop: attempt budget, backoff, one timer per relay,
+deadline clamp, ``relay_id`` for the receiver's dedup, one settlement)
+plus the parts that belong to a domain boundary:
 
-* each relay gets an attempt budget: retries fire with exponential
-  backoff (``retry_s * backoff ** (attempt-1)`` between attempts) while
-  any in-flight attempt's reply — however late — can still settle the
-  relay; exactly one of reply / dead-letter wins (the ``settled`` flag),
-* a relay keeps **one timer**, armed for whichever comes first of its
-  next retry and the close of its budget window, and re-armed when it
-  fires.  Attempts are sent without an RPC timer of their own: the RPC
-  reply window *is* the budget window.  When the window closes the
-  gateway drops its attempts' outstanding request ids from the RPC
-  endpoint, so a late reply inside the window counts in
-  ``duplicate_replies`` and no pending entry outlives the window,
-* every relay is stamped with a ``relay_id`` so the receiving side can
-  deduplicate: at-least-once on the wire, at-most-once downstream,
-* a relay that exhausts its budget lands in the gateway's **dead-letter
-  queue** together with the reason, where an operator (or
-  :meth:`Gateway.redrive` after the link heals) can pick it up,
-* an optional per-relay ``deadline`` clamps the budget: a relay that
-  cannot settle before its deadline fails with
+* a relay that exhausts its budget lands in the **dead-letter queue**
+  with its reason, for an operator or :meth:`Gateway.redrive` after the
+  link heals; a relay its ``deadline`` clamped fails with
   :data:`REASON_RELAY_DEADLINE` and is *not* parked (redriving an
   expired request helps nobody),
 * an optional :class:`~repro.resilience.breaker.CircuitBreaker` gates
-  admission: while the breaker is open new relays fail fast to the
-  dead-letter queue (:data:`REASON_RELAY_CIRCUIT_OPEN`) instead of
-  burning the full retry budget; attempt failures feed the breaker and
-  :meth:`redrive` recloses it (redriving asserts the link healed),
-* round-trip latency, retries and dead letters are exported as
-  ``gateway.*`` metrics when a registry is attached.
+  admission: while it is open new relays fail fast to the dead-letter
+  queue (:data:`REASON_RELAY_CIRCUIT_OPEN`); each retry and each
+  unanswered window feeds it, and :meth:`redrive` recloses it,
+* the control plane can soft-drain a gateway to steer routing away,
+* ``gateway.*`` metrics, a ``gateway.relay`` span per relay, and
+  expiry, dead-letter and redrive events.
 
 The link itself is ordinary :mod:`repro.sim.network` fabric — the
 federation sets an explicit :class:`~repro.sim.network.LinkSpec` between
@@ -61,10 +49,7 @@ from repro.obs.events import (
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.tracing import NULL_TRACER, Span, Tracer
 from repro.resilience.breaker import CircuitBreaker
-from repro.sim.engine import EventHandle
-from repro.sim.transport import RequestReply
-from repro.util.errors import ConfigurationError
-from repro.util.ids import IdFactory
+from repro.sim.transport import RequestReply, StoreAndForward
 from repro.util.serialization import document_size
 
 #: RPC port gateway endpoints listen on (one per domain gateway node)
@@ -95,50 +80,14 @@ class DeadLetter:
     attempts: int
     reason: str
     parked_at: float
+    #: original completion callbacks, reused on redrive
+    _on_reply: RelayReply = field(repr=False)
+    _on_dead_letter: RelayFailed | None = field(default=None, repr=False)
     #: filled when the dead letter is redriven
     redriven: bool = False
-    #: original completion callbacks, reused on redrive
-    _on_reply: RelayReply | None = field(default=None, repr=False)
-    _on_dead_letter: RelayFailed | None = field(default=None, repr=False)
 
 
-class _Relay:
-    """Mutable state of one relay: its attempts and its single settlement."""
-
-    __slots__ = ("payload", "on_reply", "on_dead_letter", "deadline",
-                 "park_at", "size_bytes", "attempts", "replies", "requests",
-                 "settled", "span", "timer")
-
-    def __init__(
-        self,
-        payload: dict[str, Any],
-        on_reply: RelayReply,
-        on_dead_letter: RelayFailed | None,
-        deadline: float | None,
-    ) -> None:
-        self.payload = payload
-        self.on_reply = on_reply
-        self.on_dead_letter = on_dead_letter
-        self.deadline = deadline
-        #: when the budget window closes (clamped by the deadline)
-        self.park_at = 0.0
-        #: the payload's wire size, taken once at admission: every
-        #: attempt sends the same (unchanging) payload
-        self.size_bytes = 0
-        self.attempts = 0
-        #: replies received, the settling one and any late duplicates
-        self.replies = 0
-        #: the RPC request id of every attempt sent
-        self.requests: list[str] = []
-        self.settled = False
-        #: detached gateway.relay span, open from launch to settlement
-        self.span: Span | None = None
-        #: the relay's one pending event: the next retry, or the close of
-        #: the budget window at ``park_at``
-        self.timer: EventHandle | None = None
-
-
-class Gateway:
+class Gateway(StoreAndForward):
     """Directed store-and-forward relay from one domain to another.
 
     The gateway owns no transport of its own: it sends over the *source*
@@ -161,47 +110,15 @@ class Gateway:
         tracer: Tracer | None = None,
         events: EventLog | None = None,
     ) -> None:
-        if retry_s <= 0:
-            raise ConfigurationError("gateway retry_s must be > 0")
-        self._rpc = rpc
-        self._engine = rpc._engine
+        super().__init__(
+            rpc, target_node, "relay", f"relay:{source}>{target}",
+            retry_s=retry_s, max_attempts=max_attempts, backoff=backoff,
+        )
         self.source = source
         self.target = target
-        self.target_node = target_node
-        self._retry_s = retry_s
-        self._backoff = backoff
-        self.set_attempt_budget(max_attempts)
-        self._relay_namespace = f"relay:{source}>{target}"
-        self.attach_metrics(metrics)
-        self._tracer: Tracer = tracer if tracer is not None else NULL_TRACER
-        self._events: EventLog = events if events is not None else NULL_EVENTS
-        self.breaker = breaker
-        self._ids = IdFactory(width=6)
-        self.relays = 0
-        self.delivered = 0
-        self.retries = 0
-        self.duplicate_replies = 0
-        self.expired = 0
-        self.fast_failed = 0
-        self.dead_letters: list[DeadLetter] = []
-        #: relays launched but not yet settled (queue-depth signal)
-        self.in_flight = 0
-        #: soft-drained by the control plane: routing avoids this gateway
-        self.drained = False
-
-    def attach_metrics(self, metrics: MetricsRegistry | None) -> None:
-        """Report relay activity to *metrics* (``None`` detaches).
-
-        Counters ``gateway.relays``/``delivered``/``retries``/
-        ``dead_letters``/``duplicate_replies``/``expired``/
-        ``fast_failed`` plus the ``gateway.latency_s`` round-trip
-        histogram (simulated seconds).  The same signals are also
-        recorded per link through ``(source, target)``-labelled families
-        (``gateway.relays{source=..,target=..}`` etc.), so one registry
-        attributes traffic across every directed gateway of a
-        federation; the per-link child handles are resolved once here,
-        not per relay.
-        """
+        # ``gateway.*`` counters and the ``gateway.latency_s`` histogram
+        # (simulated seconds), each also recorded per directed link in a
+        # ``(source, target)``-labelled family whose child is bound here
         self._obs = metrics if metrics is not None else NULL_METRICS
         obs, link = self._obs, {"source": self.source, "target": self.target}
         self._m_relays = obs.counter("gateway.relays", labels=("source", "target")).labels(**link)
@@ -212,6 +129,18 @@ class Gateway:
         self._m_latency = obs.histogram(
             "gateway.latency_s", buckets=LATENCY_BUCKETS, labels=("source", "target")
         ).labels(**link)
+        self._tracer: Tracer = tracer if tracer is not None else NULL_TRACER
+        self._events: EventLog = events if events is not None else NULL_EVENTS
+        self.breaker = breaker
+        self.relays = 0
+        self.delivered = 0
+        self.expired = 0
+        self.fast_failed = 0
+        self.dead_letters: list[DeadLetter] = []
+        #: relays launched but not yet settled (queue-depth signal)
+        self.in_flight = 0
+        #: soft-drained by the control plane: routing avoids this gateway
+        self.drained = False
 
     def ready(self) -> bool:
         """Whether routing should currently prefer this gateway.
@@ -241,27 +170,6 @@ class Gateway:
         """Lift a soft drain (idempotent)."""
         self.drained = False
 
-    def set_attempt_budget(self, max_attempts: int) -> None:
-        """Change the per-relay attempt budget at runtime.
-
-        Applies to relays launched after the call; in-flight relays
-        keep the budget they were admitted with.  The control plane
-        uses this to open extra relay capacity under burn and restore
-        the configured budget after recovery.
-        """
-        if max_attempts < 1:
-            raise ConfigurationError("gateway needs max_attempts >= 1")
-        self._max_attempts = max_attempts
-        #: total simulated seconds one relay may spend before parking
-        self._budget_s = sum(
-            self._retry_s * (self._backoff ** k) for k in range(max_attempts)
-        )
-
-    @property
-    def max_attempts(self) -> int:
-        """The current per-relay attempt budget."""
-        return self._max_attempts
-
     def relay(
         self,
         payload: dict[str, Any],
@@ -284,222 +192,135 @@ class Gateway:
         if self._obs.enabled:
             self._obs.inc("gateway.relays")
             self._m_relays.inc()
-        payload.setdefault("relay_id", self._ids.next(self._relay_namespace))
-        state = _Relay(payload, on_reply, on_dead_letter, deadline)
+        self.stamp(payload)
+        span = None
         if self._tracer.enabled:
             # Continue the trace the payload carries (or the caller's open
             # span) and re-stamp the payload so the receiving side parents
-            # under this hop — the wire half of trace propagation.  The
-            # ``domain`` tag matches the labelled metrics (the hop runs in
-            # the source domain); ``sampled`` rides along so every hop
-            # honours the decision made at the trace's origin.
-            state.span = self._tracer.start_span(
+            # under this hop; ``sampled`` rides along so every hop honours
+            # the origin's decision.  The ``domain`` tag matches the metrics.
+            span = self._tracer.start_span(
                 "gateway.relay",
                 context=TraceContext.from_document(payload.get(TRACE_KEY)),
                 source=self.source,
                 target=self.target,
                 domain=self.source,
             )
-            if state.span.sampled:
-                payload[TRACE_KEY] = {
-                    "trace_id": state.span.trace_id,
-                    "span_id": state.span.span_id,
-                }
-            else:
-                payload[TRACE_KEY] = {
-                    "trace_id": state.span.trace_id,
-                    "span_id": state.span.span_id,
-                    "sampled": False,
-                }
-        now = self._engine.now
-        if deadline is not None and now >= deadline:
-            self._settle_expired(state)
+            payload[TRACE_KEY] = TraceContext(
+                span.trace_id, span.span_id, span.sampled
+            ).to_document()
+
+        def fail(attempts: int, reason: str) -> None:
+            self._fail(payload, on_reply, on_dead_letter, span, attempts, reason)
+
+        if deadline is not None and self._engine.now >= deadline:
+            fail(0, REASON_RELAY_DEADLINE)
             return
         if self.breaker is not None and not self.breaker.allow():
             self.fast_failed += 1
             if self._obs.enabled:
                 self._obs.inc("gateway.fast_failed")
-            self._settle_parked(state, REASON_RELAY_CIRCUIT_OPEN)
+            fail(0, REASON_RELAY_CIRCUIT_OPEN)
             return
+
+        def delivered(reply: Any, attempts: int, sent_at: float) -> None:
+            self.in_flight -= 1
+            self.delivered += 1
+            if self.breaker is not None:
+                self.breaker.record_success()
+            if self._obs.enabled:
+                self._obs.inc("gateway.delivered")
+                self._m_delivered.inc()
+                latency = self._engine.now - sent_at
+                self._obs.observe("gateway.latency_s", latency, buckets=LATENCY_BUCKETS)
+                self._m_latency.observe(latency)
+            self._close_span(span, "delivered", attempts)
+            on_reply(reply, attempts)
+
+        def failed(attempts: int, expired: bool) -> None:
+            self._note_failure()
+            fail(attempts, REASON_RELAY_DEADLINE if expired else REASON_RELAY_TIMEOUT)
+
         # The wire charge is the exchange payload alone: the trace context
-        # stamped above must not change simulated time, or tracing would
+        # stamped on it must not change simulated time, or tracing would
         # move every hop it observes.
-        if TRACE_KEY in payload:
-            state.size_bytes = document_size(
-                {key: value for key, value in payload.items() if key != TRACE_KEY}
-            )
-        else:
-            state.size_bytes = document_size(payload)
-        state.park_at = now + self._budget_s
-        if deadline is not None:
-            state.park_at = min(state.park_at, deadline)
-        self._launch(state)
+        size_bytes = document_size(
+            {key: value for key, value in payload.items() if key != TRACE_KEY}
+            if TRACE_KEY in payload else payload
+        )
+        self.send(payload, size_bytes, delivered, failed, deadline)
 
-    def _launch(self, state: _Relay) -> None:
-        """Send one attempt and arm the relay timer for what comes next.
-
-        The attempt has no RPC timer of its own: its reply window is the
-        relay's budget window, so a slow reply to an earlier attempt
-        still settles the relay (the settled flag keeps later replies
-        from firing twice) until :meth:`_close` ends the window.
-        """
-        state.attempts += 1
-        attempt = state.attempts
-        sent_at = self._engine.now
-
-        def deliver(reply: Any) -> None:
-            self._settle_delivered(state, reply, sent_at)
-
-        state.requests.append(self._rpc.request(
-            self.target_node,
-            "relay",
-            state.payload,
-            on_reply=deliver,
-            timeout_s=None,
-            size_bytes=state.size_bytes,
-        ))
-        if attempt < self._max_attempts:
-            delay = self._retry_s * (self._backoff ** (attempt - 1))
-            if sent_at + delay < state.park_at:
-                state.timer = self._engine.schedule(delay, lambda: self._retry(state))
-                return
-        self._arm_close(state)
-
-    def _arm_close(self, state: _Relay) -> None:
-        state.timer = self._engine.schedule_at(state.park_at, lambda: self._close(state))
-
-    def _retry(self, state: _Relay) -> None:
-        self.retries += 1
+    def _retried(self) -> None:
         if self._obs.enabled:
             self._obs.inc("gateway.retries")
             self._m_retries.inc()
         self._note_failure()
-        self._launch(state)
 
-    def _close(self, state: _Relay) -> None:
-        """The budget window closes: no attempt's reply is awaited any
-        longer, and a relay still unsettled expires or is parked."""
-        state.timer = None
-        for request_id in state.requests:
-            self._rpc.drop(request_id)
-        if state.settled:
-            return
-        self._note_failure()
-        # A window the deadline clamped expires.  Deciding on the clamp,
-        # not on ``now >= deadline``, keeps the verdict off float
-        # rounding: the engine may fire an absolute instant an ulp early.
-        if state.park_at == state.deadline:
-            self._settle_expired(state)
-            return
-        self._settle_parked(state, REASON_RELAY_TIMEOUT)
+    def _duplicate(self) -> None:
+        if self._obs.enabled:
+            self._obs.inc("gateway.duplicate_replies")
 
     def _note_failure(self) -> None:
         if self.breaker is not None:
             self.breaker.record_failure()
 
-    def _close_span(self, state: _Relay, outcome: str) -> None:
-        """Finish the relay's detached span, stamped with how it ended."""
-        if state.span is not None:
-            state.span.tag(outcome=outcome, attempts=state.attempts)
-            self._tracer.finish(state.span)
+    def _close_span(self, span: Span | None, outcome: str, attempts: int) -> None:
+        """Finish a relay's detached span, stamped with how it ended."""
+        if span is not None:
+            span.tag(outcome=outcome, attempts=attempts)
+            self._tracer.finish(span)
 
-    def _trace_id(self, state: _Relay) -> str:
-        """The trace a relay ran under, for event correlation."""
-        if state.span is not None:
-            return state.span.trace_id
-        context = TraceContext.from_document(state.payload.get(TRACE_KEY))
-        return context.trace_id if context is not None else ""
-
-    def _disarm(self, state: _Relay) -> None:
-        if state.timer is not None:
-            state.timer.cancel()
-            state.timer = None
-
-    def _settle_delivered(self, state: _Relay, reply: Any, sent_at: float) -> None:
-        state.replies += 1
-        if state.settled:
-            self.duplicate_replies += 1
+    def _fail(
+        self,
+        payload: dict[str, Any],
+        on_reply: RelayReply,
+        on_dead_letter: RelayFailed | None,
+        span: Span | None,
+        attempts: int,
+        reason: str,
+    ) -> None:
+        """Settle a relay no reply answered: a deadline expires it,
+        anything else parks it in the dead-letter queue."""
+        self.in_flight -= 1
+        expired = reason == REASON_RELAY_DEADLINE
+        if expired:
+            self.expired += 1
             if self._obs.enabled:
-                self._obs.inc("gateway.duplicate_replies")
-            if state.replies == state.attempts:
-                self._disarm(state)  # no reply is left to await
-            return
-        state.settled = True
-        # No retry is due any more; the window stays open only while an
-        # attempt's reply is still out, so a late one counts as a duplicate.
-        self._disarm(state)
-        if state.replies < state.attempts:
-            self._arm_close(state)
-        self.in_flight -= 1
-        self.delivered += 1
-        if self.breaker is not None:
-            self.breaker.record_success()
-        if self._obs.enabled:
-            self._obs.inc("gateway.delivered")
-            self._m_delivered.inc()
-            latency = self._engine.now - sent_at
-            self._obs.observe("gateway.latency_s", latency, buckets=LATENCY_BUCKETS)
-            self._m_latency.observe(latency)
-        self._close_span(state, "delivered")
-        state.on_reply(reply, state.attempts)
-
-    def _settle_expired(self, state: _Relay) -> None:
-        """Deadline hit: fail the relay without parking it."""
-        state.settled = True
-        self.in_flight -= 1
-        self.expired += 1
-        if self._obs.enabled:
-            self._obs.inc("gateway.expired")
-            self._m_expired.inc()
-        self._close_span(state, REASON_RELAY_DEADLINE)
+                self._obs.inc("gateway.expired")
+                self._m_expired.inc()
+        self._close_span(span, reason, attempts)
         if self._events.enabled:
+            if span is not None:
+                trace_id = span.trace_id
+            else:
+                context = TraceContext.from_document(payload.get(TRACE_KEY))
+                trace_id = context.trace_id if context is not None else ""
+            detail: dict[str, Any] = {"gateway": f"{self.source}->{self.target}"}
+            if not expired:
+                detail["reason"] = reason
+            detail["attempts"] = attempts
             self._events.record(
                 self._engine.now,
-                KIND_DEADLINE,
-                trace_id=self._trace_id(state),
-                gateway=f"{self.source}->{self.target}",
-                attempts=state.attempts,
+                KIND_DEADLINE if expired else KIND_DEAD_LETTER,
+                trace_id=trace_id,
+                **detail,
             )
         letter = DeadLetter(
-            payload=state.payload,
+            payload=payload,
             target=self.target,
-            attempts=state.attempts,
-            reason=REASON_RELAY_DEADLINE,
-            parked_at=self._engine.now,
-            _on_reply=state.on_reply,
-            _on_dead_letter=state.on_dead_letter,
-        )
-        if state.on_dead_letter is not None:
-            state.on_dead_letter(letter)
-
-    def _settle_parked(self, state: _Relay, reason: str) -> None:
-        state.settled = True
-        self.in_flight -= 1
-        self._close_span(state, reason)
-        if self._events.enabled:
-            self._events.record(
-                self._engine.now,
-                KIND_DEAD_LETTER,
-                trace_id=self._trace_id(state),
-                gateway=f"{self.source}->{self.target}",
-                reason=reason,
-                attempts=state.attempts,
-            )
-        letter = DeadLetter(
-            payload=state.payload,
-            target=self.target,
-            attempts=state.attempts,
+            attempts=attempts,
             reason=reason,
             parked_at=self._engine.now,
-            _on_reply=state.on_reply,
-            _on_dead_letter=state.on_dead_letter,
+            _on_reply=on_reply,
+            _on_dead_letter=on_dead_letter,
         )
-        self.dead_letters.append(letter)
-        if self._obs.enabled:
-            self._obs.inc("gateway.dead_letters")
-            self._m_dead_letters.inc()
-        if state.on_dead_letter is not None:
-            state.on_dead_letter(letter)
+        if not expired:
+            self.dead_letters.append(letter)
+            if self._obs.enabled:
+                self._obs.inc("gateway.dead_letters")
+                self._m_dead_letters.inc()
+        if on_dead_letter is not None:
+            on_dead_letter(letter)
 
     def redrive(self) -> int:
         """Re-relay every parked dead letter (after the link healed).
@@ -522,8 +343,7 @@ class Gateway:
             )
         for letter in parked:
             letter.redriven = True
-            on_reply = letter._on_reply or (lambda reply, attempts: None)
-            self.relay(letter.payload, on_reply, letter._on_dead_letter)
+            self.relay(letter.payload, letter._on_reply, letter._on_dead_letter)
         return len(parked)
 
     def stats(self) -> dict[str, int]:

@@ -2,11 +2,14 @@
 
 Each MTA serves one or more routing domains, holds the message store for
 its local mailboxes, and relays foreign envelopes to peer MTAs according
-to its routing table.  Transfers retry on timeout (store-and-forward must
-survive transient outages); final failures, unknown recipients, missing
-routes and hop-limit violations produce non-delivery reports back to the
-originator.  Delivery reports are generated when the envelope asks for
-one.
+to its routing table.  A transfer to a peer MTA is a
+:class:`~repro.sim.transport.StoreAndForward` relay, the stack's one
+retry loop (store-and-forward must survive transient outages), and the
+receiving MTA answers a retried transfer from its reply memo, so a
+retry never delivers twice.
+Final failures, unknown recipients, missing routes and hop-limit
+violations produce non-delivery reports back to the originator.
+Delivery reports are generated when the envelope asks for one.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from repro.messaging.routing import RoutingTable
 from repro.obs.context import TraceContext
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.tracing import NULL_TRACER, Tracer
-from repro.sim.transport import RequestReply
+from repro.sim.transport import RequestReply, StoreAndForward, remember_reply
 from repro.sim.world import World
 from repro.util.errors import MessagingError, NoRouteError
 from repro.util.ids import IdFactory
@@ -53,6 +56,12 @@ PRIORITY_DELAYS = {
     PRIORITY_LOW: 1.0,
 }
 
+#: a transfer's first retry interval (seconds); later ones back off 2x
+TRANSFER_RETRY_S = 2.0
+#: attempts per transfer: sent at 0, 2, 6 and 14 s, the last reply
+#: awaited until 30 s, after which the envelope is non-delivered
+TRANSFER_ATTEMPTS = 4
+
 
 class MessageTransferAgent:
     """One MTA bound to a simulated node."""
@@ -63,8 +72,6 @@ class MessageTransferAgent:
         node: str,
         name: str,
         domains: list[tuple[str, str, str]],
-        transfer_retry_s: float = 2.0,
-        transfer_attempts: int = 4,
     ) -> None:
         self._world = world
         self.node = node
@@ -72,14 +79,15 @@ class MessageTransferAgent:
         self._domains = {tuple(d.lower() for d in domain) for domain in domains}
         self.routing = RoutingTable()
         self.store = MessageStore()
-        self._peers: dict[str, str] = {}
+        #: peer MTA name -> the store-and-forward relay transferring to it
+        self._peers: dict[str, StoreAndForward] = {}
         self._mailboxes: set[str] = set()
         #: mailbox key -> distribution list members (AMIGO-style group
         #: communication: a message to the list fans out to all members)
         self._dlists: dict[str, list[OrName]] = {}
         self._ids = IdFactory(width=6)
-        self._retry_s = transfer_retry_s
-        self._attempts = transfer_attempts
+        #: relay_id -> reply of inbound transfers (see remember_reply)
+        self._transfers: dict[str, Any] = {}
         self._delivery_hooks: list[DeliveryHook] = []
         self._report_hooks: list[Callable[[dict[str, Any]], None]] = []
         self.relayed = 0
@@ -100,7 +108,10 @@ class MessageTransferAgent:
         """Teach this MTA where a peer MTA lives."""
         if name == self.name:
             raise MessagingError("an MTA cannot peer with itself")
-        self._peers[name] = node
+        self._peers[name] = StoreAndForward(
+            self.rpc, node, "transfer", f"transfer:{self.name}>{name}",
+            retry_s=TRANSFER_RETRY_S, max_attempts=TRANSFER_ATTEMPTS,
+        )
 
     def register_mailbox(self, user: OrName) -> None:
         """Register a local mailbox (idempotent)."""
@@ -113,10 +124,6 @@ class MessageTransferAgent:
                 f"{user.mailbox!r} names a distribution list, not a mailbox"
             )
         self._mailboxes.add(user.mailbox)
-
-    def has_mailbox(self, mailbox: str) -> bool:
-        """True when the mailbox is registered locally."""
-        return mailbox in self._mailboxes
 
     def create_distribution_list(self, list_name: OrName, members: list[OrName]) -> None:
         """Create a distribution list served by this MTA.
@@ -188,9 +195,10 @@ class MessageTransferAgent:
         return {"accepted": envelope.message_id}
 
     def _op_transfer(self, body: dict[str, Any]) -> dict[str, Any]:
-        envelope = Envelope.from_document(body)
-        self.accept(envelope)
-        return {"accepted": envelope.message_id}
+        relay_id = body["relay_id"]
+        if relay_id not in self._transfers:
+            remember_reply(self._transfers, relay_id, self._op_submit(body))
+        return self._transfers[relay_id]
 
     def _op_register(self, body: dict[str, Any]) -> bool:
         self.register_mailbox(OrName.from_document(body["user"]))
@@ -268,11 +276,11 @@ class MessageTransferAgent:
         except NoRouteError:
             self._non_deliver(envelope, REASON_NO_ROUTE, str(recipient.routing_domain))
             return
-        node = self._peers.get(hop)
-        if node is None:
+        link = self._peers.get(hop)
+        if link is None:
             self._non_deliver(envelope, REASON_NO_ROUTE, f"unknown peer {hop!r}")
             return
-        self._transfer(envelope, node, attempt=1)
+        self._transfer(envelope, link)
 
     def _deliver_local(self, envelope: Envelope, recipient: OrName) -> None:
         if recipient.mailbox in self._dlists:
@@ -314,7 +322,7 @@ class MessageTransferAgent:
             expanded.expanded_lists.append(key)
             self._route_single(expanded)
 
-    def _transfer(self, envelope: Envelope, node: str, attempt: int) -> None:
+    def _transfer(self, envelope: Envelope, link: StoreAndForward) -> None:
         self.relayed += 1
         if self._obs.enabled:
             self._obs.inc("mta.relayed")
@@ -326,38 +334,28 @@ class MessageTransferAgent:
                 "mta.transfer",
                 context=envelope.trace_context,
                 mta=self.name,
-                peer=node,
-                attempt=attempt,
+                peer=link.server,
             )
             envelope.trace_context = TraceContext(
                 span.trace_id, span.span_id, span.sampled
             )
 
-        def close(outcome: str) -> None:
+        def settle(outcome: str, attempts: int) -> None:
             if span is not None:
-                span.tag(outcome=outcome)
+                span.tag(outcome=outcome, attempts=attempts)
                 self._tracer.finish(span)
-
-        def on_timeout() -> None:
-            close("timeout")
-            if attempt >= self._attempts:
+            if outcome != "transferred":
                 self._non_deliver(
-                    envelope, REASON_TRANSFER_FAILURE, f"{attempt} attempts to {node}"
+                    envelope,
+                    REASON_TRANSFER_FAILURE,
+                    f"{attempts} attempts to {link.server}",
                 )
-                return
-            self._world.engine.schedule(
-                self._retry_s,
-                lambda: self._transfer(envelope, node, attempt + 1),
-            )
 
-        self.rpc.request(
-            node,
-            "transfer",
+        link.send(
             envelope.to_document(),
-            on_reply=lambda reply: close("transferred"),
-            timeout_s=self._retry_s,
-            on_timeout=on_timeout,
-            size_bytes=envelope.size_bytes(),
+            envelope.size_bytes(),
+            lambda reply, attempts, sent_at: settle("transferred", attempts),
+            lambda attempts, expired: settle("timeout", attempts),
         )
 
     # -- reports ---------------------------------------------------------------

@@ -12,7 +12,7 @@ from repro.sim.engine import Engine, EventHandle, PeriodicTask
 from repro.sim.failures import FailureInjector, PlannedOutage
 from repro.sim.network import LAN_LINK, WAN_LINK, LinkSpec, Network, Node, Packet
 from repro.sim.rng import SeededRng
-from repro.sim.transport import ReliableChannel, RequestReply, connect_pair
+from repro.sim.transport import RequestReply, StoreAndForward
 from repro.sim.world import World
 
 __all__ = [
@@ -28,8 +28,7 @@ __all__ = [
     "Node",
     "Packet",
     "SeededRng",
-    "ReliableChannel",
     "RequestReply",
-    "connect_pair",
+    "StoreAndForward",
     "World",
 ]

@@ -1,160 +1,29 @@
 """Transport protocols layered over the raw datagram network.
 
-Three facilities, each used by a different part of the stack:
+Two facilities, the second built on the first:
 
-* :class:`ReliableChannel` — acknowledged, retransmitting, FIFO delivery
-  between two fixed endpoints.  Used by the X.400 MTAs, which must not lose
-  inter-MTA transfers even on lossy links.
 * :class:`RequestReply` — correlated request/response exchange with
   optional timeouts.  Used by the ODP binding machinery (client stubs),
-  the directory DUA/DSA protocol and the federation's gateways.
+  the directory DUA/DSA protocol, the X.400 user agents and, through
+  :class:`StoreAndForward`, the MTAs and the federation's gateways.
+* :class:`StoreAndForward` — at-least-once relay of payloads to one
+  operation on one fixed server, with an attempt budget, backoff and an
+  optional deadline: the one retry loop of the stack.  X.400 transfer
+  between MTAs and relay between administrative domains both run on it.
+  Each relay stamps a ``relay_id`` on its payload, and the receiving side
+  answers a repeated id from its memo (:func:`remember_reply`), so a
+  retry is never processed twice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.sim.engine import Engine, EventHandle
+from repro.sim.engine import EventHandle
 from repro.sim.network import Network, Packet
 from repro.util.errors import ConfigurationError
 from repro.util.ids import IdFactory
-
-
-@dataclass(slots=True)
-class _OutstandingSend:
-    seq: int
-    payload: Any
-    size_bytes: int
-    attempts: int = 0
-    timer: EventHandle | None = None
-
-
-class ReliableChannel:
-    """Reliable FIFO delivery from one node to one peer node.
-
-    A sliding-window-of-one protocol: each payload gets a sequence number;
-    the receiver acks; unacked payloads are retransmitted after
-    *retransmit_s* up to *max_attempts* times.  Duplicate suppression and
-    reordering are handled with the sequence number.  On final failure the
-    ``on_failure`` callback fires — errors never pass silently.
-    """
-
-    def __init__(
-        self,
-        network: Network,
-        local: str,
-        peer: str,
-        port: str,
-        on_receive: Callable[[Any], None],
-        retransmit_s: float = 0.5,
-        max_attempts: int = 8,
-        on_failure: Callable[[Any], None] | None = None,
-    ) -> None:
-        if max_attempts < 1:
-            raise ConfigurationError("max_attempts must be >= 1")
-        self._network = network
-        self._engine: Engine = network.engine
-        self._local = local
-        self._peer = peer
-        self._port = port
-        self._on_receive = on_receive
-        self._on_failure = on_failure
-        self._retransmit_s = retransmit_s
-        self._max_attempts = max_attempts
-        self._next_seq = 1
-        self._expected_seq = 1
-        self._outstanding: dict[int, _OutstandingSend] = {}
-        self._reorder_buffer: dict[int, Any] = {}
-        self.delivered = 0
-        self.retransmissions = 0
-        self.failures = 0
-        # Sender side lives on *local* (acks come back here); receiver side
-        # lives on *peer* (data arrives there).
-        network.node(local).bind(self._ack_port(), self._handle_ack)
-        network.node(peer).bind(self._data_port(), self._handle_data)
-
-    def _data_port(self) -> str:
-        return f"{self._port}.data"
-
-    def _ack_port(self) -> str:
-        return f"{self._port}.ack"
-
-    def send(self, payload: Any, size_bytes: int = 128) -> int:
-        """Queue *payload* for reliable delivery; return its sequence number."""
-        seq = self._next_seq
-        self._next_seq += 1
-        entry = _OutstandingSend(seq=seq, payload=payload, size_bytes=size_bytes)
-        self._outstanding[seq] = entry
-        self._transmit(entry)
-        return seq
-
-    def _transmit(self, entry: _OutstandingSend) -> None:
-        entry.attempts += 1
-        if entry.attempts > 1:
-            self.retransmissions += 1
-        self._network.send(
-            self._local,
-            self._peer,
-            f"{self._port}.data",
-            {"seq": entry.seq, "payload": entry.payload},
-            size_bytes=entry.size_bytes,
-        )
-        entry.timer = self._engine.schedule(
-            self._retransmit_s, lambda: self._on_timeout(entry.seq)
-        )
-
-    def _on_timeout(self, seq: int) -> None:
-        entry = self._outstanding.get(seq)
-        if entry is None:
-            return
-        if entry.attempts >= self._max_attempts:
-            del self._outstanding[seq]
-            self.failures += 1
-            if self._on_failure is not None:
-                self._on_failure(entry.payload)
-            return
-        self._transmit(entry)
-
-    def _handle_ack(self, packet: Packet) -> None:
-        seq = packet.payload["seq"]
-        entry = self._outstanding.pop(seq, None)
-        if entry is not None and entry.timer is not None:
-            entry.timer.cancel()
-
-    def _handle_data(self, packet: Packet) -> None:
-        seq = packet.payload["seq"]
-        payload = packet.payload["payload"]
-        # Always (re-)ack so lost acks get repaired.  The ack originates at
-        # the receiver (peer) and travels back to the sender (local).
-        self._network.send(self._peer, packet.source, f"{self._port}.ack", {"seq": seq}, size_bytes=16)
-        if seq < self._expected_seq:
-            return  # duplicate
-        self._reorder_buffer[seq] = payload
-        while self._expected_seq in self._reorder_buffer:
-            ready = self._reorder_buffer.pop(self._expected_seq)
-            self._expected_seq += 1
-            self.delivered += 1
-            self._on_receive(ready)
-
-
-def connect_pair(
-    network: Network,
-    a: str,
-    b: str,
-    port: str,
-    on_receive_a: Callable[[Any], None],
-    on_receive_b: Callable[[Any], None],
-    **kwargs: Any,
-) -> tuple[ReliableChannel, ReliableChannel]:
-    """Create a bidirectional reliable connection between nodes *a* and *b*.
-
-    Returns the (a->b, b->a) channel pair.  Distinct sub-ports keep the two
-    directions from colliding on the same node.
-    """
-    forward = ReliableChannel(network, a, b, f"{port}.fwd", on_receive_a, **kwargs)
-    backward = ReliableChannel(network, b, a, f"{port}.bwd", on_receive_b, **kwargs)
-    return forward, backward
 
 
 @dataclass(slots=True)
@@ -332,3 +201,214 @@ class RequestReply:
             pending.timer.cancel()
         self.replies_received += 1
         pending.on_reply(message.get("body") if "error" not in message else {"error": message["error"]})
+
+
+#: replies a receiver remembers by ``relay_id``; every retry of one relay
+#: lands within its budget window (seconds of simulated time), so FIFO
+#: eviction far beyond that window keeps at-most-once processing while
+#: bounding the memo over long soaks
+RELAY_SEEN_LIMIT = 2048
+
+
+def remember_reply(seen: dict[str, Any], relay_id: str, reply: Any) -> None:
+    """Record *reply* in a receiver's ``relay_id`` memo, evicting the
+    oldest entry past :data:`RELAY_SEEN_LIMIT`.
+
+    :class:`StoreAndForward` is at-least-once on the wire; a receiver
+    that answers a repeated ``relay_id`` from its memo instead of
+    handling the payload again makes the processing at-most-once.
+    Re-recording an id (a deferred reply resolving to its final one)
+    replaces the entry in place.
+    """
+    if relay_id not in seen and len(seen) >= RELAY_SEEN_LIMIT:
+        # dicts iterate in insertion order: drop the oldest entry — its
+        # retry window is long gone
+        del seen[next(iter(seen))]
+    seen[relay_id] = reply
+
+
+#: fires once with (reply, attempts, sent_at of the answered attempt)
+RelayDelivered = Callable[[Any, int, float], None]
+#: fires once with (attempts, expired): the budget window closed unanswered
+RelayExhausted = Callable[[int, bool], None]
+
+
+@dataclass(slots=True)
+class _Relay:
+    """Mutable state of one relay: its attempts and its single settlement."""
+
+    payload: dict[str, Any]
+    #: taken once: every attempt sends the same (unchanging) payload
+    size_bytes: int
+    on_reply: RelayDelivered
+    on_failure: RelayExhausted
+    deadline: float | None
+    #: when the budget window closes (clamped by the deadline)
+    park_at: float
+    attempts: int = 0
+    #: replies received, the settling one and any late duplicates
+    replies: int = 0
+    #: the RPC request id of every attempt sent
+    requests: list[str] = field(default_factory=list)
+    settled: bool = False
+    #: the one pending event: the next retry, or the window's close
+    timer: EventHandle | None = None
+
+
+class StoreAndForward:
+    """At-least-once relay to one operation on one server, one timer each.
+
+    Each relay has an attempt budget: retries fire with exponential
+    backoff (``retry_s * backoff ** (attempt-1)`` between attempts) inside
+    a budget window of the sum of those delays, clamped by the relay's
+    deadline when it has one.  Its **one timer** is armed for whichever
+    comes first of the next retry and the window's close.  Attempts carry
+    no RPC timer: the reply window of every attempt *is* the budget
+    window, so a slow reply to an earlier attempt still settles the
+    relay, a reply after the settling one counts in
+    :attr:`duplicate_replies`, and the close drops every attempt's
+    request id from the endpoint.  A window the deadline clamped fails
+    with ``expired`` true: the verdict comes from the clamp
+    (``park_at == deadline``), never from comparing ``now`` with the
+    deadline, which the engine may reach an ulp early.  Subclasses hook
+    :meth:`_retried` and :meth:`_duplicate`.
+    """
+
+    def __init__(
+        self,
+        rpc: RequestReply,
+        server: str,
+        operation: str,
+        namespace: str,
+        retry_s: float = 0.5,
+        max_attempts: int = 4,
+        backoff: float = 2.0,
+    ) -> None:
+        if retry_s <= 0:
+            raise ConfigurationError("relay retry_s must be > 0")
+        self._rpc = rpc
+        self._engine = rpc._engine
+        #: the node every relay is sent to
+        self.server = server
+        self._operation = operation
+        self._namespace = namespace
+        self._ids = IdFactory(width=6)
+        self._retry_s = retry_s
+        self._backoff = backoff
+        self.set_attempt_budget(max_attempts)
+        self.retries = 0
+        self.duplicate_replies = 0
+
+    def set_attempt_budget(self, max_attempts: int) -> None:
+        """Change the per-relay attempt budget at runtime.
+
+        Applies to relays sent after the call; in-flight relays keep the
+        budget they were sent with.
+        """
+        if max_attempts < 1:
+            raise ConfigurationError("relay needs max_attempts >= 1")
+        self._max_attempts = max_attempts
+        #: total simulated seconds one relay's budget window stays open
+        self._budget_s = sum(
+            self._retry_s * (self._backoff ** k) for k in range(max_attempts)
+        )
+
+    @property
+    def max_attempts(self) -> int:
+        """The current per-relay attempt budget."""
+        return self._max_attempts
+
+    def stamp(self, payload: dict[str, Any]) -> None:
+        """Give *payload* a fresh ``relay_id`` unless it carries one (a
+        redriven or forwarded payload keeps its id)."""
+        if "relay_id" not in payload:
+            payload["relay_id"] = self._ids.next(self._namespace)
+
+    def send(
+        self,
+        payload: dict[str, Any],
+        size_bytes: int,
+        on_reply: RelayDelivered,
+        on_failure: RelayExhausted,
+        deadline: float | None = None,
+    ) -> None:
+        """Relay *payload*, charged *size_bytes* per attempt on the wire.
+
+        Exactly one of the two callbacks fires.  *deadline* (absolute
+        simulated time, later than now) clamps the budget window.
+        """
+        self.stamp(payload)
+        park_at = self._engine.now + self._budget_s
+        if deadline is not None:
+            park_at = min(park_at, deadline)
+        self._launch(_Relay(payload, size_bytes, on_reply, on_failure, deadline, park_at))
+
+    def _launch(self, relay: _Relay) -> None:
+        """Send one attempt and arm the relay timer for what comes next."""
+        relay.attempts += 1
+        attempt = relay.attempts
+        sent_at = self._engine.now
+
+        def deliver(reply: Any) -> None:
+            self._settle(relay, reply, sent_at)
+
+        relay.requests.append(self._rpc.request(
+            self.server,
+            self._operation,
+            relay.payload,
+            on_reply=deliver,
+            timeout_s=None,
+            size_bytes=relay.size_bytes,
+        ))
+        if attempt < self._max_attempts:
+            delay = self._retry_s * (self._backoff ** (attempt - 1))
+            if sent_at + delay < relay.park_at:
+                relay.timer = self._engine.schedule(delay, lambda: self._retry(relay))
+                return
+        self._arm_close(relay)
+
+    def _arm_close(self, relay: _Relay) -> None:
+        relay.timer = self._engine.schedule_at(relay.park_at, lambda: self._close(relay))
+
+    def _retry(self, relay: _Relay) -> None:
+        self.retries += 1
+        self._retried()
+        self._launch(relay)
+
+    def _close(self, relay: _Relay) -> None:
+        """The budget window closes: no attempt's reply is awaited any
+        longer, and a relay still unsettled fails."""
+        relay.timer = None
+        for request_id in relay.requests:
+            self._rpc.drop(request_id)
+        if relay.settled:
+            return
+        relay.settled = True
+        relay.on_failure(relay.attempts, relay.park_at == relay.deadline)
+
+    def _disarm(self, relay: _Relay) -> None:
+        if relay.timer is not None:
+            relay.timer.cancel()
+            relay.timer = None
+
+    def _settle(self, relay: _Relay, reply: Any, sent_at: float) -> None:
+        relay.replies += 1
+        if relay.settled:
+            self.duplicate_replies += 1
+            self._duplicate()
+            if relay.replies == relay.attempts:
+                self._disarm(relay)  # no reply is left to await
+            return
+        relay.settled = True
+        # No retry is due any more; the window stays open only while an
+        # attempt's reply is still out, so a late one counts as a duplicate.
+        self._disarm(relay)
+        if relay.replies < relay.attempts:
+            self._arm_close(relay)
+        relay.on_reply(reply, relay.attempts, sent_at)
+
+    def _retried(self) -> None:
+        """Hook: a retry is about to be sent."""
+
+    def _duplicate(self) -> None:
+        """Hook: a reply arrived for a relay that had already settled."""

@@ -15,6 +15,7 @@ from repro.messaging.reports import (
     NonDeliveryReport,
 )
 from repro.messaging.ua import UserAgent
+from repro.sim.network import LinkSpec
 
 ANA = or_name("C=ES;A= ;P=UPC;G=Ana;S=Lopez")
 WOLF = or_name("C=DE;A= ;P=GMD;G=Wolf;S=Prinz")
@@ -177,6 +178,37 @@ class TestNonDelivery:
         world.run()
         total_reports = sum(m.reports_issued for m in mtas.values())
         assert total_reports == 1
+
+
+class TestTransferExactlyOnce:
+    """A transfer is retried until answered, and delivered exactly once."""
+
+    #: one-way latency: a reply takes longer than the first retry interval
+    SLOW = LinkSpec(latency_s=1.2, bandwidth_bps=1e9)
+
+    def _send_over_slow_link(self, mhs):
+        world, mtas, uas = mhs
+        world.network.set_link("mta-upc", "mta-gmd", self.SLOW)
+        reports: list[dict] = []
+        for mta in mtas.values():
+            mta.add_report_hook(reports.append)
+        uas["ana"].send([WOLF], "slow", "over a slow link")
+        return world, mtas, reports
+
+    def test_slow_lossless_link_delivers_once(self, mhs):
+        world, mtas, reports = self._send_over_slow_link(mhs)
+        world.run()
+        assert mtas["upc"].rpc.requests_sent > 1  # the transfer was retried
+        assert mtas["gmd"].delivered == 1
+        assert len(mtas["gmd"].store.summary_documents(WOLF.mailbox)) == 1
+        assert reports == []
+
+    def test_dead_peer_gets_one_ndr_and_no_delivery(self, mhs):
+        world, mtas, reports = self._send_over_slow_link(mhs)
+        world.network.node("mta-gmd").crash()
+        world.run()
+        assert mtas["gmd"].delivered == 0
+        assert [report["reason"] for report in reports] == [REASON_TRANSFER_FAILURE]
 
 
 class TestMailboxManagement:

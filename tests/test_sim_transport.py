@@ -1,70 +1,11 @@
-"""Tests for reliable channels and request/reply."""
+"""Tests for request/reply."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.sim.network import LinkSpec
-from repro.sim.transport import ReliableChannel, RequestReply, connect_pair
-
-
-class TestReliableChannel:
-    def test_in_order_delivery_on_clean_link(self, world):
-        world.add_site("hq", ["a", "b"])
-        received = []
-        channel = ReliableChannel(world.network, "a", "b", "ch", received.append)
-        for i in range(5):
-            channel.send(i)
-        world.run()
-        assert received == [0, 1, 2, 3, 4]
-        assert channel.retransmissions == 0
-
-    def test_recovers_from_loss(self, world):
-        world.add_site("hq", ["a", "b"])
-        world.network.set_link("a", "b", LinkSpec(loss=0.4))
-        received = []
-        channel = ReliableChannel(world.network, "a", "b", "ch", received.append)
-        for i in range(20):
-            channel.send(i)
-        world.run()
-        assert received == list(range(20))
-        assert channel.retransmissions > 0
-
-    def test_duplicates_suppressed(self, world):
-        """Lost acks cause retransmits; receiver must not deliver twice."""
-        world.add_site("hq", ["a", "b"])
-        world.network.set_link("a", "b", LinkSpec(loss=0.3))
-        received = []
-        channel = ReliableChannel(world.network, "a", "b", "ch", received.append)
-        for i in range(30):
-            channel.send(i)
-        world.run()
-        assert received == list(range(30))
-        assert channel.delivered == 30
-
-    def test_gives_up_after_max_attempts(self, world):
-        world.add_site("hq", ["a", "b"])
-        failed = []
-        channel = ReliableChannel(
-            world.network, "a", "b", "ch", lambda p: None,
-            max_attempts=3, on_failure=failed.append,
-        )
-        world.network.node("b").crash()
-        channel.send("doomed")
-        world.run()
-        assert failed == ["doomed"]
-        assert channel.failures == 1
-
-    def test_bidirectional_pair(self, world):
-        world.add_site("hq", ["a", "b"])
-        at_b = []
-        at_a = []
-        fwd, bwd = connect_pair(world.network, "a", "b", "duo", at_b.append, at_a.append)
-        fwd.send("to-b")
-        bwd.send("to-a")
-        world.run()
-        assert at_b == ["to-b"]
-        assert at_a == ["to-a"]
+from repro.sim.transport import RequestReply
 
 
 class TestRequestReply:
