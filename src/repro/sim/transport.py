@@ -25,6 +25,9 @@ from repro.sim.network import Network, Packet
 from repro.util.errors import ConfigurationError
 from repro.util.ids import IdFactory
 
+#: the wire size every RPC reply is charged
+REPLY_SIZE_BYTES = 128
+
 
 @dataclass(slots=True)
 class _PendingRequest:
@@ -175,7 +178,7 @@ class RequestReply:
                 message["reply_to"],
                 reply_port,
                 {"id": message["id"], kind: value},
-                size_bytes=128,
+                size_bytes=REPLY_SIZE_BYTES,
             )
 
         handler = self._operations.get(message["op"])
@@ -243,6 +246,8 @@ class _Relay:
     on_reply: RelayDelivered
     on_failure: RelayExhausted
     deadline: float | None
+    #: the first retry interval, never below the payload's round trip
+    retry_s: float
     #: when the budget window closes (clamped by the deadline)
     park_at: float
     attempts: int = 0
@@ -259,9 +264,11 @@ class StoreAndForward:
     """At-least-once relay to one operation on one server, one timer each.
 
     Each relay has an attempt budget: retries fire with exponential
-    backoff (``retry_s * backoff ** (attempt-1)`` between attempts) inside
-    a budget window of the sum of those delays, clamped by the relay's
-    deadline when it has one.  Its **one timer** is armed for whichever
+    backoff (``base * backoff ** (attempt-1)`` between attempts) inside a
+    budget window of the sum of those delays, clamped by the relay's
+    deadline when it has one.  The base is ``retry_s``, or the payload's
+    worst-case round trip over the link to the server when that is
+    longer: ``2·latency + 2·jitter + (size + reply size) / bandwidth``.  Its **one timer** is armed for whichever
     comes first of the next retry and the window's close.  Attempts carry
     no RPC timer: the reply window of every attempt *is* the budget
     window, so a slow reply to an earlier attempt still settles the
@@ -338,10 +345,22 @@ class StoreAndForward:
         simulated time, later than now) clamps the budget window.
         """
         self.stamp(payload)
-        park_at = self._engine.now + self._budget_s
+        # A retry sooner than the link can carry the request and its reply
+        # resends a payload that is still on its way: the first interval
+        # is at least the worst-case round trip, and backoff and the budget
+        # window scale from it.
+        link = self._rpc._network.link_between(self._rpc._local, self.server)
+        retry_s = max(self._retry_s, 2 * link.latency_s + 2 * link.jitter_s
+                      + (size_bytes + REPLY_SIZE_BYTES) / link.bandwidth_bps)
+        budget_s = self._budget_s if retry_s == self._retry_s else sum(
+            retry_s * (self._backoff ** k) for k in range(self._max_attempts)
+        )
+        park_at = self._engine.now + budget_s
         if deadline is not None:
             park_at = min(park_at, deadline)
-        self._launch(_Relay(payload, size_bytes, on_reply, on_failure, deadline, park_at))
+        self._launch(_Relay(
+            payload, size_bytes, on_reply, on_failure, deadline, retry_s, park_at
+        ))
 
     def _launch(self, relay: _Relay) -> None:
         """Send one attempt and arm the relay timer for what comes next."""
@@ -361,7 +380,7 @@ class StoreAndForward:
             size_bytes=relay.size_bytes,
         ))
         if attempt < self._max_attempts:
-            delay = self._retry_s * (self._backoff ** (attempt - 1))
+            delay = relay.retry_s * (self._backoff ** (attempt - 1))
             if sent_at + delay < relay.park_at:
                 relay.timer = self._engine.schedule(delay, lambda: self._retry(relay))
                 return

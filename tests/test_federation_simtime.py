@@ -32,12 +32,12 @@ from repro.obs import MetricsRegistry, Tracer
 from repro.sim.network import WAN_LINK, LinkSpec
 from repro.sim.world import World
 
-SIMTIME_SHA256 = "4be086070262351e54c0dc4757bf2f0d8bb8e277fb3950a039b237d44381521e"
-SIMTIME_TRACED_SHA256 = "06926cae43ed4dd7495f0bb3f4ba2365986b7548ae140fd1f00f240da2cd7a63"
+SIMTIME_SHA256 = "da6cfe2929fe875859e399eaaaf1e53dc4efd9cbe7e6fe4adbc131049c96d242"
+SIMTIME_TRACED_SHA256 = "4a6a90b14531a998e51e43d5fd554fec06f136836a402235d5255be8b2bb7583"
 
 DOMAINS = ("upc", "gmd", "inria")
 DOC = {"title": "minutes", "body": "agenda"}
-#: one-way latency above the 0.5 s retry interval: attempts race
+#: a round trip above the 0.5 s retry interval, and loss: retries, late replies
 SLOW_LOSSY = LinkSpec(latency_s=0.4, bandwidth_bps=64_000.0, loss=0.3, jitter_s=0.05)
 DEAD = LinkSpec(latency_s=0.02, bandwidth_bps=1_000_000.0, loss=1.0)
 

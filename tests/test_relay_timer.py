@@ -13,18 +13,18 @@ import pytest
 
 from repro.federation.gateway import REASON_RELAY_DEADLINE, Gateway
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.network import LinkSpec
+from repro.sim.network import WAN_LINK, LinkSpec
 from repro.sim.transport import RequestReply
 
 #: the default gateway budget: attempts at 0, 0.5, 1.5 and 3.5 s, parked at 7.5 s
 BUDGET_S = 7.5
 
 
-def _gateway(world, latency_s=0.01):
+def _gateway(world, link=LinkSpec(latency_s=0.01, bandwidth_bps=1e9)):
     network = world.network
     network.add_node("src", site="s1")
     network.add_node("dst", site="s2")
-    network.set_link("src", "dst", LinkSpec(latency_s=latency_s, bandwidth_bps=1e9))
+    network.set_link("src", "dst", link)
     rpc_src = RequestReply(network, "src", port="gateway")
     rpc_dst = RequestReply(network, "dst", port="gateway")
     rpc_dst.serve("relay", lambda payload: {"n": payload["n"]})
@@ -62,9 +62,11 @@ def test_lossless_relay_schedules_three_events_and_cancels_one(world):
 
 
 def test_late_reply_of_the_first_attempt_counts_as_duplicate(world):
-    """The first attempt crawls; the retry's reply settles the relay and
-    the first attempt's reply, still inside the window, is a duplicate."""
-    gateway, rpc = _gateway(world, latency_s=3.0)
+    """The link slows after admission, so the first attempt's reply
+    crawls; the retry's reply settles the relay and the first attempt's
+    reply, still inside the window, is a duplicate."""
+    gateway, rpc = _gateway(world)
+    _set_latency_at(world, 0.0, 3.0)
     _set_latency_at(world, 0.25, 0.05)
     replies: list = []
     gateway.relay({"n": 2}, lambda reply, attempts: replies.append((world.now, attempts)))
@@ -76,10 +78,26 @@ def test_late_reply_of_the_first_attempt_counts_as_duplicate(world):
     assert rpc._pending == {}
 
 
+def test_first_retry_waits_for_the_payloads_round_trip(world):
+    """A payload that takes longer than ``retry_s`` to cross the link and
+    be answered is not resent while it is still on its way."""
+    gateway, rpc = _gateway(world, WAN_LINK)
+    round_trip = 2 * WAN_LINK.latency_s + 2 * WAN_LINK.jitter_s + 40_128 / WAN_LINK.bandwidth_bps
+    assert round_trip > 0.5
+    replies: list = []
+    gateway.relay(
+        {"n": 6, "blob": "x" * 40_000}, lambda reply, attempts: replies.append(attempts)
+    )
+    world.run()
+    assert replies == [1]
+    assert (gateway.retries, rpc.requests_sent) == (0, 1)
+
+
 def test_no_pending_request_outlives_the_budget_window(world):
     """A reply later than the window is ignored, and the window's close
     leaves the endpoint's pending table empty."""
-    gateway, rpc = _gateway(world, latency_s=BUDGET_S + 0.5)
+    gateway, rpc = _gateway(world)
+    _set_latency_at(world, 0.0, BUDGET_S + 0.5)
     _set_latency_at(world, 0.25, 0.05)
     gateway.relay({"n": 3}, lambda reply, attempts: None)
     world.run_for(1.0)
