@@ -140,16 +140,20 @@ class Engine:
         """Schedule *callback* to run *delay* seconds from now."""
         if delay < 0:
             raise SchedulingError(f"cannot schedule into the past (delay={delay})")
-        event = _ScheduledEvent(self._now + delay, next(self._seq), callback)
+        return self.schedule_at(self._now + delay, callback)
+
+    def schedule_at(self, time: float, callback: Callback) -> EventHandle:
+        """Schedule *callback* at exactly the absolute simulated *time*."""
+        if time < self._now:
+            raise SchedulingError(
+                f"cannot schedule into the past (time={time}, now={self._now})"
+            )
+        event = _ScheduledEvent(time, next(self._seq), callback)
         heapq.heappush(self._queue, event)
         if self._obs.enabled:
             self._scheduled_counter.inc()
             self._depth_gauge.set(len(self._queue))
         return EventHandle(event, self)
-
-    def schedule_at(self, time: float, callback: Callback) -> EventHandle:
-        """Schedule *callback* at an absolute simulated time."""
-        return self.schedule(time - self._now, callback)
 
     def call_soon(self, callback: Callback) -> EventHandle:
         """Schedule *callback* at the current time (after pending same-time events)."""

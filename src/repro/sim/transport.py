@@ -268,17 +268,17 @@ class StoreAndForward:
     budget window of the sum of those delays, clamped by the relay's
     deadline when it has one.  The base is ``retry_s``, or the payload's
     worst-case round trip over the link to the server when that is
-    longer: ``2·latency + 2·jitter + (size + reply size) / bandwidth``.  Its **one timer** is armed for whichever
-    comes first of the next retry and the window's close.  Attempts carry
-    no RPC timer: the reply window of every attempt *is* the budget
-    window, so a slow reply to an earlier attempt still settles the
-    relay, a reply after the settling one counts in
-    :attr:`duplicate_replies`, and the close drops every attempt's
-    request id from the endpoint.  A window the deadline clamped fails
-    with ``expired`` true: the verdict comes from the clamp
-    (``park_at == deadline``), never from comparing ``now`` with the
-    deadline, which the engine may reach an ulp early.  Subclasses hook
-    :meth:`_retried` and :meth:`_duplicate`.
+    longer: ``2·latency + 2·jitter + (size + reply size) / bandwidth``.
+
+    A relay's **one timer** is armed for whichever comes first of the
+    next retry and the window's close.  Attempts carry no RPC timer: the
+    reply window of every attempt *is* the budget window, so a slow reply
+    to an earlier attempt still settles the relay, a reply after the
+    settling one counts in :attr:`duplicate_replies`, and the close drops
+    every attempt's request id from the endpoint.  A window the deadline
+    clamped fails with ``expired`` true: the verdict comes from the clamp
+    (``park_at == deadline``), never from comparing float instants.
+    Subclasses hook :meth:`_retried` and :meth:`_duplicate`.
     """
 
     def __init__(

@@ -123,7 +123,7 @@ def test_parked_relay_leaves_nothing_pending(world):
     assert world.engine.pending_count == 0
 
 
-#: a deadline the engine reaches an ulp early when scheduled from 0.1 s
+#: a deadline that ``now + (deadline - now)`` rounds an ulp below from 0.1 s
 DEADLINE_S = 0.407
 
 

@@ -36,6 +36,25 @@ class TestEngine:
         assert seen == [3.5]
         assert engine.now == 3.5
 
+    def test_schedule_at_fires_at_the_exact_instant(self):
+        """``now + (time - now)`` rounds: from 2**-53 it lands on 1.0."""
+        engine = Engine()
+        engine.schedule(2**-53, lambda: None)
+        engine.run()
+        target = 1 + 2**-52
+        assert engine.now + (target - engine.now) != target
+        seen = []
+        engine.schedule_at(target, lambda: seen.append(engine.now))
+        engine.run()
+        assert seen == [target]
+
+    def test_schedule_at_in_the_past_rejected(self):
+        engine = Engine()
+        engine.schedule(1.0, lambda: None)
+        engine.run()
+        with pytest.raises(SchedulingError):
+            engine.schedule_at(0.5, lambda: None)
+
     def test_negative_delay_rejected(self):
         with pytest.raises(SchedulingError):
             Engine().schedule(-0.1, lambda: None)
