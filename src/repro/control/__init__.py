@@ -21,9 +21,9 @@ cool-down on the simulated clock, edge-triggered like the alerts),
 logged to the :class:`~repro.obs.events.EventLog` with trace
 correlation, and fully reverted after recovery.
 
-Wire it with ``CSCWEnvironment.builder().with_control(policy)`` for a
-single environment or ``Federation.attach_control()`` across domains;
-experiment E15 (``benchmarks/bench_e15_control.py``) measures the loop
+Wire it with ``Federation.attach_control()``, which manages every
+gateway, environment shed limit and shadowing agreement of a
+federation; experiment E15 (``benchmarks/bench_e15_control.py``) measures the loop
 against the reactive and resilient baselines under identical chaos.
 """
 

@@ -22,7 +22,7 @@ enabled) attaches metrics/tracing to every owned hot layer via
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.activity.coordination import ResourceCoordinator
 from repro.activity.dependencies import DependencyGraph
@@ -40,16 +40,12 @@ from repro.information.objects import InformationBase
 from repro.obs.events import NULL_EVENTS, EventLog
 from repro.obs.instrument import instrument_environment
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
-from repro.obs.slo import LatencySLO, RatioSLO, SLOEngine
 from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.odp.trader import ImportContext, ServiceOffer, Trader
 from repro.org.knowledge_base import OrganisationalKnowledgeBase
 from repro.sim.world import World
 from repro.util.errors import ConfigurationError
 from repro.util.events import EventBus
-
-if TYPE_CHECKING:  # imported lazily at runtime: control depends on obs
-    from repro.control.plane import ControlPolicy
 
 #: a trading-policy predicate, as accepted by Trader.add_policy_hook
 TraderPolicy = Callable[[ServiceOffer, ImportContext], bool]
@@ -71,10 +67,6 @@ class EnvironmentBuilder:
         self._tracer: Tracer | None = None
         self._sampling: "tuple[float, int] | None" = None
         self._events: EventLog | None = None
-        self._slo_period_s: float | None = None
-        self._slo_objectives: tuple = ()
-        self._control = False
-        self._control_policy: "ControlPolicy | None" = None
         self._trader_policies: list[TraderPolicy] = []
         self._resolution_cache = True
         self._shed_limit: int | None = None
@@ -134,42 +126,6 @@ class EnvironmentBuilder:
         order.
         """
         self._events = events
-        return self
-
-    def with_slo(
-        self,
-        objectives: "Iterable[RatioSLO | LatencySLO] | None" = None,
-        sample_period_s: float = 1.0,
-    ) -> "EnvironmentBuilder":
-        """Attach an (unstarted) :class:`~repro.obs.slo.SLOEngine`.
-
-        Requires ``with_metrics``: objectives window the environment's
-        own counters and histograms.  *objectives* takes declarative
-        :class:`~repro.obs.slo.RatioSLO` / :class:`~repro.obs.slo.LatencySLO`
-        specs so the SLOs the control plane acts on are stated at build
-        time; more can still be added post-build with
-        ``env.slo.add_ratio(...)``/``add_latency(...)``.  Call
-        ``env.slo.start()`` to arm sampling.  Burn alerts go to the
-        event log when one is attached.
-        """
-        if sample_period_s <= 0:
-            raise ConfigurationError("SLO sample_period_s must be > 0")
-        self._slo_period_s = sample_period_s
-        self._slo_objectives = tuple(objectives) if objectives is not None else ()
-        return self
-
-    def with_control(self, policy: "ControlPolicy | None" = None) -> "EnvironmentBuilder":
-        """Attach an adaptive :class:`~repro.control.plane.ControlPlane`.
-
-        Requires ``with_slo`` (the plane subscribes to burn alerts) and
-        therefore ``with_metrics``.  The plane comes up managing the
-        environment's shed/deadline knobs and watching ``env.slo``, is
-        exposed as ``env.control``, and is left unstarted — call
-        ``env.control.start()`` (and ``env.slo.start()``) to arm it.
-        *policy* defaults to :class:`~repro.control.plane.ControlPolicy`.
-        """
-        self._control = True
-        self._control_policy = policy
         return self
 
     def with_resolution_cache(self, enabled: bool) -> "EnvironmentBuilder":
@@ -325,36 +281,4 @@ class EnvironmentBuilder:
                 )
             probability, seed = self._sampling
             self._tracer.configure_sampling(probability, seed=seed)
-        env.slo = None
-        if self._slo_period_s is not None:
-            if self._metrics is None:
-                raise ConfigurationError(
-                    "with_slo requires with_metrics: objectives window the "
-                    "environment's counters and histograms"
-                )
-            env.slo = SLOEngine(
-                world.engine,
-                self._metrics,
-                events=env.events if env.events.enabled else None,
-                sample_period_s=self._slo_period_s,
-            )
-            env.slo.declare(*self._slo_objectives)
-        env.control = None
-        if self._control:
-            from repro.control.plane import ControlPlane
-
-            if env.slo is None:
-                raise ConfigurationError(
-                    "with_control requires with_slo: the control plane "
-                    "subscribes to burn alerts"
-                )
-            env.control = ControlPlane(
-                world.engine,
-                policy=self._control_policy,
-                metrics=self._metrics,
-                events=env.events if env.events.enabled else None,
-                tracer=self._tracer,
-            )
-            env.control.watch_slo(env.slo)
-            env.control.manage_environment(env.name, env)
         return env

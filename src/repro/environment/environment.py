@@ -797,14 +797,6 @@ class CSCWEnvironment:
         """Current relative default deadline in simulated seconds."""
         return self._default_deadline_s
 
-    def set_default_deadline(self, seconds: float | None) -> None:
-        """Change the default deadline at runtime (same contract as the
-        builder's ``with_default_deadline``); applies to exchanges
-        started after the call."""
-        if seconds is not None and seconds <= 0:
-            raise ConfigurationError("default deadline must be > 0 (or None)")
-        self._default_deadline_s = seconds
-
     def effective_deadline(self, deadline: float | None) -> float | None:
         """Resolve a caller deadline against the configured default.
 

@@ -51,9 +51,9 @@ BurnListener = Callable[[str, bool, dict[str, Any]], None]
 class RatioSLO:
     """Declarative form of :meth:`SLOEngine.add_ratio`.
 
-    Lets objectives be stated at build time
-    (``builder.with_slo(objectives=[RatioSLO(...)])``) instead of
-    attached post-hoc to the wired engine.
+    Lets objectives be stated up front
+    (``SLOEngine(...).declare(RatioSLO(...))``) instead of added one
+    keyword call at a time.
     """
 
     name: str
@@ -218,11 +218,11 @@ class SLOEngine:
         return self
 
     def declare(self, *objectives: "RatioSLO | LatencySLO") -> "SLOEngine":
-        """Install declarative objective specs (build-time declaration).
+        """Install declarative objective specs.
 
         Accepts the frozen :class:`RatioSLO` / :class:`LatencySLO`
-        shapes the builder's ``with_slo(objectives=...)`` collects, so
-        an environment can come up with its SLOs already armed.
+        shapes, so the objectives a control plane acts on are stated in
+        one place before :meth:`start`.
         """
         for spec in objectives:
             spec.declare(self)
