@@ -68,6 +68,43 @@ class TestMigrationTransparency:
         relocator.moved(refs["svc"], new_refs["svc"])
         assert channel.call(world, "who") == "hi"
 
+    def test_migration_in_flight_is_retried_at_the_new_node(self, cluster):
+        """The object moves while an invocation is on its way: the old node
+        answers with an error, and ``on_failure`` re-resolves the reference
+        and retries the invocation at the new node."""
+        world, capsules, factory = cluster
+        relocator = Relocator()
+        refs = capsules["n1"].deploy(_service("mobile", "hi"))
+        relocator.record(refs["svc"])
+
+        class Spy:
+            """Records where each transmission goes, and declines failures."""
+
+            def __init__(self) -> None:
+                self.sent: list[tuple[str, int | None]] = []
+
+            def before_invoke(self, invocation):
+                self.sent.append(
+                    (invocation.ref.node, invocation.annotations.get("migration_retries"))
+                )
+                return invocation
+
+            def on_failure(self, invocation, retry):
+                return False
+
+        spy = Spy()
+        channel = factory.bind("client", refs["svc"], [MigrationTransparency(relocator), spy])
+        replies: list = []
+        errors: list = []
+        channel.invoke("who", on_reply=replies.append, on_error=errors.append)
+        # the request is on the wire to n1 when the object leaves it
+        new_refs = capsules["n1"].migrate_to("mobile", capsules["n2"])
+        relocator.moved(refs["svc"], new_refs["svc"])
+        world.run()
+        assert (replies, errors) == (["hi"], [])
+        assert spy.sent == [("n1", None), ("n2", 1)]
+        assert (capsules["n1"].dispatched, capsules["n2"].dispatched) == (0, 1)
+
     def test_moved_must_keep_identity(self):
         relocator = Relocator()
         with pytest.raises(ConfigurationError):
