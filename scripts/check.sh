@@ -4,7 +4,8 @@
 # whole-tree bytecode compilation, a doctest pass over every module in
 # the package, quick runs of the untimed E13, E15 and E17 benches, and
 # smoke runs of the two examples that turn observability on
-# (quickstart.py and federation_demo.py).
+# (quickstart.py and federation_demo.py) and of the example that routes
+# X.400 mail through MTAs (distributed_conference.py).
 # Wall-clock cost is measured only by benchmarks/harness.
 # Run from the repository root:
 #
@@ -45,5 +46,8 @@ python examples/quickstart.py > /dev/null
 
 echo "== example: federation_demo (federated, observed) =="
 python examples/federation_demo.py > /dev/null
+
+echo "== example: distributed_conference (X.400 mail through MTAs) =="
+python examples/distributed_conference.py > /dev/null
 
 echo "== all checks passed =="

@@ -43,8 +43,9 @@ class TestMessagingChaos:
     def test_mail_conserved_under_random_mta_crashes(self, seed):
         """Every accepted message is delivered or NDR'd — never lost.
 
-        MTA crash windows are kept shorter than the retry budget
-        (4 attempts x 2 s), so store-and-forward masks every outage and
+        MTA crash windows (at most 4 s) are kept shorter than the
+        transfer budget (attempts at 0, 2, 6 and 14 s, the window open
+        until 30 s), so store-and-forward masks every outage and
         nothing is silently dropped.
         """
         world = World(seed=seed)
