@@ -6,10 +6,10 @@ to its routing table.  A transfer to a peer MTA is a
 :class:`~repro.sim.transport.StoreAndForward` relay, the stack's one
 retry loop (store-and-forward must survive transient outages), and the
 receiving MTA answers a retried transfer from its reply memo, so a
-retry never delivers twice.
-Final failures, unknown recipients, missing routes and hop-limit
-violations produce non-delivery reports back to the originator.
-Delivery reports are generated when the envelope asks for one.
+retry never delivers twice.  Final failures, unknown recipients,
+missing routes and hop-limit violations produce non-delivery reports
+back to the originator.  Delivery reports are generated when the
+envelope asks for one.
 """
 
 from __future__ import annotations

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.network import LinkSpec
 from repro.sim.transport import RequestReply
 
 
