@@ -344,7 +344,8 @@ class StoreAndForward:
         Exactly one of the two callbacks fires.  *deadline* (absolute
         simulated time, later than now) clamps the budget window.
         """
-        self.stamp(payload)
+        if "relay_id" not in payload:
+            self.stamp(payload)
         # A retry sooner than the link can carry the request and its reply
         # resends a payload that is still on its way: the first interval
         # is at least the worst-case round trip, and backoff and the budget
