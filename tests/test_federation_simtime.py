@@ -15,11 +15,18 @@ origin, target, hops, attempts and ``latency_s``), each gateway's
 counters, the final clock and the network RNG's next draw.  A change to
 the relay machinery that claims to leave simulated time alone has to
 leave every one of those values alone, to the last bit of every float.
+
+A second digest covers the telemetry of the same run: the snapshot of
+the one registry the four domains share (counters, gauges and
+histograms), with zero-valued counters dropped.  It pins the summed,
+shared-registry and re-attached series that one environment cannot
+reach.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import fields
 
 import pytest
@@ -34,6 +41,7 @@ from repro.sim.world import World
 
 SIMTIME_SHA256 = "da6cfe2929fe875859e399eaaaf1e53dc4efd9cbe7e6fe4adbc131049c96d242"
 SIMTIME_TRACED_SHA256 = "4a6a90b14531a998e51e43d5fd554fec06f136836a402235d5255be8b2bb7583"
+TELEMETRY_SHA256 = "017639d060eef69e68af5f7bae99f3edee11d5a2147cfdf2ea41a699e61b76fc"
 
 DOMAINS = ("upc", "gmd", "inria")
 DOC = {"title": "minutes", "body": "agenda"}
@@ -58,12 +66,14 @@ def _request(sender: str, receiver: str, title: str = "minutes", **options) -> E
     )
 
 
-def _scenario(traced: bool) -> tuple[Federation, list[FederatedOutcome]]:
+def _scenario(
+    traced: bool, metrics: MetricsRegistry | None = None
+) -> tuple[Federation, list[FederatedOutcome]]:
     world = World(seed=5)
     tracer = Tracer(clock=lambda: world.now) if traced else None
     assignment = {name: [f"{name}-{index}" for index in range(3)] for name in DOMAINS}
     federation = Federation.partition(
-        world, assignment, metrics=MetricsRegistry(), tracer=tracer
+        world, assignment, metrics=metrics or MetricsRegistry(), tracer=tracer
     )
     federation.register_application(
         AppDescriptor(
@@ -168,3 +178,14 @@ def test_scenario_covers_every_gateway_path():
 )
 def test_simulated_time_is_pinned(traced, expected):
     assert _digest(*_scenario(traced)) == expected
+
+
+def test_federated_telemetry_is_pinned():
+    metrics = MetricsRegistry()
+    _scenario(traced=False, metrics=metrics)
+    snapshot = metrics.snapshot()
+    snapshot["counters"] = {
+        name: value for name, value in snapshot["counters"].items() if value
+    }
+    encoded = json.dumps(snapshot, sort_keys=True).encode()
+    assert hashlib.sha256(encoded).hexdigest() == TELEMETRY_SHA256
