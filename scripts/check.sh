@@ -3,9 +3,10 @@
 # the benchmark harness's own tests, the E-series bench smoke tests,
 # whole-tree bytecode compilation, a doctest pass over every module in
 # the package, quick runs of the untimed E13, E15 and E17 benches, and
-# smoke runs of the two examples that turn observability on
-# (quickstart.py and federation_demo.py) and of the example that routes
-# X.400 mail through MTAs (distributed_conference.py).
+# smoke runs of all six examples: the two that turn observability on
+# (quickstart.py and federation_demo.py), the one that routes X.400 mail
+# through MTAs (distributed_conference.py), and channel_tunnel.py,
+# time_space_matrix.py and project_monitoring.py.
 # Wall-clock cost is measured only by benchmarks/harness.
 # Run from the repository root:
 #
@@ -49,5 +50,14 @@ python examples/federation_demo.py > /dev/null
 
 echo "== example: distributed_conference (X.400 mail through MTAs) =="
 python examples/distributed_conference.py > /dev/null
+
+echo "== example: channel_tunnel (the Channel Tunnel project programme) =="
+python examples/channel_tunnel.py > /dev/null
+
+echo "== example: time_space_matrix (one application per quadrant) =="
+python examples/time_space_matrix.py > /dev/null
+
+echo "== example: project_monitoring (awareness and analysis services) =="
+python examples/project_monitoring.py > /dev/null
 
 echo "== all checks passed =="

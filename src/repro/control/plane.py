@@ -141,7 +141,6 @@ class ControlPlane:
     ) -> None:
         self._engine = engine
         self.policy = policy if policy is not None else ControlPolicy()
-        self._obs: MetricsRegistry = metrics if metrics is not None else NULL_METRICS
         self._events: EventLog = events if events is not None else NULL_EVENTS
         self._tracer: Tracer = tracer if tracer is not None else NULL_TRACER
         self._task: "PeriodicTask | None" = None
@@ -152,6 +151,11 @@ class ControlPlane:
         self.actions_applied = 0
         self.actions_reverted = 0
         self.suppressed = 0
+        self._obs: MetricsRegistry = (metrics or NULL_METRICS).read(self, {
+            "control.actions": lambda: self.actions_applied,
+            "control.reverts": lambda: self.actions_reverted,
+            "control.suppressed": lambda: self.suppressed,
+        })
         self._retry_gauges: GaugeFamily = self._obs.gauge(
             "control.gateway.windowed_retries", labels=("key",)
         )
@@ -302,8 +306,6 @@ class ControlPlane:
             return
         if now - action.last_transition < self.policy.cooldown_s:
             self.suppressed += 1
-            if self._obs.enabled:
-                self._obs.inc("control.suppressed")
             return
         name = "control.apply" if want_applied else "control.revert"
         with self._tracer.span(
@@ -316,12 +318,8 @@ class ControlPlane:
                 return
             if want_applied:
                 self.actions_applied += 1
-                if self._obs.enabled:
-                    self._obs.inc("control.actions")
             else:
                 self.actions_reverted += 1
-                if self._obs.enabled:
-                    self._obs.inc("control.reverts")
             if self._events.enabled:
                 self._events.record(
                     now,

@@ -13,9 +13,8 @@ successful pull resets the cadence.  An optional
 :class:`~repro.resilience.breaker.CircuitBreaker` gates each pull: while
 it is open the pull is skipped outright (``skipped_pulls``) and the
 cadence keeps ticking, so a dead master costs nothing but a breaker
-check until its cooldown lets a trial pull through.  Pull activity is
-exported as ``directory.shadow.*`` counters when a metrics registry is
-attached.
+check until its cooldown lets a trial pull through.  An attached metrics
+registry reads the pull tallies as ``directory.shadow.*`` counters.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ class ShadowingAgreement:
         self._running = False
         self._pending: EventHandle | None = None
         self._fail_streak = 0
-        self._obs: MetricsRegistry = metrics if metrics is not None else NULL_METRICS
         self._events: EventLog = events if events is not None else NULL_EVENTS
         self.breaker = breaker
         self.pulls = 0
@@ -80,6 +78,13 @@ class ShadowingAgreement:
         self.skipped_pulls = 0
         #: pulls that completed successfully (whether or not changes came)
         self.syncs = 0
+        (metrics or NULL_METRICS).read(self, {
+            "directory.shadow.pulls": lambda: self.pulls,
+            "directory.shadow.skipped": lambda: self.skipped_pulls,
+            "directory.shadow.syncs": lambda: self.syncs,
+            "directory.shadow.failures": lambda: self.failed_pulls,
+            "directory.shadow.changes_applied": lambda: self.changes_applied,
+        })
 
     @property
     def high_water(self) -> int:
@@ -118,14 +123,6 @@ class ShadowingAgreement:
         self._period_s = period_s
         self._max_backoff_s = max(self._max_backoff_s, period_s)
 
-    def attach_metrics(self, metrics: MetricsRegistry | None) -> None:
-        """Report pull activity to *metrics* (``None`` detaches).
-
-        Counters ``directory.shadow.pulls``/``syncs``/``failures``/
-        ``changes_applied``.
-        """
-        self._obs = metrics if metrics is not None else NULL_METRICS
-
     def start(self) -> "ShadowingAgreement":
         """Begin periodic pulling; returns self."""
         self._running = True
@@ -156,20 +153,15 @@ class ShadowingAgreement:
     def _pull(self, periodic: bool = False) -> None:
         if self.breaker is not None and not self.breaker.allow():
             self.skipped_pulls += 1
-            if self._obs.enabled:
-                self._obs.inc("directory.shadow.skipped")
             if periodic:
                 self._arm()
             return
         self.pulls += 1
-        if self._obs.enabled:
-            self._obs.inc("directory.shadow.pulls")
 
         def apply(documents: Any) -> None:
             if isinstance(documents, dict) and "error" in documents:
                 self._note_failure(periodic)
                 return
-            applied = 0
             for document in documents:
                 change = ChangeRecord(
                     csn=document["csn"],
@@ -182,8 +174,7 @@ class ShadowingAgreement:
                 self._shadow.dit.apply_change(change)
                 self._high_water = change.csn
                 self.changes_applied += 1
-                applied += 1
-            self._note_success(applied, periodic)
+            self._note_success(periodic)
 
         self._channel.invoke(
             "changes_since",
@@ -192,15 +183,11 @@ class ShadowingAgreement:
             on_error=lambda error: self._note_failure(periodic),
         )
 
-    def _note_success(self, applied: int, periodic: bool) -> None:
+    def _note_success(self, periodic: bool) -> None:
         self._fail_streak = 0
         self.syncs += 1
         if self.breaker is not None:
             self.breaker.record_success()
-        if self._obs.enabled:
-            self._obs.inc("directory.shadow.syncs")
-            if applied:
-                self._obs.inc("directory.shadow.changes_applied", applied)
         if periodic:
             self._arm()
 
@@ -209,8 +196,6 @@ class ShadowingAgreement:
         self._fail_streak += 1
         if self.breaker is not None:
             self.breaker.record_failure()
-        if self._obs.enabled:
-            self._obs.inc("directory.shadow.failures")
         if self._events.enabled:
             self._events.record(
                 self._world.now,

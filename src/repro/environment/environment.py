@@ -77,6 +77,7 @@ from repro.util.serialization import document_size
 if TYPE_CHECKING:
     from repro.environment.builder import EnvironmentBuilder
     from repro.information.interchange import TranslationResult
+    from repro.obs.metrics import MetricsRegistry
 
 #: structured reason codes an ExchangeOutcome can carry
 REASON_DELIVERED = "delivered"
@@ -275,9 +276,10 @@ class CSCWEnvironment:
 
         return EnvironmentBuilder(cls)
 
-    def _bind_labelled_metrics(self) -> None:
-        """Resolve the environment's exchange metrics once.
+    def _bind_labelled_metrics(self, metrics: MetricsRegistry) -> None:
+        """Report to *metrics*, resolving the exchange metrics once.
 
+        ``env.exchange.attempted`` reads :attr:`exchanges_attempted`.
         Each outcome is counted once, in the labelled
         ``env.exchange.outcomes{domain,outcome}`` and
         ``env.exchange.reasons{domain,reason}`` families; the ``domain``
@@ -288,8 +290,9 @@ class CSCWEnvironment:
         Per-reason and per-dimension counters are bound on first use (a
         series appears once it has something to count) and then kept.
         """
-        obs = self.metrics
-        self._m_attempted = obs.counter("env.exchange.attempted")
+        obs = self.metrics = metrics.read(
+            self, {"env.exchange.attempted": lambda: self.exchanges_attempted}, self.metrics
+        )
         outcomes = obs.counter("env.exchange.outcomes", labels=("domain", "outcome"))
         self._m_delivered = outcomes.labels(domain=self.name, outcome="delivered")
         self._m_failed = outcomes.labels(domain=self.name, outcome="failed")
@@ -742,7 +745,6 @@ class CSCWEnvironment:
     def _flush_metrics(self, outcomes: "list[ExchangeOutcome]") -> None:
         """Count a batch's outcomes into the metrics registry at once."""
         total = len(outcomes)
-        self._m_attempted.inc(total)
         observe_size = self._m_document_bytes.observe
         by_handled = self._m_handled
         delivered = 0

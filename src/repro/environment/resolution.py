@@ -37,8 +37,8 @@ from the person memo, falling back to a cold read that it does not
 store: an observer reads no more than the untraced exchange did, and
 never changes what the cache holds or counts.
 
-Hit/miss/invalidation totals are kept as plain attributes and, when a
-metrics registry is attached, exported as ``env.cache.route.<hit|miss>``,
+Hit/miss/invalidation totals are kept as plain attributes, which an
+attached metrics registry reads as the ``env.cache.route.<hit|miss>``,
 ``env.cache.formats.<hit|miss>``, ``env.cache.invalidations`` and
 ``env.cache.evicted`` counters.  A route lookup is a hit when it reads
 no knowledge-base state.  ``invalidations`` counts *logical invalidation
@@ -108,19 +108,18 @@ class ResolutionCache:
         self.invalidations = 0
         self.evictions = 0
         self.generation = 0
-        self.attach_metrics(None)
+        self._obs: MetricsRegistry = NULL_METRICS
 
     def attach_metrics(self, metrics: MetricsRegistry | None) -> None:
-        """Report cache activity to *metrics* (``None`` detaches).
-
-        The per-lookup counters are bound here, once, so a lookup pays
-        an ``inc`` on a held counter rather than a lookup by name.
-        """
-        obs = self._obs = metrics if metrics is not None else NULL_METRICS
-        self._m_route_hit = obs.counter("env.cache.route.hit")
-        self._m_route_miss = obs.counter("env.cache.route.miss")
-        self._m_formats_hit = obs.counter("env.cache.formats.hit")
-        self._m_formats_miss = obs.counter("env.cache.formats.miss")
+        """Report cache activity to *metrics* (``None`` detaches)."""
+        self._obs = (metrics or NULL_METRICS).read(self, {
+            "env.cache.route.hit": lambda: self.route_hits,
+            "env.cache.route.miss": lambda: self.route_misses,
+            "env.cache.formats.hit": lambda: self.format_hits,
+            "env.cache.formats.miss": lambda: self.format_misses,
+            "env.cache.invalidations": lambda: self.invalidations,
+            "env.cache.evicted": lambda: self.evictions,
+        }, self._obs)
 
     # -- lookups -----------------------------------------------------------
     def route(self, sender: str, receiver: str, interaction: str) -> RouteVerdict:
@@ -139,15 +138,11 @@ class ResolutionCache:
         else:
             verdict = UNKNOWN_ROUTE
         self.route_hits += 1
-        if self._obs.enabled:
-            self._m_route_hit.inc()
         return verdict
 
     def _route_miss(self, sender: str, receiver: str, interaction: str) -> RouteVerdict:
         """Resolve and memoise whichever facts of the route are missing."""
         self.route_misses += 1
-        if self._obs.enabled:
-            self._m_route_miss.inc()
         sender_org = self._organisation_of(sender)
         receiver_org = self._organisation_of(receiver)
         if not (sender_org and receiver_org):
@@ -199,13 +194,9 @@ class ResolutionCache:
         pair = self._formats.get(key)
         if pair is None:
             self.format_misses += 1
-            if self._obs.enabled:
-                self._m_formats_miss.inc()
             pair = self._formats[key] = self._resolve_formats(sender_app, receiver_app)
         else:
             self.format_hits += 1
-            if self._obs.enabled:
-                self._m_formats_hit.inc()
         return pair
 
     def _resolve_route(self, sender: str, receiver: str, interaction: str) -> RouteVerdict:
@@ -238,9 +229,6 @@ class ResolutionCache:
         if removed:
             self.evictions += removed
             self.invalidations += 1
-            if self._obs.enabled:
-                self._obs.inc("env.cache.invalidations")
-                self._obs.inc("env.cache.evicted", removed)
 
     def _evict_organisation(self, org: str) -> int:
         """Forget the verdicts and people in *org*, and every unknown person.

@@ -1215,13 +1215,9 @@ class Federation:
                 remember_reply(domain.relay_seen, relay_id, failure)
             deferred.resolve(failure)
 
-        try:
-            gateway = domain.gateway_to(final)
-        except KeyError:
-            close_span("no-gateway")
-            deferred.fail(f"no gateway from {domain.name} to {final}")
-            return deferred
-        gateway.relay(
+        # Every ordered pair of domains has a gateway (``_wire_pair``), and
+        # ``final`` is always a federation domain: the lookup cannot miss.
+        domain.gateway_to(final).relay(
             dict(payload), on_reply, on_dead_letter, deadline=payload.get("deadline")
         )
         return deferred

@@ -116,19 +116,6 @@ class Gateway(StoreAndForward):
         )
         self.source = source
         self.target = target
-        # ``gateway.*`` counters and the ``gateway.latency_s`` histogram
-        # (simulated seconds), each also recorded per directed link in a
-        # ``(source, target)``-labelled family whose child is bound here
-        self._obs = metrics if metrics is not None else NULL_METRICS
-        obs, link = self._obs, {"source": self.source, "target": self.target}
-        self._m_relays = obs.counter("gateway.relays", labels=("source", "target")).labels(**link)
-        self._m_delivered = obs.counter("gateway.delivered", labels=("source", "target")).labels(**link)
-        self._m_retries = obs.counter("gateway.retries", labels=("source", "target")).labels(**link)
-        self._m_dead_letters = obs.counter("gateway.dead_letters", labels=("source", "target")).labels(**link)
-        self._m_expired = obs.counter("gateway.expired", labels=("source", "target")).labels(**link)
-        self._m_latency = obs.histogram(
-            "gateway.latency_s", buckets=LATENCY_BUCKETS, labels=("source", "target")
-        ).labels(**link)
         self._tracer: Tracer = tracer if tracer is not None else NULL_TRACER
         self._events: EventLog = events if events is not None else NULL_EVENTS
         self.breaker = breaker
@@ -137,6 +124,25 @@ class Gateway(StoreAndForward):
         self.expired = 0
         self.fast_failed = 0
         self.dead_letters: list[DeadLetter] = []
+        # ``gateway.*`` counters read the tallies, flat and per directed link;
+        # the ``gateway.latency_s`` histogram (simulated seconds) is pushed
+        link = {"source": source, "target": target}
+        tallies: dict[str, Callable[[], int]] = {
+            "gateway.relays": lambda: self.relays,
+            "gateway.delivered": lambda: self.delivered,
+            "gateway.retries": lambda: self.retries,
+            "gateway.dead_letters": lambda: len(self.dead_letters),
+            "gateway.expired": lambda: self.expired,
+        }
+        obs = self._obs = (metrics or NULL_METRICS).read(self, {
+            **tallies,
+            "gateway.fast_failed": lambda: self.fast_failed,
+            "gateway.duplicate_replies": lambda: self.duplicate_replies,
+        })
+        obs.read(self, tallies, labels=link)
+        self._m_latency = obs.histogram(
+            "gateway.latency_s", buckets=LATENCY_BUCKETS, labels=("source", "target")
+        ).labels(**link)
         #: relays launched but not yet settled (queue-depth signal)
         self.in_flight = 0
         #: soft-drained by the control plane: routing avoids this gateway
@@ -189,9 +195,6 @@ class Gateway(StoreAndForward):
         """
         self.relays += 1
         self.in_flight += 1
-        if self._obs.enabled:
-            self._obs.inc("gateway.relays")
-            self._m_relays.inc()
         self.stamp(payload)
         span = None
         if self._tracer.enabled:
@@ -218,8 +221,6 @@ class Gateway(StoreAndForward):
             return
         if self.breaker is not None and not self.breaker.allow():
             self.fast_failed += 1
-            if self._obs.enabled:
-                self._obs.inc("gateway.fast_failed")
             fail(0, REASON_RELAY_CIRCUIT_OPEN)
             return
 
@@ -229,8 +230,6 @@ class Gateway(StoreAndForward):
             if self.breaker is not None:
                 self.breaker.record_success()
             if self._obs.enabled:
-                self._obs.inc("gateway.delivered")
-                self._m_delivered.inc()
                 latency = self._engine.now - sent_at
                 self._obs.observe("gateway.latency_s", latency, buckets=LATENCY_BUCKETS)
                 self._m_latency.observe(latency)
@@ -251,14 +250,7 @@ class Gateway(StoreAndForward):
         self.send(payload, size_bytes, delivered, failed, deadline)
 
     def _retried(self) -> None:
-        if self._obs.enabled:
-            self._obs.inc("gateway.retries")
-            self._m_retries.inc()
         self._note_failure()
-
-    def _duplicate(self) -> None:
-        if self._obs.enabled:
-            self._obs.inc("gateway.duplicate_replies")
 
     def _note_failure(self) -> None:
         if self.breaker is not None:
@@ -285,9 +277,6 @@ class Gateway(StoreAndForward):
         expired = reason == REASON_RELAY_DEADLINE
         if expired:
             self.expired += 1
-            if self._obs.enabled:
-                self._obs.inc("gateway.expired")
-                self._m_expired.inc()
         self._close_span(span, reason, attempts)
         if self._events.enabled:
             if span is not None:
@@ -316,9 +305,6 @@ class Gateway(StoreAndForward):
         )
         if not expired:
             self.dead_letters.append(letter)
-            if self._obs.enabled:
-                self._obs.inc("gateway.dead_letters")
-                self._m_dead_letters.inc()
         if on_dead_letter is not None:
             on_dead_letter(letter)
 

@@ -97,8 +97,8 @@ class InterchangeService:
     shape validation amortised to the first call); plan invalidation is
     *keyed*: registering or replacing a converter evicts only the plans
     whose source or target is that format, never the whole cache.
-    Attach a metrics registry to export ``interchange.plan.<hit|miss>``,
-    ``interchange.plan.evicted`` and ``interchange.identity`` counters.
+    An attached metrics registry reads its tallies as the
+    ``interchange.plan.<hit|miss|evicted>`` and ``interchange.identity`` counters.
     """
 
     def __init__(self) -> None:
@@ -110,19 +110,16 @@ class InterchangeService:
         self.plan_misses = 0
         self.plan_evictions = 0
         self.identities = 0
-        self.attach_metrics(None)
+        self._obs: MetricsRegistry = NULL_METRICS
 
     def attach_metrics(self, metrics: MetricsRegistry | None) -> None:
-        """Report plan-cache activity to *metrics* (``None`` detaches).
-
-        The per-translation counters are bound here, once, so
-        :meth:`translate` pays an ``inc`` on a held counter rather than a
-        lookup by name.
-        """
-        obs = self._obs = metrics if metrics is not None else NULL_METRICS
-        self._m_plan_hit = obs.counter("interchange.plan.hit")
-        self._m_plan_miss = obs.counter("interchange.plan.miss")
-        self._m_identity = obs.counter("interchange.identity")
+        """Report plan-cache activity to *metrics* (``None`` detaches)."""
+        self._obs = (metrics or NULL_METRICS).read(self, {
+            "interchange.plan.hit": lambda: self.plan_hits,
+            "interchange.plan.miss": lambda: self.plan_misses,
+            "interchange.plan.evicted": lambda: self.plan_evictions,
+            "interchange.identity": lambda: self.identities,
+        }, self._obs)
 
     def register(self, converter: FormatConverter, replace: bool = False) -> None:
         """Register an application format (one per format name).
@@ -143,8 +140,6 @@ class InterchangeService:
             del self._plans[key]
         if affected:
             self.plan_evictions += len(affected)
-            if self._obs.enabled:
-                self._obs.inc("interchange.plan.evicted", len(affected))
 
     def formats(self) -> list[str]:
         """All registered format names, sorted."""
@@ -184,8 +179,6 @@ class InterchangeService:
         if source_format == target_format:
             self.translations += 1
             self.identities += 1
-            if self._obs.enabled:
-                self._m_identity.inc()
             # deep copy, like every converting path: the receiver must
             # never alias (or mutate) the sender's nested structures
             return TranslationResult(
@@ -194,8 +187,6 @@ class InterchangeService:
         plan = self._plans.get((source_format, target_format))
         if plan is None:
             self.plan_misses += 1
-            if self._obs.enabled:
-                self._m_plan_miss.inc()
             source = self._converter(source_format)
             target = self._converter(target_format)
             plan = self._plans[(source_format, target_format)] = _TranslationPlan(
@@ -203,8 +194,6 @@ class InterchangeService:
             )
         else:
             self.plan_hits += 1
-            if self._obs.enabled:
-                self._m_plan_hit.inc()
         common = plan.source.to_common(document)
         if not plan.validated:
             if not is_common(common):

@@ -134,8 +134,18 @@ class Mediator:
 
     # -- observability -----------------------------------------------------
     def attach_metrics(self, metrics: MetricsRegistry | None) -> None:
-        """Report mediation activity to *metrics* (``None`` detaches)."""
-        self._obs = metrics if metrics is not None else NULL_METRICS
+        """Report mediation activity to *metrics* (``None`` detaches); only
+        ``mediation.translations`` and ``mediation.fidelity`` are pushed."""
+        self._obs = (metrics or NULL_METRICS).read(self, {
+            "mediation.capability.published": lambda: self.publishes,
+            "mediation.capability.withdrawn": lambda: self.withdrawals,
+            "mediation.plan.hit": lambda: self.plan_hits,
+            "mediation.plan.synthesized": lambda: self.plans_synthesized,
+            "mediation.plan.evicted": lambda: self.plan_evictions,
+            "mediation.negotiation.rejected": lambda: self.fidelity_rejections,
+            "mediation.negotiation.downgraded": lambda: self.negotiated_downgrades,
+            "mediation.identity": lambda: self.identities,
+        }, self._obs)
 
     def attach_tracer(self, tracer: Tracer | None) -> None:
         """Trace plan execution (one span per translate, one per hop)."""
@@ -163,8 +173,6 @@ class Mediator:
         self._offer_ids[capability.capability_id] = offer.offer_id
         self._graph_stale = True
         self.publishes += 1
-        if self._obs.enabled:
-            self._obs.inc("mediation.capability.published")
         removed = self._evict_tag(f"e:{capability.source}")
         removed += self._evict_tag(f"e:{capability.target}")
         self._note_event(removed)
@@ -200,8 +208,6 @@ class Mediator:
         del self._implementations[capability_id]
         self._graph_stale = True
         self.withdrawals += 1
-        if self._obs.enabled:
-            self._obs.inc("mediation.capability.withdrawn")
         self._note_event(self._evict_tag(f"c:{capability_id}"))
 
     def capability(self, capability_id: str) -> ConversionCapability:
@@ -294,13 +300,9 @@ class Mediator:
         cached = self._plans.get(key)
         if cached is not None:
             self.plan_hits += 1
-            if self._obs.enabled:
-                self._obs.inc("mediation.plan.hit")
             return cached
         plan = self._synthesize(source, target)
         self.plans_synthesized += 1
-        if self._obs.enabled:
-            self._obs.inc("mediation.plan.synthesized")
         self._store_plan(key, plan)
         return plan
 
@@ -361,8 +363,6 @@ class Mediator:
         plan = self.plan(source, target)
         if plan.fidelity < min_fidelity:
             self.fidelity_rejections += 1
-            if self._obs.enabled:
-                self._obs.inc("mediation.negotiation.rejected")
             raise FidelityError(
                 f"best plan {source!r} -> {target!r} keeps fidelity "
                 f"{plan.fidelity:.3f}, below the requested floor "
@@ -372,8 +372,6 @@ class Mediator:
             )
         if plan.fidelity < 1.0:
             self.negotiated_downgrades += 1
-            if self._obs.enabled:
-                self._obs.inc("mediation.negotiation.downgraded")
         return plan
 
     # -- execution ---------------------------------------------------------
@@ -394,8 +392,6 @@ class Mediator:
         if source_format == target_format:
             self.translations += 1
             self.identities += 1
-            if self._obs.enabled:
-                self._obs.inc("mediation.identity")
             return TranslationResult(
                 copy.deepcopy(document), source_format, target_format, 1.0, 0
             )
@@ -461,8 +457,6 @@ class Mediator:
         if removed:
             self.plan_evictions += removed
             self.invalidations += 1
-            if self._obs.enabled:
-                self._obs.inc("mediation.plan.evicted", removed)
 
     def invalidate_all(self) -> None:
         """Drop every cached plan (explicit operator control only —

@@ -155,11 +155,15 @@ class MessageTransferAgent:
     def attach_metrics(self, metrics: MetricsRegistry | None) -> None:
         """Report transfer activity to *metrics* (``None`` detaches).
 
-        Counters ``mta.relayed``/``delivered``/``reports`` and
-        ``mta.non_delivery.<reason>``, plus the ``mta.hops`` histogram of
-        hop counts at local delivery.
+        Counters ``mta.relayed``/``delivered``/``reports`` read the MTA's
+        own tallies; ``mta.non_delivery.<reason>`` counters and the
+        ``mta.hops`` histogram of hop counts at local delivery are pushed.
         """
-        self._obs = metrics if metrics is not None else NULL_METRICS
+        self._obs = (metrics or NULL_METRICS).read(self, {
+            "mta.relayed": lambda: self.relayed,
+            "mta.delivered": lambda: self.delivered,
+            "mta.reports": lambda: self.reports_issued,
+        }, self._obs)
 
     def attach_tracer(self, tracer: Tracer | None) -> None:
         """Trace envelope handling with *tracer* (``None`` detaches).
@@ -298,10 +302,8 @@ class MessageTransferAgent:
             span.tag(hops=envelope.hop_count())
             stored = self.store.deliver(recipient.mailbox, envelope, self._world.now)
         self.delivered += 1
-        obs = self._obs
-        if obs.enabled:
-            obs.inc("mta.delivered")
-            obs.observe("mta.hops", envelope.hop_count())
+        if self._obs.enabled:
+            self._obs.observe("mta.hops", envelope.hop_count())
         for hook in self._delivery_hooks:
             hook(recipient.mailbox, stored)
         if envelope.delivery_report_requested:
@@ -324,8 +326,6 @@ class MessageTransferAgent:
 
     def _transfer(self, envelope: Envelope, link: StoreAndForward) -> None:
         self.relayed += 1
-        if self._obs.enabled:
-            self._obs.inc("mta.relayed")
         span = None
         if self._tracer.enabled:
             # Detached span for the async hop; the envelope is re-stamped
@@ -385,8 +385,6 @@ class MessageTransferAgent:
 
     def _send_report(self, subject: Envelope, report_document: dict[str, Any]) -> None:
         self.reports_issued += 1
-        if self._obs.enabled:
-            self._obs.inc("mta.reports")
         for hook in self._report_hooks:
             hook(dict(report_document))
         content = InterpersonalMessage(

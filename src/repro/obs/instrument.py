@@ -1,6 +1,6 @@
 """Wiring hooks: attach a registry/tracer to the library's hot layers.
 
-Five layers know how to report (all opt-in, no-op by default):
+These layers know how to report (all opt-in, no-op by default):
 
 ========================  =====================================================
 layer                     instruments
@@ -22,24 +22,33 @@ layer                     instruments
                           ``env.exchange.document_bytes`` histogram
 ``environment.resolution``  ``env.cache.route.<hit|miss>``,
                           ``env.cache.formats.<hit|miss>``,
-                          ``env.cache.invalidations`` counters
+                          ``env.cache.invalidations`` / ``.evicted`` counters
 ``information.interchange``  ``interchange.plan.<hit|miss|evicted>`` /
                           ``interchange.identity`` counters
 ``mediation.mediator``    ``mediation.plan.<synthesized|hit|evicted>``,
                           ``mediation.capability.<published|withdrawn>``,
-                          ``mediation.negotiation.<downgraded|rejected>``
-                          counters, ``mediation.fidelity`` histogram,
+                          ``mediation.negotiation.<downgraded|rejected>``,
+                          ``mediation.identity`` / ``.translations`` counters,
+                          ``mediation.fidelity`` histogram,
                           ``mediation.translate``/``mediation.hop`` spans
+``sharding.directory``    ``directory.ops{shard,op}``, ``directory.fanouts``
 ========================  =====================================================
 
+A counter the layer already tallies is *read*: the layer registers the
+tally once, at attach, with
+:meth:`~repro.obs.metrics.MetricsRegistry.read`.  The rest are *pushed*
+on the hot path behind a check of ``registry.enabled``: every histogram
+and gauge, the ``env.exchange`` families, ``sim.engine.scheduled`` /
+``.cancelled``, trader ``offer_scans`` / ``link_hops`` / ``no_offer``,
+``mta.non_delivery.*``, ``env.exchange.transparency.*``,
+``mediation.translations`` (which leaves out identity translations),
+``env.federation.*`` and breaker ``trials`` / ``reopened``.
 Each ``instrument_*`` function is idempotent, returns its target, and is
-pure wiring: the recording calls live inside the layers themselves,
-guarded by ``registry.enabled`` so the default
-:data:`~repro.obs.metrics.NULL_METRICS` keeps the hot paths at a single
-attribute check.  The functions duck-type their targets (anything with
-the layer's ``attach_metrics`` method works), so this module imports
-nothing from the rest of the library and can never create an import
-cycle.
+pure wiring, so the default :data:`~repro.obs.metrics.NULL_METRICS`
+keeps the hot paths at a single attribute check.  The functions
+duck-type their targets (anything with the layer's ``attach_metrics``
+method works), so this module imports nothing from the rest of the
+library and can never create an import cycle.
 
 The recommended front door is ``CSCWEnvironment.builder()``, which calls
 :func:`instrument_environment` during construction; these functions stay
@@ -113,10 +122,7 @@ def instrument_environment(
     half leaves that half as it was.
     """
     if metrics is not None:
-        environment.metrics = metrics
-        binder = getattr(environment, "_bind_labelled_metrics", None)
-        if binder is not None:
-            binder()
+        environment._bind_labelled_metrics(metrics)
         instrument_engine(environment.world.engine, metrics)
         instrument_event_bus(environment.bus, metrics)
         instrument_trader(environment.trader, metrics)

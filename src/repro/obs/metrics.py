@@ -22,13 +22,13 @@ shared ``__other__`` child and bump the registry-level
 ``obs.cardinality.dropped`` counter, so a misbehaving label (say, a
 per-user id) cannot grow the registry without bound.
 
-Instrumented components (``sim.engine``, ``util.events``, ``odp.trader``,
-``messaging.mta``, ``environment.exchange``) hold a registry reference
-that defaults to :data:`NULL_METRICS` — a no-op registry whose
-``enabled`` flag is ``False`` — so the un-instrumented hot path costs a
-single attribute check.  Attach a real registry through
-:mod:`repro.obs.instrument` (or ``CSCWEnvironment.builder()``) to turn
-collection on.
+A layer reports a fact it tallies in a plain attribute by *reading* it:
+:meth:`MetricsRegistry.read` registers the tally once, at attach, and the
+counter reports its growth since, so the hot path keeps only its ``+= 1``.
+Histograms, gauges, the labelled outcome families and counters with no
+tally (listed in :mod:`repro.obs.instrument`) are *pushed* behind a check
+of ``enabled``, ``False`` on the default no-op :data:`NULL_METRICS`.
+Attach a registry through :mod:`repro.obs.instrument` or the builder.
 
 This is the library's only registry class.  ``World.metrics`` is an
 always-on instance: the simulated network counts every packet into its
@@ -52,7 +52,7 @@ False
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any
+from typing import Any, Callable
 
 #: default histogram bucket upper bounds (powers-of-two-ish spread wide
 #: enough for fan-outs, hop counts and latencies alike)
@@ -88,6 +88,26 @@ class Counter:
     def reset(self) -> None:
         """Zero the counter (used by :meth:`MetricsRegistry.reset`)."""
         self.value = 0
+
+
+class ReadCounter(Counter):
+    """A counter summing its ``sources``' growth (owner -> ``[tally, base]``)
+    and ``held``: detached owners' growth, ``inc`` and ``reset``."""
+
+    __slots__ = ("sources", "held")
+
+    def __init__(self, name: str) -> None:
+        self.sources: dict[int, list[Any]] = {}
+        self.held = 0
+        super().__init__(name)
+
+    @property  # type: ignore[override]
+    def value(self) -> int:
+        return self.held + sum(tally() - base for tally, base in self.sources.values())
+
+    @value.setter
+    def value(self, value: int) -> None:
+        self.held += value - self.value
 
 
 class LazyCounter:
@@ -479,6 +499,32 @@ class MetricsRegistry:
                 f"requested {label_names!r}"
             )
         return family
+
+    def read(
+        self,
+        owner: Any,
+        tallies: dict[str, Callable[[], int]],
+        previous: "MetricsRegistry | None" = None,
+        labels: dict[str, str] | None = None,
+    ) -> "MetricsRegistry":
+        """Export *owner*'s tallies as counters: ``name`` (with *labels*,
+        that child of family ``name``) reports ``tallies[name]()``'s growth
+        since *owner* was first read, summed over owners.  *owner*'s series
+        freeze in *previous*, the registry it reported to until now."""
+        key, label_names, values = id(owner), tuple(labels or ()), tuple((labels or {}).values())
+        for counter in previous._counters.values() if previous not in (None, self) else ():
+            if key in getattr(counter, "sources", ()):
+                tally, base = counter.sources.pop(key)
+                counter.held += tally() - base
+        for name, tally in tallies.items() if self.enabled else ():
+            series = render_labelled_name(name, label_names, values) if labels else name
+            counter = self._counters.get(series)
+            if not isinstance(counter, ReadCounter):
+                counter = self._counters[series] = ReadCounter(series)
+                if labels:
+                    self.counter(name, labels=label_names).labels(*values)
+            counter.sources.setdefault(key, [tally, tally()])
+        return self
 
     def family(self, name: str) -> _Family | None:
         """The dimensional family *name* if declared, else None."""

@@ -138,11 +138,15 @@ class Trader:
     def attach_metrics(self, metrics: MetricsRegistry | None) -> None:
         """Report trading activity to *metrics* (``None`` detaches).
 
-        Counters ``trader.exports``/``imports``/``offer_scans``/
-        ``link_hops``/``no_offer``/``policy_rejections``; the counts are
-        per-trader, so federated traders each need their own attach.
+        Counters ``trader.exports``/``imports``/``policy_rejections`` read
+        the tallies, ``offer_scans``/``link_hops``/``no_offer`` are pushed;
+        counts are per-trader, so federated traders each need their own attach.
         """
-        self._obs = metrics if metrics is not None else NULL_METRICS
+        self._obs = (metrics or NULL_METRICS).read(self, {
+            "trader.exports": lambda: self.exports,
+            "trader.imports": lambda: self.imports,
+            "trader.policy_rejections": lambda: self.policy_rejections,
+        }, self._obs)
 
     # -- service types ------------------------------------------------------
     def register_service_type(self, service_type: str, parent: str | None = None) -> None:
@@ -171,8 +175,6 @@ class Trader:
         for hook in self._policy_hooks:
             if not hook(offer, context):
                 self.policy_rejections += 1
-                if self._obs.enabled:
-                    self._obs.inc("trader.policy_rejections")
                 return False
         return True
 
@@ -196,8 +198,6 @@ class Trader:
         )
         self._offers[offer.offer_id] = offer
         self.exports += 1
-        if self._obs.enabled:
-            self._obs.inc("trader.exports")
         return offer
 
     def withdraw(self, offer_id: str) -> None:
@@ -273,8 +273,6 @@ class Trader:
         if max_offers < 1:
             raise TradingError("max_offers must be >= 1")
         self.imports += 1
-        if self._obs.enabled:
-            self._obs.inc("trader.imports")
         ctx = context if context is not None else ImportContext()
         matched = self._match_local(service_type, constraints or [], ctx)
         if not matched and search_links:

@@ -21,8 +21,8 @@ clock:
 
 ``record_success`` recloses the breaker from *any* state: an external
 health probe that reaches the other side is just as good evidence as a
-trial call.  State transitions are exported as ``resilience.breaker.*``
-counters when a metrics registry is attached.
+trial call.  A metrics registry reads the ``opened``/``reclosed``/
+``fast_failures`` tallies; ``trials``/``reopened`` counters are pushed.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ class CircuitBreaker:
         self.name = name
         self._threshold = failure_threshold
         self._cooldown_s = cooldown_s
-        self._obs: MetricsRegistry = metrics if metrics is not None else NULL_METRICS
         self._events: EventLog = events if events is not None else NULL_EVENTS
         self._state = STATE_CLOSED
         self._streak = 0
@@ -80,6 +79,11 @@ class CircuitBreaker:
         self.opened = 0
         self.reclosed = 0
         self.fast_failures = 0
+        self._obs: MetricsRegistry = (metrics or NULL_METRICS).read(self, {
+            "resilience.breaker.opened": lambda: self.opened,
+            "resilience.breaker.reclosed": lambda: self.reclosed,
+            "resilience.breaker.fast_failures": lambda: self.fast_failures,
+        })
 
     # -- state -------------------------------------------------------------
     @property
@@ -134,8 +138,6 @@ class CircuitBreaker:
                 )
             return True
         self.fast_failures += 1
-        if self._obs.enabled:
-            self._obs.inc("resilience.breaker.fast_failures")
         return False
 
     def record_success(self) -> None:
@@ -145,8 +147,6 @@ class CircuitBreaker:
         if self._state != STATE_CLOSED:
             self._state = STATE_CLOSED
             self.reclosed += 1
-            if self._obs.enabled:
-                self._obs.inc("resilience.breaker.reclosed")
             if self._events.enabled:
                 self._events.record(
                     self._clock.now, KIND_BREAKER_CLOSE, name=self.name
@@ -176,8 +176,6 @@ class CircuitBreaker:
         self._state = STATE_OPEN
         self._opened_at = self._clock.now
         self.opened += 1
-        if self._obs.enabled:
-            self._obs.inc("resilience.breaker.opened")
         if self._events.enabled:
             self._events.record(
                 self._clock.now,

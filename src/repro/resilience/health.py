@@ -91,6 +91,13 @@ class HealthMonitor:
         self._obs: MetricsRegistry = metrics if metrics is not None else NULL_METRICS
         self._events: EventLog = events if events is not None else NULL_EVENTS
         self._watches: dict[str, _Watch] = {}
+        #: probes and failures over every watch, stopped ones included
+        self.probes = 0
+        self.failures = 0
+        self._obs = self._obs.read(self, {
+            "resilience.health.probes": lambda: self.probes,
+            "resilience.health.failures": lambda: self.failures,
+        })
         self._trend_ratio: GaugeFamily = self._obs.gauge(
             "resilience.health.trend.success_ratio", labels=("key",)
         )
@@ -131,9 +138,8 @@ class HealthMonitor:
         if watch is None:
             return
         watch.probes += 1
+        self.probes += 1
         watch.pending.append(self._engine.now)
-        if self._obs.enabled:
-            self._obs.inc("resilience.health.probes")
         watch.probe(lambda healthy: self._report(key, healthy))
 
     def _report(self, key: str, healthy: bool) -> None:
@@ -155,8 +161,7 @@ class HealthMonitor:
                 watch.breaker.record_success()
             return
         watch.failures += 1
-        if self._obs.enabled:
-            self._obs.inc("resilience.health.failures")
+        self.failures += 1
         if watch.breaker is not None:
             watch.breaker.record_failure()
 

@@ -22,6 +22,7 @@ from repro.directory.dsa import DirectoryServiceAgent
 from repro.directory.filters import Filter
 from repro.directory.names import DistinguishedName, dn
 from repro.directory.schema import Schema
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.sharding.ring import ConsistentHashRing
 from repro.util.errors import NoSuchEntryError
 
@@ -76,43 +77,24 @@ class ShardedDirectory:
         self.reads_by_shard: dict[str, int] = {agent.dsa_id: 0 for agent in self.shards}
         self.writes_by_shard: dict[str, int] = {agent.dsa_id: 0 for agent in self.shards}
         self.fanouts = 0
-        # labelled metric children, bound by attach_metrics (None = off)
-        self._m_reads: dict[str, Any] | None = None
-        self._m_writes: dict[str, Any] | None = None
-        self._m_fanouts: Any = None
+        self._obs: MetricsRegistry = NULL_METRICS
 
-    def attach_metrics(self, metrics: Any) -> "ShardedDirectory":
-        """Mirror the per-shard counters into labelled metric families.
+    def attach_metrics(self, metrics: MetricsRegistry | None) -> "ShardedDirectory":
+        """Export the per-shard counters as labelled metric families.
 
-        ``directory.ops{shard=...,op=reads|writes}`` children are
-        resolved once per shard here — the routing hot path then pays a
-        dict lookup and an ``inc``, never a label resolution.  Shard
-        count is fixed at construction, so family cardinality is bounded
-        by 2 x n_shards.
+        ``directory.ops{shard=...,op=reads|writes}`` and
+        ``directory.fanouts`` read the tallies above.  Shard count is
+        fixed at construction, so family cardinality is bounded by
+        2 x n_shards.
         """
-        if metrics is None or not metrics.enabled:
-            return self
-        ops = metrics.counter("directory.ops", labels=("shard", "op"))
-        self._m_reads = {
-            agent.dsa_id: ops.labels(shard=agent.dsa_id, op="reads")
-            for agent in self.shards
-        }
-        self._m_writes = {
-            agent.dsa_id: ops.labels(shard=agent.dsa_id, op="writes")
-            for agent in self.shards
-        }
-        self._m_fanouts = metrics.counter("directory.fanouts")
+        obs = self._obs = (metrics or NULL_METRICS).read(
+            self, {"directory.fanouts": lambda: self.fanouts}, self._obs
+        )
+        for op, tallies in (("reads", self.reads_by_shard), ("writes", self.writes_by_shard)):
+            for dsa_id in tallies:
+                obs.read(self, {"directory.ops": lambda t=tallies, d=dsa_id: t[d]},
+                         labels={"shard": dsa_id, "op": op})
         return self
-
-    def _count_read(self, dsa_id: str) -> None:
-        self.reads_by_shard[dsa_id] += 1
-        if self._m_reads is not None:
-            self._m_reads[dsa_id].inc()
-
-    def _count_write(self, dsa_id: str) -> None:
-        self.writes_by_shard[dsa_id] += 1
-        if self._m_writes is not None:
-            self._m_writes[dsa_id].inc()
 
     # -- routing -----------------------------------------------------------
     def shard_id_for(self, name: "DistinguishedName | str") -> str:
@@ -164,14 +146,14 @@ class ShardedDirectory:
         if agent is None:
             entry: Entry | None = None
             for shard in self.shards:
-                self._count_write(shard.dsa_id)
+                self.writes_by_shard[shard.dsa_id] += 1
                 self._ensure_ancestors(shard, parsed)
                 if not shard.dit.exists(parsed):
                     entry = shard.dit.add(parsed, attributes)
             if entry is None:
                 entry = self.shards[0].dit.read(parsed)
             return entry
-        self._count_write(agent.dsa_id)
+        self.writes_by_shard[agent.dsa_id] += 1
         self._ensure_ancestors(agent, parsed)
         return agent.dit.add(parsed, attributes)
 
@@ -181,7 +163,7 @@ class ShardedDirectory:
         agent = self.agent_for(parsed)
         if agent is None:
             agent = self.shards[0]
-        self._count_read(agent.dsa_id)
+        self.reads_by_shard[agent.dsa_id] += 1
         return agent.dit.exists(parsed)
 
     def read(self, name: "DistinguishedName | str") -> Entry:
@@ -190,7 +172,7 @@ class ShardedDirectory:
         agent = self.agent_for(parsed)
         if agent is None:
             agent = self.shards[0]
-        self._count_read(agent.dsa_id)
+        self.reads_by_shard[agent.dsa_id] += 1
         return agent.dit.read(parsed)
 
     def modify(
@@ -207,7 +189,7 @@ class ShardedDirectory:
             agents = list(self.shards)
         entry: Entry | None = None
         for agent in agents:
-            self._count_write(agent.dsa_id)
+            self.writes_by_shard[agent.dsa_id] += 1
             entry = agent.dit.modify(parsed, add=add, replace=replace, delete=delete)
         assert entry is not None
         return entry
@@ -218,10 +200,10 @@ class ShardedDirectory:
         agent = self.agent_for(parsed)
         if agent is None:
             for shard in self.shards:
-                self._count_write(shard.dsa_id)
+                self.writes_by_shard[shard.dsa_id] += 1
                 shard.dit.delete(parsed)
             return
-        self._count_write(agent.dsa_id)
+        self.writes_by_shard[agent.dsa_id] += 1
         agent.dit.delete(parsed)
 
     def search(
@@ -240,15 +222,13 @@ class ShardedDirectory:
         parsed = dn(base)
         agent = self.agent_for(parsed)
         if agent is not None:
-            self._count_read(agent.dsa_id)
+            self.reads_by_shard[agent.dsa_id] += 1
             return agent.dit.search(parsed, scope=scope, where=where, limit=limit)
         self.fanouts += 1
-        if self._m_fanouts is not None:
-            self._m_fanouts.inc()
         merged: dict[str, Entry] = {}
         found_base = 0
         for shard in self.shards:
-            self._count_read(shard.dsa_id)
+            self.reads_by_shard[shard.dsa_id] += 1
             try:
                 entries = shard.dit.search(parsed, scope=scope, where=where, limit=None)
             except NoSuchEntryError:

@@ -88,10 +88,12 @@ class Engine:
         """Report scheduling activity to *metrics* (``None`` detaches).
 
         Counters ``sim.engine.scheduled``/``fired``/``cancelled`` and the
-        ``sim.engine.queue_depth`` gauge; with the default no-op registry
-        the hot path pays one ``enabled`` check.
+        ``sim.engine.queue_depth`` gauge (``fired`` reads :attr:`processed_count`);
+        with the default no-op registry the hot path pays one ``enabled`` check.
         """
-        self._obs = metrics if metrics is not None else NULL_METRICS
+        self._obs = (metrics or NULL_METRICS).read(
+            self, {"sim.engine.fired": lambda: self._processed}, self._obs
+        )
         self._bind_instruments()
 
     def _bind_instruments(self) -> None:
@@ -100,7 +102,6 @@ class Engine:
         work the hot path need not repeat."""
         obs = self._obs
         self._scheduled_counter = obs.counter("sim.engine.scheduled")
-        self._fired_counter = obs.counter("sim.engine.fired")
         self._depth_gauge = obs.gauge("sim.engine.queue_depth")
         # bound on first use: a run that never cancels exports no
         # zero-valued series
@@ -169,7 +170,6 @@ class Engine:
             self._now = event.time
             self._processed += 1
             if self._obs.enabled:
-                self._fired_counter.inc()
                 self._depth_gauge.set(len(self._queue))
             event.callback()
             return True

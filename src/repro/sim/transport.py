@@ -43,8 +43,8 @@ class DeferredReply:
     A handler that must itself wait on asynchronous work (e.g. a gateway
     forwarding a relay to a third domain) returns a ``DeferredReply``
     instead of a reply body; the transport holds the request open and
-    sends the reply packet when :meth:`resolve` (or :meth:`fail`) fires.
-    Only the first completion wins — later calls are ignored.
+    sends the reply packet when :meth:`resolve` fires.  Only the first
+    completion wins — later calls are ignored.
     """
 
     def __init__(self) -> None:
@@ -53,21 +53,14 @@ class DeferredReply:
         self._done = False
 
     def resolve(self, body: Any) -> None:
-        """Complete the request successfully with *body*."""
-        self._finish("body", body)
-
-    def fail(self, error: str) -> None:
-        """Complete the request with an error (caller sees ``{"error": ...}``)."""
-        self._finish("error", error)
-
-    def _finish(self, kind: str, value: Any) -> None:
+        """Complete the request with *body*."""
         if self._done:
             return
         self._done = True
         if self._send is not None:
-            self._send(kind, value)
+            self._send("body", body)
         else:
-            self._result = (kind, value)
+            self._result = ("body", body)
 
     def _wire(self, send: Callable[[str, Any], None]) -> None:
         """Transport hookup; replays a completion that beat the wiring."""
@@ -278,7 +271,7 @@ class StoreAndForward:
     every attempt's request id from the endpoint.  A window the deadline
     clamped fails with ``expired`` true: the verdict comes from the clamp
     (``park_at == deadline``), never from comparing float instants.
-    Subclasses hook :meth:`_retried` and :meth:`_duplicate`.
+    Subclasses hook :meth:`_retried`.
     """
 
     def __init__(
@@ -415,7 +408,6 @@ class StoreAndForward:
         relay.replies += 1
         if relay.settled:
             self.duplicate_replies += 1
-            self._duplicate()
             if relay.replies == relay.attempts:
                 self._disarm(relay)  # no reply is left to await
             return
@@ -429,6 +421,3 @@ class StoreAndForward:
 
     def _retried(self) -> None:
         """Hook: a retry is about to be sent."""
-
-    def _duplicate(self) -> None:
-        """Hook: a reply arrived for a relay that had already settled."""

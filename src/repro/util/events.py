@@ -74,7 +74,7 @@ class EventBus:
         self._delivered = 0
         self._published = 0
         self._clock: Callable[[], float] | None = None
-        self.attach_metrics(None)
+        self._obs: MetricsRegistry = NULL_METRICS
 
     def bind_clock(self, clock: Callable[[], float] | None) -> None:
         """Stamp events published without an explicit time from *clock*.
@@ -88,14 +88,15 @@ class EventBus:
     def attach_metrics(self, metrics: MetricsRegistry | None) -> None:
         """Report bus activity to *metrics* (``None`` detaches).
 
-        Counters ``events.published``/``events.delivered`` and the
-        ``events.fanout`` subscriber fan-out histogram, bound here once so
-        :meth:`publish` never looks them up by name.
+        Counters ``events.published``/``events.delivered`` read the bus's
+        tallies; the ``events.fanout`` subscriber fan-out histogram is
+        bound here once so :meth:`publish` never looks it up by name.
         """
-        obs = self._obs = metrics if metrics is not None else NULL_METRICS
-        self._m_published = obs.counter("events.published")
-        self._m_delivered = obs.counter("events.delivered")
-        self._m_fanout = obs.histogram("events.fanout")
+        self._obs = (metrics or NULL_METRICS).read(self, {
+            "events.published": lambda: self._published,
+            "events.delivered": lambda: self._delivered,
+        }, self._obs)
+        self._m_fanout = self._obs.histogram("events.fanout")
 
     @property
     def delivered_count(self) -> int:
@@ -154,8 +155,6 @@ class EventBus:
                 count += 1
         self._delivered += count
         if self._obs.enabled:
-            self._m_published.inc()
-            self._m_delivered.inc(count)
             self._m_fanout.observe(count)
         return count
 

@@ -19,9 +19,18 @@ from repro.control import (
     RebalanceShadowing,
     TightenShed,
 )
-from repro.environment.environment import ExchangeRequest
+from repro.communication.model import Communicator
+from repro.environment.environment import (
+    REASON_DELIVERED,
+    REASON_OVERLOAD,
+    CSCWEnvironment,
+    ExchangeRequest,
+)
+from repro.environment.registry import AppDescriptor, Q_DIFFERENT_TIME_DIFFERENT_PLACE
+from repro.information.interchange import FormatConverter, make_common
 from repro.obs import MetricsRegistry, RatioSLO, SLOEngine
 from repro.obs.events import KIND_CONTROL_ACTION, KIND_CONTROL_REVERT, EventLog
+from repro.org.model import Organisation, Person
 from repro.sim.rng import SeededRng
 from repro.sim.world import World
 from repro.util.errors import ConfigurationError
@@ -98,6 +107,41 @@ class TestControlActions:
         assert env.shed_limit == 10
         with pytest.raises(ConfigurationError):
             TightenShed("env", env, factor=1.0)
+
+    def test_tighten_shed_sheds_then_reverts_on_a_built_environment(self):
+        world = World(seed=3)
+        env = CSCWEnvironment.builder().with_world(world).with_shed_limit(4).build()
+        org = Organisation("upc", "UPC")
+        for person in ("ana", "joan"):
+            org.add_person(Person(person, person.title(), "upc"))
+        env.knowledge_base.add_organisation(org)
+        world.add_site("bcn", ["w1", "w2"])
+        env.register_person(Communicator("ana", "w1"))
+        env.register_person(Communicator("joan", "w2"))
+        env.register_application(
+            AppDescriptor(name="app0", quadrants=[Q_DIFFERENT_TIME_DIFFERENT_PLACE],
+                          converter=FormatConverter(
+                              "fmt", lambda doc: make_common("note", "t", "b"),
+                              lambda common: {"title": common["title"]})),
+            lambda person, document, info: None,
+        )
+        env.person_leaves("joan")
+
+        def send() -> str:
+            return env.exchange(ExchangeRequest(
+                "ana", "joan", "app0", "app0", {"title": "t"}
+            )).reason_code
+
+        action = TightenShed("env", env, factor=0.5)
+        assert action.apply(0.0) is True
+        assert env.shed_limit == 2
+        assert [send() for _ in range(3)] == [
+            REASON_DELIVERED, REASON_DELIVERED, REASON_OVERLOAD,
+        ]
+        assert action.revert(1.0) is True
+        assert env.shed_limit == 4
+        assert send() == REASON_DELIVERED
+        assert env.pending_for("joan") == 3
 
     def test_rebalance_shadowing_restores_period(self):
         agreement = FakeAgreement(period_s=2.0)

@@ -170,3 +170,77 @@ class TestNullRegistry:
         assert bus._obs is NULL_METRICS
         assert trader._obs is NULL_METRICS
         assert NULL_METRICS.snapshot()["counters"] == {}
+
+
+class TestReadSeries:
+    """Counters a registry reads from the tallies of the layers it observes."""
+
+    def test_series_reports_growth_since_attach(self):
+        from repro.util.events import EventBus
+
+        bus = EventBus()
+        bus.publish("t", 1)
+        registry = MetricsRegistry()
+        bus.attach_metrics(registry)
+        assert registry.snapshot()["counters"]["events.published"] == 0
+        bus.publish("t", 2)
+        assert registry.counter("events.published").value == 1
+
+    def test_attached_objects_sum_and_reattach_registers_once(self):
+        from repro.util.events import EventBus
+
+        registry = MetricsRegistry()
+        first, second = EventBus(), EventBus()
+        for bus in (first, second, first):
+            bus.attach_metrics(registry)
+        first.publish("t", 1)
+        second.publish("t", 1)
+        second.publish("t", 1)
+        assert registry.counter("events.published").value == 3
+
+    def test_detach_freezes_and_reset_zeroes(self):
+        from repro.util.events import EventBus
+
+        bus, old, fresh = EventBus(), MetricsRegistry(), MetricsRegistry()
+        bus.attach_metrics(old)
+        bus.publish("t", 1)
+        bus.attach_metrics(fresh)
+        bus.publish("t", 1)
+        assert old.counter("events.published").value == 1
+        assert fresh.counter("events.published").value == 1
+        fresh.reset()
+        assert fresh.counter("events.published").value == 0
+        bus.publish("t", 1)
+        assert fresh.counter("events.published").value == 1
+        bus.attach_metrics(None)
+        bus.publish("t", 1)
+        assert fresh.counter("events.published").value == 1
+
+    def test_null_registry_registers_nothing(self):
+        owner = object()
+        assert NULL_METRICS.read(owner, {"x": lambda: 1}) is NULL_METRICS
+        assert NULL_METRICS.snapshot()["counters"] == {}
+
+    def test_labelled_series_joins_its_family(self):
+        tally = {"n": 0}
+        registry = MetricsRegistry()
+        registry.read(self, {"ops": lambda: tally["n"]}, labels={"shard": "s0"})
+        tally["n"] += 2
+        family = registry.family("ops")
+        assert family.labels(shard="s0").value == 2
+        assert registry.snapshot()["counters"] == {"ops{shard=s0}": 2}
+
+    def test_published_counts_a_publish_whose_handler_raised(self):
+        from repro.util.events import EventBus
+
+        def boom(event):
+            raise RuntimeError("handler failed")
+
+        bus, registry = EventBus(), MetricsRegistry()
+        bus.attach_metrics(registry)
+        bus.subscribe("t", boom)
+        with pytest.raises(RuntimeError):
+            bus.publish("t", 1)
+        counters = registry.snapshot()["counters"]
+        assert counters["events.published"] == bus.published_count == 1
+        assert counters["events.delivered"] == bus.delivered_count

@@ -17,6 +17,7 @@ import zlib
 import pytest
 
 from repro.communication.model import Communicator
+from repro.directory.dit import DirectoryInformationTree
 from repro.directory.names import DistinguishedName, Rdn, dn
 from repro.environment.environment import (
     REASON_DELIVERED,
@@ -37,7 +38,7 @@ from repro.sharding import ConsistentHashRing, ShardedDirectory, ShardedKnowledg
 from repro.sharding.directory import partition_key
 from repro.sharding.ring import stable_hash
 from repro.sim.world import World
-from repro.util.errors import ConfigurationError, UnknownObjectError
+from repro.util.errors import ConfigurationError, NoSuchEntryError, UnknownObjectError
 
 DOC = {"fmt0-title": "minutes", "fmt0-body": "we met"}
 
@@ -179,6 +180,40 @@ class TestShardedDirectory:
         directory.add(mixed, {"objectclass": ["person"], "sn": ["Lopez"]})
         owner = directory.agent_for("o=upc,c=es")
         assert [s for s in directory.shards if s.dit.exists("cn=ana,o=upc,c=es")] == [owner]
+
+    def test_modify_matches_the_flat_dit(self):
+        sharded = ShardedDirectory(n_shards=4)
+        flat = DirectoryInformationTree()
+        entries = [
+            ("c=es", {"objectclass": ["country"]}),
+            ("o=upc,c=es", {"objectclass": ["organization"]}),
+            ("cn=ana,o=upc,c=es", {"objectclass": ["person"], "sn": ["Lopez"]}),
+        ]
+        for name, attributes in entries:
+            sharded.add(name, attributes)
+            flat.add(name, attributes)
+        changes = {
+            "cn=ana,o=upc,c=es": {"add": {"telephonenumber": ["93 401"]},
+                                  "replace": {"sn": ["Garcia"]}},
+            "c=es": {"add": {"description": ["Spain"]}},
+        }
+        for name, change in changes.items():
+            writes = dict(sharded.writes_by_shard)
+            entry = sharded.modify(name, **change)
+            expected = flat.modify(name, **change)
+            assert (entry.name, entry.attributes) == (expected.name, expected.attributes)
+            assert sharded.read(name).attributes == expected.attributes
+            grown = {shard: sharded.writes_by_shard[shard] - count
+                     for shard, count in writes.items()}
+            owner = sharded.agent_for(name)
+            if owner is None:  # structural: modified on every shard
+                assert set(grown.values()) == {1}
+            else:
+                assert grown == {shard: int(shard == owner.dsa_id) for shard in grown}
+        with pytest.raises(NoSuchEntryError):
+            flat.modify("cn=nobody,o=upc,c=es", replace={"sn": ["X"]})
+        with pytest.raises(NoSuchEntryError):
+            sharded.modify("cn=nobody,o=upc,c=es", replace={"sn": ["X"]})
 
     def test_org_base_search_touches_one_shard(self):
         directory = ShardedDirectory(n_shards=4)
