@@ -44,7 +44,7 @@ import os
 import sys
 from dataclasses import fields as dataclass_fields
 
-from bench_common import synthetic_converter
+from bench_common import canonical_sha256, synthetic_converter
 from repro.environment.environment import ExchangeRequest
 from repro.environment.registry import AppDescriptor, Q_DIFFERENT_TIME_DIFFERENT_PLACE
 from repro.federation import Federation
@@ -205,6 +205,12 @@ def run_sweep(n_domains: int, iterations: int) -> dict:
     return sweep
 
 
+#: sha256 of the smoke run's result as sorted-key JSON: hop latencies,
+#: relay counts and the federation's counters are all simulated, so a
+#: change that moves any of them fails here, not only in a reviewed diff
+SMOKE_SHA256 = "76e40aee9aaee2881d09da593cdd36097c3bae320f65180ecafe34d09e710ba0"
+
+
 def run_bench(domain_counts: list[int], iterations: int, quick: bool) -> dict:
     """Run all sweeps; return the result blob."""
     sweeps = [run_sweep(n, iterations) for n in domain_counts]
@@ -269,6 +275,7 @@ def test_federation_bench_smoke():
     # remote = 6 per-request + 6 batched + 3 warmup cross exchanges
     assert two["federation_counters"]["env.federation.remote"] == 15
     assert two["home_hits_per_batch_request"] == 2.0
+    assert canonical_sha256(blob) == SMOKE_SHA256
 
 
 def test_federation_bench_rerun_determinism():
