@@ -217,8 +217,10 @@ class ExchangeRequest:
     def to_document(self) -> dict[str, Any]:
         """The wire form of the request (profile flattened to a dict).
 
-        Used by the environment server channel and the federation's
-        gateway relays; :meth:`from_document` is the inverse.
+        The environment server channel sends it, and a federation's
+        gateway relay charges it to the link and parks it with a dead
+        letter (the relayed requests themselves cross in process);
+        :meth:`from_document` is the inverse.
         """
         return {
             "sender": self.sender,
@@ -240,7 +242,8 @@ class ExchangeRequest:
     @classmethod
     def from_document(cls, document: dict[str, Any]) -> "ExchangeRequest":
         """Rebuild a request from its wire form (tolerant of old senders
-        that omit the newer annotation fields)."""
+        that omit the newer annotation fields); the environment server
+        runs what its channel receives through it."""
         profile_fields = document.get("profile")
         return cls(
             sender=document["sender"],

@@ -107,6 +107,24 @@ class Hop:
     time: float
 
 
+class _Relayed(dict):
+    """A relayed run: its wire form, and its requests beside it in process.
+
+    The items are the wire form (the flat request document for a run of
+    one, ``{"requests": [...]}`` for more): only the relay's byte charge
+    and a dead letter's record.  The target's pipeline runs
+    :attr:`requests`; :attr:`size_bytes` is the charge the first gateway
+    took, which a failover intermediate passes on.
+    """
+
+    __slots__ = ("requests", "size_bytes")
+
+    def copy(self) -> "_Relayed":
+        twin = _Relayed(self)
+        twin.requests, twin.size_bytes = self.requests, self.size_bytes
+        return twin
+
+
 @dataclass(frozen=True, slots=True)
 class FederatedOutcome:
     """A cross-domain exchange outcome with its hop metadata.
@@ -619,12 +637,13 @@ class Federation:
             # a lone request is one run and needs no re-route rounds:
             # only a delivery earlier in the same batch can re-home its
             # receiver
-            result = self._exchange_run(self._route_of(request), [request])[0]
-            span.tag(
-                delivered=result.delivered,
-                target=result.target,
-                reason_code=result.reason_code,
-            )
+            result = self._exchange_run(self._route_of(request), (request,))[0]
+            if self._trace.enabled:
+                span.tag(
+                    delivered=result.delivered,
+                    target=result.target,
+                    reason_code=result.reason_code,
+                )
             return result
 
     def federated_exchange_many(
@@ -740,7 +759,7 @@ class Federation:
                 rerouted.append(index)
 
     def _exchange_run(
-        self, route: tuple[str, str | None], run: list[ExchangeRequest]
+        self, route: tuple[str, str | None], run: Sequence[ExchangeRequest]
     ) -> list[FederatedOutcome]:
         """One same-route run's outcomes, in order."""
         origin = self._domains[route[0]]
@@ -808,7 +827,7 @@ class Federation:
         )
 
     def _local_exchange_run(
-        self, origin: Domain, run: list[ExchangeRequest]
+        self, origin: Domain, run: Sequence[ExchangeRequest]
     ) -> list[FederatedOutcome]:
         """Run an intra-domain run through the home environment's pipeline.
 
@@ -818,43 +837,37 @@ class Federation:
         one request left enters through ``env.exchange``, a longer run
         through one ``env.exchange_many`` call.
         """
-        obs = self._metrics
         env = origin.env
-        started = self.world.now
-        results: list[FederatedOutcome | None] = [None] * len(run)
-        shipped_indices: list[int] = []
+        engine = self.world.engine
+        started = engine.now
+        results: list[FederatedOutcome | None] = []
         shipped: list[ExchangeRequest] = []
-        for index, request in enumerate(run):
+        for request in run:
             expires_at, refusal = self._expiry(env, request, started)
-            if refusal is not None:
-                hops = (Hop(origin.name, "local", started),)
-                results[index] = self._refused(origin, "", refusal, hops)
-                continue
-            shipped_indices.append(index)
-            shipped.append(
-                request
-                if request.deadline == expires_at
-                else replace(request, deadline=expires_at)
-            )
-        if shipped:
-            if obs.enabled:
-                obs.inc("env.federation.local", len(shipped))
-            if len(shipped) == 1:
-                exchange_outcomes = [env.exchange(shipped[0])]
-            else:
-                exchange_outcomes = env.exchange_many(shipped)
-            now = self.world.now
-            hops = (Hop(origin.name, "local", now),)
-            latency = now - started
-            for index, outcome in zip(shipped_indices, exchange_outcomes):
-                results[index] = FederatedOutcome(
-                    outcome=outcome,
-                    origin=origin.name,
-                    target=origin.name,
-                    hops=hops,
-                    latency_s=latency,
+            if refusal is None:
+                results.append(None)
+                shipped.append(
+                    request
+                    if request.deadline == expires_at
+                    else replace(request, deadline=expires_at)
                 )
-        return results  # type: ignore[return-value]
+            else:
+                hops = (Hop(origin.name, "local", started),)
+                results.append(self._refused(origin, "", refusal, hops))
+        if not shipped:
+            return results  # type: ignore[return-value]
+        if self._metrics.enabled:
+            self._metrics.inc("env.federation.local", len(shipped))
+        outcomes = iter(
+            (env.exchange(shipped[0]),) if len(shipped) == 1 else env.exchange_many(shipped)
+        )
+        now = engine.now
+        hops = (Hop(origin.name, "local", now),)
+        latency = now - started
+        return [
+            result or FederatedOutcome(next(outcomes), origin.name, origin.name, hops, 1, latency)
+            for result in results
+        ]
 
     def _mediation_metadata(
         self, origin: Domain, request: ExchangeRequest
@@ -895,20 +908,23 @@ class Federation:
         """Relay one same-route run as a single gateway round trip.
 
         The origin's stages of the environment's stage list are decided
-        per request before shipping.  The survivors travel as one
-        payload — the flat request document for a run of one,
-        ``{"requests": [...]}`` for more — that the target's relay
-        handler feeds into its environment's pipeline.  One relay id
-        covers the run, so retries deduplicate the whole run at once.
+        per request before shipping.  The survivors cross to the target
+        in process, as the requests its relay handler feeds into its
+        environment's pipeline: deadlines clamped here, each document
+        copied once, at call time.  Beside them travels their wire form
+        (:class:`_Relayed`), which the gateway charges to the link and a
+        dead letter keeps.  One relay id covers the run, so retries
+        deduplicate the whole run at once.
         """
         obs = self._metrics
         env = origin.env
-        started = self.world.now
+        engine = self.world.engine
+        started = engine.now
         origin_hop = Hop(origin.name, "origin", started)
         results: list[FederatedOutcome | None] = [None] * len(run)
         shipped: list[int] = []
         documents: list[dict[str, Any]] = []
-        expiries: list[float | None] = []
+        requests: list[ExchangeRequest] = []
         previous: ExchangeRequest | None = None
         remote = 0
         for index, request in enumerate(run):
@@ -931,28 +947,26 @@ class Federation:
                 mediation = self._mediation_metadata(origin, request)
                 if mediation is not None:
                     document["mediation"] = mediation
-            document["document"] = dict(request.document)
+            # the one copy: the wire form and the handed request share it
+            document["document"] = copied = dict(request.document)
             document["deadline"] = expires_at
             documents.append(document)
+            requests.append(ExchangeRequest(
+                request.sender, request.receiver, request.sender_app,
+                request.receiver_app, copied, request.activity_id, request.profile,
+                request.interaction, expires_at, request.priority,
+                request.shed_class, request.min_fidelity,
+            ))
             shipped.append(index)
-            expiries.append(expires_at)
             previous = request
         if obs.enabled and remote:
             obs.inc("env.federation.remote", remote)
         if not shipped:
             return results  # type: ignore[return-value]
-        # The gateway-level deadline only applies when every shipped
-        # request carries one (the loosest wins; per-request deadlines
-        # are still enforced by the target pipeline).
-        group_deadline = None if None in expiries else max(expiries)
-        payload = documents[0] if len(documents) == 1 else {"requests": documents}
-        # The origin's span identity rides the payload: every hop
-        # (gateway, forwarder, target pipeline) continues this trace.
+        payload = _Relayed(documents[0] if len(documents) == 1 else {"requests": documents})
         payload["origin"] = origin.name
-        context = self._trace.current_context()
-        if context is not None:
-            payload[TRACE_KEY] = context.to_document()
-        gateway = origin.gateway_to(target.name)
+        payload.requests = requests
+        gateway = origin.gateways[target.name]
         if self._resilience and not gateway.ready():
             # The direct gateway is not ready (breaker open or a
             # control-plane drain): route via a healthy intermediate,
@@ -961,32 +975,36 @@ class Federation:
             if via is not None:
                 if obs.enabled:
                     obs.inc("env.federation.failover")
-                gateway = origin.gateway_to(via.name)
+                gateway = origin.gateways[via.name]
                 payload["final_target"] = target.name
-        holder: dict[str, Any] = {}
-
-        def on_reply(reply: dict[str, Any], attempts: int) -> None:
-            holder["reply"] = reply
-            holder["attempts"] = attempts
-
-        def on_dead_letter(letter: DeadLetter) -> None:
-            holder["dead_letter"] = letter
-
-        gateway.relay(payload, on_reply, on_dead_letter, deadline=group_deadline)
+        # The gateway's span continues this call's open span, and every
+        # later hop (forwarder, target pipeline) continues the gateway's.
+        context = self._trace.current_context()
+        settled: list[Any] = []
+        # The gateway-level deadline only applies when every shipped
+        # request carries one (the loosest wins; per-request deadlines
+        # are still enforced by the target pipeline).
+        expiries = [request.deadline for request in requests]
+        payload.size_bytes = gateway.relay(
+            payload,
+            lambda reply, attempts: settled.append((reply, attempts)),
+            settled.append,
+            None if None in expiries else max(expiries),
+        )
         # Step the engine until the relay settles (reply or dead letter).
-        engine = self.world.engine
-        while "reply" not in holder and "dead_letter" not in holder:
-            if not engine.step():  # pragma: no cover - timeouts guarantee progress
+        step = engine.step
+        while not settled:
+            if not step():  # pragma: no cover - timeouts guarantee progress
                 raise ConfigurationError(
                     f"relay {origin.name}->{target.name} neither replied nor timed out"
                 )
-        now = self.world.now
+        now = engine.now
         latency = now - started
         failure: _Refusal | None = None
-        if "dead_letter" in holder:
-            letter: DeadLetter = holder["dead_letter"]
+        relay_hops: list[Hop] = []
+        if settled[0].__class__ is DeadLetter:
+            letter: DeadLetter = settled[0]
             attempts = letter.attempts
-            hops: tuple[Hop, ...] = (origin_hop,)
             if letter.reason == REASON_RELAY_DEADLINE:
                 failure = _Refusal(
                     REASON_DEADLINE_EXCEEDED,
@@ -1002,10 +1020,10 @@ class Federation:
                     f"{attempts} attempts; payload parked in dead-letter queue",
                 )
         else:
-            reply = holder["reply"]
-            relay_path = reply.get("relay_path", ())
-            hops = (origin_hop, *(Hop(h["domain"], "relay", h["at"]) for h in relay_path))
-            attempts = holder["attempts"] + sum(h.get("attempts", 0) for h in relay_path)
+            reply, attempts = settled[0]
+            for hop in reply.get("relay_path", ()):
+                relay_hops.append(Hop(hop["domain"], "relay", hop["at"]))
+                attempts += hop["attempts"]
             if "error" in reply:
                 failure = _Refusal(
                     REASON_GATEWAY_DEAD_LETTER,
@@ -1024,6 +1042,7 @@ class Federation:
                 if failure.code == REASON_DEADLINE_EXCEEDED
                 else "env.federation.dead_letters"
             )
+            hops: tuple[Hop, ...] = (origin_hop, *relay_hops)
             for index in shipped:
                 if obs.enabled:
                     obs.inc(counter)
@@ -1032,7 +1051,8 @@ class Federation:
                 )
             return results  # type: ignore[return-value]
         hops = (
-            *hops,
+            origin_hop,
+            *relay_hops,
             Hop(target.name, "deliver", reply["handled_at"]),
             Hop(origin.name, "reply", now),
         )
@@ -1046,12 +1066,7 @@ class Federation:
             if obs.enabled and outcome.delivered:
                 obs.inc("env.federation.delivered")
             results[index] = FederatedOutcome(
-                outcome=outcome,
-                origin=origin.name,
-                target=target.name,
-                hops=hops,
-                attempts=attempts,
-                latency_s=latency,
+                outcome, origin.name, target.name, hops, attempts, latency
             )
         if obs.enabled:
             obs.observe("env.federation.relay_latency_s", latency)
@@ -1078,7 +1093,7 @@ class Federation:
                 return via
         return None
 
-    def _handle_relay(self, domain: Domain, payload: dict[str, Any]) -> Any:
+    def _handle_relay(self, domain: Domain, payload: _Relayed) -> Any:
         """Inbound gateway handler: dedup, forward on, or run the pipeline.
 
         Gateways are at-least-once on the wire; the ``relay_id`` dedup
@@ -1089,42 +1104,40 @@ class Federation:
         forwarded through this domain's own gateway (the transport holds
         the inbound request open via a deferred reply meanwhile).
 
-        Otherwise the payload carries one run — the flat request document
-        or ``{"requests": [...]}`` — which enters this environment's
-        pipeline (through ``exchange`` for one request, ``exchange_many``
-        for more) and gets one reply.  The reply hands the frozen
-        :class:`ExchangeOutcome` objects back in process: the transport
-        charges every reply a constant 128 bytes, so its form never moves
-        simulated time.
+        Otherwise the payload's requests, handed across in process as
+        the origin clamped them, enter this environment's pipeline
+        (through ``exchange`` for one request, ``exchange_many`` for
+        more) and get one reply.  The reply hands the frozen
+        :class:`ExchangeOutcome` objects back in process too: the
+        transport charges every reply a constant 128 bytes, so its form
+        never moves simulated time.
         """
-        relay_id = payload.get("relay_id")
-        if relay_id is not None and relay_id in domain.relay_seen:
+        relay_id = payload["relay_id"]
+        if relay_id in domain.relay_seen:
             if self._metrics.enabled:
                 self._metrics.inc("gateway.deduplicated")
             return domain.relay_seen[relay_id]
         final = payload.get("final_target")
         if final is not None and final != domain.name:
             return self._forward_relay(domain, payload, final)
-        documents = payload["requests"] if "requests" in payload else [payload]
-        requests = list(map(ExchangeRequest.from_document, documents))
+        requests = payload.requests
+        documents = payload["requests"] if "requests" in payload else (payload,)
         if self._metrics.enabled:
             self._m_inbound.inc(len(requests))
-            mediated = 0
-            for document in documents:
-                mediated += "mediation" in document
+            mediated = sum("mediation" in document for document in documents)
             if mediated:
                 self._metrics.inc("mediation.plan.relayed", mediated)
         # Continue the trace the payload carries: the target pipeline's
         # span nests under this one, so the outcomes' trace_id is the
         # origin's — the receiving half of propagation.
+        context = (
+            TraceContext.from_document(payload.get(TRACE_KEY)) if self._trace.enabled else None
+        )
         with self._trace.span_from_context(
-            "federation.relay",
-            TraceContext.from_document(payload.get(TRACE_KEY)),
-            domain=domain.name,
-            batch=len(requests),
+            "federation.relay", context, domain=domain.name, batch=len(requests)
         ) as span:
             mediation = documents[0].get("mediation")
-            if mediation is not None and span is not None:
+            if mediation is not None:
                 span.tag(
                     mediated_fidelity=mediation.get("fidelity"),
                     mediated_hops=mediation.get("hops"),
@@ -1133,31 +1146,28 @@ class Federation:
                 outcomes = [domain.env.exchange(requests[0])]
             else:
                 outcomes = domain.env.exchange_many(requests)
-        reply = {
-            "outcomes": outcomes,
-            "handled_at": self.world.now,
-            "domain": domain.name,
-            "relay_path": [],
-        }
-        if relay_id is not None:
-            remember_reply(domain.relay_seen, relay_id, reply)
+        reply = {"outcomes": outcomes, "handled_at": self.world.now}
+        remember_reply(domain.relay_seen, relay_id, reply)
         return reply
 
     def _forward_relay(
-        self, domain: Domain, payload: dict[str, Any], final: str
+        self, domain: Domain, payload: _Relayed, final: str
     ) -> DeferredReply:
-        """Forward a failover relay from intermediate *domain* to *final*."""
+        """Forward a failover relay from intermediate *domain* to *final*,
+        charged the wire size the first gateway took."""
         obs = self._metrics
         if obs.enabled:
             obs.inc("env.federation.forwarded")
         deferred = DeferredReply()
-        relay_id = payload.get("relay_id")
+        relay_id = payload["relay_id"]
         forwarded_at = self.world.now
-        if relay_id is not None:
-            # Cache the in-flight deferred so a duplicate of the inbound
-            # leg latches onto the same forwarding, not a second one.
-            remember_reply(domain.relay_seen, relay_id, deferred)
+        # Cache the in-flight deferred so a duplicate of the inbound leg
+        # latches onto the same forwarding, not a second one.
+        remember_reply(domain.relay_seen, relay_id, deferred)
         span: Span | None = None
+        # The onward leg gets its own trace stamp: the inbound payload
+        # stays as the previous hop sent it.
+        payload = payload.copy()
         if self._trace.enabled:
             # A detached span for the forwarding leg: it stays open
             # across the async relay, and the re-stamped payload parents
@@ -1169,7 +1179,6 @@ class Federation:
                 via=domain.name,
                 final=final,
             )
-            payload = dict(payload)
             payload[TRACE_KEY] = TraceContext(
                 span.trace_id, span.span_id, span.sampled
             ).to_document()
@@ -1181,13 +1190,10 @@ class Federation:
 
         def on_reply(reply: Any, attempts: int) -> None:
             close_span("delivered")
-            if isinstance(reply, dict) and "relay_path" in reply:
-                reply = dict(reply)
-                reply["relay_path"] = [
-                    {"domain": domain.name, "at": forwarded_at, "attempts": attempts}
-                ] + list(reply["relay_path"])
-            if relay_id is not None:
-                remember_reply(domain.relay_seen, relay_id, reply)
+            if "error" not in reply:
+                hop = {"domain": domain.name, "at": forwarded_at, "attempts": attempts}
+                reply = {**reply, "relay_path": [hop, *reply.get("relay_path", ())]}
+            remember_reply(domain.relay_seen, relay_id, reply)
             deferred.resolve(reply)
 
         def on_dead_letter(letter: DeadLetter) -> None:
@@ -1197,28 +1203,21 @@ class Federation:
                 if letter.reason == REASON_RELAY_DEADLINE
                 else REASON_GATEWAY_DEAD_LETTER
             )
+            hop = {"domain": domain.name, "at": forwarded_at, "attempts": letter.attempts}
             failure = {
                 "failed": code,
-                "detail": (
-                    f"forwarded relay {domain.name}->{final} failed "
-                    f"({letter.reason}) after {letter.attempts} attempts"
-                ),
-                "relay_path": [
-                    {
-                        "domain": domain.name,
-                        "at": forwarded_at,
-                        "attempts": letter.attempts,
-                    }
-                ],
+                "detail": f"forwarded relay {domain.name}->{final} failed "
+                f"({letter.reason}) after {letter.attempts} attempts",
+                "relay_path": [hop],
             }
-            if relay_id is not None:
-                remember_reply(domain.relay_seen, relay_id, failure)
+            remember_reply(domain.relay_seen, relay_id, failure)
             deferred.resolve(failure)
 
         # Every ordered pair of domains has a gateway (``_wire_pair``), and
         # ``final`` is always a federation domain: the lookup cannot miss.
         domain.gateway_to(final).relay(
-            dict(payload), on_reply, on_dead_letter, deadline=payload.get("deadline")
+            payload, on_reply, on_dead_letter,
+            deadline=payload.get("deadline"), size_bytes=payload.size_bytes,
         )
         return deferred
 

@@ -80,6 +80,8 @@ class DeadLetter:
     attempts: int
     reason: str
     parked_at: float
+    #: the payload's wire charge, taken once when it was first relayed
+    size_bytes: int
     #: original completion callbacks, reused on redrive
     _on_reply: RelayReply = field(repr=False)
     _on_dead_letter: RelayFailed | None = field(default=None, repr=False)
@@ -182,7 +184,8 @@ class Gateway(StoreAndForward):
         on_reply: RelayReply,
         on_dead_letter: RelayFailed | None = None,
         deadline: float | None = None,
-    ) -> None:
+        size_bytes: int | None = None,
+    ) -> int:
         """Relay *payload* to the target domain's gateway endpoint.
 
         *on_reply* fires with (reply_document, attempts) once the remote
@@ -192,10 +195,19 @@ class Gateway(StoreAndForward):
         fires per relay.  *deadline* (absolute simulated time) clamps
         the budget; a relay unsettled at its deadline fails with
         :data:`REASON_RELAY_DEADLINE` without being parked.
+
+        The payload is charged to the link once, not per attempt: its
+        ``document_size`` is taken after its ``relay_id`` is stamped and
+        before any trace context is written, since tracing must not move
+        simulated time.  A redriven letter and a forwarded relay pass the
+        charge taken when the payload was first relayed as *size_bytes*.
+        Returns the charge.
         """
         self.relays += 1
         self.in_flight += 1
         self.stamp(payload)
+        if size_bytes is None:
+            size_bytes = document_size(payload)
         span = None
         if self._tracer.enabled:
             # Continue the trace the payload carries (or the caller's open
@@ -212,17 +224,15 @@ class Gateway(StoreAndForward):
             payload[TRACE_KEY] = TraceContext(
                 span.trace_id, span.span_id, span.sampled
             ).to_document()
-
-        def fail(attempts: int, reason: str) -> None:
-            self._fail(payload, on_reply, on_dead_letter, span, attempts, reason)
-
         if deadline is not None and self._engine.now >= deadline:
-            fail(0, REASON_RELAY_DEADLINE)
-            return
+            self._fail(payload, size_bytes, on_reply, on_dead_letter, span, 0,
+                       REASON_RELAY_DEADLINE)
+            return size_bytes
         if self.breaker is not None and not self.breaker.allow():
             self.fast_failed += 1
-            fail(0, REASON_RELAY_CIRCUIT_OPEN)
-            return
+            self._fail(payload, size_bytes, on_reply, on_dead_letter, span, 0,
+                       REASON_RELAY_CIRCUIT_OPEN)
+            return size_bytes
 
         def delivered(reply: Any, attempts: int, sent_at: float) -> None:
             self.in_flight -= 1
@@ -233,21 +243,17 @@ class Gateway(StoreAndForward):
                 latency = self._engine.now - sent_at
                 self._obs.observe("gateway.latency_s", latency, buckets=LATENCY_BUCKETS)
                 self._m_latency.observe(latency)
-            self._close_span(span, "delivered", attempts)
+            if span is not None:
+                self._close_span(span, "delivered", attempts)
             on_reply(reply, attempts)
 
         def failed(attempts: int, expired: bool) -> None:
             self._note_failure()
-            fail(attempts, REASON_RELAY_DEADLINE if expired else REASON_RELAY_TIMEOUT)
+            self._fail(payload, size_bytes, on_reply, on_dead_letter, span, attempts,
+                       REASON_RELAY_DEADLINE if expired else REASON_RELAY_TIMEOUT)
 
-        # The wire charge is the exchange payload alone: the trace context
-        # stamped on it must not change simulated time, or tracing would
-        # move every hop it observes.
-        size_bytes = document_size(
-            {key: value for key, value in payload.items() if key != TRACE_KEY}
-            if TRACE_KEY in payload else payload
-        )
         self.send(payload, size_bytes, delivered, failed, deadline)
+        return size_bytes
 
     def _retried(self) -> None:
         self._note_failure()
@@ -265,6 +271,7 @@ class Gateway(StoreAndForward):
     def _fail(
         self,
         payload: dict[str, Any],
+        size_bytes: int,
         on_reply: RelayReply,
         on_dead_letter: RelayFailed | None,
         span: Span | None,
@@ -300,6 +307,7 @@ class Gateway(StoreAndForward):
             attempts=attempts,
             reason=reason,
             parked_at=self._engine.now,
+            size_bytes=size_bytes,
             _on_reply=on_reply,
             _on_dead_letter=on_dead_letter,
         )
@@ -314,8 +322,10 @@ class Gateway(StoreAndForward):
         Redriving is an operator assertion that the link is back: the
         breaker (when present) is reclosed first so the redriven relays
         are admitted.  Each redriven payload gets a fresh attempt budget
-        with its original callbacks; letters that fail again are parked
-        again as new entries.  Returns the number of letters redriven.
+        with its original callbacks and wire charge (the payload now
+        carries a trace context, which the charge leaves out); letters
+        that fail again are parked again as new entries.  Returns the
+        number of letters redriven.
         """
         if self.breaker is not None:
             self.breaker.reset()
@@ -329,7 +339,10 @@ class Gateway(StoreAndForward):
             )
         for letter in parked:
             letter.redriven = True
-            self.relay(letter.payload, letter._on_reply, letter._on_dead_letter)
+            self.relay(
+                letter.payload, letter._on_reply, letter._on_dead_letter,
+                size_bytes=letter.size_bytes,
+            )
         return len(parked)
 
     def stats(self) -> dict[str, int]:

@@ -237,41 +237,37 @@ class Network:
         silent at the sender — exactly like a real datagram network — but
         are counted in the ``net.packets{outcome}`` family.
         """
-        src = self.node(source)
-        dst = self.node(destination)
-        packet = Packet(
-            source=source,
-            destination=destination,
-            port=port,
-            payload=payload,
-            size_bytes=size_bytes,
-            sent_at=self.engine.now,
-        )
+        nodes = self._nodes
+        src = nodes.get(source) or self.node(source)
+        dst = nodes.get(destination) or self.node(destination)
+        engine = self.engine
+        packet = Packet(source, destination, port, payload, size_bytes, engine.now)
         self._m_sent.inc()
-        if not src.is_up:
+        if not src._up:
             self._m_source_down.inc()
             return packet
-        link = self.link_between(source, destination)
+        link = self._links.get((source, destination)) or self.link_between(source, destination)
         if link.loss > 0 and self.rng.chance(link.loss):
             self._m_loss.inc()
             return packet
         delay = link.transmission_delay(size_bytes, self.rng)
-
-        def arrive() -> None:
-            if not self.reachable(source, destination):
-                self._m_partition.inc()
-                return
-            if not dst.is_up:
-                self._m_destination_down.inc()
-                return
-            packet.delivered_at = self.engine.now
-            if dst.deliver(packet):
-                self._m_delivered.inc()
-            else:
-                self._m_no_handler.inc()
-
-        self.engine.schedule(delay, arrive)
+        engine.schedule_at(engine.now + delay, lambda: self._arrive(packet, dst))
         return packet
+
+    def _arrive(self, packet: Packet, dst: Node) -> None:
+        """A packet's transmission delay is over: deliver it, or count
+        why it could not be."""
+        if not self.reachable(packet.source, packet.destination):
+            self._m_partition.inc()
+            return
+        if not dst._up:
+            self._m_destination_down.inc()
+            return
+        packet.delivered_at = self.engine.now
+        if dst.deliver(packet):
+            self._m_delivered.inc()
+        else:
+            self._m_no_handler.inc()
 
     def broadcast(
         self,

@@ -17,13 +17,13 @@ Two facilities, the second built on the first:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.sim.engine import EventHandle
 from repro.sim.network import Network, Packet
 from repro.util.errors import ConfigurationError
-from repro.util.ids import IdFactory
 
 #: the wire size every RPC reply is charged
 REPLY_SIZE_BYTES = 128
@@ -84,16 +84,19 @@ class RequestReply:
         self._network = network
         self._engine = network.engine
         self._local = local
-        self._port = port
-        self._ids = IdFactory(width=6)
+        #: numbers this endpoint's request ids: ``req-000001``, ...
+        self._request_seq = itertools.count(1)
         self._pending: dict[str, _PendingRequest] = {}
         self._operations: dict[str, Callable[[Any], Any]] = {}
         self.requests_sent = 0
         self.replies_received = 0
         self.timeouts = 0
+        #: this endpoint's request and reply port names
+        self._request_port = f"{port}.req"
+        self._reply_port = f"{port}.rep"
         node = network.node(local)
-        node.bind(f"{port}.req", self._handle_request)
-        node.bind(f"{port}.rep", self._handle_reply)
+        node.bind(self._request_port, self._handle_request)
+        node.bind(self._reply_port, self._handle_reply)
 
     def serve(self, operation: str, handler: Callable[[Any], Any]) -> None:
         """Expose *operation*; the handler maps request body -> reply body."""
@@ -119,23 +122,22 @@ class RequestReply:
         *timeout_s* ``None`` no timer is armed: the request stays pending
         until its reply arrives or the caller calls :meth:`drop`.
         """
-        request_id = self._ids.next("req")
+        request_id = f"req-{next(self._request_seq):06d}"
         pending = _PendingRequest(request_id, on_reply, on_timeout)
         self._pending[request_id] = pending
         self.requests_sent += 1
-        target_port = server_port if server_port is not None else self._port
         self._network.send(
             self._local,
             server,
-            f"{target_port}.req",
+            self._request_port if server_port is None else f"{server_port}.req",
             {
                 "id": request_id,
                 "op": operation,
                 "body": body,
                 "reply_to": self._local,
-                "reply_port": f"{self._port}.rep",
+                "reply_port": self._reply_port,
             },
-            size_bytes=size_bytes,
+            size_bytes,
         )
         if timeout_s is not None:
             pending.timer = self._engine.schedule(
@@ -163,30 +165,30 @@ class RequestReply:
 
     def _handle_request(self, packet: Packet) -> None:
         message = packet.payload
-        reply_port = message.get("reply_port", f"{self._port}.rep")
-
-        def send_reply(kind: str, value: Any) -> None:
-            self._network.send(
-                self._local,
-                message["reply_to"],
-                reply_port,
-                {"id": message["id"], kind: value},
-                size_bytes=REPLY_SIZE_BYTES,
-            )
-
         handler = self._operations.get(message["op"])
         if handler is None:
-            send_reply("error", f"unknown operation {message['op']!r}")
+            self._reply(message, "error", f"unknown operation {message['op']!r}")
             return
         try:
             result = handler(message["body"])
         except Exception as exc:  # deliberate: errors travel back to caller
-            send_reply("error", f"{type(exc).__name__}: {exc}")
+            self._reply(message, "error", f"{type(exc).__name__}: {exc}")
             return
         if isinstance(result, DeferredReply):
-            result._wire(send_reply)
+            result._wire(lambda kind, value: self._reply(message, kind, value))
             return
-        send_reply("body", result)
+        self._reply(message, "body", result)
+
+    def _reply(self, message: dict[str, Any], kind: str, value: Any) -> None:
+        """Answer the request *message* with its reply (*kind* is
+        ``"body"`` or ``"error"``)."""
+        self._network.send(
+            self._local,
+            message["reply_to"],
+            message.get("reply_port", self._reply_port),
+            {"id": message["id"], kind: value},
+            REPLY_SIZE_BYTES,
+        )
 
     def _handle_reply(self, packet: Packet) -> None:
         message = packet.payload
@@ -292,7 +294,8 @@ class StoreAndForward:
         self.server = server
         self._operation = operation
         self._namespace = namespace
-        self._ids = IdFactory(width=6)
+        #: numbers this relay's ids: ``<namespace>-000001``, ...
+        self._relay_seq = itertools.count(1)
         self._retry_s = retry_s
         self._backoff = backoff
         self.set_attempt_budget(max_attempts)
@@ -322,7 +325,7 @@ class StoreAndForward:
         """Give *payload* a fresh ``relay_id`` unless it carries one (a
         redriven or forwarded payload keeps its id)."""
         if "relay_id" not in payload:
-            payload["relay_id"] = self._ids.next(self._namespace)
+            payload["relay_id"] = f"{self._namespace}-{next(self._relay_seq):06d}"
 
     def send(
         self,
@@ -374,9 +377,9 @@ class StoreAndForward:
             size_bytes=relay.size_bytes,
         ))
         if attempt < self._max_attempts:
-            delay = relay.retry_s * (self._backoff ** (attempt - 1))
-            if sent_at + delay < relay.park_at:
-                relay.timer = self._engine.schedule(delay, lambda: self._retry(relay))
+            retry_at = sent_at + relay.retry_s * (self._backoff ** (attempt - 1))
+            if retry_at < relay.park_at:
+                relay.timer = self._engine.schedule_at(retry_at, lambda: self._retry(relay))
                 return
         self._arm_close(relay)
 
@@ -414,7 +417,8 @@ class StoreAndForward:
         relay.settled = True
         # No retry is due any more; the window stays open only while an
         # attempt's reply is still out, so a late one counts as a duplicate.
-        self._disarm(relay)
+        relay.timer.cancel()
+        relay.timer = None
         if relay.replies < relay.attempts:
             self._arm_close(relay)
         relay.on_reply(reply, relay.attempts, sent_at)

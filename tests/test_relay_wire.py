@@ -7,15 +7,20 @@ trace context, whichever path the relay takes (one request or a batched
 run, mediated, failed over through an intermediate, redriven) and
 whether or not a tracer stamped it.  A parked payload is the one taken
 at call time: a caller that mutates its document after the relay was
-dead-lettered does not change what a redrive delivers.
+dead-lettered does not change what a redrive delivers.  The requests
+themselves cross in process, every field as the caller gave it except
+the deadline, which the origin clamps.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
 from repro.environment.environment import ExchangeRequest
 from repro.environment.registry import AppDescriptor, Q_DIFFERENT_TIME_DIFFERENT_PLACE
+from repro.environment.transparency import TransparencyProfile
 from repro.federation import Federation
 from repro.federation.gateway import GATEWAY_PORT
 from repro.information.interchange import FormatConverter, make_common
@@ -170,3 +175,25 @@ def test_redrive_delivers_the_document_taken_at_call_time(traced):
     assert gateway.redrive() == 1
     world.run_for(5.0)
     assert inbox == [("p-gmd", {"fmt1-title": "minutes", "fmt1-body": "agenda"})]
+
+
+def test_requests_cross_in_process_as_the_origin_clamped_them(monkeypatch):
+    world, federation, inbox = make_federation(False, default_deadline_s=30.0)
+    federation.create_shared_activity("act", "review", {"p-upc": "author", "p-gmd": "reviewer"})
+    target = federation.domain("gmd").env
+    received: list = []
+    exchange = target.exchange
+
+    def recording(request):
+        received.append(request)
+        return exchange(request)
+
+    monkeypatch.setattr(target, "exchange", recording)
+    sent = request(
+        "p-upc", "p-gmd", activity_id="act", profile=TransparencyProfile(time=False),
+        priority=2, shed_class="minutes", min_fidelity=0.5,
+    )
+    assert federation.federated_exchange(sent).delivered
+    # every field crosses, the deadline clamped by the origin's default
+    assert received == [replace(sent, deadline=30.0)]
+    assert received[0].document is not sent.document
