@@ -39,14 +39,14 @@ plus hop metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
 from repro.communication.model import Communicator
 from repro.environment.environment import (
     _ALL_ON,
     REASON_DEADLINE_EXCEEDED,
     REASON_UNKNOWN_RECEIVER,
-    CSCWEnvironment,
     ExchangeOutcome,
     ExchangeRequest,
     _Refusal,
@@ -98,9 +98,9 @@ BREAKER_THRESHOLD = 4
 BREAKER_COOLDOWN_S = 30.0
 
 
-@dataclass(frozen=True, slots=True)
-class Hop:
-    """One step in a federated exchange's path, stamped in simulated time."""
+class Hop(NamedTuple):
+    """One step in a federated exchange's path, stamped in simulated time
+    (a named tuple: every exchange builds one to three, at C speed)."""
 
     domain: str
     role: str  # "local" | "origin" | "deliver" | "reply"
@@ -118,6 +118,16 @@ class _Relayed(dict):
     """
 
     __slots__ = ("requests", "size_bytes")
+
+    def park(self) -> None:
+        """Point the requests at the wire form's call-time document copies:
+        a relay that failed can still be redriven, or a late attempt
+        handled, after its caller changed the documents it passed."""
+        documents = self["requests"] if "requests" in self else (self,)
+        self.requests[:] = [
+            replace(request, document=document["document"])
+            for request, document in zip(self.requests, documents)
+        ]
 
     def copy(self) -> "_Relayed":
         twin = _Relayed(self)
@@ -267,7 +277,7 @@ class Federation:
             mediation=self._mediation,
         )
         domain.gateway_rpc.serve(
-            "relay", lambda payload, d=domain: self._handle_relay(d, payload)
+            "relay", partial(self._handle_relay, domain)
         )
         domain.gateway_rpc.serve(
             "ping", lambda body, d=domain: {"domain": d.name, "at": self.world.now}
@@ -631,19 +641,19 @@ class Federation:
         pipeline all continue the *same* trace, and the returned
         outcome's ``trace_id`` is that root's trace id.
         """
+        # a lone request is one run and needs no re-route rounds: only a
+        # delivery earlier in the same batch can re-home its receiver
+        if not self._trace.enabled:  # no root span to open
+            return self._exchange_run(self._route_of(request), (request,))[0]
         with self._trace.span(
             "federation.exchange", sender=request.sender, receiver=request.receiver
         ) as span:
-            # a lone request is one run and needs no re-route rounds:
-            # only a delivery earlier in the same batch can re-home its
-            # receiver
             result = self._exchange_run(self._route_of(request), (request,))[0]
-            if self._trace.enabled:
-                span.tag(
-                    delivered=result.delivered,
-                    target=result.target,
-                    reason_code=result.reason_code,
-                )
+            span.tag(
+                delivered=result.delivered,
+                target=result.target,
+                reason_code=result.reason_code,
+            )
             return result
 
     def federated_exchange_many(
@@ -789,22 +799,15 @@ class Federation:
         if self._metrics.enabled:
             self._m_exchanges.inc()
         now = self.world.now
-        refusal = self._expiry(origin.env, request, now)[1]
-        if refusal is None:
+        refusal = origin.env._expiry(request, now)[1]
+        if refusal is not None:
+            if self._metrics.enabled:
+                self._metrics.inc("env.federation.expired")
+        else:
             if self._metrics.enabled:
                 self._metrics.inc("env.federation.unknown_receiver")
             refusal = _Refusal(REASON_UNKNOWN_RECEIVER, unknown_receiver_reason(request.receiver))
         return self._refused(origin, "", refusal, (Hop(origin.name, "local", now),))
-
-    def _expiry(
-        self, env: CSCWEnvironment, request: ExchangeRequest, now: float
-    ) -> "tuple[float | None, _Refusal | None]":
-        """The environment's deadline stage, decided at the origin and
-        counted as ``env.federation.expired``."""
-        expires_at, refusal = env._expiry(request, now)
-        if refusal is not None and self._metrics.enabled:
-            self._metrics.inc("env.federation.expired")
-        return expires_at, refusal
 
     def _refused(
         self,
@@ -837,37 +840,41 @@ class Federation:
         one request left enters through ``env.exchange``, a longer run
         through one ``env.exchange_many`` call.
         """
+        obs = self._metrics
         env = origin.env
         engine = self.world.engine
         started = engine.now
-        results: list[FederatedOutcome | None] = []
+        results: list[FederatedOutcome | None] = [None] * len(run)
+        indices: list[int] = []
         shipped: list[ExchangeRequest] = []
-        for request in run:
-            expires_at, refusal = self._expiry(env, request, started)
+        for index, request in enumerate(run):
+            expires_at, refusal = env._expiry(request, started)
             if refusal is None:
-                results.append(None)
+                indices.append(index)
                 shipped.append(
                     request
                     if request.deadline == expires_at
                     else replace(request, deadline=expires_at)
                 )
-            else:
-                hops = (Hop(origin.name, "local", started),)
-                results.append(self._refused(origin, "", refusal, hops))
-        if not shipped:
-            return results  # type: ignore[return-value]
-        if self._metrics.enabled:
-            self._metrics.inc("env.federation.local", len(shipped))
-        outcomes = iter(
-            (env.exchange(shipped[0]),) if len(shipped) == 1 else env.exchange_many(shipped)
-        )
-        now = engine.now
-        hops = (Hop(origin.name, "local", now),)
-        latency = now - started
-        return [
-            result or FederatedOutcome(next(outcomes), origin.name, origin.name, hops, 1, latency)
-            for result in results
-        ]
+                continue
+            if obs.enabled:
+                obs.inc("env.federation.expired")
+            hops = (Hop(origin.name, "local", started),)
+            results[index] = self._refused(origin, "", refusal, hops)
+        if shipped:
+            if obs.enabled:
+                obs.inc("env.federation.local", len(shipped))
+            outcomes = (
+                (env.exchange(shipped[0]),) if len(shipped) == 1 else env.exchange_many(shipped)
+            )
+            now = engine.now
+            hops = (Hop(origin.name, "local", now),)
+            latency = now - started
+            for index, outcome in zip(indices, outcomes):
+                results[index] = FederatedOutcome(
+                    outcome, origin.name, origin.name, hops, 1, latency
+                )
+        return results  # type: ignore[return-value]
 
     def _mediation_metadata(
         self, origin: Domain, request: ExchangeRequest
@@ -875,19 +882,17 @@ class Federation:
         """The origin mediator's plan for a relayed exchange, as envelope
         metadata.
 
-        When the origin domain runs mediated (``mediation=True``), the
+        For an origin domain that runs mediated (``mediation=True``), the
         plan the target's pipeline will effectively execute is
         synthesized here first and stamped on the relay envelope — the
         receiving side counts it (``mediation.plan.relayed``) and tags
         its relay span, so operators see mediated routes and expected
         fidelity on the wire without re-deriving them.  Returns ``None``
-        for unmediated domains, same-format pairs, unknown apps and
-        unplannable routes (the target pipeline remains authoritative
-        and will fail those its own way).
+        for same-format pairs, unknown apps and unplannable routes (the
+        target pipeline remains authoritative and will fail those its
+        own way).
         """
         mediator = origin.env.mediator
-        if mediator is None:
-            return None
         try:
             source, target = origin.env.resolution.formats(
                 request.sender_app, request.receiver_app
@@ -909,12 +914,13 @@ class Federation:
 
         The origin's stages of the environment's stage list are decided
         per request before shipping.  The survivors cross to the target
-        in process, as the requests its relay handler feeds into its
-        environment's pipeline: deadlines clamped here, each document
-        copied once, at call time.  Beside them travels their wire form
-        (:class:`_Relayed`), which the gateway charges to the link and a
-        dead letter keeps.  One relay id covers the run, so retries
-        deduplicate the whole run at once.
+        in process, deadlines clamped here, and its relay handler feeds
+        them into its environment's pipeline as they are.  Beside them
+        travels their wire form (:class:`_Relayed`), holding the one copy
+        of each document, taken at call time: the gateway charges it to
+        the link, a dead letter keeps it, and a relay that fails points
+        its requests at those copies.  One relay id covers the run, so
+        retries deduplicate the whole run at once.
         """
         obs = self._metrics
         env = origin.env
@@ -928,8 +934,11 @@ class Federation:
         previous: ExchangeRequest | None = None
         remote = 0
         for index, request in enumerate(run):
-            expires_at, refusal = self._expiry(env, request, started)
-            if refusal is None:
+            expires_at, refusal = env._expiry(request, started)
+            if refusal is not None:
+                if obs.enabled:
+                    obs.inc("env.federation.expired")
+            else:
                 remote += 1
                 active = request.profile if request.profile is not None else _ALL_ON
                 refusal = env._admit(request, active, at_origin=True)
@@ -944,19 +953,15 @@ class Federation:
                 document = dict(documents[-1])
             else:
                 document = request.to_document()
-                mediation = self._mediation_metadata(origin, request)
-                if mediation is not None:
-                    document["mediation"] = mediation
-            # the one copy: the wire form and the handed request share it
-            document["document"] = copied = dict(request.document)
+                if env.mediator is not None:
+                    mediation = self._mediation_metadata(origin, request)
+                    if mediation is not None:
+                        document["mediation"] = mediation
+            document["document"] = dict(request.document)
             document["deadline"] = expires_at
             documents.append(document)
-            requests.append(ExchangeRequest(
-                request.sender, request.receiver, request.sender_app,
-                request.receiver_app, copied, request.activity_id, request.profile,
-                request.interaction, expires_at, request.priority,
-                request.shed_class, request.min_fidelity,
-            ))
+            same = request.deadline == expires_at
+            requests.append(request if same else replace(request, deadline=expires_at))
             shipped.append(index)
             previous = request
         if obs.enabled and remote:
@@ -1033,15 +1038,11 @@ class Federation:
             elif "failed" in reply:
                 # A forwarded leg died downstream; the intermediate
                 # reported the structured failure back instead of outcomes.
-                failure = _Refusal(
-                    reply["failed"], reply.get("detail", "forwarded relay failed")
-                )
+                failure = _Refusal(reply["failed"], reply.get("detail", "forwarded relay failed"))
         if failure is not None:
-            counter = (
-                "env.federation.expired"
-                if failure.code == REASON_DEADLINE_EXCEEDED
-                else "env.federation.dead_letters"
-            )
+            payload.park()
+            expired = failure.code == REASON_DEADLINE_EXCEEDED
+            counter = "env.federation.expired" if expired else "env.federation.dead_letters"
             hops: tuple[Hop, ...] = (origin_hop, *relay_hops)
             for index in shipped:
                 if obs.enabled:
@@ -1050,12 +1051,8 @@ class Federation:
                     origin, target.name, failure, hops, attempts, latency
                 )
             return results  # type: ignore[return-value]
-        hops = (
-            origin_hop,
-            *relay_hops,
-            Hop(target.name, "deliver", reply["handled_at"]),
-            Hop(origin.name, "reply", now),
-        )
+        deliver_hop = Hop(target.name, "deliver", reply["handled_at"])
+        hops = (origin_hop, *relay_hops, deliver_hop, Hop(origin.name, "reply", now))
         # The target's outcomes carry the trace its pipeline ran under;
         # with trace propagation that is the origin's trace, which only
         # fills in for an untraced target.
@@ -1146,7 +1143,7 @@ class Federation:
                 outcomes = [domain.env.exchange(requests[0])]
             else:
                 outcomes = domain.env.exchange_many(requests)
-        reply = {"outcomes": outcomes, "handled_at": self.world.now}
+        reply = {"outcomes": outcomes, "handled_at": self.world.engine.now}
         remember_reply(domain.relay_seen, relay_id, reply)
         return reply
 
@@ -1198,6 +1195,7 @@ class Federation:
 
         def on_dead_letter(letter: DeadLetter) -> None:
             close_span(letter.reason)
+            payload.park()
             code = (
                 REASON_DEADLINE_EXCEEDED
                 if letter.reason == REASON_RELAY_DEADLINE

@@ -10,6 +10,7 @@ exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
 from repro.obs.metrics import MetricsRegistry
@@ -251,7 +252,7 @@ class Network:
             self._m_loss.inc()
             return packet
         delay = link.transmission_delay(size_bytes, self.rng)
-        engine.schedule_at(engine.now + delay, lambda: self._arrive(packet, dst))
+        engine.schedule_at(engine.now + delay, partial(self._arrive, packet, dst))
         return packet
 
     def _arrive(self, packet: Packet, dst: Node) -> None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable
 
 from repro.sim.engine import EventHandle
@@ -364,27 +365,23 @@ class StoreAndForward:
         relay.attempts += 1
         attempt = relay.attempts
         sent_at = self._engine.now
-
-        def deliver(reply: Any) -> None:
-            self._settle(relay, reply, sent_at)
-
         relay.requests.append(self._rpc.request(
             self.server,
             self._operation,
             relay.payload,
-            on_reply=deliver,
+            on_reply=partial(self._settle, relay, sent_at),
             timeout_s=None,
             size_bytes=relay.size_bytes,
         ))
         if attempt < self._max_attempts:
             retry_at = sent_at + relay.retry_s * (self._backoff ** (attempt - 1))
             if retry_at < relay.park_at:
-                relay.timer = self._engine.schedule_at(retry_at, lambda: self._retry(relay))
+                relay.timer = self._engine.schedule_at(retry_at, partial(self._retry, relay))
                 return
         self._arm_close(relay)
 
     def _arm_close(self, relay: _Relay) -> None:
-        relay.timer = self._engine.schedule_at(relay.park_at, lambda: self._close(relay))
+        relay.timer = self._engine.schedule_at(relay.park_at, partial(self._close, relay))
 
     def _retry(self, relay: _Relay) -> None:
         self.retries += 1
@@ -407,7 +404,8 @@ class StoreAndForward:
             relay.timer.cancel()
             relay.timer = None
 
-    def _settle(self, relay: _Relay, reply: Any, sent_at: float) -> None:
+    def _settle(self, relay: _Relay, sent_at: float, reply: Any) -> None:
+        """A reply to the attempt sent at *sent_at* arrived."""
         relay.replies += 1
         if relay.settled:
             self.duplicate_replies += 1

@@ -196,4 +196,3 @@ def test_requests_cross_in_process_as_the_origin_clamped_them(monkeypatch):
     assert federation.federated_exchange(sent).delivered
     # every field crosses, the deadline clamped by the origin's default
     assert received == [replace(sent, deadline=30.0)]
-    assert received[0].document is not sent.document
