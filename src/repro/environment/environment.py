@@ -215,12 +215,10 @@ class ExchangeRequest:
         )
 
     def to_document(self) -> dict[str, Any]:
-        """The wire form of the request (profile flattened to a dict).
-
-        The environment server channel sends it, and a federation's
-        gateway relay charges it to the link and parks it with a dead
-        letter (the relayed requests themselves cross in process);
-        :meth:`from_document` is the inverse.
+        """The wire form of the request (profile flattened to a dict):
+        what the environment server channel sends, and a federation
+        relay's byte charge and dead-letter record (its requests cross in
+        process).  :meth:`from_document` is the inverse.
         """
         return {
             "sender": self.sender,
@@ -241,9 +239,8 @@ class ExchangeRequest:
 
     @classmethod
     def from_document(cls, document: dict[str, Any]) -> "ExchangeRequest":
-        """Rebuild a request from its wire form (tolerant of old senders
-        that omit the newer annotation fields); the environment server
-        runs what its channel receives through it."""
+        """Rebuild a request from the server channel's wire form (tolerant
+        of old senders that omit the newer annotation fields)."""
         profile_fields = document.get("profile")
         return cls(
             sender=document["sender"],

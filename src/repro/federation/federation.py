@@ -130,6 +130,7 @@ class _Relayed(dict):
         ]
 
     def copy(self) -> "_Relayed":
+        """A shallow copy that keeps the requests and the charge."""
         twin = _Relayed(self)
         twin.requests, twin.size_bytes = self.requests, self.size_bytes
         return twin
