@@ -243,8 +243,7 @@ class Gateway(StoreAndForward):
                 latency = self._engine.now - sent_at
                 self._obs.observe("gateway.latency_s", latency, buckets=LATENCY_BUCKETS)
                 self._m_latency.observe(latency)
-            if span is not None:
-                self._close_span(span, "delivered", attempts)
+            self._close_span(span, "delivered", attempts)
             on_reply(reply, attempts)
 
         def failed(attempts: int, expired: bool) -> None:
