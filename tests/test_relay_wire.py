@@ -179,7 +179,7 @@ def test_redrive_delivers_the_document_taken_at_call_time(traced):
 
 def test_requests_cross_in_process_as_the_origin_clamped_them(monkeypatch):
     world, federation, inbox = make_federation(False, default_deadline_s=30.0)
-    federation.create_shared_activity("act", "review", {"p-upc": "author", "p-gmd": "reviewer"})
+    federation.create_shared_activity("act", "minutes", {"p-upc": "author", "p-gmd": "editor"})
     target = federation.domain("gmd").env
     received: list = []
     exchange = target.exchange
