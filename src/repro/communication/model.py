@@ -95,6 +95,10 @@ class CommunicatorRegistry:
         except KeyError:
             raise UnknownObjectError(f"no communicator for {person_id!r}") from None
 
+    def __contains__(self, person_id: object) -> bool:
+        """Whether *person_id* has a registered communicator."""
+        return person_id in self._communicators
+
     def all(self) -> list[Communicator]:
         """All registered communicators."""
         return list(self._communicators.values())

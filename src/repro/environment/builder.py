@@ -72,6 +72,7 @@ class EnvironmentBuilder:
         self._shed_limit: int | None = None
         self._default_deadline_s: float | None = None
         self._shards: int | None = None
+        self._knowledge_base: OrganisationalKnowledgeBase | None = None
         self._mediation = False
 
     # -- knobs -------------------------------------------------------------
@@ -170,18 +171,30 @@ class EnvironmentBuilder:
         """Shard the org/people KB and white pages across *n_shards* DSAs.
 
         The environment's knowledge base becomes a
-        :class:`~repro.sharding.kb.ShardedKnowledgeBase`: person lookups
-        go through an O(1) person -> org index instead of the base
-        class's linear scan, and every organisation's DIT subtree
-        (``o=<org_id>,c=ES``) lives on exactly one
-        consistent-hash-assigned shard, exposed as
+        :class:`~repro.sharding.kb.ShardedKnowledgeBase`: every
+        organisation's DIT subtree (``o=<org_id>,c=ES``) lives on exactly
+        one consistent-hash-assigned shard, exposed as
         ``env.knowledge_base.directory``.  Required for populations past
         a few thousand registered users; a no-op for correctness
-        otherwise (same KB contract, same keyed change notifications).
+        otherwise (same KB contract, same O(1) person index, same keyed
+        change notifications).  Excludes :meth:`with_knowledge_base`.
         """
         if n_shards < 1:
             raise ConfigurationError("with_sharding needs n_shards >= 1")
         self._shards = n_shards
+        return self
+
+    def with_knowledge_base(
+        self, knowledge_base: OrganisationalKnowledgeBase
+    ) -> "EnvironmentBuilder":
+        """Read *knowledge_base* instead of building a fresh one.
+
+        Environments built with one knowledge base share one
+        organisational model, and each one's resolution cache listens on
+        it; a :class:`~repro.federation.federation.Federation` builds
+        its domains this way.  Excludes :meth:`with_sharding`.
+        """
+        self._knowledge_base = knowledge_base
         return self
 
     def with_mediation(self) -> "EnvironmentBuilder":
@@ -225,7 +238,13 @@ class EnvironmentBuilder:
         # Satellite fix: events published through the environment carry
         # the simulated time of publication.
         env.bus.bind_clock(lambda: world.engine.now)
-        if self._shards is not None:
+        if self._knowledge_base is not None:
+            if self._shards is not None:
+                raise ConfigurationError(
+                    "with_sharding and with_knowledge_base exclude each other"
+                )
+            env.knowledge_base = self._knowledge_base
+        elif self._shards is not None:
             from repro.sharding.kb import ShardedKnowledgeBase
 
             env.knowledge_base = ShardedKnowledgeBase(n_shards=self._shards)

@@ -7,7 +7,8 @@ interoperates with peers through explicit boundary objects.  A
 :class:`Domain` bundles exactly that per-unit service stack:
 
 * a :class:`~repro.environment.environment.CSCWEnvironment` (which owns
-  the unit's trader, knowledge base, interchange and exchange pipeline),
+  the unit's trader, interchange and exchange pipeline, and reads the
+  federation's one organisational knowledge base),
 * a :class:`~repro.odp.naming.NamingDomain` for federated naming
   (``other-unit:/people/ana``),
 * a :class:`~repro.directory.dsa.DirectoryServiceAgent` deployed in a
@@ -18,7 +19,8 @@ interoperates with peers through explicit boundary objects.  A
   :class:`~repro.federation.gateway.Gateway` per peer domain.
 
 Domains are created and wired by a
-:class:`~repro.federation.federation.Federation`; they all share one
+:class:`~repro.federation.federation.Federation`, which builds each
+domain's environment from its one configured builder; they all share one
 simulated world (one engine), which is what makes whole-federation runs
 deterministic.
 """
@@ -32,14 +34,10 @@ from repro.environment.environment import CSCWEnvironment
 from repro.federation.gateway import GATEWAY_PORT, Gateway
 from repro.messaging.mta import MessageTransferAgent
 from repro.messaging.names import OrName
-from repro.obs.events import EventLog
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import Tracer
 from repro.odp.naming import NamingDomain
 from repro.odp.node_mgmt import Capsule
 from repro.odp.objects import InterfaceRef
 from repro.sim.transport import RequestReply
-from repro.sim.world import World
 
 if TYPE_CHECKING:
     from repro.odp.trader import Trader
@@ -51,41 +49,12 @@ MAIL_ADMD = "mhs"
 class Domain:
     """One org unit's environment, naming, directory, messaging, gateway."""
 
-    def __init__(
-        self,
-        world: World,
-        name: str,
-        *,
-        metrics: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
-        events: EventLog | None = None,
-        shed_limit: int | None = None,
-        default_deadline_s: float | None = None,
-        shards: int | None = None,
-        mediation: bool = False,
-    ) -> None:
-        self.world = world
-        self.name = name
+    def __init__(self, env: CSCWEnvironment) -> None:
+        self.env = env
+        self.world = world = env.world
+        self.name = name = env.name
         self.node = f"gw-{name}"
         world.network.add_node(self.node, site=name)
-        builder = CSCWEnvironment.builder().with_world(world).with_name(name)
-        if shards is not None:
-            # large-population domains shard their KB/white pages across
-            # N DSAs; home resolution then reads one owning shard only
-            builder = builder.with_sharding(shards)
-        if mediation:
-            builder = builder.with_mediation()
-        if metrics is not None:
-            builder = builder.with_metrics(metrics)
-        if tracer is not None:
-            builder = builder.with_tracer(tracer)
-        if events is not None:
-            builder = builder.with_event_log(events)
-        if shed_limit is not None:
-            builder = builder.with_shed_limit(shed_limit)
-        if default_deadline_s is not None:
-            builder = builder.with_default_deadline(default_deadline_s)
-        self.env: CSCWEnvironment = builder.build()
         self.naming = NamingDomain(name)
         self.capsule = Capsule(world.network, self.node)
         self.dsa = DirectoryServiceAgent(f"dsa-{name}")
@@ -93,14 +62,11 @@ class Domain:
         self.mta = MessageTransferAgent(
             world, self.node, f"mta-{name}", domains=[(MAIL_COUNTRY, MAIL_ADMD, name)]
         )
-        if tracer is not None:
-            self.mta.attach_tracer(tracer)
+        self.mta.attach_tracer(env.tracer)
         #: inbound relay endpoint; the federation installs the handler
         self.gateway_rpc = RequestReply(world.network, self.node, port=GATEWAY_PORT)
         #: outbound gateways, one per peer domain, wired by the federation
         self.gateways: dict[str, Gateway] = {}
-        #: person ids homed in this domain
-        self.people: set[str] = set()
         #: relay_id -> reply (or in-flight DeferredReply): the inbound
         #: memo that makes at-least-once relays at-most-once here
         #: (bounded; insert via :func:`repro.sim.transport.remember_reply`)
@@ -135,7 +101,10 @@ class Domain:
         return {
             "name": self.name,
             "node": self.node,
-            "people": sorted(self.people),
+            "people": sorted(
+                person.person_id
+                for person in self.env.knowledge_base.organisation(self.name).persons()
+            ),
             "federated_naming": self.naming.federated_domains(),
             "trader_links": self.trader.links(),
             "gateways": {peer: gw.stats() for peer, gw in sorted(self.gateways.items())},

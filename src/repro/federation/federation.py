@@ -8,13 +8,16 @@ the paper says open CSCW must take (organisation transparency across
 administrative boundaries, not just inside one environment).
 
 A :class:`Federation` owns a set of :class:`~repro.federation.domain.Domain`
-objects on one shared :class:`~repro.sim.world.World` and keeps them
+objects on one shared :class:`~repro.sim.world.World`.  Every domain
+environment reads the federation's one organisational knowledge base,
+where each domain is an organisation and a person's home is theirs, so
+org and policy verdicts agree at both ends of a relay.  The domains are
 wired pairwise:
 
 * **naming** — every domain's :class:`~repro.odp.naming.NamingDomain`
   federates with every peer, so ``people/ana`` resolves from anywhere as
-  ``<home>:/people/ana``; the federation's home-domain lookups go through
-  this federated naming and are memoised (invalidated on moves),
+  ``<home>:/people/ana``: the ODP-visible record of a person's home,
+  written with every home change (the exchange path reads the KB),
 * **trading** — every env trader links to every peer trader, so an
   import that finds no local offer falls back over the links while each
   side's organisational import policy still applies,
@@ -26,8 +29,8 @@ wired pairwise:
   link (retuned per pair with :meth:`Federation.set_pair_link`).
 
 The headline operation is :meth:`federated_exchange_many` (and
-:meth:`federated_exchange`, a batch of one): resolve each receiver's
-home domain via federated naming, decide the origin's stages of the
+:meth:`federated_exchange`, a batch of one): read each receiver's home
+domain from the knowledge base, decide the origin's stages of the
 environment's stage list (:mod:`repro.environment.environment`) with
 the origin environment's own code, relay each same-route run through
 one gateway round trip, and feed it into the environment's exchange
@@ -47,6 +50,7 @@ from repro.environment.environment import (
     _ALL_ON,
     REASON_DEADLINE_EXCEEDED,
     REASON_UNKNOWN_RECEIVER,
+    CSCWEnvironment,
     ExchangeOutcome,
     ExchangeRequest,
     _Refusal,
@@ -66,17 +70,18 @@ from repro.obs.metrics import NULL_METRICS, LazyCounter, MetricsRegistry
 from repro.obs.tracing import NULL_TRACER, Span, Tracer
 from repro.odp.binding import BindingFactory
 from repro.odp.objects import InterfaceRef
+from repro.org.knowledge_base import OrganisationalKnowledgeBase
 from repro.org.model import Organisation, Person
 from repro.org.policy import INTERACTION_MESSAGE
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.health import HealthMonitor
 from repro.sim.network import LinkSpec, WAN_LINK
+from repro.sharding.kb import ShardedKnowledgeBase
 from repro.sim.transport import DeferredReply, remember_reply
 from repro.sim.world import World
 from repro.util.errors import (
     ConfigurationError,
     InteropError,
-    NameError_,
     NotRegisteredError,
     UnknownObjectError,
 )
@@ -212,18 +217,26 @@ class Federation:
         #: resilience=False reverts to bare retry gateways: no breakers,
         #: no failover routing (the bench's "retry-only" baseline)
         self._resilience = resilience
-        self._shed_limit = shed_limit
-        self._default_deadline_s = default_deadline_s
-        self._shards = shards
-        #: mediation=True builds every domain with_mediation(): relayed
-        #: exchanges then carry the origin's synthesized plan metadata
-        self._mediation = mediation
+        #: the one organisational model every domain environment reads
+        self.knowledge_base: OrganisationalKnowledgeBase = (
+            OrganisationalKnowledgeBase() if shards is None else ShardedKnowledgeBase(shards)
+        )
+        #: builds every domain's environment; mediation=True makes relayed
+        #: exchanges carry the origin's synthesized plan metadata
+        self._builder = CSCWEnvironment.builder().with_world(world).with_knowledge_base(
+            self.knowledge_base
+        ).with_shed_limit(shed_limit).with_default_deadline(default_deadline_s)
+        if mediation:
+            self._builder.with_mediation()
+        if metrics is not None:
+            self._builder.with_metrics(metrics)
+        if tracer is not None:
+            self._builder.with_tracer(tracer)
+        if self._events.enabled:
+            self._builder.with_event_log(self._events)
         self._health: HealthMonitor | None = None
         self._health_timeout_s = 1.0
         self._domains: dict[str, Domain] = {}
-        #: memoised person -> home-domain name (resolved via federated
-        #: naming on miss; invalidated by add/move)
-        self._home_cache: dict[str, str] = {}
         #: freshness token for home resolution, bumped by add/move —
         #: ``federated_exchange_many`` watches it so a delivery callback
         #: that re-homes someone mid-batch forces the already-resolved
@@ -263,20 +276,10 @@ class Federation:
 
     # -- topology ----------------------------------------------------------
     def add_domain(self, name: str) -> Domain:
-        """Create a domain and wire it to every existing domain."""
+        """Create a domain, an organisation in the KB, wired to every peer."""
         if name in self._domains:
             raise ConfigurationError(f"domain {name!r} already exists in {self.name!r}")
-        domain = Domain(
-            self.world,
-            name,
-            metrics=self._env_metrics,
-            tracer=self._tracer,
-            events=self._events if self._events.enabled else None,
-            shed_limit=self._shed_limit,
-            default_deadline_s=self._default_deadline_s,
-            shards=self._shards,
-            mediation=self._mediation,
-        )
+        domain = Domain(self._builder.with_name(name).build())
         domain.gateway_rpc.serve(
             "relay", partial(self._handle_relay, domain)
         )
@@ -284,19 +287,8 @@ class Federation:
             "ping", lambda body, d=domain: {"domain": d.name, "at": self.world.now}
         )
         self._binding_factory.register_capsule(domain.capsule)
-        # Every KB knows every organisation, so org/policy verdicts agree
-        # at both ends of a relay (the KB-level shadowing contract).
-        domain.env.knowledge_base.add_organisation(Organisation(name, name.upper()))
+        self.knowledge_base.add_organisation(Organisation(name, name.upper()))
         for peer in self._domains.values():
-            domain.env.knowledge_base.add_organisation(
-                Organisation(peer.name, peer.name.upper())
-            )
-            peer.env.knowledge_base.add_organisation(Organisation(name, name.upper()))
-            for person_id in peer.people:
-                person = peer.env.knowledge_base.find_person(person_id)
-                domain.env.knowledge_base.add_person(
-                    Person(person_id, person.name, peer.name)
-                )
             self._wire_pair(domain, peer)
         self._domains[name] = domain
         if self._metrics.enabled:
@@ -465,11 +457,10 @@ class Federation:
     def declare_policy(
         self, org_a: str, org_b: str, interactions: set[str], symmetric: bool = True
     ) -> None:
-        """Declare an inter-org policy in every domain's knowledge base."""
-        for domain in self._domains.values():
-            domain.env.knowledge_base.policies.declare(
-                org_a, org_b, set(interactions), symmetric=symmetric
-            )
+        """Declare an inter-org policy once, in the federation's knowledge base."""
+        self.knowledge_base.policies.declare(
+            org_a, org_b, set(interactions), symmetric=symmetric
+        )
 
     def open_policies(self) -> None:
         """Open every domain pair for every interaction (demo/bench default)."""
@@ -502,17 +493,27 @@ class Federation:
 
     # -- people ------------------------------------------------------------
     def add_person(self, person_id: str, domain_name: str, name: str = "") -> Person:
-        """Home a person in *domain_name*; known to every domain's KB.
+        """Home a new person in *domain_name*, in the one knowledge base.
 
         The person gets a workstation node and communicator in the home
         domain, a mailbox at the home MTA, and a federated-naming binding
-        ``people/<id>`` in the home naming domain.
+        ``people/<id>`` in the home naming domain.  A person who already
+        has a home raises :class:`~repro.util.errors.ConfigurationError`:
+        :meth:`move_person` re-homes them.
         """
         home = self.domain(domain_name)
-        display = name or person_id
-        person = Person(person_id, display, domain_name)
-        for domain in self._domains.values():
-            domain.env.knowledge_base.add_person(Person(person_id, display, domain_name))
+        try:
+            current = self.knowledge_base.organisation_of(person_id)
+        except UnknownObjectError:
+            pass
+        else:
+            raise ConfigurationError(
+                f"person {person_id!r} is already homed in {current!r}; "
+                f"use move_person to re-home them"
+            )
+        person = self.knowledge_base.add_person(
+            Person(person_id, name or person_id, domain_name)
+        )
         workstation = home.workstation(person_id)
         if not self.world.network.has_node(workstation):
             self.world.network.add_node(workstation, site=domain_name)
@@ -522,43 +523,33 @@ class Federation:
             f"people/{person_id}",
             InterfaceRef(workstation, person_id, "communicator"),
         )
-        home.people.add(person_id)
-        self._home_cache[person_id] = domain_name
         self._home_generation += 1
         return person
 
     def home_of(self, person_id: str) -> str:
-        """The name of a person's home domain, via federated naming.
+        """The name of a person's home domain: their organisation in the KB.
 
-        The lookup is memoised; :meth:`add_person` and :meth:`move_person`
-        invalidate the memo so a moved person's very next exchange routes
-        to their new home.
+        A person in an organisation that is not a domain (one written
+        into the KB directly, inside a domain) is homed in the domain
+        whose environment holds their communicator.  Counts
+        ``env.federation.home.hit`` for a homed person and ``home.miss``
+        (then raises :class:`~repro.util.errors.UnknownObjectError`) for
+        anyone else.  A move is seen by the very next call; nothing is
+        memoised.
         """
-        cached = self._home_cache.get(person_id)
-        if cached is not None:
+        try:
+            home = self.knowledge_base.organisation_of(person_id)
+        except UnknownObjectError:
+            home = None
+        if home is not None and home not in self._domains:
+            homes = (name for name, d in self._domains.items() if person_id in d.env.communicators)
+            home = next(homes, None)
+        if home is not None:
             if self._metrics.enabled:
                 self._m_home_hit.inc()
-            return cached
+            return home
         if self._metrics.enabled:
             self._m_home_miss.inc()
-        domains = list(self._domains.values())
-        if not domains:
-            raise UnknownObjectError(f"federation {self.name!r} has no domains")
-        viewpoint = domains[0].naming
-        path = f"people/{person_id}"
-        try:
-            viewpoint.resolve(path)
-            self._home_cache[person_id] = domains[0].name
-            return domains[0].name
-        except NameError_:
-            pass
-        for other in viewpoint.federated_domains():
-            try:
-                viewpoint.resolve(f"{other}:/{path}")
-            except NameError_:
-                continue
-            self._home_cache[person_id] = other
-            return other
         raise UnknownObjectError(
             f"person {person_id!r} is not homed in any domain of {self.name!r}"
         )
@@ -566,24 +557,21 @@ class Federation:
     def move_person(self, person_id: str, to_domain: str) -> Person:
         """Move a person's home to another domain mid-run.
 
-        Every domain's knowledge base performs the move (firing its KB
-        listeners, so each environment's resolution cache drops its
-        memoised verdicts), the communicator and naming binding migrate,
-        and the federation's home memo is invalidated — the next
-        federated exchange resolves against the new home.  Deliveries
-        queued at the old home for the person's return are discarded.
+        The knowledge base moves the person once; its listeners fire in
+        every domain environment, so each resolution cache drops its
+        memoised verdicts.  The communicator and the naming binding
+        migrate, and the next federated exchange reads the new home.
+        Deliveries queued at the old home for the person's return are
+        discarded.
         """
         old_name = self.home_of(person_id)
         if old_name == to_domain:
-            return self._domains[old_name].env.knowledge_base.find_person(person_id)
+            return self.knowledge_base.find_person(person_id)
         old = self.domain(old_name)
         new = self.domain(to_domain)
-        moved: Person | None = None
-        for domain in self._domains.values():
-            moved = domain.env.knowledge_base.move_person(person_id, to_domain)
+        moved = self.knowledge_base.move_person(person_id, to_domain)
         old.env.deregister_person(person_id)
         old.naming.unbind(f"people/{person_id}")
-        old.people.discard(person_id)
         workstation = new.workstation(person_id)
         if not self.world.network.has_node(workstation):
             self.world.network.add_node(workstation, site=to_domain)
@@ -592,13 +580,9 @@ class Federation:
         new.naming.bind(
             f"people/{person_id}", InterfaceRef(workstation, person_id, "communicator")
         )
-        new.people.add(person_id)
-        self._home_cache.pop(person_id, None)
-        self._home_cache[person_id] = to_domain
         self._home_generation += 1
         if self._metrics.enabled:
             self._metrics.inc("env.federation.moves")
-        assert moved is not None
         return moved
 
     # -- the federated exchange path ---------------------------------------
@@ -1284,12 +1268,15 @@ class Federation:
     # -- introspection -----------------------------------------------------
     def describe(self) -> dict[str, Any]:
         """A federation-wide inventory snapshot."""
+        domains = {name: d.describe() for name, d in self._domains.items()}
         inventory: dict[str, Any] = {
             "name": self.name,
-            "domains": {name: d.describe() for name, d in self._domains.items()},
-            "people": {
-                person: home for person, home in sorted(self._home_cache.items())
-            },
+            "domains": domains,
+            "people": dict(sorted(
+                (person, name)
+                for name, snapshot in domains.items()
+                for person in snapshot["people"]
+            )),
             "shadowing": {
                 f"{consumer}<-{master}": {
                     "pulls": agreement.pulls,

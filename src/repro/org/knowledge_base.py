@@ -31,6 +31,9 @@ class OrganisationalKnowledgeBase:
 
     def __init__(self) -> None:
         self._organisations: dict[str, Organisation] = {}
+        #: person id -> organisation id, kept in step by the KB-level
+        #: mutators; :meth:`find_person` verifies an entry before trusting it
+        self._person_index: dict[str, str] = {}
         self.relations = RelationStore()
         self.rules = RuleEngine(self.relations)
         self.policies = PolicyRegistry()
@@ -68,6 +71,8 @@ class OrganisationalKnowledgeBase:
     def add_organisation(self, organisation: Organisation) -> Organisation:
         """Register an organisation."""
         self._organisations[organisation.org_id] = organisation
+        for person in organisation.persons():
+            self._person_index[person.person_id] = organisation.org_id
         self._notify("organisation", organisation.org_id, organisation.org_id)
         return organisation
 
@@ -83,14 +88,29 @@ class OrganisationalKnowledgeBase:
         return list(self._organisations.values())
 
     def find_person(self, person_id: str) -> Person:
-        """Find a person across all organisations."""
+        """Find a person across all organisations.
+
+        O(1) through the person -> organisation index.  A person added to
+        or removed from an :class:`~repro.org.model.Organisation` directly
+        (not through this KB) misses or fails the index's check, and the
+        lookup falls back to a scan that re-indexes them.
+        """
+        org_id = self._person_index.get(person_id)
+        if org_id is not None:
+            organisation = self._organisations.get(org_id)
+            if organisation is not None:
+                person = organisation.get_person(person_id)
+                if person is not None:
+                    return person
         # a non-raising probe per organisation: raising and catching a
         # lookup error for every organisation that lacks the person costs
         # more than the probes themselves
         for organisation in self._organisations.values():
             person = organisation.get_person(person_id)
             if person is not None:
+                self._person_index[person_id] = organisation.org_id
                 return person
+        self._person_index.pop(person_id, None)
         raise UnknownObjectError(f"person {person_id!r} not found in any organisation")
 
     def organisation_of(self, person_id: str) -> str:
@@ -105,6 +125,7 @@ class OrganisationalKnowledgeBase:
         invalidated.
         """
         self.organisation(person.organisation).add_person(person)
+        self._person_index[person.person_id] = person.organisation
         self._notify("person", person.person_id, person.organisation)
         return person
 
@@ -117,6 +138,7 @@ class OrganisationalKnowledgeBase:
         """
         person = self.find_person(person_id)
         self.organisation(person.organisation).remove_person(person_id)
+        self._person_index.pop(person_id, None)
         self._notify("person", person_id, person.organisation)
         return person
 
@@ -132,6 +154,7 @@ class OrganisationalKnowledgeBase:
         self.organisation(person.organisation).remove_person(person_id)
         moved = replace(person, organisation=to_org)
         destination.add_person(moved)
+        self._person_index[person_id] = to_org
         self._notify("person", person_id, to_org)
         return moved
 

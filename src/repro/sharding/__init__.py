@@ -16,13 +16,14 @@ consistent-hash ring:
   out and merge);
 * :class:`ShardedKnowledgeBase` — a drop-in
   :class:`~repro.org.knowledge_base.OrganisationalKnowledgeBase` whose
-  person lookups are O(1) via a person->org index (the base class scans
-  every organisation) and whose mutations keep the sharded white pages in
-  step, firing the keyed change notifications the environment's
-  :class:`~repro.environment.resolution.ResolutionCache` scopes its
-  evictions by.
+  mutations keep the sharded white pages in step (person lookups are the
+  base class's O(1) index), firing the keyed change notifications the
+  environment's :class:`~repro.environment.resolution.ResolutionCache`
+  scopes its evictions by.
 
-Enable per environment with ``CSCWEnvironment.builder().with_sharding(n)``.
+Enable per environment with ``CSCWEnvironment.builder().with_sharding(n)``,
+or per federation with ``Federation(world, shards=n)``, whose domains
+share one such knowledge base.
 """
 
 from repro.sharding.directory import ShardedDirectory

@@ -1,24 +1,21 @@
-"""A sharded, indexed organisational knowledge base.
+"""A knowledge base whose white pages are sharded across directory agents.
 
 Drop-in subclass of
-:class:`~repro.org.knowledge_base.OrganisationalKnowledgeBase` built for
-populations the base class cannot serve:
+:class:`~repro.org.knowledge_base.OrganisationalKnowledgeBase` for
+populations one directory agent cannot serve.  Person resolution is the
+base class's: its person -> organisation index makes ``find_person`` /
+``organisation_of`` O(1) in every knowledge base.  This subclass adds
+only the placement of the white pages:
 
-* **O(1) person resolution.**  The base ``find_person`` scans every
-  organisation on every call — fine for a workgroup, ruinous for 10^5+
-  users, and it sits directly on the exchange hot path (the resolution
-  cache's cold miss calls ``organisation_of`` twice).  This subclass
-  maintains a person -> org index kept in step by the KB-level mutators,
-  with a lazy fallback scan for people registered directly on an
-  :class:`~repro.org.model.Organisation`.
-
-* **Sharded white pages.**  Every organisation subtree
-  (``o=<org_id>,c=<country>``) lives on exactly one
-  :class:`~repro.directory.dsa.DirectoryServiceAgent` of a
+* Every organisation subtree (``o=<org_id>,c=<country>``) lives on
+  exactly one :class:`~repro.directory.dsa.DirectoryServiceAgent` of a
   :class:`~repro.sharding.directory.ShardedDirectory`; ``add_person`` /
   ``move_person`` / ``remove_person`` create, migrate and delete the
   person's entry on the owning shard(s), so a directory lookup touches
   one DSA no matter how large the federation grows.
+* A federation built with ``shards`` holds one such knowledge base,
+  read by every domain environment, so each white-pages write happens
+  once.
 
 Directory entries are keyed by id (``cn=<person_id>,o=<org_id>,c=..``),
 not display name — ids are unique across the KB, names are not.
@@ -26,7 +23,7 @@ not display name — ids are unique across the KB, names are not.
 Keyed change notifications (kind, entity id, org) are inherited from the
 base class: the environment's resolution cache evicts only the routes
 touching the mutated entity, which is what keeps mutation storms from
-wrecking the warm path at scale (ISSUE 7's 2,306-invalidation storm).
+wrecking the warm path at scale.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ from repro.directory.schema import Schema
 from repro.org.knowledge_base import OrganisationalKnowledgeBase
 from repro.org.model import Organisation, Person
 from repro.sharding.directory import ShardedDirectory
-from repro.util.errors import UnknownObjectError
 
 
 class ShardedKnowledgeBase(OrganisationalKnowledgeBase):
@@ -55,7 +51,6 @@ class ShardedKnowledgeBase(OrganisationalKnowledgeBase):
         self.directory = ShardedDirectory(
             n_shards=n_shards, name="kb-dsa", schema=schema, replicas=replicas
         )
-        self._person_org: dict[str, str] = {}
         #: org id -> dsa id, valid while ``_shard_memo_generation`` equals
         #: the ring's generation (a ring change empties it)
         self._shard_memo: dict[str, str] = {}
@@ -97,26 +92,13 @@ class ShardedKnowledgeBase(OrganisationalKnowledgeBase):
         """
         return self.shard_of_org(self.organisation_of(person_id))
 
-    # -- indexed resolution ------------------------------------------------
-    def find_person(self, person_id: str) -> Person:
-        """O(1) person lookup via the index (scan fallback, then cached)."""
-        org_id = self._person_org.get(person_id)
-        if org_id is not None:
-            try:
-                return self.organisation(org_id).person(person_id)
-            except UnknownObjectError:
-                # stale index entry (direct Organisation mutation); re-scan
-                self._person_org.pop(person_id, None)
-        person = super().find_person(person_id)
-        self._person_org[person.person_id] = person.organisation
-        return person
-
+    # -- white pages -------------------------------------------------------
     def resolve_person_entry(self, person_id: str) -> Entry:
         """The person's white-pages entry, read from the owning shard only."""
         person = self.find_person(person_id)
         return self.directory.read(self.person_dn(person_id, person.organisation))
 
-    # -- mutators (keep index + shards in step, then notify via super) -----
+    # -- mutators (keep the shards in step; super() indexes and notifies) --
     def add_organisation(self, organisation: Organisation) -> Organisation:
         result = super().add_organisation(organisation)
         org_dn = dn(self.org_dn(organisation.org_id))
@@ -126,20 +108,17 @@ class ShardedKnowledgeBase(OrganisationalKnowledgeBase):
                 {"objectclass": ["organization"], "description": [organisation.name]},
             )
         for person in organisation.persons():
-            self._person_org[person.person_id] = organisation.org_id
             self._publish_person(person)
         return result
 
     def add_person(self, person: Person) -> Person:
         result = super().add_person(person)
-        self._person_org[person.person_id] = person.organisation
         self._publish_person(person)
         return result
 
     def move_person(self, person_id: str, to_org: str) -> Person:
         previous = self.find_person(person_id)
         moved = super().move_person(person_id, to_org)
-        self._person_org[person_id] = to_org
         old_dn = dn(self.person_dn(person_id, previous.organisation))
         if self.directory.exists(old_dn):
             self.directory.delete(old_dn)
@@ -148,7 +127,6 @@ class ShardedKnowledgeBase(OrganisationalKnowledgeBase):
 
     def remove_person(self, person_id: str) -> Person:
         person = super().remove_person(person_id)
-        self._person_org.pop(person_id, None)
         entry_dn = dn(self.person_dn(person_id, person.organisation))
         if self.directory.exists(entry_dn):
             self.directory.delete(entry_dn)
@@ -171,7 +149,7 @@ class ShardedKnowledgeBase(OrganisationalKnowledgeBase):
     def stats(self) -> dict[str, object]:
         """Index size plus the sharded directory's per-shard counters."""
         return {
-            "indexed_persons": len(self._person_org),
+            "indexed_persons": len(self._person_index),
             "organisations": len(self.organisations()),
             "directory": self.directory.stats(),
         }

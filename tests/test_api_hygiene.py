@@ -37,6 +37,9 @@ PACKAGES = [
     "repro.resilience",
     "repro.federation",
     "repro.control",
+    "repro.sharding",
+    "repro.mediation",
+    "repro.workload",
 ]
 
 

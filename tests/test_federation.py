@@ -41,7 +41,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.odp.objects import InterfaceRef
 from repro.org.model import Organisation, Person
 from repro.sim.world import World
-from repro.util.errors import ConfigurationError, UnknownObjectError
+from repro.util.errors import ConfigurationError, NameError_, UnknownObjectError
 
 QUAD = [Q_DIFFERENT_TIME_DIFFERENT_PLACE]
 
@@ -137,9 +137,13 @@ class TestTopology:
         federation, _ = make_federation(world)
         assert federation.home_of("ana") == "upc"
         assert federation.home_of("bob") == "gmd"
-        # cold lookup (memo cleared) still resolves over the federation
-        federation._home_cache.clear()
-        assert federation.home_of("bob") == "gmd"
+        # the home is the KB's organisation, and federated naming names
+        # the same domain from anywhere
+        assert federation.knowledge_base.organisation_of("bob") == "gmd"
+        upc = federation.domain("upc").naming
+        assert upc.resolve("gmd:/people/bob").object_id == "bob"
+        with pytest.raises(NameError_):
+            upc.resolve("people/bob")
         with pytest.raises(UnknownObjectError):
             federation.home_of("ghost")
 
@@ -402,9 +406,13 @@ class TestMovePerson:
         federation, _ = make_federation(world)
         federation.move_person("bob", "upc")
         upc, gmd = federation.domain("upc"), federation.domain("gmd")
-        assert "bob" in upc.people and "bob" not in gmd.people
+        assert federation.home_of("bob") == "upc"
         # the binding migrated: resolvable locally at upc, gone from gmd
         assert upc.naming.resolve("people/bob").interface == "communicator"
+        with pytest.raises(NameError_):
+            gmd.naming.resolve("people/bob")
+        assert upc.describe()["people"] == ["ana", "bob"]
+        assert gmd.describe()["people"] == []
         for domain in federation.domains():
             assert domain.env.knowledge_base.organisation_of("bob") == "upc"
 
