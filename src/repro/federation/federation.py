@@ -29,14 +29,16 @@ wired pairwise:
   link (retuned per pair with :meth:`Federation.set_pair_link`).
 
 The headline operation is :meth:`federated_exchange_many` (and
-:meth:`federated_exchange`, a batch of one): read each receiver's home
-domain from the knowledge base, decide the origin's stages of the
-environment's stage list (:mod:`repro.environment.environment`) with
-the origin environment's own code, relay each same-route run through
-one gateway round trip, and feed it into the environment's exchange
-pipeline at the target — so a federated outcome carries exactly the
-reason codes a single-domain ``CSCWEnvironment.exchange`` would produce,
-plus hop metadata.
+:meth:`federated_exchange`, a batch of one).  One dispatch loop reads
+each receiver's home domain from the knowledge base and splits the
+batch into same-route runs; one origin stage decides every run, local,
+cross-domain or homeless alike, with the origin environment's own code
+for its stages of the environment's stage list
+(:mod:`repro.environment.environment`).  The survivors enter the home
+environment's pipeline, or cross as one gateway round trip into the
+target's — so a federated outcome carries exactly the reason codes a
+single-domain ``CSCWEnvironment.exchange`` would produce, plus hop
+metadata.
 """
 
 from __future__ import annotations
@@ -119,10 +121,11 @@ class _Relayed(dict):
     one, ``{"requests": [...]}`` for more): only the relay's byte charge
     and a dead letter's record.  The target's pipeline runs
     :attr:`requests`; :attr:`size_bytes` is the charge the first gateway
-    took, which a failover intermediate passes on.
+    took and :attr:`deadline` the gateway deadline it relayed under,
+    which a failover intermediate both passes on.
     """
 
-    __slots__ = ("requests", "size_bytes")
+    __slots__ = ("requests", "size_bytes", "deadline")
 
     def park(self) -> None:
         """Point the requests at the wire form's call-time document copies:
@@ -135,9 +138,10 @@ class _Relayed(dict):
         ]
 
     def copy(self) -> "_Relayed":
-        """A shallow copy that keeps the requests and the charge."""
+        """A shallow copy that keeps the requests, the charge and the deadline."""
         twin = _Relayed(self)
         twin.requests, twin.size_bytes = self.requests, self.size_bytes
+        twin.deadline = self.deadline
         return twin
 
 
@@ -202,13 +206,11 @@ class Federation:
         self.world = world
         self.name = name
         self._metrics = obs = metrics if metrics is not None else NULL_METRICS
-        self._env_metrics = metrics
         # per-exchange counters, bound on first use (no zero-valued series)
         self._m_home_hit = LazyCounter(obs, "env.federation.home.hit")
         self._m_home_miss = LazyCounter(obs, "env.federation.home.miss")
         self._m_exchanges = LazyCounter(obs, "env.federation.exchanges")
         self._m_inbound = LazyCounter(obs, "gateway.inbound")
-        self._tracer = tracer
         #: the federation's own span handle (never None; NULL_TRACER no-ops)
         self._trace: Tracer = tracer if tracer is not None else NULL_TRACER
         self._events: EventLog = events if events is not None else NULL_EVENTS
@@ -316,10 +318,10 @@ class Federation:
                 retry_s=self._gateway_retry_s,
                 max_attempts=self._gateway_attempts,
                 backoff=GATEWAY_BACKOFF,
-                metrics=self._env_metrics,
+                metrics=self._metrics,
                 breaker=self._make_breaker(f"gw:{source.name}->{target.name}"),
-                tracer=self._tracer,
-                events=self._events if self._events.enabled else None,
+                tracer=self._trace,
+                events=self._events,
             )
             self.shadowing[(source.name, target.name)] = ShadowingAgreement(
                 self.world,
@@ -328,11 +330,11 @@ class Federation:
                 source.node,
                 target.directory_ref,
                 period_s=SHADOW_PERIOD_S,
-                metrics=self._env_metrics,
+                metrics=self._metrics,
                 breaker=self._make_breaker(
                     f"shadow:{source.name}<-{target.name}"
                 ),
-                events=self._events if self._events.enabled else None,
+                events=self._events,
             )
             if self._health is not None:
                 self._watch_pair(source, target)
@@ -347,8 +349,8 @@ class Federation:
             name=name,
             failure_threshold=BREAKER_THRESHOLD,
             cooldown_s=BREAKER_COOLDOWN_S,
-            metrics=self._env_metrics,
-            events=self._events if self._events.enabled else None,
+            metrics=self._metrics,
+            events=self._events,
         )
 
     def domain(self, name: str) -> Domain:
@@ -411,8 +413,8 @@ class Federation:
         self._health = HealthMonitor(
             self.world.engine,
             period_s=period_s,
-            metrics=self._env_metrics,
-            events=self._events if self._events.enabled else None,
+            metrics=self._metrics,
+            events=self._events,
         )
         self._health_timeout_s = timeout_s
         domains = list(self._domains.values())
@@ -648,23 +650,29 @@ class Federation:
 
         Consecutive requests that resolve to the same (origin, target)
         domain pair form a *run*, the federated counterpart of a run of
-        :meth:`CSCWEnvironment.exchange_many`.  Intra-domain runs go
-        through the home environment's pipeline (one call per run, with
-        the federation's own deadline accounting and hop metadata);
-        cross-domain runs ship as **one** gateway relay carrying the
-        whole run (one payload, one round trip, one dedup id), and the
-        target feeds it into its own pipeline.  :meth:`federated_exchange`
-        is this on a batch of one.
+        :meth:`CSCWEnvironment.exchange_many`.  Every run, whatever its
+        kind, goes through one origin stage: per request the origin
+        environment decides the deadline, then ``unknown-receiver`` for a
+        receiver with no home domain or, on a cross-domain run, its own
+        stages of the stage list.  An intra-domain run's survivors enter
+        the home environment's pipeline in one call; a cross-domain
+        run's ship as **one** gateway relay carrying the whole run (one
+        payload, one round trip, one dedup id), and the target feeds
+        them into its own pipeline.  :meth:`federated_exchange` is this
+        on a batch of one.
 
-        Each request resolves its route **once** (two home lookups),
-        before any run is dispatched: a batch holding an unknown sender
-        raises :class:`~repro.util.errors.UnknownObjectError` with nothing
-        delivered.  The hoisted routes never serve stale homes: the batch
-        watches the federation's home ``generation`` token, so a delivery
-        callback that re-homes a person mid-batch re-routes the
-        remaining items — an item that failed ``unknown-receiver`` under
-        a route its own run invalidated is re-dispatched against the
-        fresh home (re-dispatched items count
+        One dispatch loop runs the batch in at most four rounds.  A
+        round resolves the route of each of its requests (two home
+        lookups) before its first run: a batch holding an unknown sender
+        raises :class:`~repro.util.errors.UnknownObjectError` with
+        nothing delivered.  The hoisted routes never serve stale homes:
+        the round watches the federation's home ``generation`` token, so
+        a delivery callback that re-homes a person mid-batch re-derives
+        the remaining routes, and an item that failed ``unknown-receiver``
+        under a route with a target that its own run invalidated, and
+        that now resolves to a different route with a target, is
+        re-dispatched in the next round, as per-item calls resolving at
+        their own turn would behave (re-dispatched items count
         ``env.federation.exchanges`` once per attempt).
         """
         if not requests:
@@ -673,102 +681,47 @@ class Federation:
             return self._dispatch(requests)
 
     def _dispatch(self, requests: list[ExchangeRequest]) -> list[FederatedOutcome]:
-        """Deliver *requests* as same-route runs; outcomes in request order."""
+        """The dispatch loop of :meth:`federated_exchange_many`: same-route
+        runs in re-routing rounds; outcomes in request order."""
         outcomes: list[FederatedOutcome | None] = [None] * len(requests)
         indices: Sequence[int] = range(len(requests))
         # One re-route round per home change is enough for a single
         # move; the depth bound keeps a pathological callback that
         # re-homes someone on every delivery from looping forever.
         for _ in range(4):
-            indices = self._exchange_batch(requests, indices, outcomes)
+            routes = [self._route_of(requests[index]) for index in indices]
+            generation = self._home_generation
+            rerouted: list[int] = []
+            start = 0
+            for end in range(1, len(routes) + 1):
+                if end < len(routes) and routes[end] == routes[start]:
+                    continue
+                route, run = routes[start], indices[start:end]
+                results = self._exchange_run(route, [requests[index] for index in run])
+                for index, result in zip(run, results):
+                    outcomes[index] = result
+                if self._home_generation != generation:
+                    # A delivery callback moved someone: the stale attempt
+                    # of a re-homed receiver failed without side effects
+                    # (a move deregisters them from the old home), and the
+                    # remaining routes may be stale — re-derive them.
+                    generation = self._home_generation
+                    for index, result in zip(run, results):
+                        if route[1] is None or result.reason_code != REASON_UNKNOWN_RECEIVER:
+                            continue
+                        fresh = self._route_of(requests[index])
+                        if fresh[1] is not None and fresh != route:
+                            rerouted.append(index)
+                    routes[end:] = [self._route_of(requests[index]) for index in indices[end:]]
+                start = end
+            indices = rerouted
             if not indices:
                 break
         return outcomes  # type: ignore[return-value]
 
-    def _exchange_batch(
-        self,
-        requests: list[ExchangeRequest],
-        indices: Sequence[int],
-        outcomes: "list[FederatedOutcome | None]",
-    ) -> list[int]:
-        """Dispatch *indices* grouped into same-route runs; fill
-        *outcomes* in place and return the indices that must be
-        re-dispatched because their dispatch re-homed their route.
-
-        Every route is derived before the first dispatch, so a batch
-        with an unknown sender raises having delivered nothing."""
-        rerouted: list[int] = []
-        routes = [self._route_of(requests[index]) for index in indices]
-        generation = self._home_generation
-        start = 0
-        for end in range(1, len(routes) + 1):
-            if end < len(routes) and routes[end] == routes[start]:
-                continue
-            run = list(indices[start:end])
-            self._dispatch_run(
-                routes[start], run, [requests[index] for index in run], outcomes, rerouted
-            )
-            if self._home_generation != generation:
-                # The dispatch's delivery callbacks moved someone; the
-                # remaining routes may be stale — re-derive them.
-                generation = self._home_generation
-                routes[end:] = [self._route_of(requests[index]) for index in indices[end:]]
-            start = end
-        return rerouted
-
-    def _dispatch_run(
-        self,
-        route: tuple[str, str | None],
-        indices: list[int],
-        run: list[ExchangeRequest],
-        outcomes: "list[FederatedOutcome | None]",
-        rerouted: list[int],
-    ) -> None:
-        """Deliver one same-route run — intra-domain through the home
-        environment, cross-domain as one gateway relay — and detect
-        mid-run re-homing.
-
-        When the run's own delivery callbacks bumped the home
-        generation, items that failed ``unknown-receiver`` under the
-        dispatched route and now resolve to a *different* route were
-        victims of the stale hoisting (a move deregisters the person
-        from the old home, so the stale attempt fails without side
-        effects) — their indices go to *rerouted* for a fresh dispatch,
-        exactly as per-item calls resolving at their own turn would
-        behave.
-        """
-        generation = self._home_generation
-        results = self._exchange_run(route, run)
-        for index, result in zip(indices, results):
-            outcomes[index] = result
-        if route[1] is None or self._home_generation == generation:
-            return
-        for index, request, result in zip(indices, run, results):
-            if (
-                result.delivered
-                or result.outcome.reason_code != REASON_UNKNOWN_RECEIVER
-            ):
-                continue
-            fresh = self._route_of(request)
-            if fresh[1] is not None and fresh != route:
-                rerouted.append(index)
-
-    def _exchange_run(
-        self, route: tuple[str, str | None], run: Sequence[ExchangeRequest]
-    ) -> list[FederatedOutcome]:
-        """One same-route run's outcomes, in order."""
-        origin = self._domains[route[0]]
-        if route[1] is None:
-            return [self._unroutable(origin, request) for request in run]
-        if self._metrics.enabled:
-            self._m_exchanges.inc(len(run))
-        if route[0] == route[1]:
-            return self._local_exchange_run(origin, run)
-        return self._relay_exchange_group(origin, self._domains[route[1]], run)
-
     def _route_of(self, request: ExchangeRequest) -> tuple[str, str | None]:
         """(origin, target) for a request; the target is None when the
-        receiver has no home domain (:meth:`_unroutable` then fails it
+        receiver has no home domain (:meth:`_exchange_run` then fails it
         at the origin).  An unknown sender raises
         :class:`UnknownObjectError`."""
         origin = self.home_of(request.sender)
@@ -777,89 +730,87 @@ class Federation:
         except UnknownObjectError:
             return origin, None
 
-    def _unroutable(self, origin: Domain, request: ExchangeRequest) -> FederatedOutcome:
-        """A request whose receiver has no home domain fails at the
-        origin: its deadline first, else ``unknown-receiver`` (there is
-        no target format to translate to)."""
-        if self._metrics.enabled:
-            self._m_exchanges.inc()
-        now = self.world.now
-        refusal = origin.env._expiry(request, now)[1]
-        if refusal is not None:
-            if self._metrics.enabled:
-                self._metrics.inc("env.federation.expired")
-        else:
-            if self._metrics.enabled:
-                self._metrics.inc("env.federation.unknown_receiver")
-            refusal = _Refusal(REASON_UNKNOWN_RECEIVER, unknown_receiver_reason(request.receiver))
-        return self._refused(origin, "", refusal, (Hop(origin.name, "local", now),))
-
-    def _refused(
-        self,
-        origin: Domain,
-        target: str,
-        refusal: _Refusal,
-        hops: tuple[Hop, ...],
-        attempts: int = 1,
-        latency_s: float = 0.0,
-    ) -> FederatedOutcome:
-        """An exchange the federation failed on the origin's behalf,
-        counted by the origin environment."""
-        return FederatedOutcome(
-            outcome=origin.env._fail(refusal),
-            origin=origin.name,
-            target=target,
-            hops=hops,
-            attempts=attempts,
-            latency_s=latency_s,
-        )
-
-    def _local_exchange_run(
-        self, origin: Domain, run: Sequence[ExchangeRequest]
+    def _exchange_run(
+        self, route: tuple[str, str | None], run: Sequence[ExchangeRequest]
     ) -> list[FederatedOutcome]:
-        """Run an intra-domain run through the home environment's pipeline.
+        """The origin stage: one same-route run's outcomes, in order.
 
-        The federation decides the deadline first: an already-expired
-        request fails at the federation (``env.federation.expired``, no
-        target), and every outcome carries the ``local`` hop.  A run with
-        one request left enters through ``env.exchange``, a longer run
-        through one ``env.exchange_many`` call.
+        Per request: the deadline, then ``unknown-receiver`` for a
+        receiver with no home domain (no target format to translate to)
+        or, on a cross-domain run, the origin's own stages.  A refusal
+        carries a ``local`` hop and no target, or on a cross-domain run
+        the ``origin`` hop and the target.  The survivors, deadlines
+        clamped, enter the home environment's pipeline (``exchange`` for
+        one, ``exchange_many`` for more) or cross as one gateway relay.
         """
         obs = self._metrics
+        origin = self._domains[route[0]]
         env = origin.env
+        target = route[1]
+        cross = target is not None and target != origin.name
         engine = self.world.engine
         started = engine.now
+        if obs.enabled:
+            self._m_exchanges.inc(len(run))
         results: list[FederatedOutcome | None] = [None] * len(run)
-        indices: list[int] = []
-        shipped: list[ExchangeRequest] = []
+        shipped: list[int] = []
+        requests: list[ExchangeRequest] = []
+        refused_hops: tuple[Hop, ...] = ()
+        remote = 0
         for index, request in enumerate(run):
             expires_at, refusal = env._expiry(request, started)
+            if refusal is not None:
+                if obs.enabled:
+                    obs.inc("env.federation.expired")
+            elif target is None:
+                if obs.enabled:
+                    obs.inc("env.federation.unknown_receiver")
+                reason = unknown_receiver_reason(request.receiver)
+                refusal = _Refusal(REASON_UNKNOWN_RECEIVER, reason)
+            elif cross:
+                remote += 1
+                active = request.profile if request.profile is not None else _ALL_ON
+                refusal = env._admit(request, active, at_origin=True)
             if refusal is None:
-                indices.append(index)
-                shipped.append(
-                    request
-                    if request.deadline == expires_at
-                    else replace(request, deadline=expires_at)
-                )
+                shipped.append(index)
+                same = request.deadline == expires_at
+                requests.append(request if same else replace(request, deadline=expires_at))
                 continue
+            if not refused_hops:
+                refused_hops = (Hop(origin.name, "origin" if cross else "local", started),)
+            results[index] = self._refused(origin, target if cross else "", refusal, refused_hops)
+        if obs.enabled and remote:
+            obs.inc("env.federation.remote", remote)
+        if not requests:
+            return results  # type: ignore[return-value]
+        if cross:
+            settled = self._relay_exchange_group(origin, self._domains[target], requests, started)
+        else:
             if obs.enabled:
-                obs.inc("env.federation.expired")
-            hops = (Hop(origin.name, "local", started),)
-            results[index] = self._refused(origin, "", refusal, hops)
-        if shipped:
-            if obs.enabled:
-                obs.inc("env.federation.local", len(shipped))
+                obs.inc("env.federation.local", len(requests))
             outcomes = (
-                (env.exchange(shipped[0]),) if len(shipped) == 1 else env.exchange_many(shipped)
+                (env.exchange(requests[0]),) if len(requests) == 1 else env.exchange_many(requests)
             )
             now = engine.now
             hops = (Hop(origin.name, "local", now),)
             latency = now - started
-            for index, outcome in zip(indices, outcomes):
-                results[index] = FederatedOutcome(
-                    outcome, origin.name, origin.name, hops, 1, latency
-                )
+            settled = [
+                FederatedOutcome(outcome, origin.name, origin.name, hops, 1, latency)
+                for outcome in outcomes
+            ]
+        for index, result in zip(shipped, settled):
+            results[index] = result
         return results  # type: ignore[return-value]
+
+    def _refused(
+        self, origin: Domain, target: str, refusal: _Refusal, hops: tuple[Hop, ...],
+        attempts: int = 1, latency_s: float = 0.0,
+    ) -> FederatedOutcome:
+        """An exchange the federation failed on the origin's behalf,
+        counted by the origin environment."""
+        return FederatedOutcome(
+            origin.env._fail(refusal), origin.name, target, hops, attempts, latency_s
+        )
 
     def _mediation_metadata(
         self, origin: Domain, request: ExchangeRequest
@@ -893,43 +844,25 @@ class Federation:
         return plan.to_document()
 
     def _relay_exchange_group(
-        self, origin: Domain, target: Domain, run: list[ExchangeRequest]
+        self, origin: Domain, target: Domain, requests: list[ExchangeRequest], started: float
     ) -> list[FederatedOutcome]:
-        """Relay one same-route run as a single gateway round trip.
+        """Relay the requests a run's origin stage admitted as a single
+        gateway round trip; their outcomes, in order.
 
-        The origin's stages of the environment's stage list are decided
-        per request before shipping.  The survivors cross to the target
-        in process, deadlines clamped here, and its relay handler feeds
-        them into its environment's pipeline as they are.  Beside them
-        travels their wire form (:class:`_Relayed`), holding the one copy
-        of each document, taken at call time: the gateway charges it to
-        the link, a dead letter keeps it, and a relay that fails points
-        its requests at those copies.  One relay id covers the run, so
+        The requests, deadlines clamped at the origin, cross to the
+        target in process, and its relay handler feeds them into its
+        environment's pipeline as they are.  Beside them travels their
+        wire form (:class:`_Relayed`), holding the one copy of each
+        document, taken at call time: the gateway charges it to the
+        link, a dead letter keeps it, and a relay that fails points its
+        requests at those copies.  One relay id covers the run, so
         retries deduplicate the whole run at once.
         """
         obs = self._metrics
-        env = origin.env
         engine = self.world.engine
-        started = engine.now
-        origin_hop = Hop(origin.name, "origin", started)
-        results: list[FederatedOutcome | None] = [None] * len(run)
-        shipped: list[int] = []
         documents: list[dict[str, Any]] = []
-        requests: list[ExchangeRequest] = []
         previous: ExchangeRequest | None = None
-        remote = 0
-        for index, request in enumerate(run):
-            expires_at, refusal = env._expiry(request, started)
-            if refusal is not None:
-                if obs.enabled:
-                    obs.inc("env.federation.expired")
-            else:
-                remote += 1
-                active = request.profile if request.profile is not None else _ALL_ON
-                refusal = env._admit(request, active, at_origin=True)
-            if refusal is not None:
-                results[index] = self._refused(origin, target.name, refusal, (origin_hop,))
-                continue
+        for request in requests:
             # Consecutive requests that differ only in their document
             # share one envelope: the previous wire form (with the origin
             # mediator's plan) seeds the next, instead of re-deriving
@@ -938,24 +871,21 @@ class Federation:
                 document = dict(documents[-1])
             else:
                 document = request.to_document()
-                if env.mediator is not None:
+                if origin.env.mediator is not None:
                     mediation = self._mediation_metadata(origin, request)
                     if mediation is not None:
                         document["mediation"] = mediation
             document["document"] = dict(request.document)
-            document["deadline"] = expires_at
             documents.append(document)
-            same = request.deadline == expires_at
-            requests.append(request if same else replace(request, deadline=expires_at))
-            shipped.append(index)
             previous = request
-        if obs.enabled and remote:
-            obs.inc("env.federation.remote", remote)
-        if not shipped:
-            return results  # type: ignore[return-value]
         payload = _Relayed(documents[0] if len(documents) == 1 else {"requests": documents})
         payload["origin"] = origin.name
         payload.requests = requests
+        # The gateway-level deadline only applies when every shipped
+        # request carries one (the loosest wins; per-request deadlines
+        # are still enforced by the target pipeline).
+        expiries = [request.deadline for request in requests]
+        payload.deadline = None if None in expiries else max(expiries)
         gateway = origin.gateways[target.name]
         if self._resilience and not gateway.ready():
             # The direct gateway is not ready (breaker open or a
@@ -971,15 +901,11 @@ class Federation:
         # later hop (forwarder, target pipeline) continues the gateway's.
         context = self._trace.current_context()
         settled: list[Any] = []
-        # The gateway-level deadline only applies when every shipped
-        # request carries one (the loosest wins; per-request deadlines
-        # are still enforced by the target pipeline).
-        expiries = [request.deadline for request in requests]
         payload.size_bytes = gateway.relay(
             payload,
             lambda reply, attempts: settled.append((reply, attempts)),
             settled.append,
-            None if None in expiries else max(expiries),
+            payload.deadline,
         )
         # Step the engine until the relay settles (reply or dead letter).
         step = engine.step
@@ -990,6 +916,7 @@ class Federation:
                 )
         now = engine.now
         latency = now - started
+        origin_hop = Hop(origin.name, "origin", started)
         failure: _Refusal | None = None
         relay_hops: list[Hop] = []
         if settled[0].__class__ is DeadLetter:
@@ -1027,32 +954,32 @@ class Federation:
         if failure is not None:
             payload.park()
             expired = failure.code == REASON_DEADLINE_EXCEEDED
-            counter = "env.federation.expired" if expired else "env.federation.dead_letters"
+            if obs.enabled:
+                counter = "env.federation.expired" if expired else "env.federation.dead_letters"
+                obs.inc(counter, len(requests))
             hops: tuple[Hop, ...] = (origin_hop, *relay_hops)
-            for index in shipped:
-                if obs.enabled:
-                    obs.inc(counter)
-                results[index] = self._refused(
-                    origin, target.name, failure, hops, attempts, latency
-                )
-            return results  # type: ignore[return-value]
+            return [
+                self._refused(origin, target.name, failure, hops, attempts, latency)
+                for _ in requests
+            ]
         deliver_hop = Hop(target.name, "deliver", reply["handled_at"])
         hops = (origin_hop, *relay_hops, deliver_hop, Hop(origin.name, "reply", now))
         # The target's outcomes carry the trace its pipeline ran under;
         # with trace propagation that is the origin's trace, which only
         # fills in for an untraced target.
         trace_id = context.trace_id if context is not None else ""
-        for index, outcome in zip(shipped, reply["outcomes"]):
+        results: list[FederatedOutcome] = []
+        for outcome in reply["outcomes"]:
             if trace_id and not outcome.trace_id:
                 outcome = replace(outcome, trace_id=trace_id)
             if obs.enabled and outcome.delivered:
                 obs.inc("env.federation.delivered")
-            results[index] = FederatedOutcome(
+            results.append(FederatedOutcome(
                 outcome, origin.name, target.name, hops, attempts, latency
-            )
+            ))
         if obs.enabled:
             obs.observe("env.federation.relay_latency_s", latency)
-        return results  # type: ignore[return-value]
+        return results
 
     def _pick_intermediate(self, origin: Domain, target: Domain) -> Domain | None:
         """The first domain (creation order) with both legs healthy.
@@ -1136,7 +1063,8 @@ class Federation:
         self, domain: Domain, payload: _Relayed, final: str
     ) -> DeferredReply:
         """Forward a failover relay from intermediate *domain* to *final*,
-        charged the wire size the first gateway took."""
+        charged the wire size, and under the deadline, the first gateway
+        took."""
         obs = self._metrics
         if obs.enabled:
             obs.inc("env.federation.forwarded")
@@ -1200,7 +1128,7 @@ class Federation:
         # ``final`` is always a federation domain: the lookup cannot miss.
         domain.gateway_to(final).relay(
             payload, on_reply, on_dead_letter,
-            deadline=payload.get("deadline"), size_bytes=payload.size_bytes,
+            deadline=payload.deadline, size_bytes=payload.size_bytes,
         )
         return deferred
 
@@ -1227,9 +1155,9 @@ class Federation:
         plane = ControlPlane(
             self.world.engine,
             policy=policy,
-            metrics=self._env_metrics,
-            events=self._events if self._events.enabled else None,
-            tracer=self._tracer,
+            metrics=self._metrics,
+            events=self._events,
+            tracer=self._trace,
         )
         if slo is not None:
             plane.watch_slo(slo)

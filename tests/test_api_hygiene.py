@@ -160,6 +160,22 @@ def test_failed_exchange_outcomes_come_from_refuse_only():
     assert not strays, f"failed ExchangeOutcome built outside _refuse at lines {strays}"
 
 
+@pytest.mark.parametrize("method", ["_expiry", "_admit"])
+def test_federation_decides_each_origin_stage_in_one_function(method):
+    """The federation's origin has one stage for every run kind: the
+    deadline and the origin's admission are each decided from a single
+    function of the federation module, not from one copy per run kind."""
+    path = ROOT / "src/repro/federation/federation.py"
+    callers = {
+        function.name
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == method
+    }
+    assert len(callers) == 1, f"{method} called from {sorted(callers)}"
+
+
 class TestExchangeCallSurface:
     """The unified ExchangeRequest currency must not drift.
 

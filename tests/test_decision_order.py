@@ -10,7 +10,8 @@ pipeline decides first.  For every adjacent pair of stages in the order
 each fault alone yields its own code and the two together yield the
 earlier one, through ``exchange`` and through ``exchange_many`` on a run
 of three.  The cross-domain origin (deadline -> membership ->
-organisation/policy) is pinned the same way, with nothing relayed.
+organisation/policy, and deadline -> unknown-receiver for a receiver
+with no home domain) is pinned the same way, with nothing relayed.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from repro.environment.registry import AppDescriptor, Q_DIFFERENT_TIME_DIFFERENT
 from repro.environment.transparency import TransparencyProfile
 from repro.federation.federation import Federation
 from repro.information.interchange import FormatConverter, make_common
+from repro.obs.metrics import MetricsRegistry
 from repro.org.model import Organisation, Person
 from repro.org.policy import INTERACTION_MESSAGE
 from repro.sim.world import World
@@ -199,14 +201,17 @@ def test_unknown_sender_takes_a_same_organisation_route():
 # -- the cross-domain origin -------------------------------------------------
 
 
-def make_federation(open_policies: bool = True) -> Federation:
-    """ana@upc and bob@gmd, one app on each side of a gateway."""
-    federation = Federation(World(seed=0))
+def make_federation(
+    open_policies: bool = True, metrics: MetricsRegistry | None = None
+) -> Federation:
+    """ana and cleo@upc and bob@gmd, one app on each side of a gateway."""
+    federation = Federation(World(seed=0), metrics=metrics)
     federation.add_domain("upc")
     federation.add_domain("gmd")
     if open_policies:
         federation.open_policies()
     federation.add_person("ana", "upc")
+    federation.add_person("cleo", "upc")
     federation.add_person("bob", "gmd")
     federation.register_application(
         AppDescriptor("plain", QUAD, converter("plain")), lambda *args: None
@@ -228,22 +233,28 @@ ORIGIN_FAULTS = {
     ),
     REASON_ORGANISATION_OPAQUE: (None, {}, ("organisation",)),
     REASON_POLICY: (None, {}, ()),
+    REASON_UNKNOWN_RECEIVER: (None, {"receiver": "ghost"}, ()),
 }
 
 ORIGIN_PAIRS = [
     (REASON_DEADLINE_EXCEEDED, REASON_MEMBERSHIP),
+    (REASON_DEADLINE_EXCEEDED, REASON_UNKNOWN_RECEIVER),
     (REASON_MEMBERSHIP, REASON_ORGANISATION_OPAQUE),
     (REASON_ORGANISATION_OPAQUE, REASON_POLICY),
 ]
 
 
-def _origin_codes(*faults: str) -> list[list[str]]:
-    """Reason codes of the combined origin faults on ana -> bob: one
-    ``federated_exchange``, then a run of three, with no relay sent."""
+def _origin_codes(*faults: str, receiver: str = "bob") -> list[list[str]]:
+    """Reason codes of the combined origin faults on ana -> *receiver*
+    (bob across the gateway, cleo at home; the unknown-receiver fault
+    swaps in a ghost with no home): one ``federated_exchange``, then a
+    run of three, with no relay sent.  The origin's ``env.federation.*``
+    counters agree with the codes."""
     results = []
     for batch in (1, 3):
-        federation = make_federation(open_policies=REASON_POLICY not in faults)
-        fields = {"sender": "ana", "receiver": "bob", "sender_app": "plain",
+        metrics = MetricsRegistry()
+        federation = make_federation(REASON_POLICY not in faults, metrics)
+        fields = {"sender": "ana", "receiver": receiver, "sender_app": "plain",
                   "receiver_app": "plain", "document": DOC}
         off: dict[str, bool] = {}
         for code in faults:
@@ -261,7 +272,15 @@ def _origin_codes(*faults: str) -> list[list[str]]:
             outcomes = federation.federated_exchange_many([request] * batch)
         assert federation.domain("upc").gateway_to("gmd").relays == 0
         assert all(outcome.origin == "upc" for outcome in outcomes)
-        results.append([outcome.reason_code for outcome in outcomes])
+        codes = [outcome.reason_code for outcome in outcomes]
+        counters = metrics.snapshot()["counters"]
+        expired = codes.count(REASON_DEADLINE_EXCEEDED)
+        assert counters.get("env.federation.expired", 0) == expired
+        remote = batch - expired if request.receiver == "bob" else 0
+        assert counters.get("env.federation.remote", 0) == remote
+        unknown = codes.count(REASON_UNKNOWN_RECEIVER)
+        assert counters.get("env.federation.unknown_receiver", 0) == unknown
+        results.append(codes)
     return results
 
 
@@ -273,3 +292,14 @@ def test_each_origin_fault_alone_is_decided_before_any_relay(code):
 @pytest.mark.parametrize(("earlier", "later"), ORIGIN_PAIRS, ids=lambda code: code)
 def test_earlier_origin_stage_decides(earlier, later):
     assert _origin_codes(earlier, later) == [[earlier], [earlier] * 3]
+
+
+@pytest.mark.parametrize(
+    ("faults", "code"),
+    [((REASON_DEADLINE_EXCEEDED,), REASON_DEADLINE_EXCEEDED), ((), REASON_DELIVERED)],
+    ids=["deadline", "delivered"],
+)
+def test_local_run_is_decided_by_the_same_origin_stage(faults, code):
+    """A run that stays home has its deadline decided by the origin
+    stage too, before the home environment's pipeline takes the rest."""
+    assert _origin_codes(*faults, receiver="cleo") == [[code], [code] * 3]

@@ -363,6 +363,27 @@ class TestFailoverRouting:
         assert [letter.target for letter in inria.gateway_to("gmd").dead_letters] == ["gmd"]
         assert inbox == []
 
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_failover_onward_leg_keeps_the_deadline(self, world, batch):
+        """A failover intermediate relays onward under the run's gateway
+        deadline, whatever the run's length: against a dead onward link
+        the leg expires at the deadline, with nothing parked."""
+        federation, _ = make_federation(world, names=("upc", "gmd", "inria"))
+        upc, gmd, inria = (federation.domain(name) for name in ("upc", "gmd", "inria"))
+        upc.gateway_to("gmd").breaker.force_open()
+        world.network.set_link(
+            inria.node, gmd.node,
+            LinkSpec(latency_s=0.02, bandwidth_bps=1_000_000.0, loss=1.0),
+        )
+        request = ExchangeRequest(
+            "p-upc", "p-gmd", "app0", "app0", DOC, deadline=world.now + 3.0
+        )
+        outcomes = federation.federated_exchange_many([request] * batch)
+        assert [o.reason_code for o in outcomes] == [REASON_DEADLINE_EXCEEDED] * batch
+        world.run_for(60)
+        onward = inria.gateway_to("gmd")
+        assert (onward.expired, onward.dead_letters) == (1, [])
+
     def test_failover_metrics(self, world):
         metrics = MetricsRegistry()
         federation, _ = make_federation(
@@ -411,6 +432,61 @@ class TestFailoverRouting:
         assert "resilience" in snapshot
         assert snapshot["resilience"]["breakers"]["upc->gmd"]["state"] == STATE_CLOSED
         assert snapshot["resilience"]["health"] is None
+
+
+def _forwarded_failure(federation, world):
+    """The direct breaker is open, the leg to the intermediate slow and
+    the onward leg dead: the intermediate reports the failure back
+    before the origin's own budget runs out."""
+    upc, gmd, inria = (federation.domain(name) for name in ("upc", "gmd", "inria"))
+    upc.gateway_to("gmd").breaker.force_open()
+    federation.set_pair_link("upc", "inria", LinkSpec(latency_s=1.0, bandwidth_bps=1_000_000.0))
+    world.network.set_link(
+        inria.node, gmd.node, LinkSpec(latency_s=0.02, bandwidth_bps=1_000_000.0, loss=1.0)
+    )
+    return {}
+
+
+def _remote_error(federation, world):
+    """An activity only the origin knows: the origin admits the member,
+    the target's pipeline raises."""
+    federation.domain("upc").env.create_activity(
+        "a1", "Review", {"p-upc": "chair", "p-gmd": "member"}
+    )
+    return {"activity_id": "a1"}
+
+
+class TestRelaySettlement:
+    @pytest.mark.parametrize(
+        ("setup", "reason", "roles", "attempts"),
+        [
+            (
+                _forwarded_failure,
+                "forwarded relay inria->gmd failed (relay timeout) after 4 attempts",
+                ["origin", "relay"],
+                7,
+            ),
+            (
+                _remote_error,
+                "relay upc->gmd failed remotely: UnknownObjectError: unknown activity 'a1'",
+                ["origin"],
+                1,
+            ),
+        ],
+        ids=["forwarded-failure", "remote-error"],
+    )
+    def test_failed_reply_settles_as_a_dead_letter(self, world, setup, reason, roles, attempts):
+        federation, inbox = make_federation(world, names=("upc", "gmd", "inria"))
+        fields = setup(federation, world)
+        outcome = federation.federated_exchange(
+            ExchangeRequest("p-upc", "p-gmd", "app0", "app0", DOC, **fields)
+        )
+        assert outcome.reason_code == "gateway-dead-letter"
+        assert outcome.outcome.reason == reason
+        assert [hop.role for hop in outcome.hops] == roles
+        assert outcome.attempts == attempts
+        assert (outcome.origin, outcome.target) == ("upc", "gmd")
+        assert inbox == []
 
 
 class TestDeadlinePropagation:
