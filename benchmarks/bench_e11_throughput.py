@@ -54,8 +54,9 @@ DOCUMENT = {"fmt0-title": "minutes", "fmt0-body": "we met"}
 def build_throughput_env(cache: bool) -> CSCWEnvironment:
     """A fully instrumented environment with a many-org population.
 
-    Sender and receiver live in the *last* organisations registered, so
-    uncached ``organisation_of`` lookups walk the whole population.
+    Sender and receiver live in the *last* organisations registered; the
+    knowledge base's person index finds them in one read either way, so
+    the uncached path pays only a fresh policy verdict per call.
     """
     env = build_environment(
         World(seed=7),

@@ -445,8 +445,8 @@ class CSCWEnvironment:
             # head-sampled ones and failures (which tail retention
             # promotes); a sampled-out healthy span is dropped at
             # settlement, and skipping its tags is most of sampling's
-            # win.  The receiver's organisation comes from the route
-            # memo, so tracing reads no KB state the exchange did not.
+            # win.  The receiver's organisation is one read of the KB's
+            # person index, which the exchange's route read too.
             if span.sampled or not outcome.delivered:
                 tags["domain"] = self.name
                 tags["sender"] = request.sender

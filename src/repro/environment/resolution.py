@@ -8,13 +8,16 @@ document is exactly the mediation overhead that worries service-based
 mediation systems — the environment is *one* shared mediator, so the
 answers are shared too.
 
-The :class:`ResolutionCache` memoises the facts a verdict is made of —
-each person's organisation id (``""`` when the knowledge base does not
-know them), ``{interaction: RouteVerdict}`` per ``(sender_org,
-receiver_org)`` pair — and the native format pair per ``(sender_app,
-receiver_app)``.  A warm route is two person lookups and one verdict
-lookup; the memo grows with people and organisation pairs, never with
-person pairs.
+The :class:`ResolutionCache` memoises ``{interaction: RouteVerdict}`` per
+``(sender_org, receiver_org)`` pair and the native format pair per
+``(sender_app, receiver_app)``.  Each person's organisation is not
+memoised here: it is read from the knowledge base's person ->
+organisation index
+(:attr:`~repro.org.knowledge_base.OrganisationalKnowledgeBase.person_index`),
+the one record of who belongs where, which the organisations keep exact
+however they are written.  A warm route is two index reads and one
+verdict lookup; the memo grows with organisation pairs, never with
+people.
 
 Correctness under mutation is preserved by *keyed invalidation*: the
 environment builder subscribes the cache to
@@ -22,28 +25,29 @@ environment builder subscribes the cache to
 (fired on organisation, person and policy changes, carrying the mutated
 entity) and to
 :meth:`repro.environment.registry.ApplicationRegistry.add_listener`
-(fired on application registration).  A person event forgets that
-person; a policy event between two organisations forgets the verdicts of
-that pair in both directions; an organisation event forgets the verdicts
-and people in that organisation and every unknown person.  Every
-mutation names its entity, so there is no whole-route flush on this
-path; :meth:`ResolutionCache.invalidate_all` is the one explicit
-whole-cache reset.  Failed lookups (unknown applications) are never
-cached.
+(fired on application registration).  A person event evicts nothing (the
+index already holds the change); a policy event between two
+organisations forgets the verdicts of that pair in both directions; an
+organisation event forgets the verdicts of every pair with that
+organisation.  Every event advances ``generation``.  Every mutation
+names its entity, so there is no whole-route flush on this path;
+:meth:`ResolutionCache.invalidate_all` is the one explicit whole-cache
+reset.  Failed lookups (unknown applications) are never cached.
 
 :meth:`ResolutionCache.organisation_of` answers "which organisation is
 this person in?" for observers — the exchange span's ``shard`` tag —
-from the person memo, falling back to a cold read that it does not
-store: an observer reads no more than the untraced exchange did, and
-never changes what the cache holds or counts.
+with one index read: an observer reads no more than the untraced
+exchange did, and never changes what the cache holds or counts.
 
 Hit/miss/invalidation totals are kept as plain attributes, which an
 attached metrics registry reads as the ``env.cache.route.<hit|miss>``,
 ``env.cache.formats.<hit|miss>``, ``env.cache.invalidations`` and
-``env.cache.evicted`` counters.  A route lookup is a hit when it reads
-no knowledge-base state.  ``invalidations`` counts *logical invalidation
-events that evicted at least one entry* — a mutation storm against an
-empty or untouched cache costs nothing and counts nothing.
+``env.cache.evicted`` counters.  A route lookup is a miss only when it
+must derive an organisation pair's verdict it has not memoised; a route
+with a participant the index does not hold needs no verdict and is a
+hit.  ``invalidations`` counts *logical invalidation events that evicted
+at least one entry* — a mutation storm against an empty or untouched
+cache costs nothing and counts nothing.
 """
 
 from __future__ import annotations
@@ -52,7 +56,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
-from repro.util.errors import UnknownObjectError
 
 
 @dataclass(frozen=True)
@@ -95,8 +98,8 @@ class ResolutionCache:
     def __init__(self, knowledge_base: Any, applications: Any) -> None:
         self._kb = knowledge_base
         self._apps = applications
-        #: person id -> organisation id (``""`` when the KB does not know them)
-        self._people: dict[str, str] = {}
+        #: the knowledge base's person -> organisation index (read-only)
+        self._index = knowledge_base.person_index
         #: (sender org, receiver org) -> interaction -> verdict
         self._verdicts: dict[tuple[str, str], dict[str, RouteVerdict]] = {}
         self._formats: dict[tuple[str, str], tuple[str, str]] = {}
@@ -126,60 +129,28 @@ class ResolutionCache:
         """The org/policy verdict for one directed person pair."""
         if not self.enabled:
             return self._resolve_route(sender, receiver, interaction)
-        people = self._people
-        sender_org = people.get(sender)
-        receiver_org = people.get(receiver)
-        if sender_org is None or receiver_org is None:
-            return self._route_miss(sender, receiver, interaction)
+        index = self._index
+        sender_org = index.get(sender)
+        receiver_org = index.get(receiver)
         if sender_org and receiver_org:
             verdicts = self._verdicts.get((sender_org, receiver_org))
             if verdicts is None or (verdict := verdicts.get(interaction)) is None:
-                return self._route_miss(sender, receiver, interaction)
+                self.route_misses += 1
+                verdict = self._verdict(sender_org, receiver_org, interaction)
+                self._verdicts.setdefault((sender_org, receiver_org), {})[interaction] = verdict
+                return verdict
         else:
             verdict = UNKNOWN_ROUTE
         self.route_hits += 1
         return verdict
 
-    def _route_miss(self, sender: str, receiver: str, interaction: str) -> RouteVerdict:
-        """Resolve and memoise whichever facts of the route are missing."""
-        self.route_misses += 1
-        sender_org = self._organisation_of(sender)
-        receiver_org = self._organisation_of(receiver)
-        if not (sender_org and receiver_org):
-            return UNKNOWN_ROUTE
-        verdicts = self._verdicts.setdefault((sender_org, receiver_org), {})
-        verdict = verdicts.get(interaction)
-        if verdict is None:
-            verdict = verdicts[interaction] = self._verdict(
-                sender_org, receiver_org, interaction
-            )
-        return verdict
-
-    def _organisation_of(self, person: str) -> str:
-        org = self._people.get(person)
-        if org is None:
-            try:
-                org = self._kb.organisation_of(person)
-            except UnknownObjectError:
-                org = ""
-            self._people[person] = org
-        return org
-
     def organisation_of(self, person: str) -> str:
         """The person's organisation id, ``""`` when the KB does not know them.
 
-        The observer's read: served from the person memo when it holds
-        *person*, otherwise read cold and not stored, so observing an
-        exchange never changes what the cache holds or counts.
+        The observer's read: one index read, so observing an exchange
+        never changes what the cache holds or counts.
         """
-        if self.enabled:
-            org = self._people.get(person)
-            if org is not None:
-                return org
-        try:
-            return self._kb.organisation_of(person)
-        except UnknownObjectError:
-            return ""
+        return self._index.get(person, "")
 
     def formats(self, sender_app: str, receiver_app: str) -> tuple[str, str]:
         """The (sender, receiver) native format pair for one app pair.
@@ -200,14 +171,12 @@ class ResolutionCache:
         return pair
 
     def _resolve_route(self, sender: str, receiver: str, interaction: str) -> RouteVerdict:
-        """The cold verdict, read from the knowledge base with no memo."""
-        kb = self._kb
-        try:
-            sender_org = kb.organisation_of(sender)
-            receiver_org = kb.organisation_of(receiver)
-        except UnknownObjectError:
-            return UNKNOWN_ROUTE
-        return self._verdict(sender_org, receiver_org, interaction)
+        """The cold verdict, derived afresh with no memo."""
+        sender_org = self._index.get(sender)
+        receiver_org = self._index.get(receiver)
+        if sender_org and receiver_org:
+            return self._verdict(sender_org, receiver_org, interaction)
+        return UNKNOWN_ROUTE
 
     def _verdict(self, sender_org: str, receiver_org: str, interaction: str) -> RouteVerdict:
         policy_ok = sender_org == receiver_org or self._kb.policies.compatible(
@@ -231,17 +200,10 @@ class ResolutionCache:
             self.invalidations += 1
 
     def _evict_organisation(self, org: str) -> int:
-        """Forget the verdicts and people in *org*, and every unknown person.
-
-        The organisation may make an unknown person resolvable, or may
-        replace the one a memoised person was in.
-        """
-        people, verdicts = self._people, self._verdicts
-        stale = [person for person, known in people.items() if known in ("", org)]
-        for person in stale:
-            del people[person]
+        """Forget the verdicts of every organisation pair with *org*."""
+        verdicts = self._verdicts
         pairs = [pair for pair in verdicts if org in pair]
-        return len(stale) + sum(len(verdicts.pop(pair)) for pair in pairs)
+        return sum(len(verdicts.pop(pair)) for pair in pairs)
 
     def invalidate_formats(self) -> None:
         """Forget every memoised format pair (one logical event)."""
@@ -250,12 +212,11 @@ class ResolutionCache:
         self._note_event(removed)
 
     def invalidate_all(self) -> None:
-        """Forget everything (people, verdicts and formats).
+        """Forget everything (verdicts and formats).
 
         One logical invalidation, counted once — not once per sub-cache.
         """
-        removed = len(self._people) + len(self._formats) + self._verdict_count()
-        self._people.clear()
+        removed = len(self._formats) + self._verdict_count()
         self._verdicts.clear()
         self._formats.clear()
         self._note_event(removed)
@@ -264,13 +225,14 @@ class ResolutionCache:
         """Knowledge-base mutation hook (kind: organisation/person/policy).
 
         Eviction is scoped to the mutated entity, as the module docstring
-        describes: a policy can only flip verdicts between its two
-        organisations, so a policy event pops that pair's verdicts in both
-        directions.  Any other *kind* raises :class:`ValueError`: a new
-        mutation kind must name its eviction scope here.
+        describes: a person event evicts nothing, and a policy can only
+        flip verdicts between its two organisations, so a policy event
+        pops that pair's verdicts in both directions.  Any other *kind*
+        raises :class:`ValueError`: a new mutation kind must name its
+        eviction scope here.
         """
         if kind == "person":
-            removed = 0 if self._people.pop(entity_id, None) is None else 1
+            removed = 0
         elif kind == "organisation":
             removed = self._evict_organisation(entity_id)
         elif kind == "policy":
@@ -304,7 +266,6 @@ class ResolutionCache:
             "invalidations": self.invalidations,
             "evictions": self.evictions,
             "generation": self.generation,
-            "people_cached": len(self._people),
             "verdicts_cached": self._verdict_count(),
             "formats_cached": len(self._formats),
         }

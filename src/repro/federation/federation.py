@@ -504,11 +504,8 @@ class Federation:
         :meth:`move_person` re-homes them.
         """
         home = self.domain(domain_name)
-        try:
-            current = self.knowledge_base.organisation_of(person_id)
-        except UnknownObjectError:
-            pass
-        else:
+        current = self.knowledge_base.person_index.get(person_id)
+        if current is not None:
             raise ConfigurationError(
                 f"person {person_id!r} is already homed in {current!r}; "
                 f"use move_person to re-home them"
@@ -539,10 +536,7 @@ class Federation:
         anyone else.  A move is seen by the very next call; nothing is
         memoised.
         """
-        try:
-            home = self.knowledge_base.organisation_of(person_id)
-        except UnknownObjectError:
-            home = None
+        home = self.knowledge_base.person_index.get(person_id)
         if home is not None and home not in self._domains:
             homes = (name for name, d in self._domains.items() if person_id in d.env.communicators)
             home = next(homes, None)

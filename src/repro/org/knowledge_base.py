@@ -15,6 +15,7 @@ directory so that non-CSCW applications find the same data.
 from __future__ import annotations
 
 from dataclasses import replace
+from types import MappingProxyType
 from typing import Any, Callable
 
 from repro.directory.dit import DirectoryInformationTree
@@ -23,17 +24,27 @@ from repro.org.model import Organisation, Person
 from repro.org.policy import INTERACTION_SERVICE_IMPORT, PolicyRegistry
 from repro.org.relations import RelationStore
 from repro.org.rules import RuleEngine
-from repro.util.errors import UnknownObjectError
+from repro.util.errors import ConfigurationError, UnknownObjectError
 
 
 class OrganisationalKnowledgeBase:
-    """Aggregated organisational knowledge for one CSCW environment."""
+    """Aggregated organisational knowledge for one CSCW environment.
+
+    Who belongs where is recorded once, in the person -> organisation
+    index: each registered :class:`~repro.org.model.Organisation` writes
+    its own joins and leaves into it, so the index equals the rosters
+    whether a person was written through this KB or straight into their
+    organisation.  :attr:`person_index` is its read-only view, the one
+    record every reader (the resolution caches, the federation) uses.
+    """
 
     def __init__(self) -> None:
         self._organisations: dict[str, Organisation] = {}
-        #: person id -> organisation id, kept in step by the KB-level
-        #: mutators; :meth:`find_person` verifies an entry before trusting it
+        #: person id -> organisation id, written only by the registered
+        #: organisations' ``add_person``/``remove_person``
         self._person_index: dict[str, str] = {}
+        #: read-only view of the person -> organisation index
+        self.person_index = MappingProxyType(self._person_index)
         self.relations = RelationStore()
         self.rules = RuleEngine(self.relations)
         self.policies = PolicyRegistry()
@@ -69,11 +80,29 @@ class OrganisationalKnowledgeBase:
 
     # -- organisations -----------------------------------------------------
     def add_organisation(self, organisation: Organisation) -> Organisation:
-        """Register an organisation."""
-        self._organisations[organisation.org_id] = organisation
-        for person in organisation.persons():
-            self._person_index[person.person_id] = organisation.org_id
-        self._notify("organisation", organisation.org_id, organisation.org_id)
+        """Register an organisation, or replace the one with its id.
+
+        A replaced organisation's members leave the index and it stops
+        writing there.  Raises :class:`~repro.util.errors.ConfigurationError`
+        when *organisation* is registered with another knowledge base, or
+        holds a person another organisation here already holds.
+        """
+        org_id, index = organisation.org_id, self._person_index
+        if organisation._person_index not in (None, index):
+            raise ConfigurationError(f"organisation {org_id!r} belongs to another knowledge base")
+        members = {person.person_id: org_id for person in organisation.persons()}
+        taken = [person_id for person_id in members if index.get(person_id, org_id) != org_id]
+        if taken:
+            raise ConfigurationError(f"persons {taken} already belong to other organisations")
+        replaced = self._organisations.get(org_id)
+        if replaced is not None:
+            for person in replaced.persons():
+                del index[person.person_id]
+            replaced._person_index = None
+        index.update(members)
+        organisation._person_index = index
+        self._organisations[org_id] = organisation
+        self._notify("organisation", org_id, org_id)
         return organisation
 
     def organisation(self, org_id: str) -> Organisation:
@@ -88,44 +117,24 @@ class OrganisationalKnowledgeBase:
         return list(self._organisations.values())
 
     def find_person(self, person_id: str) -> Person:
-        """Find a person across all organisations.
-
-        O(1) through the person -> organisation index.  A person added to
-        or removed from an :class:`~repro.org.model.Organisation` directly
-        (not through this KB) misses or fails the index's check, and the
-        lookup falls back to a scan that re-indexes them.
-        """
-        org_id = self._person_index.get(person_id)
-        if org_id is not None:
-            organisation = self._organisations.get(org_id)
-            if organisation is not None:
-                person = organisation.get_person(person_id)
-                if person is not None:
-                    return person
-        # a non-raising probe per organisation: raising and catching a
-        # lookup error for every organisation that lacks the person costs
-        # more than the probes themselves
-        for organisation in self._organisations.values():
-            person = organisation.get_person(person_id)
-            if person is not None:
-                self._person_index[person_id] = organisation.org_id
-                return person
-        self._person_index.pop(person_id, None)
-        raise UnknownObjectError(f"person {person_id!r} not found in any organisation")
+        """Find a person across all organisations: one index read."""
+        return self._organisations[self.organisation_of(person_id)].person(person_id)
 
     def organisation_of(self, person_id: str) -> str:
         """The organisation id a person belongs to."""
-        return self.find_person(person_id).organisation
+        org_id = self._person_index.get(person_id)
+        if org_id is None:
+            raise UnknownObjectError(f"person {person_id!r} not found in any organisation")
+        return org_id
 
     def add_person(self, person: Person) -> Person:
         """Register a person with their (already registered) organisation.
 
         Prefer this over ``Organisation.add_person`` for mid-run joins —
-        it fires the KB change listeners so memoised resolution state is
-        invalidated.
+        it fires the KB change listeners, so a batch that hoisted its
+        admission re-admits.
         """
         self.organisation(person.organisation).add_person(person)
-        self._person_index[person.person_id] = person.organisation
         self._notify("person", person.person_id, person.organisation)
         return person
 
@@ -133,12 +142,11 @@ class OrganisationalKnowledgeBase:
         """Deregister a person from the knowledge base entirely.
 
         The inverse of :meth:`add_person`: the person leaves their
-        organisation and listeners fire so memoised routes touching them
-        are evicted.  Returns the removed :class:`Person` record.
+        organisation and the listeners fire.  Returns the removed
+        :class:`Person` record.
         """
         person = self.find_person(person_id)
         self.organisation(person.organisation).remove_person(person_id)
-        self._person_index.pop(person_id, None)
         self._notify("person", person_id, person.organisation)
         return person
 
@@ -154,7 +162,6 @@ class OrganisationalKnowledgeBase:
         self.organisation(person.organisation).remove_person(person_id)
         moved = replace(person, organisation=to_org)
         destination.add_person(moved)
-        self._person_index[person_id] = to_org
         self._notify("person", person_id, to_org)
         return moved
 

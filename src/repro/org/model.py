@@ -97,7 +97,11 @@ class Organisation:
     """One organisation: a registry of its objects.
 
     The organisation is the unit of policy: inter-organisational
-    cooperation is governed by :mod:`repro.org.policy`.
+    cooperation is governed by :mod:`repro.org.policy`.  Once registered
+    with an :class:`~repro.org.knowledge_base.OrganisationalKnowledgeBase`,
+    it writes each join and leave of its roster into that knowledge base's
+    person -> organisation index, so a person added or removed here
+    directly is found (or not) exactly as one written through the KB.
     """
 
     def __init__(self, org_id: str, name: str) -> None:
@@ -110,21 +114,35 @@ class Organisation:
         self._units: dict[str, OrgUnit] = {}
         self._resources: dict[str, Resource] = {}
         self._projects: dict[str, Project] = {}
+        #: the person index of the knowledge base this organisation is
+        #: registered with (``None`` while unregistered)
+        self._person_index: dict[str, str] | None = None
 
     # -- registration -------------------------------------------------------
     def add_person(self, person: Person) -> Person:
-        """Register a person; they must belong to this organisation."""
+        """Register a person; they must belong to this organisation.
+
+        Raises :class:`~repro.util.errors.ConfigurationError` when the
+        knowledge base this organisation is registered with already holds
+        the person, here or in another organisation.
+        """
         self._check_owner(person.organisation, person.person_id)
         self._check_new(self._persons, person.person_id)
+        if self._person_index is not None:
+            self._check_new(self._person_index, person.person_id)
+            self._person_index[person.person_id] = self.org_id
         self._persons[person.person_id] = person
         return person
 
     def remove_person(self, person_id: str) -> Person:
         """Deregister a person (they left or moved organisation)."""
         try:
-            return self._persons.pop(person_id)
+            person = self._persons.pop(person_id)
         except KeyError:
             raise UnknownObjectError(f"unknown person {person_id!r}") from None
+        if self._person_index is not None:
+            del self._person_index[person_id]
+        return person
 
     def add_role(self, role: Role) -> Role:
         """Register a role."""

@@ -3,9 +3,10 @@
 Drop-in subclass of
 :class:`~repro.org.knowledge_base.OrganisationalKnowledgeBase` for
 populations one directory agent cannot serve.  Person resolution is the
-base class's: its person -> organisation index makes ``find_person`` /
-``organisation_of`` O(1) in every knowledge base.  This subclass adds
-only the placement of the white pages:
+base class's: ``find_person`` / ``organisation_of`` read its person ->
+organisation index, the one record of who belongs where, which the
+registered organisations keep exact.  This subclass adds only the
+placement of the white pages:
 
 * Every organisation subtree (``o=<org_id>,c=<country>``) lives on
   exactly one :class:`~repro.directory.dsa.DirectoryServiceAgent` of a
@@ -21,8 +22,9 @@ Directory entries are keyed by id (``cn=<person_id>,o=<org_id>,c=..``),
 not display name — ids are unique across the KB, names are not.
 
 Keyed change notifications (kind, entity id, org) are inherited from the
-base class: the environment's resolution cache evicts only the routes
-touching the mutated entity, which is what keeps mutation storms from
+base class: the environment's resolution cache evicts only the verdicts
+of the organisation pair a policy or organisation event names, and
+nothing on a person event, which is what keeps mutation storms from
 wrecking the warm path at scale.
 """
 
@@ -98,7 +100,7 @@ class ShardedKnowledgeBase(OrganisationalKnowledgeBase):
         person = self.find_person(person_id)
         return self.directory.read(self.person_dn(person_id, person.organisation))
 
-    # -- mutators (keep the shards in step; super() indexes and notifies) --
+    # -- mutators (keep the shards in step; super() writes and notifies) --
     def add_organisation(self, organisation: Organisation) -> Organisation:
         result = super().add_organisation(organisation)
         org_dn = dn(self.org_dn(organisation.org_id))
@@ -149,7 +151,7 @@ class ShardedKnowledgeBase(OrganisationalKnowledgeBase):
     def stats(self) -> dict[str, object]:
         """Index size plus the sharded directory's per-shard counters."""
         return {
-            "indexed_persons": len(self._person_index),
+            "indexed_persons": len(self.person_index),
             "organisations": len(self.organisations()),
             "directory": self.directory.stats(),
         }

@@ -176,6 +176,24 @@ def test_federation_decides_each_origin_stage_in_one_function(method):
     assert len(callers) == 1, f"{method} called from {sorted(callers)}"
 
 
+def test_only_repro_org_writes_the_person_index():
+    """Who belongs where is recorded once, in the knowledge base's person
+    index, which the registered organisations write as their rosters
+    change.  Every other module reads it through the read-only
+    ``person_index`` view: a module outside ``repro.org`` reaching for
+    ``_person_index`` would be a second writer to keep in step."""
+    src = ROOT / "src/repro"
+    reaches = {
+        (path.relative_to(src).parts[0], f"{path.relative_to(ROOT)}:{node.lineno}")
+        for path in sorted(src.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "_person_index"
+    }
+    assert {package for package, _ in reaches} == {"org"}, sorted(
+        where for package, where in reaches if package != "org"
+    )
+
+
 class TestExchangeCallSurface:
     """The unified ExchangeRequest currency must not drift.
 

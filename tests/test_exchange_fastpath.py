@@ -295,8 +295,10 @@ class TestResolutionCache:
             cold_outcome = cold.exchange(ExchangeRequest("ana", "wolf", "conferencing",
                                                          "message-system", DOC))
             assert outcome_fields(warm_outcome) == outcome_fields(cold_outcome)
+        # the warm memo holds the one (upc, gmd) verdict; the cold one nothing
+        assert warm.resolution.stats()["verdicts_cached"] == 1
         stats = cold.resolution.stats()
-        assert (stats["people_cached"], stats["verdicts_cached"]) == (0, 0)
+        assert (stats["verdicts_cached"], stats["formats_cached"]) == (0, 0)
 
     def test_describe_reports_cache_stats(self, env):
         env.exchange(ExchangeRequest(
@@ -335,10 +337,13 @@ class TestCacheInvalidation:
         assert env.exchange(ExchangeRequest("ana", "wolf", "conferencing", "message-system",
                                             DOC)).delivered
         stats = env.resolution.stats()
-        assert (stats["people_cached"], stats["verdicts_cached"]) == (2, 1)
+        assert stats["verdicts_cached"] == 1
         # wolf joins upc: the same route is now intra-organisational, so
         # it must keep working even after the upc<->gmd policy vanishes.
+        # The move evicts nothing: the route reads wolf's organisation
+        # from the knowledge base's index, which the move already wrote.
         env.knowledge_base.move_person("wolf", "upc")
+        assert env.resolution.stats()["evictions"] == stats["evictions"]
         env.knowledge_base.policies.revoke("upc", "gmd", symmetric=True)
         outcome = env.exchange(ExchangeRequest(
             "ana", "wolf", "conferencing", "message-system", DOC

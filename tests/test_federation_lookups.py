@@ -2,9 +2,11 @@
 
 A request to a receiver with no home domain resolves the sender's home
 once: the route carries the origin to the refusal, so the request costs
-one ``env.federation.home.hit`` and one ``home.miss``.  The knowledge
-base's person scan probes each organisation's registry without raising
-per organisation that lacks the person.
+one ``env.federation.home.hit`` and one ``home.miss``.  A person is
+found by one read of the knowledge base's person -> organisation index:
+an unknown person probes no organisation's roster, in the KB's lookups,
+in ``Federation.home_of`` and in the already-homed check of every hire
+that ``Federation.partition`` makes.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ def _knowledge_base(organisations: int) -> OrganisationalKnowledgeBase:
     return kb
 
 
-def test_find_person_in_the_last_organisation():
+def test_find_person_reads_the_index():
     kb = _knowledge_base(5)
     person = kb.find_person("p4")
     assert (person.person_id, person.organisation) == ("p4", "org4")
@@ -99,6 +101,43 @@ def test_find_person_unknown_id_raises_the_same_error():
     with pytest.raises(UnknownObjectError) as raised:
         kb.find_person("nobody")
     assert str(raised.value) == "person 'nobody' not found in any organisation"
+
+
+def _count_roster_probes(monkeypatch) -> list[str]:
+    """Record every ``Organisation.get_person`` call from here on."""
+    calls: list[str] = []
+    probe = Organisation.get_person
+
+    def counted(self, person_id):
+        calls.append(person_id)
+        return probe(self, person_id)
+
+    monkeypatch.setattr(Organisation, "get_person", counted)
+    return calls
+
+
+def test_a_ghost_probes_no_roster(world, monkeypatch):
+    federation, _ = _federation(world)
+    kb = federation.knowledge_base
+    calls = _count_roster_probes(monkeypatch)
+    for lookup in (kb.find_person, kb.organisation_of, federation.home_of):
+        with pytest.raises(UnknownObjectError):
+            lookup("ghost")
+    assert calls == []
+
+
+def test_partition_probes_no_roster(world, monkeypatch):
+    # 32 domains x 16 people: a scan per already-homed check would make
+    # 512 hires x 32 organisations = 16,384 probes
+    calls = _count_roster_probes(monkeypatch)
+    assignment = {
+        f"d{domain}": [f"d{domain}-p{person}" for person in range(16)]
+        for domain in range(32)
+    }
+    federation = Federation.partition(world, assignment)
+    assert calls == []
+    assert len(federation.knowledge_base.person_index) == 512
+    assert federation.home_of("d31-p15") == "d31"
 
 
 def test_organisation_get_person_returns_none_for_a_stranger():

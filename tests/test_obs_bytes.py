@@ -44,7 +44,7 @@ EXCHANGES = 200
 MOVE_AT = 100
 
 SPANS_SHA256 = "6ce8716fb6576d333b0dd9f499845d06a190c9ba3cecbbe394308616b10431f2"
-METRICS_SHA256 = "2805a085a763d0e68b9d4bd9e1789f84c13041fb79e12a37c1fb36c3db63af95"
+METRICS_SHA256 = "782112dadec7d854e34f9ba197299894499c39ceaa7daf3f4e5784e6c92b9504"
 
 
 def _fax_to_document(document):

@@ -16,7 +16,12 @@ from repro.org.policy import (
     PolicyRegistry,
 )
 from repro.org.relations import RelationKind
-from repro.util.errors import NoOfferError, PolicyViolationError, UnknownObjectError
+from repro.util.errors import (
+    ConfigurationError,
+    NoOfferError,
+    PolicyViolationError,
+    UnknownObjectError,
+)
 
 
 class TestPolicyRegistry:
@@ -87,6 +92,30 @@ class TestKnowledgeBase:
         assert kb.organisation_of("wolf") == "gmd"
         with pytest.raises(UnknownObjectError):
             kb.find_person("ghost")
+
+    def test_reregistering_an_id_drops_the_replaced_members(self, kb):
+        replaced = kb.organisation("upc")
+        kb.add_organisation(Organisation("upc", "UPC"))
+        assert dict(kb.person_index) == {"wolf": "gmd"}
+        with pytest.raises(UnknownObjectError):
+            kb.find_person("ana")
+        # the replaced organisation no longer writes the index
+        replaced.add_person(Person("eve", "Eve Ruiz", "upc"))
+        assert "eve" not in kb.person_index
+
+    def test_an_organisation_joins_one_knowledge_base(self, kb):
+        with pytest.raises(ConfigurationError):
+            OrganisationalKnowledgeBase().add_organisation(kb.organisation("upc"))
+
+    def test_a_person_belongs_to_one_organisation(self, kb):
+        with pytest.raises(ConfigurationError):
+            kb.organisation("gmd").add_person(Person("ana", "Ana Lopez", "gmd"))
+        twin = Organisation("lancs", "Lancaster")
+        twin.add_person(Person("wolf", "Wolf Prinz", "lancs"))
+        with pytest.raises(ConfigurationError):
+            kb.add_organisation(twin)
+        assert dict(kb.person_index) == {"ana": "upc", "wolf": "gmd"}
+        assert [org.org_id for org in kb.organisations()] == ["upc", "gmd"]
 
     def test_publish_to_directory(self, kb):
         dit = DirectoryInformationTree()

@@ -1,13 +1,16 @@
 """The resolution cache against its cold reference and its size bound.
 
-``ResolutionCache.route`` memoises each person's organisation and each
-organisation pair's verdicts, and evicts by the entity a knowledge-base
-event names.  The property test drives random hires, moves, removals,
-organisation registrations and policy declares/revokes through a
-knowledge base with the cache attached, and after every step checks the
-memoised verdict against ``_resolve_route``, the uncached reading of the
-same knowledge base.  The size test pins why the memo stays small: it
-holds people and organisation pairs, never person pairs.
+``ResolutionCache.route`` reads each person's organisation from the
+knowledge base's person index, memoises each organisation pair's
+verdicts, and evicts by the entity a knowledge-base event names.  The
+property test drives random hires, moves, removals, organisation
+registrations and re-registrations, direct roster writes on a registered
+``Organisation`` (which fire no knowledge-base event) and policy
+declares/revokes through a knowledge base with the cache attached, and
+after every step checks the memoised verdict against ``_resolve_route``,
+the uncached reading of the same knowledge base, and the index against a
+scan of the rosters.  The size test pins why the memo stays small: it
+holds organisation pairs, never people or person pairs.
 
 The observer tests drive the same steps through
 ``ResolutionCache.organisation_of``, the read behind an exchange span's
@@ -50,6 +53,8 @@ operation = st.one_of(
     st.tuples(st.just("move"), person, org),
     st.tuples(st.just("remove"), person),
     st.tuples(st.just("organisation"), org, st.lists(person, max_size=3, unique=True)),
+    st.tuples(st.just("reregister"), org, st.lists(person, max_size=2, unique=True)),
+    st.tuples(st.just("direct"), person, org),
     st.tuples(
         st.just("declare"), org, org,
         st.sets(st.sampled_from([*KINDS, "*"]), max_size=2), st.booleans(),
@@ -86,8 +91,21 @@ def organisation_of(kb, person_id):
         return None
 
 
+def rosters(kb):
+    """person id -> organisation id, read from every organisation's roster."""
+    return {
+        member.person_id: organisation.org_id
+        for organisation in kb.organisations()
+        for member in organisation.persons()
+    }
+
+
 def apply(kb, op) -> bool:
-    """Apply *op* to *kb* when it is valid there; True when it mutated."""
+    """Apply *op* to *kb* when it is valid there.
+
+    True when a knowledge-base event fired: a ``direct`` write goes
+    straight to a registered organisation's roster and fires none.
+    """
     kind, *args = op
     orgs = {organisation.org_id for organisation in kb.organisations()}
     if kind == "hire":
@@ -114,6 +132,27 @@ def apply(kb, op) -> bool:
             if organisation_of(kb, member) in (None, org_id):
                 organisation.add_person(Person(member, member.upper(), org_id))
         kb.add_organisation(organisation)
+    elif kind == "reregister":
+        # replaces a registered organisation with a fresh one of the same
+        # id holding its roster minus the drawn leavers
+        org_id, leavers = args
+        if org_id not in orgs:
+            return False
+        organisation = Organisation(org_id, org_id.upper())
+        for member in kb.organisation(org_id).persons():
+            if member.person_id not in leavers:
+                organisation.add_person(member)
+        kb.add_organisation(organisation)
+    elif kind == "direct":
+        # a person known to the KB leaves their organisation's roster, an
+        # unknown one joins *org_id*'s, neither through the KB
+        person_id, org_id = args
+        current = organisation_of(kb, person_id)
+        if current is not None:
+            kb.organisation(current).remove_person(person_id)
+        elif org_id in orgs:
+            kb.organisation(org_id).add_person(Person(person_id, person_id.upper(), org_id))
+        return False
     elif kind == "declare":
         org_a, org_b, allowed, symmetric = args
         kb.policies.declare(org_a, org_b, allowed, symmetric=symmetric)
@@ -135,6 +174,7 @@ class TestCachedMatchesCold:
             generation = cache.generation
             if apply(kb, op):
                 assert cache.generation > generation, op
+            assert dict(kb.person_index) == rosters(kb), op
             # the drawn queries warm the memo in a drawn order; the sweep
             # then checks (and warms) every route the next step can stale
             for sender, receiver, interaction in [*queries, *EVERY_ROUTE]:
@@ -154,7 +194,7 @@ def converter(name: str) -> FormatConverter:
 
 
 class TestMemoSize:
-    def test_memo_holds_people_and_org_pairs_not_person_pairs(self, world):
+    def test_memo_holds_org_pairs_not_people(self, world):
         people, organisations = 12, 3
         interactions = (INTERACTION_MESSAGE, INTERACTION_REALTIME)
         env = CSCWEnvironment.builder().with_world(world).with_sharding(2).build()
@@ -189,9 +229,10 @@ class TestMemoSize:
                     assert outcome.delivered, outcome
 
         stats = env.resolution.stats()
-        # a per-pair route memo would hold people**2 * 2 = 288 entries
-        assert stats["people_cached"] == people
+        # a per-pair route memo would hold people**2 * 2 = 288 entries; the
+        # people are read from the KB's index, one entry each, not memoised
         assert stats["verdicts_cached"] == organisations ** 2 * len(interactions)
+        assert len(kb.person_index) == people
 
 
 GHOST = "ghost"  # an endpoint the knowledge base does not know
@@ -228,8 +269,11 @@ class TestObservedIdentity:
             for env in (warm, cold):
                 kb, cache = env.knowledge_base, env.resolution
                 apply(kb, op)
+                assert dict(kb.person_index) == rosters(kb), op
                 for sender, receiver, interaction in queries:
-                    cache.route(sender, receiver, interaction)
+                    assert cache.route(sender, receiver, interaction) == cache._resolve_route(
+                        sender, receiver, interaction
+                    ), (op, sender, receiver)
                 before = cache.stats()
                 for person_id in (*PEOPLE, NOBODY):
                     expected = organisation_of(kb, person_id) or ""
