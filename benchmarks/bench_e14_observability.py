@@ -38,7 +38,7 @@ import json
 import os
 import sys
 
-from bench_common import synthetic_converter
+from bench_common import canonical_sha256, synthetic_converter
 from repro.environment.environment import ExchangeRequest
 from repro.environment.registry import AppDescriptor, Q_DIFFERENT_TIME_DIFFERENT_PLACE
 from repro.federation import Federation
@@ -279,6 +279,12 @@ def check(blob: dict) -> None:
         assert off[key] == on[key], (key, off[key], on[key])
 
 
+#: sha256 of the smoke run's result as sorted-key JSON: span counts,
+#: event kinds and the SLO verdicts all land in it, so a change that
+#: moves the traced run or the SLO windows fails here
+SMOKE_SHA256 = "6b91259e785933164ba1acfef375e5f1aaaf7916f7301c3124b227e629504048"
+
+
 def main(argv: list[str]) -> int:
     quick = "--quick" in argv or "--smoke" in argv
     blob = run_bench(
@@ -298,6 +304,7 @@ def test_observability_bench_smoke():
     assert [variant["variant"] for variant in blob["variants"]] == [
         "obs_off", "obs_on",
     ]
+    assert canonical_sha256(blob) == SMOKE_SHA256
 
 
 if __name__ == "__main__":

@@ -39,7 +39,7 @@ import json
 import os
 import sys
 
-from bench_common import synthetic_converter
+from bench_common import canonical_sha256, synthetic_converter
 from repro.environment.environment import CSCWEnvironment, ExchangeRequest
 from repro.environment.registry import AppDescriptor, Q_DIFFERENT_TIME_DIFFERENT_PLACE
 from repro.obs import (
@@ -360,6 +360,12 @@ def check(blob: dict) -> None:
     assert determinism["jsonl_spans"] > 0, "sampled run retained nothing"
 
 
+#: sha256 of the smoke run's result as sorted-key JSON: cardinalities,
+#: sampling counts, export volumes and the SLO window cells all land in
+#: it, so a change that moves any of them fails here
+SMOKE_SHA256 = "f477e10039d0ac7f5e50ed8b60becef3c0315ea5ad28cdbad872d75242d43041"
+
+
 def main(argv: list[str]) -> int:
     if "--smoke" in argv:
         populations, exchanges, mode = [200], [1200], "smoke"
@@ -385,6 +391,7 @@ def test_telemetry_bench_smoke():
     # errors the head sample happened to keep need no tail rescue, so
     # tail_retained can undershoot errors_expected — but never hit zero
     assert row["tail_retained"] > 0, "tail retention never fired"
+    assert canonical_sha256(blob) == SMOKE_SHA256
 
 
 if __name__ == "__main__":
