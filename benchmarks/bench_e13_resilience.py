@@ -65,7 +65,7 @@ def build_federation(resilient: bool) -> Federation:
             lambda person, document, info: None,
         )
     if resilient:
-        federation.start_health_checks(period_s=1.0, timeout_s=0.5)
+        federation.start_health_checks()
     return federation
 
 

@@ -82,7 +82,7 @@ def build_federation(traced: bool) -> tuple[Federation, Tracer | None, EventLog 
             ),
             lambda person, document, info: None,
         )
-    federation.start_health_checks(period_s=1.0, timeout_s=0.5)
+    federation.start_health_checks()
     return federation, tracer, events
 
 

@@ -52,7 +52,7 @@ from bench_common import canonical_sha256, synthetic_converter
 from repro.environment.environment import ExchangeRequest
 from repro.environment.registry import AppDescriptor, Q_DIFFERENT_TIME_DIFFERENT_PLACE
 from repro.federation import Federation
-from repro.obs import MetricsRegistry, RatioSLO, SLOEngine
+from repro.obs import MetricsRegistry, SLOEngine
 from repro.resilience import ChaosRunner
 from repro.sim.world import World
 
@@ -92,16 +92,14 @@ def build_federation(variant: str) -> Federation:
             lambda person, document, info: None,
         )
     if variant != "reactive":
-        federation.start_health_checks(period_s=1.0, timeout_s=0.5)
+        federation.start_health_checks()
     if variant == "adaptive":
-        slo = SLOEngine(world.engine, metrics, sample_period_s=0.5).declare(
-            RatioSLO(
-                "federated-delivery",
-                good="env.federation.delivered",
-                total="env.federation.exchanges",
-                target=0.99,
-                window_s=10.0,
-            )
+        slo = SLOEngine(world.engine, metrics, sample_period_s=0.5).add_ratio(
+            "federated-delivery",
+            good="env.federation.delivered",
+            total="env.federation.exchanges",
+            target=0.99,
+            window_s=10.0,
         )
         slo.start()
         federation.attach_control(slo=slo).start()

@@ -9,8 +9,9 @@ surfaces:
 * **SLO burn alerts** (edge-triggered, via
   :meth:`~repro.obs.slo.SLOEngine.add_burn_listener`),
 * **health trends** (:meth:`~repro.resilience.health.HealthMonitor.trend`
-  — success ratio and latency slope over a sliding sim-time window, so
-  a *degrading* link is visible before its breaker trips),
+  — success ratio and latency slope over the last
+  :data:`~repro.resilience.health.TREND_WINDOW_S` of probes, so a
+  *degrading* link is visible before its breaker trips),
 * **gateway queue depth** (in-flight relays and per-tick retry surges).
 
 It responds through a small set of typed, reversible
@@ -19,7 +20,10 @@ degrading gateway, boost relay attempt budgets, tighten load-shedding,
 slow background shadowing — each applied with hysteresis (per-action
 cool-down on the simulated clock, edge-triggered like the alerts),
 logged to the :class:`~repro.obs.events.EventLog` with trace
-correlation, and fully reverted after recovery.
+correlation, and fully reverted after recovery.  The loop's cadence,
+cool-down and thresholds are module constants of
+:mod:`repro.control.plane`, the action magnitudes those of
+:mod:`repro.control.actions`; no caller tunes them.
 
 Wire it with ``Federation.attach_control()``, which manages every
 gateway, environment shed limit and shadowing agreement of a
@@ -34,13 +38,12 @@ from repro.control.actions import (
     RebalanceShadowing,
     TightenShed,
 )
-from repro.control.plane import ControlPlane, ControlPolicy
+from repro.control.plane import ControlPlane
 
 __all__ = [
     "BoostRelayBudget",
     "ControlAction",
     "ControlPlane",
-    "ControlPolicy",
     "DrainGateway",
     "RebalanceShadowing",
     "TightenShed",

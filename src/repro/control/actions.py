@@ -11,23 +11,29 @@ so subclasses only state *what* changes:
 
 * :class:`DrainGateway` — soft-drain a degrading gateway so failover
   routing prefers an intermediate path *before* the breaker opens,
-* :class:`BoostRelayBudget` — open extra relay attempt capacity on a
-  gateway carrying diverted traffic,
-* :class:`TightenShed` — lower the environment's async shed limit so
-  overload is refused early instead of queued,
-* :class:`RebalanceShadowing` — slow a DSA shadowing agreement so
-  background replication yields to foreground exchanges.
+* :class:`BoostRelayBudget` — open :data:`EXTRA_ATTEMPTS` more relay
+  attempts on a gateway carrying diverted traffic,
+* :class:`TightenShed` — scale the environment's async shed limit by
+  :data:`SHED_FACTOR` so overload is refused early instead of queued,
+* :class:`RebalanceShadowing` — stretch a DSA shadowing agreement's
+  period by :data:`SHADOW_SLOWDOWN` so background replication yields to
+  foreground exchanges.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.util.errors import ConfigurationError
-
 if TYPE_CHECKING:
     from repro.directory.replication import ShadowingAgreement
     from repro.federation.gateway import Gateway
+
+#: extra relay attempts granted while SLOs burn
+EXTRA_ATTEMPTS = 2
+#: shed-limit multiplier applied while SLOs burn
+SHED_FACTOR = 0.5
+#: shadowing period multiplier applied while SLOs burn
+SHADOW_SLOWDOWN = 4.0
 
 
 class ControlAction:
@@ -116,17 +122,14 @@ class BoostRelayBudget(ControlAction):
 
     kind = "boost-relay-budget"
 
-    def __init__(self, target: str, gateway: "Gateway", extra_attempts: int = 2) -> None:
-        if extra_attempts < 1:
-            raise ConfigurationError("extra_attempts must be >= 1")
+    def __init__(self, target: str, gateway: "Gateway") -> None:
         super().__init__(target)
         self._gateway = gateway
-        self._extra = extra_attempts
         self._saved: int | None = None
 
     def _do_apply(self) -> bool:
         self._saved = self._gateway.max_attempts
-        self._gateway.set_attempt_budget(self._saved + self._extra)
+        self._gateway.set_attempt_budget(self._saved + EXTRA_ATTEMPTS)
         return True
 
     def _do_revert(self) -> None:
@@ -145,12 +148,9 @@ class TightenShed(ControlAction):
 
     kind = "tighten-shed"
 
-    def __init__(self, target: str, environment: Any, factor: float = 0.5) -> None:
-        if not 0.0 < factor < 1.0:
-            raise ConfigurationError("shed factor must be in (0, 1)")
+    def __init__(self, target: str, environment: Any) -> None:
         super().__init__(target)
         self._env = environment
-        self._factor = factor
         self._saved: int | None = None
 
     def _do_apply(self) -> bool:
@@ -158,7 +158,7 @@ class TightenShed(ControlAction):
         if limit is None:
             return False
         self._saved = limit
-        self._env.set_shed_limit(max(1, int(limit * self._factor)))
+        self._env.set_shed_limit(max(1, int(limit * SHED_FACTOR)))
         return True
 
     def _do_revert(self) -> None:
@@ -172,19 +172,14 @@ class RebalanceShadowing(ControlAction):
 
     kind = "rebalance-shadowing"
 
-    def __init__(
-        self, target: str, agreement: "ShadowingAgreement", slowdown: float = 4.0
-    ) -> None:
-        if slowdown <= 1.0:
-            raise ConfigurationError("shadowing slowdown must be > 1")
+    def __init__(self, target: str, agreement: "ShadowingAgreement") -> None:
         super().__init__(target)
         self._agreement = agreement
-        self._slowdown = slowdown
         self._saved: float | None = None
 
     def _do_apply(self) -> bool:
         self._saved = self._agreement.period_s
-        self._agreement.set_period(self._saved * self._slowdown)
+        self._agreement.set_period(self._saved * SHADOW_SLOWDOWN)
         return True
 
     def _do_revert(self) -> None:

@@ -89,7 +89,7 @@ from repro.util.errors import (
 )
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep layering acyclic
-    from repro.control.plane import ControlPlane, ControlPolicy
+    from repro.control.plane import ControlPlane
     from repro.obs.slo import SLOEngine
 
 #: a federated exchange whose relay exhausted its gateway attempts
@@ -103,6 +103,8 @@ SHADOW_PERIOD_S = 30.0
 BREAKER_THRESHOLD = 4
 #: how long an open breaker waits before a half-open probe
 BREAKER_COOLDOWN_S = 30.0
+#: how long a gateway health ping waits for its reply before it fails
+HEALTH_TIMEOUT_S = 0.5
 
 
 class Hop(NamedTuple):
@@ -237,7 +239,6 @@ class Federation:
         if self._events.enabled:
             self._builder.with_event_log(self._events)
         self._health: HealthMonitor | None = None
-        self._health_timeout_s = 1.0
         self._domains: dict[str, Domain] = {}
         #: freshness token for home resolution, bumped by add/move —
         #: ``federated_exchange_many`` watches it so a delivery callback
@@ -395,28 +396,25 @@ class Federation:
         self._shadowing_started = False
 
     # -- gateway health checks ----------------------------------------------
-    def start_health_checks(
-        self, period_s: float = 5.0, timeout_s: float = 1.0
-    ) -> HealthMonitor:
+    def start_health_checks(self) -> HealthMonitor:
         """Probe every directed gateway link periodically (opt-in).
 
         Each probe is a tiny ``ping`` RPC from the source domain's
-        gateway node to the target's; outcomes feed the pair's circuit
-        breaker, so a dead link is discovered (breaker tripped, failover
-        engaged) and its recovery noticed (breaker reclosed) without a
-        real relay having to burn its retry budget first.  Like
+        gateway node to the target's, sent every
+        :data:`~repro.resilience.health.PROBE_PERIOD_S` and failed after
+        :data:`HEALTH_TIMEOUT_S` without a reply.  Outcomes feed the
+        pair's circuit breaker, so a dead link is discovered (breaker
+        tripped, failover engaged) and its recovery noticed (breaker
+        reclosed) without a real relay having to burn its retry budget
+        first.  Like
         shadowing, running probes keep the engine queue non-empty —
         prefer ``world.run_for`` over ``world.run`` while they are live.
         """
         if self._health is not None:
             return self._health
         self._health = HealthMonitor(
-            self.world.engine,
-            period_s=period_s,
-            metrics=self._metrics,
-            events=self._events,
+            self.world.engine, metrics=self._metrics, events=self._events
         )
-        self._health_timeout_s = timeout_s
         domains = list(self._domains.values())
         for source in domains:
             for target in domains:
@@ -444,7 +442,7 @@ class Federation:
                 on_reply=lambda reply: report(
                     not (isinstance(reply, dict) and "error" in reply)
                 ),
-                timeout_s=self._health_timeout_s,
+                timeout_s=HEALTH_TIMEOUT_S,
                 on_timeout=lambda: report(False),
                 size_bytes=32,
             )
@@ -1127,11 +1125,7 @@ class Federation:
         return deferred
 
     # -- adaptive control ----------------------------------------------------
-    def attach_control(
-        self,
-        policy: "ControlPolicy | None" = None,
-        slo: "SLOEngine | None" = None,
-    ) -> "ControlPlane":
+    def attach_control(self, slo: "SLOEngine | None" = None) -> "ControlPlane":
         """Wire an adaptive :class:`~repro.control.plane.ControlPlane`
         over the whole federation (call after the topology is built).
 
@@ -1141,14 +1135,15 @@ class Federation:
         domain environment gets burn-time shed tightening.  *slo* (when
         given) feeds its burn alerts into the plane; health trends come
         from :meth:`start_health_checks` when probes are running.  The
-        plane is exposed as :attr:`control` and returned unstarted —
-        call ``.start()`` to arm the loop.
+        loop's cadence, cool-down and thresholds are the module constants
+        of :mod:`repro.control.plane`.  The plane is exposed as
+        :attr:`control` and returned unstarted — call ``.start()`` to arm
+        the loop.
         """
         from repro.control.plane import ControlPlane
 
         plane = ControlPlane(
             self.world.engine,
-            policy=policy,
             metrics=self._metrics,
             events=self._events,
             tracer=self._trace,

@@ -62,13 +62,9 @@ from repro.obs.metrics import (
     NullMetricsRegistry,
 )
 from repro.obs.profile import Profile, layer_of, profile_spans
-from repro.obs.slo import LatencySLO, RatioSLO, SLOEngine
+from repro.obs.slo import SLOEngine
 from repro.obs.tracing import NULL_SPAN, NULL_TRACER, NullTracer, Span, Tracer
-from repro.obs.windows import (
-    WindowedCounter,
-    WindowedHistogram,
-    WindowedTrend,
-)
+from repro.obs.windows import Window
 
 __all__ = [
     "BYTES_BUCKETS",
@@ -89,21 +85,17 @@ __all__ = [
     "GaugeFamily",
     "Histogram",
     "HistogramFamily",
-    "LatencySLO",
     "MetricsRegistry",
     "NullEventLog",
     "NullMetricsRegistry",
     "NullTracer",
     "Profile",
-    "RatioSLO",
     "SLOEngine",
     "Span",
     "TraceAnalyzer",
     "TraceContext",
     "Tracer",
-    "WindowedCounter",
-    "WindowedHistogram",
-    "WindowedTrend",
+    "Window",
     "chrome_trace_json",
     "export_chrome_trace",
     "export_jsonl",

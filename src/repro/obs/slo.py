@@ -5,21 +5,21 @@ An SLO turns the metrics the library already collects into a judgement:
 seconds"* or *"p99 exchange latency under 2 s"*.  The
 :class:`SLOEngine` samples the backing counters/histograms on a
 periodic sim-time tick, pushes each tick's cumulative delta into a
-ring-of-slots window (:class:`~repro.obs.windows.WindowedCounter` /
-:class:`~repro.obs.windows.WindowedHistogram` — one slot per sample
+ring-of-slots :class:`~repro.obs.windows.Window` (one slot per sample
 period, memory O(window/period) regardless of run length), and raises
 **burn-rate alerts** as ``slo-burn`` events when the error budget is
 being consumed faster than the configured multiple.
 
-Two objective shapes cover the acceptance experiments:
+Objectives are declared one way, with one call per shape:
 
 * :meth:`SLOEngine.add_ratio` — good/total counter pair (delivered
-  ratio, policy acceptance, ...); burn rate is the window's error ratio
-  divided by the budget ``1 - target``,
+  ratio, policy acceptance, ...), windowed as (good, total) pairs; burn
+  rate is the window's error ratio divided by the budget ``1 - target``,
 * :meth:`SLOEngine.add_latency` — a histogram quantile against a
-  threshold (p99 exchange latency); the quantile is interpolated from
-  the windowed bucket deltas, and the burn rate is the fraction of
-  observations over the threshold divided by ``1 - quantile``.
+  threshold (p99 exchange latency), windowed as bucket deltas; the
+  quantile is the upper bound of the bucket that crosses it, and the
+  burn rate is the fraction of observations over the threshold divided
+  by ``1 - quantile``.
 
 Everything runs on the simulated clock via
 :class:`~repro.sim.engine.PeriodicTask`; like health checks and
@@ -30,12 +30,12 @@ shadowing, a started engine keeps the event queue non-empty, so prefer
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.obs.events import KIND_SLO_BURN, NULL_EVENTS, EventLog
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.windows import WindowedCounter, WindowedHistogram
+from repro.obs.windows import Window
 from repro.util.errors import ConfigurationError
 
 if TYPE_CHECKING:  # imported lazily at runtime: sim.engine imports obs
@@ -47,98 +47,138 @@ if TYPE_CHECKING:  # imported lazily at runtime: sim.engine imports obs
 BurnListener = Callable[[str, bool, dict[str, Any]], None]
 
 
-@dataclass(frozen=True)
-class RatioSLO:
-    """Declarative form of :meth:`SLOEngine.add_ratio`.
-
-    Lets objectives be stated up front
-    (``SLOEngine(...).declare(RatioSLO(...))``) instead of added one
-    keyword call at a time.
-    """
-
-    name: str
-    good: str
-    total: str
-    target: float = 0.99
-    window_s: float = 60.0
-    burn_threshold: float = 2.0
-
-    def declare(self, engine: "SLOEngine") -> None:
-        """Install this objective on *engine*."""
-        engine.add_ratio(
-            self.name,
-            good=self.good,
-            total=self.total,
-            target=self.target,
-            window_s=self.window_s,
-            burn_threshold=self.burn_threshold,
-        )
-
-
-@dataclass(frozen=True)
-class LatencySLO:
-    """Declarative form of :meth:`SLOEngine.add_latency`."""
-
-    name: str
-    histogram: str
-    threshold_s: float
-    quantile: float = 0.99
-    window_s: float = 60.0
-    burn_threshold: float = 2.0
-
-    def declare(self, engine: "SLOEngine") -> None:
-        """Install this objective on *engine*."""
-        engine.add_latency(
-            self.name,
-            histogram=self.histogram,
-            threshold_s=self.threshold_s,
-            quantile=self.quantile,
-            window_s=self.window_s,
-            burn_threshold=self.burn_threshold,
-        )
-
-
-@dataclass
+@dataclass(kw_only=True)
 class _Objective:
-    """Shared bookkeeping for one objective: window state and alerts.
+    """One objective: its window of per-tick deltas and its alert state.
 
     ``last`` is the cumulative reading at the most recent sampler tick;
-    each tick pushes ``live - last`` into a ring whose slot width is the
-    sample period, so the ring's sum is exactly the delta a cumulative
+    each tick pushes ``live - last`` into ``window`` (one slot per
+    sample period), so the ring's sum is exactly the delta a cumulative
     baseline sample would have produced — at O(window / period) memory
     instead of retaining every sample.  The first tick only establishes
-    ``last`` (there is no earlier reading to difference against).
+    ``last`` (there is no earlier reading to difference against).  Each
+    kind states what it reads and how it judges the windowed sums.
     """
 
     name: str
     window_s: float
     burn_threshold: float
-    #: ring slots = ceil(window_s / sample period), fixed at declaration
-    slots: int = 0
-    #: cumulative payload at the last sampler tick (None before any tick)
-    last: Any = None
+    #: one slot per sample period, built by :meth:`SLOEngine._add`
+    window: Window | None = None
+    #: cumulative reading at the last sampler tick (None before any tick)
+    last: list | None = None
     #: currently in a burn-alert episode (edge-triggered events)
     alerting: bool = False
     alerts: int = 0
 
+    def read(self, metrics: MetricsRegistry) -> list:
+        """The live cumulative vector this objective watches."""
+        raise NotImplementedError
 
-@dataclass
+    def status(self, metrics: MetricsRegistry, sums: list) -> dict[str, Any]:
+        """The verdict on *sums*, the vector accrued inside the window."""
+        raise NotImplementedError
+
+    def advance(self, live: list) -> None:
+        """Push one tick's cumulative delta into the window."""
+        if self.last is not None:
+            self.window.push([c1 - c0 for c1, c0 in zip(live, self.last)])
+        self.last = live
+
+    def windowed(self, live: list) -> list:
+        """Ring sums plus whatever accrued since the last tick, so a read
+        between ticks sees fresh traffic, exactly as a cumulative-baseline
+        difference would."""
+        last = self.last if self.last is not None else [0] * len(live)
+        return [
+            w + (c1 - c0)
+            for w, c1, c0 in zip(self.window.sums(len(live)), live, last)
+        ]
+
+
+@dataclass(kw_only=True)
 class _RatioObjective(_Objective):
-    good: str = ""
-    total: str = ""
-    target: float = 0.0
-    good_window: WindowedCounter | None = None
-    total_window: WindowedCounter | None = None
+    """A window of (good, total) pairs against a target ratio."""
+
+    good: str
+    total: str
+    target: float
+
+    def read(self, metrics: MetricsRegistry) -> list:
+        return [metrics.counter(self.good).value, metrics.counter(self.total).value]
+
+    def status(self, metrics: MetricsRegistry, sums: list) -> dict[str, Any]:
+        good, total = sums
+        ratio = good / total if total else 1.0
+        budget = 1.0 - self.target
+        burn = ((1.0 - ratio) / budget) if budget > 0 else (
+            0.0 if ratio >= 1.0 else float("inf")
+        )
+        return {
+            "type": "ratio",
+            "target": self.target,
+            "value": round(ratio, 6),
+            "met": ratio >= self.target,
+            "burn_rate": burn,
+            "observations": total,
+        }
 
 
-@dataclass
+@dataclass(kw_only=True)
 class _LatencyObjective(_Objective):
-    histogram: str = ""
-    quantile: float = 0.99
-    threshold_s: float = 0.0
-    #: created lazily at the first tick, once the backing histogram's
-    #: bucket layout is known
-    window: WindowedHistogram | None = None
+    """A window of a histogram's bucket deltas against a quantile bound."""
+
+    histogram: str
+    quantile: float
+    threshold_s: float
+
+    def read(self, metrics: MetricsRegistry) -> list:
+        return list(metrics.histogram(self.histogram).bucket_counts)
+
+    def status(self, metrics: MetricsRegistry, sums: list) -> dict[str, Any]:
+        histogram = metrics.histogram(self.histogram)
+        total = sum(sums)
+        value = _bucket_quantile(histogram, sums, total, self.quantile)
+        # observations in buckets entirely above the threshold, plus the
+        # +inf overflow bucket
+        over = sums[-1] + sum(
+            delta
+            for bound, delta in zip(histogram.bounds, sums)
+            if bound > self.threshold_s
+        )
+        budget = 1.0 - self.quantile
+        burn = (over / total / budget) if total else 0.0
+        return {
+            "type": "latency",
+            "quantile": self.quantile,
+            "threshold_s": self.threshold_s,
+            "value": round(value, 6),
+            "met": value <= self.threshold_s,
+            "burn_rate": burn,
+            "observations": total,
+        }
+
+
+def _bucket_quantile(
+    histogram: Histogram, deltas: list[int], total: int, quantile: float
+) -> float:
+    """The windowed quantile, read off the bucket upper bounds.
+
+    The estimate is the upper bound of the bucket where the cumulative
+    count crosses the quantile — conservative (never under-reports) and
+    exact when observations sit on bounds.  The overflow bucket reports
+    the histogram's running maximum.
+    """
+    if total <= 0:
+        return 0.0
+    rank = quantile * total
+    cumulative = 0
+    for bound, delta in zip(histogram.bounds, deltas):
+        cumulative += delta
+        if cumulative >= rank:
+            return bound
+    maximum = histogram.maximum
+    return maximum if maximum > float("-inf") else histogram.bounds[-1]
 
 
 class SLOEngine:
@@ -217,17 +257,6 @@ class SLOEngine:
         )
         return self
 
-    def declare(self, *objectives: "RatioSLO | LatencySLO") -> "SLOEngine":
-        """Install declarative objective specs.
-
-        Accepts the frozen :class:`RatioSLO` / :class:`LatencySLO`
-        shapes, so the objectives a control plane acts on are stated in
-        one place before :meth:`start`.
-        """
-        for spec in objectives:
-            spec.declare(self)
-        return self
-
     def add_burn_listener(self, callback: BurnListener) -> "SLOEngine":
         """Call *callback*(name, burning, status) on every burn edge.
 
@@ -247,13 +276,8 @@ class SLOEngine:
         # One ring slot per sample period; a window that is not an exact
         # multiple of the period rounds up (the baseline a cumulative
         # sampler would have kept spans whole periods too).
-        objective.slots = max(
-            1, int(math.ceil(objective.window_s / self._period_s - 1e-9))
-        )
-        if isinstance(objective, _RatioObjective):
-            span = objective.slots * self._period_s
-            objective.good_window = WindowedCounter(span, objective.slots)
-            objective.total_window = WindowedCounter(span, objective.slots)
+        slots = max(1, int(math.ceil(objective.window_s / self._period_s - 1e-9)))
+        objective.window = Window(slots * self._period_s, slots)
         self._objectives[objective.name] = objective
 
     # -- lifecycle ---------------------------------------------------------
@@ -272,45 +296,12 @@ class SLOEngine:
             self._task = None
 
     # -- sampling ----------------------------------------------------------
-    def _read(self, objective: _Objective) -> Any:
-        if isinstance(objective, _RatioObjective):
-            return (
-                self._metrics.counter(objective.good).value,
-                self._metrics.counter(objective.total).value,
-            )
-        assert isinstance(objective, _LatencyObjective)
-        histogram = self._metrics.histogram(objective.histogram)
-        return (list(histogram.bucket_counts), histogram.maximum)
-
-    def _advance(self, objective: _Objective, live: Any) -> None:
-        """Push one tick's cumulative delta into the objective's window."""
-        if isinstance(objective, _RatioObjective):
-            if objective.last is not None:
-                good0, total0 = objective.last
-                objective.good_window.push(live[0] - good0)
-                objective.total_window.push(live[1] - total0)
-            objective.last = live
-            return
-        assert isinstance(objective, _LatencyObjective)
-        counts, _maximum = live
-        if objective.window is None:
-            histogram = self._metrics.histogram(objective.histogram)
-            objective.window = WindowedHistogram(
-                objective.slots * self._period_s, objective.slots, histogram.bounds
-            )
-        if objective.last is not None:
-            counts0 = objective.last[0]
-            objective.window.push_counts(
-                [c1 - c0 for c1, c0 in zip(counts, counts0)]
-            )
-        objective.last = live
-
     def _sample(self) -> None:
         now = self._engine.now
         for objective in self._objectives.values():
-            live = self._read(objective)
-            self._advance(objective, live)
-            status = self._status(objective, live=live)
+            live = objective.read(self._metrics)
+            objective.advance(live)
+            status = objective.status(self._metrics, objective.windowed(live))
             burning = (
                 status["burn_rate"] >= objective.burn_threshold
                 and status["observations"] > 0
@@ -331,104 +322,12 @@ class SLOEngine:
                     listener(objective.name, burning, status)
 
     # -- evaluation --------------------------------------------------------
-    def _status(self, objective: _Objective, live: Any = None) -> dict[str, Any]:
-        if live is None:  # the sampler passes its fresh read to avoid a reread
-            live = self._read(objective)
-        # Window value = ring sum + whatever accrued since the last tick
-        # (so evaluate() between ticks sees fresh traffic, exactly as a
-        # cumulative-baseline difference would).
-        if isinstance(objective, _RatioObjective):
-            good1, total1 = live
-            last = objective.last if objective.last is not None else (0, 0)
-            good = objective.good_window.delta() + (good1 - last[0])
-            total = objective.total_window.delta() + (total1 - last[1])
-            ratio = good / total if total else 1.0
-            budget = 1.0 - objective.target
-            burn = ((1.0 - ratio) / budget) if budget > 0 else (
-                0.0 if ratio >= 1.0 else float("inf")
-            )
-            return {
-                "type": "ratio",
-                "target": objective.target,
-                "value": round(ratio, 6),
-                "met": ratio >= objective.target,
-                "burn_rate": burn,
-                "observations": total,
-            }
-        assert isinstance(objective, _LatencyObjective)
-        histogram = self._metrics.histogram(objective.histogram)
-        counts1, maximum = live
-        counts0 = (
-            objective.last[0]
-            if objective.last is not None
-            else [0] * len(counts1)
-        )
-        windowed = (
-            objective.window.counts()
-            if objective.window is not None
-            else [0] * len(counts1)
-        )
-        deltas = [
-            w + (c1 - c0) for w, c1, c0 in zip(windowed, counts1, counts0)
-        ]
-        total = sum(deltas)
-        value = self._bucket_quantile(
-            histogram, deltas, total, objective.quantile, maximum
-        )
-        over = self._over_threshold(histogram, deltas, objective.threshold_s)
-        budget = 1.0 - objective.quantile
-        burn = (over / total / budget) if total else 0.0
-        return {
-            "type": "latency",
-            "quantile": objective.quantile,
-            "threshold_s": objective.threshold_s,
-            "value": round(value, 6),
-            "met": value <= objective.threshold_s,
-            "burn_rate": burn,
-            "observations": total,
-        }
-
-    @staticmethod
-    def _bucket_quantile(
-        histogram: Histogram,
-        deltas: list[int],
-        total: int,
-        quantile: float,
-        maximum: float,
-    ) -> float:
-        """The windowed quantile, read off the bucket upper bounds.
-
-        The estimate is the upper bound of the bucket where the
-        cumulative count crosses the quantile — conservative (never
-        under-reports) and exact when observations sit on bounds.  The
-        overflow bucket reports the histogram's running maximum.
-        """
-        if total <= 0:
-            return 0.0
-        rank = quantile * total
-        cumulative = 0
-        for bound, delta in zip(histogram.bounds, deltas):
-            cumulative += delta
-            if cumulative >= rank:
-                return bound
-        return maximum if maximum > float("-inf") else histogram.bounds[-1]
-
-    @staticmethod
-    def _over_threshold(
-        histogram: Histogram, deltas: list[int], threshold_s: float
-    ) -> int:
-        """Windowed observations in buckets entirely above the threshold."""
-        over = 0
-        for bound, delta in zip(histogram.bounds, deltas):
-            if bound > threshold_s:
-                over += delta
-        return over + deltas[-1]  # the +inf overflow bucket
-
     def evaluate(self) -> dict[str, dict[str, Any]]:
         """Current per-objective status over each sliding window."""
         results = {}
         for name, objective in sorted(self._objectives.items()):
-            status = self._status(objective)
+            live = objective.read(self._metrics)
+            status = objective.status(self._metrics, objective.windowed(live))
             status["window_s"] = objective.window_s
             status["alerts"] = objective.alerts
             status["alerting"] = objective.alerting
@@ -446,15 +345,7 @@ class SLOEngine:
         run: the soak benchmark samples this mid-run and at the end to
         prove the windows hold O(window / period) state, not O(events).
         """
-        cells: dict[str, int] = {}
-        for name, objective in sorted(self._objectives.items()):
-            if isinstance(objective, _RatioObjective):
-                cells[name] = max(
-                    objective.good_window.cells, objective.total_window.cells
-                )
-            else:
-                assert isinstance(objective, _LatencyObjective)
-                cells[name] = (
-                    objective.window.cells if objective.window is not None else 0
-                )
-        return cells
+        return {
+            name: objective.window.cells
+            for name, objective in sorted(self._objectives.items())
+        }

@@ -1,312 +1,110 @@
-"""Windowed aggregation: ring-of-slots views over sim-time.
+"""Windowed aggregation: a ring-of-slots view over sim-time.
 
 Cumulative instruments (:mod:`repro.obs.metrics`) never age: a counter
 only grows, a histogram keeps every bucket increment forever.  That is
 the right export surface, but consumers that ask *"what happened over
-the last W seconds?"* — the SLO engine, ``HealthMonitor.trend``, the
-adaptive control plane — previously answered it by retaining cumulative
-samples and differencing them, which costs memory proportional to the
-sample count on long soaks.
+the last W seconds?"* — the SLO engine and ``HealthMonitor.trend`` —
+need a view that forgets.
 
-The classes here hold a fixed ring of ``slots`` buckets, each covering
-``window_s / slots`` seconds of sim-time.  Writes land in the bucket for
-their timestamp (or, for strictly periodic feeders, in a freshly pushed
-bucket); buckets older than the window are evicted as the ring advances.
-Memory is therefore O(slots) — independent of event rate and run length
-— and every read is a sum over at most ``slots`` cells.
+:class:`Window` holds a fixed ring of ``slots`` cells, each covering
+``window_s / slots`` seconds of sim-time and holding a vector of sums.
+Cells older than the window are evicted as the ring advances, so memory
+is O(slots) — independent of event rate and run length — and a read is
+an element-wise sum over at most ``slots`` cells.
 
-Two feeding styles, chosen by the caller:
+Two feeds, one per caller:
 
-* ``push(...)`` advances the ring by exactly one slot per call.  Used by
-  periodic feeders (the SLO sampler ticks once per period) — it is
-  immune to floating-point drift in the tick timestamps.
-* ``add(now, ...)`` buckets by timestamp.  Used by aperiodic feeders
-  (health-probe reports); readers pass ``now`` so staleness is evicted
-  at read time.
+* ``push(vector)`` advances the ring by exactly one slot.  The SLO
+  sampler ticks once per period and pushes that period's deltas; the
+  feed is immune to floating-point drift in the tick timestamps.
+* ``add(now, vector)`` lands in the cell for its timestamp.  Health
+  probes report at arbitrary instants; readers call ``advance_to(now)``
+  so staleness is evicted at read time.
 
->>> wc = WindowedCounter(window_s=4.0, slots=4)
->>> for delta in (5, 3, 2, 7): wc.push(delta)
->>> wc.delta()
-17
->>> wc.push(1)          # ring is full: the 5 falls out of the window
->>> wc.delta()
-13
->>> wc.cells
-4
+>>> window = Window(window_s=4.0, slots=4)
+>>> for delta in (5, 3, 2, 7): window.push((delta, 1))
+>>> window.sums(2)
+[17, 4]
+>>> window.push((1, 1))          # ring is full: the 5 falls out
+>>> window.sums(2), window.cells
+([13, 4], 4)
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
-from typing import Any
-
-from repro.obs.metrics import DEFAULT_BUCKETS
+from typing import Sequence
 
 
-class _Ring:
-    """Shared ring mechanics: slot bookkeeping, advancement, eviction.
+class Window:
+    """A ring of ``slots`` cells, each a vector of sums.
 
-    ``_ring`` holds ``[slot_index, payload]`` pairs, oldest first; the
-    deque's ``maxlen`` doubles as a backstop so the ring can never hold
-    more than ``slots`` live cells regardless of feed pattern.
+    ``_ring`` holds ``[slot_index, vector]`` pairs, oldest first; the
+    deque's ``maxlen`` keeps at most ``slots`` live cells whatever the
+    feed pattern.
+
+    >>> window = Window(window_s=2.0, slots=2)
+    >>> window.add(0.3, (4,)); window.add(1.2, (6,))
+    >>> window.sums(1)
+    [10]
+    >>> window.add(2.7, (1,))      # the cell covering [0, 1) ages out
+    >>> window.sums(1)
+    [7]
     """
 
-    __slots__ = ("window_s", "slots", "width", "_ring", "_head")
+    __slots__ = ("slots", "width", "_ring", "_head")
 
     def __init__(self, window_s: float, slots: int) -> None:
         if window_s <= 0:
             raise ValueError("window_s must be > 0")
         if slots < 1:
             raise ValueError("slots must be >= 1")
-        self.window_s = float(window_s)
         self.slots = slots
-        self.width = self.window_s / slots
-        self._ring: deque[list[Any]] = deque(maxlen=slots)
+        self.width = float(window_s) / slots
+        self._ring: deque[list] = deque(maxlen=slots)
         self._head = -1
 
-    def _evict(self) -> None:
-        floor = self._head - self.slots
-        ring = self._ring
-        while ring and ring[0][0] <= floor:
-            ring.popleft()
-
-    def _cell_for_push(self, zero: Any) -> list[Any]:
-        """Advance exactly one slot and return its fresh cell."""
+    def push(self, vector: Sequence[float]) -> None:
+        """Advance exactly one slot and store *vector* in it."""
         self._head += 1
-        cell = [self._head, zero]
-        self._ring.append(cell)  # maxlen evicts the oldest automatically
-        return cell
+        self._ring.append([self._head, list(vector)])
 
-    def _cell_for_time(self, now: float, zero: Any) -> list[Any]:
-        """The cell covering *now*, advancing/evicting as needed.
+    def add(self, now: float, vector: Sequence[float]) -> None:
+        """Add *vector* into the cell covering sim-time *now*.
 
-        A timestamp older than the current head (possible when an
-        in-flight report lands after a newer one) folds into the newest
-        live cell rather than resurrecting an evicted slot.
+        A timestamp older than the newest cell (an in-flight report
+        landing after a newer one) folds into that newest cell rather
+        than resurrecting an evicted slot.
         """
+        self.advance_to(now)
         index = int(now / self.width)
-        if index > self._head:
-            self._head = index
-            self._evict()
         ring = self._ring
         if ring and ring[-1][0] >= index:
-            return ring[-1]
-        cell = [index, zero]
-        ring.append(cell)
-        return cell
+            cell = ring[-1][1]
+            for i, value in enumerate(vector):
+                cell[i] += value
+        else:
+            ring.append([index, list(vector)])
 
     def advance_to(self, now: float) -> None:
-        """Evict every cell that is stale as of *now* (for readers)."""
+        """Evict every cell that is stale as of sim-time *now*."""
         index = int(now / self.width)
         if index > self._head:
             self._head = index
-            self._evict()
+            floor = index - self.slots
+            ring = self._ring
+            while ring and ring[0][0] <= floor:
+                ring.popleft()
+
+    def sums(self, size: int) -> list:
+        """Element-wise sum of the live cells, as a vector of *size*."""
+        merged = [0] * size
+        for _, vector in self._ring:
+            for i, value in enumerate(vector):
+                merged[i] += value
+        return merged
 
     @property
     def cells(self) -> int:
         """Live cell count — the whole memory footprint of the window."""
         return len(self._ring)
-
-
-class WindowedCounter(_Ring):
-    """A count over the trailing window, O(slots) memory.
-
-    >>> wc = WindowedCounter(window_s=2.0, slots=2)
-    >>> wc.add(0.3, 4); wc.add(1.2, 6)
-    >>> wc.delta()
-    10
-    >>> wc.add(2.7, 1)      # slot covering t in [0,1) ages out
-    >>> wc.delta(), round(wc.rate(), 2)
-    (7, 3.5)
-    """
-
-    __slots__ = ()
-
-    def push(self, amount: float = 0) -> None:
-        """Advance one slot and record *amount* in it (periodic feed)."""
-        self._cell_for_push(amount)
-
-    def add(self, now: float, amount: float = 1) -> None:
-        """Record *amount* in the slot covering *now* (timed feed)."""
-        cell = self._cell_for_time(now, 0)
-        cell[1] += amount
-
-    def delta(self) -> float:
-        """Sum over live slots — the count inside the window."""
-        return sum(cell[1] for cell in self._ring)
-
-    def rate(self) -> float:
-        """``delta()`` per second of window actually covered."""
-        covered = min(len(self._ring), self.slots) * self.width
-        return self.delta() / covered if covered else 0.0
-
-
-class WindowedHistogram(_Ring):
-    """A fixed-bucket distribution over the trailing window.
-
-    Each slot holds a bucket-count vector (same bounds layout as
-    :class:`repro.obs.metrics.Histogram`: one cell per bound plus a
-    trailing ``+inf`` overflow) along with count/total/max moments, so
-    quantiles and threshold counts come from the merged vectors — never
-    from retained observations.
-
-    >>> wh = WindowedHistogram(window_s=10.0, slots=5, buckets=(0.1, 0.5, 1.0))
-    >>> for value in (0.05, 0.3, 0.3, 2.0): wh.observe(1.0, value)
-    >>> wh.count(), wh.quantile(0.5)
-    (4, 0.5)
-    >>> wh.maximum()
-    2.0
-    """
-
-    __slots__ = ("bounds",)
-
-    def __init__(
-        self,
-        window_s: float,
-        slots: int,
-        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-    ) -> None:
-        super().__init__(window_s, slots)
-        bounds = tuple(sorted(float(b) for b in buckets))
-        if not bounds or len(set(bounds)) != len(bounds):
-            raise ValueError(f"bad bucket bounds {buckets!r}")
-        self.bounds = bounds
-
-    def _zero(self) -> list[Any]:
-        # payload: [bucket_counts, count, total, maximum]
-        return [[0] * (len(self.bounds) + 1), 0, 0.0, float("-inf")]
-
-    def observe(self, now: float, value: float) -> None:
-        """Record one observation at sim-time *now*."""
-        payload = self._cell_for_time(now, None)
-        if payload[1] is None:
-            payload[1] = self._zero()
-        slot = payload[1]
-        slot[0][bisect_left(self.bounds, value)] += 1
-        slot[1] += 1
-        slot[2] += value
-        if value > slot[3]:
-            slot[3] = value
-
-    def push_counts(
-        self,
-        counts: list[int],
-        count: int | None = None,
-        total: float = 0.0,
-        maximum: float = float("-inf"),
-    ) -> None:
-        """Advance one slot and load it with pre-binned bucket deltas.
-
-        The SLO sampler's feed path: it differences a cumulative
-        histogram once per period and hands the delta vector straight
-        in.  *counts* may be shorter than the bucket layout (it is
-        padded) but never longer.
-        """
-        vector = [0] * (len(self.bounds) + 1)
-        for i, value in enumerate(counts[: len(vector)]):
-            vector[i] = value
-        self._cell_for_push(
-            [vector, count if count is not None else sum(vector), total, maximum]
-        )
-
-    # -- merged views ------------------------------------------------------
-    def counts(self) -> list[int]:
-        """Element-wise sum of live slot vectors."""
-        merged = [0] * (len(self.bounds) + 1)
-        for _, payload in self._ring:
-            if payload is None:
-                continue
-            for i, value in enumerate(payload[0]):
-                merged[i] += value
-        return merged
-
-    def count(self) -> int:
-        """Observations inside the window."""
-        return sum(payload[1] for _, payload in self._ring if payload is not None)
-
-    def total(self) -> float:
-        """Sum of observed values inside the window."""
-        return sum(payload[2] for _, payload in self._ring if payload is not None)
-
-    def mean(self) -> float:
-        """Mean observed value inside the window (0.0 when empty)."""
-        count = self.count()
-        return self.total() / count if count else 0.0
-
-    def maximum(self) -> float:
-        """Largest observed value inside the window (0.0 when empty)."""
-        peaks = [payload[3] for _, payload in self._ring if payload is not None]
-        best = max(peaks, default=float("-inf"))
-        return best if best != float("-inf") else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Conservative quantile: the upper bound of the bucket holding
-        the q-th observation (``inf`` when it falls in overflow)."""
-        if not 0.0 < q <= 1.0:
-            raise ValueError("quantile must be in (0, 1]")
-        merged = self.counts()
-        count = sum(merged)
-        if count == 0:
-            return 0.0
-        rank = q * count
-        seen = 0
-        for bound, bucket in zip(self.bounds, merged):
-            seen += bucket
-            if seen >= rank:
-                return bound
-        return float("inf")
-
-
-class WindowedTrend(_Ring):
-    """Success ratio + least-squares latency slope over the window.
-
-    Each slot keeps moment sums — ``(n, good, Σt, Σlat, Σt², Σt·lat)`` —
-    so the merged window reproduces the exact least-squares slope a full
-    row scan would compute, at O(slots) memory instead of O(probes).
-
-    >>> wt = WindowedTrend(window_s=8.0, slots=8)
-    >>> for t in range(4): wt.add(float(t), ok=True, latency=0.1 * t)
-    >>> ratio, slope, samples = wt.read(now=3.0)
-    >>> ratio, round(slope, 3), samples
-    (1.0, 0.1, 4)
-    """
-
-    __slots__ = ()
-
-    def add(self, now: float, ok: bool, latency: float) -> None:
-        """Record one probe report at sim-time *now*."""
-        payload = self._cell_for_time(now, None)
-        if payload[1] is None:
-            payload[1] = [0, 0, 0.0, 0.0, 0.0, 0.0]
-        slot = payload[1]
-        slot[0] += 1
-        slot[1] += 1 if ok else 0
-        slot[2] += now
-        slot[3] += latency
-        slot[4] += now * now
-        slot[5] += now * latency
-
-    def read(self, now: float) -> tuple[float, float, int]:
-        """``(success_ratio, latency_slope, samples)`` as of *now*.
-
-        Empty windows read as healthy (ratio 1.0, slope 0.0) — absence
-        of evidence is not degradation.
-        """
-        self.advance_to(now)
-        n = good = 0
-        st = sl = stt = stl = 0.0
-        for _, payload in self._ring:
-            if payload is None:
-                continue
-            n += payload[0]
-            good += payload[1]
-            st += payload[2]
-            sl += payload[3]
-            stt += payload[4]
-            stl += payload[5]
-        if n == 0:
-            return 1.0, 0.0, 0
-        denominator = n * stt - st * st
-        slope = (n * stl - st * sl) / denominator if abs(denominator) > 1e-12 else 0.0
-        return good / n, slope, n

@@ -8,16 +8,17 @@ updates the key's health flag and, when a :class:`CircuitBreaker` is
 attached, feeds it: a successful probe recloses the breaker (the link
 demonstrably works), a failed probe counts towards tripping it.
 
-Health is therefore *eventual* knowledge: between probes the monitor
-answers with the last observation, and a key never probed reports the
-``default`` verdict (healthy unless configured otherwise).  Probe
-outcomes are exported as ``resilience.health.*`` counters, and per-key
-:class:`~repro.obs.windows.WindowedTrend` rings back
+Every key is probed each :data:`PROBE_PERIOD_S`.  Health is *eventual*
+knowledge: between probes the monitor answers with the last
+observation, and a key never probed reports healthy.  Probe outcomes
+are exported as ``resilience.health.*`` counters.  Each watch owns one
+:class:`~repro.obs.windows.Window` over the last :data:`TREND_WINDOW_S`,
+built when the watch starts, so every report lands in it; it backs
 :meth:`HealthMonitor.trend` — the windowed success ratio plus
 probe-latency slope the adaptive control plane reads to act on
-*degrading* links before their breaker trips.  The rings hold moment
-sums per slot, so trend memory is O(slots) per key, independent of how
-long the soak runs or how fast probes fire.
+*degrading* links before their breaker trips.  Each cell holds the
+moment sums of its reports, so trend memory is O(slots) per key,
+independent of how long the soak runs or how fast probes fire.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Any, Callable
 
 from repro.obs.events import KIND_HEALTH_TRANSITION, NULL_EVENTS, EventLog
 from repro.obs.metrics import NULL_METRICS, GaugeFamily, MetricsRegistry
-from repro.obs.windows import WindowedTrend
+from repro.obs.windows import Window
 from repro.resilience.breaker import CircuitBreaker
 from repro.sim.engine import Engine, PeriodicTask
 from repro.util.errors import ConfigurationError
@@ -36,6 +37,10 @@ from repro.util.errors import ConfigurationError
 #: a probe receives ``report`` and must eventually call it with True/False
 Probe = Callable[[Callable[[bool], None]], None]
 
+#: sim seconds between two probes of one key
+PROBE_PERIOD_S = 1.0
+#: sim seconds of probe history :meth:`HealthMonitor.trend` reads
+TREND_WINDOW_S = 10.0
 #: ring slots per trend window — the whole per-key trend footprint
 TREND_SLOTS = 32
 
@@ -62,12 +67,11 @@ class _Watch:
     probe: Probe
     breaker: CircuitBreaker | None
     task: PeriodicTask
-    healthy: bool
+    #: per-cell moment sums (n, good, Σt, Σlat, Σt², Σt·lat) of reports
+    trend: Window
+    healthy: bool = True
     probes: int = 0
     failures: int = 0
-    #: window_s → moments ring; created lazily per requested window so a
-    #: caller's first trend() call arms the ring its next reads consume
-    trends: dict = field(default_factory=dict)
     #: issue times of probes whose report is still outstanding (FIFO)
     pending: deque = field(default_factory=deque)
 
@@ -78,16 +82,10 @@ class HealthMonitor:
     def __init__(
         self,
         engine: Engine,
-        period_s: float = 5.0,
-        default_healthy: bool = True,
         metrics: MetricsRegistry | None = None,
         events: EventLog | None = None,
     ) -> None:
-        if period_s <= 0:
-            raise ConfigurationError("health probe period_s must be > 0")
         self._engine = engine
-        self._period_s = period_s
-        self._default = default_healthy
         self._obs: MetricsRegistry = metrics if metrics is not None else NULL_METRICS
         self._events: EventLog = events if events is not None else NULL_EVENTS
         self._watches: dict[str, _Watch] = {}
@@ -110,18 +108,16 @@ class HealthMonitor:
         key: str,
         probe: Probe,
         breaker: CircuitBreaker | None = None,
-        period_s: float | None = None,
     ) -> None:
         """Probe *key* every period; feed results into *breaker* if given."""
         if key in self._watches:
             raise ConfigurationError(f"already watching {key!r}")
-        task = PeriodicTask(
-            self._engine,
-            period_s if period_s is not None else self._period_s,
-            lambda: self._probe(key),
-        )
+        task = PeriodicTask(self._engine, PROBE_PERIOD_S, lambda: self._probe(key))
         self._watches[key] = _Watch(
-            probe=probe, breaker=breaker, task=task, healthy=self._default
+            probe=probe,
+            breaker=breaker,
+            task=task,
+            trend=Window(TREND_WINDOW_S, TREND_SLOTS),
         )
         task.start()
 
@@ -148,8 +144,10 @@ class HealthMonitor:
             return
         now = self._engine.now
         issued = watch.pending.popleft() if watch.pending else now
-        for trend in watch.trends.values():
-            trend.add(now, healthy, now - issued)
+        latency = now - issued
+        watch.trend.add(
+            now, (1, 1 if healthy else 0, now, latency, now * now, now * latency)
+        )
         if healthy != watch.healthy and self._events.enabled:
             # Edge-triggered: one event per flip, not one per probe.
             self._events.record(
@@ -166,33 +164,38 @@ class HealthMonitor:
             watch.breaker.record_failure()
 
     def healthy(self, key: str) -> bool:
-        """Last observed health for *key* (``default`` when never probed)."""
+        """Last observed health for *key* (healthy when never probed)."""
         watch = self._watches.get(key)
-        return self._default if watch is None else watch.healthy
+        return True if watch is None else watch.healthy
 
-    def trend(self, key: str, window_s: float = 10.0) -> HealthTrend:
-        """Success ratio and latency slope for *key* over the last window.
+    def trend(self, key: str) -> HealthTrend:
+        """Success ratio and latency slope for *key* over the last
+        :data:`TREND_WINDOW_S`.
 
-        Reads the key's :class:`~repro.obs.windows.WindowedTrend` ring
-        for *window_s* (created on first request; it fills as reports
-        arrive), so the view is exactly as fresh as the probe cadence at
-        O(slots) memory.  Also exports the window through the labelled
+        Reads the key's trend window, which has taken every report since
+        the watch started, so the view is exactly as fresh as the probe
+        cadence at O(slots) memory.  The slope is the least-squares fit
+        over the window's moment sums.  An empty window (or an unwatched
+        key) reads as healthy: absence of evidence is not degradation.
+        Also exports the window through the labelled
         ``resilience.health.trend.*`` gauge families — the signal
         surface the adaptive control plane polls.
         """
-        if window_s <= 0:
-            raise ConfigurationError("trend window_s must be > 0")
         watch = self._watches.get(key)
-        if watch is None:
-            trend = HealthTrend(success_ratio=1.0, latency_slope=0.0, samples=0)
-        else:
-            ring = watch.trends.get(window_s)
-            if ring is None:
-                ring = watch.trends[window_s] = WindowedTrend(window_s, TREND_SLOTS)
-            ratio, slope, samples = ring.read(self._engine.now)
-            trend = HealthTrend(
-                success_ratio=ratio, latency_slope=slope, samples=samples
-            )
+        trend = HealthTrend(success_ratio=1.0, latency_slope=0.0, samples=0)
+        if watch is not None:
+            watch.trend.advance_to(self._engine.now)
+            n, good, st, sl, stt, stl = watch.trend.sums(6)
+            if n:
+                denominator = n * stt - st * st
+                slope = (
+                    (n * stl - st * sl) / denominator
+                    if abs(denominator) > 1e-12
+                    else 0.0
+                )
+                trend = HealthTrend(
+                    success_ratio=good / n, latency_slope=slope, samples=n
+                )
         if self._obs.enabled:
             self._trend_ratio.labels(key=key).set(trend.success_ratio)
             self._trend_slope.labels(key=key).set(trend.latency_slope)

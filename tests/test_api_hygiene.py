@@ -8,6 +8,7 @@ package's ``__all__`` names resolve.
 from __future__ import annotations
 
 import ast
+import builtins
 import importlib
 import inspect
 import pathlib
@@ -192,6 +193,64 @@ def test_only_repro_org_writes_the_person_index():
     assert {package for package, _ in reaches} == {"org"}, sorted(
         where for package, where in reaches if package != "org"
     )
+
+
+#: the prose a reader follows to the code: README, design, verify recipe
+DOCS = ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"]
+FENCED = re.compile(r"^```.*?^```", re.S | re.M)
+BACKTICKED = re.compile(r"`([^`]+)`")
+DOTTED = re.compile(r"\brepro(?:\.\w+)+")
+CAMEL_CASE = re.compile(r"\b_?[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+\b")
+
+
+def _resolves(path: str) -> bool:
+    """Whether dotted *path* names a module, or an attribute chain on one."""
+    parts = path.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(target, attr):
+                return False
+            target = getattr(target, attr)
+        return True
+    return False
+
+
+def _library_names() -> set[str]:
+    names = set(dir(builtins))
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        names.update(vars(importlib.import_module(info.name)))
+    return names
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_doc_references_resolve(doc):
+    """A backticked ``repro.…`` path in the docs must import, and a
+    backticked CamelCase name must be a library name or a builtin, so a
+    class renamed or removed in code cannot live on in the prose.
+    Fenced code blocks are skipped; their names run or fail for real."""
+    text = FENCED.sub(
+        lambda block: "\n" * block.group().count("\n"),
+        (ROOT / doc).read_text(encoding="utf-8"),
+    )
+    names = _library_names()
+    stale = []
+    for match in BACKTICKED.finditer(text):
+        line = text.count("\n", 0, match.start()) + 1
+        stale += [
+            f"{doc}:{line}: {path}"
+            for path in DOTTED.findall(match.group(1))
+            if not _resolves(path)
+        ]
+        stale += [
+            f"{doc}:{line}: {name}"
+            for name in CAMEL_CASE.findall(match.group(1))
+            if name not in names
+        ]
+    assert not stale, "stale names in the docs:\n" + "\n".join(stale)
 
 
 class TestExchangeCallSurface:

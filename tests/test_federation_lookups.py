@@ -104,15 +104,15 @@ def test_find_person_unknown_id_raises_the_same_error():
 
 
 def _count_roster_probes(monkeypatch) -> list[str]:
-    """Record every ``Organisation.get_person`` call from here on."""
+    """Record every ``Organisation.person`` call from here on."""
     calls: list[str] = []
-    probe = Organisation.get_person
+    probe = Organisation.person
 
     def counted(self, person_id):
         calls.append(person_id)
         return probe(self, person_id)
 
-    monkeypatch.setattr(Organisation, "get_person", counted)
+    monkeypatch.setattr(Organisation, "person", counted)
     return calls
 
 
@@ -139,9 +139,3 @@ def test_partition_probes_no_roster(world, monkeypatch):
     assert len(federation.knowledge_base.person_index) == 512
     assert federation.home_of("d31-p15") == "d31"
 
-
-def test_organisation_get_person_returns_none_for_a_stranger():
-    org = Organisation("org0", "ORG0")
-    org.add_person(Person("p0", "Person 0", "org0"))
-    assert org.get_person("p0") is org.person("p0")
-    assert org.get_person("nobody") is None

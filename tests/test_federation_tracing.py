@@ -244,7 +244,7 @@ class TestTraceCorrelatedEvents:
 
     def test_health_flip_emits_transition_event(self, world):
         federation, _, events = make_federation(world, names=("d0", "d1", "d2"))
-        federation.start_health_checks(period_s=1.0, timeout_s=0.5)
+        federation.start_health_checks()
         d0, d1 = federation.domain("d0"), federation.domain("d1")
         world.network.set_link(
             d0.node, d1.node,

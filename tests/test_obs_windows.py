@@ -1,120 +1,151 @@
-"""Tests for repro.obs.windows: ring-of-buckets windowed aggregation."""
+"""Tests for repro.obs.windows: one ring-of-slots ``Window``.
+
+``Window`` replaced three ring classes; the tests keep their grouping by
+what the window is fed: one-element counts, bucket-count vectors (the
+SLO engine's latency objectives) and probe moment sums (the health
+trend, read through ``HealthMonitor.trend``).
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.obs.windows import WindowedCounter, WindowedHistogram, WindowedTrend
+from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.slo import SLOEngine, _bucket_quantile
+from repro.obs.windows import Window
+from repro.resilience.health import HealthMonitor
+from repro.util.errors import ConfigurationError
 
 
 class TestWindowedCounter:
+    """A window fed one-element vectors is a windowed count."""
+
     def test_push_feed_keeps_last_n_slots(self):
-        ring = WindowedCounter(window_s=3.0, slots=3)
+        ring = Window(window_s=3.0, slots=3)
         for delta in (1, 2, 3):
-            ring.push(delta)
-        assert ring.delta() == 6
-        ring.push(10)  # the 1 ages out
-        assert ring.delta() == 15
+            ring.push((delta,))
+        assert ring.sums(1) == [6]
+        ring.push((10,))  # the 1 ages out
+        assert ring.sums(1) == [15]
         assert ring.cells == 3
 
     def test_timed_feed_buckets_and_evicts(self):
-        ring = WindowedCounter(window_s=2.0, slots=2)
-        ring.add(0.1, 4)
-        ring.add(0.9, 1)  # same slot
-        ring.add(1.5, 6)
-        assert ring.delta() == 11
-        ring.add(2.5, 2)  # slot [0,1) is now stale
-        assert ring.delta() == 8
+        ring = Window(window_s=2.0, slots=2)
+        ring.add(0.1, (4,))
+        ring.add(0.9, (1,))  # same slot
+        ring.add(1.5, (6,))
+        assert ring.sums(1) == [11]
+        ring.add(2.5, (2,))  # slot [0,1) is now stale
+        assert ring.sums(1) == [8]
 
     def test_late_timestamp_folds_into_newest_cell(self):
-        ring = WindowedCounter(window_s=4.0, slots=4)
-        ring.add(3.0, 1)
-        ring.add(1.0, 1)  # arrives late: folds forward, never resurrects
-        assert ring.delta() == 2
+        ring = Window(window_s=4.0, slots=4)
+        ring.add(3.0, (1,))
+        ring.add(1.0, (1,))  # arrives late: folds forward, never resurrects
+        assert ring.sums(1) == [2]
         assert ring.cells == 1
 
-    def test_rate_over_covered_span(self):
-        ring = WindowedCounter(window_s=10.0, slots=5)
-        ring.push(6)
-        assert ring.rate() == pytest.approx(3.0)  # one 2 s slot covered
-        for _ in range(4):
-            ring.push(1)
-        assert ring.rate() == pytest.approx(1.0)  # 10 over the full 10 s
-
     def test_memory_is_bounded_by_slots(self):
-        ring = WindowedCounter(window_s=8.0, slots=8)
+        ring = Window(window_s=8.0, slots=8)
         for tick in range(10_000):
-            ring.add(float(tick), 1)
+            ring.add(float(tick), (1,))
         assert ring.cells <= 8
+        assert ring.sums(1) == [8]
+
+    def test_advance_to_evicts_for_readers(self):
+        ring = Window(window_s=2.0, slots=2)
+        ring.add(0.5, (3,))
+        ring.advance_to(1.5)
+        assert ring.sums(1) == [3]
+        ring.advance_to(2.0)  # slot [0,1) ages out with no write
+        assert (ring.sums(1), ring.cells) == ([0], 0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            WindowedCounter(window_s=0.0, slots=4)
+            Window(window_s=0.0, slots=4)
         with pytest.raises(ValueError):
-            WindowedCounter(window_s=1.0, slots=0)
+            Window(window_s=1.0, slots=0)
 
 
 class TestWindowedHistogram:
+    """A window fed bucket-count vectors is a windowed histogram; the
+    SLO engine reads its quantile with ``_bucket_quantile``."""
+
     def test_observe_and_merged_moments(self):
-        ring = WindowedHistogram(window_s=4.0, slots=4, buckets=(1.0, 2.0))
-        for now, value in ((0.5, 0.5), (1.5, 1.5), (2.5, 5.0)):
-            ring.observe(now, value)
-        assert ring.count() == 3
-        assert ring.total() == pytest.approx(7.0)
-        assert ring.mean() == pytest.approx(7.0 / 3)
-        assert ring.maximum() == 5.0
-        assert ring.counts() == [1, 1, 1]
+        ring = Window(window_s=4.0, slots=4)
+        # cells hold (bucket <= 1, bucket <= 2, overflow, count, total)
+        for now, vector in (
+            (0.5, (1, 0, 0, 1, 0.5)),
+            (1.5, (0, 1, 0, 1, 1.5)),
+            (2.5, (0, 0, 1, 1, 5.0)),
+        ):
+            ring.add(now, vector)
+        assert ring.sums(5) == [1, 1, 1, 3, pytest.approx(7.0)]
 
     def test_quantile_is_conservative_bucket_bound(self):
-        ring = WindowedHistogram(window_s=4.0, slots=4, buckets=(1.0, 2.0))
-        for value in (0.5, 0.6, 1.5, 1.6):
-            ring.observe(0.0, value)
-        assert ring.quantile(0.5) == 1.0
-        assert ring.quantile(1.0) == 2.0
-        ring.observe(0.0, 99.0)
-        assert ring.quantile(1.0) == float("inf")
+        histogram = Histogram("latency", buckets=(1.0, 2.0))
+        ring = Window(window_s=4.0, slots=4)
+        ring.push((2, 2, 0))
+        counts = ring.sums(3)
+        assert _bucket_quantile(histogram, counts, 4, 0.5) == 1.0
+        assert _bucket_quantile(histogram, counts, 4, 1.0) == 2.0
+        histogram.observe(99.0)  # the overflow reports the running maximum
+        ring.push((0, 0, 1))
+        assert _bucket_quantile(histogram, ring.sums(3), 5, 1.0) == 99.0
 
-    def test_quantile_empty_and_validation(self):
-        ring = WindowedHistogram(window_s=1.0, slots=1)
-        assert ring.quantile(0.5) == 0.0
-        assert ring.maximum() == 0.0
-        with pytest.raises(ValueError):
-            ring.quantile(0.0)
+    def test_quantile_empty_and_validation(self, world):
+        histogram = Histogram("latency", buckets=(1.0,))
+        assert _bucket_quantile(histogram, Window(1.0, 1).sums(2), 0, 0.5) == 0.0
+        slo = SLOEngine(world.engine, MetricsRegistry())
+        with pytest.raises(ConfigurationError):
+            slo.add_latency("l", "latency", threshold_s=1.0, quantile=0.0)
 
     def test_aging_out_drops_old_observations(self):
-        ring = WindowedHistogram(window_s=2.0, slots=2, buckets=(1.0,))
-        ring.observe(0.0, 10.0)
-        ring.observe(2.5, 0.5)  # slot [0,1) ages out
-        assert ring.count() == 1
-        assert ring.maximum() == 0.5
+        ring = Window(window_s=2.0, slots=2)
+        ring.add(0.0, (0, 1))
+        ring.add(2.5, (1, 0))  # slot [0,1) ages out
+        assert ring.sums(2) == [1, 0]
 
     def test_push_counts_pads_short_vectors(self):
-        ring = WindowedHistogram(window_s=2.0, slots=2, buckets=(1.0, 2.0))
-        ring.push_counts([3], total=1.5, maximum=0.9)
-        assert ring.counts() == [3, 0, 0]
-        assert ring.count() == 3
-        assert ring.total() == pytest.approx(1.5)
-        assert ring.maximum() == pytest.approx(0.9)
+        ring = Window(window_s=2.0, slots=2)
+        ring.push((3,))
+        assert ring.sums(3) == [3, 0, 0]
 
 
 class TestWindowedTrend:
-    def test_reads_ratio_and_slope(self):
-        ring = WindowedTrend(window_s=8.0, slots=8)
-        for t in range(4):
-            ring.add(float(t), ok=(t != 3), latency=0.2 * t)
-        ratio, slope, samples = ring.read(now=3.0)
-        assert ratio == pytest.approx(0.75)
-        assert slope == pytest.approx(0.2)
-        assert samples == 4
+    """A window fed probe moment sums is the health trend."""
 
-    def test_empty_window_reads_healthy(self):
-        ring = WindowedTrend(window_s=4.0, slots=4)
-        assert ring.read(now=100.0) == (1.0, 0.0, 0)
+    def test_reads_ratio_and_slope(self, world):
+        monitor = HealthMonitor(world.engine)
+        delays = iter((0.1, 0.2, 0.3, 0.4))
+        verdicts = iter((True, True, True, False))
 
-    def test_read_evicts_stale_cells(self):
-        ring = WindowedTrend(window_s=2.0, slots=2)
-        ring.add(0.0, ok=False, latency=9.0)
-        ring.add(2.5, ok=True, latency=0.1)
-        ratio, _, samples = ring.read(now=2.5)
-        assert ratio == 1.0  # the failure aged out
-        assert samples == 1
+        def probe(report):
+            healthy, delay = next(verdicts), next(delays)
+            world.engine.schedule(delay, lambda: report(healthy))
+
+        monitor.watch("link", probe)
+        world.run_for(4.5)  # probes at t=1..4 reply after 0.1..0.4 s
+        trend = monitor.trend("link")
+        assert trend.success_ratio == pytest.approx(0.75)
+        # latency 0.1*k against report time 1.1*k: slope 1/11
+        assert trend.latency_slope == pytest.approx(1.0 / 11.0)
+        assert trend.samples == 4
+
+    def test_empty_window_reads_healthy(self, world):
+        monitor = HealthMonitor(world.engine)
+        monitor.watch("link", lambda report: None)  # never replies
+        world.run_for(100.0)
+        trend = monitor.trend("link")
+        assert (trend.success_ratio, trend.latency_slope, trend.samples) == (
+            1.0, 0.0, 0,
+        )
+
+    def test_read_evicts_stale_cells(self, world):
+        monitor = HealthMonitor(world.engine)
+        verdicts = iter((False, False))
+        monitor.watch("link", lambda report: report(next(verdicts, True)))
+        world.run_for(15.0)
+        trend = monitor.trend("link")
+        assert trend.success_ratio == 1.0  # the failures at t=1, 2 aged out
+        assert trend.samples == 10  # t=6..15 of the 10 s window

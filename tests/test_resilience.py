@@ -154,7 +154,7 @@ class TestCircuitBreaker:
 class TestHealthMonitor:
     def test_probe_outcomes_drive_breaker(self, world):
         breaker = CircuitBreaker(world.engine, failure_threshold=2, cooldown_s=60.0)
-        monitor = HealthMonitor(world.engine, period_s=1.0)
+        monitor = HealthMonitor(world.engine)
         verdicts = [False, False, True]
 
         def probe(report):
@@ -172,7 +172,7 @@ class TestHealthMonitor:
         assert stats["probes"] == 3 and stats["failures"] == 2
 
     def test_stop_halts_probing(self, world):
-        monitor = HealthMonitor(world.engine, period_s=1.0)
+        monitor = HealthMonitor(world.engine)
         fired: list[bool] = []
         monitor.watch("k", lambda report: fired.append(True) or report(True))
         world.run_for(2.0)
@@ -180,8 +180,17 @@ class TestHealthMonitor:
         world.run_for(5.0)
         assert len(fired) == 2
 
+    def test_a_late_first_trend_read_sees_the_reports_in_its_window(self, world):
+        # the trend window is built with the watch, so a control plane
+        # attached after the link started failing still sees it failing
+        monitor = HealthMonitor(world.engine)
+        monitor.watch("link", lambda report: report(False))
+        world.run_for(5.0)  # five failed probes, no trend read yet
+        trend = monitor.trend("link")
+        assert (trend.samples, trend.success_ratio) == (5, 0.0)
+
     def test_duplicate_watch_rejected(self, world):
-        monitor = HealthMonitor(world.engine, period_s=1.0)
+        monitor = HealthMonitor(world.engine)
         monitor.watch("k", lambda report: report(True))
         with pytest.raises(ConfigurationError):
             monitor.watch("k", lambda report: report(True))
@@ -399,7 +408,7 @@ class TestFailoverRouting:
 
     def test_health_checks_trip_breaker_and_enable_failover(self, world):
         federation, inbox = make_federation(world, names=("upc", "gmd", "inria"))
-        federation.start_health_checks(period_s=1.0, timeout_s=0.5)
+        federation.start_health_checks()
         upc, gmd = federation.domain("upc"), federation.domain("gmd")
         world.network.set_link(
             upc.node, gmd.node,
@@ -419,7 +428,7 @@ class TestFailoverRouting:
 
     def test_health_probes_reclose_breaker_after_heal(self, world):
         federation, _ = make_federation(world)
-        federation.start_health_checks(period_s=1.0, timeout_s=0.5)
+        federation.start_health_checks()
         gateway = federation.domain("upc").gateway_to("gmd")
         gateway.breaker.force_open()
         world.run_for(2.0)  # one successful probe recloses
