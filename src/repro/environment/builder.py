@@ -73,6 +73,7 @@ class EnvironmentBuilder:
         self._default_deadline_s: float | None = None
         self._shards: int | None = None
         self._knowledge_base: OrganisationalKnowledgeBase | None = None
+        self._activities: "tuple[ActivityRegistry, DependencyGraph] | None" = None
         self._mediation = False
 
     # -- knobs -------------------------------------------------------------
@@ -197,6 +198,19 @@ class EnvironmentBuilder:
         self._knowledge_base = knowledge_base
         return self
 
+    def with_activities(
+        self, registry: ActivityRegistry, dependencies: DependencyGraph
+    ) -> "EnvironmentBuilder":
+        """Read *registry* and *dependencies* instead of building a fresh pair.
+
+        Environments built with one pair share one inter-activity model,
+        which their schedulers and negotiation services work over; a
+        :class:`~repro.federation.federation.Federation` builds its
+        domains this way.
+        """
+        self._activities = (registry, dependencies)
+        return self
+
     def with_mediation(self) -> "EnvironmentBuilder":
         """Wire a :class:`~repro.mediation.mediator.Mediator` as ``env.mediator``.
 
@@ -269,8 +283,9 @@ class EnvironmentBuilder:
         env.resolution.enabled = self._resolution_cache
         env.knowledge_base.add_listener(env.resolution.on_kb_change)
         env.applications.add_listener(env.resolution.on_app_registered)
-        env.activities = ActivityRegistry()
-        env.dependencies = DependencyGraph()
+        env.activities, env.dependencies = self._activities or (
+            ActivityRegistry(), DependencyGraph()
+        )
         env.scheduler = ActivityScheduler(env.activities, env.dependencies, env.bus)
         env.negotiations = NegotiationService(env.activities)
         env.resources = ResourceCoordinator()

@@ -27,7 +27,7 @@ The exchange decision — the one list of its stages.  The first stage
 that refuses an exchange decides its ``reason_code``:
 
 1. deadline — :data:`REASON_DEADLINE_EXCEEDED`
-2. activity membership — :data:`REASON_MEMBERSHIP`
+2. activity membership — :data:`REASON_MEMBERSHIP` (an unknown activity too)
 3. organisation transparency — :data:`REASON_ORGANISATION_OPAQUE`
 4. inter-organisation policy — :data:`REASON_POLICY`
 5. view transparency — :data:`REASON_VIEW_OPAQUE`
@@ -46,8 +46,11 @@ delivery callback mutates the knowledge base); stages 6–10 run per
 document.  A participant the knowledge base does not know resolves to a
 same-organisation route, so stages 3 and 4 never refuse them.  A
 federation's origin domain decides stages 1–4 before relaying (a
-receiver with no home domain fails stage 7 there, after stage 1); the
-target's pipeline decides the rest.
+receiver with no home domain fails stage 7 there, after stage 1).  The
+target's pipeline then runs all ten stages again: stage 1 on the
+deadline the origin clamped, and its admission (stages 2–5) against the
+same knowledge base and activity registry the origin read; stages 5–10
+are the target's alone.
 """
 
 from __future__ import annotations
@@ -555,7 +558,10 @@ class CSCWEnvironment:
         """
         activity_id = request.activity_id
         if activity_id:
-            activity = self.activities.get(activity_id)
+            try:
+                activity = self.activities.get(activity_id)
+            except UnknownObjectError as exc:
+                return _Refusal(REASON_MEMBERSHIP, str(exc))
             for person in (request.sender, request.receiver):
                 if not activity.is_member(person):
                     return _Refusal(

@@ -10,9 +10,10 @@ administrative boundaries, not just inside one environment).
 A :class:`Federation` owns a set of :class:`~repro.federation.domain.Domain`
 objects on one shared :class:`~repro.sim.world.World`.  Every domain
 environment reads the federation's one organisational knowledge base,
-where each domain is an organisation and a person's home is theirs, so
-org and policy verdicts agree at both ends of a relay.  The domains are
-wired pairwise:
+where each domain is an organisation and a person's home is theirs, and
+its one inter-activity model (activity registry and dependency graph),
+so org, policy and membership verdicts agree at both ends of a relay.
+The domains are wired pairwise:
 
 * **naming** — every domain's :class:`~repro.odp.naming.NamingDomain`
   federates with every peer, so ``people/ana`` resolves from anywhere as
@@ -47,6 +48,8 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
+from repro.activity.dependencies import DependencyGraph
+from repro.activity.model import Activity, ActivityRegistry
 from repro.communication.model import Communicator
 from repro.environment.environment import (
     _ALL_ON,
@@ -225,11 +228,15 @@ class Federation:
         self.knowledge_base: OrganisationalKnowledgeBase = (
             OrganisationalKnowledgeBase() if shards is None else ShardedKnowledgeBase(shards)
         )
+        #: the one inter-activity model every domain environment reads
+        self.activities, self.dependencies = ActivityRegistry(), DependencyGraph()
         #: builds every domain's environment; mediation=True makes relayed
         #: exchanges carry the origin's synthesized plan metadata
         self._builder = CSCWEnvironment.builder().with_world(world).with_knowledge_base(
             self.knowledge_base
-        ).with_shed_limit(shed_limit).with_default_deadline(default_deadline_s)
+        ).with_activities(self.activities, self.dependencies).with_shed_limit(
+            shed_limit
+        ).with_default_deadline(default_deadline_s)
         if mediation:
             self._builder.with_mediation()
         if metrics is not None:
@@ -240,6 +247,8 @@ class Federation:
             self._builder.with_event_log(self._events)
         self._health: HealthMonitor | None = None
         self._domains: dict[str, Domain] = {}
+        #: every register_application call, replayed into each later domain
+        self._applications: list[tuple[AppDescriptor, DeliveryCallback, str]] = []
         #: freshness token for home resolution, bumped by add/move —
         #: ``federated_exchange_many`` watches it so a delivery callback
         #: that re-homes someone mid-batch forces the already-resolved
@@ -283,6 +292,8 @@ class Federation:
         if name in self._domains:
             raise ConfigurationError(f"domain {name!r} already exists in {self.name!r}")
         domain = Domain(self._builder.with_name(name).build())
+        for registration in self._applications:
+            domain.env.register_application(*registration)
         domain.gateway_rpc.serve(
             "relay", partial(self._handle_relay, domain)
         )
@@ -475,7 +486,8 @@ class Federation:
         on_deliver: DeliveryCallback,
         exporter_org: str = "",
     ) -> None:
-        """Register one application in every domain environment.
+        """Register one application in every domain environment, and in
+        every domain added later.
 
         Federation keeps the paper's O(N) integration cost: one
         descriptor + converter serves all domains (the delivery callback
@@ -483,13 +495,16 @@ class Federation:
         """
         for domain in self._domains.values():
             domain.env.register_application(descriptor, on_deliver, exporter_org)
+        self._applications.append((descriptor, on_deliver, exporter_org))
 
     def create_shared_activity(
         self, activity_id: str, name: str, members: dict[str, str] | None = None
     ) -> None:
-        """Create one activity, visible (with its members) in every domain."""
-        for domain in self._domains.values():
-            domain.env.create_activity(activity_id, name, dict(members or {}))
+        """Create one activity, with its members, in the federation's one
+        activity registry, which every domain reads."""
+        activity = self.activities.create(Activity(activity_id, name))
+        for person_id, role in (members or {}).items():
+            activity.join(person_id, role)
 
     # -- people ------------------------------------------------------------
     def add_person(self, person_id: str, domain_name: str, name: str = "") -> Person:

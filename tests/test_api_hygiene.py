@@ -195,6 +195,26 @@ def test_only_repro_org_writes_the_person_index():
     )
 
 
+def test_only_the_builder_and_the_federation_build_an_activity_model():
+    """The inter-activity model is built in two places: the builder's
+    fresh pair for a standalone environment, and a federation's one pair,
+    which every domain environment reads.  A third constructor would be a
+    copy of the model to keep in step."""
+    src = ROOT / "src/repro"
+    builds = {
+        str(path.relative_to(ROOT))
+        for path in sorted(src.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", ""))
+        in ("ActivityRegistry", "DependencyGraph")
+    }
+    assert builds == {
+        "src/repro/environment/builder.py",
+        "src/repro/federation/federation.py",
+    }, sorted(builds)
+
+
 #: the prose a reader follows to the code: README, design, verify recipe
 DOCS = ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"]
 FENCED = re.compile(r"^```.*?^```", re.S | re.M)

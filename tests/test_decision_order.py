@@ -303,3 +303,32 @@ def test_local_run_is_decided_by_the_same_origin_stage(faults, code):
     """A run that stays home has its deadline decided by the origin
     stage too, before the home environment's pipeline takes the rest."""
     assert _origin_codes(*faults, receiver="cleo") == [[code], [code] * 3]
+
+
+def test_an_unknown_activity_is_a_membership_refusal():
+    """An ``activity_id`` no registry holds fails stage 2 like a
+    non-member does: the batch still ends in one outcome per request,
+    and the environment's counters agree with the outcomes."""
+    env = make_env()
+    plain = ExchangeRequest("ana", "wolf", "plain", "plain", DOC)
+    stray = ExchangeRequest("ana", "wolf", "plain", "plain", DOC, activity_id="zz")
+    outcomes = env.exchange_many([plain, stray])
+    assert [outcome.reason_code for outcome in outcomes] == [REASON_DELIVERED, REASON_MEMBERSHIP]
+    assert outcomes[1].reason == "unknown activity 'zz'"
+    assert env.exchanges_attempted == len(outcomes)
+    assert env.exchanges_failed == sum(not outcome.delivered for outcome in outcomes)
+
+
+def test_a_member_who_joined_through_one_domain_is_a_member_everywhere():
+    """A federation has one activity registry: cleo joining ``a1``
+    through ``upc``'s environment is seen by ``gmd``'s, so her exchange
+    with bob across the gateway is delivered, as it is with ana at home."""
+    federation = make_federation()
+    federation.create_shared_activity("a1", "Review", {"ana": "chair", "bob": "member"})
+    federation.domain("upc").env.activities.get("a1").join("cleo")
+    for receiver in ("bob", "ana"):
+        outcome = federation.federated_exchange(ExchangeRequest(
+            "cleo", receiver, "plain", "plain", DOC, activity_id="a1"
+        ))
+        assert outcome.reason_code == REASON_DELIVERED, outcome.outcome.reason
+    assert federation.domain("upc").gateway_to("gmd").relays == 1

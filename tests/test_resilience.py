@@ -457,12 +457,13 @@ def _forwarded_failure(federation, world):
 
 
 def _remote_error(federation, world):
-    """An activity only the origin knows: the origin admits the member,
-    the target's pipeline raises."""
-    federation.domain("upc").env.create_activity(
-        "a1", "Review", {"p-upc": "chair", "p-gmd": "member"}
+    """An application only the origin's environment registers: the origin
+    admits the route, the target's pipeline raises looking up its format."""
+    federation.domain("upc").env.register_application(
+        AppDescriptor(name="solo", quadrants=QUAD, native_format="fmt"),
+        lambda person, doc, info: None,
     )
-    return {"activity_id": "a1"}
+    return {"receiver_app": "solo"}
 
 
 class TestRelaySettlement:
@@ -477,7 +478,8 @@ class TestRelaySettlement:
             ),
             (
                 _remote_error,
-                "relay upc->gmd failed remotely: UnknownObjectError: unknown activity 'a1'",
+                "relay upc->gmd failed remotely: NotRegisteredError: "
+                "application 'solo' is not registered",
                 ["origin"],
                 1,
             ),
@@ -486,9 +488,9 @@ class TestRelaySettlement:
     )
     def test_failed_reply_settles_as_a_dead_letter(self, world, setup, reason, roles, attempts):
         federation, inbox = make_federation(world, names=("upc", "gmd", "inria"))
-        fields = setup(federation, world)
+        fields = {"sender_app": "app0", "receiver_app": "app0", **setup(federation, world)}
         outcome = federation.federated_exchange(
-            ExchangeRequest("p-upc", "p-gmd", "app0", "app0", DOC, **fields)
+            ExchangeRequest("p-upc", "p-gmd", document=DOC, **fields)
         )
         assert outcome.reason_code == "gateway-dead-letter"
         assert outcome.outcome.reason == reason
