@@ -35,7 +35,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import fields
 
 from bench_common import build_environment, synthetic_converter
 from repro.environment.environment import CSCWEnvironment, ExchangeRequest
@@ -86,8 +85,7 @@ def _sender_receiver() -> tuple[str, str]:
 
 
 def _outcome_fields(outcome) -> dict:
-    return {f.name: getattr(outcome, f.name) for f in fields(outcome)
-            if f.name != "trace_id"}
+    return {name: value for name, value in outcome._asdict().items() if name != "trace_id"}
 
 
 def run_bench(iterations: int, quick: bool) -> dict:

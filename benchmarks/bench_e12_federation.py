@@ -42,7 +42,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import fields as dataclass_fields
 
 from bench_common import canonical_sha256, synthetic_converter
 from repro.environment.environment import ExchangeRequest
@@ -59,11 +58,7 @@ DOCUMENT = {"fmt0-title": "minutes", "fmt0-body": "we met"}
 
 def outcome_fields(outcome) -> dict:
     """An ``ExchangeOutcome``'s fields minus the per-span trace id."""
-    return {
-        f.name: getattr(outcome, f.name)
-        for f in dataclass_fields(outcome)
-        if f.name != "trace_id"
-    }
+    return {name: value for name, value in outcome._asdict().items() if name != "trace_id"}
 
 
 def build_federation(n_domains: int) -> Federation:

@@ -24,9 +24,10 @@ from repro.information.interchange import FormatConverter
 from repro.util.errors import ConfigurationError
 
 
-@dataclass
+@dataclass(slots=True)
 class Delivery:
-    """One document that arrived in a person's application inbox."""
+    """One document that arrived in a person's application inbox
+    (slotted: every delivery to a stock application keeps one)."""
 
     person_id: str
     document: dict[str, Any]

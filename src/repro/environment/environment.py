@@ -127,20 +127,23 @@ class _Refusal(NamedTuple):
 
 #: the route-constant state of an admitted run: its communication
 #: context, the (sender, receiver) formats, the dimensions a synchronous
-#: delivery handles (in pipeline order) and the receiver's endpoint
-#: (None when they have no communicator); a plain tuple, as a run of one
-#: pays for its construction on every exchange
-_Admission = tuple[CommunicationContext, str, str, tuple[str, ...], "Communicator | None"]
+#: delivery handles (in pipeline order), the receiver's endpoint (None
+#: without a communicator) and the receiving app's delivery callback; a
+#: plain tuple, as a run of one pays for its construction on every exchange
+_Admission = tuple[
+    CommunicationContext, str, str, tuple[str, ...], "Communicator | None", DeliveryCallback
+]
 
 
-@dataclass(frozen=True, slots=True)
-class ExchangeOutcome:
+class ExchangeOutcome(NamedTuple):
     """What happened to one cross-application exchange.
 
     ``reason`` (human text) and ``reason_code`` (one of the ``REASON_*``
     constants) are populated uniformly for delivered and failed
     exchanges; ``trace_id`` carries the trace the exchange ran under
-    when the environment has a tracer attached ('' otherwise).
+    when the environment has a tracer attached ('' otherwise).  An
+    immutable named tuple, as every exchange builds one:
+    ``_replace``/``_asdict``/``_fields`` are its record API.
     """
 
     delivered: bool
@@ -337,12 +340,12 @@ class CSCWEnvironment:
         now = self.world.now
         flushed = 0
         expired = 0
-        for app_name, document, info, expires_at in pending:
+        for deliver, document, info, expires_at in pending:
             if expires_at is not None and now >= expires_at:
                 expired += 1
                 continue
             try:
-                self.applications.deliver(app_name, person_id, document, info)
+                deliver(person_id, document, info)
             except Exception:  # one raising callback must not drop the rest
                 if self.metrics.enabled:
                     self.metrics.inc("env.flush.application_error")
@@ -429,17 +432,14 @@ class CSCWEnvironment:
 
         When a tracer is attached, the whole exchange runs inside an
         ``env.exchange`` span whose trace id the returned outcome
-        carries; when a metrics registry is attached, outcomes are
-        counted by reason code and transparency dimension.
+        carries (a disabled tracer is not called at all); when a metrics
+        registry is attached, outcomes are counted by reason code and
+        transparency dimension.
         """
+        if not self.tracer.enabled:
+            return self._run((request,), "")[0]
         with self.tracer.span("env.exchange") as span:
-            outcomes: list[ExchangeOutcome] = []
-            self._exchange_group((request,), span.trace_id, outcomes)
-            if self.metrics.enabled:
-                self._flush_metrics(outcomes)
-            outcome = outcomes[0]
-            if not self.tracer.enabled:
-                return outcome
+            outcome = self._run((request,), span.trace_id)[0]
             tags = span.tags
             tags["delivered"] = outcome.delivered
             tags["mode"] = outcome.mode
@@ -484,23 +484,30 @@ class CSCWEnvironment:
         :meth:`exchange` calls would (presence and queue depth are read
         item by item).
         """
+        if not self.tracer.enabled:
+            return self._run(requests, "")
         with self.tracer.span(
             "env.exchange_many", domain=self.name, batch=len(requests)
         ) as span:
-            outcomes: list[ExchangeOutcome] = []
-            start = 0
-            for index in range(1, len(requests)):
-                if not requests[index].same_route(requests[start]):
-                    self._exchange_group(requests[start:index], span.trace_id, outcomes)
-                    start = index
-            if requests:
-                self._exchange_group(requests[start:], span.trace_id, outcomes)
-                if self.metrics.enabled:
-                    self._flush_metrics(outcomes)
-            if self.tracer.enabled:
-                delivered = sum(1 for outcome in outcomes if outcome.delivered)
-                span.tag(delivered=delivered, failed=len(outcomes) - delivered)
+            outcomes = self._run(requests, span.trace_id)
+            delivered = sum(1 for outcome in outcomes if outcome.delivered)
+            span.tag(delivered=delivered, failed=len(outcomes) - delivered)
             return outcomes
+
+    def _run(self, requests: Sequence[ExchangeRequest], trace_id: str) -> list[ExchangeOutcome]:
+        """Run *requests* as runs of consecutive same-route requests, one
+        outcome each, and flush the batch's metrics once."""
+        outcomes: list[ExchangeOutcome] = []
+        start = 0
+        for index in range(1, len(requests)):
+            if not requests[index].same_route(requests[start]):
+                self._exchange_group(requests[start:index], trace_id, outcomes)
+                start = index
+        if requests:
+            self._exchange_group(requests[start:], trace_id, outcomes)
+            if self.metrics.enabled:
+                self._flush_metrics(outcomes)
+        return outcomes
 
     def _translate(
         self, source: str, target: str, payload: "dict[str, Any]", floor: float
@@ -546,15 +553,16 @@ class CSCWEnvironment:
         at_origin: bool = False,
     ) -> "_Refusal | _Admission | None":
         """Admit one route: stages 2–5 of the module's stage list, plus
-        the receiver endpoint lookup.
+        the receiver endpoint and delivery callback lookups.
 
         Returns a :class:`_Refusal` naming the first check that fails,
         else the route-constant :data:`_Admission` a run delivers with
         (its endpoint is None for a receiver with no communicator: stage
-        7 reports that per document).  A federation's origin domain
-        admits *at_origin*: it decides only the stages the origin owns,
-        and None means the request may be relayed.  *active* is the
-        request's transparency profile.
+        7 reports that per document; an unregistered application raises
+        :class:`~repro.util.errors.NotRegisteredError`).  A federation's
+        origin domain admits *at_origin*: it decides only the stages the
+        origin owns, and None means the request may be relayed.
+        *active* is the request's transparency profile.
         """
         activity_id = request.activity_id
         if activity_id:
@@ -602,6 +610,7 @@ class CSCWEnvironment:
             endpoint = self.communicators.get(request.receiver)
         except UnknownObjectError:
             endpoint = None
+        deliver = self.applications.callback(request.receiver_app)
         # Contexts are frozen values, so one per (activity, org pair) is
         # shared by every exchange record; building one costs as much as
         # the rest of the admission.
@@ -613,7 +622,7 @@ class CSCWEnvironment:
                 from_org=verdict.sender_org,
                 to_org=verdict.receiver_org,
             )
-        return context, sender_format, receiver_format, handled, endpoint
+        return context, sender_format, receiver_format, handled, endpoint, deliver
 
     def _exchange_group(
         self, group: Sequence[ExchangeRequest], trace_id: str, outcomes: list[ExchangeOutcome]
@@ -647,13 +656,14 @@ class CSCWEnvironment:
                     # no later callback can re-admit the route: the rest of the run fails
                     self._refuse(admitted, size - index, trace_id, outcomes)
                     break
-                context, source, target, handled, endpoint = admitted
+                context, source, target, handled, endpoint, deliver = admitted
                 translated = source != target
             refusal = None
             document = request.document
             # items carrying one document object share its translation, size and outcome
             if document is not last_document:
                 last_document, outcome = document, None
+                # the one copy: the sender's dict is never translated or delivered
                 payload, fidelity = dict(document), 1.0
                 if translated:
                     result = self._translate(source, target, payload, head.min_fidelity)
@@ -683,14 +693,16 @@ class CSCWEnvironment:
                 info = {"sender": head.sender, "sender_app": head.sender_app, "mode": mode,
                         "fidelity": fidelity, "activity": head.activity_id}
                 self.bus.publish(topic, info, source=head.sender_app, time=now)
-                rendered = self.views.render(receiver, payload)
+                # every delivery owns its top-level dict: the payload on its last use
+                shared = index + 1 < size and group[index + 1].document is document
+                rendered = self.views.render(receiver, dict(payload) if shared else payload)
                 if mode == "asynchronous":
                     self._pending_deliveries.setdefault(receiver, []).append(
-                        (head.receiver_app, rendered, info, expires_at)
+                        (deliver, rendered, info, expires_at)
                     )
                 else:
                     try:
-                        self.applications.deliver(head.receiver_app, receiver, rendered, info)
+                        deliver(receiver, rendered, info)
                     except Exception as exc:  # the application's fault, not the run's
                         raised = f"application {head.receiver_app!r} raised {type(exc).__name__}"
                         refusal = _Refusal(REASON_APPLICATION_ERROR, f"{raised}: {exc}")
@@ -740,11 +752,8 @@ class CSCWEnvironment:
         the one place a failed :class:`ExchangeOutcome` is built."""
         self.exchanges_failed += count
         failed = ExchangeOutcome(
-            delivered=False,
-            mode="failed",
-            reason=refusal.reason,
-            reason_code=refusal.code,
-            trace_id=trace_id,
+            delivered=False, mode="failed", reason=refusal.reason,
+            reason_code=refusal.code, trace_id=trace_id,
         )
         outcomes.extend([failed] * count)
 
@@ -858,12 +867,8 @@ class CSCWEnvironment:
                 c.person_id: {"node": c.node, "present": c.present}
                 for c in self.communicators.all()
             },
-            "activities": {
-                a.activity_id: a.status.value for a in self.activities.all()
-            },
-            "service_offers": sorted(
-                {offer.service_type for offer in self.trader.offers()}
-            ),
+            "activities": {a.activity_id: a.status.value for a in self.activities.all()},
+            "service_offers": sorted({offer.service_type for offer in self.trader.offers()}),
             "organisations": sorted(o.org_id for o in self.knowledge_base.organisations()),
             "exchanges": {
                 "attempted": self.exchanges_attempted,
@@ -887,20 +892,15 @@ class CSCWEnvironment:
         names = self.applications.names()
         if len(names) < 2:
             return 1.0
-        total = 0
-        reachable = 0
-        for a in names:
-            for b in names:
-                if a == b:
-                    continue
-                total += 1
-                fa = self.applications.descriptor(a).format_name
-                fb = self.applications.descriptor(b).format_name
-                if fa == fb or (
-                    self.interchange.is_registered(fa) and self.interchange.is_registered(fb)
-                ):
-                    reachable += 1
-        return reachable / total if total else 1.0
+        formats = [self.applications.descriptor(name).format_name for name in names]
+        hub = self.interchange.is_registered
+        reachable = sum(
+            1
+            for a, fa in enumerate(formats)
+            for b, fb in enumerate(formats)
+            if a != b and (fa == fb or (hub(fa) and hub(fb)))
+        )
+        return reachable / (len(names) * (len(names) - 1))
 
     def integration_cost(self) -> int:
         """Number of integration artifacts built: one converter per app."""

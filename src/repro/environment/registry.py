@@ -169,11 +169,11 @@ class ApplicationRegistry:
             for quadrant in QUADRANTS
         }
 
-    def deliver(
-        self, app_name: str, person_id: str, document: dict[str, Any], info: dict[str, Any]
-    ) -> None:
-        """Push a document into an application's inbox."""
-        callback = self._callbacks.get(app_name)
-        if callback is None:
-            raise NotRegisteredError(f"application {app_name!r} is not registered")
-        callback(person_id, document, info)
+    def callback(self, app_name: str) -> DeliveryCallback:
+        """The callback that pushes a document into an application's
+        inbox: a run of exchanges binds it once, and a queued delivery
+        keeps it (raises :class:`~repro.util.errors.NotRegisteredError`)."""
+        try:
+            return self._callbacks[app_name]
+        except KeyError:
+            raise NotRegisteredError(f"application {app_name!r} is not registered") from None

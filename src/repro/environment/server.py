@@ -14,7 +14,6 @@ An :class:`EnvironmentClient` is the workstation-side stub.
 
 from __future__ import annotations
 
-from dataclasses import asdict
 from typing import Any
 
 from repro.environment.environment import (
@@ -73,7 +72,7 @@ class EnvironmentServer:
         # The wire form *is* the ExchangeRequest document — the same
         # single call currency as the in-process exchange() surface.
         outcome = self.environment.exchange(ExchangeRequest.from_document(args))
-        return asdict(outcome)
+        return outcome._asdict()
 
     def _op_person_leaves(self, args: dict[str, Any]) -> bool:
         self.environment.person_leaves(args["person"])

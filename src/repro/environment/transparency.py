@@ -98,9 +98,12 @@ class ViewRegistry:
         return dict(self._views.get(person_id, {}))
 
     def render(self, person_id: str, document: dict) -> dict:
-        """Apply a person's view to a document (annotation, not mutation)."""
-        rendered = dict(document)
+        """Apply a person's view to a document (annotation, not mutation):
+        *document* itself when they have no view, else a copy carrying it
+        as ``_view``."""
         view = self._views.get(person_id)
-        if view:
-            rendered["_view"] = dict(view)
+        if not view:
+            return document
+        rendered = dict(document)
+        rendered["_view"] = dict(view)
         return rendered

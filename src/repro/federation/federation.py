@@ -44,7 +44,7 @@ metadata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
 from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
@@ -150,15 +150,15 @@ class _Relayed(dict):
         return twin
 
 
-@dataclass(frozen=True, slots=True)
-class FederatedOutcome:
+class FederatedOutcome(NamedTuple):
     """A cross-domain exchange outcome with its hop metadata.
 
     ``outcome`` is a plain :class:`ExchangeOutcome` with field parity to
     the single-domain exchange path (same reason codes on the same
     failure classes); the federation adds where the exchange ran
     (``origin``/``target``), the hops it took, how many gateway attempts
-    the relay needed and the end-to-end simulated latency.
+    the relay needed and the end-to-end simulated latency.  An immutable
+    named tuple, like the outcome it carries.
     """
 
     outcome: ExchangeOutcome
@@ -978,7 +978,7 @@ class Federation:
         results: list[FederatedOutcome] = []
         for outcome in reply["outcomes"]:
             if trace_id and not outcome.trace_id:
-                outcome = replace(outcome, trace_id=trace_id)
+                outcome = outcome._replace(trace_id=trace_id)
             if obs.enabled and outcome.delivered:
                 obs.inc("env.federation.delivered")
             results.append(FederatedOutcome(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.util.errors import ConfigurationError, InteropError
@@ -45,7 +45,11 @@ def is_common(document: dict[str, Any]) -> bool:
 
 @dataclass(frozen=True)
 class FormatConverter:
-    """One application format's bridge to the common form."""
+    """One application format's bridge to the common form.
+
+    ``from_common`` returns a new document: the exchange pipeline
+    delivers it to the receiver as their own.
+    """
 
     format_name: str
     to_common: ToCommon
@@ -58,15 +62,22 @@ class FormatConverter:
             raise ConfigurationError("fidelity must be in (0, 1]")
 
 
-@dataclass(frozen=True)
-class TranslationResult:
-    """Outcome of a cross-format translation."""
+class TranslationResult(NamedTuple):
+    """Outcome of a cross-format translation.
+
+    An immutable named tuple, as every translated exchange builds one.
+    It hashes on everything but the document (a dict), so equal results
+    still hash equal.
+    """
 
     document: dict[str, Any]
     source_format: str
     target_format: str
     fidelity: float
     hops: int
+
+    def __hash__(self) -> int:
+        return hash(self[1:])
 
 
 @dataclass
@@ -205,13 +216,7 @@ class InterchangeService:
             plan.validated = True
         native = plan.target.from_common(common)
         self.translations += 1
-        return TranslationResult(
-            document=native,
-            source_format=source_format,
-            target_format=target_format,
-            fidelity=plan.fidelity,
-            hops=2,
-        )
+        return TranslationResult(native, source_format, target_format, plan.fidelity, 2)
 
     def reachable_pairs(self) -> int:
         """Number of ordered format pairs the service can translate.

@@ -416,13 +416,7 @@ class Mediator:
         if self._obs.enabled:
             self._obs.inc("mediation.translations")
             self._obs.observe("mediation.fidelity", plan.fidelity)
-        return TranslationResult(
-            document=payload,
-            source_format=source_format,
-            target_format=target_format,
-            fidelity=plan.fidelity,
-            hops=plan.hops,
-        )
+        return TranslationResult(payload, source_format, target_format, plan.fidelity, plan.hops)
 
     # -- keyed plan cache --------------------------------------------------
     def _store_plan(self, key: tuple[str, str], plan: MediationPlan) -> None:

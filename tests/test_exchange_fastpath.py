@@ -10,7 +10,6 @@ cached path must produce field-identical outcomes to the uncached one.
 from __future__ import annotations
 
 from collections import Counter as Tally
-from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -71,11 +70,7 @@ def env(world):
 
 def outcome_fields(outcome: ExchangeOutcome) -> dict:
     """All outcome fields except the (per-span) trace id."""
-    return {
-        f.name: getattr(outcome, f.name)
-        for f in fields(outcome)
-        if f.name != "trace_id"
-    }
+    return {name: value for name, value in outcome._asdict().items() if name != "trace_id"}
 
 
 class TestUnknownReceiver:

@@ -9,7 +9,6 @@ resolution verdict served from their old domain's cache.
 
 from __future__ import annotations
 
-from dataclasses import fields
 
 import pytest
 
@@ -64,11 +63,7 @@ def converter(index: int) -> FormatConverter:
 
 def outcome_fields(outcome: ExchangeOutcome) -> dict:
     """All outcome fields except the (per-span) trace id."""
-    return {
-        f.name: getattr(outcome, f.name)
-        for f in fields(outcome)
-        if f.name != "trace_id"
-    }
+    return {name: value for name, value in outcome._asdict().items() if name != "trace_id"}
 
 
 def make_federation(world, open_policies=True, metrics=None, **options):

@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import fields
 
 import pytest
 
-from repro.environment.environment import ExchangeOutcome, ExchangeRequest
+from repro.environment.environment import ExchangeRequest
 from repro.environment.registry import AppDescriptor, Q_DIFFERENT_TIME_DIFFERENT_PLACE
 from repro.federation.federation import Federation, FederatedOutcome
 from repro.information.interchange import FormatConverter, make_common
@@ -138,7 +137,7 @@ def _scenario(
 def _digest(federation: Federation, outcomes: list[FederatedOutcome]) -> str:
     digest = hashlib.sha256()
     for result in outcomes:
-        outcome = [getattr(result.outcome, field.name) for field in fields(ExchangeOutcome)]
+        outcome = list(result.outcome)
         digest.update(repr((
             outcome, result.origin, result.target, result.hops,
             result.attempts, result.latency_s,
