@@ -13,7 +13,7 @@ for incremental replication.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 from repro.directory.filters import Filter
 from repro.directory.names import DistinguishedName, dn
@@ -69,8 +69,7 @@ class Entry:
         return Entry(dn(document["dn"]), _normalize_attributes(document["attributes"]))
 
 
-@dataclass(frozen=True)
-class ChangeRecord:
+class ChangeRecord(NamedTuple):
     """One entry in the DIT changelog (consumed by shadowing)."""
 
     csn: int
@@ -159,17 +158,17 @@ class DirectoryInformationTree:
         return "*" in writers or requestor in writers
 
     def _require_read(self, name: DistinguishedName, requestor: str) -> None:
-        if not self.can_read(name, requestor):
+        if self._protections and not self.can_read(name, requestor):
             raise AccessDeniedError(f"{requestor or 'anonymous'} may not read {name}")
 
     def _require_write(self, name: DistinguishedName, requestor: str) -> None:
-        if not self.can_write(name, requestor):
+        if self._protections and not self.can_write(name, requestor):
             raise AccessDeniedError(f"{requestor or 'anonymous'} may not write {name}")
 
     # -- reads ---------------------------------------------------------------
     def exists(self, name: DistinguishedName | str) -> bool:
         """True when an entry with this DN exists."""
-        target = dn(name)
+        target = name if isinstance(name, DistinguishedName) else dn(name)
         return target.key in self._entries
 
     def read(
@@ -213,8 +212,8 @@ class DirectoryInformationTree:
         requestor: str = "",
     ) -> Entry:
         """Add an entry; the parent must already exist (except under root)."""
-        target = dn(name)
-        if target.is_root:
+        target = name if isinstance(name, DistinguishedName) else dn(name)
+        if not target.rdns:
             raise DirectoryError("cannot add an entry at the root DN")
         self._require_write(target, requestor)
         key = target.key
@@ -222,18 +221,24 @@ class DirectoryInformationTree:
             raise EntryExistsError(f"entry {target} already exists")
         parent = target.parent()
         parent_key = parent.key
-        if not parent.is_root and parent_key not in self._entries:
+        if parent.rdns and parent_key not in self._entries:
             raise NoSuchEntryError(f"parent {parent} does not exist")
         normalized = _normalize_attributes(attributes)
         # The naming attribute must appear among the entry's attributes.
-        naming_attr, naming_value = target.rdn.normalized
-        existing = [str(v).lower() for v in normalized.get(naming_attr, [])]
-        if naming_value not in existing:
-            normalized.setdefault(naming_attr, []).append(target.rdn.value)
+        leaf = target.rdns[0]
+        naming_attr, naming_value = leaf.normalized
+        named = normalized.get(naming_attr)
+        if named is None:
+            normalized[naming_attr] = [leaf.value]
+        elif naming_value not in [str(v).lower() for v in named]:
+            named.append(leaf.value)
         self.schema.validate_entry(normalized)
         entry = Entry(target, normalized)
         self._entries[key] = entry
-        self._children.setdefault(parent_key, set()).add(key)
+        siblings = self._children.get(parent_key)
+        if siblings is None:
+            siblings = self._children[parent_key] = set()
+        siblings.add(key)
         self._record("add", target, normalized)
         return entry
 
@@ -267,7 +272,7 @@ class DirectoryInformationTree:
 
     def delete(self, name: DistinguishedName | str, requestor: str = "") -> None:
         """Remove a leaf entry (X.500 forbids deleting interior nodes)."""
-        target = dn(name)
+        target = name if isinstance(name, DistinguishedName) else dn(name)
         self._require_write(target, requestor)
         key = target.key
         if key not in self._entries:

@@ -99,15 +99,7 @@ class DirectoryServiceAgent:
         return [entry.to_document() for entry in self.dit.children_of(args.get("dn", ""))]
 
     def _op_changes_since(self, args: dict[str, Any]) -> list[dict[str, Any]]:
-        return [
-            {
-                "csn": change.csn,
-                "operation": change.operation,
-                "name": change.name,
-                "attributes": change.attributes,
-            }
-            for change in self.dit.changes_since(args["csn"])
-        ]
+        return [change._asdict() for change in self.dit.changes_since(args["csn"])]
 
     def _op_csn(self, args: dict[str, Any]) -> int:
         return self.dit.csn

@@ -70,14 +70,21 @@ class DistinguishedName:
 
     The empty DN (``DistinguishedName(())``) denotes the directory root.
     Equality and hashing use ``key``; the parent is built at most once.
+    A :meth:`child` extends its parent's key; text is kept once computed.
     """
 
     rdns: tuple[Rdn, ...] = field(default=(), compare=False)
     _parent: "DistinguishedName | None" = field(default=None, repr=False, compare=False)
     key: str = field(init=False, repr=False)
+    _text: "str | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "key", ",".join(r.key for r in self.rdns))
+        parent = self._parent
+        if parent is not None and parent.rdns:
+            key = f"{self.rdns[0].key},{parent.key}"
+        else:
+            key = ",".join([r.key for r in self.rdns])
+        object.__setattr__(self, "key", key)
 
     @staticmethod
     def parse(text: str) -> "DistinguishedName":
@@ -102,7 +109,7 @@ class DistinguishedName:
 
     def parent(self) -> "DistinguishedName":
         """The name one level up (root's parent raises)."""
-        if self.is_root:
+        if not self.rdns:
             raise NameError_("the root has no parent")
         if self._parent is None:
             object.__setattr__(self, "_parent", DistinguishedName(self.rdns[1:]))
@@ -124,7 +131,12 @@ class DistinguishedName:
         return len(self.rdns)
 
     def __str__(self) -> str:
-        return ",".join(str(r) for r in self.rdns)
+        if self._text is None:
+            text = ",".join(map(str, self.rdns[:1]))
+            if len(self.rdns) > 1:
+                text = f"{text},{self.parent()}"
+            object.__setattr__(self, "_text", text)
+        return self._text
 
     def __lt__(self, other: "DistinguishedName") -> bool:
         return tuple(r.normalized for r in reversed(self.rdns)) < tuple(

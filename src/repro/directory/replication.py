@@ -163,12 +163,7 @@ class ShadowingAgreement:
                 self._note_failure(periodic)
                 return
             for document in documents:
-                change = ChangeRecord(
-                    csn=document["csn"],
-                    operation=document["operation"],
-                    name=document["name"],
-                    attributes=document["attributes"],
-                )
+                change = ChangeRecord(**document)
                 if change.csn <= self._high_water:
                     continue
                 self._shadow.dit.apply_change(change)

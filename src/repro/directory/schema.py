@@ -69,6 +69,9 @@ class Schema:
     def __init__(self) -> None:
         self._attributes: dict[str, AttributeType] = {}
         self._classes: dict[str, ObjectClass] = {}
+        #: objectClass values -> (mandatory (class, attribute) pairs, permitted
+        #: set, single-valued set, sorted class names); definitions drop them
+        self._shapes: dict[tuple[str, ...], tuple] = {}
         # objectClass itself is always known.
         self.define_attribute(AttributeType("objectclass"))
 
@@ -79,6 +82,7 @@ class Schema:
         if key in self._attributes:
             raise ConfigurationError(f"attribute {attribute.name!r} already defined")
         self._attributes[key] = attribute
+        self._shapes.clear()
 
     def define_class(
         self,
@@ -104,6 +108,7 @@ class Schema:
             if attribute not in self._attributes:
                 raise ConfigurationError(f"class {name!r} uses undefined attribute {attribute!r}")
         self._classes[key] = cls
+        self._shapes.clear()
         return cls
 
     def attribute(self, name: str) -> AttributeType:
@@ -133,28 +138,37 @@ class Schema:
         permitted by at least one class; single-valued attributes must have
         exactly one value.  Raises :class:`SchemaViolationError`.
         """
-        normalized = {k.lower(): v for k, v in attributes.items()}
+        normalized = attributes  # the DIT's own entries come lower-cased
+        if not all(map(str.islower, attributes)):
+            normalized = {k.lower(): v for k, v in attributes.items()}
         class_names = normalized.get("objectclass")
         if not class_names:
             raise SchemaViolationError("entry has no objectClass")
-        classes = [self.object_class(str(c)) for c in class_names]
-        permitted = frozenset().union(*(cls.permitted for cls in classes))
-        for cls in classes:
-            for must in cls.all_must():
-                if must not in normalized or not normalized[must]:
-                    raise SchemaViolationError(
-                        f"entry of class {cls.name!r} is missing mandatory attribute {must!r}"
-                    )
+        written = tuple(map(str, class_names))
+        shape = self._shapes.get(written)
+        if shape is None:
+            classes = [self.object_class(name) for name in written]
+            permitted = frozenset().union(*(cls.permitted for cls in classes))
+            shape = self._shapes[written] = (
+                [(cls.name, must) for cls in classes for must in cls.all_must()],
+                permitted,
+                frozenset(a for a in permitted if self.attribute(a).single_valued),
+                sorted(cls.name for cls in classes),
+            )
+        musts, permitted, single_valued, sorted_names = shape
+        for class_name, must in musts:
+            if must not in normalized or not normalized[must]:
+                raise SchemaViolationError(
+                    f"entry of class {class_name!r} is missing mandatory attribute {must!r}"
+                )
         for attribute, values in normalized.items():
             if attribute == "objectclass":
                 continue
             if attribute not in permitted:
                 raise SchemaViolationError(
-                    f"attribute {attribute!r} not permitted by classes "
-                    f"{sorted(c.name for c in classes)}"
+                    f"attribute {attribute!r} not permitted by classes {sorted_names}"
                 )
-            spec = self.attribute(attribute)
-            if spec.single_valued and len(values) != 1:
+            if attribute in single_valued and len(values) != 1:
                 raise SchemaViolationError(
                     f"single-valued attribute {attribute!r} has {len(values)} values"
                 )

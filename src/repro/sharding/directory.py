@@ -46,7 +46,7 @@ def partition_key(name: "DistinguishedName | str") -> str:
     >>> partition_key("c=ES")
     ''
     """
-    key = dn(name).key
+    key = (name if isinstance(name, DistinguishedName) else dn(name)).key
     # RDN keys hold no ",", so the last ",o=" starts the outermost o= RDN
     start = key.rfind(",o=")
     if start >= 0:
@@ -104,8 +104,8 @@ class ShardedDirectory:
 
     def agent_for(self, name: "DistinguishedName | str") -> DirectoryServiceAgent | None:
         """The owning DSA, or None for structural (replicated) names."""
-        shard_id = self.shard_id_for(name)
-        return self._by_id[shard_id] if shard_id else None
+        key = partition_key(name)
+        return self._by_id[self.ring.shard_for(key)] if key else None
 
     def agent(self, dsa_id: str) -> DirectoryServiceAgent:
         """Look up one shard agent by id."""
@@ -120,7 +120,7 @@ class ShardedDirectory:
         """
         missing = []
         ancestor = name
-        while ancestor.depth() > 1:
+        while len(ancestor.rdns) > 1:
             ancestor = ancestor.parent()
             if agent.dit.exists(ancestor):
                 break
@@ -141,7 +141,7 @@ class ShardedDirectory:
         Missing structural ancestors (country, org, unit) are created on
         the owning shard so each shard's DIT stays a well-formed tree.
         """
-        parsed = dn(name)
+        parsed = name if isinstance(name, DistinguishedName) else dn(name)
         agent = self.agent_for(parsed)
         if agent is None:
             entry: Entry | None = None
@@ -159,19 +159,15 @@ class ShardedDirectory:
 
     def exists(self, name: "DistinguishedName | str") -> bool:
         """Entry present? (one shard consulted; structural: any shard)."""
-        parsed = dn(name)
-        agent = self.agent_for(parsed)
-        if agent is None:
-            agent = self.shards[0]
+        parsed = name if isinstance(name, DistinguishedName) else dn(name)
+        agent = self.agent_for(parsed) or self.shards[0]
         self.reads_by_shard[agent.dsa_id] += 1
         return agent.dit.exists(parsed)
 
     def read(self, name: "DistinguishedName | str") -> Entry:
         """Read an entry from its owning shard only."""
         parsed = dn(name)
-        agent = self.agent_for(parsed)
-        if agent is None:
-            agent = self.shards[0]
+        agent = self.agent_for(parsed) or self.shards[0]
         self.reads_by_shard[agent.dsa_id] += 1
         return agent.dit.read(parsed)
 
@@ -196,7 +192,7 @@ class ShardedDirectory:
 
     def delete(self, name: "DistinguishedName | str") -> None:
         """Delete a leaf entry on its owning shard (structural: everywhere)."""
-        parsed = dn(name)
+        parsed = name if isinstance(name, DistinguishedName) else dn(name)
         agent = self.agent_for(parsed)
         if agent is None:
             for shard in self.shards:

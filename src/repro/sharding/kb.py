@@ -31,7 +31,7 @@ wrecking the warm path at scale.
 from __future__ import annotations
 
 from repro.directory.dit import Entry
-from repro.directory.names import dn
+from repro.directory.names import DistinguishedName, dn
 from repro.directory.schema import Schema
 from repro.org.knowledge_base import OrganisationalKnowledgeBase
 from repro.org.model import Organisation, Person
@@ -53,10 +53,8 @@ class ShardedKnowledgeBase(OrganisationalKnowledgeBase):
         self.directory = ShardedDirectory(
             n_shards=n_shards, name="kb-dsa", schema=schema, replicas=replicas
         )
-        #: org id -> dsa id, valid while ``_shard_memo_generation`` equals
-        #: the ring's generation (a ring change empties it)
-        self._shard_memo: dict[str, str] = {}
-        self._shard_memo_generation = self.directory.ring.generation
+        #: org id -> its parsed subtree name, the suffix of its people's DNs
+        self._org_names: dict[str, DistinguishedName] = {}
 
     # -- naming ------------------------------------------------------------
     def org_dn(self, org_id: str) -> str:
@@ -67,24 +65,19 @@ class ShardedKnowledgeBase(OrganisationalKnowledgeBase):
         """The white-pages DN of one person under their organisation."""
         return f"cn={person_id},{self.org_dn(org_id)}"
 
-    def shard_of_org(self, org_id: str) -> str:
-        """The dsa_id owning an organisation's subtree.
+    def _org_name(self, org_id: str) -> DistinguishedName:
+        name = self._org_names.get(org_id)
+        if name is None:
+            name = self._org_names[org_id] = dn(self.org_dn(org_id))
+        return name
 
-        Memoised per organisation: placing an org means building, parsing
-        and hashing its DN, and the exchange path asks once per traced
-        exchange.  Placement depends on the ring alone, so the memo is
-        dropped whenever the ring's generation moves.
-        """
-        generation = self.directory.ring.generation
-        if generation != self._shard_memo_generation:
-            self._shard_memo.clear()
-            self._shard_memo_generation = generation
-        shard = self._shard_memo.get(org_id)
-        if shard is None:
-            shard = self._shard_memo[org_id] = self.directory.shard_id_for(
-                self.org_dn(org_id)
-            )
-        return shard
+    def _person_name(self, person_id: str, org_id: str) -> DistinguishedName:
+        """:meth:`person_dn`, built as one RDN under the org's parsed name."""
+        return self._org_name(org_id).child(f"cn={person_id}")
+
+    def shard_of_org(self, org_id: str) -> str:
+        """The dsa_id owning an organisation's subtree (the ring's memo)."""
+        return self.directory.ring.shard_for(self._org_name(org_id).key)
 
     def shard_of_person(self, person_id: str) -> str:
         """The dsa_id owning a person's entry (their org's shard).
@@ -98,44 +91,52 @@ class ShardedKnowledgeBase(OrganisationalKnowledgeBase):
     def resolve_person_entry(self, person_id: str) -> Entry:
         """The person's white-pages entry, read from the owning shard only."""
         person = self.find_person(person_id)
-        return self.directory.read(self.person_dn(person_id, person.organisation))
+        return self.directory.read(self._person_name(person_id, person.organisation))
 
     # -- mutators (keep the shards in step; super() writes and notifies) --
     def add_organisation(self, organisation: Organisation) -> Organisation:
+        """Register (or replace) an organisation and publish its members;
+        a replacement retracts the entries of the members it drops."""
+        org_id = organisation.org_id
+        replaced = self._organisations.get(org_id)
         result = super().add_organisation(organisation)
-        org_dn = dn(self.org_dn(organisation.org_id))
-        if not self.directory.exists(org_dn):
+        if replaced is not None:
+            for person in replaced.persons():
+                if person.person_id not in self.person_index:
+                    self._retract(self._person_name(person.person_id, org_id))
+        org_name = self._org_name(org_id)
+        if not self.directory.exists(org_name):
             self.directory.add(
-                org_dn,
+                org_name,
                 {"objectclass": ["organization"], "description": [organisation.name]},
             )
         for person in organisation.persons():
-            self._publish_person(person)
+            self._publish_person(person, self._person_name(person.person_id, org_id))
         return result
 
     def add_person(self, person: Person) -> Person:
         result = super().add_person(person)
-        self._publish_person(person)
+        self._publish_person(person, self._person_name(person.person_id, person.organisation))
         return result
 
     def move_person(self, person_id: str, to_org: str) -> Person:
-        previous = self.find_person(person_id)
+        from_org = self.person_index.get(person_id)
         moved = super().move_person(person_id, to_org)
-        old_dn = dn(self.person_dn(person_id, previous.organisation))
-        if self.directory.exists(old_dn):
-            self.directory.delete(old_dn)
-        self._publish_person(moved)
+        entry_dn = self._person_name(person_id, to_org)
+        self._retract(self._org_name(from_org).child(entry_dn.rdns[0]))
+        self._publish_person(moved, entry_dn)
         return moved
 
     def remove_person(self, person_id: str) -> Person:
         person = super().remove_person(person_id)
-        entry_dn = dn(self.person_dn(person_id, person.organisation))
-        if self.directory.exists(entry_dn):
-            self.directory.delete(entry_dn)
+        self._retract(self._person_name(person_id, person.organisation))
         return person
 
-    def _publish_person(self, person: Person) -> None:
-        entry_dn = dn(self.person_dn(person.person_id, person.organisation))
+    def _retract(self, entry_dn: DistinguishedName) -> None:
+        if self.directory.exists(entry_dn):
+            self.directory.delete(entry_dn)
+
+    def _publish_person(self, person: Person, entry_dn: DistinguishedName) -> None:
         if self.directory.exists(entry_dn):
             return
         attributes = {

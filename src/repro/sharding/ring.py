@@ -42,9 +42,8 @@ class ConsistentHashRing:
         #: sorted ring points: (hash, shard); ties break on shard name
         self._points: list[tuple[int, str]] = []
         self._shards: set[str] = set()
-        #: bumped by every add/remove: memoised placements compare it to
-        #: tell a ring change from an unchanged ring
-        self.generation = 0
+        #: the one placement memo, key -> shard; every add/remove empties it
+        self._placed: dict[str, str] = {}
         for shard in shards:
             self.add_shard(shard)
 
@@ -55,7 +54,7 @@ class ConsistentHashRing:
         self._shards.add(shard)
         for replica in range(self.replicas):
             insort(self._points, (stable_hash(f"{shard}#{replica}"), shard))
-        self.generation += 1
+        self._placed.clear()
 
     def remove_shard(self, shard: str) -> None:
         """Take *shard* off the ring (its arcs fall to the successors)."""
@@ -63,20 +62,27 @@ class ConsistentHashRing:
             raise ValueError(f"shard {shard!r} not on the ring")
         self._shards.discard(shard)
         self._points = [point for point in self._points if point[1] != shard]
-        self.generation += 1
+        self._placed.clear()
 
     def shards(self) -> list[str]:
         """All shard names, sorted."""
         return sorted(self._shards)
 
     def shard_for(self, key: str) -> str:
-        """The shard owning *key*: first ring point at or after its hash."""
-        if not self._points:
-            raise ValueError("ring has no shards")
-        index = bisect_left(self._points, (stable_hash(key), ""))
-        if index == len(self._points):
-            index = 0  # wrap past the top of the circle
-        return self._points[index][1]
+        """The shard owning *key*: first ring point at or after its hash.
+
+        Memoised per key until the ring changes, so a warm placement is
+        one dict read, not a crc32 and a bisect.
+        """
+        shard = self._placed.get(key)
+        if shard is None:
+            if not self._points:
+                raise ValueError("ring has no shards")
+            index = bisect_left(self._points, (stable_hash(key), ""))
+            if index == len(self._points):
+                index = 0  # wrap past the top of the circle
+            shard = self._placed[key] = self._points[index][1]
+        return shard
 
     def distribution(self, keys: "list[str]") -> dict[str, int]:
         """How many of *keys* each shard owns (shards with zero included)."""

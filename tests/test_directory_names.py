@@ -135,3 +135,35 @@ class TestOneKey:
         # an attribute holding "," or "=" would make two names share a key
         with pytest.raises(NameError_):
             Rdn("p=q,r", "s")
+
+
+#: spelling -> (str(dn(spelling)), dn(spelling).key): case, spacing,
+#: nesting depth and the root; a name's text and key are built from its
+#: parent's, so each row also pins what the shared suffixes hold
+SPELLINGS = {
+    "cn=Ana,ou=AC,o=UPC,c=ES": ("cn=Ana,ou=AC,o=UPC,c=ES", "cn=ana,ou=ac,o=upc,c=es"),
+    "CN=Ana, OU=AC ,  O=UPC,C=ES": ("cn=Ana,ou=AC,o=UPC,c=ES", "cn=ana,ou=ac,o=upc,c=es"),
+    "  cn = Ana Lopez , o=UPC ": ("cn=Ana Lopez,o=UPC", "cn=ana lopez,o=upc"),
+    "O=upc,c=es": ("o=upc,c=es", "o=upc,c=es"),
+    "cn=Ña,o=ZZ": ("cn=Ña,o=ZZ", "cn=ña,o=zz"),
+    "c=ES": ("c=ES", "c=es"),
+    "": ("", ""),
+    "   ": ("", ""),
+}
+
+
+class TestSpellings:
+    @pytest.mark.parametrize("spelling", sorted(SPELLINGS))
+    def test_text_and_key_are_pinned(self, spelling):
+        name = dn(spelling)
+        for _ in range(2):  # the text is kept once computed
+            assert (str(name), name.key) == SPELLINGS[spelling]
+
+    def test_built_and_constructed_names_read_alike(self):
+        child = dn("O=UPC, c=ES").child("CN= Ana")
+        assert (str(child), child.key) == ("cn=Ana,o=UPC,c=ES", "cn=ana,o=upc,c=es")
+        assert str(child.parent()) == "o=UPC,c=ES"
+        built = DistinguishedName((Rdn("cn", "Ana"), Rdn("O", "UPC"), Rdn("c", "ES")))
+        assert (str(built), built.key) == ("cn=Ana,O=UPC,c=ES", "cn=ana,o=upc,c=es")
+        assert (str(built.parent()), built.parent().key) == ("O=UPC,c=ES", "o=upc,c=es")
+        assert built == child and hash(built) == hash(child)

@@ -15,6 +15,8 @@ from __future__ import annotations
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.communication.model import Communicator
 from repro.directory.dit import DirectoryInformationTree
@@ -311,6 +313,45 @@ class TestShardedKnowledgeBase:
             assert counters[f"directory.ops{{shard=kb-dsa-{index},op=writes}}"] == writes
         assert kb.directory.fanouts == 0
 
+    def test_re_registration_retracts_the_dropped_members_entries(self):
+        kb = ShardedKnowledgeBase(n_shards=2)
+        upc = Organisation("upc", "UPC")
+        for person_id in ("ana", "pau"):
+            upc.add_person(Person(person_id, person_id.title(), "upc"))
+        kb.add_organisation(upc)
+        assert kb.directory.exists(kb.person_dn("ana", "upc"))
+        replacement = Organisation("upc", "UPC")
+        replacement.add_person(Person("pau", "Pau", "upc"))
+        kb.add_organisation(replacement)
+        assert "ana" not in kb.person_index
+        assert not kb.directory.exists(kb.person_dn("ana", "upc"))
+        assert kb.resolve_person_entry("pau").first("cn") == "pau"
+
+    def test_placement_memo_follows_ring_changes(self):
+        kb = self.make_kb(orgs=24)
+        ring = kb.directory.ring
+
+        def placements():
+            return {org.org_id: kb.shard_of_org(org.org_id) for org in kb.organisations()}
+
+        def reference():
+            # a fresh ring has nothing memoised: it places by crc32 and bisect
+            fresh = ConsistentHashRing(ring.shards(), ring.replicas)
+            return {org.org_id: fresh.shard_for(partition_key(kb.org_dn(org.org_id)))
+                    for org in kb.organisations()}
+
+        assert placements() == reference()
+        before = placements()
+        ring.add_shard("kb-dsa-extra")
+        grown = placements()
+        assert grown == reference() and grown != before
+        ring.remove_shard("kb-dsa-0")
+        assert placements() == reference()
+        assert "kb-dsa-0" not in placements().values()
+        for org in kb.organisations():
+            name = kb.org_dn(org.org_id)
+            assert kb.directory.shard_id_for(name) == reference()[org.org_id]
+
     def test_index_survives_direct_org_registration(self):
         kb = self.make_kb(orgs=2)
         # bypass the KB mutator: register straight on the Organisation
@@ -553,3 +594,69 @@ class TestShardedEnvironment:
         domain = federation.add_domain("upc")
         assert isinstance(domain.env.knowledge_base, ShardedKnowledgeBase)
         assert domain.env.knowledge_base.stats()["directory"]["shards"] == 2
+
+
+# -- the white pages equal the person index ------------------------------------
+
+_ORGS = ("upc", "gmd", "acme", "zeta", "lund")
+_PEOPLE = tuple(f"p{index}" for index in range(8))
+_WRITES = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.sampled_from(_PEOPLE), st.sampled_from(_ORGS)),
+        st.tuples(st.just("move"), st.sampled_from(_PEOPLE), st.sampled_from(_ORGS)),
+        st.tuples(st.just("remove"), st.sampled_from(_PEOPLE)),
+        # re-register an org keeping the members the mask picks, plus
+        # any unindexed people the mask also picks
+        st.tuples(st.just("replace"), st.sampled_from(_ORGS),
+                  st.frozensets(st.sampled_from(_PEOPLE))),
+    ),
+    max_size=30,
+)
+
+
+def apply_write(kb: ShardedKnowledgeBase, write: tuple) -> None:
+    kind, *args = write
+    index = kb.person_index
+    if kind == "add" and args[0] not in index:
+        kb.add_person(Person(args[0], f"Person {args[0]}", args[1]))
+    elif kind == "move" and args[0] in index:
+        kb.move_person(*args)
+    elif kind == "remove" and args[0] in index:
+        kb.remove_person(args[0])
+    elif kind == "replace":
+        org_id, mask = args
+        replacement = Organisation(org_id, org_id.upper())
+        for person_id in sorted(mask):
+            if index.get(person_id, org_id) == org_id:
+                replacement.add_person(Person(person_id, f"Person {person_id}", org_id))
+        kb.add_organisation(replacement)
+
+
+def assert_white_pages_equal_the_index(kb: ShardedKnowledgeBase) -> None:
+    """Each indexed person's entry sits on the shard ``shard_of_person``
+    names, and no shard holds a person entry the index lacks."""
+    expected = {
+        (kb.shard_of_person(person_id), dn(kb.person_dn(person_id, org_id)).key)
+        for person_id, org_id in kb.person_index.items()
+    }
+    held = {
+        (shard.dsa_id, entry.name.key)
+        for shard in kb.directory.shards
+        for entry in shard.dit.search("")
+        if "person" in entry.get("objectclass")
+    }
+    assert held == expected
+    for person_id in kb.person_index:
+        assert kb.resolve_person_entry(person_id).first("cn") == person_id
+
+
+@pytest.mark.parametrize("shards", [1, 2, 4])
+@settings(max_examples=40, deadline=None)
+@given(writes=_WRITES)
+def test_white_pages_equal_the_index_under_interleaved_writes(shards, writes):
+    kb = ShardedKnowledgeBase(n_shards=shards)
+    for org_id in _ORGS:
+        kb.add_organisation(Organisation(org_id, org_id.upper()))
+    for write in writes:
+        apply_write(kb, write)
+        assert_white_pages_equal_the_index(kb)
