@@ -81,6 +81,8 @@ class Engine:
         self._processed = 0
         self._running = False
         self._cancelled_pending = 0
+        #: raising :class:`PeriodicTask` callbacks, read as ``sim.periodic.errors``
+        self._periodic_errors = 0
         self._obs: MetricsRegistry = NULL_METRICS
         self._bind_instruments()
 
@@ -224,7 +226,7 @@ class PeriodicTask:
     Used by monitors (activity progress checks, directory shadowing) that
     poll on simulated time.  A callback that raises does **not** kill the
     task: the exception is swallowed, counted (``error_count`` and the
-    engine registry's ``sim.periodic.errors`` counter) and the next
+    engine's tally its registry reads as ``sim.periodic.errors``) and the next
     firing is armed anyway — one bad poll must not silently stop a
     monitor for the rest of the run.
     """
@@ -269,8 +271,9 @@ class PeriodicTask:
             self._callback()
         except Exception:
             self._errors += 1
-            obs = self._engine._obs
-            if obs.enabled:
-                obs.inc("sim.periodic.errors")
+            engine = self._engine
+            # read from the first error on: an error-free run exports no series
+            engine._obs.read(engine, {"sim.periodic.errors": lambda: engine._periodic_errors})
+            engine._periodic_errors += 1
         if not self._stopped:
             self._handle = self._engine.schedule(self._period, self._fire)

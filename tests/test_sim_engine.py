@@ -207,3 +207,35 @@ class TestPeriodicTask:
         task.stop()
         assert task.error_count == 3
         assert metrics.snapshot()["counters"]["sim.periodic.errors"] == 3
+
+    def test_one_raising_firing_is_counted_once_by_the_engine(self):
+        """The engine keeps one tally over all its tasks, which its
+        registry reads; a raising firing adds exactly one there, and a
+        detach and re-attach adds none."""
+        from repro.obs.metrics import MetricsRegistry
+
+        engine = Engine()
+        metrics = MetricsRegistry()
+        engine.attach_metrics(metrics)
+
+        def errors() -> int:
+            return metrics.snapshot()["counters"].get("sim.periodic.errors", 0)
+
+        assert "sim.periodic.errors" not in metrics.snapshot()["counters"]
+        raised = []
+
+        def raises_once():
+            if not raised:
+                raised.append(engine.now)
+                raise RuntimeError("one bad poll")
+
+        quiet = PeriodicTask(engine, 1.0, lambda: None).start()
+        flaky = PeriodicTask(engine, 1.0, raises_once).start()
+        engine.run_until(1.5)
+        assert (flaky.error_count, quiet.error_count, errors()) == (1, 0, 1)
+        engine.attach_metrics(None)
+        engine.attach_metrics(metrics)
+        engine.run_until(3.5)
+        assert (flaky.error_count, errors()) == (1, 1)
+        flaky.stop()
+        quiet.stop()
