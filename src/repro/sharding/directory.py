@@ -24,7 +24,7 @@ from repro.directory.names import DistinguishedName, dn
 from repro.directory.schema import Schema
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.sharding.ring import ConsistentHashRing
-from repro.util.errors import NoSuchEntryError
+from repro.util.errors import ConfigurationError, NoSuchEntryError
 
 #: objectclass assigned to auto-created structural ancestors, by RDN type
 _STRUCTURAL_CLASSES = {
@@ -103,9 +103,13 @@ class ShardedDirectory:
         return self.ring.shard_for(key) if key else ""
 
     def agent_for(self, name: "DistinguishedName | str") -> DirectoryServiceAgent | None:
-        """The owning DSA, or None for structural (replicated) names."""
+        """The owning DSA, or None for structural (replicated) names; a
+        ring shard that no DSA serves raises :class:`ConfigurationError`."""
         key = partition_key(name)
-        return self._by_id[self.ring.shard_for(key)] if key else None
+        agent = self._by_id.get(shard := self.ring.shard_for(key)) if key else None
+        if key and agent is None:
+            raise ConfigurationError(f"ring shard {shard!r} owning {key!r} has no DSA")
+        return agent
 
     def agent(self, dsa_id: str) -> DirectoryServiceAgent:
         """Look up one shard agent by id."""

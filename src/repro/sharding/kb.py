@@ -111,25 +111,38 @@ class ShardedKnowledgeBase(OrganisationalKnowledgeBase):
                 {"objectclass": ["organization"], "description": [organisation.name]},
             )
         for person in organisation.persons():
-            self._publish_person(person, self._person_name(person.person_id, org_id))
+            entry_dn = self._person_name(person.person_id, org_id)
+            if not self.directory.exists(entry_dn):
+                self._publish_person(person, entry_dn)
         return result
 
+    # a write's ``exists`` reads place its entries before the index write
     def add_person(self, person: Person) -> Person:
+        entry_dn = self._person_name(person.person_id, person.organisation)
+        published = self.directory.exists(entry_dn)
         result = super().add_person(person)
-        self._publish_person(person, self._person_name(person.person_id, person.organisation))
+        if not published:
+            self._publish_person(person, entry_dn)
         return result
 
     def move_person(self, person_id: str, to_org: str) -> Person:
-        from_org = self.person_index.get(person_id)
-        moved = super().move_person(person_id, to_org)
+        from_org = self.organisation_of(person_id)
         entry_dn = self._person_name(person_id, to_org)
-        self._retract(self._org_name(from_org).child(entry_dn.rdns[0]))
-        self._publish_person(moved, entry_dn)
+        old_dn = self._org_name(from_org).child(entry_dn.rdns[0])
+        held, published = self.directory.exists(old_dn), self.directory.exists(entry_dn)
+        moved = super().move_person(person_id, to_org)
+        if held:
+            self.directory.delete(old_dn)
+        if not published or from_org == to_org:
+            self._publish_person(moved, entry_dn)
         return moved
 
     def remove_person(self, person_id: str) -> Person:
+        entry_dn = self._person_name(person_id, self.organisation_of(person_id))
+        held = self.directory.exists(entry_dn)
         person = super().remove_person(person_id)
-        self._retract(self._person_name(person_id, person.organisation))
+        if held:
+            self.directory.delete(entry_dn)
         return person
 
     def _retract(self, entry_dn: DistinguishedName) -> None:
@@ -137,8 +150,6 @@ class ShardedKnowledgeBase(OrganisationalKnowledgeBase):
             self.directory.delete(entry_dn)
 
     def _publish_person(self, person: Person, entry_dn: DistinguishedName) -> None:
-        if self.directory.exists(entry_dn):
-            return
         attributes = {
             "objectclass": ["person"],
             "sn": [person.name.split()[-1] if person.name else person.person_id],

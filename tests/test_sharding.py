@@ -660,3 +660,45 @@ def test_white_pages_equal_the_index_under_interleaved_writes(shards, writes):
     for write in writes:
         apply_write(kb, write)
         assert_white_pages_equal_the_index(kb)
+
+
+def _white_pages(kb: ShardedKnowledgeBase) -> set[tuple[str, str]]:
+    return {
+        (shard.dsa_id, entry.name.key)
+        for shard in kb.directory.shards
+        for entry in shard.dit.search("")
+        if "person" in entry.get("objectclass")
+    }
+
+
+def test_a_write_to_a_ring_shard_without_a_dsa_changes_neither_index_nor_white_pages():
+    """``ring.add_shard`` for a name no DSA serves re-places some
+    organisations on it; a write that needs that shard raises a
+    ``ConfigurationError`` naming it before the person index is written,
+    so index and white pages still agree."""
+    kb = ShardedKnowledgeBase(n_shards=2)
+    orgs = [f"org{index}" for index in range(8)]
+    for org_id in orgs:
+        kb.add_organisation(Organisation(org_id, org_id.upper()))
+        kb.add_person(Person(f"u-{org_id}", f"User {org_id}", org_id))
+    kb.directory.ring.add_shard("kb-dsa-extra")
+    orphaned = [org_id for org_id in orgs if kb.shard_of_org(org_id) == "kb-dsa-extra"]
+    served = [org_id for org_id in orgs if org_id not in orphaned]
+    assert orphaned and served
+    index, white_pages = dict(kb.person_index), _white_pages(kb)
+    assert {(kb.directory.shard_id_for(key), key) for _, key in white_pages} != white_pages
+    writes = [
+        lambda: kb.add_person(Person("hire", "New Hire", orphaned[0])),
+        lambda: kb.move_person(f"u-{served[0]}", orphaned[0]),
+        lambda: kb.move_person(f"u-{orphaned[0]}", served[0]),
+        lambda: kb.remove_person(f"u-{orphaned[0]}"),
+    ]
+    for write in writes:
+        with pytest.raises(ConfigurationError, match="'kb-dsa-extra'"):
+            write()
+        assert dict(kb.person_index) == index
+        assert _white_pages(kb) == white_pages
+    moved = kb.move_person(f"u-{served[0]}", served[1])
+    assert moved.organisation == served[1]
+    assert kb.resolve_person_entry(moved.person_id).name.key == dn(
+        kb.person_dn(moved.person_id, served[1])).key
