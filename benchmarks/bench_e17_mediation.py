@@ -199,8 +199,7 @@ def run_matrix(smoke: bool) -> dict:
     ))
     assert outcome.delivered and outcome.translated, outcome
     assert abs(outcome.fidelity - multi_hop.fidelity) < 1e-9, outcome
-    delivered_doc = message_system.inbox("p1")[-1].document
-    assert delivered_doc["subject"] == FAX_DOC["fax-title"]
+    assert message_system.folder("p1")[-1].subject == FAX_DOC["fax-title"]
 
     # -- fidelity negotiation ---------------------------------------------
     rejected = env.exchange(ExchangeRequest(

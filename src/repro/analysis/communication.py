@@ -1,10 +1,10 @@
 """Analyses over the communication log.
 
-The communication model records every exchange "in terms of the
+The communication model represents communication "in terms of the
 communicators, the information objects they exchange, and the context"
-(paper section 5); these helpers turn that log into the structures
-monitoring and research need: traffic matrices, cross-organisation flow
-summaries, mode mixes and per-activity breakdowns.
+(paper section 5); these helpers turn the log's aggregates into the
+structures monitoring and research need: traffic summaries,
+cross-organisation flows, mode mixes and per-activity breakdowns.
 """
 
 from __future__ import annotations
@@ -34,45 +34,36 @@ class TrafficSummary:
 
 def summarize(log: CommunicationLog) -> TrafficSummary:
     """Aggregate the whole log."""
-    exchanges = log.all()
-    pairs = {(e.sender, e.receiver) for e in exchanges}
     return TrafficSummary(
-        exchanges=len(exchanges),
-        bytes_total=sum(e.size_bytes for e in exchanges),
-        synchronous=len(log.by_mode("synchronous")),
-        asynchronous=len(log.by_mode("asynchronous")),
-        distinct_pairs=len(pairs),
+        exchanges=len(log),
+        bytes_total=log.volume_bytes(),
+        synchronous=log.by_mode("synchronous"),
+        asynchronous=log.by_mode("asynchronous"),
+        distinct_pairs=len(log.traffic_matrix()),
     )
 
 
 def top_talkers(log: CommunicationLog, limit: int = 5) -> list[tuple[str, int]]:
     """People by number of exchanges sent, busiest first."""
     counts: dict[str, int] = {}
-    for exchange in log.all():
-        counts[exchange.sender] = counts.get(exchange.sender, 0) + 1
+    for (sender, _), count in log.traffic_matrix().items():
+        counts[sender] = counts.get(sender, 0) + count
     ordered = sorted(counts.items(), key=lambda pair: (-pair[1], pair[0]))
     return ordered[:limit]
 
 
 def cross_organisation_flows(log: CommunicationLog) -> dict[tuple[str, str], int]:
     """(from_org, to_org) -> exchange count, inter-org pairs only."""
-    flows: dict[tuple[str, str], int] = {}
-    for exchange in log.all():
-        from_org = exchange.context.from_org
-        to_org = exchange.context.to_org
-        if from_org and to_org and from_org != to_org:
-            key = (from_org, to_org)
-            flows[key] = flows.get(key, 0) + 1
-    return flows
+    return {
+        (from_org, to_org): count
+        for (from_org, to_org), count in log.organisation_pairs().items()
+        if from_org and to_org and from_org != to_org
+    }
 
 
 def activity_breakdown(log: CommunicationLog) -> dict[str, int]:
     """activity id -> exchanges in that activity ('' for unscoped)."""
-    breakdown: dict[str, int] = {}
-    for exchange in log.all():
-        key = exchange.context.activity
-        breakdown[key] = breakdown.get(key, 0) + 1
-    return breakdown
+    return log.activities()
 
 
 def reciprocity(log: CommunicationLog) -> float:
@@ -81,7 +72,7 @@ def reciprocity(log: CommunicationLog) -> float:
     High reciprocity signals conversation; low signals broadcast-style
     communication.
     """
-    pairs = {(e.sender, e.receiver) for e in log.all()}
+    pairs = log.traffic_matrix()
     if not pairs:
         return 0.0
     reciprocated = sum(1 for (a, b) in pairs if (b, a) in pairs)

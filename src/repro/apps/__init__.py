@@ -6,7 +6,7 @@ meeting rooms, DOMINO-style workflow, plus a deliberately non-CSCW
 document processor (section 6.2).
 """
 
-from repro.apps.base import Delivery, GroupwareApp
+from repro.apps.base import Delivery, GroupwareApp, InboxApp
 from repro.apps.conferencing import Conference, ConferenceEntry, ConferencingSystem
 from repro.apps.document import DocumentProcessor
 from repro.apps.meeting_room import AgendaPoint, BoardItem, MeetingRoom
@@ -17,6 +17,7 @@ from repro.apps.workflow import Case, ParallelSteps, Procedure, ProcedureStep, W
 __all__ = [
     "Delivery",
     "GroupwareApp",
+    "InboxApp",
     "Conference",
     "ConferenceEntry",
     "ConferencingSystem",

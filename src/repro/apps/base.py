@@ -7,15 +7,15 @@ one deliberately non-CSCW document processor.  Each:
 * has a native document format with a :class:`FormatConverter` to the
   environment's common form,
 * claims one or more quadrants of the time-space matrix (Figure 1),
-* keeps a per-person inbox of documents delivered through the
-  environment,
+* keeps one record per document the environment delivers, in its own
+  model (a memo, an entry, a file; an :class:`InboxApp`, a :class:`Delivery`),
 * can run **open** (attached to a :class:`CSCWEnvironment` — Figure 3) or
   **closed** (stand-alone — Figure 2; the baseline of experiment E2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.environment.environment import CSCWEnvironment
@@ -26,16 +26,15 @@ from repro.util.errors import ConfigurationError
 
 @dataclass(slots=True)
 class Delivery:
-    """One document that arrived in a person's application inbox
-    (slotted: every delivery to a stock application keeps one)."""
+    """One document that arrived in a person's :class:`InboxApp` inbox
+    (slotted: an inbox application keeps one per delivery)."""
 
     person_id: str
     document: dict[str, Any]
-    info: dict[str, Any] = field(default_factory=dict)
 
 
 class GroupwareApp:
-    """Base class: inboxes, converter, open/closed attachment."""
+    """Base class: converter, open/closed attachment, delivery count."""
 
     #: subclasses set these
     app_name = "app"
@@ -44,7 +43,6 @@ class GroupwareApp:
 
     def __init__(self, instance_name: str = "") -> None:
         self.name = instance_name or self.app_name
-        self._inboxes: dict[str, list[Delivery]] = {}
         self._environment: CSCWEnvironment | None = None
         self.received_count = 0
 
@@ -87,17 +85,24 @@ class GroupwareApp:
     # -- delivery ------------------------------------------------------------
     def deliver(self, person_id: str, document: dict[str, Any], info: dict[str, Any]) -> None:
         """Receive a document for *person_id* (called by the environment)."""
-        self._inboxes.setdefault(person_id, []).append(Delivery(person_id, document, info))
         self.received_count += 1
         self.on_receive(person_id, document, info)
 
     def on_receive(self, person_id: str, document: dict[str, Any], info: dict[str, Any]) -> None:
-        """Subclass hook: react to an incoming document (default: no-op)."""
+        """Subclass hook: keep the document in the app's own record (default: none)."""
+
+
+class InboxApp(GroupwareApp):
+    """An application whose record of a delivery is its inbox."""
+
+    def __init__(self, instance_name: str = "") -> None:
+        super().__init__(instance_name)
+        self._inboxes: dict[str, list[Delivery]] = {}
+
+    def on_receive(self, person_id: str, document: dict[str, Any], info: dict[str, Any]) -> None:
+        """Keep the document in *person_id*'s inbox."""
+        self._inboxes.setdefault(person_id, []).append(Delivery(person_id, document))
 
     def inbox(self, person_id: str) -> list[Delivery]:
         """All deliveries for a person, oldest first."""
         return list(self._inboxes.get(person_id, []))
-
-    def clear_inbox(self, person_id: str) -> None:
-        """Drop a person's deliveries."""
-        self._inboxes.pop(person_id, None)

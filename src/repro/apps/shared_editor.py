@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.apps.base import GroupwareApp
+from repro.apps.base import InboxApp
 from repro.communication.realtime import RealTimeSession
 from repro.environment.registry import Q_SAME_TIME_DIFFERENT_PLACE
 from repro.information.interchange import FormatConverter, make_common
@@ -115,7 +115,7 @@ class _Replica:
         return self._replay()[1].get(delete_stamp)
 
 
-class SharedEditor(GroupwareApp):
+class SharedEditor(InboxApp):
     """A WYSIWIS multi-replica editor over a real-time session."""
 
     app_name = "shared-editor"

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.apps.base import GroupwareApp
+from repro.apps.base import InboxApp
 from repro.environment.registry import (
     Q_DIFFERENT_TIME_DIFFERENT_PLACE,
     Q_DIFFERENT_TIME_SAME_PLACE,
@@ -94,7 +94,7 @@ class Case:
     completed_branches: set[str] = field(default_factory=set)
 
 
-class WorkflowSystem(GroupwareApp):
+class WorkflowSystem(InboxApp):
     """A DOMINO-style procedure system."""
 
     app_name = "workflow"
@@ -287,9 +287,10 @@ class WorkflowSystem(GroupwareApp):
     def on_receive(self, person_id: str, document: dict[str, Any], info: dict[str, Any]) -> None:
         """A form arriving via the environment starts (or feeds) a case.
 
-        When the form names a known procedure it starts a case; otherwise
-        it is kept in the person's inbox only (already done by the base).
+        Every form is kept in the person's inbox; one that names a known
+        procedure also starts a case.
         """
+        super().on_receive(person_id, document, info)
         form_name = document.get("form_name", "")
         if form_name in self._procedures:
             self.start_case(form_name, document.get("slots", {}))

@@ -72,17 +72,8 @@ class AsyncChannel:
         self.sent += 1
         if self._log is not None:
             for part in parts:
-                self._log.record(
-                    Exchange(
-                        sender=sender_person,
-                        receiver=receiver_person,
-                        mode="asynchronous",
-                        media=part.media,
-                        size_bytes=part.size_bytes(),
-                        time=0.0,
-                        context=context,
-                    )
-                )
+                self._log.record(Exchange(sender_person, receiver_person, "asynchronous",
+                                          part.media, part.size_bytes(), 0.0, context))
         return message_id
 
     @staticmethod

@@ -6,13 +6,14 @@ exchange, and the context within which communication takes place."*
 
 A :class:`Communicator` is a person's communication endpoint (their node,
 the media they can receive, and their presence).  Every concrete exchange
-— synchronous or asynchronous — is recorded as an :class:`Exchange` in the
-:class:`CommunicationLog`, which supports the who-talks-to-whom analyses
-message-based systems build on.
+— synchronous or asynchronous — is described by an :class:`Exchange` and
+folded into the :class:`CommunicationLog`'s aggregates, which answer the
+who-talks-to-whom analyses message-based systems build on.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -55,9 +56,9 @@ class CommunicationContext:
 
 
 class Exchange(NamedTuple):
-    """One recorded communication act.
+    """One communication act.
 
-    One is recorded per delivery, so it is a :class:`~typing.NamedTuple`,
+    One is built per delivery, so it is a :class:`~typing.NamedTuple`,
     the cheapest immutable record to build.  It is built positionally or
     by keyword and, being a tuple, compares equal to a plain tuple of the
     same field values.
@@ -120,43 +121,59 @@ class CommunicatorRegistry:
 
 
 class CommunicationLog:
-    """Records exchanges and answers structural queries."""
+    """Folds exchanges into two aggregates, kept in first-occurrence order:
+    sender -> receiver -> exchanges, and (mode, from_org, to_org, activity)
+    -> [exchanges, bytes].  No exchange is kept, so the log grows with the
+    population and its structure, not with the run length."""
 
     def __init__(self) -> None:
-        self._exchanges: list[Exchange] = []
+        self._pairs: defaultdict[str, dict[str, int]] = defaultdict(lambda: defaultdict(int))
+        self._settings: defaultdict[tuple[str, ...], list[int]] = defaultdict(lambda: [0, 0])
 
     def record(self, exchange: Exchange) -> None:
-        """Append one exchange."""
-        self._exchanges.append(exchange)
+        """Fold one exchange into the aggregates."""
+        sender, receiver, mode, _, size_bytes, _, context, _ = exchange
+        self._pairs[sender][receiver] += 1
+        totals = self._settings[mode, context.from_org, context.to_org, context.activity]
+        totals[0] += 1
+        totals[1] += size_bytes
 
-    def all(self) -> list[Exchange]:
-        """All exchanges in order."""
-        return list(self._exchanges)
+    def _fold(self, field: "int | slice") -> dict:
+        """Exchanges per value of ``setting[field]``, first occurrence first."""
+        folded: dict = {}
+        for setting, (count, _) in self._settings.items():
+            folded[setting[field]] = folded.get(setting[field], 0) + count
+        return folded
 
-    def between(self, a: str, b: str) -> list[Exchange]:
+    def __len__(self) -> int:
+        """Exchanges recorded."""
+        return sum(count for count, _ in self._settings.values())
+
+    def between(self, a: str, b: str) -> int:
         """Exchanges in either direction between two people."""
-        return [
-            e
-            for e in self._exchanges
-            if {e.sender, e.receiver} == {a, b}
-        ]
+        forward = self._pairs.get(a, {}).get(b, 0)
+        return forward if a == b else forward + self._pairs.get(b, {}).get(a, 0)
 
-    def by_mode(self, mode: str) -> list[Exchange]:
+    def by_mode(self, mode: str) -> int:
         """Exchanges of one mode."""
-        return [e for e in self._exchanges if e.mode == mode]
+        return self._fold(0).get(mode, 0)
 
-    def in_activity(self, activity: str) -> list[Exchange]:
+    def in_activity(self, activity: str) -> int:
         """Exchanges that happened within one activity context."""
-        return [e for e in self._exchanges if e.context.activity == activity]
+        return self._fold(3).get(activity, 0)
 
     def traffic_matrix(self) -> dict[tuple[str, str], int]:
-        """(sender, receiver) -> count of exchanges."""
-        matrix: dict[tuple[str, str], int] = {}
-        for e in self._exchanges:
-            key = (e.sender, e.receiver)
-            matrix[key] = matrix.get(key, 0) + 1
-        return matrix
+        """(sender, receiver) -> count of exchanges, grouped by sender."""
+        return {(s, r): n for s, row in self._pairs.items() for r, n in row.items()}
+
+    def organisation_pairs(self) -> dict[tuple[str, str], int]:
+        """(from_org, to_org) -> count of exchanges, unknown orgs ('') too."""
+        return self._fold(slice(1, 3))
+
+    def activities(self) -> dict[str, int]:
+        """activity id -> count of exchanges ('' for unscoped)."""
+        return self._fold(3)
 
     def volume_bytes(self) -> int:
         """Total bytes exchanged."""
-        return sum(e.size_bytes for e in self._exchanges)
+        return sum(size for _, size in self._settings.values())

@@ -134,16 +134,7 @@ class RealTimeSession:
             )
             count += 1
             if self._log is not None:
-                self._log.record(
-                    Exchange(
-                        sender=person_id,
-                        receiver=other.person_id,
-                        mode="synchronous",
-                        media=media,
-                        size_bytes=size,
-                        time=self._world.now,
-                        context=self._context,
-                    )
-                )
+                self._log.record(Exchange(person_id, other.person_id, "synchronous", media,
+                                          size, self._world.now, self._context))
         self.utterances += 1
         return count

@@ -130,13 +130,13 @@ class TestCommunicationAnalysis:
 
     def test_cross_org_flows(self):
         flows = cross_organisation_flows(_log())
-        assert flows[("upc", "gmd")] == 2
-        assert flows[("gmd", "upc")] == 1
-        assert flows[("upc", "lancaster")] == 1
+        assert list(flows.items()) == [
+            (("upc", "gmd"), 2), (("gmd", "upc"), 1), (("upc", "lancaster"), 1)
+        ]
 
     def test_activity_breakdown(self):
         breakdown = activity_breakdown(_log())
-        assert breakdown == {"act1": 3, "act2": 1}
+        assert list(breakdown.items()) == [("act1", 3), ("act2", 1)]
 
     def test_reciprocity(self):
         # (ana,wolf) reciprocated; (wolf,ana) reciprocated; (ana,tom) not.

@@ -41,7 +41,7 @@ from repro.util.errors import NotRegisteredError
 #: Python-level calls of one warm exchange below.  If a change adds calls
 #: on purpose, raise this to the new count and name the added calls in
 #: CHANGES.md; if it removes calls, lower it, so the budget keeps guarding.
-CALL_BUDGET = 32
+CALL_BUDGET = 31
 
 DOC = {"topic": "ODP", "entry": "will it help?", "author": "ana", "conference": "c"}
 REQUEST = ExchangeRequest("ana", "wolf", "conferencing", "message-system", DOC)
@@ -129,4 +129,4 @@ def test_an_unregistered_receiving_app_raises_out_of_a_batch_after_earlier_runs(
     with pytest.raises(NotRegisteredError, match="'nope' is not registered"):
         env.exchange_many([REQUEST, bad])
     assert (env.exchanges_attempted, env.exchanges_failed) == (2, 0)
-    assert [record.receiver for record in env.communication_log.all()] == ["wolf"]
+    assert env.communication_log.traffic_matrix() == {("ana", "wolf"): 1}

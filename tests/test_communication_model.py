@@ -51,11 +51,38 @@ class TestCommunicationLog:
         log.record(Exchange("a", "b", "synchronous", "text", 10, 1.0))
         log.record(Exchange("b", "a", "asynchronous", "text", 20, 2.0,
                             CommunicationContext(activity="act1")))
-        assert len(log.between("a", "b")) == 2
-        assert len(log.by_mode("synchronous")) == 1
-        assert len(log.in_activity("act1")) == 1
+        assert log.between("a", "b") == log.between("b", "a") == 2
+        assert log.between("a", "a") == log.between("a", "z") == 0
+        assert log.by_mode("synchronous") == 1
+        assert log.by_mode("video") == 0
+        assert log.in_activity("act1") == 1
+        assert log.in_activity("") == 1
         assert log.traffic_matrix()[("a", "b")] == 1
         assert log.volume_bytes() == 30
+        assert len(log) == 2
+
+    def test_aggregates_keep_first_occurrence_order(self):
+        from repro.communication.model import Exchange
+
+        log = CommunicationLog()
+        for sender, receiver, activity, orgs in [
+            ("b", "c", "act2", ("gmd", "upc")),
+            ("a", "b", "act1", ("upc", "gmd")),
+            ("b", "a", "act2", ("gmd", "upc")),
+            ("a", "a", "", ("upc", "upc")),
+        ]:
+            log.record(Exchange(sender, receiver, "synchronous", "text", 1, 0.0,
+                                CommunicationContext(activity, "", *orgs)))
+        assert list(log.traffic_matrix().items()) == [
+            (("b", "c"), 1), (("b", "a"), 1), (("a", "b"), 1), (("a", "a"), 1)
+        ]
+        assert list(log.activities().items()) == [("act2", 2), ("act1", 1), ("", 1)]
+        assert list(log.organisation_pairs().items()) == [
+            (("gmd", "upc"), 2), (("upc", "gmd"), 1), (("upc", "upc"), 1)
+        ]
+        assert log.between("a", "a") == 1
+        log.activities().clear()
+        assert log.in_activity("act2") == 2
 
     def test_exchange_is_immutable(self):
         from repro.communication.model import Exchange
@@ -92,11 +119,13 @@ class TestCommunicationLog:
         for row in rows:
             positional.record(Exchange(*row))
             keyword.record(Exchange(**dict(zip(names, row))))
-        assert positional.all() == keyword.all()
+        for query in (len, CommunicationLog.traffic_matrix, CommunicationLog.activities,
+                      CommunicationLog.organisation_pairs, CommunicationLog.volume_bytes):
+            assert query(positional) == query(keyword)
         for log in (positional, keyword):
-            assert len(log.between("a", "b")) == 2
-            assert len(log.by_mode("synchronous")) == 2
-            assert [e.receiver for e in log.in_activity("act1")] == ["b"]
+            assert log.between("a", "b") == 2
+            assert log.by_mode("synchronous") == 2
+            assert log.in_activity("act1") == 1
             assert log.traffic_matrix() == {("a", "b"): 1, ("b", "a"): 1, ("a", "c"): 1}
             assert log.volume_bytes() == 35
         for query in (summarize, top_talkers, cross_organisation_flows, activity_breakdown):
@@ -176,7 +205,8 @@ class TestRealTimeSession:
         session.join("ana", "ws1", lambda s, b: None)
         session.join("joan", "ws2", lambda s, b: None)
         session.say("ana", {"text": "hi"})
-        assert len(log.in_activity("act1")) == 1
+        assert log.in_activity("act1") == 1
+        assert log.traffic_matrix() == {("ana", "joan"): 1}
 
 
 @pytest.fixture
@@ -203,7 +233,8 @@ class TestAsyncChannel:
         world.run()
         inbox = ua_joan.list_inbox()
         assert len(inbox) == 1
-        assert log.by_mode("asynchronous")[0].receiver == "joan.puig"
+        assert log.by_mode("asynchronous") == 1
+        assert log.traffic_matrix() == {("ana.lopez", "joan.puig"): 1}
 
     def test_media_adaptation_to_fax_recipient(self, mhs_pair):
         world, mta, registry, ua_ana, ua_joan = mhs_pair

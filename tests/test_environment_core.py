@@ -175,13 +175,18 @@ class TestExchange:
 
     def test_view_rendering_applied(self, env, two_apps):
         conferencing, messages = two_apps
+        received = []
+        filed = messages.on_receive
+        messages.on_receive = lambda person, doc, info: (received.append(doc),
+                                                         filed(person, doc, info))
         env.views.set_view("wolf", language="de", font="large")
         env.exchange(ExchangeRequest(
             "ana", "wolf", "conferencing", "message-system",
             {"topic": "t", "entry": "e"},
         ))
-        delivery = messages.inbox("wolf")[0]
-        assert delivery.document["_view"] == {"language": "de", "font": "large"}
+        [document] = received
+        assert document["_view"] == {"language": "de", "font": "large"}
+        assert [memo.subject for memo in messages.folder("wolf")] == ["t"]
 
     def test_exchange_counters_and_log(self, env, two_apps):
         env.exchange(ExchangeRequest("ana", "wolf", "conferencing", "message-system",
@@ -191,7 +196,7 @@ class TestExchange:
                                      {"topic": "t", "entry": "e"}, profile=profile))
         assert env.exchanges_attempted == 2
         assert env.exchanges_failed == 1
-        assert len(env.communication_log.all()) == 1
+        assert len(env.communication_log) == 1
 
     def test_trading_policy_installed(self, env, two_apps):
         """Section 6.1: the org KB dictates the trader's policy."""

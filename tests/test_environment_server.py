@@ -117,8 +117,10 @@ class TestEnvironmentReport:
         assert "ana" in report and "joan" in report
         assert "1 queued" in report          # joan's pending delivery
         assert "active" in report            # the review activity
-        assert "exchanges" in report
+        assert len(env.communication_log) == 2
+        assert "  2 exchanges, " in report
         assert "top talkers: ana (2)" in report
+        assert [memo.sender for memo in messages.folder("joan")] == ["ana"]
 
     def test_report_on_empty_environment(self, world):
         env = CSCWEnvironment.builder().with_world(world).build()

@@ -492,7 +492,7 @@ class TestApplicationError:
         ] == 1
         assert env.exchanges_failed == 1
         # the failed delivery is neither logged nor counted as delivered
-        assert len(env.communication_log.all()) == 3
+        assert len(env.communication_log) == 3
 
     def test_person_arrives_flushes_past_a_raising_callback(self, world):
         env, _, received = self.make(world)
@@ -722,8 +722,8 @@ class TestHarnessBoundaries:
         assert outcome.delivered
         assert outcome.mode == ("synchronous" if present else "asynchronous")
         assert calls == {"document_size": 1, "publish": 1, "record": 1}
-        [logged] = env.communication_log.all()
-        assert logged.size_bytes == outcome.size_bytes
+        assert len(env.communication_log) == 1
+        assert env.communication_log.volume_bytes() == outcome.size_bytes
 
     def test_exchange_refused_at_admission_crosses_none(self, env, monkeypatch):
         env.knowledge_base.policies.revoke("upc", "gmd", symmetric=True)
@@ -733,4 +733,4 @@ class TestHarnessBoundaries:
         ))
         assert outcome.reason_code == REASON_POLICY
         assert calls == {"document_size": 0, "publish": 0, "record": 0}
-        assert env.communication_log.all() == []
+        assert len(env.communication_log) == 0

@@ -466,7 +466,7 @@ class TestEnvironmentIntegration:
             "ana", "wolf", "faxline", "message-system", doc, min_fidelity=0.8
         ))
         assert delivered.delivered
-        assert message_system.inbox("wolf")[-1].document["subject"] == "offer"
+        assert message_system.folder("wolf")[-1].subject == "offer"
         refused = env.exchange(ExchangeRequest(
             "ana", "wolf", "faxline", "message-system", doc, min_fidelity=0.99
         ))
