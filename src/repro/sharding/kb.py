@@ -102,8 +102,9 @@ class ShardedKnowledgeBase(OrganisationalKnowledgeBase):
         result = super().add_organisation(organisation)
         if replaced is not None:
             for person in replaced.persons():
-                if person.person_id not in self.person_index:
-                    self._retract(self._person_name(person.person_id, org_id))
+                entry_dn = self._person_name(person.person_id, org_id)
+                if person.person_id not in self.person_index and self.directory.exists(entry_dn):
+                    self.directory.delete(entry_dn)
         org_name = self._org_name(org_id)
         if not self.directory.exists(org_name):
             self.directory.add(
@@ -144,10 +145,6 @@ class ShardedKnowledgeBase(OrganisationalKnowledgeBase):
         if held:
             self.directory.delete(entry_dn)
         return person
-
-    def _retract(self, entry_dn: DistinguishedName) -> None:
-        if self.directory.exists(entry_dn):
-            self.directory.delete(entry_dn)
 
     def _publish_person(self, person: Person, entry_dn: DistinguishedName) -> None:
         attributes = {
