@@ -7,8 +7,8 @@ one deliberately non-CSCW document processor.  Each:
 * has a native document format with a :class:`FormatConverter` to the
   environment's common form,
 * claims one or more quadrants of the time-space matrix (Figure 1),
-* keeps one record per document the environment delivers, in its own
-  model (a memo, an entry, a file; an :class:`InboxApp`, a :class:`Delivery`),
+* keeps one record per delivered document, in its own model (a memo, an
+  entry, a file); an :class:`InboxApp` keeps a per-person :class:`Delivery` inbox,
 * can run **open** (attached to a :class:`CSCWEnvironment` — Figure 3) or
   **closed** (stand-alone — Figure 2; the baseline of experiment E2).
 """
