@@ -177,8 +177,8 @@ class EnvironmentBuilder:
         one consistent-hash-assigned shard, exposed as
         ``env.knowledge_base.directory``.  Required for populations past
         a few thousand registered users; a no-op for correctness
-        otherwise (same KB contract, same O(1) person index, same keyed
-        change notifications).  Excludes :meth:`with_knowledge_base`.
+        otherwise (same KB contract, same O(1) person index, same shared
+        route-verdict memo).  Excludes :meth:`with_knowledge_base`.
         """
         if n_shards < 1:
             raise ConfigurationError("with_sharding needs n_shards >= 1")
@@ -191,9 +191,10 @@ class EnvironmentBuilder:
         """Read *knowledge_base* instead of building a fresh one.
 
         Environments built with one knowledge base share one
-        organisational model, and each one's resolution cache listens on
-        it; a :class:`~repro.federation.federation.Federation` builds
-        its domains this way.  Excludes :meth:`with_sharding`.
+        organisational model and its one route-verdict memo, which their
+        resolution caches read; a
+        :class:`~repro.federation.federation.Federation` builds its
+        domains this way.  Excludes :meth:`with_sharding`.
         """
         self._knowledge_base = knowledge_base
         return self
@@ -277,11 +278,10 @@ class EnvironmentBuilder:
 
             env.mediator = Mediator(env.trader, node=f"{env.name}-mediator")
             env.applications.set_mediator(env.mediator)
-        # The exchange fast path: memoised org/policy/format resolution,
-        # invalidated by KB and app-registry mutations.
+        # The exchange fast path: the KB's shared verdict memo plus this
+        # environment's format pairs, flushed by app registrations.
         env.resolution = ResolutionCache(env.knowledge_base, env.applications)
         env.resolution.enabled = self._resolution_cache
-        env.knowledge_base.add_listener(env.resolution.on_kb_change)
         env.applications.add_listener(env.resolution.on_app_registered)
         env.activities, env.dependencies = self._activities or (
             ActivityRegistry(), DependencyGraph()

@@ -477,7 +477,7 @@ class CSCWEnvironment:
         shape-deterministic, see :class:`~repro.information.interchange`).
 
         Hoisting never serves stale state: the run watches the
-        resolution cache's ``generation`` token, so a delivery callback
+        knowledge base's ``generation`` token, so a delivery callback
         that mutates the knowledge base mid-batch (a revoked policy, a
         moved person) makes the remaining items of the current run
         re-admit — they fail or deliver exactly as separate
@@ -647,9 +647,9 @@ class CSCWEnvironment:
         generation = -1  # admits the route on the first item
         shed = 0
         for index, request in enumerate(group):
-            if self.resolution.generation != generation:
+            if self.knowledge_base.generation != generation:
                 # first item, or a callback mutated the KB: the admission may be stale
-                generation = self.resolution.generation
+                generation = self.knowledge_base.generation
                 last_document = outcome = None
                 admitted = self._admit(head, active)
                 if admitted.__class__ is _Refusal:

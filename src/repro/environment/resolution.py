@@ -8,46 +8,46 @@ document is exactly the mediation overhead that worries service-based
 mediation systems — the environment is *one* shared mediator, so the
 answers are shared too.
 
-The :class:`ResolutionCache` memoises ``{interaction: RouteVerdict}`` per
-``(sender_org, receiver_org)`` pair and the native format pair per
-``(sender_app, receiver_app)``.  Each person's organisation is not
-memoised here: it is read from the knowledge base's person ->
-organisation index
+The :class:`ResolutionCache` reads ``{interaction: RouteVerdict}`` per
+``(sender_org, receiver_org)`` pair from the knowledge base's one memo,
+:attr:`~repro.org.knowledge_base.OrganisationalKnowledgeBase.route_verdicts`,
+which every environment reading that knowledge base shares: a verdict
+derived through one domain of a federation is a hit in every other.  It
+memoises the native format pair per ``(sender_app, receiver_app)``
+itself, as the application registry is per environment.  Each person's
+organisation is not memoised: it is read from the knowledge base's
+person -> organisation index
 (:attr:`~repro.org.knowledge_base.OrganisationalKnowledgeBase.person_index`),
-the one record of who belongs where, which the organisations keep exact
-however they are written.  A warm route is two index reads and one
-verdict lookup; the memo grows with organisation pairs, never with
-people.
+the one record of who belongs where.  A warm route is two index reads
+and one verdict lookup; the memo grows with organisation pairs, never
+with people.
 
-Correctness under mutation is preserved by *keyed invalidation*: the
-environment builder subscribes the cache to
-:meth:`repro.org.knowledge_base.OrganisationalKnowledgeBase.add_listener`
-(fired on organisation, person and policy changes, carrying the mutated
-entity) and to
-:meth:`repro.environment.registry.ApplicationRegistry.add_listener`
-(fired on application registration).  A person event evicts nothing (the
-index already holds the change); a policy event between two
-organisations forgets the verdicts of that pair in both directions; an
-organisation event forgets the verdicts of every pair with that
-organisation.  Every event advances ``generation``.  Every mutation
-names its entity, so there is no whole-route flush on this path;
-:meth:`ResolutionCache.invalidate_all` is the one explicit whole-cache
-reset.  Failed lookups (unknown applications) are never cached.
+A verdict depends on the policy registry alone, so the knowledge base
+keeps its memo correct by itself: a policy declare or revoke forgets
+that organisation pair's verdicts in both directions, and a person or
+organisation write evicts nothing.  Every write advances the knowledge
+base's ``generation``, and so does this cache's format flush
+(:meth:`ResolutionCache.on_app_registered`, subscribed to
+:meth:`repro.environment.registry.ApplicationRegistry.add_listener`):
+a batch that hoisted its admission compares one integer per item and
+re-admits when it moved.  Failed lookups (unknown applications) are
+never cached.
 
 :meth:`ResolutionCache.organisation_of` answers "which organisation is
 this person in?" for observers — the exchange span's ``shard`` tag —
 with one index read: an observer reads no more than the untraced
 exchange did, and never changes what the cache holds or counts.
 
-Hit/miss/invalidation totals are kept as plain attributes, which an
-attached metrics registry reads as the ``env.cache.route.<hit|miss>``,
-``env.cache.formats.<hit|miss>``, ``env.cache.invalidations`` and
-``env.cache.evicted`` counters.  A route lookup is a miss only when it
-must derive an organisation pair's verdict it has not memoised; a route
-with a participant the index does not hold needs no verdict and is a
-hit.  ``invalidations`` counts *logical invalidation events that evicted
-at least one entry* — a mutation storm against an empty or untouched
-cache costs nothing and counts nothing.
+Hit/miss totals are plain attributes of each cache, which an attached
+metrics registry reads as the ``env.cache.route.<hit|miss>`` and
+``env.cache.formats.<hit|miss>`` counters.  A route lookup is a miss
+only when it must derive an organisation pair's verdict nobody has
+memoised; a route with a participant the index does not hold needs no
+verdict and is a hit.  ``env.cache.invalidations`` counts *changes that
+evicted at least one entry* and ``env.cache.evicted`` the entries: the
+knowledge base's policy changes, read with the knowledge base as their
+owner so one registry counts each once however many environments read
+it, plus each cache's own format flushes.
 """
 
 from __future__ import annotations
@@ -82,17 +82,12 @@ UNKNOWN_ROUTE = RouteVerdict("", "", True)
 
 
 class ResolutionCache:
-    """Memoises org/policy verdicts and app format pairs for exchanges.
+    """Reads the knowledge base's verdict memo and memoises app format pairs.
 
     ``enabled`` can be flipped off (builder knob
     ``with_resolution_cache(False)``) to force fresh resolution on every
     call — the cold baseline the throughput benchmark compares against.
     Disabling never loses correctness, only speed.
-
-    ``generation`` is a monotonic freshness token: it advances on every
-    mutation event (even when nothing was cached), so batch callers that
-    hoist a verdict once per run can detect mid-batch mutations with a
-    single integer compare and re-resolve instead of serving stale state.
     """
 
     def __init__(self, knowledge_base: Any, applications: Any) -> None:
@@ -100,22 +95,30 @@ class ResolutionCache:
         self._apps = applications
         #: the knowledge base's person -> organisation index (read-only)
         self._index = knowledge_base.person_index
-        #: (sender org, receiver org) -> interaction -> verdict
-        self._verdicts: dict[tuple[str, str], dict[str, RouteVerdict]] = {}
+        #: the knowledge base's shared (sender org, receiver org) ->
+        #: interaction -> verdict memo, held by reference
+        self._verdicts: dict[tuple[str, str], dict[str, RouteVerdict]] = (
+            knowledge_base.route_verdicts
+        )
         self._formats: dict[tuple[str, str], tuple[str, str]] = {}
         self.enabled = True
         self.route_hits = 0
         self.route_misses = 0
         self.format_hits = 0
         self.format_misses = 0
+        #: format flushes that evicted pairs, and the pairs evicted
         self.invalidations = 0
         self.evictions = 0
-        self.generation = 0
         self._obs: MetricsRegistry = NULL_METRICS
 
     def attach_metrics(self, metrics: MetricsRegistry | None) -> None:
         """Report cache activity to *metrics* (``None`` detaches)."""
-        self._obs = (metrics or NULL_METRICS).read(self, {
+        kb, registry = self._kb, metrics or NULL_METRICS
+        registry.read(kb, {
+            "env.cache.invalidations": lambda: kb.invalidations,
+            "env.cache.evicted": lambda: kb.evictions,
+        }, self._obs)
+        self._obs = registry.read(self, {
             "env.cache.route.hit": lambda: self.route_hits,
             "env.cache.route.miss": lambda: self.route_misses,
             "env.cache.formats.hit": lambda: self.format_hits,
@@ -192,65 +195,20 @@ class ResolutionCache:
         )
 
     # -- invalidation ------------------------------------------------------
-    def _note_event(self, removed: int) -> None:
-        """Account one mutation event that evicted *removed* entries."""
-        self.generation += 1
-        if removed:
-            self.evictions += removed
-            self.invalidations += 1
-
-    def _evict_organisation(self, org: str) -> int:
-        """Forget the verdicts of every organisation pair with *org*."""
-        verdicts = self._verdicts
-        pairs = [pair for pair in verdicts if org in pair]
-        return sum(len(verdicts.pop(pair)) for pair in pairs)
-
-    def invalidate_formats(self) -> None:
-        """Forget every memoised format pair (one logical event)."""
-        removed = len(self._formats)
-        self._formats.clear()
-        self._note_event(removed)
-
-    def invalidate_all(self) -> None:
-        """Forget everything (verdicts and formats).
-
-        One logical invalidation, counted once — not once per sub-cache.
-        """
-        removed = len(self._formats) + self._verdict_count()
-        self._verdicts.clear()
-        self._formats.clear()
-        self._note_event(removed)
-
-    def on_kb_change(self, kind: str, entity_id: str, org: str) -> None:
-        """Knowledge-base mutation hook (kind: organisation/person/policy).
-
-        Eviction is scoped to the mutated entity, as the module docstring
-        describes: a person event evicts nothing, and a policy can only
-        flip verdicts between its two organisations, so a policy event
-        pops that pair's verdicts in both directions.  Any other *kind*
-        raises :class:`ValueError`: a new mutation kind must name its
-        eviction scope here.
-        """
-        if kind == "person":
-            removed = 0
-        elif kind == "organisation":
-            removed = self._evict_organisation(entity_id)
-        elif kind == "policy":
-            verdicts = self._verdicts
-            removed = len(verdicts.pop((entity_id, org), ()))
-            removed += len(verdicts.pop((org, entity_id), ()))
-        else:
-            raise ValueError(f"unknown knowledge-base change kind {kind!r}")
-        self._note_event(removed)
-
     def on_app_registered(self, name: str) -> None:
-        """Application-registry mutation hook.
+        """Application-registry mutation hook: forget every format pair.
 
         Format pairs are few (one per app pair, not per person), so a
         registration keeps the conservative whole-flush: re-resolution is
-        one miss per live pair.
+        one miss per live pair.  The flush advances the knowledge base's
+        ``generation``, so a batch in flight re-admits its route.
         """
-        self.invalidate_formats()
+        removed = len(self._formats)
+        self._formats.clear()
+        self._kb.generation += 1
+        if removed:
+            self.evictions += removed
+            self.invalidations += 1
 
     # -- introspection -----------------------------------------------------
     def _verdict_count(self) -> int:
@@ -263,9 +221,9 @@ class ResolutionCache:
             "route_misses": self.route_misses,
             "format_hits": self.format_hits,
             "format_misses": self.format_misses,
-            "invalidations": self.invalidations,
-            "evictions": self.evictions,
-            "generation": self.generation,
+            "invalidations": self.invalidations + self._kb.invalidations,
+            "evictions": self.evictions + self._kb.evictions,
+            "generation": self._kb.generation,
             "verdicts_cached": self._verdict_count(),
             "formats_cached": len(self._formats),
         }

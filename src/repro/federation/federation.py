@@ -566,9 +566,9 @@ class Federation:
     def move_person(self, person_id: str, to_domain: str) -> Person:
         """Move a person's home to another domain mid-run.
 
-        The knowledge base moves the person once; its listeners fire in
-        every domain environment, so each resolution cache drops its
-        memoised verdicts.  The communicator and the naming binding
+        The knowledge base moves the person once, and every domain's
+        next route reads the new organisation from its index; no
+        memoised verdict is dropped.  The communicator and the naming binding
         migrate, and the next federated exchange reads the new home.
         Deliveries queued at the old home for the person's return are
         discarded.

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from types import MappingProxyType
-from typing import Any, Callable
+from typing import Any
 
 from repro.directory.dit import DirectoryInformationTree
 from repro.odp.trader import ImportContext, PolicyHook, ServiceOffer
@@ -36,6 +36,8 @@ class OrganisationalKnowledgeBase:
     whether a person was written through this KB or straight into their
     organisation.  :attr:`person_index` is its read-only view, the one
     record every reader (the resolution caches, the federation) uses.
+    Route verdicts are memoised here too, once per knowledge base, in
+    :attr:`route_verdicts`.
     """
 
     def __init__(self) -> None:
@@ -47,36 +49,29 @@ class OrganisationalKnowledgeBase:
         self.person_index = MappingProxyType(self._person_index)
         self.relations = RelationStore()
         self.rules = RuleEngine(self.relations)
-        self.policies = PolicyRegistry()
-        self._listeners: list[Callable[[str, str, str], None]] = []
-        self.policies.add_listener(self._policies_changed)
+        self.policies = PolicyRegistry(self._policy_changed)
+        #: (sender org, receiver org) -> interaction -> route verdict, the
+        #: one memo every environment reading this KB shares (filled by
+        #: their resolution caches, emptied here per policy pair)
+        self.route_verdicts: dict[tuple[str, str], dict[str, Any]] = {}
+        #: advances on every write here and on every environment's format
+        #: flush: a batch that hoisted its admission re-admits when it moves
+        #: (a plain attribute, as the batch loop reads it once per item)
+        self.generation = 0
+        #: policy changes that evicted verdicts, and the verdicts evicted
+        self.invalidations = 0
+        self.evictions = 0
 
-    # -- change notification -----------------------------------------------
-    def add_listener(self, listener: Callable[[str, str, str], None]) -> None:
-        """Call *listener*(kind, entity_id, org) after KB mutations.
-
-        *kind* is ``"organisation"``, ``"person"`` or ``"policy"``; the
-        other two arguments scope the mutation so listeners can evict by
-        key instead of flushing wholesale:
-
-        * ``"person"`` — *entity_id* is the person id, *org* the
-          organisation they now (or last) belonged to;
-        * ``"organisation"`` — both are the organisation id;
-        * ``"policy"`` — *entity_id*/*org* are the two organisation ids
-          of the mutated policy pair.
-
-        The environment's exchange resolution cache subscribes here so
-        that memoised org/policy verdicts never outlive the facts they
-        were derived from.
-        """
-        self._listeners.append(listener)
-
-    def _notify(self, kind: str, entity_id: str, org: str) -> None:
-        for listener in self._listeners:
-            listener(kind, entity_id, org)
-
-    def _policies_changed(self, from_org: str, to_org: str) -> None:
-        self._notify("policy", from_org, to_org)
+    def _policy_changed(self, from_org: str, to_org: str) -> None:
+        """A verdict depends on the policies alone: a policy change forgets
+        its pair's verdicts in both directions, and nothing else."""
+        verdicts = self.route_verdicts
+        removed = len(verdicts.pop((from_org, to_org), ()))
+        removed += len(verdicts.pop((to_org, from_org), ()))
+        self.generation += 1
+        if removed:
+            self.evictions += removed
+            self.invalidations += 1
 
     # -- organisations -----------------------------------------------------
     def add_organisation(self, organisation: Organisation) -> Organisation:
@@ -102,7 +97,7 @@ class OrganisationalKnowledgeBase:
         index.update(members)
         organisation._person_index = index
         self._organisations[org_id] = organisation
-        self._notify("organisation", org_id, org_id)
+        self.generation += 1
         return organisation
 
     def organisation(self, org_id: str) -> Organisation:
@@ -131,38 +126,39 @@ class OrganisationalKnowledgeBase:
         """Register a person with their (already registered) organisation.
 
         Prefer this over ``Organisation.add_person`` for mid-run joins —
-        it fires the KB change listeners, so a batch that hoisted its
+        it advances :attr:`generation`, so a batch that hoisted its
         admission re-admits.
         """
         self.organisation(person.organisation).add_person(person)
-        self._notify("person", person.person_id, person.organisation)
+        self.generation += 1
         return person
 
     def remove_person(self, person_id: str) -> Person:
         """Deregister a person from the knowledge base entirely.
 
         The inverse of :meth:`add_person`: the person leaves their
-        organisation and the listeners fire.  Returns the removed
-        :class:`Person` record.
+        organisation and :attr:`generation` advances.  Returns the
+        removed :class:`Person` record.
         """
         person = self.find_person(person_id)
         self.organisation(person.organisation).remove_person(person_id)
-        self._notify("person", person_id, person.organisation)
+        self.generation += 1
         return person
 
     def move_person(self, person_id: str, to_org: str) -> Person:
         """Move a person to another organisation mid-run.
 
         The person is removed from their current organisation and
-        re-registered (same id/name) under *to_org*; listeners fire so
-        the next exchange resolves against the new membership.
+        re-registered (same id/name) under *to_org*; the next exchange
+        reads the new membership from the index, and :attr:`generation`
+        advances.
         """
         person = self.find_person(person_id)
         destination = self.organisation(to_org)
         self.organisation(person.organisation).remove_person(person_id)
         moved = replace(person, organisation=to_org)
         destination.add_person(moved)
-        self._notify("person", person_id, to_org)
+        self.generation += 1
         return moved
 
     # -- trader integration (paper section 6.1) ------------------------------

@@ -56,27 +56,15 @@ class PolicyRegistry:
     permitted at zero cost.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, on_change: Callable[[str, str], None] | None = None) -> None:
         self._policies: dict[tuple[str, str], InterOrgPolicy] = {}
         self.checks = 0
         self.denials = 0
-        self._listeners: list[Callable[[str, str], None]] = []
-
-    def add_listener(self, listener: Callable[[str, str], None]) -> None:
-        """Call *listener*(from_org, to_org) after every policy mutation.
-
-        Consumers that memoise compatibility verdicts (the environment's
-        exchange resolution cache) subscribe here to invalidate.  The org
-        pair scopes the mutation: only verdicts touching *both*
-        organisations can have changed, so listeners may evict by key
-        instead of flushing wholesale.  A ``symmetric`` declare or revoke
-        fires once — the unordered pair is the same.
-        """
-        self._listeners.append(listener)
-
-    def _notify(self, from_org: str, to_org: str) -> None:
-        for listener in self._listeners:
-            listener(from_org, to_org)
+        #: called as *on_change*(from_org, to_org) after every declare and
+        #: every revoke that removed a direction; a ``symmetric`` one calls
+        #: it once, as the unordered pair is the same.  The organisational
+        #: knowledge base passes its route-verdict eviction here.
+        self._on_change = on_change
 
     def declare(
         self,
@@ -94,7 +82,8 @@ class PolicyRegistry:
             self._policies[(to_org, from_org)] = InterOrgPolicy(
                 to_org, from_org, frozenset(allowed), cost
             )
-        self._notify(from_org, to_org)
+        if self._on_change is not None:
+            self._on_change(from_org, to_org)
 
     def revoke(self, from_org: str, to_org: str, symmetric: bool = False) -> int:
         """Remove a declared policy; returns how many directions existed.
@@ -107,8 +96,8 @@ class PolicyRegistry:
             removed += 1
         if symmetric and self._policies.pop((to_org, from_org), None) is not None:
             removed += 1
-        if removed:
-            self._notify(from_org, to_org)
+        if removed and self._on_change is not None:
+            self._on_change(from_org, to_org)
         return removed
 
     def policy_between(self, from_org: str, to_org: str) -> InterOrgPolicy | None:

@@ -17,9 +17,9 @@ consistent-hash ring:
 * :class:`ShardedKnowledgeBase` — a drop-in
   :class:`~repro.org.knowledge_base.OrganisationalKnowledgeBase` whose
   mutations keep the sharded white pages in step (person lookups are the
-  base class's O(1) index), firing the keyed change notifications the
+  base class's O(1) index, and route verdicts its one memo, which every
   environment's :class:`~repro.environment.resolution.ResolutionCache`
-  scopes its evictions by.
+  reads).
 
 Enable per environment with ``CSCWEnvironment.builder().with_sharding(n)``,
 or per federation with ``Federation(world, shards=n)``, whose domains

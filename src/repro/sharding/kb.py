@@ -21,11 +21,10 @@ placement of the white pages:
 Directory entries are keyed by id (``cn=<person_id>,o=<org_id>,c=..``),
 not display name — ids are unique across the KB, names are not.
 
-Keyed change notifications (kind, entity id, org) are inherited from the
-base class: the environment's resolution cache evicts only the verdicts
-of the organisation pair a policy or organisation event names, and
-nothing on a person event, which is what keeps mutation storms from
-wrecking the warm path at scale.
+The route-verdict memo and its ``generation`` are the base class's: a
+policy change evicts only its organisation pair's verdicts, and a person
+or organisation write evicts nothing, which is what keeps mutation
+storms from wrecking the warm path at scale.
 """
 
 from __future__ import annotations
@@ -93,20 +92,21 @@ class ShardedKnowledgeBase(OrganisationalKnowledgeBase):
         person = self.find_person(person_id)
         return self.directory.read(self._person_name(person_id, person.organisation))
 
-    # -- mutators (keep the shards in step; super() writes and notifies) --
+    # -- mutators (keep the shards in step; super() writes the index) -----
     def add_organisation(self, organisation: Organisation) -> Organisation:
         """Register (or replace) an organisation and publish its members;
         a replacement retracts the entries of the members it drops."""
         org_id = organisation.org_id
         replaced = self._organisations.get(org_id)
+        org_name = self._org_name(org_id)
+        org_published = self.directory.exists(org_name)
         result = super().add_organisation(organisation)
         if replaced is not None:
             for person in replaced.persons():
                 entry_dn = self._person_name(person.person_id, org_id)
                 if person.person_id not in self.person_index and self.directory.exists(entry_dn):
                     self.directory.delete(entry_dn)
-        org_name = self._org_name(org_id)
-        if not self.directory.exists(org_name):
+        if not org_published:
             self.directory.add(
                 org_name,
                 {"objectclass": ["organization"], "description": [organisation.name]},

@@ -4,7 +4,7 @@ A :class:`PopulationSpec` describes a registered population (how many
 people, how many organisations, which seed); a
 :class:`PopulationGenerator` installs it into a ``CSCWEnvironment``:
 organisations into the knowledge base, people into their organisations
-(through the KB-level mutators so keyed change notifications fire and —
+(through the KB-level mutators so the KB's ``generation`` advances and —
 on a sharded KB — white-pages entries land on their owning shards), and
 one communicator endpoint per person.
 

@@ -10,8 +10,11 @@ keep:
 * agreement: under an interleaving of hires, moves, policy declarations
   and revocations, a person's home is the same in the four places that
   record it (``home_of``, the KB, the naming binding, the communicator),
-  and every domain's resolution cache, fed by the one KB's listeners,
-  answers what a cold read answers;
+  and every domain's resolution cache, reading the one KB's verdict
+  memo, answers what a cold read answers;
+* one verdict memo: a verdict derived through one domain is a hit in
+  the other, a revoke is seen by the next exchange in every domain, and
+  its evictions are counted once per knowledge base;
 * a person who already has a home cannot be added a second time.
 """
 
@@ -21,10 +24,17 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from repro.environment.environment import REASON_DELIVERED, REASON_POLICY, ExchangeRequest
+from repro.environment.registry import AppDescriptor, Q_DIFFERENT_TIME_DIFFERENT_PLACE
 from repro.federation.federation import Federation
+from repro.information.interchange import FormatConverter, make_common
 from repro.obs.metrics import MetricsRegistry
 from repro.org.model import Organisation
-from repro.org.policy import INTERACTION_MESSAGE, INTERACTION_SERVICE_IMPORT
+from repro.org.policy import (
+    INTERACTION_MESSAGE,
+    INTERACTION_REALTIME,
+    INTERACTION_SERVICE_IMPORT,
+)
 from repro.sharding.kb import ShardedKnowledgeBase
 from repro.sim.world import World
 from repro.util.errors import ConfigurationError, NameError_, UnknownObjectError
@@ -200,3 +210,83 @@ class TestStructure:
         federation.move_person("cy", "gmd")
         assert federation.home_of("cy") == kb.organisation_of("cy") == "gmd"
         assert _holding(federation, "cy") == ["gmd"]
+
+
+NOTE = {"title": "minutes", "body": "we met"}
+
+
+def _two_domains(world, metrics: MetricsRegistry) -> Federation:
+    """ana@upc and bob@gmd, open policies, one app, one metrics registry."""
+    federation = Federation.partition(
+        world, {"upc": ["ana"], "gmd": ["bob"]}, metrics=metrics
+    )
+    federation.register_application(
+        AppDescriptor(
+            name="notes",
+            quadrants=[Q_DIFFERENT_TIME_DIFFERENT_PLACE],
+            converter=FormatConverter(
+                "note",
+                lambda document: make_common("note", document["title"], document["body"]),
+                lambda common: {"title": common["title"], "body": common["body"]},
+            ),
+        ),
+        lambda person, document, info: None,
+    )
+    return federation
+
+
+def _send(federation: Federation, sender: str, receiver: str,
+          interaction: str = INTERACTION_MESSAGE) -> str:
+    return federation.federated_exchange(ExchangeRequest(
+        sender, receiver, "notes", "notes", NOTE, interaction=interaction
+    )).outcome.reason_code
+
+
+class TestOneVerdictMemo:
+    def test_a_verdict_derived_in_one_domain_is_a_hit_in_the_other(self, world):
+        federation = _two_domains(world, MetricsRegistry())
+        upc, gmd = (federation.domain(name).env.resolution for name in ("upc", "gmd"))
+        upc_before, gmd_before = upc.stats(), gmd.stats()
+        gmd.route("ana", "bob", INTERACTION_MESSAGE)
+        assert gmd.stats()["route_misses"] == gmd_before["route_misses"] + 1
+        upc.route("ana", "bob", INTERACTION_MESSAGE)
+        assert upc.stats()["route_misses"] == upc_before["route_misses"]
+        assert upc.stats()["route_hits"] == upc_before["route_hits"] + 1
+        # the relay's two admissions, at upc and at gmd, both hit
+        assert _send(federation, "ana", "bob") == REASON_DELIVERED
+        assert (upc.stats()["route_misses"], gmd.stats()["route_misses"]) == (
+            upc_before["route_misses"], gmd_before["route_misses"] + 1
+        )
+        assert upc.stats()["verdicts_cached"] == gmd.stats()["verdicts_cached"] == 1
+
+    def test_a_revoke_is_seen_by_the_next_exchange_in_every_domain(self, world):
+        federation = _two_domains(world, MetricsRegistry())
+        for sender, receiver in (("ana", "bob"), ("bob", "ana")):
+            assert _send(federation, sender, receiver) == REASON_DELIVERED
+        federation.knowledge_base.policies.revoke("upc", "gmd", symmetric=True)
+        for sender, receiver in (("ana", "bob"), ("bob", "ana")):
+            assert _send(federation, sender, receiver) == REASON_POLICY
+        for domain in federation.domains():
+            outcome = domain.env.exchange(ExchangeRequest("ana", "bob", "notes", "notes", NOTE))
+            assert outcome.reason_code == REASON_POLICY, domain.name
+
+    def test_a_revoke_counts_its_evictions_once_per_knowledge_base(self, world):
+        metrics = MetricsRegistry()
+        federation = _two_domains(world, metrics)
+        routes = (
+            ("ana", "bob", INTERACTION_MESSAGE),
+            ("ana", "bob", INTERACTION_REALTIME),
+            ("bob", "ana", INTERACTION_MESSAGE),
+        )
+        for sender, receiver, interaction in routes:
+            assert _send(federation, sender, receiver, interaction) == REASON_DELIVERED
+
+        def counted() -> tuple[int, int]:
+            counters = metrics.snapshot()["counters"]
+            return counters["env.cache.evicted"], counters["env.cache.invalidations"]
+
+        evicted, invalidations = counted()
+        federation.knowledge_base.policies.revoke("upc", "gmd", symmetric=True)
+        assert counted() == (evicted + len(routes), invalidations + 1)
+        for domain in federation.domains():
+            assert domain.env.resolution.stats()["verdicts_cached"] == 0

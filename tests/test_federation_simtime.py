@@ -40,7 +40,7 @@ from repro.sim.world import World
 
 SIMTIME_SHA256 = "da6cfe2929fe875859e399eaaaf1e53dc4efd9cbe7e6fe4adbc131049c96d242"
 SIMTIME_TRACED_SHA256 = "4a6a90b14531a998e51e43d5fd554fec06f136836a402235d5255be8b2bb7583"
-TELEMETRY_SHA256 = "77e44046ed1b1f58b28610329f87730d02256709e675ff9a3dd0d6a2f4b8d708"
+TELEMETRY_SHA256 = "72b740eac9cab8df58bd068a8498bc13147cf1f33b008813e41b7b4601142d00"
 
 DOMAINS = ("upc", "gmd", "inria")
 DOC = {"title": "minutes", "body": "agenda"}

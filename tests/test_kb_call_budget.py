@@ -18,6 +18,11 @@ Beside the counts, the routed operations each write makes are pinned:
 a move is an ``exists`` and a ``delete`` on the old shard and an
 ``exists`` and an ``add`` on the new one; a hire is an ``exists`` and an
 ``add``.
+
+A federation's domains all read one knowledge base and its one
+route-verdict memo, so a write's cost does not grow with the domain
+count: one warm policy declaration and one warm move make the same
+number of calls at 2 domains as at 32.
 """
 
 from __future__ import annotations
@@ -26,15 +31,19 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
+from repro.federation import Federation
 from repro.org.model import Organisation, Person
 from repro.sharding import ShardedKnowledgeBase
+from repro.sim.world import World
 
 #: Python-level calls of one warm cross-shard ``move_person`` and one warm
 #: ``add_person`` below.  If a change adds calls on purpose, raise the
 #: budget it exceeds to the new count and name the added calls in
 #: CHANGES.md; if it removes calls, lower it, so the budget keeps guarding.
-MOVE_CALL_BUDGET = 77
-ADD_CALL_BUDGET = 44
+MOVE_CALL_BUDGET = 76
+ADD_CALL_BUDGET = 43
 
 
 def make_kb() -> ShardedKnowledgeBase:
@@ -50,7 +59,7 @@ def make_kb() -> ShardedKnowledgeBase:
     return kb
 
 
-def count_calls(write, *args) -> Counter:
+def count_calls(write, *args, **kwargs) -> Counter:
     """One write under a profiler counting Python calls per (file, function)."""
     calls: Counter = Counter()
 
@@ -60,7 +69,7 @@ def count_calls(write, *args) -> Counter:
 
     sys.setprofile(profile)
     try:
-        write(*args)
+        write(*args, **kwargs)
     finally:
         sys.setprofile(None)
     return calls
@@ -123,3 +132,29 @@ def test_a_write_enters_each_layer_once():
         assert calls["ring.py:stable_hash"] == 0, calls
         assert calls["schema.py:validate_entry"] == 1, calls
         assert calls["knowledge_base.py:find_person"] <= 1, calls
+
+
+def federation_write_calls(domains: int) -> tuple[Counter, Counter]:
+    """One warm policy declaration and one warm move on the KB of a
+    federation of *domains* domains with one person each."""
+    federation = Federation.partition(
+        World(seed=0), {f"d{index}": [f"d{index}-p0"] for index in range(domains)}
+    )
+    kb = federation.knowledge_base
+    kb.policies.declare("d0", "d1", {"*"}, symmetric=True)
+    kb.move_person("d0-p0", "d1")
+    kb.move_person("d0-p0", "d0")
+    declare = count_calls(kb.policies.declare, "d0", "d1", {"*"}, symmetric=True)
+    move = count_calls(kb.move_person, "d0-p0", "d1")
+    return declare, move
+
+
+@pytest.mark.parametrize("write", ["declare", "move"])
+def test_a_federation_kb_write_costs_the_same_at_2_and_32_domains(write):
+    position = ("declare", "move").index(write)
+    small = federation_write_calls(2)[position]
+    large = federation_write_calls(32)[position]
+    assert sum(large.values()) == sum(small.values()), (
+        f"one warm {write} made {sum(small.values())} calls at 2 domains and "
+        f"{sum(large.values())} at 32:\n{small}\n{large}"
+    )

@@ -171,9 +171,9 @@ class TestCachedMatchesCold:
         kb, cache = env.knowledge_base, env.resolution
         calls = 0
         for op, queries in script:
-            generation = cache.generation
+            generation = kb.generation
             if apply(kb, op):
-                assert cache.generation > generation, op
+                assert kb.generation > generation, op
             assert dict(kb.person_index) == rosters(kb), op
             # the drawn queries warm the memo in a drawn order; the sweep
             # then checks (and warms) every route the next step can stale
