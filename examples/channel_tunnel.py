@@ -19,6 +19,7 @@ Run:  python examples/channel_tunnel.py
 from repro.activity.dependencies import BEFORE, SHARES_INFORMATION, SHARES_RESOURCE
 from repro.activity.scheduler import ActivityMonitor
 from repro.communication.model import Communicator
+from repro.environment.awareness import AwarenessService
 from repro.environment.environment import CSCWEnvironment
 from repro.expertise.matching import SkillRequirement, staff_activity
 from repro.org.model import Organisation, Person, Resource, ResourceKind
@@ -77,6 +78,8 @@ def main() -> None:
     env.dependencies.add(SHARES_INFORMATION, "progress-meetings", "joint-report")
 
     print(f"planned order: {env.scheduler.plan(['survey', 'boring', 'joint-report'])}")
+    neighbourhood = AwarenessService(env).activity_neighbourhood("boring")
+    print(f"around boring: {neighbourhood}")
 
     # -- shared resource coordination ----------------------------------------
     env.resources.register(boring_machine)

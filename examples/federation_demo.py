@@ -123,6 +123,15 @@ def main() -> None:
     print(f"    link healed, {redriven} dead letter redriven -> "
           f"uta received {len(inbox)} documents in total")
 
+    print("\n== joan moves from upc to gmd ==")
+    federation.move_person("joan", "gmd")
+    moved = federation.federated_exchange(ExchangeRequest(
+        "ana", "joan", "editor", "reviewer",
+        {"heading": "Welcome to gmd", "text": "Same report, new unit."},
+    ))
+    print(f"    joan's home is now {federation.home_of('joan')}; ana -> joan crosses the boundary:")
+    print_hops(moved)
+
     print("\n== Federation counters ==")
     counters = metrics.snapshot()["counters"]
     for key in sorted(counters):

@@ -106,11 +106,6 @@ class ResourceCoordinator:
         self._check(resource_id)
         return len(self._queues[resource_id])
 
-    def queued_for(self, resource_id: str) -> list[str]:
-        """Activities waiting for the resource, in grant order."""
-        self._check(resource_id)
-        return [claim.activity_id for claim in self._queues[resource_id]]
-
     def withdraw_claim(self, resource_id: str, activity_id: str) -> bool:
         """Remove a queued (not yet granted) claim; True when found."""
         self._check(resource_id)

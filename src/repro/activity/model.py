@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any
 
 from repro.util.errors import ConfigurationError, ModelError, UnknownObjectError
 
@@ -93,10 +92,6 @@ class Activity:
             raise UnknownObjectError(f"{person_id!r} is not a member of {self.activity_id}")
         del self._members[person_id]
 
-    def members(self) -> list[Membership]:
-        """All memberships."""
-        return list(self._members.values())
-
     def member_ids(self) -> list[str]:
         """Ids of all members, sorted."""
         return sorted(self._members)
@@ -170,19 +165,6 @@ class Activity:
         if self.status in (ActivityStatus.COMPLETED, ActivityStatus.CANCELLED):
             return False
         return now > self.deadline
-
-    def describe(self) -> dict[str, Any]:
-        """A plain-dict summary (used by monitors and the environment)."""
-        return {
-            "activity_id": self.activity_id,
-            "name": self.name,
-            "project": self.project,
-            "status": self.status.value,
-            "mode": self.mode,
-            "members": self.member_ids(),
-            "progress": self.progress,
-            "deadline": self.deadline,
-        }
 
 
 class ActivityRegistry:

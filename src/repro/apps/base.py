@@ -75,13 +75,6 @@ class GroupwareApp:
         """True when attached to an environment."""
         return self._environment is not None
 
-    @property
-    def environment(self) -> CSCWEnvironment:
-        """The attached environment (raises when closed)."""
-        if self._environment is None:
-            raise ConfigurationError(f"{self.name} runs closed (no environment)")
-        return self._environment
-
     # -- delivery ------------------------------------------------------------
     def deliver(self, person_id: str, document: dict[str, Any], info: dict[str, Any]) -> None:
         """Receive a document for *person_id* (called by the environment)."""

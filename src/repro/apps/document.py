@@ -60,10 +60,6 @@ class DocumentProcessor(GroupwareApp):
         """A person's documents, sorted."""
         return sorted(self._files.get(person_id, {}))
 
-    def as_native(self, person_id: str, title: str) -> dict[str, Any]:
-        """A native document (for sending through the environment)."""
-        return {"title": title, "paragraphs": self.paragraphs(person_id, title)}
-
     def _document(self, person_id: str, title: str) -> list[str]:
         try:
             return self._files[person_id][title]

@@ -79,10 +79,6 @@ class MeetingRoom(GroupwareApp):
         """Sit down at a meeting-room workstation."""
         self._session.join(person_id, workstation, lambda sender, body: None)
 
-    def leave_room(self, person_id: str) -> None:
-        """Leave the room."""
-        self._session.leave(person_id)
-
     def attendees(self) -> list[str]:
         """Everyone in the room."""
         return self._session.participants()
@@ -93,10 +89,6 @@ class MeetingRoom(GroupwareApp):
         point = AgendaPoint(title)
         self._agenda.append(point)
         return point
-
-    def agenda(self) -> list[AgendaPoint]:
-        """The agenda in order."""
-        return list(self._agenda)
 
     def begin_brainstorm(self, point_title: str) -> None:
         """Enter free-for-all mode for an agenda point (no floor needed)."""
@@ -120,10 +112,6 @@ class MeetingRoom(GroupwareApp):
     def take_floor(self, person_id: str) -> bool:
         """Request the chalk."""
         return self._session.request_floor(person_id)
-
-    def release_floor(self, person_id: str) -> None:
-        """Hand the chalk back."""
-        self._session.release_floor(person_id)
 
     def add_item(self, person_id: str, text: str) -> BoardItem:
         """Write on the board.

@@ -171,10 +171,6 @@ class MessageSystem(GroupwareApp):
         """Memos in one of a person's folders."""
         return list(self._folders.get(person_id, {}).get(folder, []))
 
-    def folders_of(self, person_id: str) -> list[str]:
-        """A person's folder names, sorted."""
-        return sorted(self._folders.get(person_id, {}))
-
     # -- environment integration -----------------------------------------------------
     def on_receive(self, person_id: str, document: dict[str, Any], info: dict[str, Any]) -> None:
         """Environment deliveries become memos and flow through rules."""

@@ -167,14 +167,6 @@ class SharedEditor(InboxApp):
             lambda sender, body: replica.remote_edit(EditOp.from_document(body)),
         )
 
-    def close_document(self, person_id: str) -> None:
-        """Leave the session (the replica's history is kept)."""
-        self._session.leave(person_id)
-
-    def participants(self) -> list[str]:
-        """Everyone currently editing."""
-        return self._session.participants()
-
     # -- editing --------------------------------------------------------------------
     def insert(self, person_id: str, position: int, text: str) -> EditOp:
         """Insert a line and fan the edit out to all participants."""

@@ -36,11 +36,6 @@ class AsyncChannel:
         self._log = log
         self.sent = 0
 
-    @property
-    def person_id(self) -> str:
-        """The sender this channel belongs to (mailbox key)."""
-        return self._ua.user.mailbox
-
     def send_to_person(
         self,
         sender_person: str,
@@ -90,10 +85,6 @@ class AsyncChannel:
         )
 
     # -- receiving ------------------------------------------------------------
-    def inbox_summaries(self, unread_only: bool = False) -> list[dict[str, Any]]:
-        """The receiver-side view: summaries from the message store."""
-        return self._ua.list_inbox(unread_only=unread_only)
-
     def fetch_bodies(self, sequence: int) -> list[BodyPart]:
         """Fetch one message's body parts."""
         envelope = self._ua.fetch(sequence)

@@ -43,10 +43,6 @@ class TimeTransparencyBridge:
         self.synchronous_sends = 0
         self.asynchronous_sends = 0
 
-    def attach_session(self, session: RealTimeSession) -> None:
-        """Attach (or replace) the live session used for sync delivery."""
-        self._session = session
-
     def attach_async_channel(self, person_id: str, channel: AsyncChannel) -> None:
         """Register a person's asynchronous channel (their UA wrapper)."""
         self._async_channels[person_id] = channel

@@ -40,10 +40,6 @@ class Communicator:
         if not self.accepts_media:
             raise ConfigurationError("communicator must accept at least one medium")
 
-    def can_receive(self, media: str) -> bool:
-        """True when the medium needs no conversion for this communicator."""
-        return media in self.accepts_media
-
 
 @dataclass(frozen=True)
 class CommunicationContext:

@@ -16,7 +16,7 @@ it under a shared, already-parsed suffix such as ``o=UPC,c=ES``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 
 from repro.util.errors import NameError_
 
@@ -26,12 +26,11 @@ SHARED_SUFFIXES = 4096
 
 
 @dataclass(frozen=True, slots=True)
-@total_ordering
 class Rdn:
     """One relative distinguished name: an attribute=value pair.
 
-    Equality and hashing use the case-folded ``key`` (``cn=ana``),
-    ordering the case-folded ``normalized`` pair; both are set here.
+    Equality and hashing use the case-folded ``key`` (``cn=ana``), set
+    here with the case-folded ``(attribute, value)`` pair ``normalized``.
     """
 
     attribute: str = field(compare=False)
@@ -59,9 +58,6 @@ class Rdn:
 
     def __str__(self) -> str:
         return f"{self.attribute}={self.value}"
-
-    def __lt__(self, other: "Rdn") -> bool:
-        return self.normalized < other.normalized
 
 
 @dataclass(frozen=True, slots=True)

@@ -26,12 +26,6 @@ class AttributeType:
     case_sensitive: bool = False
     description: str = ""
 
-    def normalize(self, value: Any) -> Any:
-        """Normalize a value for matching (case folding for strings)."""
-        if isinstance(value, str) and not self.case_sensitive:
-            return value.lower()
-        return value
-
 
 @dataclass
 class ObjectClass:
@@ -57,10 +51,6 @@ class ObjectClass:
     def all_may(self) -> frozenset[str]:
         """Optional attributes including inherited ones."""
         return self._all_may
-
-    def permits(self, attribute: str) -> bool:
-        """True when the attribute is allowed on entries of this class."""
-        return attribute in self.permitted
 
 
 class Schema:

@@ -2,7 +2,7 @@
 
 Common services (knowledge base, trader with organisational trading
 policy, interchange, activity services, expertise, tailoring), the four
-CSCW transparencies, application registration, and cooperation sessions.
+CSCW transparencies and application registration.
 """
 
 from repro.environment.awareness import AwarenessService, ColleagueInfo
@@ -31,7 +31,6 @@ from repro.environment.registry import (
     ApplicationRegistry,
 )
 from repro.environment.server import EnvironmentClient, EnvironmentServer
-from repro.environment.session import CooperationSession, SessionMember
 from repro.environment.tailoring import (
     LAYERS,
     TailorableParameter,
@@ -69,8 +68,6 @@ __all__ = [
     "ApplicationRegistry",
     "EnvironmentClient",
     "EnvironmentServer",
-    "CooperationSession",
-    "SessionMember",
     "LAYERS",
     "TailorableParameter",
     "TailoringService",

@@ -110,10 +110,3 @@ class AwarenessService:
                     activity = self._env.activities.get(activity_id)
                     people.update(activity.member_ids())
         return sorted(people)
-
-    def resource_contenders(self, resource_id: str) -> dict[str, list[str]]:
-        """Current holders and waiting queue for a coordinated resource."""
-        return {
-            "holders": self._env.resources.holders_of(resource_id),
-            "waiting": self._env.resources.queued_for(resource_id),
-        }

@@ -2,15 +2,14 @@
 
 ``CSCWEnvironment.builder()`` is the recommended construction path: a
 small fluent :class:`EnvironmentBuilder` whose knobs inject observability
-(metrics registry, tracer) and extra trading policy at construction time
-instead of monkey-patching them on afterwards::
+(metrics registry, tracer) at construction time instead of
+monkey-patching them on afterwards::
 
     env = (CSCWEnvironment.builder()
            .with_world(world)
            .with_name("mocca")
            .with_metrics(MetricsRegistry())
            .with_tracer(Tracer())
-           .with_trader_policy(my_policy_hook)
            .build())
 
 The builder is the only constructor: :meth:`EnvironmentBuilder.build`
@@ -22,7 +21,7 @@ enabled) attaches metrics/tracing to every owned hot layer via
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 from repro.activity.coordination import ResourceCoordinator
 from repro.activity.dependencies import DependencyGraph
@@ -41,14 +40,11 @@ from repro.obs.events import NULL_EVENTS, EventLog
 from repro.obs.instrument import instrument_environment
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.tracing import NULL_TRACER, Tracer
-from repro.odp.trader import ImportContext, ServiceOffer, Trader
+from repro.odp.trader import Trader
 from repro.org.knowledge_base import OrganisationalKnowledgeBase
 from repro.sim.world import World
 from repro.util.errors import ConfigurationError
 from repro.util.events import EventBus
-
-#: a trading-policy predicate, as accepted by Trader.add_policy_hook
-TraderPolicy = Callable[[ServiceOffer, ImportContext], bool]
 
 
 class EnvironmentBuilder:
@@ -67,7 +63,6 @@ class EnvironmentBuilder:
         self._tracer: Tracer | None = None
         self._sampling: "tuple[float, int] | None" = None
         self._events: EventLog | None = None
-        self._trader_policies: list[TraderPolicy] = []
         self._resolution_cache = True
         self._shed_limit: int | None = None
         self._default_deadline_s: float | None = None
@@ -226,15 +221,6 @@ class EnvironmentBuilder:
         self._mediation = True
         return self
 
-    def with_trader_policy(self, hook: TraderPolicy) -> "EnvironmentBuilder":
-        """Install an extra trading-policy predicate on the trader.
-
-        Hooks accumulate (call repeatedly for several) and run after the
-        organisational knowledge base's own policy hook.
-        """
-        self._trader_policies.append(hook)
-        return self
-
     # -- construction ------------------------------------------------------
     def build(self) -> Any:
         """Construct, wire and return the environment."""
@@ -268,8 +254,6 @@ class EnvironmentBuilder:
         env.trader = Trader(f"{env.name}-trader", rng=world.rng.fork("trader"))
         # Section 6.1: the org KB dictates the trading policy.
         env.trader.add_policy_hook(env.knowledge_base.trader_policy_hook())
-        for hook in self._trader_policies:
-            env.trader.add_policy_hook(hook)
         env.interchange = InterchangeService()
         env.applications = ApplicationRegistry(env.interchange, env.trader)
         env.mediator = None

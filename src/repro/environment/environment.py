@@ -291,8 +291,8 @@ class CSCWEnvironment:
         ``env.exchange.reasons{domain,reason}`` families; the ``domain``
         label lets federated runs sharing one registry tell their
         environments apart.  Binding against
-        :data:`~repro.obs.metrics.NULL_METRICS` yields null instruments,
-        so the hot-path ``inc`` calls stay no-ops when metrics are off.
+        :data:`~repro.obs.metrics.NULL_METRICS` yields its shared
+        instruments, which every write skips behind ``metrics.enabled``.
         Per-reason and per-dimension counters are bound on first use (a
         series appears once it has something to count) and then kept.
         """
@@ -808,11 +808,6 @@ class CSCWEnvironment:
         if limit is not None and limit < 1:
             raise ConfigurationError("shed limit must be >= 1 (or None)")
         self._shed_limit = limit
-
-    @property
-    def default_deadline_s(self) -> float | None:
-        """Current relative default deadline in simulated seconds."""
-        return self._default_deadline_s
 
     def effective_deadline(self, deadline: float | None) -> float | None:
         """Resolve a caller deadline against the configured default.

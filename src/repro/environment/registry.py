@@ -148,10 +148,6 @@ class ApplicationRegistry:
         except KeyError:
             raise NotRegisteredError(f"application {name!r} is not registered") from None
 
-    def is_registered(self, name: str) -> bool:
-        """True when the application is registered."""
-        return name in self._descriptors
-
     def names(self) -> list[str]:
         """All registered application names, sorted."""
         return sorted(self._descriptors)

@@ -72,10 +72,6 @@ class TransparencyProfile:
         """The hidden (environment-handled) dimensions, in order."""
         return [d for d in CSCW_DIMENSIONS if getattr(self, d)]
 
-    def hidden_count(self) -> int:
-        """How many dimensions the user does NOT have to deal with."""
-        return len(self.enabled_dimensions())
-
 
 @dataclass
 class ViewRegistry:

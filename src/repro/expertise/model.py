@@ -75,10 +75,6 @@ class ExpertiseProfile:
         self._capabilities[skill] = capability
         return capability
 
-    def capability(self, skill: str) -> Capability | None:
-        """The capability for *skill*, or None."""
-        return self._capabilities.get(skill)
-
     def level_of(self, skill: str) -> int:
         """Proficiency level for *skill* (0 when absent)."""
         capability = self._capabilities.get(skill)
@@ -102,10 +98,6 @@ class ExpertiseProfile:
                 self._responsibilities.remove(responsibility)
                 return True
         return False
-
-    def responsibilities(self) -> list[Responsibility]:
-        """All current responsibilities."""
-        return list(self._responsibilities)
 
     def is_responsible_for(self, task: str) -> bool:
         """True when any responsibility matches *task*."""

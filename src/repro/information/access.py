@@ -38,15 +38,6 @@ class AccessControlList:
         self.grants.setdefault(operation, set()).add(role_id)
         return self
 
-    def revoke(self, operation: str, role_id: str) -> "AccessControlList":
-        """Remove a grant; returns self."""
-        self.grants.get(operation, set()).discard(role_id)
-        return self
-
-    def roles_for(self, operation: str) -> set[str]:
-        """Roles granted *operation*."""
-        return set(self.grants.get(operation, set()))
-
     def permits(self, operation: str, roles: list[str]) -> bool:
         """True when any of *roles* (or everyone) is granted *operation*."""
         granted = self.grants.get(operation, set())
@@ -84,10 +75,6 @@ class AccessController:
     def protect(self, object_id: str, acl: AccessControlList) -> None:
         """Attach an ACL to an information object id."""
         self._acls[object_id] = acl
-
-    def acl_of(self, object_id: str) -> AccessControlList | None:
-        """The ACL protecting an object (None = unprotected/allowed)."""
-        return self._acls.get(object_id)
 
     def allowed(
         self, person_id: str, operation: str, object_id: str, project: str | None = None

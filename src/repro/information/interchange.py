@@ -171,18 +171,6 @@ class InterchangeService:
             self.failures += 1
             raise InteropError(f"no converter registered for {format_name!r}") from None
 
-    def to_common(self, format_name: str, document: dict[str, Any]) -> dict[str, Any]:
-        """Lift a native document to the common form (validating it)."""
-        converter = self._converter(format_name)
-        common = converter.to_common(document)
-        if not is_common(common):
-            self.failures += 1
-            raise InteropError(
-                f"converter {format_name!r} produced a malformed common document "
-                f"(missing keys from {COMMON_KEYS})"
-            )
-        return common
-
     def translate(
         self, source_format: str, target_format: str, document: dict[str, Any]
     ) -> TranslationResult:

@@ -64,10 +64,6 @@ class InformationObject:
         self._versions.append(version)
         return version
 
-    def history(self) -> list[Version]:
-        """All versions, oldest first."""
-        return list(self._versions)
-
     def at_version(self, number: int) -> Version:
         """Fetch a specific version."""
         for version in self._versions:
@@ -119,14 +115,6 @@ class InformationBase:
             return self._objects[object_id]
         except KeyError:
             raise UnknownObjectError(f"unknown information object {object_id!r}") from None
-
-    def exists(self, object_id: str) -> bool:
-        """True when the object is registered."""
-        return object_id in self._objects
-
-    def all(self) -> list[InformationObject]:
-        """All objects, in creation order."""
-        return list(self._objects.values())
 
     def by_type(self, info_type: str) -> list[InformationObject]:
         """Objects of one type."""

@@ -80,10 +80,6 @@ class SharedWorkspace:
         """Reader: may only read (GROUP pattern)."""
         self._readers.add(person_id)
 
-    def members(self) -> list[str]:
-        """All full members, sorted."""
-        return sorted(self._members)
-
     def can_read(self, person_id: str) -> bool:
         """Visibility under the sharing pattern."""
         if self.pattern is SharingPattern.PUBLIC:
@@ -101,10 +97,6 @@ class SharedWorkspace:
         """Place an existing information object into this workspace."""
         self._base.get(object_id)
         self._object_ids.add(object_id)
-
-    def object_ids(self) -> list[str]:
-        """Objects shared in this workspace, sorted."""
-        return sorted(self._object_ids)
 
     def _require_shared(self, object_id: str) -> InformationObject:
         if object_id not in self._object_ids:

@@ -33,10 +33,6 @@ class MessageStore:
         self._sequence = 0
         self.delivered_total = 0
 
-    def mailboxes(self) -> list[str]:
-        """All mailbox keys that ever received mail, sorted."""
-        return sorted(self._boxes)
-
     def deliver(self, mailbox: str, envelope: Envelope, time: float) -> StoredMessage:
         """File a message into *mailbox*."""
         self._sequence += 1

@@ -46,10 +46,6 @@ class RoutingTable:
         """Add a catch-all route."""
         self.add_route("*", "*", "*", next_hop)
 
-    def routes(self) -> list[Route]:
-        """All rules in insertion order."""
-        return list(self._routes)
-
     def next_hop(self, domain: tuple[str, str, str]) -> str:
         """The next-hop MTA for a routing domain.
 

@@ -10,10 +10,11 @@ into the hot layers (engine, event bus, trader, MTA, exchange path).
 That registry class is the library's only one; ``World.metrics`` is
 an instance too.
 
-Everything is opt-in: components default to :data:`NULL_METRICS` /
-:data:`NULL_TRACER`, whose operations are no-ops behind a single
-``enabled`` check.  The recommended way to switch collection on is the
-environment builder::
+Everything is opt-in: components default to :data:`NULL_METRICS`,
+:data:`NULL_TRACER` and :data:`NULL_EVENTS`, whose ``enabled`` is
+``False``; that flag is the one off-switch, checked before every write.
+The recommended way to switch collection on is the environment
+builder::
 
     env = (CSCWEnvironment.builder()
            .with_world(world)
@@ -32,9 +33,6 @@ from repro.obs.events import (
 )
 from repro.obs.export import (
     chrome_trace_json,
-    export_chrome_trace,
-    export_jsonl,
-    export_metrics,
     to_chrome_trace,
     to_jsonl,
 )
@@ -97,9 +95,6 @@ __all__ = [
     "Tracer",
     "Window",
     "chrome_trace_json",
-    "export_chrome_trace",
-    "export_jsonl",
-    "export_metrics",
     "instrument_engine",
     "instrument_event_bus",
     "instrument_environment",

@@ -112,28 +112,6 @@ class TraceAnalyzer:
         """
         return len(self.roots(trace_id)) == 1
 
-    def tree(self, trace_id: str) -> dict[str, Any]:
-        """The trace as a nested ``{"span": ..., "children": [...]}`` dict.
-
-        Requires a connected trace (one root).
-        """
-        roots = self.roots(trace_id)
-        if len(roots) != 1:
-            raise ConfigurationError(
-                f"trace {trace_id!r} has {len(roots)} roots; cannot build one tree"
-            )
-
-        def build(record: dict[str, Any]) -> dict[str, Any]:
-            return {
-                "span": record,
-                "children": [
-                    build(child)
-                    for child in self.children(trace_id, record["span_id"])
-                ],
-            }
-
-        return build(roots[0])
-
     # -- the critical path -------------------------------------------------
     def critical_path(self, trace_id: str) -> list[dict[str, Any]]:
         """The root-to-leaf chain that determined the trace's end time.

@@ -31,9 +31,10 @@ kind                        emitted by
 ==========================  ==================================================
 
 Like metrics and tracing, event logging is opt-in: components default to
-:data:`NULL_EVENTS`, whose ``record`` is a no-op behind one ``enabled``
-check.  Attach a real log through ``CSCWEnvironment.builder()
-.with_event_log(...)`` or ``Federation(events=...)``.
+:data:`NULL_EVENTS`, whose ``enabled`` is ``False``, and every ``record``
+checks ``enabled`` first.  Attach a real log through
+``CSCWEnvironment.builder().with_event_log(...)`` or
+``Federation(events=...)``.
 
 >>> log = EventLog(capacity=2)
 >>> log.record(0.0, "breaker-open", name="gw:a->b")
@@ -172,17 +173,13 @@ class EventLog:
 
 
 class NullEventLog(EventLog):
-    """The default, disabled log: ``record`` discards everything."""
+    """The default, disabled log: ``enabled`` is ``False``.
+
+    ``enabled`` is the one off-switch: every ``record`` checks it first,
+    so nothing records here; this log exists only to be bound.
+    """
 
     enabled = False
-
-    def record(
-        self, time: float, kind: str, trace_id: str = "", **attrs: Any
-    ) -> None:
-        """Discard the event."""
-
-    def extend(self, events: Iterable[Event]) -> None:
-        """Discard the events."""
 
 
 #: a clock-reading callable, as bound by components that own an engine

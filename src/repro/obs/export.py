@@ -1,6 +1,6 @@
-"""Deterministic exporters: Chrome trace viewer, JSONL spans, metrics.
+"""Deterministic span exporters: Chrome trace viewer and JSONL.
 
-Three zero-dependency export formats for seeded runs:
+Two zero-dependency span export formats for seeded runs:
 
 * :func:`to_chrome_trace` — the Chrome trace-viewer / Perfetto JSON
   format (``chrome://tracing``, https://ui.perfetto.dev): one complete
@@ -8,9 +8,10 @@ Three zero-dependency export formats for seeded runs:
   simulated clock, one pid per trace so multi-trace dumps render as
   separate process lanes,
 * :func:`to_jsonl` — one JSON object per span per line, the shape log
-  pipelines ingest,
-* :func:`export_metrics` — a :class:`~repro.obs.metrics.MetricsRegistry`
-  snapshot as pretty-printed JSON.
+  pipelines ingest.
+
+A metrics export is :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`,
+a JSON-able dict.
 
 Everything is sorted and derived from span content only — no wall
 clock, no randomness — so a seeded run exports byte-identical files.
@@ -103,36 +104,8 @@ def chrome_trace_json(spans: Iterable[Any]) -> str:
     return json.dumps(to_chrome_trace(spans), sort_keys=True, indent=2)
 
 
-def export_chrome_trace(spans: Iterable[Any], path: str) -> str:
-    """Write the Chrome trace JSON to *path*; returns *path*."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(chrome_trace_json(spans) + "\n")
-    return path
-
-
 def to_jsonl(spans: Iterable[Any]) -> str:
     """Spans as JSONL: one sorted-key JSON object per line."""
     return "\n".join(
         json.dumps(_as_dict(span), sort_keys=True) for span in spans
     )
-
-
-def export_jsonl(spans: Iterable[Any], path: str) -> str:
-    """Write span JSONL to *path*; returns *path*."""
-    content = to_jsonl(spans)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(content + ("\n" if content else ""))
-    return path
-
-
-def export_metrics(registry: Any, path: str) -> str:
-    """Write a metrics registry snapshot as JSON to *path*; returns *path*.
-
-    Accepts anything with a ``snapshot()`` (a
-    :class:`~repro.obs.metrics.MetricsRegistry`) or a pre-taken snapshot
-    dict.
-    """
-    snapshot = registry.snapshot() if hasattr(registry, "snapshot") else registry
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(snapshot, sort_keys=True, indent=2) + "\n")
-    return path

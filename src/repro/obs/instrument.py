@@ -44,8 +44,8 @@ and gauge, the ``env.exchange`` families, ``sim.engine.scheduled`` /
 ``mediation.translations`` (which leaves out identity translations),
 ``env.federation.*`` and breaker ``trials`` / ``reopened``.
 Each ``instrument_*`` function is idempotent, returns its target, and is
-pure wiring, so the default :data:`~repro.obs.metrics.NULL_METRICS`
-keeps the hot paths at a single attribute check.  The functions
+pure wiring; with the default :data:`~repro.obs.metrics.NULL_METRICS`
+the hot paths cost a single ``enabled`` check.  The functions
 duck-type their targets (anything with the layer's ``attach_metrics``
 method works), so this module imports nothing from the rest of the
 library and can never create an import cycle.

@@ -27,7 +27,7 @@ A layer reports a fact it tallies in a plain attribute by *reading* it:
 counter reports its growth since, so the hot path keeps only its ``+= 1``.
 Histograms, gauges, the labelled outcome families and counters with no
 tally (listed in :mod:`repro.obs.instrument`) are *pushed* behind a check
-of ``enabled``, ``False`` on the default no-op :data:`NULL_METRICS`.
+of ``enabled``, ``False`` on the default, disabled :data:`NULL_METRICS`.
 Attach a registry through :mod:`repro.obs.instrument` or the builder.
 
 This is the library's only registry class.  ``World.metrics`` is an
@@ -591,88 +591,37 @@ class MetricsRegistry:
             histogram_.reset()
 
 
-class _NullCounter(Counter):
-    """Counter whose ``inc`` does nothing (shared by the null registry)."""
-
-    __slots__ = ()
-
-    def inc(self, amount: int = 1) -> int:
-        """Discard the increment; always report zero."""
-        return 0
-
-
-class _NullGauge(Gauge):
-    """Gauge that discards all updates."""
-
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        """Discard the update."""
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Discard the update."""
-
-    def dec(self, amount: float = 1.0) -> None:
-        """Discard the update."""
-
-
-class _NullHistogram(Histogram):
-    """Histogram that discards all observations."""
-
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        """Discard the observation."""
-
-
 class _NullFamily:
-    """Family whose every label set resolves to one shared null child."""
+    """Family whose every label set resolves to one shared child."""
 
     __slots__ = ("_child",)
-
-    label_names: tuple[str, ...] = ()
-    cardinality = 0
 
     def __init__(self, child: Any) -> None:
         self._child = child
 
     def labels(self, *values: Any, **named: Any) -> Any:
-        """Always the shared no-op child."""
+        """Always the shared child."""
         return self._child
-
-    def inc(self, amount: int = 1, **named: Any) -> int:
-        """Discard the increment."""
-        return 0
-
-    def set(self, value: float, **named: Any) -> None:
-        """Discard the update."""
-
-    def observe(self, value: float, **named: Any) -> None:
-        """Discard the observation."""
-
-    def children(self) -> dict[tuple[str, ...], Any]:
-        """The null family never holds children."""
-        return {}
 
 
 class NullMetricsRegistry(MetricsRegistry):
-    """The default, disabled registry: every operation is a no-op.
+    """The default, disabled registry: ``enabled`` is ``False``.
 
-    Components are born with this attached so instrumented code can run
-    unconditionally; real hot paths additionally guard on ``enabled`` to
-    skip even the no-op call.
+    ``enabled`` is the one off-switch: every write checks it first, so
+    nothing records here.  This registry exists only to be bound:
+    ``counter``/``gauge``/``histogram`` hand every caller one shared plain
+    instrument (with ``labels=``, a family whose ``labels()`` returns it),
+    and ``read`` registers nothing.  Its snapshot stays empty and the
+    shared instruments read zero.
     """
 
     enabled = False
 
     def __init__(self) -> None:
         super().__init__()
-        self._null_counter = _NullCounter("null")
-        self._null_gauge = _NullGauge("null")
-        self._null_histogram = _NullHistogram("null")
-        self._null_counter_family = _NullFamily(self._null_counter)
-        self._null_gauge_family = _NullFamily(self._null_gauge)
-        self._null_histogram_family = _NullFamily(self._null_histogram)
+        self._null_counter = Counter("null")
+        self._null_gauge = Gauge("null")
+        self._null_histogram = Histogram("null")
 
     def counter(
         self,
@@ -680,10 +629,8 @@ class NullMetricsRegistry(MetricsRegistry):
         labels: tuple[str, ...] | None = None,
         limit: int | None = None,
     ) -> Any:
-        """Always the shared no-op counter (or no-op family)."""
-        if labels is not None:
-            return self._null_counter_family
-        return self._null_counter
+        """The shared counter (or a family of it)."""
+        return self._null_counter if labels is None else _NullFamily(self._null_counter)
 
     def gauge(
         self,
@@ -691,10 +638,8 @@ class NullMetricsRegistry(MetricsRegistry):
         labels: tuple[str, ...] | None = None,
         limit: int | None = None,
     ) -> Any:
-        """Always the shared no-op gauge (or no-op family)."""
-        if labels is not None:
-            return self._null_gauge_family
-        return self._null_gauge
+        """The shared gauge (or a family of it)."""
+        return self._null_gauge if labels is None else _NullFamily(self._null_gauge)
 
     def histogram(
         self,
@@ -703,20 +648,8 @@ class NullMetricsRegistry(MetricsRegistry):
         labels: tuple[str, ...] | None = None,
         limit: int | None = None,
     ) -> Any:
-        """Always the shared no-op histogram (or no-op family)."""
-        if labels is not None:
-            return self._null_histogram_family
-        return self._null_histogram
-
-    def inc(self, name: str, amount: int = 1) -> int:
-        """Discard the increment."""
-        return 0
-
-    def set_gauge(self, name: str, value: float) -> None:
-        """Discard the update."""
-
-    def observe(self, name: str, value: float, buckets: tuple[float, ...] | None = None) -> None:
-        """Discard the observation."""
+        """The shared histogram (or a family of it)."""
+        return self._null_histogram if labels is None else _NullFamily(self._null_histogram)
 
 
 #: the shared disabled registry every component starts with

@@ -308,13 +308,14 @@ class SLOEngine:
             )
             if burning and not objective.alerting:
                 objective.alerts += 1
-                self._events.record(
-                    now,
-                    KIND_SLO_BURN,
-                    objective=objective.name,
-                    burn_rate=round(status["burn_rate"], 4),
-                    value=status["value"],
-                )
+                if self._events.enabled:
+                    self._events.record(
+                        now,
+                        KIND_SLO_BURN,
+                        objective=objective.name,
+                        burn_rate=round(status["burn_rate"], 4),
+                        value=status["value"],
+                    )
             edge = burning != objective.alerting
             objective.alerting = burning
             if edge:

@@ -548,10 +548,6 @@ class Tracer:
         self._finished = []
         return spans
 
-    def to_dicts(self) -> list[dict[str, Any]]:
-        """All closed spans as JSON-able dicts."""
-        return [span.to_dict() for span in self._finished]
-
     def reset(self, ids: bool = False) -> None:
         """Forget finished spans (open spans are unaffected).
 
@@ -593,19 +589,16 @@ class _NullSpan(Span):
         """Discard the tags."""
         return self
 
-    def __enter__(self) -> "Span":
-        return self
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
-        return False
-
 
 class NullTracer(Tracer):
-    """The default, disabled tracer: ``span()`` costs one attribute load.
+    """The default, disabled tracer: ``enabled`` is ``False``.
 
-    Every component and environment starts with this attached, so code
-    can open spans unconditionally; the shared context manager object is
-    reused, so the disabled path allocates nothing.
+    ``enabled`` is the one off-switch: every write (``start_span``,
+    ``finish``, ``bind_clock``, ``drain``) checks it first, so nothing
+    records here.  This tracer exists only to be bound; the cold sites
+    that open spans without checking get the shared no-op context
+    manager from ``span``/``span_from_context``, whose span discards its
+    tags, so the disabled path allocates nothing.
     """
 
     enabled = False
@@ -629,30 +622,6 @@ class NullTracer(Tracer):
     def current_context(self) -> TraceContext | None:
         """A disabled tracer has no trace to propagate."""
         return None
-
-    def start_span(
-        self,
-        name: str,
-        context: TraceContext | None = None,
-        **tags: Any,
-    ) -> Span:
-        """The shared inert span; :meth:`finish` on it is a no-op."""
-        return NULL_SPAN
-
-    def finish(self, span: Span) -> Span:
-        """Discard the finish (the null span is shared and never ends)."""
-        return span
-
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        """Ignore the clock; a disabled tracer never reads it."""
-
-    def finished(self) -> list[Span]:
-        """Always empty."""
-        return []
-
-    def drain(self) -> list[Span]:
-        """Always empty (nothing is ever recorded)."""
-        return []
 
 
 #: the span yielded by a disabled tracer (empty ids, inert tag());

@@ -72,10 +72,6 @@ class Binder:
     def __init__(self, interceptors: list[Interceptor] | None = None) -> None:
         self._interceptors = list(interceptors or [])
 
-    def add_interceptor(self, interceptor: Interceptor) -> None:
-        """Append an interceptor to the chain (runs after existing ones)."""
-        self._interceptors.append(interceptor)
-
     def prepare(self, invocation: Invocation) -> Invocation:
         """Run all before-invoke hooks in order."""
         for interceptor in self._interceptors:

@@ -168,10 +168,6 @@ class ReplicationTransparency:
         self._replicas = list(replicas)
         self.failovers = 0
 
-    def replicas(self) -> list[InterfaceRef]:
-        """Current replica list, preferred-first."""
-        return list(self._replicas)
-
     def before_invoke(self, invocation: Invocation) -> Invocation:
         # Use the sticky replica index so a failover retry does not snap
         # back to the (dead) preferred replica when re-prepared.

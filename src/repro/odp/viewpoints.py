@@ -117,10 +117,6 @@ class InformationSpec:
             raise ConfigurationError(f"schema {entity!r} already defined")
         self.schemas[entity] = list(attributes)
 
-    def add_invariant(self, name: str, description: str = "") -> None:
-        """Record a named invariant (checked by application code/tests)."""
-        self.invariants.append(InformationInvariant(name, description))
-
     def conforms(self, entity: str, instance: dict) -> bool:
         """True when *instance* has exactly the declared attributes."""
         expected = self.schemas.get(entity)

@@ -167,13 +167,6 @@ class Organisation:
         self._resources[resource.resource_id] = resource
         return resource
 
-    def add_project(self, project: Project) -> Project:
-        """Register a project."""
-        self._check_owner(project.organisation, project.project_id)
-        self._check_new(self._projects, project.project_id)
-        self._projects[project.project_id] = project
-        return project
-
     def _check_owner(self, organisation: str, object_id: str) -> None:
         if organisation != self.org_id:
             raise ConfigurationError(
@@ -194,17 +187,9 @@ class Organisation:
         """Look up a role."""
         return self._get(self._roles, role_id, "role")
 
-    def unit(self, unit_id: str) -> OrgUnit:
-        """Look up a unit."""
-        return self._get(self._units, unit_id, "unit")
-
     def resource(self, resource_id: str) -> Resource:
         """Look up a resource."""
         return self._get(self._resources, resource_id, "resource")
-
-    def project(self, project_id: str) -> Project:
-        """Look up a project."""
-        return self._get(self._projects, project_id, "project")
 
     @staticmethod
     def _get(registry: dict[str, Any], object_id: str, kind: str) -> Any:
@@ -217,18 +202,6 @@ class Organisation:
         """All registered persons."""
         return list(self._persons.values())
 
-    def roles(self) -> list[Role]:
-        """All registered roles."""
-        return list(self._roles.values())
-
     def units(self) -> list[OrgUnit]:
         """All registered units."""
         return list(self._units.values())
-
-    def resources(self) -> list[Resource]:
-        """All registered resources."""
-        return list(self._resources.values())
-
-    def projects(self) -> list[Project]:
-        """All registered projects."""
-        return list(self._projects.values())

@@ -100,10 +100,6 @@ class PolicyRegistry:
             self._on_change(from_org, to_org)
         return removed
 
-    def policy_between(self, from_org: str, to_org: str) -> InterOrgPolicy | None:
-        """The declared policy, or None when nothing is declared."""
-        return self._policies.get((from_org, to_org))
-
     def compatible(
         self,
         org_a: str,

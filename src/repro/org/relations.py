@@ -66,10 +66,6 @@ class RelationStore:
             return True
         return False
 
-    def exists(self, kind: RelationKind, source: str, target: str, scope: str = "") -> bool:
-        """True when the exact relation is present."""
-        return Relation(kind, source, target, scope) in self._index
-
     def targets(self, kind: RelationKind, source: str, scope: str | None = None) -> list[str]:
         """All targets related from *source* by *kind* (any scope when None)."""
         return [

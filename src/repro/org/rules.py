@@ -87,10 +87,6 @@ class RuleEngine:
             RuleException(person_id, action, target, grant, justification)
         )
 
-    def statements(self) -> list[PolicyStatement]:
-        """All role statements authored so far."""
-        return list(self._statements)
-
     def delegate_role(
         self,
         role_id: str,

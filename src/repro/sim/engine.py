@@ -53,11 +53,6 @@ class EventHandle:
         self._engine = engine
 
     @property
-    def time(self) -> float:
-        """Simulated time at which the callback fires."""
-        return self._event.time
-
-    @property
     def cancelled(self) -> bool:
         """True when the event was cancelled before firing."""
         return self._event.cancelled
@@ -91,7 +86,7 @@ class Engine:
 
         Counters ``sim.engine.scheduled``/``fired``/``cancelled`` and the
         ``sim.engine.queue_depth`` gauge (``fired`` reads :attr:`processed_count`);
-        with the default no-op registry the hot path pays one ``enabled`` check.
+        with the default, disabled registry the hot path pays one ``enabled`` check.
         """
         self._obs = (metrics or NULL_METRICS).read(
             self, {"sim.engine.fired": lambda: self._processed}, self._obs
@@ -157,10 +152,6 @@ class Engine:
             self._scheduled_counter.inc()
             self._depth_gauge.set(len(self._queue))
         return EventHandle(event, self)
-
-    def call_soon(self, callback: Callback) -> EventHandle:
-        """Schedule *callback* at the current time (after pending same-time events)."""
-        return self.schedule(0.0, callback)
 
     def step(self) -> bool:
         """Execute the next event; return False when the queue is empty."""

@@ -91,11 +91,6 @@ class Node:
         """True while the node has not crashed."""
         return self._up
 
-    @property
-    def received_count(self) -> int:
-        """Packets successfully delivered to this node."""
-        return self._received
-
     def crash(self) -> None:
         """Take the node down; packets to/from it are dropped."""
         self._up = False

@@ -28,11 +28,6 @@ class SeededRng:
         self._random = random.Random(seed)
         self._forks = 0
 
-    @property
-    def seed(self) -> int:
-        """The seed this stream was created with."""
-        return self._seed
-
     def fork(self, label: str = "") -> "SeededRng":
         """Return an independent child stream.
 
@@ -88,7 +83,3 @@ class SeededRng:
         copy = list(items)
         self._random.shuffle(copy)
         return copy
-
-    def gauss(self, mu: float, sigma: float) -> float:
-        """Normally distributed float."""
-        return self._random.gauss(mu, sigma)

@@ -35,11 +35,6 @@ class LamportClock:
         self.owner = owner
         self._time = 0
 
-    @property
-    def time(self) -> int:
-        """Current scalar time (number of observed causal steps)."""
-        return self._time
-
     def tick(self) -> int:
         """Advance for a local event; return the new time."""
         self._time += 1

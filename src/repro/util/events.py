@@ -63,9 +63,10 @@ class EventBus:
     """A synchronous, deterministic publish/subscribe bus.
 
     Handlers run inline in subscription order, which keeps simulations
-    reproducible.  Exceptions in handlers propagate to the publisher (errors
-    should never pass silently); callers that want isolation can wrap their
-    handler.
+    reproducible.  A handler that raises does not stop the publish: the
+    error is counted (the tally a registry reads as ``events.handler_errors``)
+    and the remaining handlers still run, so one subscriber's fault never
+    reaches the publisher or the other subscribers.
     """
 
     def __init__(self) -> None:
@@ -73,6 +74,8 @@ class EventBus:
         self._next_token = 1
         self._delivered = 0
         self._published = 0
+        #: handler calls that raised, read as ``events.handler_errors``
+        self._handler_errors = 0
         self._clock: Callable[[], float] | None = None
         self._obs: MetricsRegistry = NULL_METRICS
 
@@ -151,12 +154,21 @@ class EventBus:
                     if time is None:
                         time = self._clock() if self._clock is not None else 0.0
                     event = Event(topic=topic, payload=payload, source=source, time=time)
-                sub.handler(event)
+                try:
+                    sub.handler(event)
+                except Exception:
+                    self._count_handler_error()
                 count += 1
         self._delivered += count
         if self._obs.enabled:
             self._m_fanout.observe(count)
         return count
+
+    def _count_handler_error(self) -> None:
+        """Count one raising handler.  The registry reads the tally from
+        the first error on, so an error-free run exports no series."""
+        self._obs.read(self, {"events.handler_errors": lambda: self._handler_errors})
+        self._handler_errors += 1
 
 
 @dataclass
@@ -183,7 +195,3 @@ class EventRecorder:
     def payloads(self) -> list[Any]:
         """Payloads of recorded events, in delivery order."""
         return [e.payload for e in self.events]
-
-    def clear(self) -> None:
-        """Forget all recorded events."""
-        self.events.clear()

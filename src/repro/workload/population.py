@@ -82,10 +82,6 @@ class PopulationGenerator:
         """The organisation ids this spec creates."""
         return [f"{self.spec.org_prefix}{i}" for i in range(self.spec.organisations)]
 
-    def person_ids(self) -> list[str]:
-        """The person ids this spec creates."""
-        return [f"{self.spec.person_prefix}{i}" for i in range(self.spec.people)]
-
     def install(self, env) -> PopulationReport:
         """Create orgs, people and endpoints in *env*; return the report."""
         spec = self.spec

@@ -198,6 +198,26 @@ def test_unknown_sender_takes_a_same_organisation_route():
         assert all("organisation" not in outcome.handled for outcome in outcomes)
 
 
+def test_a_raising_bus_subscriber_stays_out_of_the_batch():
+    """A subscriber on the ``exchange`` topic that raises for one request
+    is isolated by the bus: the batch returns both outcomes, and the
+    counts agree with them."""
+    env = make_env()
+
+    def fail_on_broken(event):
+        if event.source == "broken":
+            raise ZeroDivisionError("subscriber fault")
+
+    env.bus.subscribe("exchange", fail_on_broken)
+    ok = ExchangeRequest("ana", "wolf", "plain", "plain", DOC)
+    bad = ExchangeRequest("ana", "wolf", "broken", "plain", DOC)
+    outcomes = env.exchange_many([ok, bad])
+    assert [outcome.reason_code for outcome in outcomes] == [REASON_DELIVERED] * 2
+    delivered = sum(outcome.delivered for outcome in outcomes)
+    assert env.exchanges_attempted == 2
+    assert env.exchanges_attempted == delivered + env.exchanges_failed
+
+
 # -- the cross-domain origin -------------------------------------------------
 
 

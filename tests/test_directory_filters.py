@@ -107,6 +107,11 @@ class TestSerialization:
         restored = Filter.from_document(document)
         assert restored.to_document() == document
 
+    def test_round_trip_le(self):
+        document = Le("age", 34).to_document()
+        assert document == {"kind": "le", "attribute": "age", "value": 34}
+        assert Filter.from_document(document).matches(PERSON)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(DirectoryError):
             Filter.from_document({"kind": "mystery"})

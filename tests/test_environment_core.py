@@ -361,15 +361,12 @@ class TestEnvironmentBuilder:
         assert span.tags["domain"] == "mocca"
         assert span.tags["receiver"] == "ghost"
 
-    def test_with_trader_policy_installs_hook(self, world):
+    def test_an_added_trader_policy_hook_filters_offers(self, world):
+        from repro.odp.objects import InterfaceRef
         from repro.util.errors import NoOfferError
 
-        env = (CSCWEnvironment.builder()
-               .with_world(world)
-               .with_trader_policy(lambda offer, context: False)
-               .build())
-        from repro.odp.objects import InterfaceRef
-
+        env = CSCWEnvironment.builder().with_world(world).build()
+        env.trader.add_policy_hook(lambda offer, context: False)
         env.trader.export("printing", InterfaceRef("n", "o", "i"))
         with pytest.raises(NoOfferError):
             env.trader.import_one("printing")

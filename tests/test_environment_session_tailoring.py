@@ -1,87 +1,12 @@
-"""Tests for cooperation sessions, tailoring and the view registry."""
+"""Tests for tailoring, transparency profiles and the view registry."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.apps.conferencing import ConferencingSystem
-from repro.apps.message_system import MessageSystem
-from repro.communication.model import Communicator
-from repro.environment.environment import CSCWEnvironment
-from repro.environment.session import CooperationSession
 from repro.environment.tailoring import TailorableParameter, TailoringService
-from repro.environment.transparency import TransparencyProfile, ViewRegistry
-from repro.org.model import Organisation, Person
-from repro.util.errors import ConfigurationError, ModelError, TailoringError
-from repro.util.events import EventRecorder
-
-
-@pytest.fixture
-def env(world) -> CSCWEnvironment:
-    env = CSCWEnvironment.builder().with_world(world).build()
-    upc = Organisation("upc", "UPC")
-    for pid, name in [("ana", "Ana Lopez"), ("joan", "Joan Puig"), ("marta", "Marta Vila")]:
-        upc.add_person(Person(pid, name, "upc"))
-    env.knowledge_base.add_organisation(upc)
-    world.add_site("bcn", ["ws1", "ws2", "ws3"])
-    for pid, node in [("ana", "ws1"), ("joan", "ws2"), ("marta", "ws3")]:
-        env.register_person(Communicator(pid, node))
-    ConferencingSystem().attach(env, exporter_org="upc")
-    MessageSystem().attach(env, exporter_org="upc")
-    env.create_activity("review", "review meeting")
-    return env
-
-
-class TestCooperationSession:
-    def test_join_send_receive(self, env):
-        session = CooperationSession(env, "review")
-        session.join("ana", "conferencing")
-        session.join("joan", "message-system")
-        outcome = session.send("ana", "joan", {"topic": "agenda", "entry": "item 1"})
-        assert outcome.delivered
-        assert session.members() == ["ana", "joan"]
-        assert session.app_of("joan") == "message-system"
-
-    def test_broadcast(self, env):
-        session = CooperationSession(env, "review")
-        for person, app in [("ana", "conferencing"), ("joan", "message-system"),
-                            ("marta", "conferencing")]:
-            session.join(person, app)
-        outcomes = session.broadcast("ana", {"topic": "t", "entry": "e"})
-        assert len(outcomes) == 2
-        assert all(o.delivered for o in outcomes)
-
-    def test_double_join_rejected(self, env):
-        session = CooperationSession(env, "review")
-        session.join("ana", "conferencing")
-        with pytest.raises(ModelError):
-            session.join("ana", "conferencing")
-
-    def test_unregistered_app_rejected(self, env):
-        session = CooperationSession(env, "review")
-        with pytest.raises(ModelError):
-            session.join("ana", "spreadsheet-3000")
-
-    def test_leave_unsubscribes_and_removes(self, env):
-        session = CooperationSession(env, "review")
-        events = EventRecorder()
-        session.join("ana", "conferencing", on_event=events)
-        session.join("joan", "message-system")
-        session.leave("ana")
-        session.announce({"note": "after ana left"})
-        assert events.events == []
-        assert not env.activities.get("review").is_member("ana")
-
-    def test_member_events_scoped_to_activity(self, env):
-        env.create_activity("other", "other activity")
-        session = CooperationSession(env, "review")
-        other = CooperationSession(env, "other")
-        review_events = EventRecorder()
-        session.join("ana", "conferencing", on_event=review_events)
-        other.join("joan", "message-system")
-        other.announce({"secret": "other business"})
-        session.announce({"public": "review business"})
-        assert [e.payload for e in review_events.events] == [{"public": "review business"}]
+from repro.environment.transparency import CSCW_DIMENSIONS, TransparencyProfile, ViewRegistry
+from repro.util.errors import ConfigurationError, TailoringError
 
 
 class TestTailoring:
@@ -151,13 +76,13 @@ class TestTailoring:
 
 class TestTransparencyProfile:
     def test_all_on_off(self):
-        assert TransparencyProfile.all_on().hidden_count() == 4
-        assert TransparencyProfile.all_off().hidden_count() == 0
+        assert TransparencyProfile.all_on().enabled_dimensions() == list(CSCW_DIMENSIONS)
+        assert TransparencyProfile.all_off().enabled_dimensions() == []
 
     def test_without_and_with(self):
         profile = TransparencyProfile.all_on().without("time")
         assert profile.enabled_dimensions() == ["organisation", "view", "activity"]
-        assert profile.with_("time").hidden_count() == 4
+        assert profile.with_("time") == TransparencyProfile.all_on()
 
     def test_unknown_dimension_rejected(self):
         with pytest.raises(ConfigurationError):

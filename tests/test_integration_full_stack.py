@@ -18,7 +18,6 @@ from repro.communication.model import Communicator
 from repro.directory.dsa import DirectoryServiceAgent
 from repro.directory.dua import DirectoryUserAgent
 from repro.environment.environment import CSCWEnvironment, ExchangeRequest
-from repro.environment.session import CooperationSession
 from repro.messaging.mta import MessageTransferAgent
 from repro.messaging.names import or_name
 from repro.messaging.ua import UserAgent
@@ -117,15 +116,15 @@ class TestGroupCooperation:
         workflow = WorkflowSystem()
         for app, org in [(conferencing, "upc"), (messages, "gmd"), (workflow, "lancaster")]:
             app.attach(env, exporter_org=org)
-        env.create_activity("standards-reply", "reply to ODP draft")
-        session = CooperationSession(env, "standards-reply")
-        session.join("ana", "conferencing")
-        session.join("wolf", "message-system")
-        session.join("tom", "workflow")
-        outcomes = session.broadcast(
-            "ana", {"topic": "draft", "entry": "please review section 6",
-                    "conference": "odp", "author": "ana"},
-        )
+        apps = {"ana": "conferencing", "wolf": "message-system", "tom": "workflow"}
+        env.create_activity("standards-reply", "reply to ODP draft", dict.fromkeys(apps, "participant"))
+        draft = {"topic": "draft", "entry": "please review section 6",
+                 "conference": "odp", "author": "ana"}
+        outcomes = env.exchange_many([
+            ExchangeRequest("ana", receiver, apps["ana"], apps[receiver], draft,
+                            activity_id="standards-reply")
+            for receiver in ("wolf", "tom")
+        ])
         assert all(o.delivered for o in outcomes)
         assert messages.folder("wolf")[0].subject == "draft"
         # Workflow gets it as a structured form document in tom's inbox.

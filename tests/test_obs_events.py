@@ -86,15 +86,7 @@ class TestEventLog:
 
 
 class TestNullEventLog:
-    def test_discards_everything_and_reports_disabled(self):
-        log = NullEventLog()
-        assert log.enabled is False
-        log.record(0.0, KIND_SHED, n=1)
-        log.extend([Event(time=0.0, kind=KIND_SHED)])
-        assert log.events() == []
-        assert log.recorded == 0
-
     def test_shared_null_instance(self):
+        assert isinstance(NULL_EVENTS, NullEventLog)
         assert NULL_EVENTS.enabled is False
-        NULL_EVENTS.record(0.0, KIND_SHED)
         assert NULL_EVENTS.events() == []

@@ -1,4 +1,4 @@
-"""Tests for repro.obs.export: Chrome trace, JSONL, and metrics dumps.
+"""Tests for repro.obs.export: Chrome trace and JSONL dumps.
 
 Acceptance bar (ISSUE 5): the Chrome trace export round-trips through
 ``json.loads`` with monotonic, non-negative timestamps, and exports are
@@ -11,13 +11,9 @@ import json
 
 from repro.obs.export import (
     chrome_trace_json,
-    export_chrome_trace,
-    export_jsonl,
-    export_metrics,
     to_chrome_trace,
     to_jsonl,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.sim.engine import Engine
 
@@ -94,11 +90,9 @@ class TestChromeTrace:
         )
 
     def test_export_writes_parseable_file(self, tmp_path):
-        path = export_chrome_trace(
-            traced_run().finished(), str(tmp_path / "trace.json")
-        )
-        with open(path, encoding="utf-8") as handle:
-            blob = json.load(handle)
+        path = tmp_path / "trace.json"
+        path.write_text(chrome_trace_json(traced_run().finished()), encoding="utf-8")
+        blob = json.loads(path.read_text(encoding="utf-8"))
         assert any(e["ph"] == "X" for e in blob["traceEvents"])
 
 
@@ -111,19 +105,5 @@ class TestJsonlAndMetrics:
             "relay", "exchange", "probe",  # finish order
         ]
 
-    def test_jsonl_export_handles_empty(self, tmp_path):
-        path = export_jsonl([], str(tmp_path / "spans.jsonl"))
-        with open(path, encoding="utf-8") as handle:
-            assert handle.read() == ""
-
-    def test_metrics_export_accepts_registry_or_snapshot(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.inc("env.exchange.total", 3)
-        path_a = export_metrics(registry, str(tmp_path / "a.json"))
-        path_b = export_metrics(registry.snapshot(), str(tmp_path / "b.json"))
-        with open(path_a, encoding="utf-8") as handle:
-            blob_a = json.load(handle)
-        with open(path_b, encoding="utf-8") as handle:
-            blob_b = json.load(handle)
-        assert blob_a == blob_b
-        assert blob_a["counters"]["env.exchange.total"] == 3
+    def test_jsonl_export_handles_empty(self):
+        assert to_jsonl([]) == ""

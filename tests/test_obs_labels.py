@@ -130,10 +130,13 @@ class TestCardinalityCap:
 
 class TestNullFamilies:
     def test_null_registry_hands_out_noop_families(self):
+        """A null family resolves every label set to the shared child and
+        declares nothing in the registry."""
         family = NULL_METRICS.counter("f", labels=("k",))
-        child = family.labels(k="a")
-        assert child.inc() == 0
-        assert family.children() == {}
-        NULL_METRICS.gauge("g", labels=("k",)).set(1.0, k="a")
-        NULL_METRICS.histogram("h", labels=("k",)).observe(1.0, k="a")
+        assert family.labels(k="a") is family.labels("b") is NULL_METRICS.counter("f")
+        gauges = NULL_METRICS.gauge("g", labels=("k",))
+        assert gauges.labels(k="a") is NULL_METRICS.gauge("g")
+        histograms = NULL_METRICS.histogram("h", labels=("k",))
+        assert histograms.labels(k="a") is NULL_METRICS.histogram("h")
+        assert NULL_METRICS.family("f") is None
         assert NULL_METRICS.snapshot()["counters"] == {}

@@ -14,7 +14,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullMetricsRegistry,
 )
 
 
@@ -130,28 +129,18 @@ class TestRegistry:
 
 class TestNullRegistry:
     def test_disabled_flag_and_noop_operations(self):
+        """What the null registry still does, binding and ``read``,
+        registers nothing: every write checks ``enabled`` instead."""
         assert NULL_METRICS.enabled is False
-        assert NULL_METRICS.inc("anything", 100) == 0
-        NULL_METRICS.set_gauge("g", 5.0)
-        NULL_METRICS.observe("h", 5.0)
+        counter = NULL_METRICS.counter("a")
+        assert counter is NULL_METRICS.counter("b")
+        assert type(counter) is Counter
+        assert type(NULL_METRICS.gauge("g")) is Gauge
+        assert type(NULL_METRICS.histogram("h", buckets=(1.0,))) is Histogram
         assert NULL_METRICS.snapshot() == {
             "counters": {}, "gauges": {}, "histograms": {},
         }
-
-    def test_null_instruments_are_shared_and_inert(self):
-        registry = NullMetricsRegistry()
-        counter = registry.counter("a")
-        assert counter is registry.counter("b")
-        counter.inc(50)
-        assert counter.value == 0
-        histogram = registry.histogram("h")
-        histogram.observe(3.0)
-        assert histogram.count == 0
-        gauge = registry.gauge("g")
-        gauge.set(9.0)
-        gauge.inc()
-        gauge.dec()
-        assert gauge.value == 0.0
+        assert NULL_METRICS.cardinality() == {}
 
     def test_components_default_to_noop_registry(self):
         """The opt-in contract: a fresh engine/bus/trader records nothing."""
@@ -231,16 +220,22 @@ class TestReadSeries:
         assert registry.snapshot()["counters"] == {"ops{shard=s0}": 2}
 
     def test_published_counts_a_publish_whose_handler_raised(self):
-        from repro.util.events import EventBus
+        """A raising handler is isolated: the publish returns, the later
+        handler still runs, and the error is a counted series that exists
+        only once an error happened."""
+        from repro.util.events import EventBus, EventRecorder
 
         def boom(event):
             raise RuntimeError("handler failed")
 
-        bus, registry = EventBus(), MetricsRegistry()
+        bus, registry, after = EventBus(), MetricsRegistry(), EventRecorder()
         bus.attach_metrics(registry)
         bus.subscribe("t", boom)
-        with pytest.raises(RuntimeError):
-            bus.publish("t", 1)
+        bus.subscribe("t", after)
+        assert "events.handler_errors" not in registry.snapshot()["counters"]
+        assert bus.publish("t", 1) == 2
+        assert after.payloads() == [1]
         counters = registry.snapshot()["counters"]
+        assert counters["events.handler_errors"] == 1
         assert counters["events.published"] == bus.published_count == 1
-        assert counters["events.delivered"] == bus.delivered_count
+        assert counters["events.delivered"] == bus.delivered_count == 2

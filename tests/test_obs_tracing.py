@@ -173,12 +173,12 @@ class TestNullTracer:
         tracer = NullTracer()
         try:
             with tracer.span("outer"):
-                with tracer.span_from_context("inner", None):
-                    detached = tracer.start_span("detached")
+                with tracer.span_from_context("inner", None) as inner:
+                    inner.tag(step=1)
                     raise RuntimeError("bad")
         except RuntimeError:
             pass
-        tracer.finish(detached)
+        assert inner is NULL_SPAN and inner.tags == {}
         assert tracer.current_context() is None
         assert tracer.finished() == []
 

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.odp.binding import BindingFactory
+from repro.odp.binding import Binder, BindingFactory, Invocation
 from repro.odp.node_mgmt import Capsule
 from repro.odp.objects import ComputationalObject, InterfaceRef, signature
 from repro.odp.trader import Trader
 from repro.odp.transparencies import (
+    AccessTransparency,
     FailureTransparency,
     LocationTransparency,
     MigrationTransparency,
@@ -33,6 +34,23 @@ def cluster(world):
     for capsule in capsules.values():
         factory.register_capsule(capsule)
     return world, capsules, factory
+
+
+class TestAccessTransparency:
+    def test_marks_invocations_and_never_retries(self, cluster):
+        world, capsules, factory = cluster
+        refs = capsules["n1"].deploy(_service("plain", "ok"))
+        binder = Binder([AccessTransparency()])
+        invocation = binder.prepare(Invocation(refs["svc"], "who", {}))
+        assert invocation.annotations == {"access_transparent": True}
+        assert binder.handle_failure(invocation, lambda retried: None) is False
+        channel = factory.bind(
+            "client", refs["svc"], TransparencySelection({"access"}).build(), timeout_s=0.5
+        )
+        assert channel.call(world, "who") == "ok"
+        world.failures.crash_at("n1", at=world.now, duration=5.0)
+        with pytest.raises(BindingError):
+            channel.call(world, "who")
 
 
 class TestMigrationTransparency:
