@@ -197,7 +197,7 @@ class ConferencingSystem(GroupwareApp):
 
         Cross-application cooperation: a memo or form translated into the
         ``conference`` format lands as an entry in the person's inbox
-        conference (created on demand).
+        conference (created on demand), stamped with its delivery time.
         """
         name = document.get("conference") or "imported"
         if name not in self._conferences:
@@ -211,5 +211,5 @@ class ConferencingSystem(GroupwareApp):
             author=author,
             topic=document.get("topic", ""),
             text=document.get("entry", ""),
-            time=info.get("time", 0.0),
+            time=info.get("delivered_at", info.get("sent_at", 0.0)),
         )

@@ -6,9 +6,10 @@ exchange, and the context within which communication takes place."*
 
 A :class:`Communicator` is a person's communication endpoint (their node,
 the media they can receive, and their presence).  Every concrete exchange
-— synchronous or asynchronous — is described by an :class:`Exchange` and
-folded into the :class:`CommunicationLog`'s aggregates, which answer the
-who-talks-to-whom analyses message-based systems build on.
+— synchronous or asynchronous — is folded into the
+:class:`CommunicationLog`'s aggregates, which answer the who-talks-to-whom
+analyses message-based systems build on; sessions and channels describe
+theirs as an :class:`Exchange`.
 """
 
 from __future__ import annotations
@@ -52,10 +53,10 @@ class CommunicationContext:
 
 
 class Exchange(NamedTuple):
-    """One communication act.
+    """One communication act, as a session or channel logs it.
 
-    One is built per delivery, so it is a :class:`~typing.NamedTuple`,
-    the cheapest immutable record to build.  It is built positionally or
+    One is built per utterance or message part, so it is a
+    :class:`~typing.NamedTuple`, the cheapest immutable record to build.  It is built positionally or
     by keyword and, being a tuple, compares equal to a plain tuple of the
     same field values.
     """
@@ -118,32 +119,62 @@ class CommunicatorRegistry:
 
 class CommunicationLog:
     """Folds exchanges into two aggregates, kept in first-occurrence order:
-    sender -> receiver -> exchanges, and (mode, from_org, to_org, activity)
-    -> [exchanges, bytes].  No exchange is kept, so the log grows with the
-    population and its structure, not with the run length."""
+    sender -> receiver -> exchanges, and one ``[exchanges, bytes]`` cell
+    per setting, (mode, from_org, to_org, activity).  No exchange is kept,
+    so the log grows with the population and its structure, not with the
+    run length.
+
+    A caller that folds many exchanges of one context holds that
+    context's cells (:meth:`cells`) and hands :meth:`record` the cell of
+    each exchange's mode, so a fold bumps the cell in place."""
 
     def __init__(self) -> None:
         self._pairs: defaultdict[str, dict[str, int]] = defaultdict(lambda: defaultdict(int))
-        self._settings: defaultdict[tuple[str, ...], list[int]] = defaultdict(lambda: [0, 0])
+        #: setting -> its [exchanges, bytes, setting] cell, every cell handed out
+        self._cells: dict[tuple[str, ...], list] = {}
+        #: the cells with an exchange folded in, in first-fold order
+        self._settings: dict[tuple[str, ...], list] = {}
 
-    def record(self, exchange: Exchange) -> None:
-        """Fold one exchange into the aggregates."""
-        sender, receiver, mode, _, size_bytes, _, context, _ = exchange
+    def cells(self, context: CommunicationContext) -> dict[str, list]:
+        """Mode -> the cell :meth:`record` folds *context*'s exchanges of
+        that mode into, for both modes."""
+        return {mode: self._cell(mode, context) for mode in ("synchronous", "asynchronous")}
+
+    def _cell(self, mode: str, context: CommunicationContext) -> list:
+        setting = (mode, context.from_org, context.to_org, context.activity)
+        cell = self._cells.get(setting)
+        if cell is None:
+            cell = self._cells[setting] = [0, 0, setting]
+        return cell
+
+    def record(
+        self,
+        sender: "str | Exchange",
+        receiver: str = "",
+        size_bytes: int = 0,
+        cell: list | None = None,
+    ) -> None:
+        """Fold one exchange into the aggregates: an :class:`Exchange`, or
+        its sender, receiver, size and its mode's cell from :meth:`cells`."""
+        if cell is None:
+            sender, receiver, mode, _, size_bytes, _, context, _ = sender
+            cell = self._cell(mode, context)
         self._pairs[sender][receiver] += 1
-        totals = self._settings[mode, context.from_org, context.to_org, context.activity]
-        totals[0] += 1
-        totals[1] += size_bytes
+        if not cell[0]:  # the setting's first exchange: it joins the fold order
+            self._settings[cell[2]] = cell
+        cell[0] += 1
+        cell[1] += size_bytes
 
     def _fold(self, field: "int | slice") -> dict:
         """Exchanges per value of ``setting[field]``, first occurrence first."""
         folded: dict = {}
-        for setting, (count, _) in self._settings.items():
-            folded[setting[field]] = folded.get(setting[field], 0) + count
+        for setting, cell in self._settings.items():
+            folded[setting[field]] = folded.get(setting[field], 0) + cell[0]
         return folded
 
     def __len__(self) -> int:
         """Exchanges recorded."""
-        return sum(count for count, _ in self._settings.values())
+        return sum(cell[0] for cell in self._settings.values())
 
     def between(self, a: str, b: str) -> int:
         """Exchanges in either direction between two people."""
@@ -172,4 +203,4 @@ class CommunicationLog:
 
     def volume_bytes(self) -> int:
         """Total bytes exchanged."""
-        return sum(size for _, size in self._settings.values())
+        return sum(cell[1] for cell in self._settings.values())

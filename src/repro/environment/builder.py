@@ -282,8 +282,8 @@ class EnvironmentBuilder:
         env.exchanges_attempted = 0
         env.exchanges_failed = 0
         env._pending_deliveries = {}
-        #: (activity, from_org, to_org) -> the shared CommunicationContext
-        env._contexts = {}
+        #: (activity, from_org, to_org) -> mode -> its communication-log cell
+        env._log_cells = {}
         env._shed_limit = self._shed_limit
         env._default_deadline_s = self._default_deadline_s
         # duck-typed: only the sharded KB can place an organisation on a

@@ -59,11 +59,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
 from repro.activity.model import Activity
-from repro.communication.model import (
-    CommunicationContext,
-    Communicator,
-    Exchange,
-)
+from repro.communication.model import CommunicationContext, Communicator
 from repro.environment.registry import AppDescriptor, DeliveryCallback
 from repro.environment.transparency import CSCW_DIMENSIONS, TransparencyProfile
 from repro.obs.events import KIND_DEADLINE, KIND_SHED
@@ -98,6 +94,8 @@ REASON_APPLICATION_ERROR = "application-error"
 
 #: shared default profile — exchange() is hot, avoid rebuilding it per call
 _ALL_ON = TransparencyProfile.all_on()
+#: mode -> a delivered outcome's reason
+_DELIVERED_REASONS = {mode: f"delivered ({mode})" for mode in ("synchronous", "asynchronous")}
 
 
 def deadline_reason(expires_at: float, now: float) -> str:
@@ -125,13 +123,14 @@ class _Refusal(NamedTuple):
     reason: str
 
 
-#: the route-constant state of an admitted run: its communication
-#: context, the (sender, receiver) formats, the dimensions a synchronous
-#: delivery handles (in pipeline order), the receiver's endpoint (None
-#: without a communicator) and the receiving app's delivery callback; a
-#: plain tuple, as a run of one pays for its construction on every exchange
+#: the route-constant state of an admitted run: its communication-log
+#: cell per mode, the (sender, receiver) formats, the dimensions a
+#: synchronous delivery handles (in pipeline order), the receiver's
+#: endpoint (None without a communicator) and the receiving app's delivery
+#: callback; a plain tuple, as a run of one pays for its construction on
+#: every exchange
 _Admission = tuple[
-    CommunicationContext, str, str, tuple[str, ...], "Communicator | None", DeliveryCallback
+    "dict[str, list]", str, str, tuple[str, ...], "Communicator | None", DeliveryCallback
 ]
 
 
@@ -333,7 +332,8 @@ class CSCWEnvironment:
         ``env.shed.expired``): a deadline-carrying exchange promised its
         sender delivery-by, not delivery-eventually.  A delivery whose
         application callback raises is not counted as flushed (it counts
-        as ``env.flush.application_error``); the rest still flush.
+        as ``env.flush.application_error``); the rest still flush.  A
+        flushed delivery's info adds ``delivered_at`` to its ``sent_at``.
         """
         self.communicators.set_presence(person_id, True)
         pending = self._pending_deliveries.pop(person_id, [])
@@ -345,7 +345,8 @@ class CSCWEnvironment:
                 expired += 1
                 continue
             try:
-                deliver(person_id, document, info)
+                # a copy: bus subscribers were handed the send-time info
+                deliver(person_id, document, {**info, "delivered_at": now})
             except Exception:  # one raising callback must not drop the rest
                 if self.metrics.enabled:
                     self.metrics.inc("env.flush.application_error")
@@ -611,18 +612,15 @@ class CSCWEnvironment:
         except UnknownObjectError:
             endpoint = None
         deliver = self.applications.callback(request.receiver_app)
-        # Contexts are frozen values, so one per (activity, org pair) is
-        # shared by every exchange record; building one costs as much as
-        # the rest of the admission.
+        # The route's communication-log cells, one per mode, kept per
+        # (activity, org pair): a delivery bumps its mode's cell in place.
         key = (activity_id, verdict.sender_org, verdict.receiver_org)
-        context = self._contexts.get(key)
-        if context is None:
-            context = self._contexts[key] = CommunicationContext(
-                activity=activity_id,
-                from_org=verdict.sender_org,
-                to_org=verdict.receiver_org,
-            )
-        return context, sender_format, receiver_format, handled, endpoint, deliver
+        cells = self._log_cells.get(key)
+        if cells is None:
+            cells = self._log_cells[key] = self.communication_log.cells(CommunicationContext(
+                activity=activity_id, from_org=verdict.sender_org, to_org=verdict.receiver_org
+            ))
+        return cells, sender_format, receiver_format, handled, endpoint, deliver
 
     def _exchange_group(
         self, group: Sequence[ExchangeRequest], trace_id: str, outcomes: list[ExchangeOutcome]
@@ -656,7 +654,7 @@ class CSCWEnvironment:
                     # no later callback can re-admit the route: the rest of the run fails
                     self._refuse(admitted, size - index, trace_id, outcomes)
                     break
-                context, source, target, handled, endpoint, deliver = admitted
+                cells, source, target, handled, endpoint, deliver = admitted
                 translated = source != target
             refusal = None
             document = request.document
@@ -691,7 +689,7 @@ class CSCWEnvironment:
                 mode = "asynchronous"
             if refusal is None:  # stage 10: deliver now, or queue for the receiver's return
                 info = {"sender": head.sender, "sender_app": head.sender_app, "mode": mode,
-                        "fidelity": fidelity, "activity": head.activity_id}
+                        "fidelity": fidelity, "activity": head.activity_id, "sent_at": now}
                 self.bus.publish(topic, info, source=head.sender_app, time=now)
                 # every delivery owns its top-level dict: the payload on its last use
                 shared = index + 1 < size and group[index + 1].document is document
@@ -709,15 +707,12 @@ class CSCWEnvironment:
             if refusal is not None:
                 self._refuse(refusal, 1, trace_id, outcomes)
                 continue
-            self.communication_log.record(
-                Exchange(head.sender, receiver, mode, "document", size_bytes, now, context)
-            )
+            self.communication_log.record(head.sender, receiver, size_bytes, cells[mode])
             if outcome is None or outcome.mode != mode:
                 outcome = ExchangeOutcome(
-                    delivered=True, mode=mode, reason=f"delivered ({mode})",
-                    translated=translated, fidelity=fidelity,
-                    handled=handled if mode == "synchronous" else _with_time(handled),
-                    reason_code=REASON_DELIVERED, trace_id=trace_id, size_bytes=size_bytes,
+                    True, mode, _DELIVERED_REASONS[mode], translated, fidelity,
+                    handled if mode == "synchronous" else _with_time(handled),
+                    REASON_DELIVERED, trace_id, size_bytes,
                 )
             outcomes.append(outcome)
         if shed:

@@ -32,6 +32,7 @@ QUADRANTS = (
 )
 
 #: deliver(person_id, document, info) — info carries mode/fidelity/sender
+#: and the send time ``sent_at``; a queued delivery's adds ``delivered_at``
 DeliveryCallback = Callable[[str, dict[str, Any], dict[str, Any]], None]
 
 

@@ -80,23 +80,26 @@ class CodecRegistry:
 #: non-ASCII character, so its output is pure ASCII.
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str)
 
-#: the C encoder :meth:`json.JSONEncoder.encode` builds on every call,
-#: built once with the same settings; ``None`` where ``_json`` is missing.
-#: It keeps no markers dict, so it does not detect cycles (they end in a
+#: the sizer: the canonical settings without ``sort_keys``, as key order
+#: cannot change the encoded length.  Its C encoder (the one
+#: :meth:`json.JSONEncoder.encode` builds on every call) is built once;
+#: ``None`` where ``_json`` is missing.  The C encoder keeps no markers
+#: dict, so it does not detect cycles (they end in a
 #: :class:`RecursionError`) and no failed call can leave stale ids in it.
-_canonical_chunks = (
+_SIZING = json.JSONEncoder(separators=(",", ":"), default=str)
+_sizing_chunks = (
     None
     if json.encoder.c_make_encoder is None
     else json.encoder.c_make_encoder(
         None,  # markers: no shared circular-reference table
-        _CANONICAL.default,
+        _SIZING.default,
         json.encoder.encode_basestring_ascii,
-        _CANONICAL.indent,
-        _CANONICAL.key_separator,
-        _CANONICAL.item_separator,
-        _CANONICAL.sort_keys,
-        _CANONICAL.skipkeys,
-        _CANONICAL.allow_nan,
+        _SIZING.indent,
+        _SIZING.key_separator,
+        _SIZING.item_separator,
+        _SIZING.sort_keys,
+        _SIZING.skipkeys,
+        _SIZING.allow_nan,
     )
 )
 
@@ -108,7 +111,8 @@ def canonical_json(document: Any) -> str:
     order.  The converse does not hold: a tuple renders as the list with
     the same items, and a value JSON cannot encode renders as its
     ``str()``, so distinct documents can share a rendering.  Keys of
-    mixed types cannot be sorted and raise :class:`TypeError`.
+    mixed types cannot be sorted and raise :class:`TypeError`
+    (:func:`document_size` sizes such documents).
 
     >>> print(canonical_json({"b": (1, None), "a": "é"}))
     {"a":"\\u00e9","b":[1,null]}
@@ -121,21 +125,28 @@ def document_size(document: Any) -> int:
 
     The environment's byte accounting, gateway relays, ``odp.binding``
     and ``communication.realtime`` use it to log and charge payload
-    sizes.  The encoding is ASCII, so its length in characters is its
-    length in UTF-8 bytes.  The chunks come from one prebuilt C encoder
-    and are never joined; a cycle or nesting past the recursion limit
-    re-runs :func:`canonical_json`'s encoder, so such documents raise
-    exactly what it raises (:class:`ValueError` for a cycle).
+    sizes.  It encodes without sorting keys: key order cannot change the
+    length, so every document :func:`canonical_json` renders gets that
+    rendering's length.  A document with keys of mixed types, which
+    :func:`canonical_json` cannot sort, is sized as it would render in
+    insertion order.  The encoding is ASCII, so its length in characters
+    is its length in UTF-8 bytes.  The chunks come from one prebuilt C
+    encoder; a cycle or nesting past the recursion limit re-runs
+    :meth:`json.JSONEncoder.encode` with the same settings, so such
+    documents raise what :func:`canonical_json` raises
+    (:class:`ValueError` for a cycle).
 
     >>> document_size({"b": (1, None), "a": "é"})
     27
+    >>> document_size({1: "a", "b": 2})
+    15
     """
-    if _canonical_chunks is not None:
+    if _sizing_chunks is not None:
         try:
-            return sum(map(len, _canonical_chunks(document, 0)))
+            return len("".join(_sizing_chunks(document, 0)))
         except RecursionError:
             pass
-    return len(_CANONICAL.encode(document))
+    return len(_SIZING.encode(document))
 
 
 def deep_merge(base: dict[str, Any], overlay: dict[str, Any]) -> dict[str, Any]:

@@ -13,6 +13,11 @@ view registry, the communication log and the receiving application's
 own delivery code.  Newer Python versions inline some calls (PEP 709
 comprehensions), so the bound is an upper one.
 
+A second budget, :data:`FEDERATED_CALL_BUDGET`, holds one warm, untraced,
+translated, cross-domain ``federated_exchange`` on a two-domain
+federation: the origin's stages, the gateway relay with its byte charge,
+the transport and engine steps that carry it, and the target's pipeline.
+
 It also pins what ``_admit`` does today with an unregistered receiving
 application: the pipeline raises ``NotRegisteredError`` instead of
 refusing, so a batch that reaches such a run stops there with its
@@ -33,6 +38,9 @@ from repro.apps.conferencing import ConferencingSystem
 from repro.apps.message_system import MessageSystem
 from repro.communication.model import Communicator
 from repro.environment.environment import REASON_DELIVERED, CSCWEnvironment, ExchangeRequest
+from repro.environment.registry import AppDescriptor, Q_DIFFERENT_TIME_DIFFERENT_PLACE
+from repro.federation import Federation
+from repro.information.interchange import FormatConverter, make_common
 from repro.org.model import Organisation, Person
 from repro.org.policy import INTERACTION_MESSAGE
 from repro.sim.world import World
@@ -41,7 +49,10 @@ from repro.util.errors import NotRegisteredError
 #: Python-level calls of one warm exchange below.  If a change adds calls
 #: on purpose, raise this to the new count and name the added calls in
 #: CHANGES.md; if it removes calls, lower it, so the budget keeps guarding.
-CALL_BUDGET = 31
+CALL_BUDGET = 30
+#: Python-level calls of one warm cross-domain federated exchange, kept
+#: like :data:`CALL_BUDGET`
+FEDERATED_CALL_BUDGET = 123
 
 DOC = {"topic": "ODP", "entry": "will it help?", "author": "ana", "conference": "c"}
 REQUEST = ExchangeRequest("ana", "wolf", "conferencing", "message-system", DOC)
@@ -64,9 +75,34 @@ def make_env() -> CSCWEnvironment:
     return env
 
 
-def count_calls(env: CSCWEnvironment) -> tuple[Counter, object]:
-    """One exchange of :data:`REQUEST` under a profiler counting Python
-    calls per (file, function)."""
+def make_federation() -> Federation:
+    """ana homed in domain upc, wolf in gmd, and two applications with
+    distinct formats (app0 sends, app1 receives)."""
+    federation = Federation.partition(World(seed=0), {"upc": ["ana"], "gmd": ["wolf"]})
+    for index in (0, 1):
+        key = f"fmt{index}"
+        converter = FormatConverter(
+            key,
+            lambda document, key=key: make_common(
+                "note", document[f"{key}-title"], document[f"{key}-body"]
+            ),
+            lambda common, key=key: {f"{key}-title": common["title"], f"{key}-body": common["body"]},
+        )
+        federation.register_application(
+            AppDescriptor(f"app{index}", [Q_DIFFERENT_TIME_DIFFERENT_PLACE], converter),
+            lambda person, document, info: None,
+        )
+    return federation
+
+
+FEDERATED_REQUEST = ExchangeRequest(
+    "ana", "wolf", "app0", "app1", {"fmt0-title": "minutes", "fmt0-body": "agenda"}
+)
+
+
+def count_calls(exchange, request) -> tuple[Counter, object]:
+    """``exchange(request)`` under a profiler counting Python calls per
+    (file, function)."""
     calls: Counter = Counter()
 
     def profile(frame, event, arg):
@@ -75,27 +111,43 @@ def count_calls(env: CSCWEnvironment) -> tuple[Counter, object]:
 
     sys.setprofile(profile)
     try:
-        outcome = env.exchange(REQUEST)
+        outcome = exchange(request)
     finally:
         sys.setprofile(None)
     return calls, outcome
+
+
+def assert_within(calls: Counter, budget: int, name: str) -> None:
+    total = sum(calls.values())
+    listing = "\n".join(f"  {count} {call}" for call, count in calls.most_common())
+    assert total <= budget, (
+        f"one warm exchange made {total} Python calls, over {name} = {budget}; "
+        f"if the new calls are intended, raise {name} and say why in CHANGES.md:\n"
+        f"{listing}"
+    )
 
 
 def test_a_warm_exchange_stays_within_its_call_budget():
     env = make_env()
     for _ in range(2):  # warm: resolution memo, plan cache, inboxes
         assert env.exchange(REQUEST).delivered
-    calls, outcome = count_calls(env)
+    calls, outcome = count_calls(env.exchange, REQUEST)
     assert outcome.reason_code == REASON_DELIVERED
     assert outcome.translated and outcome.handled == ("organisation", "view")
     assert not env.tracer.enabled
-    total = sum(calls.values())
-    listing = "\n".join(f"  {count} {name}" for name, count in calls.most_common())
-    assert total <= CALL_BUDGET, (
-        f"one warm exchange made {total} Python calls, over CALL_BUDGET = {CALL_BUDGET}; "
-        f"if the new calls are intended, raise CALL_BUDGET and say why in CHANGES.md:\n"
-        f"{listing}"
-    )
+    assert_within(calls, CALL_BUDGET, "CALL_BUDGET")
+
+
+def test_a_warm_cross_domain_federated_exchange_stays_within_its_call_budget():
+    federation = make_federation()
+    for _ in range(2):  # warm: homes, route verdicts, plans, the gateway link
+        assert federation.federated_exchange(FEDERATED_REQUEST).delivered
+    calls, federated = count_calls(federation.federated_exchange, FEDERATED_REQUEST)
+    outcome = federated.outcome
+    assert (federated.origin, federated.target, federated.attempts) == ("upc", "gmd", 1)
+    assert outcome.reason_code == REASON_DELIVERED and outcome.translated
+    assert not any(domain.env.tracer.enabled for domain in federation.domains())
+    assert_within(calls, FEDERATED_CALL_BUDGET, "FEDERATED_CALL_BUDGET")
 
 
 def test_a_warm_exchange_calls_each_layer_once():
@@ -103,7 +155,7 @@ def test_a_warm_exchange_calls_each_layer_once():
     callback lookup per run (the run binds the receiving app's callback)."""
     env = make_env()
     env.exchange(REQUEST)
-    calls, _ = count_calls(env)
+    calls, _ = count_calls(env.exchange, REQUEST)
     for name in (
         "environment.py:exchange", "environment.py:_admit", "environment.py:_translate",
         "interchange.py:translate", "serialization.py:document_size", "events.py:publish",

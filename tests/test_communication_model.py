@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.communication.asynchronous import AsyncChannel
 from repro.communication.bridge import TimeTransparencyBridge
@@ -11,6 +13,7 @@ from repro.communication.model import (
     CommunicationLog,
     Communicator,
     CommunicatorRegistry,
+    Exchange,
 )
 from repro.communication.realtime import RealTimeSession
 from repro.messaging.body_parts import MEDIA_FAX, MEDIA_TEXT, text_body
@@ -133,6 +136,122 @@ class TestCommunicationLog:
         summary = summarize(positional)
         assert (summary.exchanges, summary.bytes_total, summary.synchronous,
                 summary.asynchronous, summary.distinct_pairs) == (3, 35, 2, 1, 3)
+
+
+#: person -> organisation; hq and lab may exchange messages, ext may not
+CELL_ORGS = {"ana": "hq", "bob": "hq", "cy": "lab", "dee": "lab", "eve": "ext"}
+CELL_MODES = ("synchronous", "asynchronous")
+#: one step: exchange (sender, receiver, activity, time transparency on,
+#: document size), a presence flip, or a direct record of an Exchange
+_cell_step = st.one_of(
+    st.tuples(
+        st.just("exchange"), st.sampled_from(tuple(CELL_ORGS)), st.sampled_from(tuple(CELL_ORGS)),
+        st.sampled_from(("", "act")), st.booleans(), st.integers(0, 40),
+    ),
+    st.tuples(st.sampled_from(("leave", "arrive")), st.sampled_from(tuple(CELL_ORGS))),
+    st.tuples(
+        st.just("record"), st.sampled_from(tuple(CELL_ORGS)), st.sampled_from(tuple(CELL_ORGS)),
+        st.sampled_from(("", "act", "other")), st.sampled_from(CELL_MODES), st.integers(0, 99),
+    ),
+)
+
+
+def _cell_env():
+    from repro.environment.environment import CSCWEnvironment
+    from repro.environment.registry import AppDescriptor, Q_DIFFERENT_TIME_DIFFERENT_PLACE
+    from repro.org.model import Organisation, Person
+    from repro.org.policy import INTERACTION_MESSAGE
+    from repro.sim.world import World
+
+    world = World(seed=0)
+    env = CSCWEnvironment.builder().with_world(world).build()
+    for org_id in sorted(set(CELL_ORGS.values())):
+        organisation = Organisation(org_id, org_id.upper())
+        for person_id in (p for p, org in CELL_ORGS.items() if org == org_id):
+            organisation.add_person(Person(person_id, person_id.title(), org_id))
+            world.network.add_node(f"ws-{person_id}", site=org_id)
+            env.register_person(Communicator(person_id, f"ws-{person_id}"))
+        env.knowledge_base.add_organisation(organisation)
+    env.knowledge_base.policies.declare("hq", "lab", {INTERACTION_MESSAGE}, symmetric=True)
+    env.register_application(
+        AppDescriptor("app", [Q_DIFFERENT_TIME_DIFFERENT_PLACE]), lambda *delivery: None
+    )
+    env.create_activity("act", "review", members={"ana": "chair", "bob": "member", "cy": "member"})
+    return env
+
+
+def _reference_fold(rows):
+    """The log's queries over (sender, receiver, mode, from_org, to_org,
+    activity, size) rows, computed by plain loops in row order."""
+    rows_of: dict = {}
+    for sender, receiver, *_ in rows:
+        row = rows_of.setdefault(sender, {})
+        row[receiver] = row.get(receiver, 0) + 1
+    pairs: dict = {}
+    activities: dict = {}
+    for _, _, _, from_org, to_org, activity, _ in rows:
+        pairs[from_org, to_org] = pairs.get((from_org, to_org), 0) + 1
+        activities[activity] = activities.get(activity, 0) + 1
+    return {
+        "len": len(rows),
+        "volume_bytes": sum(row[6] for row in rows),
+        "by_mode": {mode: sum(row[2] == mode for row in rows) for mode in CELL_MODES},
+        "traffic_matrix": [((s, r), n) for s, row in rows_of.items() for r, n in row.items()],
+        "organisation_pairs": list(pairs.items()),
+        "activities": list(activities.items()),
+        "between": {
+            (a, b): sum({row[0], row[1]} == {a, b} for row in rows)
+            for a in CELL_ORGS for b in CELL_ORGS
+        },
+    }
+
+
+class TestLogCells:
+    """The environment folds each delivery into its route's cell; every
+    query of the log equals a plain fold of the same exchanges."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_cell_step, max_size=40))
+    def test_log_queries_equal_a_reference_fold(self, steps):
+        from repro.environment.environment import ExchangeRequest
+        from repro.environment.transparency import TransparencyProfile
+
+        env = _cell_env()
+        log = env.communication_log
+        no_time = TransparencyProfile.all_on().without("time")
+        rows = []
+        for step in steps:
+            if step[0] == "exchange":
+                _, sender, receiver, activity, time_on, size = step
+                outcome = env.exchange(ExchangeRequest(
+                    sender, receiver, "app", "app", {"text": "x" * size},
+                    activity_id=activity, profile=None if time_on else no_time,
+                ))
+                if outcome.delivered:
+                    rows.append((sender, receiver, outcome.mode, CELL_ORGS[sender],
+                                 CELL_ORGS[receiver], activity, outcome.size_bytes))
+            elif step[0] == "record":
+                _, sender, receiver, activity, mode, size = step
+                context = CommunicationContext(activity, "", CELL_ORGS[sender], CELL_ORGS[receiver])
+                log.record(Exchange(sender, receiver, mode, "text", size, 0.0, context))
+                rows.append((sender, receiver, mode, CELL_ORGS[sender], CELL_ORGS[receiver],
+                             activity, size))
+            elif step[0] == "leave":
+                env.person_leaves(step[1])
+            else:
+                env.person_arrives(step[1])
+        expected = _reference_fold(rows)
+        assert len(log) == expected["len"]
+        assert log.volume_bytes() == expected["volume_bytes"]
+        assert {mode: log.by_mode(mode) for mode in CELL_MODES} == expected["by_mode"]
+        assert log.by_mode("video") == 0
+        assert list(log.traffic_matrix().items()) == expected["traffic_matrix"]
+        assert list(log.organisation_pairs().items()) == expected["organisation_pairs"]
+        assert list(log.activities().items()) == expected["activities"]
+        for activity in ("", "act", "other"):
+            assert log.in_activity(activity) == dict(expected["activities"]).get(activity, 0)
+        for (a, b), count in expected["between"].items():
+            assert log.between(a, b) == count, (a, b)
 
 
 class TestRealTimeSession:

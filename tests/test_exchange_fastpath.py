@@ -106,6 +106,34 @@ class TestUnknownReceiver:
         assert env.pending_for("wolf") == 1
 
 
+class TestDeliveryTimes:
+    """A delivery's info carries its send time, a flushed one's adds its
+    delivery time, and a conference entry is stamped with the latter."""
+
+    def test_a_queued_delivery_shows_its_send_and_delivery_times(self, world):
+        env = make_env(world)
+        infos: list[dict] = []
+        env.register_application(
+            AppDescriptor(name="recorder", quadrants=[Q_DIFFERENT_TIME_DIFFERENT_PLACE]),
+            lambda person, document, info: infos.append(info),
+        )
+        conferencing = env.applications.callback("conferencing").__self__
+        entry = {"topic": "ODP", "entry": "will it help?", "author": "wolf", "conference": "c"}
+        world.run_for(2.0)
+        for present in (True, False):
+            if not present:
+                env.person_leaves("ana")
+            for app, document in (("recorder", {}), ("conferencing", entry)):
+                outcome = env.exchange(ExchangeRequest("wolf", "ana", app, app, document))
+                assert outcome.mode == ("synchronous" if present else "asynchronous")
+        world.run_for(3.0)
+        assert env.person_arrives("ana") == 2
+        assert [(info.get("sent_at"), info.get("delivered_at")) for info in infos] == [
+            (2.0, None), (2.0, 5.0),
+        ]
+        assert [e.time for e in conferencing.conference("c").entries] == [2.0, 5.0]
+
+
 class TestExchangeMany:
     def test_batch_matches_per_call_loop_field_for_field(self, world):
         loop_env = make_env(world)

@@ -114,9 +114,13 @@ class TestDocumentHelpers:
         assert document_size(document) == len(canonical_json(document).encode("utf-8"))
 
     def test_mixed_key_types_cannot_be_sorted(self):
-        for helper in (canonical_json, document_size):
-            with pytest.raises(TypeError):
-                helper({1: "a", "b": 2})
+        """Only the canonical rendering sorts keys: the sizer sizes a
+        document with mixed-type keys as it renders in insertion order."""
+        document = {1: "a", "b": 2, "nested": {None: [1], "x": {2.5: "y"}}}
+        with pytest.raises(TypeError):
+            canonical_json(document)
+        rendered = '{"1":"a","b":2,"nested":{"null":[1],"x":{"2.5":"y"}}}'
+        assert document_size(document) == len(rendered)
 
     def test_cycles_raise_circular_reference(self):
         cyclic_dict: dict = {"a": 1}
@@ -146,8 +150,11 @@ class TestDocumentHelpers:
 
         cyclic: dict = {}
         cyclic["self"] = cyclic
+        document = {"ok": [1, "two", 3.0], "nested": {"bad": {1: "x", "b": 2}}}
+        mixed_keys = '{"ok":[1,"two",3.0],"nested":{"bad":{"1":"x","b":2}}}'
+        assert document_size(document) == len(mixed_keys)  # sized, not refused
         for bad, error in (
-            ({1: "x", "b": 2}, TypeError),
+            ({(1, 2): "x"}, TypeError),  # a key JSON cannot encode
             ([Unprintable()], RuntimeError),
             (cyclic, ValueError),
         ):
